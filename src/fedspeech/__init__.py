@@ -17,16 +17,15 @@ from .aggregation import (AggMethod, AggregationConfig, ClientUpdate,
 from .costs import (CostReport, LayerCost, conv_output_len, forward_flops,
                     frames_for_duration, module_rollup, param_count)
 from .devices import (Anchor, DeviceProfile, FitVerdict, TimePrediction,
-                      builtin_profiles, calibrate, check_fit, get_profile,
-                      predict_batch_time, training_residency_bytes)
+                      builtin_profiles, check_fit, get_profile, predict_batch_time,
+                      training_residency_bytes)
 from .federation import (ClientDataset, Partition, RoundSchedule, UtteranceRecord,
                          WallClockEstimate, estimate_communication,
                          estimate_wall_clock, load_manifest, partition_by_speaker,
                          schedule_rounds, synthetic_manifest, uniform_partition)
-from .memory import (MemoryCalibration, MemoryTimeline, Optimizer, TrainingCost,
-                     default_calibration, fit_activation_overhead, memory_timeline,
-                     precision_memory_delta, static_memory, training_flops,
-                     training_profile)
+from .memory import (MemoryCalibration, MemoryTimeline, default_calibration,
+                     fit_activation_overhead, memory_timeline, precision_memory_delta,
+                     static_memory, training_flops)
 from .trend import TrendForecast, parity_year, speedup_after
 
 __version__ = "0.1.0"

@@ -156,7 +156,6 @@ class SyntheticFLConfig:
 class RoundRecord:
     round_id: int
     selected: tuple[int, ...]
-    global_weights: np.ndarray
     client_losses: dict[str, float]
     mean_client_loss: float
     population_loss: float
@@ -214,8 +213,7 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                                         local_loss=loss))
         global_w = aggregate(updates, agg)
         records.append(RoundRecord(
-            round_id=round_id, selected=selected, global_weights=global_w.copy(),
-            client_losses=losses,
+            round_id=round_id, selected=selected, client_losses=losses,
             mean_client_loss=float(np.mean(list(losses.values()))),
             population_loss=cfg.population_loss(global_w),
             distance_to_optimum=float(np.linalg.norm(global_w - optimum))))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,9 @@ from .config import (config_fingerprint, load_config, resolve_arch, resolve_cali
 from .costs import forward_flops, module_rollup
 from .devices import FitVerdict, check_fit, get_profile, predict_batch_time, \
     training_residency_bytes
-from .errors import (ConfigError, FedspeechError, InfeasibleError, MalformedRowError,
-                     MissingColumnError)
+from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
+                     MalformedRowError, MissingAnchorError, MissingColumnError,
+                     UnsupportedPrecisionError)
 from .federation import (estimate_communication, estimate_wall_clock, load_manifest,
                          partition_by_speaker, schedule_rounds, uniform_assignment,
                          uniform_partition)
@@ -183,7 +185,8 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     local_epochs = args.local_epochs if args.local_epochs is not None else int(
         fl.get("local_epochs", 1))
     seed = args.seed if args.seed is not None else int(fl.get("seed", 0))
-    precision = parse_precision(args.precision or "fp32")
+    precision = parse_precision(args.precision
+                                or cfg.get("workload", {}).get("precision", "fp32"))
 
     if args.manifest:
         records = load_manifest(args.manifest)
@@ -262,12 +265,13 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     arch = resolve_arch(cfg, args.arch)
     device = get_profile(args.device, profiles)
     reference = get_profile(args.reference, profiles)
+    workload = _workload_from(args, cfg)
 
     combos = {}
     for batch in (1, 4):
         for precision in (Precision.FP32, Precision.MIXED):
             try:
-                w = WorkloadSpec(5.5, batch=batch, precision=precision)
+                w = replace(workload, batch=batch, precision=precision)
                 slow = predict_batch_time(device, arch, w).seconds_per_batch
                 fast = predict_batch_time(reference, arch, w).seconds_per_batch
                 f = parity_year(args.base_year, slow, fast, args.doubling_months)
@@ -276,15 +280,16 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                     "slowdown_ratio": f.slowdown_ratio,
                     "years_to_parity": f.years_to_parity,
                     "parity_year": f.parity_year}
-            except FedspeechError:
-                continue
+            except (MissingAnchorError, UnsupportedPrecisionError, InvalidRatioError):
+                continue  # a combination the anchors cannot compare is left out
     headline_key = f"b{args.batch or 4}-{(args.precision or 'fp32')}"
     if headline_key not in combos:
         raise ConfigError(f"no anchors for the requested comparison {headline_key}")
     headline = combos[headline_key]
 
     meta = _meta(args, arch, device=device.name, reference=reference.name,
-                 doubling_months=args.doubling_months, base_year=args.base_year)
+                 duration_s=workload.duration_s, doubling_months=args.doubling_months,
+                 base_year=args.base_year)
     out = _out_dir(args, cfg)
     write_json(out / "forecast.json", {"meta": meta, "headline": headline_key,
                                        "combos": combos})
@@ -345,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict_time)
 
     p = sub.add_parser("fl-plan", help="federated wall-clock and traffic estimate")
-    _add_common(p)
+    _add_common(p, workload=False)
+    p.add_argument("--batch", type=int, help="batch size")
+    p.add_argument("--precision", choices=["fp32", "mixed"])
     p.add_argument("--manifest", help="TSV manifest; omit for an idealised corpus")
     p.add_argument("--clients", type=int)
     p.add_argument("--per-round", type=int, dest="per_round")

@@ -175,8 +175,7 @@ def resolve_calibration(config: Mapping) -> MemoryCalibration:
     return MemoryCalibration(
         activation_overhead=kappa,
         runtime_overhead_bytes=overhead,
-        residency_factor=float(mem.get("residency_factor", DEFAULT_RESIDENCY_FACTOR)),
-        reference=f"base encoder, 5.5 s, batch 4, fp32 -> {peak / GB:.2f} GB peak")
+        residency_factor=float(mem.get("residency_factor", DEFAULT_RESIDENCY_FACTOR)))
 
 
 def config_fingerprint(resolved: Mapping) -> str:

@@ -25,8 +25,7 @@ from typing import Optional, Sequence
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import forward_flops
 from .errors import ConfigError, MissingAnchorError, UnsupportedPrecisionError
-from .memory import (MemoryCalibration, Optimizer, default_calibration, static_memory,
-                     training_flops)
+from .memory import MemoryCalibration, default_calibration, static_memory, training_flops
 
 GB = 1e9
 
@@ -94,6 +93,11 @@ def _anchors(arch_name: str, table: Sequence[tuple[int, str, float]]) -> list[An
 def builtin_profiles() -> tuple[DeviceProfile, ...]:
     """Reference devices with their measured training-time anchors."""
     edge_reserve = 1.5 * GB
+    agx_anchors = tuple(  # both Xavier AGX memory variants share one measurement
+        _anchors("base", [(1, "fp32", 0.38), (1, "mixed", 0.43),
+                          (4, "fp32", 1.08), (4, "mixed", 0.82)])
+        + _anchors("large", [(1, "fp32", 0.88), (1, "mixed", 0.87),
+                             (4, "mixed", 1.72)]))
     return (
         DeviceProfile(
             name="a40", memory_total_bytes=48 * GB, os_reserve_bytes=0.0,
@@ -120,20 +124,12 @@ def builtin_profiles() -> tuple[DeviceProfile, ...]:
             name="xavier-agx", memory_total_bytes=16 * GB, os_reserve_bytes=edge_reserve,
             supports_mixed=True,
             description="NVIDIA Jetson Xavier AGX (16 GB)",
-            anchors=tuple(
-                _anchors("base", [(1, "fp32", 0.38), (1, "mixed", 0.43),
-                                  (4, "fp32", 1.08), (4, "mixed", 0.82)])
-                + _anchors("large", [(1, "fp32", 0.88), (1, "mixed", 0.87),
-                                     (4, "mixed", 1.72)]))),
+            anchors=agx_anchors),
         DeviceProfile(
             name="xavier-agx-32gb", memory_total_bytes=32 * GB,
             os_reserve_bytes=edge_reserve, supports_mixed=True,
             description="NVIDIA Jetson Xavier AGX, 32 GB variant",
-            anchors=tuple(
-                _anchors("base", [(1, "fp32", 0.38), (1, "mixed", 0.43),
-                                  (4, "fp32", 1.08), (4, "mixed", 0.82)])
-                + _anchors("large", [(1, "fp32", 0.88), (1, "mixed", 0.87),
-                                     (4, "mixed", 1.72)]))),
+            anchors=agx_anchors),
         DeviceProfile(
             name="xavier-nx", memory_total_bytes=8 * GB, os_reserve_bytes=edge_reserve,
             supports_mixed=True,
@@ -167,10 +163,6 @@ def get_profile(name: str,
 # Throughput calibration and prediction
 
 
-def _training_flops_at(arch: ArchitectureSpec, workload: WorkloadSpec) -> float:
-    return training_flops(forward_flops(arch, workload)).total_flops
-
-
 def _select_anchor(profile: DeviceProfile, arch: ArchitectureSpec,
                    workload: WorkloadSpec) -> Anchor:
     if workload.precision is Precision.MIXED and not profile.supports_mixed:
@@ -185,23 +177,18 @@ def _select_anchor(profile: DeviceProfile, arch: ArchitectureSpec,
     return min(candidates, key=lambda a: (abs(a.batch - workload.batch), a.batch))
 
 
-def calibrate(profile: DeviceProfile, arch: ArchitectureSpec,
-              workload: WorkloadSpec) -> float:
-    """Effective training throughput (FLOP/s) from the matching anchor."""
-    anchor = _select_anchor(profile, arch, workload)
-    return _training_flops_at(arch, anchor.workload) / anchor.seconds_per_batch
-
-
 def predict_batch_time(profile: DeviceProfile, arch: ArchitectureSpec,
                        workload: WorkloadSpec) -> TimePrediction:
     """Seconds per batch for an arbitrary workload on this device.
 
-    Calibrating and predicting at an anchor's own workload returns the
+    The effective training throughput (FLOP/s) is calibrated from the
+    matching anchor; predicting at an anchor's own workload returns the
     measured anchor time exactly.
     """
     anchor = _select_anchor(profile, arch, workload)
-    throughput = _training_flops_at(arch, anchor.workload) / anchor.seconds_per_batch
-    seconds = _training_flops_at(arch, workload) / throughput
+    throughput = (training_flops(forward_flops(arch, anchor.workload))
+                  / anchor.seconds_per_batch)
+    seconds = training_flops(forward_flops(arch, workload)) / throughput
     return TimePrediction(seconds_per_batch=seconds, effective_throughput=throughput,
                           anchor_used=anchor)
 
@@ -223,18 +210,12 @@ def check_fit(profile: DeviceProfile, peak_memory_bytes: float) -> FitVerdict:
 
 
 def training_residency_bytes(arch: ArchitectureSpec, workload: WorkloadSpec,
-                             calibration: Optional[MemoryCalibration] = None,
-                             optimizer: Optimizer = Optimizer.ADAM) -> float:
+                             calibration: Optional[MemoryCalibration] = None) -> float:
     """Whole-process peak residency of a training step, for fit checks."""
     cal = calibration or default_calibration()
     report = forward_flops(arch, workload)
     activations = report.total_activation_bytes_per_sample * workload.batch
-    return (static_memory(arch, optimizer, workload.precision)
+    return (static_memory(report)
             + cal.runtime_overhead_bytes
             + cal.residency_factor * activations)
 
-
-def check_workload_fit(profile: DeviceProfile, arch: ArchitectureSpec,
-                       workload: WorkloadSpec,
-                       calibration: Optional[MemoryCalibration] = None) -> FitVerdict:
-    return check_fit(profile, training_residency_bytes(arch, workload, calibration))

@@ -20,13 +20,12 @@ an immutable :class:`MemoryCalibration` record, never global state.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec, base_preset
-from .costs import CostReport, forward_flops, param_count
+from .costs import CostReport, forward_flops
 from .errors import ConfigError
 
 BACKWARD_FLOP_MULTIPLIER = 2.0  # backward ~= 2x forward for matmul-dominated nets
@@ -39,46 +38,10 @@ REFERENCE_WORKLOAD = WorkloadSpec(duration_s=5.5, batch=4, precision=Precision.F
 DEFAULT_RUNTIME_OVERHEAD_BYTES = 400_000_000  # interpreter + framework + loader floor
 DEFAULT_RESIDENCY_FACTOR = 3.2  # backward temporaries + allocator slack, whole process
 
-
-class Optimizer(str, enum.Enum):
-    ADAM = "adam"
-    SGD = "sgd"
-
-
-# Bytes per parameter held across a training step. fp32 + adam: weights 4,
-# grads 4, two moments 8. Mixed keeps fp32 masters and adds fp16 working
-# weights and grads, which lands on the same totals.
-_STATIC_BYTES_PER_PARAM = {
-    (Precision.FP32, Optimizer.ADAM): 16,
-    (Precision.FP32, Optimizer.SGD): 8,
-    (Precision.MIXED, Optimizer.ADAM): 16,
-    (Precision.MIXED, Optimizer.SGD): 8,
-}
-
-
-@dataclass(frozen=True)
-class LayerTrainingFlops:
-    layer_id: int
-    label: str
-    fwd_flops: float
-    bwd_flops: float
-
-    @property
-    def total_flops(self) -> float:
-        return self.fwd_flops + self.bwd_flops
-
-
-@dataclass(frozen=True)
-class TrainingCost:
-    fwd_flops: float
-    bwd_flops: float
-    precision: Precision
-    per_layer: tuple[LayerTrainingFlops, ...] = ()
-    peak_memory_bytes: float = 0.0
-
-    @property
-    def total_flops(self) -> float:
-        return self.fwd_flops + self.bwd_flops
+# Bytes per parameter held across a training step with Adam: fp32 weights 4,
+# grads 4, two moments 8. Mixed precision keeps fp32 masters and adds fp16
+# working weights and grads, which lands on the same total.
+TRAINING_STATIC_BYTES_PER_PARAM = 16
 
 
 @dataclass(frozen=True)
@@ -88,7 +51,6 @@ class MemoryCalibration:
     activation_overhead: float  # kappa: fitted multiplier on retained activations
     runtime_overhead_bytes: float = DEFAULT_RUNTIME_OVERHEAD_BYTES
     residency_factor: float = DEFAULT_RESIDENCY_FACTOR
-    reference: str = ""
 
 
 @dataclass(frozen=True)
@@ -125,27 +87,20 @@ def peak_from_parts(static_bytes: float, activation_bytes: float,
     return static_bytes + activation_overhead * activation_bytes
 
 
-def training_flops(report: CostReport) -> TrainingCost:
-    """Backward = 2x forward per layer; total = 3x forward."""
-    per_layer = tuple(
-        LayerTrainingFlops(layer_id=l.layer_id, label=l.label, fwd_flops=l.fwd_flops,
-                           bwd_flops=BACKWARD_FLOP_MULTIPLIER * l.fwd_flops)
-        for l in report.per_layer)
+def training_flops(report: CostReport) -> float:
+    """Training FLOPs of a forward cost report: forward plus 2x forward."""
     fwd = report.total_fwd_flops
-    precision = report.workload.precision if report.workload else Precision.FP32
-    return TrainingCost(fwd_flops=fwd, bwd_flops=BACKWARD_FLOP_MULTIPLIER * fwd,
-                        precision=precision, per_layer=per_layer)
+    return fwd + BACKWARD_FLOP_MULTIPLIER * fwd
 
 
-def static_memory(arch: ArchitectureSpec, optimizer: Optimizer = Optimizer.ADAM,
-                  precision: Precision = Precision.FP32) -> int:
+def static_memory(report: CostReport) -> int:
     """Weights + gradients + optimizer state, in bytes."""
-    return param_count(arch).total_params * _STATIC_BYTES_PER_PARAM[(precision, optimizer)]
+    return report.total_params * TRAINING_STATIC_BYTES_PER_PARAM
 
 
-def weight_bytes(arch: ArchitectureSpec) -> int:
+def weight_bytes(report: CostReport) -> int:
     """fp32 master weights only."""
-    return param_count(arch).total_params * 4
+    return report.total_params * 4
 
 
 def fit_activation_overhead(arch: ArchitectureSpec, workload: WorkloadSpec,
@@ -155,7 +110,7 @@ def fit_activation_overhead(arch: ArchitectureSpec, workload: WorkloadSpec,
     """Solve kappa so the modelled peak matches one measured point."""
     report = forward_flops(arch, workload)
     activations = report.total_activation_bytes_per_sample * workload.batch
-    static = weight_bytes(arch) + runtime_overhead_bytes
+    static = weight_bytes(report) + runtime_overhead_bytes
     if activations <= 0:
         raise ConfigError("cannot fit the activation overhead on zero activations")
     if measured_peak_bytes <= static:
@@ -169,9 +124,7 @@ def default_calibration() -> MemoryCalibration:
     """Calibration fitted on the bundled reference measurement."""
     kappa = fit_activation_overhead(base_preset(), REFERENCE_WORKLOAD,
                                     REFERENCE_PEAK_BYTES)
-    return MemoryCalibration(
-        activation_overhead=kappa,
-        reference="base encoder, 5.5 s, batch 4, fp32 -> 2.54 GB forward peak")
+    return MemoryCalibration(activation_overhead=kappa)
 
 
 def memory_timeline(arch: ArchitectureSpec, workload: WorkloadSpec,
@@ -191,7 +144,7 @@ def memory_timeline(arch: ArchitectureSpec, workload: WorkloadSpec,
         layer_labels=tuple(l.label for l in report.per_layer),
         layer_kinds=tuple(l.kind.value for l in report.per_layer),
         per_layer_bytes=per_layer, cumulative_bytes=tuple(cumulative),
-        static_bytes=weight_bytes(arch) + cal.runtime_overhead_bytes,
+        static_bytes=weight_bytes(report) + cal.runtime_overhead_bytes,
         activation_overhead=cal.activation_overhead)
 
 
@@ -207,10 +160,3 @@ def precision_memory_delta(arch: ArchitectureSpec, workload: WorkloadSpec,
     mixed = memory_timeline(arch, replace(workload, precision=Precision.MIXED), calibration)
     return fp32.peak_bytes, mixed.peak_bytes
 
-
-def training_profile(arch: ArchitectureSpec, workload: WorkloadSpec,
-                     calibration: Optional[MemoryCalibration] = None) -> TrainingCost:
-    """Training FLOPs plus the modelled forward-peak memory for a workload."""
-    cost = training_flops(forward_flops(arch, workload))
-    timeline = memory_timeline(arch, workload, calibration)
-    return replace(cost, peak_memory_bytes=timeline.peak_bytes)

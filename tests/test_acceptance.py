@@ -1,296 +1,48 @@
-"""Acceptance suite: one test per shipped guarantee, each printing a PASS line.
+"""Acceptance suite: one test per ``checks.CHECK_GROUPS`` entry, each printing
+a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` (or ``fedspeech validate``
-for the user-facing equivalent).
+The reference figures live only in ``fedspeech.checks``; each test runs one
+group of those checks, the same ones ``fedspeech validate`` prints. Run with
+``pytest tests/test_acceptance.py -v -s``.
 """
 
 import time
 
-import numpy as np
-import pytest
+from fedspeech.checks import CHECK_GROUPS
 
-from fedspeech.aggregation import (AggMethod, AggregationConfig, ClientUpdate,
-                                   SyntheticFLConfig, fedavg, loss_weighted,
-                                   run_synthetic_fl)
-from fedspeech.arch import Precision, WorkloadSpec, base_preset, get_preset, \
-    large_preset
-from fedspeech.checks import participation_round_counts
-from fedspeech.costs import ModuleGroup, forward_flops, param_count
-from fedspeech.devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
-                               training_residency_bytes)
-from fedspeech.federation import (estimate_wall_clock, partition_by_speaker,
-                                  schedule_rounds, uniform_assignment,
-                                  uniform_partition)
-from fedspeech.memory import default_calibration, memory_timeline, \
-    precision_memory_delta
-
-GB = 1e9
+GROUPS = dict(CHECK_GROUPS)
+COVERED = set()  # groups with a test below, filled at import
 
 
-def test_criterion_1_parameter_totals():
-    start = time.perf_counter()
-    base = param_count(base_preset())
-    large = param_count(large_preset())
-    assert base.total_params == pytest.approx(94.79e6, rel=0.01)
-    assert large.total_params == pytest.approx(316.00e6, rel=0.01)
-    for report, splits in [
-            (base, {"cnn_encoder": 4.60e6, "transformer": 89.78e6,
-                    "quantizer": 0.41e6}),
-            (large, {"cnn_encoder": 4.73e6, "transformer": 310.70e6,
-                     "quantizer": 0.57e6})]:
-        for group, target in splits.items():
-            assert report.group_params(ModuleGroup(group)) == pytest.approx(
-                target, rel=0.02)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    print(f"\nPASS param-totals: base {base.total_params / 1e6:.2f} M, "
-          f"large {large.total_params / 1e6:.2f} M ({elapsed * 1e3:.0f} ms)")
+def group_test(name, max_seconds=None):
+    """A test that runs one check group and fails with each failed detail."""
+    COVERED.add(name)
+
+    def test():
+        start = time.perf_counter()
+        results = GROUPS[name]()
+        elapsed = time.perf_counter() - start
+        failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
+        assert results and not failed, "\n".join(failed)
+        if max_seconds is not None:
+            assert elapsed < max_seconds
+        print(f"\nPASS {name}: {len(results)} checks ({elapsed * 1e3:.0f} ms)")
+    return test
 
 
-def test_criterion_2_inference_flops():
-    w = WorkloadSpec(5.5, batch=1)
-    base = forward_flops(base_preset(), w)
-    large = forward_flops(large_preset(), w)
-    assert base.group_fwd_flops(ModuleGroup.CNN_ENCODER) == pytest.approx(
-        27.20e9, rel=0.05)
-    assert base.group_fwd_flops(ModuleGroup.TRANSFORMER) == pytest.approx(
-        49.16e9, rel=0.05)
-    assert base.total_fwd_flops == pytest.approx(76.68e9, rel=0.05)
-    assert large.total_fwd_flops == pytest.approx(198.32e9, rel=0.05)
-    assert base.group_fwd_flops(ModuleGroup.QUANTIZER) == pytest.approx(
-        0.32e9, rel=0.25)
-    assert large.group_fwd_flops(ModuleGroup.QUANTIZER) == pytest.approx(
-        0.94e9, rel=0.25)
-    print(f"PASS inference-flops: base {base.total_fwd_flops / 1e9:.2f} GF, "
-          f"large {large.total_fwd_flops / 1e9:.2f} GF")
+test_criterion_1_parameter_totals = group_test("parameter totals", max_seconds=1.0)
+test_criterion_2_inference_flops = group_test("inference flops")
+test_criterion_3_memory_two_point = group_test("memory model")
+test_criterion_4_scaling_and_precision = group_test("scaling behaviour")
+test_criterion_5_device_time_ratios = group_test("device time ratios")
+test_criterion_5_device_memory_fit = group_test("device memory fit")
+test_criterion_6_federated_wall_clock = group_test("federated wall clock",
+                                                   max_seconds=1.0)
+test_criterion_7_trend_parity = group_test("hardware trend")
+test_criterion_8_aggregation_oracles = group_test("aggregation rules")
+test_criterion_9_synthetic_fl = group_test("synthetic federated run", max_seconds=30.0)
+test_criterion_10_partitioner = group_test("speaker partitioner")
 
 
-def test_criterion_3_memory_two_point():
-    cal = default_calibration()
-    assert 0.5 <= cal.activation_overhead <= 2.5
-    t1 = memory_timeline(base_preset(), WorkloadSpec(5.5, batch=4), cal)
-    t2 = memory_timeline(base_preset(), WorkloadSpec(12.0, batch=8), cal)
-    assert t1.peak_bytes == pytest.approx(2.54 * GB, rel=1e-9)
-    assert t2.peak_bytes == pytest.approx(9.89 * GB, rel=0.15)
-    ratio = (t2.peak_bytes - t2.static_bytes) / (t1.peak_bytes - t1.static_bytes)
-    assert ratio == pytest.approx((8 * 12) / (4 * 5.5), rel=0.02)
-    print(f"PASS memory-two-point: {t2.peak_bytes / GB:.2f} GB at (12 s, b8), "
-          f"activation ratio {ratio:.3f}, kappa {cal.activation_overhead:.3f}")
-
-
-def test_criterion_4_scaling_and_precision():
-    arch = base_preset()
-    worst_f = worst_m = 2.0
-    for t in (3.0, 4.0, 5.5, 7.0, 8.5, 10.0, 12.0, 13.5, 15.0):
-        a = forward_flops(arch, WorkloadSpec(t, batch=1))
-        b = forward_flops(arch, WorkloadSpec(2 * t, batch=1))
-        rf = b.total_fwd_flops / a.total_fwd_flops
-        rm = b.total_activation_bytes_per_sample / a.total_activation_bytes_per_sample
-        assert 1.95 <= rf <= 2.15
-        assert 1.95 <= rm <= 2.15
-        worst_f = rf if abs(rf - 2) > abs(worst_f - 2) else worst_f
-        worst_m = rm if abs(rm - 2) > abs(worst_m - 2) else worst_m
-    fp32_peak, mixed_peak = precision_memory_delta(arch, WorkloadSpec(5.5, batch=4))
-    saving = (fp32_peak - mixed_peak) / fp32_peak
-    assert 0.0 < saving < 0.35
-    print(f"PASS scaling: doubling ratios flops<={worst_f:.3f} mem<={worst_m:.3f}, "
-          f"mixed saving {saving:.1%} < 35%")
-
-
-# Every measured cell: True ran on the device, False hit out-of-memory.
-FEASIBILITY = [
-    ("a40", "base", 1, "fp32", True), ("a40", "base", 1, "mixed", True),
-    ("a40", "base", 4, "fp32", True), ("a40", "base", 4, "mixed", True),
-    ("a40", "large", 1, "fp32", True), ("a40", "large", 1, "mixed", True),
-    ("a40", "large", 4, "fp32", True), ("a40", "large", 4, "mixed", True),
-    ("macbook", "base", 1, "fp32", True), ("macbook", "base", 4, "fp32", True),
-    ("macbook", "large", 1, "fp32", True), ("macbook", "large", 4, "fp32", True),
-    ("rpi", "base", 1, "fp32", True), ("rpi", "base", 4, "fp32", True),
-    ("rpi", "large", 1, "fp32", False), ("rpi", "large", 4, "fp32", False),
-    ("agx", "base", 1, "fp32", True), ("agx", "base", 1, "mixed", True),
-    ("agx", "base", 4, "fp32", True), ("agx", "base", 4, "mixed", True),
-    ("agx", "large", 1, "fp32", True), ("agx", "large", 1, "mixed", True),
-    ("agx", "large", 4, "fp32", False), ("agx", "large", 4, "mixed", True),
-    ("nx", "base", 1, "fp32", True), ("nx", "base", 1, "mixed", True),
-    ("nx", "base", 4, "fp32", True), ("nx", "base", 4, "mixed", True),
-    ("nx", "large", 1, "fp32", False), ("nx", "large", 1, "mixed", False),
-    ("nx", "large", 4, "fp32", False), ("nx", "large", 4, "mixed", False),
-]
-
-
-def test_criterion_5_device_ratios_and_oom():
-    def seconds(device, arch, batch, precision=Precision.FP32):
-        return predict_batch_time(
-            get_profile(device), get_preset(arch),
-            WorkloadSpec(5.5, batch=batch, precision=precision)).seconds_per_batch
-
-    assert seconds("macbook", "base", 1) / seconds("a40", "base", 1) == \
-        pytest.approx(30.3, rel=0.10)
-    assert seconds("macbook", "large", 1) / seconds("a40", "large", 1) == \
-        pytest.approx(39.5, rel=0.10)
-    assert seconds("rpi", "base", 1) / seconds("macbook", "base", 1) == \
-        pytest.approx(4.4, rel=0.05)
-    assert seconds("rpi", "base", 1) / seconds("a40", "base", 1) == \
-        pytest.approx(138.0, rel=0.05)
-    assert seconds("nx", "base", 4) / seconds("nx", "base", 4, Precision.MIXED) == \
-        pytest.approx(1.56, rel=0.03)
-    assert seconds("agx", "base", 4) / seconds("agx", "base", 4, Precision.MIXED) == \
-        pytest.approx(1.31, rel=0.03)
-    for device, target in [("macbook", 15.0), ("rpi", 20.0), ("agx", 29.0),
-                           ("nx", 33.0)]:
-        reduction = (1 - (seconds(device, "base", 4) / 4)
-                     / seconds(device, "base", 1)) * 100
-        assert reduction == pytest.approx(target, abs=2.0)
-
-    for device, arch, batch, precision, ran in FEASIBILITY:
-        peak = training_residency_bytes(
-            get_preset(arch), WorkloadSpec(5.5, batch=batch,
-                                           precision=Precision(precision)))
-        verdict = check_fit(get_profile(device), peak)
-        if ran:
-            assert verdict in (FitVerdict.FITS, FitVerdict.MARGINAL), \
-                f"{device}/{arch}/b{batch}/{precision}: {verdict}"
-        else:
-            assert verdict in (FitVerdict.OOM, FitVerdict.MARGINAL), \
-                f"{device}/{arch}/b{batch}/{precision}: {verdict}"
-    print("PASS device-ratios: time ratios, mixed speedups, batch reductions, "
-          f"and all {len(FEASIBILITY)} feasibility cells consistent")
-
-
-def test_criterion_6_federated_wall_clock():
-    start = time.perf_counter()
-    arch = base_preset()
-    partition = uniform_partition(10, 19_500)
-    schedule = schedule_rounds(10, 10, 150, seed=0)
-
-    est = estimate_wall_clock(partition, schedule,
-                              uniform_assignment(partition, get_profile("a40")),
-                              arch, batch=4)
-    epoch_h = est.seconds_per_local_epoch["client_0"] / 3600
-    assert epoch_h == pytest.approx(0.37, rel=0.02)
-    assert est.total_hours == pytest.approx(55.5, rel=0.02)
-    assert est.total_days == pytest.approx(2.31, rel=0.02)
-    days = {}
-    for device, target in [("macbook", 110.0), ("rpi", 456.0), ("agx", 9.0),
-                           ("nx", 15.0)]:
-        est_d = estimate_wall_clock(partition, schedule,
-                                    uniform_assignment(partition, get_profile(device)),
-                                    arch, batch=4)
-        assert est_d.total_days == pytest.approx(target, rel=0.05)
-        days[device] = est_d.total_days
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    print(f"PASS federated-wall-clock: a40 {est.total_hours:.1f} h; "
-          + ", ".join(f"{d} {v:.0f} d" for d, v in days.items())
-          + f" ({elapsed * 1e3:.0f} ms)")
-
-
-def test_criterion_7_trend_parity():
-    from fedspeech.trend import parity_year, speedup_after
-
-    nx = predict_batch_time(get_profile("nx"), base_preset(),
-                            WorkloadSpec(5.5, batch=4)).seconds_per_batch
-    a40 = predict_batch_time(get_profile("a40"), base_preset(),
-                             WorkloadSpec(5.5, batch=4)).seconds_per_batch
-    forecast = parity_year(2022, nx, a40, 18)
-    assert 2026 <= forecast.parity_year <= 2028
-    assert speedup_after(1.5, 18) == 2.0
-    assert parity_year(2022, 8.0, 1.0, 18).years_to_parity == pytest.approx(
-        4.5, rel=1e-12)
-    print(f"PASS trend-parity: NX reaches A40 around {forecast.parity_year:.1f}")
-
-
-def test_criterion_8_aggregation_oracles():
-    v = fedavg([ClientUpdate("a", np.array([0.0, 2.0]), 1),
-                ClientUpdate("b", np.array([4.0, 0.0]), 3)])
-    assert np.max(np.abs(v - np.array([3.0, 0.5]))) < 1e-12
-    cfg1 = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
-    v2 = loss_weighted([ClientUpdate("a", np.array([1.0, 0.0]), 2, local_loss=1.0),
-                        ClientUpdate("b", np.array([0.0, 1.0]), 2, local_loss=2.0)],
-                       cfg1)
-    assert np.max(np.abs(v2 - np.array([2 / 3, 1 / 3]))) < 1e-12
-
-    rng = np.random.default_rng(8)
-    cfg0 = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=0.0)
-
-    def random_updates():
-        n = int(rng.integers(2, 6))
-        dim = int(rng.integers(1, 8))
-        return [ClientUpdate(f"c{i}", rng.normal(size=dim),
-                             int(rng.integers(1, 100)), float(rng.uniform(0.01, 5.0)))
-                for i in range(n)]
-
-    for _ in range(1000):
-        ups = random_updates()
-        assert np.array_equal(loss_weighted(ups, cfg0), fedavg(ups))
-
-    trials = 10_000
-    for _ in range(trials):
-        ups = random_updates()
-        agg = fedavg(ups)
-        stack = np.stack([u.weights for u in ups])
-        assert np.all(agg >= stack.min(axis=0) - 1e-9)
-        assert np.all(agg <= stack.max(axis=0) + 1e-9)
-        shuffled = [ups[i] for i in rng.permutation(len(ups))]
-        assert np.array_equal(fedavg(shuffled), agg)
-        scaled = [ClientUpdate(u.client_id, u.weights, u.n_samples * 10, u.local_loss)
-                  for u in ups]
-        assert np.max(np.abs(fedavg(scaled) - agg)) < 1e-12
-    print(f"PASS aggregation-oracles: hand examples exact, alpha-0 identity x1000, "
-          f"hull/permutation/scale properties x{trials}")
-
-
-def test_criterion_9_synthetic_fl():
-    start = time.perf_counter()
-    rng = np.random.default_rng(21)
-
-    optima = rng.normal(size=(10, 6))
-    n_samples = tuple(int(x) for x in rng.integers(40, 160, size=10))
-    cfg = SyntheticFLConfig(optima=optima, n_samples=n_samples, rounds=80, seed=21)
-    traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
-    dist = float(np.linalg.norm(traj.final_weights - cfg.population_optimum()))
-    assert dist < 1e-6
-
-    inliers = rng.normal(size=(9, 4)) * 0.2
-    cfg_out = SyntheticFLConfig(optima=np.vstack([inliers, np.full((1, 4), 8.0)]),
-                                n_samples=(10,) * 10, learning_rate=0.2,
-                                local_steps=2, rounds=40, seed=21)
-    inlier_mean = inliers.mean(axis=0)
-    d_fa = np.linalg.norm(run_synthetic_fl(
-        cfg_out, AggregationConfig(method=AggMethod.FEDAVG)).final_weights
-        - inlier_mean)
-    d_lw = np.linalg.norm(run_synthetic_fl(
-        cfg_out, AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0))
-        .final_weights - inlier_mean)
-    assert d_lw < d_fa
-
-    r10, r100, threshold = participation_round_counts()
-    assert r10 is not None and r100 is not None
-    assert r100 > r10
-
-    elapsed = time.perf_counter() - start
-    assert elapsed < 30.0
-    print(f"PASS synthetic-fl: fixed point {dist:.1e}, outlier {d_lw:.2f}<{d_fa:.2f},"
-          f" rounds {r10} vs {r100} to loss {threshold:.2f} ({elapsed:.1f} s)")
-
-
-def test_criterion_10_partitioner(corpus_records):
-    part = partition_by_speaker(corpus_records, 10, seed=2)
-    counts = [c.n_utterances for c in part.clients]
-    assert all(abs(c - 19_500) / 19_500 <= 0.05 for c in counts)
-    durations = [c.total_duration_s for c in part.clients]
-    assert max(durations) / min(durations) <= 1.1
-    seen = set()
-    for client in part.clients:
-        assert not (client.speakers & seen)
-        seen |= client.speakers
-    assert sum(counts) == len(corpus_records)
-
-    again = partition_by_speaker(corpus_records, 10, seed=2)
-    for a, b in zip(part.clients, again.clients):
-        assert a.client_id == b.client_id
-        assert a.utterances == b.utterances
-        assert a.total_duration_s == b.total_duration_s
-    print(f"PASS partitioner: counts {min(counts)}..{max(counts)}, "
-          f"duration spread {max(durations) / min(durations):.4f}, "
-          "disjoint, deterministic")
+def test_every_check_group_has_a_test():
+    assert COVERED == set(GROUPS) and len(GROUPS) == len(CHECK_GROUPS)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,9 +139,10 @@ class TestSyntheticRun:
         traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
         assert np.linalg.norm(traj.final_weights - mu) < 1e-6
         # matches the closed form after one round: mu + (1 - lr)^steps * (w0 - mu)
-        first = traj.records[0].global_weights
+        first = run_synthetic_fl(replace(cfg, rounds=1),
+                                 AggregationConfig(method=AggMethod.FEDAVG))
         expected = mu + (1 - 0.4) ** 3 * (np.zeros(3) - mu)
-        assert np.max(np.abs(first - expected)) < 1e-12
+        assert np.max(np.abs(first.final_weights - expected)) < 1e-12
 
     def test_outlier_downweighted_by_loss_aggregation(self):
         rng = np.random.default_rng(4)
@@ -162,8 +165,9 @@ class TestSyntheticRun:
         agg = AggregationConfig(method=AggMethod.FEDAVG)
         a = run_synthetic_fl(cfg, agg)
         b = run_synthetic_fl(cfg, agg)
-        assert all(np.array_equal(x.global_weights, y.global_weights)
-                   and x.selected == y.selected
+        assert np.array_equal(a.final_weights, b.final_weights)
+        assert all(x.selected == y.selected and x.client_losses == y.client_losses
+                   and x.population_loss == y.population_loss
                    for x, y in zip(a.records, b.records))
 
     def test_partial_participation_selects_requested_count(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,27 @@ class TestFlPlan:
                     "--clients", "1", "--rounds", "1", "--device", "a40",
                     "--out", str(tmp_path)]) == 3
 
+    def test_duration_flag_rejected(self, tmp_path):
+        # the clip length of an idealised corpus is --mean-duration
+        with pytest.raises(SystemExit) as exc:
+            main(["fl-plan", "--clients", "1", "--rounds", "1", "--duration", "30",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_config_precision_used_without_flag(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("workload: {precision: mixed}\n")
+        args = ["fl-plan", "--clients", "2", "--rounds", "3",
+                "--samples-per-client", "100", "--device", "nx", "--batch", "4"]
+        plans = {}
+        for name, extra in [("config", ["--config", str(cfg)]),
+                            ("flag", ["--precision", "mixed"]), ("fp32", [])]:
+            assert run(args + extra + ["--out", str(tmp_path / name)]) == 0
+            plans[name] = json.loads((tmp_path / name / "fl_plan.json").read_text())
+        assert plans["config"]["meta"]["precision"] == "mixed"
+        assert plans["config"]["total_hours"] == plans["flag"]["total_hours"]
+        assert plans["config"]["total_hours"] < plans["fp32"]["total_hours"]
+
 
 class TestFlSim:
     def test_single_client_converges(self, tmp_path):
@@ -147,6 +169,23 @@ class TestForecast:
     def test_unknown_device_exits_2(self, tmp_path):
         assert run(["forecast", "--device", "abacus", "--out", str(tmp_path)]) == 2
 
+    def test_too_short_duration_names_the_cause(self, tmp_path, capsys):
+        assert run(["forecast", "--device", "nx", "--duration", "0.01",
+                    "--out", str(tmp_path)]) == 2
+        assert "shorter than the kernel" in capsys.readouterr().err
+
+    def test_duration_sets_clip_length(self, tmp_path):
+        payloads = {}
+        for duration in ("3", "30"):
+            out = tmp_path / duration
+            assert run(["forecast", "--device", "nx", "--duration", duration,
+                        "--out", str(out)]) == 0
+            payloads[duration] = json.loads((out / "forecast.json").read_text())
+        short, long = payloads["3"], payloads["30"]
+        assert (short["meta"]["duration_s"], long["meta"]["duration_s"]) == (3.0, 30.0)
+        assert short["meta"]["fingerprint"] != long["meta"]["fingerprint"]
+        assert long["combos"]["b4-fp32"]["slow_s"] > 5 * short["combos"]["b4-fp32"]["slow_s"]
+
 
 class TestParser:
     def test_help_lists_subcommands(self, capsys):
@@ -157,3 +196,44 @@ class TestParser:
         for cmd in ("analyze", "memory", "predict-time", "fl-plan", "fl-sim",
                     "forecast", "validate"):
             assert cmd in text
+
+
+# SHA-256 of every report these commands wrote at commit 2486d38. None of
+# them draws from a random stream (the full-participation schedule is
+# sorted), so any change to a report is a change to the model or its output.
+REPORT_DIGESTS = {
+    ("analyze", "--arch", "base", "--duration", "5.5"): {
+        "analyze.csv": "1a46bb1658947d332e998887b5b6be34419e1f42eef4b07757dffea00dd54ca2",
+        "analyze.json": "a18d60f04e0b3bfc2b3884bd462ae52ee643e1978c6285b8729a6b58bed010e4",
+        "analyze_modules.csv":
+            "472fb42c49f4c5f3679d256fcf56da3def1d3e40828e1008d3fa7d878534423d",
+    },
+    ("memory", "--arch", "base", "--duration", "5.5", "--batch", "4"): {
+        "memory.csv": "0f55151093333fd811e541995502c444ee8596bd7a33f1aea285d6eaed6c0dfc",
+        "memory.json": "8358f5b48653e6b46a6339699e674b6fe2297404e169d8c71b2dde9960ebbc09",
+    },
+    ("predict-time", "--device", "nx", "--arch", "base", "--duration", "5.5",
+     "--batch", "4", "--precision", "mixed"): {
+        "predict_time.csv":
+            "959f4ecb881f43895199c8d1e32dde0390ec9f8cd2ccfc857b5889cc2fbb52a7",
+        "predict_time.json":
+            "bbf4a06a9514eed561182204aacde1ddb7cec787953f25b7e08a147cd97dad75",
+    },
+    ("fl-plan", "--clients", "10", "--rounds", "150", "--device", "a40",
+     "--batch", "4"): {
+        "fl_partition.json":
+            "2935645094a0cf98f87f1e0843cb4760140555fdd4db11117f7865d162efc21a",
+        "fl_plan.csv": "600cb7da5359827e65b8dd1a100e35605832784fb9263163683d88b3aaa8ac9d",
+        "fl_plan.json": "55e45b87a972e77499004b70676bd9f5f965a36f62fa9b66d736ddb8600d7d37",
+        "fl_schedule.json":
+            "1fcad9fe5a20ac6d200e69080e189eaf49b32fbbe738a236f8950cd8f1627ba2",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=lambda a: a[0])
+def test_reports_byte_identical_to_recorded(argv, tmp_path):
+    assert run(list(argv) + ["--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == REPORT_DIGESTS[argv]

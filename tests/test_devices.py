@@ -3,12 +3,16 @@ import pytest
 from fedspeech.arch import Precision, WorkloadSpec, base_preset, get_preset, large_preset
 from fedspeech.costs import forward_flops
 from fedspeech.devices import (Anchor, DeviceProfile, FitVerdict, builtin_profiles,
-                               calibrate, check_fit, get_profile, predict_batch_time,
+                               check_fit, get_profile, predict_batch_time,
                                training_residency_bytes)
 from fedspeech.errors import ConfigError, MissingAnchorError, UnsupportedPrecisionError
 from fedspeech.memory import training_flops
 
 GB = 1e9
+
+
+def throughput(profile, arch, workload):
+    return predict_batch_time(profile, arch, workload).effective_throughput
 
 
 def anchor_seconds(profile, arch_name, batch, precision):
@@ -49,9 +53,8 @@ class TestBuiltinProfiles:
 class TestCalibration:
     def test_a40_base_b1_throughput(self):
         # 3x the ~76.7 GF forward pass in 0.12 s is just under 2 TFLOP/s.
-        throughput = calibrate(get_profile("a40"), base_preset(),
-                               WorkloadSpec(5.5, batch=1))
-        assert throughput == pytest.approx(1.917e12, rel=0.05)
+        assert throughput(get_profile("a40"), base_preset(),
+                          WorkloadSpec(5.5, batch=1)) == pytest.approx(1.917e12, rel=0.05)
 
     def test_throughput_inverse_in_anchor_time(self):
         arch = base_preset()
@@ -60,12 +63,13 @@ class TestCalibration:
             name="slow", memory_total_bytes=8 * GB, os_reserve_bytes=0,
             supports_mixed=False,
             anchors=(Anchor("base", 1, Precision.FP32, 0.24),))
-        assert calibrate(slow, arch, w) == pytest.approx(
-            calibrate(get_profile("a40"), arch, w) / 2, rel=1e-12)
+        assert throughput(slow, arch, w) == pytest.approx(
+            throughput(get_profile("a40"), arch, w) / 2, rel=1e-12)
 
     def test_missing_anchor(self):
         with pytest.raises(MissingAnchorError):
-            calibrate(get_profile("rpi"), large_preset(), WorkloadSpec(5.5, batch=1))
+            predict_batch_time(get_profile("rpi"), large_preset(),
+                               WorkloadSpec(5.5, batch=1))
 
 
 class TestPrediction:
@@ -165,6 +169,6 @@ class TestTrainingFlopsConsistency:
     def test_calibration_uses_training_flops(self):
         arch = base_preset()
         w = WorkloadSpec(5.5, batch=1)
-        expected = training_flops(forward_flops(arch, w)).total_flops / 0.12
-        assert calibrate(get_profile("a40"), arch, w) == pytest.approx(
+        expected = training_flops(forward_flops(arch, w)) / 0.12
+        assert throughput(get_profile("a40"), arch, w) == pytest.approx(
             expected, rel=1e-12)
