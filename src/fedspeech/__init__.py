@@ -19,7 +19,7 @@ from .costs import (CostReport, LayerCost, conv_output_len, forward_flops,
 from .devices import (Anchor, DeviceProfile, FitVerdict, TimePrediction,
                       builtin_profiles, check_fit, get_profile, predict_batch_time,
                       training_residency_bytes)
-from .federation import (ClientDataset, Partition, RoundSchedule, UtteranceRecord,
+from .federation import (ClientDataset, Manifest, Partition, RoundSchedule,
                          WallClockEstimate, estimate_communication,
                          estimate_wall_clock, load_manifest, partition_by_speaker,
                          schedule_rounds, synthetic_manifest, uniform_partition)

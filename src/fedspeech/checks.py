@@ -403,11 +403,11 @@ def participation_round_counts(seed: int = 17) -> tuple[Optional[int], Optional[
 
 def partitioner_checks() -> list[CheckResult]:
     out = []
-    records = synthetic_manifest()
-    total_h = sum(r.duration_s for r in records) / 3600.0
+    manifest = synthetic_manifest()
+    total_h = sum(manifest.durations_s.tolist()) / 3600.0
     out.append(_within("partition/fixture-hours", total_h, 298.0, 0.01, " h"))
 
-    part = partition_by_speaker(records, 10, seed=2)
+    part = partition_by_speaker(manifest, 10, seed=2)
     counts = [c.n_utterances for c in part.clients]
     out.append(CheckResult("partition/client-counts",
                            all(abs(c - 19_500) / 19_500 <= 0.05 for c in counts),
@@ -419,13 +419,13 @@ def partitioner_checks() -> list[CheckResult]:
     speakers = [c.speakers for c in part.clients]
     disjoint = all(not (a & b) for i, a in enumerate(speakers)
                    for b in speakers[i + 1:])
-    covered = sum(c.n_utterances for c in part.clients) == len(records)
+    covered = sum(c.n_utterances for c in part.clients) == len(manifest)
     out.append(CheckResult("partition/speaker-disjoint", disjoint and covered,
                            "speaker sets disjoint and every utterance assigned"))
 
-    again = partition_by_speaker(records, 10, seed=2)
+    again = partition_by_speaker(manifest, 10, seed=2)
     identical = all(
-        a.client_id == b.client_id and a.utterances == b.utterances
+        a.client_id == b.client_id and np.array_equal(a.utterance_ids, b.utterance_ids)
         for a, b in zip(part.clients, again.clients))
     out.append(CheckResult("partition/deterministic", identical,
                            "repeated seeded runs are identical"))

@@ -189,8 +189,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
                                 or cfg.get("workload", {}).get("precision", "fp32"))
 
     if args.manifest:
-        records = load_manifest(args.manifest)
-        partition = partition_by_speaker(records, clients, seed)
+        partition = partition_by_speaker(load_manifest(args.manifest), clients, seed)
     else:
         partition = uniform_partition(clients, args.samples_per_client,
                                       args.mean_duration)
@@ -282,7 +281,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                     "parity_year": f.parity_year}
             except (MissingAnchorError, UnsupportedPrecisionError, InvalidRatioError):
                 continue  # a combination the anchors cannot compare is left out
-    headline_key = f"b{args.batch or 4}-{(args.precision or 'fp32')}"
+    requested = cfg.get("workload", {})
+    headline_key = "b{}-{}".format(
+        args.batch if args.batch is not None else int(requested.get("batch", 4)),
+        parse_precision(args.precision or requested.get("precision", "fp32")).value)
     if headline_key not in combos:
         raise ConfigError(f"no anchors for the requested comparison {headline_key}")
     headline = combos[headline_key]

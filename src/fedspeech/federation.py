@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -43,27 +45,36 @@ _COLUMN_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class UtteranceRecord:
-    utterance_id: str
-    speaker_id: str
-    duration_s: float
+@dataclass(frozen=True, eq=False)
+class Manifest:
+    """A manifest as columns, one entry per utterance in file order.
+
+    ``speaker_codes`` index ``speaker_ids``, numbered in order of first
+    appearance; every listed speaker has at least one utterance.
+    """
+    utterance_ids: np.ndarray  # object array of str
+    speaker_codes: np.ndarray  # int64
+    speaker_ids: tuple[str, ...]
+    durations_s: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.utterance_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientDataset:
     client_id: str
-    utterances: tuple[UtteranceRecord, ...]
+    utterance_ids: np.ndarray  # object array of str
     total_duration_s: float
     speakers: frozenset[str]
 
     @property
     def n_utterances(self) -> int:
-        return len(self.utterances)
+        return len(self.utterance_ids)
 
     @property
     def mean_duration_s(self) -> float:
-        return self.total_duration_s / len(self.utterances)
+        return self.total_duration_s / len(self.utterance_ids)
 
 
 @dataclass(frozen=True)
@@ -112,19 +123,33 @@ class WallClockEstimate:
 # Manifest handling
 
 
-def load_manifest(path) -> list[UtteranceRecord]:
+_READ_BLOCK_BYTES = 4 << 20
+
+
+def load_manifest(path) -> Manifest:
     """Read a tab-separated manifest with utterance_id, speaker_id, duration_s.
 
     Raw Common Voice column names (client_id, path, duration in ms) are
-    accepted through the documented alias map. Rows with missing fields or
-    non-positive durations are rejected with their line number.
+    accepted through the documented alias map. Blank lines are skipped. Rows
+    with missing fields, empty ids, durations that are not positive finite
+    numbers, or an utterance id seen before are rejected with their line
+    number.
+
+    The file is read in blocks cut at the last newline. A block whose lines
+    all hold the same number of tab-separated fields is split into columns
+    at once; from the first block that does not (blank lines, short rows,
+    quoted fields, bare carriage returns) the rest of the file goes through
+    ``csv.reader``, whose quoting rules then apply.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError("manifest is empty") from None
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        if not header_line:
+            raise MissingColumnError("manifest is empty")
+        cr = header_line.find(b"\r")
+        if 0 <= cr < len(header_line) - 2:  # lines end in bare carriage returns
+            header_line = header_line[:cr + 1]
+            fh.seek(cr + 1)
+        header = next(csv.reader([header_line.decode("utf-8")], delimiter="\t"), [])
         names = [_COLUMN_ALIASES.get(h.strip(), h.strip()) for h in header]
         index: dict[str, int] = {}
         for i, name in enumerate(names):
@@ -141,39 +166,175 @@ def load_manifest(path) -> list[UtteranceRecord]:
             if required not in index:
                 raise MissingColumnError(f"manifest has no {required} column")
 
-        records: list[UtteranceRecord] = []
-        for line_no, row in enumerate(reader, start=2):
+        columns = _ManifestColumns(index["utterance_id"], index["speaker_id"], dur_col,
+                                   dur_scale)
+        offset, line_no, rest = len(header_line), 2, b""
+        while True:
+            chunk = fh.read(_READ_BLOCK_BYTES)
+            data = rest + chunk
+            if not chunk:
+                if not data:
+                    break
+                data += b"\n"  # a last line without its newline
+            cut = data.rfind(b"\n") + 1
+            block, rest = data[:cut], data[cut:]
+            if not block:
+                continue
+            n_lines = columns.add_block(block, line_no)
+            if n_lines is None:
+                fh.seek(offset)
+                columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8", newline=""),
+                                 line_no)
+                break
+            offset += len(block)
+            line_no += n_lines
+        return columns.manifest()
+
+
+class _ManifestColumns:
+    """Validated manifest columns, filled in file order by ``load_manifest``."""
+
+    def __init__(self, utt_col: int, spk_col: int, dur_col: int, dur_scale: float):
+        self.utt_col, self.spk_col, self.dur_col = utt_col, spk_col, dur_col
+        self.n_fields = max(utt_col, spk_col, dur_col) + 1
+        self.dur_scale = dur_scale
+        self.ids: list[str] = []
+        self.seen: set[str] = set()
+        # Looking up a new speaker inserts it with the next free code.
+        self.speaker_code: defaultdict[str, int] = defaultdict()
+        self.speaker_code.default_factory = self.speaker_code.__len__
+        self.codes: list[np.ndarray] = []
+        self.durations: list[np.ndarray] = []
+
+    def add_block(self, block: bytes, line_no: int) -> Optional[int]:
+        """Add a block of whole lines whose first is ``line_no``; return its
+        line count, or None (adding nothing) if it needs ``csv.reader``."""
+        if b'"' in block:
+            return None
+        if b"\r" in block:
+            if block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            block = block.replace(b"\r\n", b"\n")
+        raw = np.frombuffer(block, np.uint8)
+        tabs_per_line = np.diff(np.searchsorted(np.flatnonzero(raw == 9),
+                                                np.flatnonzero(raw == 10)), prepend=0)
+        width = int(tabs_per_line[0]) + 1
+        if width < self.n_fields or (tabs_per_line != width - 1).any():
+            return None
+
+        fields = block.decode("utf-8").replace("\n", "\t").split("\t")
+        fields.pop()  # the empty string after the last newline
+        ids = list(map(str.strip, fields[self.utt_col::width]))
+        speakers = list(map(str.strip, fields[self.spk_col::width]))
+        raw_durations = fields[self.dur_col::width]
+        del fields
+
+        problems = []  # (row in block, rank among a row's checks, message)
+        empty = [column.index("") for column in (ids, speakers) if "" in column]
+        if empty:
+            problems.append((min(empty), 0, "empty utterance or speaker id"))
+        try:
+            # float() semantics for each string, as the csv path has
+            durations = np.array(raw_durations, dtype=np.float64) * self.dur_scale
+        except ValueError:
+            for row, text in enumerate(raw_durations):
+                try:
+                    float(text)
+                except ValueError:
+                    problems.append((row, 1, _not_a_number(text)))
+                    break
+        else:
+            bad = np.flatnonzero(~(np.isfinite(durations) & (durations > 0)))
+            if bad.size:
+                problems.append((int(bad[0]), 2, _bad_duration(float(durations[bad[0]]))))
+        before = len(self.seen)
+        self.seen.update(ids)
+        if len(self.seen) - before != len(ids):
+            row = self._first_repeat(ids)
+            problems.append((row, 3, _duplicate(ids[row])))
+        if problems:
+            row, _, message = min(problems)
+            raise MalformedRowError(line_no + row, message)
+
+        self.ids += ids
+        self.codes.append(np.fromiter(map(self.speaker_code.__getitem__, speakers),
+                                      np.int64, len(speakers)))
+        self.durations.append(durations)
+        return len(ids)
+
+    def _first_repeat(self, block_ids: list[str]) -> int:
+        """Index of the first id in ``block_ids`` that an earlier row holds."""
+        earlier = set(self.ids)
+        for j, utt in enumerate(block_ids):
+            if utt in earlier:
+                return j
+            earlier.add(utt)
+        raise AssertionError("the block repeats no id")
+
+    def add_rows(self, text, first_line: int) -> None:
+        """Add every remaining row of ``text``, read with ``csv.reader``; its
+        first line is ``first_line``."""
+        ids, codes, durations = [], [], []
+        for line_no, row in enumerate(csv.reader(text, delimiter="\t"), start=first_line):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            needed = max(index["utterance_id"], index["speaker_id"], dur_col)
-            if len(row) <= needed:
-                raise MalformedRowError(line_no, f"expected {needed + 1} fields, got {len(row)}")
-            utt = row[index["utterance_id"]].strip()
-            spk = row[index["speaker_id"]].strip()
+            if len(row) < self.n_fields:
+                raise MalformedRowError(
+                    line_no, f"expected {self.n_fields} fields, got {len(row)}")
+            utt = row[self.utt_col].strip()
+            spk = row[self.spk_col].strip()
             if not utt or not spk:
                 raise MalformedRowError(line_no, "empty utterance or speaker id")
+            text = row[self.dur_col]
             try:
-                duration = float(row[dur_col]) * dur_scale
+                duration = float(text) * self.dur_scale
             except ValueError:
-                raise MalformedRowError(
-                    line_no, f"duration {row[dur_col]!r} is not a number") from None
-            if not math.isfinite(duration) or duration <= 0:
-                raise MalformedRowError(line_no, f"non-positive duration {duration!r}")
-            records.append(UtteranceRecord(utt, spk, duration))
-        return records
+                raise MalformedRowError(line_no, _not_a_number(text)) from None
+            if not (math.isfinite(duration) and duration > 0):
+                raise MalformedRowError(line_no, _bad_duration(duration))
+            if utt in self.seen:
+                raise MalformedRowError(line_no, _duplicate(utt))
+            self.seen.add(utt)
+            ids.append(utt)
+            codes.append(self.speaker_code[spk])
+            durations.append(duration)
+        self.ids += ids
+        self.codes.append(np.array(codes, dtype=np.int64))
+        self.durations.append(np.array(durations, dtype=np.float64))
+
+    def manifest(self) -> Manifest:
+        return Manifest(
+            utterance_ids=np.array(self.ids, dtype=object),
+            speaker_codes=np.concatenate(self.codes or [np.zeros(0, np.int64)]),
+            speaker_ids=tuple(self.speaker_code),
+            durations_s=np.concatenate(self.durations or [np.zeros(0)]))
 
 
-def write_manifest(path, records: Iterable[UtteranceRecord]) -> None:
+def _not_a_number(text: str) -> str:
+    return f"duration {text!r} is not a number"
+
+
+def _bad_duration(duration: float) -> str:
+    if not math.isfinite(duration):
+        return f"duration {duration!r} is not finite"
+    return f"non-positive duration {duration!r}"
+
+
+def _duplicate(utt: str) -> str:
+    return f"duplicate utterance id {utt!r}"
+
+
+def write_manifest(path, manifest: Manifest) -> None:
+    speaker_of = map(manifest.speaker_ids.__getitem__, manifest.speaker_codes.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(REQUIRED_COLUMNS)
-        for r in records:
-            writer.writerow([r.utterance_id, r.speaker_id, f"{r.duration_s:.6f}"])
+        writer.writerows(zip(manifest.utterance_ids, speaker_of,
+                             (f"{d:.6f}" for d in manifest.durations_s.tolist())))
 
 
 def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
-                       mean_duration_s: float = 5.5, seed: int = 7,
-                       ) -> list[UtteranceRecord]:
+                       mean_duration_s: float = 5.5, seed: int = 7) -> Manifest:
     """Corpus-scale synthetic manifest with heterogeneous speakers.
 
     Speaker contribution follows a lognormal profile (every speaker keeps at
@@ -188,64 +349,74 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
     counts = extra + 1
     durations = rng.lognormal(mean=0.0, sigma=0.45, size=n_utterances)
     durations *= mean_duration_s / durations.mean()
-    speaker_of = np.repeat(np.arange(n_speakers), counts)
     width_u = len(str(n_utterances - 1))
     width_s = len(str(n_speakers - 1))
-    return [UtteranceRecord(f"utt_{i:0{width_u}d}", f"spk_{s:0{width_s}d}", float(d))
-            for i, (s, d) in enumerate(zip(speaker_of, durations))]
+    return Manifest(
+        utterance_ids=np.array([f"utt_{i:0{width_u}d}" for i in range(n_utterances)],
+                               dtype=object),
+        speaker_codes=np.repeat(np.arange(n_speakers), counts),
+        speaker_ids=tuple(f"spk_{s:0{width_s}d}" for s in range(n_speakers)),
+        durations_s=durations)
 
 
 # ---------------------------------------------------------------------------
 # Partitioning
 
 
-def partition_by_speaker(records: Sequence[UtteranceRecord], k: int,
-                         seed: int = 0) -> Partition:
+def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition:
     """Split a manifest into ``k`` speaker-disjoint, duration-balanced clients."""
     if k < 1:
         raise TooFewSpeakersError("need at least one client")
-    totals: dict[str, float] = {}
-    by_speaker: dict[str, list[UtteranceRecord]] = {}
-    for r in records:
-        totals[r.speaker_id] = totals.get(r.speaker_id, 0.0) + r.duration_s
-        by_speaker.setdefault(r.speaker_id, []).append(r)
-    if len(totals) < k:
+    names = manifest.speaker_ids
+    n_speakers = len(names)
+    if n_speakers < k:
         raise TooFewSpeakersError(
-            f"{len(totals)} distinct speakers cannot fill {k} clients")
+            f"{n_speakers} distinct speakers cannot fill {k} clients")
+    codes, durations = manifest.speaker_codes, manifest.durations_s
+    # bincount adds each speaker's durations in row order, one at a time.
+    totals = np.bincount(codes, weights=durations, minlength=n_speakers)
 
-    # Longest first; speakers with identical totals are ordered by a seeded
-    # shuffle so ties do not encode manifest order.
-    ordered = sorted(totals, key=lambda s: (-totals[s], s))
+    # Longest first, then by name; speakers with identical totals are
+    # ordered by a seeded shuffle so ties do not encode manifest order.
+    name_rank = np.empty(n_speakers, np.int64)
+    name_rank[sorted(range(n_speakers), key=names.__getitem__)] = np.arange(n_speakers)
+    order = np.lexsort((name_rank, -totals))
+    ordered_totals = totals[order]
+    starts = np.flatnonzero(np.diff(ordered_totals, prepend=np.nan) != 0).tolist()
     rng = np.random.default_rng(seed)
-    shuffled: list[str] = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and totals[ordered[j]] == totals[ordered[i]]:
-            j += 1
-        group = ordered[i:j]
-        if len(group) > 1:
-            group = [group[g] for g in rng.permutation(len(group))]
-        shuffled.extend(group)
-        i = j
+    for lo, hi in zip(starts, starts[1:] + [n_speakers]):
+        if hi - lo > 1:
+            order[lo:hi] = order[lo:hi][rng.permutation(hi - lo)]
 
     heap = [(0.0, idx) for idx in range(k)]
     heapq.heapify(heap)
-    assigned: list[list[str]] = [[] for _ in range(k)]
-    for speaker in shuffled:
-        load, idx = heapq.heappop(heap)
-        assigned[idx].append(speaker)
-        heapq.heappush(heap, (load + totals[speaker], idx))
+    assigned = []
+    for total in ordered_totals.tolist():  # the shuffles kept each group's total
+        load, idx = heap[0]  # the lightest client; (load, idx) pairs never tie
+        heapq.heapreplace(heap, (load + total, idx))
+        assigned.append(idx)
+    assigned = np.array(assigned, dtype=np.int64)  # client of each speaker in order
+    client_of = np.empty(n_speakers, np.int64)
+    client_of[order] = assigned
 
+    # Rows grouped by client, speakers in assignment order, each speaker's
+    # rows in manifest order. Ranks take the narrowest integer type, as numpy
+    # radix-sorts keys of 16 bits or fewer.
+    speaker_rank = np.empty(n_speakers, np.min_scalar_type(n_speakers - 1))
+    speaker_rank[order[np.argsort(assigned, kind="stable")]] = np.arange(n_speakers)
+    rows = np.argsort(speaker_rank[codes], kind="stable")
+    ends = np.cumsum(np.bincount(client_of[codes], minlength=k)).tolist()
     width = len(str(k - 1))
     clients = []
-    for idx, speakers in enumerate(assigned):
-        utts = [u for s in speakers for u in by_speaker[s]]
+    for idx, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        client_rows = rows[lo:hi]
+        speakers = order[assigned == idx]
         clients.append(ClientDataset(
             client_id=f"client_{idx:0{width}d}",
-            utterances=tuple(utts),
-            total_duration_s=sum(u.duration_s for u in utts),
-            speakers=frozenset(speakers)))
+            utterance_ids=manifest.utterance_ids[client_rows],
+            # one addition at a time in row order; np.sum would add pairwise
+            total_duration_s=float(np.cumsum(durations[client_rows])[-1]),
+            speakers=frozenset(map(names.__getitem__, speakers.tolist()))))
     return Partition(clients=tuple(clients), seed=seed)
 
 
@@ -257,10 +428,10 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
     clients = []
     for idx in range(n_clients):
         cid = f"client_{idx:0{width}d}"
-        utts = tuple(UtteranceRecord(f"{cid}_utt_{i}", f"{cid}_spk", mean_duration_s)
-                     for i in range(utterances_per_client))
         clients.append(ClientDataset(
-            client_id=cid, utterances=utts,
+            client_id=cid,
+            utterance_ids=np.array([f"{cid}_utt_{i}" for i in range(utterances_per_client)],
+                                   dtype=object),
             total_duration_s=mean_duration_s * utterances_per_client,
             speakers=frozenset({f"{cid}_spk"})))
     return Partition(clients=tuple(clients), seed=0)

@@ -35,7 +35,7 @@ BACKWARD_FLOP_MULTIPLIER = 2.0  # backward ~= 2x forward for matmul-dominated ne
 REFERENCE_PEAK_BYTES = 2.54e9
 REFERENCE_WORKLOAD = WorkloadSpec(duration_s=5.5, batch=4, precision=Precision.FP32)
 
-DEFAULT_RUNTIME_OVERHEAD_BYTES = 400_000_000  # interpreter + framework + loader floor
+DEFAULT_RUNTIME_OVERHEAD_BYTES = 400e6  # interpreter + framework + loader floor
 DEFAULT_RESIDENCY_FACTOR = 3.2  # backward temporaries + allocator slack, whole process
 
 # Bytes per parameter held across a training step with Adam: fp32 weights 4,

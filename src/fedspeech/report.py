@@ -20,14 +20,46 @@ from .federation import Partition, RoundSchedule, WallClockEstimate
 from .memory import MemoryTimeline
 
 
+class StreamedStrings:
+    """A JSON list of strings in a payload, which ``write_json`` writes one
+    chunk at a time; the text of a long list is never built whole."""
+
+    def __init__(self, strings: Sequence[str]):
+        self.strings = strings
+
+
 def write_json(path, payload: Mapping[str, Any]) -> None:
+    """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` would,
+    without building the text of any ``StreamedStrings`` in it at once."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
+    streamed: list[Sequence[str]] = []
+
+    def default(value):
+        # The encoder meets each StreamedStrings in output order and writes
+        # a one-string list in its place; the file gets the strings there.
+        if not isinstance(value, StreamedStrings):
+            return str(value)
+        if len(value.strings) == 0:
+            return []
+        streamed.append(value.strings)
+        return [_STREAMED]
+
+    text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+    pieces = text.split(json.dumps(_STREAMED))
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        for piece, strings in zip(pieces, streamed):
+            indent = piece[piece.rindex("\n") + 1:]
+            fh.write(piece)
+            fh.write((",\n" + indent).join(map(json.encoder.encode_basestring_ascii,
+                                               strings)))
+        fh.write(pieces[-1])
         fh.write("\n")
     os.replace(tmp, path)
+
+
+_STREAMED = "\x00streamed strings"
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -108,7 +140,7 @@ def partition_payload(partition: Partition, meta: Mapping[str, Any]) -> dict:
             {"client_id": c.client_id, "n_utterances": c.n_utterances,
              "total_duration_s": round(c.total_duration_s, 6),
              "n_speakers": len(c.speakers),
-             "utterance_ids": [u.utterance_id for u in c.utterances]}
+             "utterance_ids": StreamedStrings(c.utterance_ids)}
             for c in partition.clients
         ],
     }

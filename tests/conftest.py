@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fedspeech.federation import synthetic_manifest, write_manifest
@@ -6,14 +8,43 @@ FIXTURE_SEED = 7
 
 
 @pytest.fixture(scope="session")
-def corpus_records():
+def corpus_manifest():
     """Corpus-scale synthetic manifest: 195k utterances, 6k speakers, 5.5 s mean."""
     return synthetic_manifest(n_utterances=195_000, n_speakers=6_000,
                               mean_duration_s=5.5, seed=FIXTURE_SEED)
 
 
 @pytest.fixture(scope="session")
-def corpus_manifest_path(corpus_records, tmp_path_factory):
+def corpus_manifest_path(corpus_manifest, tmp_path_factory):
     path = tmp_path_factory.mktemp("manifest") / "corpus.tsv"
-    write_manifest(path, corpus_records)
+    write_manifest(path, corpus_manifest)
+    return path
+
+
+def tie_heavy_rows():
+    """(speaker, clip, sentence, milliseconds) rows of a small manifest whose
+    speakers often share a total: whole-millisecond durations from a short
+    list, 60 of the 90 speakers with one clip, rows shuffled."""
+    rng = random.Random(20220406)
+    names = [f"{rng.getrandbits(40):010x}" for _ in range(90)]
+    rows = []
+    for s, name in enumerate(names):
+        clips = 1 if s < 60 else rng.randint(2, 9)
+        rows += [(name, rng.choice((1200, 2500, 3000, 4500))) for _ in range(clips)]
+    rng.shuffle(rows)
+    return [(name, f"common_voice_{i:05d}.mp3", "a short sentence", ms)
+            for i, (name, ms) in enumerate(rows)]
+
+
+def manifest_text(rows, newline="\n"):
+    """The rows under raw Common Voice column names."""
+    lines = ["client_id\tpath\tsentence\tduration[ms]"]
+    lines += ["\t".join(map(str, row)) for row in rows]
+    return newline.join(lines) + newline
+
+
+@pytest.fixture(scope="session")
+def tie_manifest(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tie") / "validated.tsv"
+    path.write_text(manifest_text(tie_heavy_rows()))
     return path

@@ -3,12 +3,22 @@ import json
 
 import pytest
 
+from conftest import manifest_text, tie_heavy_rows
 from fedspeech.cli import main
 
 
 def run(args, capsys=None):
     code = main(args)
     return code
+
+
+def plan_reports(manifest, out, clients="3", seed="7"):
+    """Exit code and report bytes of one fl-plan over ``manifest``."""
+    code = run(["fl-plan", "--manifest", str(manifest), "--clients", clients,
+                "--rounds", "2", "--device", "nx", "--batch", "4", "--seed", seed,
+                "--out", str(out)])
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())} if code == 0 \
+        else None
 
 
 class TestAnalyze:
@@ -113,6 +123,16 @@ class TestFlPlan:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_duplicate_utterance_id_exits_3(self, tmp_path, capsys):
+        rows = tie_heavy_rows()
+        rows[40] = rows[40][:1] + (rows[7][1],) + rows[40][2:]
+        bad = tmp_path / "dup.tsv"
+        bad.write_text(manifest_text(rows))
+        assert run(["fl-plan", "--manifest", str(bad), "--clients", "1",
+                    "--rounds", "1", "--device", "a40", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: line 42: duplicate utterance id {rows[7][1]!r}\n"
+
     def test_config_precision_used_without_flag(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("workload: {precision: mixed}\n")
@@ -126,6 +146,81 @@ class TestFlPlan:
         assert plans["config"]["meta"]["precision"] == "mixed"
         assert plans["config"]["total_hours"] == plans["flag"]["total_hours"]
         assert plans["config"]["total_hours"] < plans["fp32"]["total_hours"]
+
+
+class TestManifestInput:
+    """The manifest reader's handling of real-world file layouts, seen through
+    the reports of ``fl-plan --manifest``."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("reference")
+        (tmp / "m.tsv").write_text(manifest_text(tie_heavy_rows()))
+        code, reports = plan_reports(tmp / "m.tsv", tmp / "out")
+        assert code == 0
+        return reports
+
+    def check_same(self, tmp_path, text, reference):
+        (tmp_path / "m.tsv").write_bytes(text.encode("utf-8"))
+        assert plan_reports(tmp_path / "m.tsv", tmp_path / "out") == (0, reference)
+
+    def test_crlf_line_endings(self, tmp_path, reference):
+        self.check_same(tmp_path, manifest_text(tie_heavy_rows(), "\r\n"), reference)
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path, reference):
+        lines = manifest_text(tie_heavy_rows()).splitlines(keepends=True)
+        for at, filler in ((60, "\n"), (30, "   \n"), (5, "\n\n")):
+            lines.insert(at, filler)
+        self.check_same(tmp_path, "".join(lines) + "\n \n", reference)
+
+    def test_final_line_without_newline(self, tmp_path, reference):
+        self.check_same(tmp_path, manifest_text(tie_heavy_rows()).rstrip("\n"), reference)
+
+    def test_extra_columns(self, tmp_path, reference):
+        rows = [row + ("up_votes", "2") if i % 3 == 0 else row
+                for i, row in enumerate(tie_heavy_rows())]
+        self.check_same(tmp_path, manifest_text(rows), reference)
+
+    def test_whitespace_around_ids(self, tmp_path, reference):
+        rows = [(f" {spk}", f"{clip}  ", sentence, f" {ms}")
+                for spk, clip, sentence, ms in tie_heavy_rows()]
+        self.check_same(tmp_path, manifest_text(rows), reference)
+
+    def test_quoted_fields(self, tmp_path, reference):
+        # A field that starts with a double quote runs to the closing quote,
+        # tabs included, and loses its quotes.
+        rows = [(spk, f'"{clip}"', '"a\tshort sentence"' if i % 2 else sentence, ms)
+                for i, (spk, clip, sentence, ms) in enumerate(tie_heavy_rows())]
+        self.check_same(tmp_path, manifest_text(rows), reference)
+
+    @pytest.mark.parametrize("bad", [
+        "{spk}\t{clip}",  # short
+        "{spk}\t \tx\t3000",  # empty utterance id
+        "{spk}\t{clip}\tx\tfast",
+        "{spk}\t{clip}\tx\tinf",
+        "{spk}\t{clip}\tx\t-5",
+    ])
+    def test_bad_row_after_blank_lines_names_its_line(self, tmp_path, capsys, bad):
+        rows = tie_heavy_rows()
+        lines = manifest_text(rows).splitlines(keepends=True)
+        lines[20:20] = ["\n", "  \n"]
+        lines.insert(31, bad.format(spk=rows[0][0], clip="late.mp3") + "\n")
+        (tmp_path / "m.tsv").write_text("".join(lines))
+        assert plan_reports(tmp_path / "m.tsv", tmp_path / "out") == (3, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 32: ") and err.count("\n") == 1
+
+    def test_bad_row_past_first_block_names_its_line(self, tmp_path, capsys):
+        # 12 MB of rows, well past the reader's first block of a few MB.
+        rows = [(f"spk_{i % 997:03d}", f"clip_{i:06d}.mp3", "x" * 40, 1000 + i % 5000)
+                for i in range(200_000)]
+        rows[187_654] = rows[187_654][:3] + ("0",)
+        path = tmp_path / "big.tsv"
+        path.write_text(manifest_text(rows))
+        assert path.stat().st_size > 12e6
+        assert plan_reports(path, tmp_path / "out", clients="10") == (3, None)
+        assert capsys.readouterr().err == \
+            "error: line 187656: non-positive duration 0.0\n"
 
 
 class TestFlSim:
@@ -169,6 +264,18 @@ class TestForecast:
     def test_unknown_device_exits_2(self, tmp_path):
         assert run(["forecast", "--device", "abacus", "--out", str(tmp_path)]) == 2
 
+    def test_headline_from_config_workload_unless_flagged(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("workload: {batch: 1, precision: mixed}\n")
+        headlines = {}
+        for name, flags in [("config", []),
+                            ("flags", ["--batch", "4", "--precision", "fp32"])]:
+            out = tmp_path / name
+            assert run(["forecast", "--device", "nx", "--config", str(cfg),
+                        "--out", str(out)] + flags) == 0
+            headlines[name] = json.loads((out / "forecast.json").read_text())["headline"]
+        assert headlines == {"config": "b1-mixed", "flags": "b4-fp32"}
+
     def test_too_short_duration_names_the_cause(self, tmp_path, capsys):
         assert run(["forecast", "--device", "nx", "--duration", "0.01",
                     "--out", str(tmp_path)]) == 2
@@ -201,6 +308,10 @@ class TestParser:
 # SHA-256 of every report these commands wrote at commit 2486d38. None of
 # them draws from a random stream (the full-participation schedule is
 # sorted), so any change to a report is a change to the model or its output.
+# The manifest cases, recorded at commit 1685bd3, read the tie-heavy manifest
+# (MANIFEST stands for its path); their partitions also pin the seeded
+# shuffle of speakers with equal totals.
+MANIFEST = "<tie-heavy manifest>"
 REPORT_DIGESTS = {
     ("analyze", "--arch", "base", "--duration", "5.5"): {
         "analyze.csv": "1a46bb1658947d332e998887b5b6be34419e1f42eef4b07757dffea00dd54ca2",
@@ -228,12 +339,75 @@ REPORT_DIGESTS = {
         "fl_schedule.json":
             "1fcad9fe5a20ac6d200e69080e189eaf49b32fbbe738a236f8950cd8f1627ba2",
     },
+    ("fl-plan", "--manifest", MANIFEST, "--clients", "1", "--rounds", "3",
+     "--device", "a40", "--batch", "4", "--seed", "0"): {
+        "fl_partition.json":
+            "7a5e540c39dcca7cd13ba83a0f9d318f6991d7d808feaa6eb018fc3328aa7200",
+        "fl_plan.csv":
+            "941244b3b09ae54b65711848d099cd4256df7fe4874ba6b6c632cd4eb11352db",
+        "fl_plan.json":
+            "77a27c456f50b220fe3652d8ec684433518da2b7c6b669ed74aafa88118f9e39",
+        "fl_schedule.json":
+            "c1752b7d91797491f42f35d04bacc536f2a06af2a9aff379f292f66ce37cf3ef",
+    },
+    ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
+     "--device", "nx", "--batch", "4", "--seed", "1"): {
+        "fl_partition.json":
+            "9422897176e1c73c7e35817d3abe0730c30e990915e01d943ee976946cfde88f",
+        "fl_plan.csv":
+            "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
+        "fl_plan.json":
+            "13356f2115279678df65c24f1fdb6f0b5fe584b074296a5f95d48d232fc1287d",
+        "fl_schedule.json":
+            "cb7556e6cfefc2cf64173349e4373107ff8d4694cc0f06636f3e9d78e5269aa2",
+    },
+    ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
+     "--device", "rpi", "--batch", "4", "--seed", "2"): {
+        "fl_partition.json":
+            "21047d8f3891a956f9490c0302a6a2163429ed8767ab30584a51d398d7d20c43",
+        "fl_plan.csv":
+            "9c4dc64768ee9d3538f18d83c4d1bddc9f0b19dcb52074db5e28fe617f661eca",
+        "fl_plan.json":
+            "807f1faae559ba16dcee909da87c7da79c31b4297b7b44a7eaab6ed439ebcab6",
+        "fl_schedule.json":
+            "4cd4fc97474813916460efeb3cb10e147164b167f5d31b7f017785566b85cb7b",
+    },
+    ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
+     "--device", "agx", "--batch", "4", "--seed", "3"): {
+        "fl_partition.json":
+            "1b18fa777aad4bf914b96f2f93e680c47dba09699f0bd729b23ea65c1a4739aa",
+        "fl_plan.csv":
+            "662b92d7e0c4c4ea6251f1bc20b704dd8afdf84dad321f1932bd92d46a0a1f10",
+        "fl_plan.json":
+            "07b7accc40cfcd6c0f5791fbc4fa4e9046a27070425ea7bcaeb81e39f7640e13",
+        "fl_schedule.json":
+            "a9410d2f63df088fccc6f08ee76f8b93f189bbbd42cf11efbf8e92ba00ede2b4",
+    },
+    ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
+     "--device", "nx", "--batch", "4", "--seed", "4"): {
+        "fl_partition.json":
+            "8a7cc4adbd3e4ba09ff985eb988b1106cb62360eea60f0bb43300f845bc70811",
+        "fl_plan.csv":
+            "143692f1935208f973ee187499d61b48e714298fee568814ed3f835552a71d7d",
+        "fl_plan.json":
+            "4bb5e14467a0d2897f15dba00ac7a1b2fa7f350c32058fb39a110c2d356c7f7c",
+        "fl_schedule.json":
+            "8670de1cf69173bd0bb1b1a4c5b145b3b23509ecdda94744a36f0014c9dfd54b",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=lambda a: a[0])
-def test_reports_byte_identical_to_recorded(argv, tmp_path):
-    assert run(list(argv) + ["--out", str(tmp_path)]) == 0
+def _case_id(argv):
+    if MANIFEST not in argv:
+        return argv[0]
+    return "-".join([argv[0], "manifest", "c" + argv[argv.index("--clients") + 1],
+                     "s" + argv[argv.index("--seed") + 1]])
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_id)
+def test_reports_byte_identical_to_recorded(argv, tmp_path, tie_manifest):
+    args = [str(tie_manifest) if a == MANIFEST else a for a in argv]
+    assert run(args + ["--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert written == REPORT_DIGESTS[argv]

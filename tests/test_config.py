@@ -1,10 +1,12 @@
 import pytest
 import yaml
 
+from fedspeech.arch import WorkloadSpec, base_preset
 from fedspeech.config import (config_fingerprint, load_config, resolve_arch,
                               resolve_calibration, resolve_profiles, validate_config)
 from fedspeech.costs import param_count
 from fedspeech.errors import ConfigError
+from fedspeech.memory import default_calibration, memory_timeline
 
 
 def write_yaml(path, payload):
@@ -95,6 +97,14 @@ class TestResolution:
         default = resolve_calibration({})
         wider = resolve_calibration({"memory": {"reference_peak_gb": 3.0}})
         assert wider.activation_overhead > default.activation_overhead
+
+    def test_empty_config_is_the_library_default(self):
+        library, resolved = default_calibration(), resolve_calibration({})
+        assert library == resolved
+        statics = [memory_timeline(base_preset(), WorkloadSpec(5.5, batch=4), cal)
+                   .static_bytes for cal in (library, resolved)]
+        assert statics[0] == statics[1]
+        assert type(statics[0]) is type(statics[1])
 
 
 class TestFingerprint:

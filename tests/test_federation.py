@@ -1,20 +1,23 @@
-import json
+import csv
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from conftest import manifest_text, tie_heavy_rows
+from fedspeech import federation
 from fedspeech.arch import WorkloadSpec, base_preset, large_preset
 from fedspeech.costs import param_count
 from fedspeech.devices import get_profile
 from fedspeech.errors import (InvalidSampleSizeError, MalformedRowError,
                               MissingAnchorError, MissingColumnError,
                               TooFewSpeakersError)
-from fedspeech.federation import (RoundSchedule, estimate_communication,
+from fedspeech.federation import (Manifest, RoundSchedule, estimate_communication,
                                   estimate_wall_clock, load_manifest,
                                   partition_by_speaker, schedule_rounds,
                                   uniform_assignment, uniform_partition)
-from fedspeech.report import partition_payload
+from fedspeech.report import partition_payload, write_json
 
 
 def write_tsv(path, text):
@@ -22,29 +25,88 @@ def write_tsv(path, text):
     return path
 
 
+def head(manifest, n):
+    """The first ``n`` rows of a manifest (its speaker codes are numbered in
+    order of first appearance)."""
+    codes = manifest.speaker_codes[:n]
+    return Manifest(manifest.utterance_ids[:n], codes,
+                    manifest.speaker_ids[:codes.max() + 1], manifest.durations_s[:n])
+
+
+def rows_of(manifest):
+    return list(zip(manifest.utterance_ids.tolist(),
+                    [manifest.speaker_ids[c] for c in manifest.speaker_codes.tolist()],
+                    manifest.durations_s.tolist()))
+
+
+def reference_rows(path):
+    """(utterance, speaker, duration) rows read one at a time with csv.reader:
+    the loader's semantics written as a plain loop."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter="\t")
+        header = [h.strip() for h in next(reader)]
+        utt, spk, dur = (header.index(n) for n in ("path", "client_id", "duration[ms]"))
+        return [(row[utt].strip(), row[spk].strip(), float(row[dur]) * 1e-3)
+                for row in reader if row and not (len(row) == 1 and not row[0].strip())]
+
+
+def reference_partition(rows, k, seed):
+    """Per-client (ids, total, speakers) from the record-at-a-time partitioner
+    the columnar one replaced."""
+    totals, by_speaker = {}, {}
+    for utt, spk, dur in rows:
+        totals[spk] = totals.get(spk, 0.0) + dur
+        by_speaker.setdefault(spk, []).append((utt, dur))
+    ordered = sorted(totals, key=lambda s: (-totals[s], s))
+    rng = np.random.default_rng(seed)
+    shuffled, i = [], 0
+    while i < len(ordered):
+        j = i
+        while j < len(ordered) and totals[ordered[j]] == totals[ordered[i]]:
+            j += 1
+        group = ordered[i:j]
+        if len(group) > 1:
+            group = [group[g] for g in rng.permutation(len(group))]
+        shuffled.extend(group)
+        i = j
+    heap = [(0.0, idx) for idx in range(k)]
+    assigned = [[] for _ in range(k)]
+    for speaker in shuffled:
+        load, idx = heapq.heappop(heap)
+        assigned[idx].append(speaker)
+        heapq.heappush(heap, (load + totals[speaker], idx))
+    clients = []
+    for speakers in assigned:
+        utts = [u for s in speakers for u in by_speaker[s]]
+        total = 0.0  # one addition at a time, in row order
+        for _, dur in utts:
+            total += dur
+        clients.append((tuple(u for u, _ in utts), total, frozenset(speakers)))
+    return clients
+
+
 class TestManifest:
     def test_well_formed(self, tmp_path):
         p = write_tsv(tmp_path / "m.tsv",
                       "utterance_id\tspeaker_id\tduration_s\n"
                       "u1\ts1\t5.0\nu2\ts1\t4.0\nu3\ts2\t6.5\n")
-        records = load_manifest(p)
-        assert len(records) == 3
-        assert records[2].speaker_id == "s2"
-        assert records[2].duration_s == 6.5
+        manifest = load_manifest(p)
+        assert len(manifest) == 3
+        assert rows_of(manifest) == [("u1", "s1", 5.0), ("u2", "s1", 4.0),
+                                     ("u3", "s2", 6.5)]
+        assert manifest.speaker_ids == ("s1", "s2")
+        assert manifest.speaker_codes.tolist() == [0, 0, 1]
 
     def test_common_voice_column_names(self, tmp_path):
         p = write_tsv(tmp_path / "cv.tsv",
                       "client_id\tpath\tsentence\tduration\n"
                       "spk9\tclip1.mp3\thello there\t3.25\n")
-        records = load_manifest(p)
-        assert records[0].speaker_id == "spk9"
-        assert records[0].utterance_id == "clip1.mp3"
-        assert records[0].duration_s == 3.25
+        assert rows_of(load_manifest(p)) == [("clip1.mp3", "spk9", 3.25)]
 
     def test_duration_in_milliseconds(self, tmp_path):
         p = write_tsv(tmp_path / "ms.tsv",
                       "utterance_id\tspeaker_id\tduration_ms\nu1\ts1\t5500\n")
-        assert load_manifest(p)[0].duration_s == 5.5
+        assert load_manifest(p).durations_s.tolist() == [5.5]
 
     def test_negative_duration_rejected_with_line(self, tmp_path):
         p = write_tsv(tmp_path / "bad.tsv",
@@ -71,62 +133,129 @@ class TestManifest:
         with pytest.raises(MalformedRowError):
             load_manifest(p)
 
-    def test_round_trips_fixture(self, corpus_records, corpus_manifest_path):
+    def test_round_trips_fixture(self, corpus_manifest, corpus_manifest_path):
         loaded = load_manifest(corpus_manifest_path)
-        assert len(loaded) == len(corpus_records) == 195_000
-        total_h = sum(r.duration_s for r in loaded) / 3600
+        assert len(loaded) == len(corpus_manifest) == 195_000
+        total_h = sum(loaded.durations_s.tolist()) / 3600
         assert total_h == pytest.approx(298.0, rel=0.01)
-        assert len({r.speaker_id for r in loaded}) == 6_000
+        assert len(loaded.speaker_ids) == len(set(loaded.speaker_codes.tolist())) == 6_000
+        assert loaded.utterance_ids.tolist() == corpus_manifest.utterance_ids.tolist()
+        assert loaded.speaker_ids == corpus_manifest.speaker_ids
+        assert np.array_equal(loaded.speaker_codes, corpus_manifest.speaker_codes)
+        assert np.abs(loaded.durations_s - corpus_manifest.durations_s).max() <= 5e-7
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("block", [64, 1000, 1 << 22])
+    def test_blocks_match_row_at_a_time_reading(self, tmp_path, monkeypatch, newline,
+                                                block):
+        # Extra columns on some rows, blank lines, a quoted field and no final
+        # newline, read in blocks of every size against the plain csv loop.
+        rows = [row + ("extra",) if i % 7 == 0 else row
+                for i, row in enumerate(tie_heavy_rows())]
+        rows[200] = (rows[200][0], f'"{rows[200][1]}"') + rows[200][2:]
+        lines = manifest_text(rows, newline).split(newline)
+        lines[100:100] = ["", "   "]
+        p = write_tsv(tmp_path / "m.tsv", newline.join(lines).rstrip(newline))
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        assert rows_of(load_manifest(p)) == reference_rows(p)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("{spk}\tx.mp3\t3000", "expected 4 fields, got 3"),
+        ("{spk}\t \tx\t3000", "empty utterance or speaker id"),
+        (" \tx.mp3\tx\t3000", "empty utterance or speaker id"),
+        ("{spk}\tx.mp3\tx\tfast", "duration 'fast' is not a number"),
+        ("{spk}\tx.mp3\tx\t", "duration '' is not a number"),
+        ("{spk}\tx.mp3\tx\tnan", "duration nan is not finite"),
+        ("{spk}\tx.mp3\tx\t-inf", "duration -inf is not finite"),
+        ("{spk}\tx.mp3\tx\t-5", "non-positive duration -0.005"),
+        ("{spk}\tx.mp3\tx\t0", "non-positive duration 0.0"),
+        ("{spk}\tcommon_voice_00003.mp3\tx\t3000",
+         "duplicate utterance id 'common_voice_00003.mp3'"),
+    ])
+    @pytest.mark.parametrize("block", [100, 1 << 22])
+    @pytest.mark.parametrize("at", [5, 150, 219])
+    def test_bad_row_named_with_its_line(self, tmp_path, monkeypatch, bad, message,
+                                         block, at):
+        rows = tie_heavy_rows()
+        lines = manifest_text(rows).splitlines(keepends=True)
+        lines.insert(at, bad.format(spk=rows[0][0]) + "\n")
+        lines.insert(at + 1, bad.format(spk=rows[0][0]).replace("x.mp3", "y.mp3") + "\n")
+        p = write_tsv(tmp_path / "bad.tsv", "".join(lines))
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        with pytest.raises(MalformedRowError) as err:
+            load_manifest(p)
+        assert str(err.value) == f"line {at + 1}: {message}"
+        assert err.value.line_number == at + 1
+
+    def test_header_only_and_empty(self, tmp_path):
+        p = write_tsv(tmp_path / "h.tsv", "utterance_id\tspeaker_id\tduration_s\n")
+        assert len(load_manifest(p)) == 0
+        with pytest.raises(MissingColumnError):
+            load_manifest(write_tsv(tmp_path / "e.tsv", ""))
 
 
 class TestPartition:
-    def test_single_client_gets_everything(self, corpus_records):
-        part = partition_by_speaker(corpus_records[:1000], 1, seed=0)
+    def test_single_client_gets_everything(self, corpus_manifest):
+        part = partition_by_speaker(head(corpus_manifest, 1000), 1, seed=0)
         assert part.n_clients == 1
         assert part.clients[0].n_utterances == 1000
 
-    def test_corpus_scale_counts(self, corpus_records):
-        part = partition_by_speaker(corpus_records, 10, seed=3)
+    def test_corpus_scale_counts(self, corpus_manifest):
+        part = partition_by_speaker(corpus_manifest, 10, seed=3)
         for client in part.clients:
             assert client.n_utterances == pytest.approx(19_500, rel=0.05)
 
-    def test_duration_balance(self, corpus_records):
-        part = partition_by_speaker(corpus_records, 10, seed=3)
+    def test_duration_balance(self, corpus_manifest):
+        part = partition_by_speaker(corpus_manifest, 10, seed=3)
         durations = [c.total_duration_s for c in part.clients]
         assert max(durations) / min(durations) <= 1.1
 
-    def test_speakers_disjoint_and_exhaustive(self, corpus_records):
-        part = partition_by_speaker(corpus_records, 10, seed=3)
+    def test_speakers_disjoint_and_exhaustive(self, corpus_manifest):
+        part = partition_by_speaker(corpus_manifest, 10, seed=3)
         seen = set()
         for client in part.clients:
             assert not (client.speakers & seen)
             seen |= client.speakers
-        assert sum(c.n_utterances for c in part.clients) == len(corpus_records)
+        assert sum(c.n_utterances for c in part.clients) == len(corpus_manifest)
 
-    def test_bit_identical_for_fixed_seed(self, corpus_records):
-        a = partition_by_speaker(corpus_records, 10, seed=11)
-        b = partition_by_speaker(corpus_records, 10, seed=11)
-        pa = json.dumps(partition_payload(a, {}), sort_keys=True)
-        pb = json.dumps(partition_payload(b, {}), sort_keys=True)
-        assert pa == pb
+    def test_bit_identical_for_fixed_seed(self, corpus_manifest, tmp_path):
+        for name in ("a", "b"):
+            write_json(tmp_path / name, partition_payload(
+                partition_by_speaker(corpus_manifest, 10, seed=11), {}))
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
-    def test_seed_changes_assignment(self, corpus_records):
-        # equal-duration ties are rare with continuous durations, so only
-        # check that the API accepts different seeds and stays valid
-        a = partition_by_speaker(corpus_records[:5000], 4, seed=1)
-        b = partition_by_speaker(corpus_records[:5000], 4, seed=2)
+    def test_seed_changes_assignment(self, tie_manifest):
+        # many speakers share a total there, so the seeded shuffle of equal
+        # totals decides which client holds them
+        manifest = load_manifest(tie_manifest)
+        a, b = (partition_by_speaker(manifest, 4, seed=s) for s in (1, 2))
         assert a.n_clients == b.n_clients == 4
+        held = [[set(c.utterance_ids) for c in p.clients] for p in (a, b)]
+        assert held[0] != held[1]
 
-    def test_too_few_speakers(self):
-        from fedspeech.federation import UtteranceRecord
-        records = [UtteranceRecord("u1", "s1", 3.0), UtteranceRecord("u2", "s1", 4.0)]
+    def test_too_few_speakers(self, tmp_path):
+        p = write_tsv(tmp_path / "m.tsv",
+                      "utterance_id\tspeaker_id\tduration_s\nu1\ts1\t3.0\nu2\ts1\t4.0\n")
         with pytest.raises(TooFewSpeakersError):
-            partition_by_speaker(records, 2, seed=0)
+            partition_by_speaker(load_manifest(p), 2, seed=0)
 
-    def test_balance_property_on_smaller_manifests(self, corpus_records):
+    @pytest.mark.parametrize("k,seed", [(1, 0), (3, 1), (3, 2), (10, 3), (10, 4)])
+    def test_matches_record_at_a_time_partitioner(self, tie_manifest, k, seed):
+        part = partition_by_speaker(load_manifest(tie_manifest), k, seed=seed)
+        got = [(tuple(c.utterance_ids), c.total_duration_s, c.speakers)
+               for c in part.clients]
+        assert got == reference_partition(reference_rows(tie_manifest), k, seed)
+
+    def test_matches_record_at_a_time_partitioner_at_corpus_scale(self, corpus_manifest):
+        part = partition_by_speaker(corpus_manifest, 10, seed=3)
+        got = [(tuple(c.utterance_ids), c.total_duration_s, c.speakers)
+               for c in part.clients]
+        assert got == reference_partition(rows_of(corpus_manifest), 10, 3)
+
+    def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25
-        subset = corpus_records[:20_000]
-        speakers = len({r.speaker_id for r in subset})
+        subset = head(corpus_manifest, 20_000)
+        speakers = len(subset.speaker_ids)
         assert speakers >= 100
         part = partition_by_speaker(subset, min(10, speakers // 10), seed=5)
         durations = [c.total_duration_s for c in part.clients]
