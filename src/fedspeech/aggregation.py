@@ -19,6 +19,7 @@ the client optima.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,10 +56,10 @@ class AggregationConfig:
     epsilon: float = 1e-8  # loss floor
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 def _sorted_updates(updates: Sequence[ClientUpdate]) -> list[ClientUpdate]:
@@ -72,29 +73,42 @@ def _sorted_updates(updates: Sequence[ClientUpdate]) -> list[ClientUpdate]:
     return sorted(updates, key=lambda u: u.client_id)
 
 
-def _combine(updates: list[ClientUpdate], raw: np.ndarray) -> np.ndarray:
+def _raw_coefficients(n_samples: Sequence[int], losses: Sequence[float],
+                      alpha: float, epsilon: float) -> np.ndarray:
+    """Unnormalised coefficients ``n_k * max(loss_k, eps) ** -alpha`` from
+    Python scalars; ``alpha = 0`` gives the sample counts exactly."""
+    return np.array([float(n) * max(loss, epsilon) ** -alpha
+                     for n, loss in zip(n_samples, losses)], dtype=np.float64)
+
+
+def _combine(rows: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Sum of float64 ``rows`` (ascending client id) weighted by ``raw``
+    normalised, accumulated one row at a time so the bits never depend on
+    how many rows there are or on a BLAS kernel."""
     coeffs = raw / raw.sum()
-    acc = coeffs[0] * updates[0].weights.astype(np.float64)
-    for c, u in zip(coeffs[1:], updates[1:]):
-        acc = acc + c * u.weights.astype(np.float64)
+    acc = coeffs[0] * rows[0]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        acc += c * row
     return acc
+
+
+def _reduce(updates: Sequence[ClientUpdate], alpha: float, epsilon: float) -> np.ndarray:
+    ordered = _sorted_updates(updates)
+    return _combine(np.array([u.weights for u in ordered], dtype=np.float64),
+                    _raw_coefficients([u.n_samples for u in ordered],
+                                      [u.local_loss for u in ordered], alpha, epsilon))
 
 
 def fedavg(updates: Sequence[ClientUpdate]) -> np.ndarray:
     """Sample-count-weighted average of the client weight vectors."""
-    ordered = _sorted_updates(updates)
-    raw = np.array([float(u.n_samples) for u in ordered], dtype=np.float64)
-    return _combine(ordered, raw)
+    return _reduce(updates, 0.0, AggregationConfig().epsilon)
 
 
 def loss_weighted(updates: Sequence[ClientUpdate],
                   config: Optional[AggregationConfig] = None) -> np.ndarray:
     """Fedavg re-weighted by each client's reported loss."""
     cfg = config or AggregationConfig(method=AggMethod.LOSS_WEIGHTED)
-    ordered = _sorted_updates(updates)
-    raw = np.array([float(u.n_samples) * max(u.local_loss, cfg.epsilon) ** -cfg.alpha
-                    for u in ordered], dtype=np.float64)
-    return _combine(ordered, raw)
+    return _reduce(updates, cfg.alpha, cfg.epsilon)
 
 
 def aggregate(updates: Sequence[ClientUpdate], config: AggregationConfig) -> np.ndarray:
@@ -119,14 +133,18 @@ class SyntheticFLConfig:
     report_pre_loss: bool = False  # report loss at the incoming global weights
 
     def __post_init__(self) -> None:
-        if self.optima.ndim != 2 or not len(self.optima):
-            raise ConfigError("optima must be a (n_clients, dim) array")
+        if self.optima.ndim != 2 or not self.optima.size:
+            raise ConfigError("optima must be a (n_clients, dim) array with "
+                              "n_clients, dim >= 1")
+        if not np.isfinite(self.optima).all():
+            raise ConfigError("optima must be finite")
         if len(self.n_samples) != len(self.optima):
             raise ConfigError("one sample count per client is required")
         if min(self.n_samples) < 1:
             raise ConfigError("sample counts must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.local_steps < 1 or self.rounds < 1:
             raise ConfigError("local_steps and rounds must be >= 1")
         if self.per_round is not None and not 1 <= self.per_round <= len(self.optima):
@@ -176,20 +194,30 @@ class Trajectory:
         return None
 
 
-def _local_quadratic_descent(start: np.ndarray, optimum: np.ndarray,
-                             learning_rate: float, steps: int) -> np.ndarray:
-    w = start.copy()
-    for _ in range(steps):
-        w -= learning_rate * (w - optimum)
-    return w
+def _diverged(round_id: int, what: str, learning_rate: float) -> ConfigError:
+    return ConfigError(f"round {round_id}: non-finite {what}; local descent "
+                       f"diverges at learning_rate {learning_rate}")
 
 
 def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajectory:
-    """Round-based simulation; deterministic for a fixed seed."""
+    """Round-based simulation; deterministic for a fixed seed.
+
+    Each round trains, scores and checks its k selected clients as one
+    ``(k, dim)`` array; elementwise steps and row sums give the same bits as
+    one client at a time, and the reduction takes the rows in ascending
+    client-id order as ``aggregate`` does."""
     rng = np.random.default_rng(cfg.seed)
     optimum = cfg.population_optimum()
     global_w = np.zeros(cfg.dim, dtype=np.float64)
     ids = [f"c{idx:04d}" for idx in range(cfg.n_clients)]
+    id_rank = np.empty(cfg.n_clients, dtype=np.int64)
+    id_rank[sorted(range(cfg.n_clients), key=ids.__getitem__)] = np.arange(cfg.n_clients)
+    n_samples = np.asarray(cfg.n_samples, dtype=np.int64)
+    alpha = agg.alpha if agg.method is AggMethod.LOSS_WEIGHTED else 0.0
+    lr = cfg.learning_rate
+
+    k = cfg.n_clients if cfg.per_round is None else cfg.per_round
+    mu, local, step = (np.empty((k, cfg.dim)) for _ in range(3))
 
     records: list[RoundRecord] = []
     for round_id in range(cfg.rounds):
@@ -199,23 +227,32 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
             selected = tuple(sorted(
                 int(i) for i in rng.choice(cfg.n_clients, size=cfg.per_round,
                                            replace=False)))
-        updates = []
-        losses: dict[str, float] = {}
-        for idx in selected:
-            mu = cfg.optima[idx]
-            local = _local_quadratic_descent(global_w, mu, cfg.learning_rate,
-                                             cfg.local_steps)
-            measured = global_w if cfg.report_pre_loss else local
-            loss = 0.5 * float(((measured - mu) ** 2).sum())
-            losses[ids[idx]] = loss
-            updates.append(ClientUpdate(client_id=ids[idx], weights=local,
-                                        n_samples=cfg.n_samples[idx],
-                                        local_loss=loss))
-        global_w = aggregate(updates, agg)
-        records.append(RoundRecord(
-            round_id=round_id, selected=selected, client_losses=losses,
-            mean_client_loss=float(np.mean(list(losses.values()))),
-            population_loss=cfg.population_loss(global_w),
-            distance_to_optimum=float(np.linalg.norm(global_w - optimum))))
+        sel = np.array(selected, dtype=np.int64)
+        np.take(cfg.optima, sel, axis=0, out=mu)
+        local[:] = global_w
+        with np.errstate(all="ignore"):  # a diverging run is reported below
+            for _ in range(cfg.local_steps):
+                np.subtract(local, mu, out=step)
+                step *= lr
+                local -= step
+            np.subtract(global_w if cfg.report_pre_loss else local, mu, out=step)
+            losses = 0.5 * np.square(step, out=step).sum(axis=1)
+            by_id = np.argsort(id_rank[sel])
+            healthy = np.isfinite(losses) & np.isfinite(local).all(axis=1)
+            if not healthy.all():
+                first = sel[by_id[np.flatnonzero(~healthy[by_id])[0]]]
+                raise _diverged(round_id, f"loss or weights of client {ids[first]}", lr)
+            global_w = _combine(local[by_id], _raw_coefficients(
+                n_samples[sel[by_id]].tolist(), losses[by_id].tolist(), alpha,
+                agg.epsilon))
+            population_loss = cfg.population_loss(global_w)
+            if not math.isfinite(population_loss):
+                raise _diverged(round_id, "population loss", lr)
+            records.append(RoundRecord(
+                round_id=round_id, selected=selected,
+                client_losses=dict(zip([ids[i] for i in selected], losses.tolist())),
+                mean_client_loss=float(losses.mean()),
+                population_loss=population_loss,
+                distance_to_optimum=float(np.linalg.norm(global_w - optimum))))
 
     return Trajectory(records=tuple(records), final_weights=global_w)

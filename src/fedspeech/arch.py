@@ -12,6 +12,7 @@ configurations; any field can be overridden from a config file.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
@@ -171,8 +172,8 @@ class WorkloadSpec:
     precision: Precision = Precision.FP32
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigError("duration must be > 0")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigError(f"duration must be finite and > 0, got {self.duration_s}")
         if self.sample_rate_hz <= 0:
             raise ConfigError("sample rate must be > 0")
         if self.batch < 1:
@@ -181,8 +182,6 @@ class WorkloadSpec:
     @property
     def samples(self) -> int:
         """Waveform samples, rounding half up."""
-        import math
-
         return int(math.floor(self.duration_s * self.sample_rate_hz + 0.5))
 
 

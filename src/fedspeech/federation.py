@@ -27,7 +27,7 @@ import numpy as np
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import param_count
-from .devices import DeviceProfile, TimePrediction, predict_batch_time
+from .devices import DeviceProfile, predict_batch_time
 from .errors import (InvalidSampleSizeError, MalformedRowError, MissingColumnError,
                      TooFewSpeakersError)
 
@@ -149,7 +149,10 @@ def load_manifest(path) -> Manifest:
         if 0 <= cr < len(header_line) - 2:  # lines end in bare carriage returns
             header_line = header_line[:cr + 1]
             fh.seek(cr + 1)
-        header = next(csv.reader([header_line.decode("utf-8")], delimiter="\t"), [])
+        try:
+            header = next(csv.reader([header_line.decode("utf-8")], delimiter="\t"), [])
+        except UnicodeDecodeError:
+            raise MalformedRowError(1, _NOT_UTF8) from None
         names = [_COLUMN_ALIASES.get(h.strip(), h.strip()) for h in header]
         index: dict[str, int] = {}
         for i, name in enumerate(names):
@@ -183,7 +186,8 @@ def load_manifest(path) -> Manifest:
             n_lines = columns.add_block(block, line_no)
             if n_lines is None:
                 fh.seek(offset)
-                columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8", newline=""),
+                columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8",
+                                                  errors="surrogateescape", newline=""),
                                  line_no)
                 break
             offset += len(block)
@@ -222,14 +226,21 @@ class _ManifestColumns:
         if width < self.n_fields or (tabs_per_line != width - 1).any():
             return None
 
-        fields = block.decode("utf-8").replace("\n", "\t").split("\t")
+        problems = []  # (row in block, rank among a row's checks, message)
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            problems.append((block.count(b"\n", 0, exc.start), -1, _NOT_UTF8))
+            text = block.decode("utf-8", "surrogateescape")
+        text = text.replace("\n", "\t")  # one string alive during the split
+        fields = text.split("\t")
+        del text
         fields.pop()  # the empty string after the last newline
         ids = list(map(str.strip, fields[self.utt_col::width]))
         speakers = list(map(str.strip, fields[self.spk_col::width]))
         raw_durations = fields[self.dur_col::width]
         del fields
 
-        problems = []  # (row in block, rank among a row's checks, message)
         empty = [column.index("") for column in (ids, speakers) if "" in column]
         if empty:
             problems.append((min(empty), 0, "empty utterance or speaker id"))
@@ -276,6 +287,8 @@ class _ManifestColumns:
         first line is ``first_line``."""
         ids, codes, durations = [], [], []
         for line_no, row in enumerate(csv.reader(text, delimiter="\t"), start=first_line):
+            if _has_undecoded_bytes(row):
+                raise MalformedRowError(line_no, _NOT_UTF8)
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < self.n_fields:
@@ -308,6 +321,19 @@ class _ManifestColumns:
             speaker_codes=np.concatenate(self.codes or [np.zeros(0, np.int64)]),
             speaker_ids=tuple(self.speaker_code),
             durations_s=np.concatenate(self.durations or [np.zeros(0)]))
+
+
+_NOT_UTF8 = "bytes that are not valid UTF-8"
+
+
+def _has_undecoded_bytes(row: list[str]) -> bool:
+    """Whether a row read with ``errors="surrogateescape"`` held bytes that are
+    not UTF-8: each became a lone surrogate, which cannot be encoded."""
+    try:
+        "\t".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _not_a_number(text: str) -> str:
@@ -464,20 +490,6 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
 # Wall clock and communication
 
 
-def client_epoch_seconds(client: ClientDataset, profile: DeviceProfile,
-                         arch: ArchitectureSpec, batch: int,
-                         precision: Precision = Precision.FP32,
-                         sample_rate_hz: int = 16_000) -> float:
-    """One local epoch: ceil(n / batch) batches at the predicted batch time,
-    evaluated at the client's mean utterance duration."""
-    workload = WorkloadSpec(duration_s=client.mean_duration_s,
-                            sample_rate_hz=sample_rate_hz, batch=batch,
-                            precision=precision)
-    prediction: TimePrediction = predict_batch_time(profile, arch, workload)
-    n_batches = math.ceil(client.n_utterances / batch)
-    return n_batches * prediction.seconds_per_batch
-
-
 def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
                         device_assignment: Mapping[str, DeviceProfile],
                         arch: ArchitectureSpec, batch: int,
@@ -492,12 +504,22 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
             f"schedule covers {schedule.total_clients} clients but the "
             f"partition has {partition.n_clients}")
 
+    # One local epoch is ceil(n / batch) batches at the predicted batch time,
+    # evaluated at the client's mean utterance duration; clients that share a
+    # device and a mean duration share one prediction.
+    batch_seconds: dict[tuple[DeviceProfile, WorkloadSpec], float] = {}
     epoch_seconds: dict[str, float] = {}
     device_of: dict[str, str] = {}
     for client in partition.clients:
         profile = device_assignment[client.client_id]
-        epoch_seconds[client.client_id] = client_epoch_seconds(
-            client, profile, arch, batch, precision, sample_rate_hz)
+        key = (profile, WorkloadSpec(duration_s=client.mean_duration_s,
+                                     sample_rate_hz=sample_rate_hz, batch=batch,
+                                     precision=precision))
+        if key not in batch_seconds:
+            batch_seconds[key] = predict_batch_time(profile, arch,
+                                                    key[1]).seconds_per_batch
+        epoch_seconds[client.client_id] = \
+            math.ceil(client.n_utterances / batch) * batch_seconds[key]
         device_of[client.client_id] = profile.name
 
     per_round = tuple(

@@ -9,6 +9,49 @@ from fedspeech.aggregation import (AggMethod, AggregationConfig, ClientUpdate,
 from fedspeech.errors import ConfigError, DimensionMismatchError, EmptyUpdateSetError
 
 
+def one_at_a_time(updates, config=None):
+    """The reduction as it was written before rounds were stacked: one
+    float64 copy of each client's vector at a time, in client-id order."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    if config is None:
+        raw = np.array([float(u.n_samples) for u in ordered])
+    else:
+        raw = np.array([float(u.n_samples) * max(u.local_loss, config.epsilon)
+                        ** -config.alpha for u in ordered])
+    coeffs = raw / raw.sum()
+    acc = coeffs[0] * ordered[0].weights.astype(np.float64)
+    for c, u in zip(coeffs[1:], ordered[1:]):
+        acc = acc + c * u.weights.astype(np.float64)
+    return acc
+
+
+def reference_run(cfg, agg):
+    """(selected, client losses, population loss, distance) per round and the
+    final weights of the client-at-a-time round loop."""
+    rng = np.random.default_rng(cfg.seed)
+    optimum = cfg.population_optimum()
+    global_w = np.zeros(cfg.dim)
+    rounds = []
+    for _ in range(cfg.rounds):
+        selected = tuple(range(cfg.n_clients)) if cfg.per_round is None else tuple(
+            sorted(int(i) for i in rng.choice(cfg.n_clients, size=cfg.per_round,
+                                              replace=False)))
+        updates, losses = [], {}
+        for idx in selected:
+            mu = cfg.optima[idx]
+            w = global_w.copy()
+            for _ in range(cfg.local_steps):
+                w -= cfg.learning_rate * (w - mu)
+            measured = global_w if cfg.report_pre_loss else w
+            losses[f"c{idx:04d}"] = 0.5 * float(((measured - mu) ** 2).sum())
+            updates.append(ClientUpdate(f"c{idx:04d}", w, cfg.n_samples[idx],
+                                        losses[f"c{idx:04d}"]))
+        global_w = aggregate(updates, agg)
+        rounds.append((selected, losses, cfg.population_loss(global_w),
+                       float(np.linalg.norm(global_w - optimum))))
+    return rounds, global_w
+
+
 def updates_from(pairs):
     return [ClientUpdate(f"c{i}", np.asarray(w, dtype=float), n, loss)
             for i, (w, n, loss) in enumerate(pairs)]
@@ -49,6 +92,20 @@ class TestFedavg:
         forward = fedavg(ups)
         backward = fedavg(list(reversed(ups)))
         assert np.array_equal(forward, backward)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_reduction_matches_one_at_a_time(self, dtype):
+        # Twelve clients, so id order (c0, c1, c10, c11, c2, ...) is not
+        # index order; inputs shuffled.
+        rng = np.random.default_rng(8)
+        cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=0.7)
+        for _ in range(50):
+            ups = [ClientUpdate(f"c{i}", rng.normal(size=33).astype(dtype),
+                                int(rng.integers(1, 90)), float(rng.uniform(0, 5)))
+                   for i in range(12)]
+            shuffled = [ups[i] for i in rng.permutation(12)]
+            assert np.array_equal(fedavg(shuffled), one_at_a_time(ups))
+            assert np.array_equal(loss_weighted(shuffled, cfg), one_at_a_time(ups, cfg))
 
 
 class TestLossWeighted:
@@ -120,6 +177,9 @@ class TestLossWeighted:
             AggregationConfig(alpha=-1.0)
         with pytest.raises(ConfigError):
             AggregationConfig(epsilon=0.0)
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                AggregationConfig(alpha=alpha)
 
 
 class TestSyntheticRun:
@@ -197,3 +257,47 @@ class TestSyntheticRun:
         traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
         assert traj.rounds_to_loss(1e-9) == 1  # starts at the optimum
         assert traj.rounds_to_loss(-1.0) is None
+
+    @pytest.mark.parametrize("n_clients,per_round,method,pre_loss", [
+        (8, None, AggMethod.FEDAVG, False),
+        (30, 7, AggMethod.LOSS_WEIGHTED, False),
+        (30, 7, AggMethod.LOSS_WEIGHTED, True),
+        (10_050, 40, AggMethod.LOSS_WEIGHTED, False),
+    ])
+    def test_stacked_rounds_match_client_at_a_time(self, n_clients, per_round, method,
+                                                   pre_loss):
+        rng = np.random.default_rng(n_clients)
+        cfg = SyntheticFLConfig(optima=rng.normal(size=(n_clients, 6)),
+                                n_samples=tuple(int(x) for x in
+                                                rng.integers(1, 50, size=n_clients)),
+                                rounds=12, per_round=per_round, seed=n_clients,
+                                report_pre_loss=pre_loss)
+        agg = AggregationConfig(method=method, alpha=1.3)
+        traj = run_synthetic_fl(cfg, agg)
+        rounds, final = reference_run(cfg, agg)
+        assert np.array_equal(traj.final_weights, final)
+        assert [(r.selected, r.client_losses, r.population_loss, r.distance_to_optimum)
+                for r in traj.records] == rounds
+        assert [r.mean_client_loss for r in traj.records] == \
+            [float(np.mean(list(losses.values()))) for _, losses, _, _ in rounds]
+        if n_clients > 10_000:  # some round reduced a client past c9999
+            assert any(max(r.selected) >= 10_000 for r in traj.records)
+
+    def test_divergence_names_first_client_in_id_order(self):
+        # Only c2000 and c10000 move away from zero, and c10000 sorts first.
+        optima = np.zeros((10_050, 1))
+        optima[[2000, 10_000]] = 1.0
+        cfg = SyntheticFLConfig(optima=optima, n_samples=(1,) * 10_050,
+                                learning_rate=1e300, local_steps=3, rounds=1)
+        with pytest.raises(ConfigError, match="round 0: non-finite loss or weights "
+                                              "of client c10000;"):
+            run_synthetic_fl(cfg, AggregationConfig())
+
+    @pytest.mark.parametrize("change", [
+        dict(learning_rate=np.nan), dict(learning_rate=np.inf),
+        dict(optima=np.zeros((3, 0))), dict(optima=np.full((3, 2), np.nan)),
+    ], ids=["lr-nan", "lr-inf", "dim-0", "optima-nan"])
+    def test_config_rejects_non_finite_and_empty(self, change):
+        base = dict(optima=np.zeros((3, 2)), n_samples=(1, 1, 1))
+        with pytest.raises(ConfigError):
+            SyntheticFLConfig(**{**base, **change})

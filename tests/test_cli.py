@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -42,6 +43,13 @@ class TestAnalyze:
         assert run(["analyze", "--arch", "base", "--duration", "0",
                     "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_duration_exits_2(self, tmp_path, capsys, value):
+        assert run(["analyze", "--arch", "base", "--duration", value,
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: duration must be finite and > 0, got {value}\n"
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("flx: {}\n")
@@ -78,6 +86,12 @@ class TestPredictTime:
     def test_missing_anchor_exits_2(self, tmp_path):
         assert run(["predict-time", "--device", "rpi", "--arch", "large",
                     "--duration", "5.5", "--out", str(tmp_path)]) == 2
+
+    def test_nan_duration_exits_2(self, tmp_path, capsys):
+        assert run(["predict-time", "--device", "nx", "--duration", "nan",
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: duration must be finite and > 0, got nan\n"
 
     def test_oom_with_flag_exits_4(self, tmp_path):
         assert run(["predict-time", "--device", "nx", "--arch", "base",
@@ -122,6 +136,12 @@ class TestFlPlan:
             main(["fl-plan", "--clients", "1", "--rounds", "1", "--duration", "30",
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_nan_mean_duration_exits_2(self, tmp_path, capsys):
+        assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--mean-duration",
+                    "nan", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: duration must be finite and > 0, got nan\n"
 
     def test_duplicate_utterance_id_exits_3(self, tmp_path, capsys):
         rows = tie_heavy_rows()
@@ -222,6 +242,28 @@ class TestManifestInput:
         assert capsys.readouterr().err == \
             "error: line 187656: non-positive duration 0.0\n"
 
+    @pytest.mark.parametrize("at", [0, 1], ids=["header", "first-row"])
+    def test_bytes_not_utf8_exit_3_naming_the_line(self, tmp_path, capsys, at):
+        lines = manifest_text(tie_heavy_rows()).encode().splitlines(keepends=True)
+        lines[at] = lines[at][:1] + b"\xe9" + lines[at][1:]
+        (tmp_path / "m.tsv").write_bytes(b"".join(lines))
+        assert plan_reports(tmp_path / "m.tsv", tmp_path / "out") == (3, None)
+        assert capsys.readouterr().err == \
+            f"error: line {at + 1}: bytes that are not valid UTF-8\n"
+
+    def test_bytes_not_utf8_past_first_block_exit_3(self, tmp_path, capsys):
+        # 5.6 MB of rows; the reader's first block is 4 MB.
+        rows = [(f"spk_{i % 997:03d}", f"clip_{i:06d}.mp3", "x" * 40, 1000 + i % 5000)
+                for i in range(80_000)]
+        lines = manifest_text(rows).encode().splitlines(keepends=True)
+        lines[75_000] = lines[75_000].replace(b"xxx", b"x\xe9x", 1)
+        path = tmp_path / "big.tsv"
+        path.write_bytes(b"".join(lines))
+        assert path.stat().st_size > 5e6
+        assert plan_reports(path, tmp_path / "out", clients="10") == (3, None)
+        assert capsys.readouterr().err == \
+            "error: line 75001: bytes that are not valid UTF-8\n"
+
 
 class TestFlSim:
     def test_single_client_converges(self, tmp_path):
@@ -247,6 +289,32 @@ class TestFlSim:
         run(args + ["--out", str(out_a)])
         run(args + ["--out", str(out_b)])
         assert (out_a / "fl_sim.csv").read_bytes() == (out_b / "fl_sim.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lr", "nan", "learning_rate must be finite and > 0, got nan"),
+        ("--lr", "inf", "learning_rate must be finite and > 0, got inf"),
+        ("--dim", "0", "optima must be a (n_clients, dim) array with n_clients, dim >= 1"),
+        ("--alpha", "nan", "alpha must be finite and >= 0, got nan"),
+        ("--spread", "nan", "optima must be finite"),
+    ], ids=["lr-nan", "lr-inf", "dim-0", "alpha-nan", "spread-nan"])
+    def test_bad_value_exits_2_on_one_line(self, tmp_path, capsys, flag, value, message):
+        assert run(["fl-sim", "--agg", "loss", flag, value, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--lr", "2.5", "--rounds", "400"],
+         "round 173: non-finite population loss; local descent diverges at "
+         "learning_rate 2.5"),
+        (["--lr", "1e200", "--clients", "12", "--per-round", "5", "--pre-loss"],
+         "round 0: non-finite loss or weights of client c0002; local descent "
+         "diverges at learning_rate 1e+200"),
+    ], ids=["population", "client"])
+    def test_divergence_fails_on_one_line(self, tmp_path, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy floating-point warning fails
+            assert run(["fl-sim"] + argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestForecast:
@@ -310,7 +378,9 @@ class TestParser:
 # sorted), so any change to a report is a change to the model or its output.
 # The manifest cases, recorded at commit 1685bd3, read the tie-heavy manifest
 # (MANIFEST stands for its path); their partitions also pin the seeded
-# shuffle of speakers with equal totals.
+# shuffle of speakers with equal totals. The fl-sim cases, recorded at commit
+# 8ac3fa4, where each client was trained and reduced one vector at a time,
+# pin the seeded selection and every bit of the stacked rounds.
 MANIFEST = "<tie-heavy manifest>"
 REPORT_DIGESTS = {
     ("analyze", "--arch", "base", "--duration", "5.5"): {
@@ -394,10 +464,35 @@ REPORT_DIGESTS = {
         "fl_schedule.json":
             "8670de1cf69173bd0bb1b1a4c5b145b3b23509ecdda94744a36f0014c9dfd54b",
     },
+    ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "100", "--per-round",
+     "20", "--dim", "2000", "--rounds", "20", "--seed", "11"): {
+        "fl_sim.csv": "540b1f477e0b7a0a60f548e590005e6ba2f7821e93834c55a599bc516eb0103e",
+        "fl_sim.json": "4fba2c6875f741850d6e78bf465fd2455260c88b4c61c4a58bf3e9baec69ac80",
+    },
+    ("fl-sim", "--agg", "loss", "--alpha", "0", "--pre-loss", "--clients", "12",
+     "--per-round", "5", "--dim", "16", "--rounds", "10", "--seed", "3"): {
+        "fl_sim.csv": "a159e078aeb21cdc3d1f7ffd257b6e8693102400c47e868e6aa99419b72eca57",
+        "fl_sim.json": "2a2f5127d7ff791d566fec2e0721a595681f4df89446822e55a6425ed26aef8d",
+    },
+    ("fl-sim", "--agg", "fedavg", "--clients", "6", "--dim", "5", "--rounds", "12",
+     "--lr", "0.1", "--local-steps", "2", "--seed", "4"): {
+        "fl_sim.csv": "d14ee5ee8818745b65b1f377a19fa2683e3883addf62bc24ca952d1f8a139571",
+        "fl_sim.json": "934baea7831cad33c7756647c622d3f3faccdb4ff18acfe8e541228805f960ed",
+    },
+    # Round 0 selects c10031, which sorts between c1003 and c1004.
+    ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "10050", "--per-round",
+     "30", "--dim", "3", "--rounds", "5", "--seed", "5"): {
+        "fl_sim.csv": "f5aa8a2548bd8cd70dc20cdf81313920685896e13c207a690a948bb9e9f1a818",
+        "fl_sim.json": "101ca966ecc899909d6b439c514d37dcabe0e5a5cda7ba36884fdecafaa9415e",
+    },
 }
 
 
 def _case_id(argv):
+    if argv[0] == "fl-sim":
+        return "-".join([argv[0], argv[argv.index("--agg") + 1],
+                         "c" + argv[argv.index("--clients") + 1],
+                         "s" + argv[argv.index("--seed") + 1]])
     if MANIFEST not in argv:
         return argv[0]
     return "-".join([argv[0], "manifest", "c" + argv[argv.index("--clients") + 1],

@@ -9,7 +9,7 @@ from conftest import manifest_text, tie_heavy_rows
 from fedspeech import federation
 from fedspeech.arch import WorkloadSpec, base_preset, large_preset
 from fedspeech.costs import param_count
-from fedspeech.devices import get_profile
+from fedspeech.devices import get_profile, predict_batch_time
 from fedspeech.errors import (InvalidSampleSizeError, MalformedRowError,
                               MissingAnchorError, MissingColumnError,
                               TooFewSpeakersError)
@@ -187,6 +187,43 @@ class TestManifest:
         assert str(err.value) == f"line {at + 1}: {message}"
         assert err.value.line_number == at + 1
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["blocks", "csv"])
+    @pytest.mark.parametrize("block", [100, 1 << 22])
+    @pytest.mark.parametrize("at", [0, 1, 5, 150])
+    def test_bytes_not_utf8_named_with_their_line(self, tmp_path, monkeypatch, quoted,
+                                                  block, at):
+        # A quoted field on the first row sends the whole file through
+        # csv.reader; line 1 is the header.
+        rows = tie_heavy_rows()
+        if quoted:
+            rows[0] = (rows[0][0], f'"{rows[0][1]}"') + rows[0][2:]
+        lines = manifest_text(rows).encode().splitlines(keepends=True)
+        lines[at] = lines[at][:3] + b"\xe9" + lines[at][3:]  # Latin-1 e-acute
+        (tmp_path / "bad.tsv").write_bytes(b"".join(lines))
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        with pytest.raises(MalformedRowError) as err:
+            load_manifest(tmp_path / "bad.tsv")
+        assert str(err.value) == f"line {at + 1}: bytes that are not valid UTF-8"
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["blocks", "csv"])
+    def test_earlier_bad_row_named_before_bytes_not_utf8(self, tmp_path, quoted):
+        rows = tie_heavy_rows()
+        if quoted:
+            rows[0] = (rows[0][0], f'"{rows[0][1]}"') + rows[0][2:]
+        rows[9] = rows[9][:3] + (0,)
+        lines = manifest_text(rows).encode().splitlines(keepends=True)
+        lines[12] = lines[12].replace(b"short", b"sh\xf6rt")
+        (tmp_path / "bad.tsv").write_bytes(b"".join(lines))
+        with pytest.raises(MalformedRowError) as err:
+            load_manifest(tmp_path / "bad.tsv")
+        assert str(err.value) == "line 11: non-positive duration 0.0"
+
+    def test_non_ascii_utf8_accepted(self, tmp_path):
+        rows = [(spk, clip, "un été à Reykjavík", ms)
+                for spk, clip, _, ms in tie_heavy_rows()]
+        p = write_tsv(tmp_path / "m.tsv", manifest_text(rows))
+        assert rows_of(load_manifest(p)) == reference_rows(p)
+
     def test_header_only_and_empty(self, tmp_path):
         p = write_tsv(tmp_path / "h.tsv", "utterance_id\tspeaker_id\tduration_s\n")
         assert len(load_manifest(p)) == 0
@@ -330,7 +367,6 @@ class TestWallClock:
                                   uniform_assignment(partition, get_profile("a40")),
                                   arch, batch=64)
         # one predicted batch only: 64 sequences of 5.5 s, nearest anchor is b4
-        from fedspeech.devices import predict_batch_time
         pred = predict_batch_time(get_profile("a40"), arch, WorkloadSpec(5.5, batch=64))
         assert est.total_seconds == pytest.approx(pred.seconds_per_batch, rel=1e-12)
 
@@ -356,6 +392,38 @@ class TestWallClock:
                                     local_epochs=3)
         assert three.total_seconds == pytest.approx(3 * one.total_seconds, rel=1e-12)
 
+    def test_one_prediction_per_device_and_mean_duration(self, monkeypatch,
+                                                          corpus_manifest):
+        # Mixed devices over a manifest partition and over equal idealised
+        # clients: each distinct (device, mean duration) is predicted once,
+        # and the result is that of one prediction per client.
+        calls = []
+
+        def counted(profile, arch, workload):
+            calls.append((profile.name, workload))
+            return predict_batch_time(profile, arch, workload)
+
+        devices = [get_profile(name) for name in ("a40", "nx", "agx")]
+        for partition in (partition_by_speaker(corpus_manifest, 12, seed=1),
+                          uniform_partition(12, 300)):
+            assignment = {c.client_id: devices[i % 3]
+                          for i, c in enumerate(partition.clients)}
+            schedule = schedule_rounds(12, 4, 5, seed=0)
+            monkeypatch.setattr(federation, "predict_batch_time", counted)
+            calls.clear()
+            est = estimate_wall_clock(partition, schedule, assignment, base_preset(),
+                                      batch=4)
+            monkeypatch.undo()
+            assert len(calls) == len(set(calls)) == len(
+                {(assignment[c.client_id].name, c.mean_duration_s)
+                 for c in partition.clients})
+            assert est.seconds_per_local_epoch == {
+                c.client_id: math.ceil(c.n_utterances / 4) * predict_batch_time(
+                    assignment[c.client_id], base_preset(),
+                    WorkloadSpec(c.mean_duration_s, batch=4)).seconds_per_batch
+                for c in partition.clients}
+        assert len(calls) == 3  # the idealised clients share one mean duration
+
     def test_missing_anchor_propagates(self):
         partition = uniform_partition(2, 100)
         schedule = schedule_rounds(2, 2, 1, seed=0)
@@ -371,7 +439,6 @@ class TestWallClock:
         est = estimate_wall_clock(partition, schedule,
                                   uniform_assignment(partition, get_profile("a40")),
                                   arch, batch=4)
-        from fedspeech.devices import predict_batch_time
         per_batch = predict_batch_time(get_profile("a40"), arch,
                                        WorkloadSpec(5.5, batch=4)).seconds_per_batch
         assert est.total_seconds == pytest.approx(
