@@ -32,6 +32,10 @@ class AggMethod(str, enum.Enum):
     FEDAVG = "fedavg"
     LOSS_WEIGHTED = "loss_weighted"
 
+    @classmethod
+    def _missing_(cls, value: object) -> AggMethod | None:
+        return cls.LOSS_WEIGHTED if value == "loss" else None  # the short name --agg takes
+
 
 @dataclass(frozen=True)
 class ClientUpdate:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional, TypedDict
 
 from .errors import ConfigError
+from .settings import read, read_keys, read_value, to_mapping
 
 
 class Precision(str, enum.Enum):
@@ -28,6 +29,11 @@ class Precision(str, enum.Enum):
         """Bytes per retained activation element."""
         return 4 if self is Precision.FP32 else 2
 
+    @classmethod
+    def _missing_(cls, value: object) -> Precision | None:
+        return next((p for p in cls if isinstance(value, str) and p.value == value.lower()),
+                    None)
+
 
 class NormKind(str, enum.Enum):
     NONE = "none"
@@ -38,16 +44,6 @@ class NormKind(str, enum.Enum):
 class Activation(str, enum.Enum):
     NONE = "none"
     GELU = "gelu"
-
-
-def parse_precision(value: "str | Precision") -> Precision:
-    if isinstance(value, Precision):
-        return value
-    try:
-        return Precision(str(value).lower())
-    except ValueError:
-        raise ConfigError(f"unknown precision {value!r}; expected one of: "
-                          + ", ".join(p.value for p in Precision)) from None
 
 
 @dataclass(frozen=True)
@@ -153,20 +149,12 @@ class ArchitectureSpec:
         if self.pos_conv is not None and self.block_count == 0:
             raise ConfigError("pos_conv requires at least one transformer block")
 
-    @property
-    def receptive_samples(self) -> int:
-        """Minimum number of input samples the conv stack can consume."""
-        need = 1
-        for layer in reversed(self.conv_stack):
-            need = (need - 1) * layer.stride + layer.kernel
-        return need
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One training or inference workload: audio length, batching, precision."""
 
-    duration_s: float
+    duration_s: float = 5.5
     sample_rate_hz: int = 16_000
     batch: int = 1
     precision: Precision = Precision.FP32
@@ -176,6 +164,9 @@ class WorkloadSpec:
             raise ConfigError(f"duration must be finite and > 0, got {self.duration_s}")
         if self.sample_rate_hz <= 0:
             raise ConfigError("sample rate must be > 0")
+        if max(self.sample_rate_hz, self.duration_s * self.sample_rate_hz) >= 2**53:
+            raise ConfigError(f"{self.duration_s} s at {self.sample_rate_hz} Hz is more "
+                              "samples than a float counts exactly")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
 
@@ -238,126 +229,74 @@ def get_preset(name: str) -> ArchitectureSpec:
 # Config-file (de)serialisation
 
 
-def _conv_from_mapping(m: Mapping, where: str) -> ConvLayerSpec:
-    allowed = {"in_channels", "out_channels", "kernel", "stride", "bias",
-               "norm", "groups", "activation"}
-    for key in m:
-        if key not in allowed:
-            raise ConfigError(f"unknown configuration key: {where}.{key}")
-    try:
-        return ConvLayerSpec(
-            in_channels=int(m["in_channels"]),
-            out_channels=int(m["out_channels"]),
-            kernel=int(m["kernel"]),
-            stride=int(m["stride"]),
-            bias=bool(m.get("bias", False)),
-            norm=NormKind(m.get("norm", "none")),
-            groups=int(m.get("groups", 1)),
-            activation=Activation(m.get("activation", "gelu")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing conv field {exc.args[0]!r} at {where}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad conv field at {where}: {exc}") from None
+@dataclass(frozen=True)
+class _FeatureProj:
+    in_dim: int
+    out_dim: int
+
+
+class _ArchSection(TypedDict, total=False):
+    """The keys of an ``arch`` config section and their types."""
+
+    preset: str
+    name: str
+    conv_stack: tuple[ConvLayerSpec, ...]
+    feature_proj: _FeatureProj
+    pos_conv: Optional[ConvLayerSpec]
+    transformer: dict  # AttentionBlockSpec keys, plus blocks
+    quantizer: dict  # QuantizerSpec keys
 
 
 def arch_from_mapping(m: Mapping, where: str = "arch") -> ArchitectureSpec:
-    """Build an :class:`ArchitectureSpec` from a config mapping.
+    """Build an :class:`ArchitectureSpec` from an ``arch`` config section.
 
-    A bare ``{"preset": "base"}`` selects a preset; any other keys override
-    preset fields. Unknown keys are rejected with their location.
+    ``preset`` selects a preset whose fields the other keys override:
+    ``transformer`` and ``quantizer`` key by key, the others whole. Without
+    a preset, ``conv_stack``, ``transformer`` and ``quantizer`` are required,
+    and keys they leave out take the ``base`` preset's values, except
+    ``blocks``, which defaults to 0.
     """
-    allowed = {"preset", "name", "conv_stack", "feature_proj", "pos_conv",
-               "transformer", "quantizer"}
-    for key in m:
-        if key not in allowed:
-            raise ConfigError(f"unknown configuration key: {where}.{key}")
-
-    spec = get_preset(str(m["preset"])) if "preset" in m else None
-    if spec is None and not {"conv_stack", "transformer", "quantizer"} <= set(m):
+    given = read_keys(_ArchSection, m, where)
+    spec = get_preset(given["preset"]) if "preset" in given else None
+    if spec is None and not {"conv_stack", "transformer", "quantizer"} <= given.keys():
         raise ConfigError(
             f"{where}: either 'preset' or a full architecture "
             "(conv_stack, transformer, quantizer) is required")
+    ref = spec or base_preset()
 
-    name = str(m.get("name", spec.name if spec else "custom"))
-    conv_stack = (tuple(_conv_from_mapping(c, f"{where}.conv_stack[{i}]")
-                        for i, c in enumerate(m["conv_stack"]))
-                  if "conv_stack" in m else spec.conv_stack)
-
-    if "transformer" in m:
-        t = m["transformer"]
-        for key in t:
-            if key not in {"blocks", "model_dim", "heads", "ffn_dim"}:
-                raise ConfigError(f"unknown configuration key: {where}.transformer.{key}")
-        block_count = int(t.get("blocks", spec.block_count if spec else 0))
-        base_block = spec.block if spec else AttentionBlockSpec(768, 12, 3072)
-        block = AttentionBlockSpec(
-            model_dim=int(t.get("model_dim", base_block.model_dim)),
-            heads=int(t.get("heads", base_block.heads)),
-            ffn_dim=int(t.get("ffn_dim", base_block.ffn_dim)),
-        )
+    transformer = dict(given.get("transformer", {}))
+    block_count = read_value(int, transformer.pop("blocks", spec.block_count if spec else 0),
+                             f"{where}.transformer.blocks")
+    block = read(AttentionBlockSpec, transformer, f"{where}.transformer", ref.block)
+    quantizer = read(QuantizerSpec, given.get("quantizer", {}), f"{where}.quantizer",
+                     ref.quantizer)
+    conv_stack = given.get("conv_stack", ref.conv_stack)
+    if "feature_proj" in given:
+        feature_proj = (given["feature_proj"].in_dim, given["feature_proj"].out_dim)
+    elif spec is not None or not conv_stack:  # ArchitectureSpec rejects an empty stack
+        feature_proj = ref.feature_proj
     else:
-        block_count, block = spec.block_count, spec.block
+        feature_proj = (conv_stack[-1].out_channels, block.model_dim)
 
-    if "quantizer" in m:
-        q = m["quantizer"]
-        for key in q:
-            if key not in {"input_dim", "groups", "entries_per_group", "codevector_dim"}:
-                raise ConfigError(f"unknown configuration key: {where}.quantizer.{key}")
-        base_q = spec.quantizer if spec else QuantizerSpec(512, 2, 320, 256)
-        quantizer = QuantizerSpec(
-            input_dim=int(q.get("input_dim", base_q.input_dim)),
-            groups=int(q.get("groups", base_q.groups)),
-            entries_per_group=int(q.get("entries_per_group", base_q.entries_per_group)),
-            codevector_dim=int(q.get("codevector_dim", base_q.codevector_dim)),
-        )
-    else:
-        quantizer = spec.quantizer
-
-    if "feature_proj" in m:
-        fp = m["feature_proj"]
-        feature_proj = (int(fp["in_dim"]), int(fp["out_dim"]))
-    else:
-        feature_proj = spec.feature_proj if spec else (conv_stack[-1].out_channels,
-                                                       block.model_dim)
-
-    if "pos_conv" in m:
-        pos_conv = (None if m["pos_conv"] is None
-                    else _conv_from_mapping(m["pos_conv"], f"{where}.pos_conv"))
-    elif spec is not None and block_count:
-        pos_conv = (spec.pos_conv if spec.pos_conv is None
-                    else replace(spec.pos_conv, in_channels=block.model_dim,
-                                 out_channels=block.model_dim))
+    if "pos_conv" in given:
+        pos_conv = given["pos_conv"]
+    elif spec is not None and block_count and spec.pos_conv is not None:
+        pos_conv = replace(spec.pos_conv, in_channels=block.model_dim,
+                           out_channels=block.model_dim)
     else:
         pos_conv = None
 
-    return ArchitectureSpec(name=name, conv_stack=conv_stack, feature_proj=feature_proj,
+    return ArchitectureSpec(name=given.get("name", spec.name if spec else "custom"),
+                            conv_stack=conv_stack, feature_proj=feature_proj,
                             block_count=block_count, block=block, quantizer=quantizer,
                             pos_conv=pos_conv)
 
 
 def arch_to_mapping(arch: ArchitectureSpec) -> dict:
     """Inverse of :func:`arch_from_mapping`, used to embed configs in reports."""
-    return {
-        "name": arch.name,
-        "conv_stack": [
-            {"in_channels": c.in_channels, "out_channels": c.out_channels,
-             "kernel": c.kernel, "stride": c.stride, "bias": c.bias,
-             "norm": c.norm.value, "groups": c.groups, "activation": c.activation.value}
-            for c in arch.conv_stack
-        ],
-        "feature_proj": {"in_dim": arch.feature_proj[0], "out_dim": arch.feature_proj[1]},
-        "pos_conv": None if arch.pos_conv is None else {
-            "in_channels": arch.pos_conv.in_channels,
-            "out_channels": arch.pos_conv.out_channels,
-            "kernel": arch.pos_conv.kernel, "stride": arch.pos_conv.stride,
-            "bias": arch.pos_conv.bias, "norm": arch.pos_conv.norm.value,
-            "groups": arch.pos_conv.groups, "activation": arch.pos_conv.activation.value,
-        },
-        "transformer": {"blocks": arch.block_count, "model_dim": arch.block.model_dim,
-                        "heads": arch.block.heads, "ffn_dim": arch.block.ffn_dim},
-        "quantizer": {"input_dim": arch.quantizer.input_dim,
-                      "groups": arch.quantizer.groups,
-                      "entries_per_group": arch.quantizer.entries_per_group,
-                      "codevector_dim": arch.quantizer.codevector_dim},
-    }
+    return {"name": arch.name,
+            "conv_stack": [to_mapping(c) for c in arch.conv_stack],
+            "feature_proj": to_mapping(_FeatureProj(*arch.feature_proj)),
+            "pos_conv": None if arch.pos_conv is None else to_mapping(arch.pos_conv),
+            "transformer": {"blocks": arch.block_count, **to_mapping(arch.block)},
+            "quantizer": to_mapping(arch.quantizer)}

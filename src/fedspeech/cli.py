@@ -27,9 +27,9 @@ import numpy as np
 
 from . import checks as checks_mod
 from .aggregation import AggMethod, AggregationConfig, SyntheticFLConfig, run_synthetic_fl
-from .arch import Precision, WorkloadSpec, arch_to_mapping, parse_precision
-from .config import (config_fingerprint, load_config, resolve_arch, resolve_calibration,
-                     resolve_profiles)
+from .arch import Precision, WorkloadSpec, arch_to_mapping
+from .config import (FlSettings, config_fingerprint, load_config, resolve_arch,
+                     resolve_calibration, resolve_profiles)
 from .costs import forward_flops, module_rollup
 from .devices import FitVerdict, check_fit, get_profile, predict_batch_time, \
     training_residency_bytes
@@ -45,7 +45,8 @@ from .report import (COST_CSV_HEADER, TIMELINE_CSV_HEADER, TRAJECTORY_CSV_HEADER
                      schedule_payload, timeline_payload, timeline_rows,
                      trajectory_payload, trajectory_rows, wall_clock_payload,
                      write_csv, write_json)
-from .trend import parity_year
+from .settings import read, to_mapping
+from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, parity_year
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,19 +64,21 @@ def _meta(args: argparse.Namespace, arch=None, **extra) -> dict:
     return resolved
 
 
-def _workload_from(args: argparse.Namespace, cfg: dict) -> WorkloadSpec:
-    w = cfg.get("workload", {})
-    return WorkloadSpec(
-        duration_s=args.duration if args.duration is not None
-        else float(w.get("duration_s", 5.5)),
-        sample_rate_hz=int(w.get("sample_rate_hz", 16_000)),
-        batch=args.batch if args.batch is not None else int(w.get("batch", 1)),
-        precision=parse_precision(args.precision or w.get("precision", "fp32")))
+def _workload_from(args: argparse.Namespace, cfg: dict,
+                   base: WorkloadSpec | None = None) -> WorkloadSpec:
+    """The config's workload section under the workload flags the command has."""
+    return read(WorkloadSpec, cfg.get("workload", {}), "workload", base,
+                duration_s=getattr(args, "duration", None), batch=args.batch,
+                precision=args.precision and Precision(args.precision))
 
 
 def _out_dir(args: argparse.Namespace, cfg: dict) -> Path:
-    out = args.out or cfg.get("output_dir", "reports")
-    return Path(out)
+    out = Path(args.out or cfg.get("output_dir", "reports"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write reports to {out}: {exc.strerror}") from None
+    return out
 
 
 # ------------------------------------------------------------------ commands
@@ -86,10 +89,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     arch = resolve_arch(cfg, args.arch)
     workload = _workload_from(args, cfg)
     report = forward_flops(arch, workload)
-    meta = _meta(args, arch, workload={"duration_s": workload.duration_s,
-                                       "sample_rate_hz": workload.sample_rate_hz,
-                                       "batch": workload.batch,
-                                       "precision": workload.precision.value})
+    meta = _meta(args, arch, workload=to_mapping(workload))
     out = _out_dir(args, cfg)
     write_json(out / "analyze.json", cost_report_payload(report, meta))
     write_csv(out / "analyze.csv", COST_CSV_HEADER, cost_report_rows(report))
@@ -150,7 +150,7 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
         "device": profile.name,
         "seconds_per_batch": pred.seconds_per_batch,
         "effective_throughput_flops": pred.effective_throughput,
-        "anchor": {"arch": pred.anchor_used.arch_name,
+        "anchor": {"arch": pred.anchor_used.arch,
                    "batch": pred.anchor_used.batch,
                    "precision": pred.anchor_used.precision.value,
                    "seconds_per_batch": pred.anchor_used.seconds_per_batch},
@@ -172,42 +172,36 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
 
 def cmd_fl_plan(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    fl = cfg.get("fl", {})
+    fl = read(FlSettings, cfg.get("fl", {}), "fl", clients=args.clients,
+              per_round=args.per_round, rounds=args.rounds, local_epochs=args.local_epochs,
+              batch=args.batch, seed=args.seed)
     arch = resolve_arch(cfg, args.arch)
     profiles = resolve_profiles(cfg)
     profile = get_profile(args.device or "a40", profiles)
     cal = resolve_calibration(cfg)
-    clients = args.clients if args.clients is not None else int(fl.get("clients", 10))
-    rounds = args.rounds if args.rounds is not None else int(fl.get("rounds", 150))
-    per_round = args.per_round if args.per_round is not None else int(
-        fl.get("per_round", clients))
-    batch = args.batch if args.batch is not None else int(fl.get("batch", 4))
-    local_epochs = args.local_epochs if args.local_epochs is not None else int(
-        fl.get("local_epochs", 1))
-    seed = args.seed if args.seed is not None else int(fl.get("seed", 0))
-    precision = parse_precision(args.precision
-                                or cfg.get("workload", {}).get("precision", "fp32"))
+    per_round = fl.clients if fl.per_round is None else fl.per_round
+    precision = _workload_from(args, cfg).precision
 
     if args.manifest:
-        partition = partition_by_speaker(load_manifest(args.manifest), clients, seed)
+        partition = partition_by_speaker(load_manifest(args.manifest), fl.clients, fl.seed)
     else:
-        partition = uniform_partition(clients, args.samples_per_client,
+        partition = uniform_partition(fl.clients, args.samples_per_client,
                                       args.mean_duration)
 
-    schedule = schedule_rounds(clients, per_round, rounds, seed)
-    workload = WorkloadSpec(args.mean_duration, batch=batch, precision=precision)
+    schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
+    workload = WorkloadSpec(args.mean_duration, batch=fl.batch, precision=precision)
     verdict = check_fit(profile, training_residency_bytes(arch, workload, cal))
     if args.fail_on_oom and verdict is FitVerdict.OOM:
-        raise InfeasibleError(f"{arch.name} at batch {batch} does not fit on "
+        raise InfeasibleError(f"{arch.name} at batch {fl.batch} does not fit on "
                               f"{profile.name}")
     estimate = estimate_wall_clock(partition, schedule,
                                    uniform_assignment(partition, profile), arch,
-                                   batch=batch, local_epochs=local_epochs,
+                                   batch=fl.batch, local_epochs=fl.local_epochs,
                                    precision=precision)
     comm = estimate_communication(arch, schedule, precision)
 
-    meta = _meta(args, arch, device=profile.name, clients=clients, rounds=rounds,
-                 per_round=per_round, batch=batch, local_epochs=local_epochs,
+    meta = _meta(args, arch, device=profile.name, clients=fl.clients, rounds=fl.rounds,
+                 per_round=per_round, batch=fl.batch, local_epochs=fl.local_epochs,
                  precision=precision.value)
     out = _out_dir(args, cfg)
     write_json(out / "fl_partition.json", partition_payload(partition, meta))
@@ -218,7 +212,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
               [[c.client_id, profile.name, c.n_utterances,
                 f"{estimate.seconds_per_local_epoch[c.client_id]:.6g}"]
                for c in partition.clients])
-    print(f"{clients} clients x {rounds} rounds on {profile.name}: "
+    print(f"{fl.clients} clients x {fl.rounds} rounds on {profile.name}: "
           f"{estimate.total_hours:.1f} h total ({estimate.total_days:.2f} days), "
           f"{comm / 1e12:.3f} TB moved; memory fit: {verdict.value}")
     print(f"wrote {out / 'fl_plan.json'} (+ partition, schedule, csv)")
@@ -227,16 +221,14 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
 
 def cmd_fl_sim(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    agg_cfg = cfg.get("aggregation", {})
-    method = AggMethod.LOSS_WEIGHTED if (args.agg or agg_cfg.get("method", "fedavg")) \
-        in ("loss", "loss_weighted") else AggMethod.FEDAVG
-    agg = AggregationConfig(
-        method=method,
-        alpha=args.alpha if args.alpha is not None else float(agg_cfg.get("alpha", 1.0)),
-        epsilon=float(agg_cfg.get("epsilon", 1e-8)))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    agg = read(AggregationConfig, cfg.get("aggregation", {}), "aggregation",
+               method=args.agg and AggMethod(args.agg), alpha=args.alpha)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if seed < 0 or args.spread < 0:
+        raise ConfigError(f"seed and spread must be >= 0, got {seed} and {args.spread}")
     rng = np.random.default_rng(seed)
-    optima = rng.normal(scale=args.spread, size=(args.clients, args.dim))
+    # a negative size leaves the optima empty, which SyntheticFLConfig reports
+    optima = rng.normal(scale=args.spread, size=(max(args.clients, 0), max(args.dim, 0)))
     sim = SyntheticFLConfig(
         optima=optima, n_samples=(args.samples,) * args.clients,
         learning_rate=args.lr, local_steps=args.local_steps, rounds=args.rounds,
@@ -244,14 +236,14 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
         seed=seed, report_pre_loss=args.pre_loss)
     trajectory = run_synthetic_fl(sim, agg)
 
-    meta = _meta(args, None, agg=method.value, alpha=agg.alpha, clients=args.clients,
+    meta = _meta(args, None, agg=agg.method.value, alpha=agg.alpha, clients=args.clients,
                  per_round=args.per_round or args.clients, rounds=args.rounds,
                  dim=args.dim, lr=args.lr, local_steps=args.local_steps)
     out = _out_dir(args, cfg)
     write_json(out / "fl_sim.json", trajectory_payload(trajectory, meta))
     write_csv(out / "fl_sim.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(trajectory))
     last = trajectory.records[-1]
-    print(f"{method.value}: {args.rounds} rounds, final population loss "
+    print(f"{agg.method.value}: {args.rounds} rounds, final population loss "
           f"{last.population_loss:.4g}, distance to weighted-mean optimum "
           f"{last.distance_to_optimum:.4g}")
     print(f"wrote {out / 'fl_sim.json'} and {out / 'fl_sim.csv'}")
@@ -264,7 +256,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     arch = resolve_arch(cfg, args.arch)
     device = get_profile(args.device, profiles)
     reference = get_profile(args.reference, profiles)
-    workload = _workload_from(args, cfg)
+    # the headline compares batch 4 unless a flag or the config sets the batch
+    workload = _workload_from(args, cfg, WorkloadSpec(batch=4))
 
     combos = {}
     for batch in (1, 4):
@@ -281,10 +274,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                     "parity_year": f.parity_year}
             except (MissingAnchorError, UnsupportedPrecisionError, InvalidRatioError):
                 continue  # a combination the anchors cannot compare is left out
-    requested = cfg.get("workload", {})
-    headline_key = "b{}-{}".format(
-        args.batch if args.batch is not None else int(requested.get("batch", 4)),
-        parse_precision(args.precision or requested.get("precision", "fp32")).value)
+    headline_key = f"b{workload.batch}-{workload.precision.value}"
     if headline_key not in combos:
         raise ConfigError(f"no anchors for the requested comparison {headline_key}")
     headline = combos[headline_key]
@@ -319,14 +309,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser, workload: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, duration: bool = True) -> None:
     p.add_argument("--config", help="YAML config path (or set FEDSPEECH_CONFIG)")
     p.add_argument("--out", help="output directory (default: reports)")
     p.add_argument("--arch", help="architecture preset (base or large)")
-    if workload:
+    if duration:
         p.add_argument("--duration", type=float, help="clip length in seconds")
-        p.add_argument("--batch", type=int, help="batch size")
-        p.add_argument("--precision", choices=["fp32", "mixed"])
+    p.add_argument("--batch", type=int, help="batch size")
+    p.add_argument("--precision", choices=["fp32", "mixed"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict_time)
 
     p = sub.add_parser("fl-plan", help="federated wall-clock and traffic estimate")
-    _add_common(p, workload=False)
-    p.add_argument("--batch", type=int, help="batch size")
-    p.add_argument("--precision", choices=["fp32", "mixed"])
+    _add_common(p, duration=False)  # an idealised corpus has --mean-duration
     p.add_argument("--manifest", help="TSV manifest; omit for an idealised corpus")
     p.add_argument("--clients", type=int)
     p.add_argument("--per-round", type=int, dest="per_round")
@@ -364,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--samples-per-client", type=int, dest="samples_per_client",
                    default=19_500, help="idealised corpus size per client")
-    p.add_argument("--mean-duration", type=float, dest="mean_duration", default=5.5)
+    p.add_argument("--mean-duration", type=float, dest="mean_duration",
+                   default=WorkloadSpec.duration_s)
     p.add_argument("--fail-on-oom", action="store_true")
     p.set_defaults(fn=cmd_fl_plan)
 
@@ -392,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("--reference", default="a40")
     p.add_argument("--doubling-months", type=float, dest="doubling_months",
-                   default=18.0)
-    p.add_argument("--base-year", type=float, dest="base_year", default=2022.0)
+                   default=DEFAULT_DOUBLING_MONTHS)
+    p.add_argument("--base-year", type=float, dest="base_year", default=DEFAULT_BASE_YEAR)
     p.set_defaults(fn=cmd_forecast)
 
     p = sub.add_parser("validate", help="run the built-in reference checks")

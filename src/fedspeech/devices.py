@@ -20,26 +20,26 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import forward_flops
 from .errors import ConfigError, MissingAnchorError, UnsupportedPrecisionError
-from .memory import MemoryCalibration, default_calibration, static_memory, training_flops
-
-GB = 1e9
+from .memory import (GB, MemoryCalibration, default_calibration, static_memory,
+                     training_flops)
+from .settings import read, read_value
 
 
 @dataclass(frozen=True)
 class Anchor:
     """One measured (architecture, workload) -> seconds-per-batch point."""
 
-    arch_name: str
+    arch: str
     batch: int
     precision: Precision
     seconds_per_batch: float
     duration_s: float = 5.5
-    sample_rate_hz: int = 16_000
 
     def __post_init__(self) -> None:
         if self.seconds_per_batch <= 0:
@@ -47,26 +47,30 @@ class Anchor:
 
     @property
     def workload(self) -> WorkloadSpec:
-        return WorkloadSpec(duration_s=self.duration_s, sample_rate_hz=self.sample_rate_hz,
-                            batch=self.batch, precision=self.precision)
+        return WorkloadSpec(duration_s=self.duration_s, batch=self.batch,
+                            precision=self.precision)
 
 
 @dataclass(frozen=True)
 class DeviceProfile:
+    """One device; its fields are the keys of a ``devices:`` config entry."""
+
     name: str
-    memory_total_bytes: float
-    os_reserve_bytes: float
-    supports_mixed: bool
-    anchors: tuple[Anchor, ...]
-    description: str = ""
+    memory_gb: float
+    os_reserve_gb: float = 0.0
+    supports_mixed: bool = False
+    anchors: tuple[Anchor, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.memory_total_bytes > self.os_reserve_bytes >= 0:
+        object.__setattr__(self, "name", self.name.lower())
+        if not self.memory_gb > self.os_reserve_gb >= 0:
             raise ConfigError("device memory must exceed the OS reserve")
+        if not self.anchors:
+            raise ConfigError(f"device {self.name!r} needs anchors")
 
     @property
     def memory_budget_bytes(self) -> float:
-        return self.memory_total_bytes - self.os_reserve_bytes
+        return self.memory_gb * GB - self.os_reserve_gb * GB
 
 
 @dataclass(frozen=True)
@@ -84,70 +88,75 @@ class FitVerdict(str, enum.Enum):
 
 _MARGINAL_BAND = 0.10
 
+# The reference devices in the config's ``devices:`` format, with their
+# measured training-time anchors at 5.5 s clips.
+_XAVIER_AGX_ANCHORS = [  # both Xavier AGX memory variants share one measurement
+    {"arch": "base", "batch": 1, "precision": "fp32", "seconds_per_batch": 0.38},
+    {"arch": "base", "batch": 1, "precision": "mixed", "seconds_per_batch": 0.43},
+    {"arch": "base", "batch": 4, "precision": "fp32", "seconds_per_batch": 1.08},
+    {"arch": "base", "batch": 4, "precision": "mixed", "seconds_per_batch": 0.82},
+    {"arch": "large", "batch": 1, "precision": "fp32", "seconds_per_batch": 0.88},
+    {"arch": "large", "batch": 1, "precision": "mixed", "seconds_per_batch": 0.87},
+    {"arch": "large", "batch": 4, "precision": "mixed", "seconds_per_batch": 1.72},
+]
+_BUILTIN_DEVICES = [
+    # NVIDIA A40, server GPU (48 GB)
+    {"name": "a40", "memory_gb": 48, "supports_mixed": True, "anchors": [
+        {"arch": "base", "batch": 1, "precision": "fp32", "seconds_per_batch": 0.12},
+        {"arch": "base", "batch": 1, "precision": "mixed", "seconds_per_batch": 0.11},
+        {"arch": "base", "batch": 4, "precision": "fp32", "seconds_per_batch": 0.27},
+        {"arch": "base", "batch": 4, "precision": "mixed", "seconds_per_batch": 0.21},
+        {"arch": "large", "batch": 1, "precision": "fp32", "seconds_per_batch": 0.23},
+        {"arch": "large", "batch": 1, "precision": "mixed", "seconds_per_batch": 0.21},
+        {"arch": "large", "batch": 4, "precision": "fp32", "seconds_per_batch": 0.43},
+        {"arch": "large", "batch": 4, "precision": "mixed", "seconds_per_batch": 0.42}]},
+    # MacBook Pro 2019, 8-core i9 (16 GB)
+    {"name": "macbook-pro-2019", "memory_gb": 16, "os_reserve_gb": 1.5, "anchors": [
+        {"arch": "base", "batch": 1, "precision": "fp32", "seconds_per_batch": 3.76},
+        {"arch": "base", "batch": 4, "precision": "fp32", "seconds_per_batch": 12.83},
+        {"arch": "large", "batch": 1, "precision": "fp32", "seconds_per_batch": 9.05},
+        {"arch": "large", "batch": 4, "precision": "fp32", "seconds_per_batch": 33.66}]},
+    # Raspberry Pi 4, 4-core CPU (8 GB); the large preset does not fit
+    {"name": "rpi4", "memory_gb": 8, "os_reserve_gb": 1.5, "anchors": [
+        {"arch": "base", "batch": 1, "precision": "fp32", "seconds_per_batch": 16.60},
+        {"arch": "base", "batch": 4, "precision": "fp32", "seconds_per_batch": 53.26}]},
+    # NVIDIA Jetson Xavier AGX (16 GB)
+    {"name": "xavier-agx", "memory_gb": 16, "os_reserve_gb": 1.5, "supports_mixed": True,
+     "anchors": _XAVIER_AGX_ANCHORS},
+    # NVIDIA Jetson Xavier AGX, 32 GB variant
+    {"name": "xavier-agx-32gb", "memory_gb": 32, "os_reserve_gb": 1.5,
+     "supports_mixed": True, "anchors": _XAVIER_AGX_ANCHORS},
+    # NVIDIA Jetson Xavier NX (8 GB); the large preset does not fit
+    {"name": "xavier-nx", "memory_gb": 8, "os_reserve_gb": 1.5, "supports_mixed": True,
+     "anchors": [
+        {"arch": "base", "batch": 1, "precision": "fp32", "seconds_per_batch": 0.67},
+        {"arch": "base", "batch": 1, "precision": "mixed", "seconds_per_batch": 0.61},
+        {"arch": "base", "batch": 4, "precision": "fp32", "seconds_per_batch": 1.78},
+        {"arch": "base", "batch": 4, "precision": "mixed", "seconds_per_batch": 1.14}]},
+]
 
-def _anchors(arch_name: str, table: Sequence[tuple[int, str, float]]) -> list[Anchor]:
-    return [Anchor(arch_name, batch, Precision(prec), seconds)
-            for batch, prec, seconds in table]
+
+def read_devices(entries: object, where: str = "devices",
+                 pool: Sequence[DeviceProfile] = ()) -> tuple[DeviceProfile, ...]:
+    """``pool`` with each ``devices:`` entry read over the profile of its
+    name, in any case, or added when no profile has that name."""
+    profiles = {p.name: p for p in pool}
+    for i, entry in enumerate(read_value(tuple[dict, ...], entries, where)):
+        name = entry.get("name")
+        base = profiles.get(name.lower()) if isinstance(name, str) else None
+        profile = read(DeviceProfile, entry, f"{where}[{i}]", base)
+        profiles[profile.name] = profile
+    return tuple(profiles.values())
 
 
+@lru_cache(maxsize=1)
 def builtin_profiles() -> tuple[DeviceProfile, ...]:
     """Reference devices with their measured training-time anchors."""
-    edge_reserve = 1.5 * GB
-    agx_anchors = tuple(  # both Xavier AGX memory variants share one measurement
-        _anchors("base", [(1, "fp32", 0.38), (1, "mixed", 0.43),
-                          (4, "fp32", 1.08), (4, "mixed", 0.82)])
-        + _anchors("large", [(1, "fp32", 0.88), (1, "mixed", 0.87),
-                             (4, "mixed", 1.72)]))
-    return (
-        DeviceProfile(
-            name="a40", memory_total_bytes=48 * GB, os_reserve_bytes=0.0,
-            supports_mixed=True,
-            description="NVIDIA A40, server GPU (48 GB)",
-            anchors=tuple(
-                _anchors("base", [(1, "fp32", 0.12), (1, "mixed", 0.11),
-                                  (4, "fp32", 0.27), (4, "mixed", 0.21)])
-                + _anchors("large", [(1, "fp32", 0.23), (1, "mixed", 0.21),
-                                     (4, "fp32", 0.43), (4, "mixed", 0.42)]))),
-        DeviceProfile(
-            name="macbook-pro-2019", memory_total_bytes=16 * GB,
-            os_reserve_bytes=edge_reserve, supports_mixed=False,
-            description="MacBook Pro 2019, 8-core i9 (16 GB)",
-            anchors=tuple(
-                _anchors("base", [(1, "fp32", 3.76), (4, "fp32", 12.83)])
-                + _anchors("large", [(1, "fp32", 9.05), (4, "fp32", 33.66)]))),
-        DeviceProfile(
-            name="rpi4", memory_total_bytes=8 * GB, os_reserve_bytes=edge_reserve,
-            supports_mixed=False,
-            description="Raspberry Pi 4, 4-core CPU (8 GB); large preset does not fit",
-            anchors=tuple(_anchors("base", [(1, "fp32", 16.60), (4, "fp32", 53.26)]))),
-        DeviceProfile(
-            name="xavier-agx", memory_total_bytes=16 * GB, os_reserve_bytes=edge_reserve,
-            supports_mixed=True,
-            description="NVIDIA Jetson Xavier AGX (16 GB)",
-            anchors=agx_anchors),
-        DeviceProfile(
-            name="xavier-agx-32gb", memory_total_bytes=32 * GB,
-            os_reserve_bytes=edge_reserve, supports_mixed=True,
-            description="NVIDIA Jetson Xavier AGX, 32 GB variant",
-            anchors=agx_anchors),
-        DeviceProfile(
-            name="xavier-nx", memory_total_bytes=8 * GB, os_reserve_bytes=edge_reserve,
-            supports_mixed=True,
-            description="NVIDIA Jetson Xavier NX (8 GB); large preset does not fit",
-            anchors=tuple(
-                _anchors("base", [(1, "fp32", 0.67), (1, "mixed", 0.61),
-                                  (4, "fp32", 1.78), (4, "mixed", 1.14)]))),
-    )
+    return read_devices(_BUILTIN_DEVICES)
 
 
-_ALIASES = {
-    "a40": "a40",
-    "macbook": "macbook-pro-2019", "macbook-pro-2019": "macbook-pro-2019",
-    "rpi": "rpi4", "rpi4": "rpi4",
-    "agx": "xavier-agx", "xavier-agx": "xavier-agx",
-    "agx-32gb": "xavier-agx-32gb", "xavier-agx-32gb": "xavier-agx-32gb",
-    "nx": "xavier-nx", "xavier-nx": "xavier-nx",
-}
+_ALIASES = {"macbook": "macbook-pro-2019", "rpi": "rpi4", "agx": "xavier-agx",
+            "agx-32gb": "xavier-agx-32gb", "nx": "xavier-nx"}
 
 
 def get_profile(name: str,
@@ -169,7 +178,7 @@ def _select_anchor(profile: DeviceProfile, arch: ArchitectureSpec,
         raise UnsupportedPrecisionError(
             f"{profile.name} has no mixed-precision support")
     candidates = [a for a in profile.anchors
-                  if a.arch_name == arch.name and a.precision is workload.precision]
+                  if a.arch == arch.name and a.precision is workload.precision]
     if not candidates:
         raise MissingAnchorError(
             f"{profile.name} has no anchor for arch={arch.name!r} "

@@ -450,6 +450,9 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
                       mean_duration_s: float = 5.5) -> Partition:
     """Idealised partition: every client holds the same count of identical
     mean-length utterances. Used for planning when no manifest is given."""
+    if utterances_per_client < 1:
+        raise InvalidSampleSizeError(
+            f"utterances per client must be >= 1, got {utterances_per_client}")
     width = len(str(max(n_clients - 1, 1)))
     clients = []
     for idx in range(n_clients):
@@ -494,11 +497,12 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
                         device_assignment: Mapping[str, DeviceProfile],
                         arch: ArchitectureSpec, batch: int,
                         local_epochs: int = 1,
-                        precision: Precision = Precision.FP32,
-                        sample_rate_hz: int = 16_000) -> WallClockEstimate:
+                        precision: Precision = Precision.FP32) -> WallClockEstimate:
     """Synchronous-round wall clock: sum over rounds of the slowest client."""
     if batch < 1:
         raise InvalidSampleSizeError("batch must be >= 1")
+    if local_epochs < 1:
+        raise InvalidSampleSizeError(f"local_epochs must be >= 1, got {local_epochs}")
     if schedule.total_clients != partition.n_clients:
         raise InvalidSampleSizeError(
             f"schedule covers {schedule.total_clients} clients but the "
@@ -512,8 +516,7 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
     device_of: dict[str, str] = {}
     for client in partition.clients:
         profile = device_assignment[client.client_id]
-        key = (profile, WorkloadSpec(duration_s=client.mean_duration_s,
-                                     sample_rate_hz=sample_rate_hz, batch=batch,
+        key = (profile, WorkloadSpec(duration_s=client.mean_duration_s, batch=batch,
                                      precision=precision))
         if key not in batch_seconds:
             batch_seconds[key] = predict_batch_time(profile, arch,

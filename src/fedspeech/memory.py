@@ -20,7 +20,7 @@ an immutable :class:`MemoryCalibration` record, never global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -28,11 +28,11 @@ from .arch import ArchitectureSpec, Precision, WorkloadSpec, base_preset
 from .costs import CostReport, forward_flops
 from .errors import ConfigError
 
+GB = 1e9
 BACKWARD_FLOP_MULTIPLIER = 2.0  # backward ~= 2x forward for matmul-dominated nets
 
-#: Reference activation-profiler peak used to fit the default calibration:
-#: the base encoder trained on 5.5 s clips at batch 4, full precision.
-REFERENCE_PEAK_BYTES = 2.54e9
+#: The workload of the activation-profiler peak the default calibration is
+#: fitted on: the base encoder trained on 5.5 s clips at batch 4, full precision.
 REFERENCE_WORKLOAD = WorkloadSpec(duration_s=5.5, batch=4, precision=Precision.FP32)
 
 DEFAULT_RUNTIME_OVERHEAD_BYTES = 400e6  # interpreter + framework + loader floor
@@ -46,11 +46,23 @@ TRAINING_STATIC_BYTES_PER_PARAM = 16
 
 @dataclass(frozen=True)
 class MemoryCalibration:
-    """Immutable calibration constants for the memory models."""
+    """Immutable calibration constants for the memory models, keyed as the
+    ``memory`` config section. ``activation_overhead`` (kappa) is fitted on
+    construction, so that the reference workload peaks at the reference peak."""
 
-    activation_overhead: float  # kappa: fitted multiplier on retained activations
-    runtime_overhead_bytes: float = DEFAULT_RUNTIME_OVERHEAD_BYTES
+    runtime_overhead_gb: float = DEFAULT_RUNTIME_OVERHEAD_BYTES / GB
     residency_factor: float = DEFAULT_RESIDENCY_FACTOR
+    reference_peak_gb: float = 2.54  # measured peak of REFERENCE_WORKLOAD
+    activation_overhead: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "activation_overhead", fit_activation_overhead(
+            base_preset(), REFERENCE_WORKLOAD, self.reference_peak_gb * GB,
+            self.runtime_overhead_bytes))
+
+    @property
+    def runtime_overhead_bytes(self) -> float:
+        return self.runtime_overhead_gb * GB
 
 
 @dataclass(frozen=True)
@@ -122,9 +134,7 @@ def fit_activation_overhead(arch: ArchitectureSpec, workload: WorkloadSpec,
 @lru_cache(maxsize=1)
 def default_calibration() -> MemoryCalibration:
     """Calibration fitted on the bundled reference measurement."""
-    kappa = fit_activation_overhead(base_preset(), REFERENCE_WORKLOAD,
-                                    REFERENCE_PEAK_BYTES)
-    return MemoryCalibration(activation_overhead=kappa)
+    return MemoryCalibration()
 
 
 def memory_timeline(arch: ArchitectureSpec, workload: WorkloadSpec,

@@ -49,7 +49,9 @@ def parity_year(base_year: float, slow_time_s: float, fast_time_s: float,
     if fast_time_s > slow_time_s:
         raise InvalidRatioError(
             f"slow time {slow_time_s} is already faster than {fast_time_s}")
-    if doubling_months <= 0:
-        raise ConfigError("doubling period must be > 0")
+    if not (math.isfinite(doubling_months) and doubling_months > 0):
+        raise ConfigError(f"doubling period must be finite and > 0, got {doubling_months}")
+    if not math.isfinite(base_year):
+        raise ConfigError(f"base year must be finite, got {base_year}")
     return TrendForecast(base_year=base_year, doubling_months=doubling_months,
                          slowdown_ratio=slow_time_s / fast_time_s)

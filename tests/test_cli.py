@@ -50,6 +50,11 @@ class TestAnalyze:
         assert capsys.readouterr().err == \
             f"error: duration must be finite and > 0, got {value}\n"
 
+    def test_more_samples_than_a_float_counts_exits_2(self, tmp_path, capsys):
+        assert run(["analyze", "--duration", "1e300", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: 1e+300 s at 16000 Hz is more samples than a float counts exactly\n"
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("flx: {}\n")
@@ -136,6 +141,17 @@ class TestFlPlan:
             main(["fl-plan", "--clients", "1", "--rounds", "1", "--duration", "30",
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--samples-per-client", "0", "utterances per client must be >= 1, got 0"),
+        ("--local-epochs", "0", "local_epochs must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["samples-per-client", "local-epochs", "seed"])
+    def test_bad_count_exits_2_on_one_line(self, tmp_path, capsys, flag, value, message):
+        assert run(["fl-plan", "--clients", "2", "--rounds", "1", flag, value,
+                    "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
 
     def test_nan_mean_duration_exits_2(self, tmp_path, capsys):
         assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--mean-duration",
@@ -296,7 +312,13 @@ class TestFlSim:
         ("--dim", "0", "optima must be a (n_clients, dim) array with n_clients, dim >= 1"),
         ("--alpha", "nan", "alpha must be finite and >= 0, got nan"),
         ("--spread", "nan", "optima must be finite"),
-    ], ids=["lr-nan", "lr-inf", "dim-0", "alpha-nan", "spread-nan"])
+        ("--dim", "-1", "optima must be a (n_clients, dim) array with n_clients, dim >= 1"),
+        ("--clients", "-1",
+         "optima must be a (n_clients, dim) array with n_clients, dim >= 1"),
+        ("--spread", "-1", "seed and spread must be >= 0, got 0 and -1.0"),
+        ("--seed", "-1", "seed and spread must be >= 0, got -1 and 1.0"),
+    ], ids=["lr-nan", "lr-inf", "dim-0", "alpha-nan", "spread-nan", "dim-negative",
+            "clients-negative", "spread-negative", "seed-negative"])
     def test_bad_value_exits_2_on_one_line(self, tmp_path, capsys, flag, value, message):
         assert run(["fl-sim", "--agg", "loss", flag, value, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -332,6 +354,15 @@ class TestForecast:
     def test_unknown_device_exits_2(self, tmp_path):
         assert run(["forecast", "--device", "abacus", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--doubling-months", "doubling period must be finite and > 0, got nan"),
+        ("--base-year", "base year must be finite, got nan"),
+    ], ids=["doubling-months", "base-year"])
+    def test_nan_trend_exits_2_on_one_line(self, tmp_path, capsys, flag, message):
+        assert run(["forecast", "--device", "nx", flag, "nan", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_headline_from_config_workload_unless_flagged(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("workload: {batch: 1, precision: mixed}\n")
@@ -362,6 +393,67 @@ class TestForecast:
         assert long["combos"]["b4-fp32"]["slow_s"] > 5 * short["combos"]["b4-fp32"]["slow_s"]
 
 
+# Each ill-typed or ill-shaped config value, the command that reads its
+# section, and the dotted key the one-line error must name.
+COMMAND_OF = {"fl": ["fl-plan", "--samples-per-client", "10"], "workload": ["analyze"],
+              "arch": ["analyze"], "devices": ["predict-time", "--device", "rpi"],
+              "memory": ["memory"], "aggregation": ["fl-sim"], "seed": ["fl-sim"]}
+POS_CONV = "{in_channels: 768, out_channels: 768, kernel: 128, stride: 1, groups: 16"
+BAD_CONFIGS = [
+    ("fl: {clients: ten}", "fl.clients"),
+    ("fl: {clients: 2.7}", "fl.clients"),
+    ("workload: {batch: [1]}", "workload.batch"),
+    ("workload: {sample_rate_hz: 8000.9}", "workload.sample_rate_hz"),
+    ("arch: base", "arch"),
+    ("arch: {preset: base, transformer: 6}", "arch.transformer"),
+    ("arch: {preset: base, transformer: {heads: twelve}}", "arch.transformer.heads"),
+    ("arch: {preset: base, feature_proj: {in_dim: 512}}", "arch.feature_proj.out_dim"),
+    ("arch: {preset: base, pos_conv: " + POS_CONV + ", bias: 'false'}}",
+     "arch.pos_conv.bias"),
+    ("devices: [{name: rpi4, memory_gb: lots}]", "devices[0].memory_gb"),
+    ("devices: [{name: rpi4, anchors: [{arch: base, batch: four, precision: fp32, "
+     "seconds_per_batch: 1.0}]}]", "devices[0].anchors[0].batch"),
+    ("memory: {residency_factor: abc}", "memory.residency_factor"),
+    ("memory: {reference_peak_gb: .nan}", "memory.reference_peak_gb"),
+    ("aggregation: {method: garbage}", "aggregation.method"),
+    ("seed: x", "seed"),
+]
+
+
+@pytest.mark.parametrize("text,key", BAD_CONFIGS, ids=[text for text, _ in BAD_CONFIGS])
+def test_ill_typed_config_exits_2_naming_its_key(tmp_path, capsys, text, key):
+    (tmp_path / "c.yaml").write_text(text + "\n")
+    argv = COMMAND_OF[key.split(".")[0].split("[")[0]]
+    assert run(argv + ["--config", str(tmp_path / "c.yaml"),
+                       "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("method", ["fedavg", "loss", "loss_weighted"])
+def test_config_method_is_read_as_the_agg_flag(tmp_path, method):
+    (tmp_path / "c.yaml").write_text(f"aggregation: {{method: {method}}}\n")
+    reports = []
+    for name, extra in (("config", ["--config", str(tmp_path / "c.yaml")]),
+                        ("flag", ["--agg", method])):
+        out = tmp_path / name
+        assert run(["fl-sim", "--clients", "4", "--rounds", "5", "--seed", "1",
+                    "--out", str(out)] + extra) == 0
+        reports.append((out / "fl_sim.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_at_a_file_exits_2(tmp_path, capsys, under):
+    (tmp_path / "f").write_text("")
+    out = tmp_path / "f" / "r" if under else tmp_path / "f"
+    assert run(["analyze", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write reports to {out}: ") and \
+        err.count("\n") == 1
+
+
 class TestParser:
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -380,8 +472,73 @@ class TestParser:
 # (MANIFEST stands for its path); their partitions also pin the seeded
 # shuffle of speakers with equal totals. The fl-sim cases, recorded at commit
 # 8ac3fa4, where each client was trained and reduced one vector at a time,
-# pin the seeded selection and every bit of the stacked rounds.
+# pin the seeded selection and every bit of the stacked rounds. The --config
+# cases, recorded at commit 4f73abc, read one of CONFIGS (each key stands for
+# its file) and together set every section and key of the config format;
+# OUT in a config stands for the report directory.
 MANIFEST = "<tie-heavy manifest>"
+CONFIGS = {
+    "<custom arch>": """
+arch:
+  name: small
+  conv_stack:
+    - {in_channels: 1, out_channels: 256, kernel: 10, stride: 5, norm: group}
+    - {in_channels: 256, out_channels: 256, kernel: 3, stride: 2, bias: true, groups: 4}
+    - {in_channels: 256, out_channels: 384, kernel: 2, stride: 2, norm: layer,
+       activation: none}
+  feature_proj: {in_dim: 384, out_dim: 512}
+  pos_conv: null
+  transformer: {blocks: 4, model_dim: 512, heads: 8, ffn_dim: 2048}
+  quantizer: {input_dim: 384, groups: 2, entries_per_group: 160, codevector_dim: 128}
+workload: {duration_s: 4.25, sample_rate_hz: 8000, batch: 3, precision: mixed}
+output_dir: OUT
+""",
+    "<large override>": """
+arch:
+  preset: large
+  transformer: {blocks: 8, heads: 8}
+workload: {duration_s: 7.5, batch: 2}
+memory: {runtime_overhead_gb: 0.55, residency_factor: 2.9, reference_peak_gb: 2.8}
+""",
+    "<devices>": """
+devices:
+  - name: rpi4
+    memory_gb: 4
+  - name: Edge-TPU
+    memory_gb: 12
+    os_reserve_gb: 1.0
+    supports_mixed: true
+    anchors:
+      - {arch: base, batch: 2, precision: mixed, seconds_per_batch: 0.9, duration_s: 4.0}
+      - {arch: base, batch: 8, precision: fp32, seconds_per_batch: 3.1, duration_s: 10.0}
+workload: {duration_s: 6.0, batch: 4, precision: mixed}
+memory: {residency_factor: 3.5}
+""",
+    "<fl>": """
+arch: {preset: base}
+devices:
+  - {name: rpi4, memory_gb: 4}
+fl: {clients: 6, per_round: 4, rounds: 12, local_epochs: 2, batch: 2, seed: 5}
+workload: {precision: fp32}
+memory: {runtime_overhead_gb: 0.3}
+""",
+    "<aggregation>": """
+aggregation: {method: loss_weighted, alpha: 0.5, epsilon: 1.0e-3}
+seed: 9
+""",
+    "<new device>": """
+arch: {preset: large}
+devices:
+  - name: jetson-orin
+    memory_gb: 32
+    os_reserve_gb: 2
+    supports_mixed: true
+    anchors:
+      - {arch: large, batch: 1, precision: fp32, seconds_per_batch: 0.6, duration_s: 6.5}
+      - {arch: large, batch: 4, precision: mixed, seconds_per_batch: 1.1}
+workload: {duration_s: 5.0, batch: 1, precision: fp32}
+""",
+}
 REPORT_DIGESTS = {
     ("analyze", "--arch", "base", "--duration", "5.5"): {
         "analyze.csv": "1a46bb1658947d332e998887b5b6be34419e1f42eef4b07757dffea00dd54ca2",
@@ -485,10 +642,67 @@ REPORT_DIGESTS = {
         "fl_sim.csv": "f5aa8a2548bd8cd70dc20cdf81313920685896e13c207a690a948bb9e9f1a818",
         "fl_sim.json": "101ca966ecc899909d6b439c514d37dcabe0e5a5cda7ba36884fdecafaa9415e",
     },
+    ("analyze", "--config", "<custom arch>"): {
+        "analyze.csv":
+            "1c8610badb6375ca2dead95d95e7213478f25a6b86b880b4746b3f25b7dcccea",
+        "analyze.json":
+            "6d749f75deeb59dd9ab58f4d83a3534a63ef43eea5f0cda9e59cc2be1f582adf",
+        "analyze_modules.csv":
+            "7041aa867836ef2f974a4afb27d8fc01ddab170f2b5798ba0a23f3ca62952aaa",
+    },
+    ("memory", "--config", "<large override>", "--precision", "mixed"): {
+        "memory.csv":
+            "adc6e681b0117d04a223332b40872bd9294cd517a10c6a9593eef17a40bc0943",
+        "memory.json":
+            "761aa53a7a024b3ffba8200afed8e210a7109f361fa342209de69bd87e0ea539",
+    },
+    ("predict-time", "--config", "<devices>", "--device", "edge-tpu"): {
+        "predict_time.csv":
+            "dc75ff43550a143e4f66266e4e0afb6857f4a850478ec7fece99b12b3258e736",
+        "predict_time.json":
+            "a7e943d5dd47e12b249149bb9dcacd6255fdad673f33a269f4aa043cbd792d91",
+    },
+    ("predict-time", "--config", "<devices>", "--device", "rpi", "--precision",
+     "fp32"): {
+        "predict_time.csv":
+            "df68eb01c175f10715615923c272f7572b9decb9fdd3a43603551b4b67459a37",
+        "predict_time.json":
+            "4ac2ccdaecff8eebd2f68a5fef7de4259f1d065c538d94d3dd62b1a2669a0449",
+    },
+    ("fl-plan", "--config", "<fl>", "--device", "rpi", "--samples-per-client",
+     "300"): {
+        "fl_partition.json":
+            "96f24d87cc1d210c740c78b93f73566843aeb13f8bf5e84c56785a46935aca6a",
+        "fl_plan.csv":
+            "a09999e39672ef18699e78d6adae7869c92ff7e22a37d42508da91be7f44e171",
+        "fl_plan.json":
+            "73cf192d57b42e03a1f097dbed72339c568e2ac41a6acaebb0d63c707532b6d5",
+        "fl_schedule.json":
+            "7515f27865e36547e642f40684b6ddf5b28ce170b9f6006ecde8263da60133f4",
+    },
+    ("fl-sim", "--config", "<aggregation>", "--clients", "8", "--per-round", "3",
+     "--dim", "6", "--rounds", "10"): {
+        "fl_sim.csv":
+            "dfc13a5016960318e65592870d73138c2d2c3785aa1fc6daf9d5b36ddc12b152",
+        "fl_sim.json":
+            "30d5b7bc768ae1911a4b153a8518347679ea46d8f350c88d5a40491c82beee8c",
+    },
+    ("forecast", "--config", "<new device>", "--device", "jetson-orin"): {
+        "forecast.json":
+            "532888d0b6ac2b68d98a8ad79c73d92bcda5d566c2f52bea9d43d191aa2fdbd9",
+    },
+    ("forecast", "--device", "agx", "--arch", "large", "--doubling-months", "24",
+     "--base-year", "2023"): {
+        "forecast.json":
+            "19f5d56f44adc80a0b73f13505b00dcf2731ed7ba7d7ab5236132ad3b292e0a9",
+    },
 }
 
 
 def _case_id(argv):
+    if "--config" in argv:
+        return "-".join([argv[0], "config", argv[argv.index("--config") + 1].strip("<>")
+                         .replace(" ", "-"), *argv[argv.index("--config") + 2:][1::2]])
     if argv[0] == "fl-sim":
         return "-".join([argv[0], argv[argv.index("--agg") + 1],
                          "c" + argv[argv.index("--clients") + 1],
@@ -501,8 +715,15 @@ def _case_id(argv):
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_id)
 def test_reports_byte_identical_to_recorded(argv, tmp_path, tie_manifest):
+    out = tmp_path / "out"
     args = [str(tie_manifest) if a == MANIFEST else a for a in argv]
-    assert run(args + ["--out", str(tmp_path)]) == 0
+    text = CONFIGS[argv[argv.index("--config") + 1]] if "--config" in argv else ""
+    if text:
+        args[argv.index("--config") + 1] = str(tmp_path / "config.yaml")
+        (tmp_path / "config.yaml").write_text(text.replace("OUT", str(out)))
+    if "output_dir" not in text:
+        args += ["--out", str(out)]
+    assert run(args) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
+               for p in out.iterdir()}
     assert written == REPORT_DIGESTS[argv]

@@ -17,7 +17,7 @@ def throughput(profile, arch, workload):
 
 def anchor_seconds(profile, arch_name, batch, precision):
     return next(a.seconds_per_batch for a in profile.anchors
-                if a.arch_name == arch_name and a.batch == batch
+                if a.arch == arch_name and a.batch == batch
                 and a.precision is precision)
 
 
@@ -25,6 +25,9 @@ class TestBuiltinProfiles:
     def test_expected_devices_present(self):
         names = {p.name for p in builtin_profiles()}
         assert {"a40", "macbook-pro-2019", "rpi4", "xavier-agx", "xavier-nx"} <= names
+
+    def test_table_read_once_per_process(self):
+        assert builtin_profiles() is builtin_profiles()
 
     def test_a40_base_b4_anchor(self):
         a40 = get_profile("a40")
@@ -36,7 +39,7 @@ class TestBuiltinProfiles:
 
     def test_rpi_has_no_large_anchors(self):
         rpi = get_profile("rpi")
-        assert not [a for a in rpi.anchors if a.arch_name == "large"]
+        assert not [a for a in rpi.anchors if a.arch == "large"]
         assert not rpi.supports_mixed
 
     def test_aliases(self):
@@ -60,7 +63,7 @@ class TestCalibration:
         arch = base_preset()
         w = WorkloadSpec(5.5, batch=1)
         slow = DeviceProfile(
-            name="slow", memory_total_bytes=8 * GB, os_reserve_bytes=0,
+            name="slow", memory_gb=8, os_reserve_gb=0,
             supports_mixed=False,
             anchors=(Anchor("base", 1, Precision.FP32, 0.24),))
         assert throughput(slow, arch, w) == pytest.approx(
@@ -77,7 +80,7 @@ class TestPrediction:
         for device in ("a40", "macbook", "rpi", "agx", "nx"):
             profile = get_profile(device)
             for anchor in profile.anchors:
-                pred = predict_batch_time(profile, get_preset(anchor.arch_name),
+                pred = predict_batch_time(profile, get_preset(anchor.arch),
                                           anchor.workload)
                 assert pred.seconds_per_batch == pytest.approx(
                     anchor.seconds_per_batch, rel=1e-12)
