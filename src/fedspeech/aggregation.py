@@ -80,9 +80,18 @@ def _sorted_updates(updates: Sequence[ClientUpdate]) -> list[ClientUpdate]:
 def _raw_coefficients(n_samples: Sequence[int], losses: Sequence[float],
                       alpha: float, epsilon: float) -> np.ndarray:
     """Unnormalised coefficients ``n_k * max(loss_k, eps) ** -alpha`` from
-    Python scalars; ``alpha = 0`` gives the sample counts exactly."""
-    return np.array([float(n) * max(loss, epsilon) ** -alpha
-                     for n, loss in zip(n_samples, losses)], dtype=np.float64)
+    Python scalars; ``alpha = 0`` gives the sample counts exactly. A large
+    alpha can overflow a coefficient or underflow all of them, which leaves
+    nothing to normalise by and raises ``ConfigError``."""
+    try:
+        raw = [float(n) * max(loss, epsilon) ** -alpha
+               for n, loss in zip(n_samples, losses)]
+    except OverflowError:
+        raw = [math.inf]
+    if not 0 < sum(raw) < math.inf:
+        raise ConfigError(f"client weights n * max(loss, epsilon) ** -alpha overflow "
+                          f"or vanish at alpha {alpha:g}")
+    return np.array(raw, dtype=np.float64)
 
 
 def _combine(rows: np.ndarray, raw: np.ndarray) -> np.ndarray:

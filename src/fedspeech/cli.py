@@ -19,13 +19,13 @@ byte-identical across runs with the same inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import checks as checks_mod
 from .aggregation import AggMethod, AggregationConfig, SyntheticFLConfig, run_synthetic_fl
 from .arch import Precision, WorkloadSpec, arch_to_mapping
 from .config import (FlSettings, config_fingerprint, load_config, resolve_arch,
@@ -68,7 +68,7 @@ def _workload_from(args: argparse.Namespace, cfg: dict,
                    base: WorkloadSpec | None = None) -> WorkloadSpec:
     """The config's workload section under the workload flags the command has."""
     return read(WorkloadSpec, cfg.get("workload", {}), "workload", base,
-                duration_s=getattr(args, "duration", None), batch=args.batch,
+                duration_s=args.duration, batch=args.batch,
                 precision=args.precision and Precision(args.precision))
 
 
@@ -134,8 +134,9 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
     profiles = resolve_profiles(cfg)
     profile = get_profile(args.device, profiles)
     cal = resolve_calibration(cfg)
-    pred = predict_batch_time(profile, arch, workload)
-    peak = training_residency_bytes(arch, workload, cal)
+    report = forward_flops(arch, workload)
+    pred = predict_batch_time(profile, arch, workload, report)
+    peak = training_residency_bytes(arch, workload, cal, report)
     verdict = check_fit(profile, peak)
     if args.fail_on_oom and verdict is FitVerdict.OOM:
         raise InfeasibleError(
@@ -180,16 +181,18 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     profile = get_profile(args.device or "a40", profiles)
     cal = resolve_calibration(cfg)
     per_round = fl.clients if fl.per_round is None else fl.per_round
-    precision = _workload_from(args, cfg).precision
+    # the fl section's batch is the one trained; the workload section gives
+    # the precision, the sample rate and an idealised corpus's clip length
+    workload = replace(_workload_from(args, cfg), batch=fl.batch)
+    precision = workload.precision
 
     if args.manifest:
         partition = partition_by_speaker(load_manifest(args.manifest), fl.clients, fl.seed)
     else:
         partition = uniform_partition(fl.clients, args.samples_per_client,
-                                      args.mean_duration)
+                                      workload.duration_s)
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
-    workload = WorkloadSpec(args.mean_duration, batch=fl.batch, precision=precision)
     verdict = check_fit(profile, training_residency_bytes(arch, workload, cal))
     if args.fail_on_oom and verdict is FitVerdict.OOM:
         raise InfeasibleError(f"{arch.name} at batch {fl.batch} does not fit on "
@@ -197,7 +200,8 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     estimate = estimate_wall_clock(partition, schedule,
                                    uniform_assignment(partition, profile), arch,
                                    batch=fl.batch, local_epochs=fl.local_epochs,
-                                   precision=precision)
+                                   precision=precision,
+                                   sample_rate_hz=workload.sample_rate_hz)
     comm = estimate_communication(arch, schedule, precision)
 
     meta = _meta(args, arch, device=profile.name, clients=fl.clients, rounds=fl.rounds,
@@ -294,7 +298,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = checks_mod.run_all_checks()
+    from .checks import run_all_checks  # only validate loads the reference checks
+
+    results = run_all_checks()
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -328,18 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="parameter and FLOP breakdown")
     _add_common(p)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("memory", help="forward-pass memory timeline")
     _add_common(p)
-    p.set_defaults(fn=cmd_memory)
 
     p = sub.add_parser("predict-time", help="per-batch training time on a device")
     _add_common(p)
     p.add_argument("--device", required=True)
     p.add_argument("--fail-on-oom", action="store_true",
                    help="exit 4 when the workload does not fit")
-    p.set_defaults(fn=cmd_predict_time)
 
     p = sub.add_parser("fl-plan", help="federated wall-clock and traffic estimate")
     _add_common(p, duration=False)  # an idealised corpus has --mean-duration
@@ -352,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--samples-per-client", type=int, dest="samples_per_client",
                    default=19_500, help="idealised corpus size per client")
-    p.add_argument("--mean-duration", type=float, dest="mean_duration",
-                   default=WorkloadSpec.duration_s)
+    p.add_argument("--mean-duration", type=float, dest="duration", metavar="MEAN_DURATION",
+                   help="idealised clip length in seconds (default: the config's "
+                        "workload.duration_s, else 5.5)")
     p.add_argument("--fail-on-oom", action="store_true")
-    p.set_defaults(fn=cmd_fl_plan)
 
     p = sub.add_parser("fl-sim", help="synthetic federated aggregation run")
     p.add_argument("--config", help="YAML config path")
@@ -374,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pre-loss", action="store_true", dest="pre_loss",
                    help="weight by the loss before local training")
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_fl_sim)
 
     p = sub.add_parser("forecast", help="parity-year forecast between two devices")
     _add_common(p)
@@ -383,19 +385,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doubling-months", type=float, dest="doubling_months",
                    default=DEFAULT_DOUBLING_MONTHS)
     p.add_argument("--base-year", type=float, dest="base_year", default=DEFAULT_BASE_YEAR)
-    p.set_defaults(fn=cmd_forecast)
 
-    p = sub.add_parser("validate", help="run the built-in reference checks")
-    p.set_defaults(fn=cmd_validate)
-
+    sub.add_parser("validate", help="run the built-in reference checks")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for the life of the process, built on the
+    first call. Parsing leaves it unchanged: every default is immutable and
+    each ``parse_args`` fills a fresh ``Namespace``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up when the command runs, so one that replaces a
+    # ``cmd_*`` after the parser is built is the one called.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (MalformedRowError, MissingColumnError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

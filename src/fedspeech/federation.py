@@ -497,7 +497,9 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
                         device_assignment: Mapping[str, DeviceProfile],
                         arch: ArchitectureSpec, batch: int,
                         local_epochs: int = 1,
-                        precision: Precision = Precision.FP32) -> WallClockEstimate:
+                        precision: Precision = Precision.FP32,
+                        sample_rate_hz: int = WorkloadSpec.sample_rate_hz
+                        ) -> WallClockEstimate:
     """Synchronous-round wall clock: sum over rounds of the slowest client."""
     if batch < 1:
         raise InvalidSampleSizeError("batch must be >= 1")
@@ -516,7 +518,8 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
     device_of: dict[str, str] = {}
     for client in partition.clients:
         profile = device_assignment[client.client_id]
-        key = (profile, WorkloadSpec(duration_s=client.mean_duration_s, batch=batch,
+        key = (profile, WorkloadSpec(duration_s=client.mean_duration_s,
+                                     sample_rate_hz=sample_rate_hz, batch=batch,
                                      precision=precision))
         if key not in batch_seconds:
             batch_seconds[key] = predict_batch_time(profile, arch,

@@ -16,6 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .aggregation import Trajectory
 from .costs import CostReport, module_rollup
+from .errors import ConfigError
 from .federation import Partition, RoundSchedule, WallClockEstimate
 from .memory import MemoryTimeline
 
@@ -30,7 +31,8 @@ class StreamedStrings:
 
 def write_json(path, payload: Mapping[str, Any]) -> None:
     """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` would,
-    without building the text of any ``StreamedStrings`` in it at once."""
+    without building the text of any ``StreamedStrings`` in it at once.
+    A non-finite number in it raises ``ConfigError`` and writes nothing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -46,7 +48,11 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
         streamed.append(value.strings)
         return [_STREAMED]
 
-    text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=default,
+                          allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise ConfigError(f"cannot write {path.name}: {exc}") from None
     pieces = text.split(json.dumps(_STREAMED))
     with open(tmp, "w", encoding="utf-8") as fh:
         for piece, strings in zip(pieces, streamed):

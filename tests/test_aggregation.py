@@ -172,6 +172,16 @@ class TestLossWeighted:
         cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
         assert np.array_equal(aggregate(ups, cfg), loss_weighted(ups, cfg))
 
+    @pytest.mark.parametrize("alpha,losses", [
+        (50.0, (0.0, 1.0)),  # the floored loss 1e-8 ** -50 overflows
+        (1000.0, (20.0, 30.0)),  # every coefficient underflows to 0
+    ], ids=["overflow", "vanish"])
+    def test_coefficients_without_a_finite_total_raise(self, alpha, losses):
+        cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=alpha)
+        ups = updates_from([(([1.0]), 1, losses[0]), (([0.0]), 1, losses[1])])
+        with pytest.raises(ConfigError, match=f"vanish at alpha {alpha:g}$"):
+            loss_weighted(ups, cfg)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             AggregationConfig(alpha=-1.0)

@@ -3,8 +3,11 @@ import json
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
+from fedspeech import cli, costs, devices
 from fedspeech.cli import main
 
 
@@ -98,6 +101,19 @@ class TestPredictTime:
         assert capsys.readouterr().err == \
             "error: duration must be finite and > 0, got nan\n"
 
+    def test_one_cost_report_per_distinct_workload(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(arch, workload):
+            built.append(workload)
+            return costs.forward_flops(arch, workload)
+
+        for module in (cli, devices):
+            monkeypatch.setattr(module, "forward_flops", counted)
+        assert run(["predict-time", "--device", "nx", "--duration", "7.25", "--batch", "2",
+                    "--out", str(tmp_path)]) == 0
+        assert len(built) == len(set(built)) == 2  # the anchor's and the requested
+
     def test_oom_with_flag_exits_4(self, tmp_path):
         assert run(["predict-time", "--device", "nx", "--arch", "base",
                     "--duration", "5.5", "--batch", "16", "--fail-on-oom",
@@ -182,6 +198,35 @@ class TestFlPlan:
         assert plans["config"]["meta"]["precision"] == "mixed"
         assert plans["config"]["total_hours"] == plans["flag"]["total_hours"]
         assert plans["config"]["total_hours"] < plans["fp32"]["total_hours"]
+
+    def test_config_workload_sets_idealised_clip_and_sample_rate(self, tmp_path):
+        plan = ["fl-plan", "--clients", "3", "--rounds", "2", "--samples-per-client", "50",
+                "--device", "nx"]
+
+        def reports(name, text=None, flags=()):
+            out = tmp_path / name
+            extra = list(flags)
+            if text is not None:
+                (tmp_path / f"{name}.yaml").write_text(text)
+                extra += ["--config", str(tmp_path / f"{name}.yaml")]
+            assert run(plan + extra + ["--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        default = reports("default")
+        clip = reports("clip", "workload: {duration_s: 20.0}\n")
+        rate = reports("rate", "workload: {sample_rate_hz: 8000}\n")
+        assert clip["fl_plan.json"] != default["fl_plan.json"]
+        assert clip["fl_partition.json"] != default["fl_partition.json"]
+        assert rate["fl_plan.json"] != default["fl_plan.json"]
+        assert rate["fl_partition.json"] == default["fl_partition.json"]
+        # the config's values equal the flag's and the library's
+        assert clip == reports("clip-flag", flags=["--mean-duration", "20"])
+        assert reports("flag-wins", "workload: {duration_s: 20.0}\n",
+                       ["--mean-duration", "5.5"]) == default
+        partition = json.loads(clip["fl_partition.json"])
+        assert partition["clients"][0]["total_duration_s"] == 50 * 20.0
+        slow = json.loads(rate["fl_plan.json"])["total_seconds"]
+        assert slow < json.loads(default["fl_plan.json"])["total_seconds"]
 
 
 class TestManifestInput:
@@ -331,7 +376,13 @@ class TestFlSim:
         (["--lr", "1e200", "--clients", "12", "--per-round", "5", "--pre-loss"],
          "round 0: non-finite loss or weights of client c0002; local descent "
          "diverges at learning_rate 1e+200"),
-    ], ids=["population", "client"])
+        (["--agg", "loss", "--alpha", "1e300", "--clients", "3", "--rounds", "1"],
+         "client weights n * max(loss, epsilon) ** -alpha overflow or vanish at "
+         "alpha 1e+300"),
+        (["--agg", "loss", "--alpha", "1000", "--spread", "100", "--rounds", "2"],
+         "client weights n * max(loss, epsilon) ** -alpha overflow or vanish at "
+         "alpha 1000"),
+    ], ids=["population", "client", "alpha-overflow", "alpha-vanish"])
     def test_divergence_fails_on_one_line(self, tmp_path, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy floating-point warning fails
@@ -454,6 +505,24 @@ def test_out_at_a_file_exits_2(tmp_path, capsys, under):
         err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,text,report", [
+    (["memory"], "memory: {reference_peak_gb: 1.0e+300}\n", "memory.json"),
+    (["predict-time", "--device", "a40"],
+     "devices:\n  - name: a40\n    anchors:\n      - {arch: base, batch: 1, "
+     "precision: fp32, seconds_per_batch: 1.0e-300}\n", "predict_time.json"),
+], ids=["memory-peak", "anchor-time"])
+def test_non_finite_report_exits_2_and_writes_nothing(tmp_path, capsys, argv, text,
+                                                      report):
+    (tmp_path / "c.yaml").write_text(text)
+    out = tmp_path / "r"
+    assert run(argv + ["--config", str(tmp_path / "c.yaml"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {report}: ") and err.count("\n") == 1
+    for path in out.rglob("*"):
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+
+
 class TestParser:
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -463,6 +532,118 @@ class TestParser:
         for cmd in ("analyze", "memory", "predict-time", "fl-plan", "fl-sim",
                     "forecast", "validate"):
             assert cmd in text
+
+
+class TestSharedParser:
+    """``main`` parses every call of a process with one parser."""
+
+    ANALYZE = ["analyze", "--arch", "base", "--duration", "5.5"]
+
+    def test_built_once(self, monkeypatch, tmp_path):
+        built, build = [], cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for argv in (self.ANALYZE, ["memory"], ["predict-time", "--device", "nx"]):
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+        cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_handler_patched_after_first_call_runs(self, monkeypatch, tmp_path):
+        assert main(self.ANALYZE + ["--out", str(tmp_path / "a")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args) or 7)
+        assert main(self.ANALYZE + ["--out", str(tmp_path / "b")]) == 7
+        assert [args.duration for args in seen] == [5.5]
+        assert not (tmp_path / "b").exists()
+
+    def test_flag_does_not_carry_into_the_next_call(self, tmp_path):
+        plan = ["fl-plan", "--clients", "3", "--per-round", "2", "--rounds", "4",
+                "--samples-per-client", "5", "--device", "nx"]
+
+        def reports(out):
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        assert main(plan + ["--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+        assert main(plan + ["--out", str(tmp_path / "after")]) == 0
+        cli._parser.cache_clear()
+        assert main(plan + ["--out", str(tmp_path / "fresh")]) == 0
+        assert reports(tmp_path / "after") == reports(tmp_path / "fresh")
+        assert reports(tmp_path / "after") != reports(tmp_path / "seeded")
+
+    def test_bad_flag_and_help_still_exit(self, tmp_path, capsys):
+        assert main(self.ANALYZE + ["--out", str(tmp_path)]) == 0
+        for argv, code in ((["analyze", "--batch", "two"], 2), (["fl-sim", "--help"], 0),
+                           (["--bogus"], 2), (["memory", "-h"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert main(self.ANALYZE + ["--out", str(tmp_path)]) == 0
+        assert "usage: fedspeech fl-sim" in capsys.readouterr().out
+
+
+# Flag values for the random-argv property: valid, boundary and invalid
+# spellings from small sets, every size and count at most 3.
+COUNTS = ["-1", "0", "1", "2", "3"]
+LENGTHS = ["0", "0.01", "0.5", "5.5", "30", "-1", "nan", "inf", "1e300", "long"]
+REALS = ["0", "0.1", "1", "2.5", "-1", "nan", "inf", "1e300", "-1e300"]
+DEVICES = ["a40", "nx", "rpi", "macbook", "agx-32gb", "abacus"]
+WORKLOAD_FLAGS = {"--arch": ["base", "large", "tiny"], "--batch": COUNTS,
+                  "--precision": ["fp32", "mixed", "bf16"]}
+# each command with its optional flags (a value list, or None for a switch)
+# and the flags it is always given
+ARGV_FLAGS = {
+    "analyze": ({**WORKLOAD_FLAGS, "--duration": LENGTHS}, ()),
+    "memory": ({**WORKLOAD_FLAGS, "--duration": LENGTHS}, ()),
+    "predict-time": ({**WORKLOAD_FLAGS, "--duration": LENGTHS, "--fail-on-oom": None},
+                     ("--device",)),
+    "forecast": ({**WORKLOAD_FLAGS, "--duration": LENGTHS, "--reference": DEVICES,
+                  "--doubling-months": REALS, "--base-year": REALS}, ("--device",)),
+    "fl-plan": ({**WORKLOAD_FLAGS, "--mean-duration": LENGTHS, "--per-round": COUNTS,
+                 "--local-epochs": COUNTS, "--device": DEVICES, "--seed": COUNTS,
+                 "--fail-on-oom": None},
+                ("--clients", "--rounds", "--samples-per-client")),
+    "fl-sim": ({"--agg": ["fedavg", "loss", "loss_weighted", "median"],
+                "--alpha": REALS, "--per-round": COUNTS, "--samples": COUNTS,
+                "--lr": REALS, "--local-steps": COUNTS, "--spread": REALS,
+                "--seed": COUNTS, "--pre-loss": None},
+               ("--clients", "--rounds", "--dim")),
+}
+REQUIRED_VALUES = {"--device": DEVICES, "--clients": COUNTS, "--rounds": COUNTS,
+                   "--samples-per-client": COUNTS, "--dim": COUNTS}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    optional, required = ARGV_FLAGS[command]
+    argv = [command]
+    for flag in required:
+        argv += [flag, draw(st.sampled_from(REQUIRED_VALUES[flag]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), max_size=4, unique=True)):
+        values = optional[flag]
+        argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
+    capsys.readouterr()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "r")])
+    except SystemExit as exc:  # argparse rejected a flag
+        assert exc.code == 2
+        return
+    assert code in (0, 2, 3, 4)
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # SHA-256 of every report these commands wrote at commit 2486d38. None of

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
+from fedspeech.errors import ConfigError
 from fedspeech.report import StreamedStrings, write_json
 
 
@@ -22,3 +25,10 @@ def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
                payload(lambda s: StreamedStrings(np.array(s, dtype=object))))
     expected = json.dumps(payload(list), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_number_raises_and_writes_nothing(tmp_path, value):
+    with pytest.raises(ConfigError, match=r"^cannot write p\.json: "):
+        write_json(tmp_path / "p.json", {"ok": 1.0, "nested": [{"x": value}]})
+    assert not any(tmp_path.iterdir())
