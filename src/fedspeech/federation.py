@@ -63,18 +63,17 @@ class Manifest:
 
 @dataclass(frozen=True, eq=False)
 class ClientDataset:
+    """One client's share of the corpus. A manifest partition lists its
+    utterance ids; an idealised client is a count and has none."""
     client_id: str
-    utterance_ids: np.ndarray  # object array of str
+    n_utterances: int
     total_duration_s: float
     speakers: frozenset[str]
-
-    @property
-    def n_utterances(self) -> int:
-        return len(self.utterance_ids)
+    utterance_ids: Optional[np.ndarray] = None  # object array of str
 
     @property
     def mean_duration_s(self) -> float:
-        return self.total_duration_s / len(self.utterance_ids)
+        return self.total_duration_s / self.n_utterances
 
 
 @dataclass(frozen=True)
@@ -439,17 +438,19 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
         speakers = order[assigned == idx]
         clients.append(ClientDataset(
             client_id=f"client_{idx:0{width}d}",
-            utterance_ids=manifest.utterance_ids[client_rows],
+            n_utterances=hi - lo,
             # one addition at a time in row order; np.sum would add pairwise
             total_duration_s=float(np.cumsum(durations[client_rows])[-1]),
-            speakers=frozenset(map(names.__getitem__, speakers.tolist()))))
+            speakers=frozenset(map(names.__getitem__, speakers.tolist())),
+            utterance_ids=manifest.utterance_ids[client_rows]))
     return Partition(clients=tuple(clients), seed=seed)
 
 
 def uniform_partition(n_clients: int, utterances_per_client: int,
                       mean_duration_s: float = 5.5) -> Partition:
-    """Idealised partition: every client holds the same count of identical
-    mean-length utterances. Used for planning when no manifest is given."""
+    """Idealised partition: every client is one speaker holding the same
+    count of identical mean-length utterances, kept as the count alone.
+    Used for planning when no manifest is given."""
     if utterances_per_client < 1:
         raise InvalidSampleSizeError(
             f"utterances per client must be >= 1, got {utterances_per_client}")
@@ -458,9 +459,7 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
     for idx in range(n_clients):
         cid = f"client_{idx:0{width}d}"
         clients.append(ClientDataset(
-            client_id=cid,
-            utterance_ids=np.array([f"{cid}_utt_{i}" for i in range(utterances_per_client)],
-                                   dtype=object),
+            client_id=cid, n_utterances=utterances_per_client,
             total_duration_s=mean_duration_s * utterances_per_client,
             speakers=frozenset({f"{cid}_spk"})))
     return Partition(clients=tuple(clients), seed=0)
@@ -482,8 +481,7 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
         raise InvalidSampleSizeError("need at least one round")
     rng = np.random.default_rng(seed)
     rounds = tuple(
-        tuple(sorted(int(c) for c in
-                     rng.choice(total_clients, size=per_round, replace=False)))
+        tuple(np.sort(rng.choice(total_clients, size=per_round, replace=False)).tolist())
         for _ in range(n_rounds))
     return RoundSchedule(rounds=rounds, total_clients=total_clients,
                          per_round=per_round, seed=seed)

@@ -12,40 +12,50 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .aggregation import Trajectory
 from .costs import CostReport, module_rollup
 from .errors import ConfigError
-from .federation import Partition, RoundSchedule, WallClockEstimate
+from .federation import ClientDataset, Partition, RoundSchedule, WallClockEstimate
 from .memory import MemoryTimeline
 
 
-class StreamedStrings:
-    """A JSON list of strings in a payload, which ``write_json`` writes one
-    chunk at a time; the text of a long list is never built whole."""
+class StreamedList:
+    """A JSON list in a payload, which ``write_json`` writes with one join of
+    ``encode`` over its items, never walking them one by one in the encoder.
+    ``encode`` gives an item's JSON text: see ``strings`` and ``ints``."""
 
-    def __init__(self, strings: Sequence[str]):
-        self.strings = strings
+    def __init__(self, items: Sequence, encode: Callable[[Any], str]):
+        self.items = items
+        self.encode = encode
+
+    @classmethod
+    def strings(cls, items: Sequence[str]) -> "StreamedList":
+        return cls(items, json.encoder.encode_basestring_ascii)
+
+    @classmethod
+    def ints(cls, items: Sequence[int]) -> "StreamedList":
+        return cls(items, int.__repr__)  # Python ints, as json.dumps writes them
 
 
 def write_json(path, payload: Mapping[str, Any]) -> None:
     """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` would,
-    without building the text of any ``StreamedStrings`` in it at once.
+    without encoding the items of any ``StreamedList`` in it one by one.
     A non-finite number in it raises ``ConfigError`` and writes nothing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    streamed: list[Sequence[str]] = []
+    streamed: list[StreamedList] = []
 
     def default(value):
-        # The encoder meets each StreamedStrings in output order and writes
-        # a one-string list in its place; the file gets the strings there.
-        if not isinstance(value, StreamedStrings):
+        # The encoder meets each StreamedList in output order and writes a
+        # one-string list in its place; the file gets the items there.
+        if not isinstance(value, StreamedList):
             return str(value)
-        if len(value.strings) == 0:
+        if len(value.items) == 0:
             return []
-        streamed.append(value.strings)
+        streamed.append(value)
         return [_STREAMED]
 
     try:
@@ -55,17 +65,16 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
         raise ConfigError(f"cannot write {path.name}: {exc}") from None
     pieces = text.split(json.dumps(_STREAMED))
     with open(tmp, "w", encoding="utf-8") as fh:
-        for piece, strings in zip(pieces, streamed):
+        for piece, value in zip(pieces, streamed):
             indent = piece[piece.rindex("\n") + 1:]
             fh.write(piece)
-            fh.write((",\n" + indent).join(map(json.encoder.encode_basestring_ascii,
-                                               strings)))
+            fh.write((",\n" + indent).join(map(value.encode, value.items)))
         fh.write(pieces[-1])
         fh.write("\n")
     os.replace(tmp, path)
 
 
-_STREAMED = "\x00streamed strings"
+_STREAMED = "\x00streamed list"
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -142,14 +151,17 @@ def partition_payload(partition: Partition, meta: Mapping[str, Any]) -> dict:
     return {
         "meta": dict(meta),
         "seed": partition.seed,
-        "clients": [
-            {"client_id": c.client_id, "n_utterances": c.n_utterances,
-             "total_duration_s": round(c.total_duration_s, 6),
-             "n_speakers": len(c.speakers),
-             "utterance_ids": StreamedStrings(c.utterance_ids)}
-            for c in partition.clients
-        ],
+        "clients": [_client_entry(c) for c in partition.clients],
     }
+
+
+def _client_entry(client: ClientDataset) -> dict:
+    entry = {"client_id": client.client_id, "n_utterances": client.n_utterances,
+             "total_duration_s": round(client.total_duration_s, 6),
+             "n_speakers": len(client.speakers)}
+    if client.utterance_ids is not None:  # an idealised client has no ids
+        entry["utterance_ids"] = StreamedList.strings(client.utterance_ids)
+    return entry
 
 
 def schedule_payload(schedule: RoundSchedule, meta: Mapping[str, Any]) -> dict:
@@ -158,7 +170,7 @@ def schedule_payload(schedule: RoundSchedule, meta: Mapping[str, Any]) -> dict:
         "total_clients": schedule.total_clients,
         "per_round": schedule.per_round,
         "seed": schedule.seed,
-        "rounds": [{"round_id": i, "selected": list(sel)}
+        "rounds": [{"round_id": i, "selected": StreamedList.ints(sel)}
                    for i, sel in enumerate(schedule.rounds)],
     }
 

@@ -656,7 +656,10 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 # pin the seeded selection and every bit of the stacked rounds. The --config
 # cases, recorded at commit 4f73abc, read one of CONFIGS (each key stands for
 # its file) and together set every section and key of the config format;
-# OUT in a config stands for the report directory.
+# OUT in a config stands for the report directory. The two idealised
+# fl_partition.json digests were re-recorded when idealised clients stopped
+# listing made-up utterance ids: each file is the earlier one without its
+# utterance_ids keys, and no other report changed.
 MANIFEST = "<tie-heavy manifest>"
 CONFIGS = {
     "<custom arch>": """
@@ -741,7 +744,7 @@ REPORT_DIGESTS = {
     ("fl-plan", "--clients", "10", "--rounds", "150", "--device", "a40",
      "--batch", "4"): {
         "fl_partition.json":
-            "2935645094a0cf98f87f1e0843cb4760140555fdd4db11117f7865d162efc21a",
+            "4a09e01f1c6a9a516ba7f524554028df00232801c9fd480a68aebb54c117901c",
         "fl_plan.csv": "600cb7da5359827e65b8dd1a100e35605832784fb9263163683d88b3aaa8ac9d",
         "fl_plan.json": "55e45b87a972e77499004b70676bd9f5f965a36f62fa9b66d736ddb8600d7d37",
         "fl_schedule.json":
@@ -853,7 +856,7 @@ REPORT_DIGESTS = {
     ("fl-plan", "--config", "<fl>", "--device", "rpi", "--samples-per-client",
      "300"): {
         "fl_partition.json":
-            "96f24d87cc1d210c740c78b93f73566843aeb13f8bf5e84c56785a46935aca6a",
+            "67e4c49dd07d6b546a3275a64e730ce73da21083cb975dd44867262611df417f",
         "fl_plan.csv":
             "a09999e39672ef18699e78d6adae7869c92ff7e22a37d42508da91be7f44e171",
         "fl_plan.json":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedspeech.errors import ConfigError
-from fedspeech.report import StreamedStrings, write_json
+from fedspeech.report import StreamedList, write_json
 
 
 def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
@@ -22,7 +22,7 @@ def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
         }
 
     write_json(tmp_path / "p.json",
-               payload(lambda s: StreamedStrings(np.array(s, dtype=object))))
+               payload(lambda s: StreamedList.strings(np.array(s, dtype=object))))
     expected = json.dumps(payload(list), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
 
