@@ -20,8 +20,6 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, TypedDict
 
-import yaml
-
 from .aggregation import AggregationConfig
 from .arch import ArchitectureSpec, WorkloadSpec, arch_from_mapping, get_preset
 from .devices import DeviceProfile, builtin_profiles, read_devices
@@ -67,19 +65,33 @@ def load_config(path: Optional[str] = None) -> dict:
         path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
+    import yaml  # only a command given a config pays for the import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot parse {path}: bytes that are not valid UTF-8") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+        raise ConfigError(f"cannot parse {path}: {_yaml_problem(exc)}") from None
     if data is None:
         return {}
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
     validate_config(data)
     return dict(data)
+
+
+def _yaml_problem(exc) -> str:
+    """A YAML error on one line: where the parser stopped, if it says, and why."""
+    mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+    if mark is None or problem is None:
+        return " ".join(str(exc).split())
+    return f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
 
 
 def validate_config(config: Mapping) -> None:

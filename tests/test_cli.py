@@ -139,6 +139,15 @@ class TestFlPlan:
         partition = json.loads((out / "fl_partition.json").read_text())
         counts = [c["n_utterances"] for c in partition["clients"]]
         assert sum(counts) == 195_000
+        assert [len(c["utterance_ids"]) for c in partition["clients"]] == counts
+
+    def test_idealised_partition_lists_no_utterance_ids(self, tmp_path):
+        assert run(["fl-plan", "--clients", "3", "--rounds", "2", "--samples-per-client",
+                    "40", "--mean-duration", "2.5", "--out", str(tmp_path)]) == 0
+        clients = json.loads((tmp_path / "fl_partition.json").read_text())["clients"]
+        assert clients == [{"client_id": f"client_{i}", "n_utterances": 40,
+                            "n_speakers": 1, "total_duration_s": 100.0}
+                           for i in range(3)]
 
     def test_malformed_manifest_exits_3(self, tmp_path):
         bad = tmp_path / "bad.tsv"

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -33,6 +37,37 @@ class TestLoading:
     def test_no_config_anywhere(self, monkeypatch):
         monkeypatch.delenv("FEDSPEECH_CONFIG", raising=False)
         assert load_config(None) == {}
+
+    def test_cli_import_leaves_yaml_unloaded(self):
+        # a fresh interpreter: this one has imported yaml for the tests
+        code = "import sys, fedspeech.cli; print('yaml' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("FEDSPEECH_CONFIG", None)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert done.stdout == "False\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (b"fl: {clients: 3\n", "line 2, column 1: expected ',' or '}', but got "
+                               "'<stream end>'"),
+        (b"a: b: c\n", "line 1, column 5: mapping values are not allowed here"),
+        (b"seed: \x07\n", "unacceptable character #x0007: special characters are "
+                          "not allowed in "),
+        (b"seed: \xff\n", "bytes that are not valid UTF-8"),
+    ])
+    def test_unreadable_yaml_exits_2_on_one_line(self, tmp_path, capsys, content,
+                                                 message):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(content)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {path}: {message}")
+        assert err.count("\n") == 1, err
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read config {tmp_path}: Is a directory\n"
 
 
 class TestValidation:

@@ -1,9 +1,12 @@
 import csv
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
 from fedspeech import federation
@@ -37,6 +40,17 @@ def rows_of(manifest):
     return list(zip(manifest.utterance_ids.tolist(),
                     [manifest.speaker_ids[c] for c in manifest.speaker_codes.tolist()],
                     manifest.durations_s.tolist()))
+
+
+def _manifest(rows):
+    """A manifest of (speaker number, duration) rows, its speakers coded in
+    order of first appearance as ``load_manifest`` codes them."""
+    first_seen = {}
+    codes = [first_seen.setdefault(spk, len(first_seen)) for spk, _ in rows]
+    return Manifest(np.array([f"u{i}" for i in range(len(rows))], dtype=object),
+                    np.array(codes, dtype=np.int64),
+                    tuple(f"spk{spk}" for spk in first_seen),
+                    np.array([d for _, d in rows], dtype=np.float64))
 
 
 def reference_rows(path):
@@ -289,6 +303,31 @@ class TestPartition:
                for c in part.clients]
         assert got == reference_partition(rows_of(corpus_manifest), 10, 3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_clients_disjoint_complete_and_seed_determined(self, data):
+        rows = data.draw(st.lists(st.tuples(
+            st.integers(0, 11), st.sampled_from((1.2, 2.5, 3.0)) | st.floats(0.1, 30.0)),
+            min_size=1, max_size=60))
+        manifest = _manifest(rows)
+        k = data.draw(st.integers(1, len(manifest.speaker_ids)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        part = partition_by_speaker(manifest, k, seed)
+        speaker_of = dict(zip(manifest.utterance_ids.tolist(),
+                              (manifest.speaker_ids[c] for c in
+                               manifest.speaker_codes.tolist())))
+        held = [c.utterance_ids.tolist() for c in part.clients]
+        assert [c.n_utterances for c in part.clients] == list(map(len, held))
+        assert sorted(sum(held, [])) == sorted(speaker_of)  # every row, once
+        for client, ids in zip(part.clients, held):
+            assert {speaker_of[u] for u in ids} == client.speakers
+        assert sum(len(c.speakers) for c in part.clients) == len(manifest.speaker_ids)
+        again = partition_by_speaker(manifest, k, seed)
+        assert [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+                for c in again.clients] == \
+            [(c.client_id, ids, c.total_duration_s, c.speakers)
+             for c, ids in zip(part.clients, held)]
+
     def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25
         subset = head(corpus_manifest, 20_000)
@@ -297,6 +336,28 @@ class TestPartition:
         part = partition_by_speaker(subset, min(10, speakers // 10), seed=5)
         durations = [c.total_duration_s for c in part.clients]
         assert max(durations) / min(durations) <= 1.25
+
+
+class TestIdealisedPartition:
+    def test_clients_carry_counts_and_no_ids(self):
+        part = uniform_partition(3, 40, 2.5)
+        assert [(c.client_id, c.n_utterances, c.total_duration_s, len(c.speakers),
+                 c.utterance_ids) for c in part.clients] == \
+            [(f"client_{i}", 40, 100.0, 1, None) for i in range(3)]
+        assert {c.mean_duration_s for c in part.clients} == {2.5}
+        payload = partition_payload(part, {})
+        assert all("utterance_ids" not in c for c in payload["clients"])
+
+    def test_a_billion_clips_each_cost_no_memory(self):
+        tracemalloc.start()
+        try:
+            part = uniform_partition(3, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert [c.n_utterances for c in part.clients] == [10**9] * 3
+        assert part.clients[0].total_duration_s == 5.5 * 10**9
 
 
 class TestSchedule:

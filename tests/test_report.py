@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedspeech.errors import ConfigError
 from fedspeech.report import StreamedList, write_json
@@ -32,3 +34,44 @@ def test_non_finite_number_raises_and_writes_nothing(tmp_path, value):
     with pytest.raises(ConfigError, match=r"^cannot write p\.json: "):
         write_json(tmp_path / "p.json", {"ok": 1.0, "nested": [{"x": value}]})
     assert not any(tmp_path.iterdir())
+
+
+class _Streamed:
+    """A streamed list in a drawn payload, before it is wrapped or unwrapped."""
+
+    def __init__(self, kind, items):
+        self.kind, self.items = kind, items
+
+
+# Characters JSON escapes or ensure_ascii writes as \u escapes, then any other
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\x80ä \U0001f600'),
+                          st.characters()), max_size=6)
+_KEYS = st.text("ab\"\x7fä", max_size=2)
+_INTS = st.integers(-2**70, 2**70)
+_STREAMED_LISTS = st.one_of(
+    st.builds(_Streamed, st.just("strings"), st.lists(_TEXT, max_size=5)),
+    st.builds(_Streamed, st.just("ints"), st.lists(_INTS, max_size=5)))
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _STREAMED_LISTS,
+                    st.floats(allow_nan=False, allow_infinity=False))
+_PAYLOADS = st.dictionaries(_KEYS, st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=12), max_size=4)
+
+
+def _build(node, streamed):
+    if isinstance(node, _Streamed):
+        return getattr(StreamedList, node.kind)(node.items) if streamed else node.items
+    if isinstance(node, dict):
+        return {k: _build(v, streamed) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_build(v, streamed) for v in node]
+    return node
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_PAYLOADS)
+def test_streamed_lists_written_as_json_dumps_writes_them(tmp_path, payload):
+    write_json(tmp_path / "p.json", _build(payload, streamed=True))
+    expected = json.dumps(_build(payload, streamed=False), indent=2, sort_keys=True)
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected + "\n"
