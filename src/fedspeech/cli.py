@@ -186,11 +186,14 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     workload = replace(_workload_from(args, cfg), batch=fl.batch)
     precision = workload.precision
 
-    if args.manifest:
+    if args.manifest:  # its path stays out of the reports, which name no files
         partition = partition_by_speaker(load_manifest(args.manifest), fl.clients, fl.seed)
+        corpus = {}
     else:
         partition = uniform_partition(fl.clients, args.samples_per_client,
                                       workload.duration_s)
+        corpus = {"samples_per_client": args.samples_per_client,
+                  "duration_s": workload.duration_s}
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
     verdict = check_fit(profile, training_residency_bytes(arch, workload, cal))
@@ -206,7 +209,8 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
 
     meta = _meta(args, arch, device=profile.name, clients=fl.clients, rounds=fl.rounds,
                  per_round=per_round, batch=fl.batch, local_epochs=fl.local_epochs,
-                 precision=precision.value)
+                 precision=precision.value, sample_rate_hz=workload.sample_rate_hz,
+                 **corpus)
     out = _out_dir(args, cfg)
     write_json(out / "fl_partition.json", partition_payload(partition, meta))
     write_json(out / "fl_schedule.json", schedule_payload(schedule, meta))

@@ -227,7 +227,14 @@ class TestFlPlan:
         assert clip["fl_plan.json"] != default["fl_plan.json"]
         assert clip["fl_partition.json"] != default["fl_partition.json"]
         assert rate["fl_plan.json"] != default["fl_plan.json"]
-        assert rate["fl_partition.json"] == default["fl_partition.json"]
+        assert json.loads(rate["fl_partition.json"])["clients"] == \
+            json.loads(default["fl_partition.json"])["clients"]
+        # meta records the clip length and the sample rate, so the three
+        # plans have three fingerprints
+        metas = [json.loads(r["fl_plan.json"])["meta"] for r in (default, clip, rate)]
+        assert [(m["duration_s"], m["sample_rate_hz"], m["samples_per_client"])
+                for m in metas] == [(5.5, 16000, 50), (20.0, 16000, 50), (5.5, 8000, 50)]
+        assert len({m["fingerprint"] for m in metas}) == 3
         # the config's values equal the flag's and the library's
         assert clip == reports("clip-flag", flags=["--mean-duration", "20"])
         assert reports("flag-wins", "workload: {duration_s: 20.0}\n",
@@ -668,7 +675,9 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 # OUT in a config stands for the report directory. The two idealised
 # fl_partition.json digests were re-recorded when idealised clients stopped
 # listing made-up utterance ids: each file is the earlier one without its
-# utterance_ids keys, and no other report changed.
+# utterance_ids keys, and no other report changed. Every fl-plan JSON
+# digest was then re-recorded when meta began to record the sample rate and,
+# for an idealised corpus, its clip length and clips per client.
 MANIFEST = "<tie-heavy manifest>"
 CONFIGS = {
     "<custom arch>": """
@@ -753,66 +762,66 @@ REPORT_DIGESTS = {
     ("fl-plan", "--clients", "10", "--rounds", "150", "--device", "a40",
      "--batch", "4"): {
         "fl_partition.json":
-            "4a09e01f1c6a9a516ba7f524554028df00232801c9fd480a68aebb54c117901c",
+            "3c02cb0381ba5bcc0e7cf3057b4ba783220489be8172749cc169d654782c2b52",
         "fl_plan.csv": "600cb7da5359827e65b8dd1a100e35605832784fb9263163683d88b3aaa8ac9d",
-        "fl_plan.json": "55e45b87a972e77499004b70676bd9f5f965a36f62fa9b66d736ddb8600d7d37",
+        "fl_plan.json": "1b0df968b54279b94a15d020202e17041e560ca8154da4ae7f69925cdda738e4",
         "fl_schedule.json":
-            "1fcad9fe5a20ac6d200e69080e189eaf49b32fbbe738a236f8950cd8f1627ba2",
+            "d87a747900c1804c31fa9fb041d31492c3f42747ee4d6eba7fbc13f65f3f2c2d",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "1", "--rounds", "3",
      "--device", "a40", "--batch", "4", "--seed", "0"): {
         "fl_partition.json":
-            "7a5e540c39dcca7cd13ba83a0f9d318f6991d7d808feaa6eb018fc3328aa7200",
+            "b5ddea3bc59e101ae38131d700ac309dd7ce810d7a6e12bd6b36ec52582d3715",
         "fl_plan.csv":
             "941244b3b09ae54b65711848d099cd4256df7fe4874ba6b6c632cd4eb11352db",
         "fl_plan.json":
-            "77a27c456f50b220fe3652d8ec684433518da2b7c6b669ed74aafa88118f9e39",
+            "3907f46b4b99b86f2a65469bcec957aa6af251f7bf312e129ff8bc99e7cbcde5",
         "fl_schedule.json":
-            "c1752b7d91797491f42f35d04bacc536f2a06af2a9aff379f292f66ce37cf3ef",
+            "c3efb9de9fa650cd0b4b0290f9e3b32b4552af8e7cb447670205d28b2b6c094b",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "1"): {
         "fl_partition.json":
-            "9422897176e1c73c7e35817d3abe0730c30e990915e01d943ee976946cfde88f",
+            "b19c404e69962e29cf28407368d37b09d5e4e67ee09fd7bf23f966ea086d4ae7",
         "fl_plan.csv":
             "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
         "fl_plan.json":
-            "13356f2115279678df65c24f1fdb6f0b5fe584b074296a5f95d48d232fc1287d",
+            "cf5be42319fcabfdfc62f365eeea6006cff38cc0041dde75962f6d3694a97743",
         "fl_schedule.json":
-            "cb7556e6cfefc2cf64173349e4373107ff8d4694cc0f06636f3e9d78e5269aa2",
+            "0b9a2eb365077141c123a520fa27c54fd3e63e4461845fec43a554f7547b3f88",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
      "--device", "rpi", "--batch", "4", "--seed", "2"): {
         "fl_partition.json":
-            "21047d8f3891a956f9490c0302a6a2163429ed8767ab30584a51d398d7d20c43",
+            "caa481e674482aef69e53dbc18e9f7a5618c4030d1f372831edca326f6dbf291",
         "fl_plan.csv":
             "9c4dc64768ee9d3538f18d83c4d1bddc9f0b19dcb52074db5e28fe617f661eca",
         "fl_plan.json":
-            "807f1faae559ba16dcee909da87c7da79c31b4297b7b44a7eaab6ed439ebcab6",
+            "b69fd1148c65e4569b7a5dd717ff537dc74c0077be2da9589884da88fa8b7b59",
         "fl_schedule.json":
-            "4cd4fc97474813916460efeb3cb10e147164b167f5d31b7f017785566b85cb7b",
+            "415c555cb56618f2bd2c47ea3f78a5bf2d183e04829c1529a364028917f9027c",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
      "--device", "agx", "--batch", "4", "--seed", "3"): {
         "fl_partition.json":
-            "1b18fa777aad4bf914b96f2f93e680c47dba09699f0bd729b23ea65c1a4739aa",
+            "fcde4d223ada95ba86b030e60b9f24d5ab28bda18d05e6c1d71b8786d05d4975",
         "fl_plan.csv":
             "662b92d7e0c4c4ea6251f1bc20b704dd8afdf84dad321f1932bd92d46a0a1f10",
         "fl_plan.json":
-            "07b7accc40cfcd6c0f5791fbc4fa4e9046a27070425ea7bcaeb81e39f7640e13",
+            "87110c6cb7053e99e5e9c872b9eb7f373e35ed2024259dc4b32c7662165709ea",
         "fl_schedule.json":
-            "a9410d2f63df088fccc6f08ee76f8b93f189bbbd42cf11efbf8e92ba00ede2b4",
+            "d34fa01cf2041d99f7ecd8433e1bdeafaf31c6f6158a4ec066fc1c22a007a190",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "4"): {
         "fl_partition.json":
-            "8a7cc4adbd3e4ba09ff985eb988b1106cb62360eea60f0bb43300f845bc70811",
+            "1fb082cf389f5f7e170118eca7782738d37734883518915d9a2b241e9d25d619",
         "fl_plan.csv":
             "143692f1935208f973ee187499d61b48e714298fee568814ed3f835552a71d7d",
         "fl_plan.json":
-            "4bb5e14467a0d2897f15dba00ac7a1b2fa7f350c32058fb39a110c2d356c7f7c",
+            "9aa137d10974b32ed6b9ea47a871ed3df626c817c6791fee5eb37e066368920b",
         "fl_schedule.json":
-            "8670de1cf69173bd0bb1b1a4c5b145b3b23509ecdda94744a36f0014c9dfd54b",
+            "154d647f0f954f63058db33e8754daec451a6102e70b4dea4bce8a14dbbb4a30",
     },
     ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "100", "--per-round",
      "20", "--dim", "2000", "--rounds", "20", "--seed", "11"): {
@@ -865,13 +874,13 @@ REPORT_DIGESTS = {
     ("fl-plan", "--config", "<fl>", "--device", "rpi", "--samples-per-client",
      "300"): {
         "fl_partition.json":
-            "67e4c49dd07d6b546a3275a64e730ce73da21083cb975dd44867262611df417f",
+            "d9a2e8a57dd31e1fa8fbe6745d5060cdbc399865bfc400954b09d736e408bc6d",
         "fl_plan.csv":
             "a09999e39672ef18699e78d6adae7869c92ff7e22a37d42508da91be7f44e171",
         "fl_plan.json":
-            "73cf192d57b42e03a1f097dbed72339c568e2ac41a6acaebb0d63c707532b6d5",
+            "277e955d9b42ebac86b6832bf8c61c445d247a54392c3473349419b8104ce5a5",
         "fl_schedule.json":
-            "7515f27865e36547e642f40684b6ddf5b28ce170b9f6006ecde8263da60133f4",
+            "4a8eb1cae192d6fb1aad32d34f7332f6cd0c2a9e0b70faab8b6e1f247b2da1d6",
     },
     ("fl-sim", "--config", "<aggregation>", "--clients", "8", "--per-round", "3",
      "--dim", "6", "--rounds", "10"): {
