@@ -186,7 +186,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     workload = replace(_workload_from(args, cfg), batch=fl.batch)
     precision = workload.precision
 
-    if args.manifest:  # its path stays out of the reports, which name no files
+    if args.manifest:  # meta leaves out its path: reports do not depend on where it sits
         partition = partition_by_speaker(load_manifest(args.manifest), fl.clients, fl.seed)
         corpus = {}
     else:

@@ -74,7 +74,7 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     os.replace(tmp, path)
 
 
-_STREAMED = "\x00streamed list"
+_STREAMED = "\x00streamed strings"
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
