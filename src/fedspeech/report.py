@@ -64,6 +64,9 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
         raise ConfigError(f"cannot write {path.name}: {exc}") from None
     pieces = text.split(json.dumps(_STREAMED))
+    if len(pieces) != len(streamed) + 1:  # a string in the payload is the placeholder
+        pieces, streamed = [json.dumps(payload, indent=2, sort_keys=True,
+                                       default=_listed)], []
     with open(tmp, "w", encoding="utf-8") as fh:
         for piece, value in zip(pieces, streamed):
             indent = piece[piece.rindex("\n") + 1:]
@@ -75,6 +78,10 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
 
 
 _STREAMED = "\x00streamed strings"
+
+
+def _listed(value):
+    return list(value.items) if isinstance(value, StreamedList) else str(value)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

@@ -29,6 +29,16 @@ def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
 
 
+def test_a_string_equal_to_the_placeholder_is_written_as_itself(tmp_path):
+    def payload(strings, ints):
+        return {"name": "\x00streamed strings", "ids": strings(["a", "\x00streamed strings"]),
+                "rounds": [{"selected": ints([3, 7])}, {"\x00streamed strings": ints([])}]}
+
+    write_json(tmp_path / "p.json", payload(StreamedList.strings, StreamedList.ints))
+    expected = json.dumps(payload(list, list), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_number_raises_and_writes_nothing(tmp_path, value):
     with pytest.raises(ConfigError, match=r"^cannot write p\.json: "):
