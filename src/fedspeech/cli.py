@@ -35,8 +35,8 @@ from .devices import FitVerdict, check_fit, get_profile, predict_batch_time, \
     training_residency_bytes
 from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
                      MalformedRowError, MissingAnchorError, MissingColumnError,
-                     UnsupportedPrecisionError)
-from .federation import (estimate_communication, estimate_wall_clock, load_manifest,
+                     UnreadableManifestError, UnsupportedPrecisionError)
+from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_assignment,
                          uniform_partition)
 from .memory import memory_timeline
@@ -52,6 +52,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
+
+IDEALISED_SAMPLES_PER_CLIENT = 19_500
 
 
 def _meta(args: argparse.Namespace, arch=None, **extra) -> dict:
@@ -187,13 +189,19 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     precision = workload.precision
 
     if args.manifest:  # meta leaves out its path: reports do not depend on where it sits
-        partition = partition_by_speaker(load_manifest(args.manifest), fl.clients, fl.seed)
+        if args.samples_per_client is not None:
+            raise ConfigError("--samples-per-client sizes an idealised corpus; "
+                              "it cannot be given with --manifest")
+        from .manifest_cache import load_manifest_cached  # hashlib only for a manifest
+
+        partition = partition_by_speaker(load_manifest_cached(args.manifest), fl.clients,
+                                         fl.seed)
         corpus = {}
     else:
-        partition = uniform_partition(fl.clients, args.samples_per_client,
-                                      workload.duration_s)
-        corpus = {"samples_per_client": args.samples_per_client,
-                  "duration_s": workload.duration_s}
+        samples = IDEALISED_SAMPLES_PER_CLIENT if args.samples_per_client is None \
+            else args.samples_per_client
+        partition = uniform_partition(fl.clients, samples, workload.duration_s)
+        corpus = {"samples_per_client": samples, "duration_s": workload.duration_s}
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
     verdict = check_fit(profile, training_residency_bytes(arch, workload, cal))
@@ -358,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples-per-client", type=int, dest="samples_per_client",
-                   default=19_500, help="idealised corpus size per client")
+                   help="idealised corpus size per client (default: "
+                        f"{IDEALISED_SAMPLES_PER_CLIENT}); not with --manifest")
     p.add_argument("--mean-duration", type=float, dest="duration", metavar="MEAN_DURATION",
                    help="idealised clip length in seconds (default: the config's "
                         "workload.duration_s, else 5.5)")
@@ -409,7 +418,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (MalformedRowError, MissingColumnError, FileNotFoundError) as exc:
+    except (MalformedRowError, MissingColumnError, UnreadableManifestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InfeasibleError as exc:

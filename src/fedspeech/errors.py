@@ -27,6 +27,10 @@ class MissingColumnError(FedspeechError):
     """A required manifest column is absent."""
 
 
+class UnreadableManifestError(FedspeechError):
+    """A manifest that cannot be opened or read."""
+
+
 class TooFewSpeakersError(FedspeechError):
     """Fewer distinct speakers than requested client partitions."""
 

@@ -526,10 +526,12 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
             math.ceil(client.n_utterances / batch) * batch_seconds[key]
         device_of[client.client_id] = profile.name
 
-    per_round = tuple(
-        max(epoch_seconds[partition.clients[idx].client_id] * local_epochs
-            for idx in selected)
-        for selected in schedule.rounds)
+    # Each round's slowest client: one gather over the (rounds, per_round)
+    # selections and a row max, the same floats as a max over each round.
+    client_seconds = np.array([epoch_seconds[c.client_id] for c in partition.clients])
+    selected = np.array(schedule.rounds, dtype=np.intp).reshape(schedule.n_rounds,
+                                                                schedule.per_round)
+    per_round = tuple((client_seconds * local_epochs)[selected].max(axis=1).tolist())
 
     breakdown: dict[str, float] = {}
     for cid, secs in epoch_seconds.items():

@@ -1,0 +1,232 @@
+"""A cache of parsed manifests, keyed by their content.
+
+``fl-plan --manifest`` parses and validates every row of the manifest, and a
+corpus is planned many times over with the same bytes. An entry holds the
+validated :class:`~fedspeech.federation.Manifest` columns. Its key is the
+SHA-256 of the manifest's bytes and of the loader's own source, so an edited
+manifest or an edited loader is a miss whatever the file's size and times
+say, and no version number has to be bumped by hand (the idea of hash-based
+``.pyc`` files, PEP 552).
+
+Entries live in ``$XDG_CACHE_HOME/fedspeech``, else ``~/.cache/fedspeech``.
+At most ``MAX_ENTRIES`` are kept; the least recently used goes first.
+Deleting the directory clears the cache. An entry that cannot be read, or
+does not hold what its header says, is a miss, and the manifest is parsed as
+without a cache; a cache that cannot be written is left alone.
+
+An entry is a fixed header, then the speaker codes (int64) and durations
+(float64), then the utterance ids and the speaker ids as UTF-8 text, each
+string ended by a newline. A manifest with an id that holds a newline is not
+cached.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import struct
+import sys
+import time
+from pathlib import Path
+from typing import Optional
+
+import numpy as np
+
+from . import federation
+from .errors import UnreadableManifestError
+from .federation import Manifest, load_manifest
+
+MAX_ENTRIES = 4
+
+_SUFFIX = ".manifest"
+_MAGIC = b"FSMANIF1"
+# magic, key, rows, speakers, bytes of utterance ids, bytes of speaker ids
+_HEADER = struct.Struct("<8s32sQQQQ")
+_BLOCK_BYTES = 1 << 20
+_STRINGS_PER_WRITE = 1 << 16
+
+
+def cache_dir() -> Optional[Path]:
+    """The cache directory, or None if the home directory is unknown."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG base directory spec ignores a relative one
+        try:
+            base = Path.home() / ".cache"
+        except RuntimeError:
+            return None
+    return Path(base) / "fedspeech"
+
+
+def load_manifest_cached(path) -> Manifest:
+    """``load_manifest(path)`` through the cache. A manifest that cannot be
+    opened or read raises ``UnreadableManifestError``."""
+    directory = cache_dir()
+    try:
+        source = _source_digest()
+    except OSError:
+        directory = None
+    if directory is None:
+        return _parse(path)
+    try:
+        with open(path, "rb") as fh:
+            before = os.fstat(fh.fileno())
+            key = _key(source, fh)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+    entry = directory / (key.hex() + _SUFFIX)
+    manifest = _read_entry(entry, key)
+    if manifest is not None:
+        with contextlib.suppress(OSError):
+            _touch(entry)
+        return manifest
+    manifest = _parse(path)
+    # A file changed since it was hashed (a write moves its ctime) keeps no entry.
+    with contextlib.suppress(OSError):
+        if _identity(os.stat(path)) == _identity(before):
+            _write_entry(directory, entry, key, manifest)
+    return manifest
+
+
+def _parse(path) -> Manifest:
+    try:
+        return load_manifest(path)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+
+
+def _unreadable(path, exc: OSError) -> UnreadableManifestError:
+    return UnreadableManifestError(f"cannot read manifest {path}: {exc.strerror or exc}")
+
+
+def _identity(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _key(source: bytes, fh) -> bytes:
+    """SHA-256 of the loader's source digest followed by the file's bytes."""
+    digest = hashlib.sha256(source)
+    buffer = bytearray(_BLOCK_BYTES)
+    view = memoryview(buffer)
+    while n := fh.readinto(buffer):
+        digest.update(view[:n])
+    return digest.digest()
+
+
+def _source_digest() -> bytes:
+    """SHA-256 of the source of the loader and of this entry format."""
+    digest = hashlib.sha256()
+    for module in (federation, sys.modules[__name__]):
+        with open(module.__file__, "rb") as fh:
+            digest.update(fh.read())
+    return digest.digest()
+
+
+# ------------------------------------------------------------------ entries
+
+
+def _read_entry(entry: Path, key: bytes) -> Optional[Manifest]:
+    """The manifest an entry holds, or None if it is missing or damaged."""
+    try:
+        with open(entry, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                return None
+            magic, stored_key, rows, n_speakers, id_bytes, speaker_bytes = \
+                _HEADER.unpack(header)
+            size = _HEADER.size + 16 * rows + id_bytes + speaker_bytes
+            if (magic, stored_key) != (_MAGIC, key) or os.fstat(fh.fileno()).st_size != size:
+                return None
+            codes, durations = np.empty(rows, "<i8"), np.empty(rows, "<f8")
+            fh.readinto(codes)
+            fh.readinto(durations)
+            ids = _read_lines(fh, id_bytes, rows)
+            speakers = _read_lines(fh, speaker_bytes, n_speakers)
+    except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
+        return None
+    if ids is None or speakers is None:
+        return None
+    if rows and not (0 <= codes.min() and codes.max() < n_speakers
+                     and (durations > 0).all() and np.isfinite(durations).all()):
+        return None
+    return Manifest(utterance_ids=ids, speaker_codes=codes,
+                    speaker_ids=tuple(speakers.tolist()), durations_s=durations)
+
+
+def _read_lines(fh, size: int, count: int) -> Optional[np.ndarray]:
+    """The ``count`` newline-ended strings in the next ``size`` bytes of
+    ``fh`` as an object array, or None if those bytes hold another count."""
+    strings = np.empty(count, dtype=object)
+    filled, rest = 0, b""
+    while size:
+        chunk = fh.read(min(size, _BLOCK_BYTES))
+        if not chunk:
+            return None
+        size -= len(chunk)
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1
+        lines = data[:cut].decode("utf-8").split("\n")[:-1]
+        rest = data[cut:]
+        if filled + len(lines) > count:
+            return None
+        strings[filled:filled + len(lines)] = lines
+        filled += len(lines)
+    return strings if filled == count and not rest else None
+
+
+def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -> None:
+    """Write ``manifest`` to ``entry`` through a temp file, then drop the
+    least recently used entries past ``MAX_ENTRIES``. A manifest that cannot
+    be stored leaves the cache as it was."""
+    directory.mkdir(parents=True, exist_ok=True)
+    tmp = directory / f".{entry.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(bytes(_HEADER.size))
+            fh.write(np.ascontiguousarray(manifest.speaker_codes, "<i8"))
+            fh.write(np.ascontiguousarray(manifest.durations_s, "<f8"))
+            id_bytes = _write_lines(fh, manifest.utterance_ids)
+            speaker_bytes = _write_lines(fh, manifest.speaker_ids)
+            if id_bytes is None or speaker_bytes is None:
+                return
+            fh.seek(0)
+            fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_ids),
+                                  id_bytes, speaker_bytes))
+        os.replace(tmp, entry)
+        _touch(entry)
+    except (OSError, ValueError):  # a UnicodeEncodeError is a ValueError
+        pass
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            tmp.unlink()
+    _prune(directory)
+
+
+def _write_lines(fh, strings) -> Optional[int]:
+    """Write each string and a newline; the byte count, or None (after
+    writing part of them) if a string holds a newline."""
+    written = 0
+    for lo in range(0, len(strings), _STRINGS_PER_WRITE):
+        part = strings[lo:lo + _STRINGS_PER_WRITE]
+        data = ("\n".join(part) + "\n").encode("utf-8")
+        if data.count(b"\n") != len(part):
+            return None
+        written += fh.write(data)
+    return written
+
+
+def _touch(entry: Path) -> None:
+    """Mark an entry most recently used, in the clock's own resolution (a
+    file's times follow a coarser one)."""
+    now = time.time_ns()
+    os.utime(entry, ns=(now, now))
+
+
+def _prune(directory: Path) -> None:
+    entries = []
+    for entry in directory.glob("*" + _SUFFIX):
+        with contextlib.suppress(OSError):
+            entries.append((entry.stat().st_mtime_ns, entry))
+    for _, entry in sorted(entries, reverse=True)[MAX_ENTRIES:]:
+        with contextlib.suppress(OSError):
+            entry.unlink()

@@ -7,6 +7,23 @@ from fedspeech.federation import synthetic_manifest, write_manifest
 FIXTURE_SEED = 7
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_home(tmp_path_factory):
+    """The manifest cache of class- and session-scoped fixtures, which run
+    before any test's own: never the user's home."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache-home")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path, monkeypatch):
+    """Each test starts on an empty manifest cache of its own."""
+    home = tmp_path / "cache-home"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture(scope="session")
 def corpus_manifest():
     """Corpus-scale synthetic manifest: 195k utterances, 6k speakers, 5.5 s mean."""

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import cli, costs, devices
+from fedspeech import cli, costs, devices, federation, manifest_cache
 from fedspeech.cli import main
 
 
@@ -155,10 +155,32 @@ class TestFlPlan:
         assert run(["fl-plan", "--manifest", str(bad), "--clients", "1",
                     "--rounds", "1", "--device", "a40", "--out", str(tmp_path)]) == 3
 
-    def test_missing_manifest_exits_3(self, tmp_path):
-        assert run(["fl-plan", "--manifest", str(tmp_path / "nope.tsv"),
-                    "--clients", "1", "--rounds", "1", "--device", "a40",
-                    "--out", str(tmp_path)]) == 3
+    def test_samples_per_client_with_manifest_exits_2(self, tmp_path, capsys,
+                                                      tie_manifest):
+        assert run(["fl-plan", "--manifest", str(tie_manifest), "--samples-per-client",
+                    "7", "--clients", "1", "--rounds", "1", "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == ("error: --samples-per-client sizes an idealised "
+                                           "corpus; it cannot be given with --manifest\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_idealised_corpus_defaults_to_19500_clips_per_client(self, tmp_path):
+        assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--out", str(tmp_path)]) == 0
+        plan = json.loads((tmp_path / "fl_plan.json").read_text())
+        assert plan["meta"]["samples_per_client"] == 19_500
+
+    def test_missing_manifest_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "nope.tsv"
+        assert run(["fl-plan", "--manifest", str(path), "--clients", "1", "--rounds", "1",
+                    "--device", "a40", "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == \
+            f"error: cannot read manifest {path}: No such file or directory\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_directory_as_manifest_exits_3_on_one_line(self, tmp_path, capsys):
+        assert run(["fl-plan", "--manifest", str(tmp_path), "--clients", "1", "--rounds",
+                    "1", "--device", "a40", "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == \
+            f"error: cannot read manifest {tmp_path}: Is a directory\n"
 
     def test_duration_flag_rejected(self, tmp_path):
         # the clip length of an idealised corpus is --mean-duration
@@ -929,3 +951,22 @@ def test_reports_byte_identical_to_recorded(argv, tmp_path, tie_manifest):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir()}
     assert written == REPORT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in REPORT_DIGESTS if MANIFEST in argv],
+                         ids=_case_id)
+def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, tie_manifest, monkeypatch):
+    parses = []
+
+    def counting(path):
+        parses.append(path)
+        return federation.load_manifest(path)
+
+    monkeypatch.setattr(manifest_cache, "load_manifest", counting)
+    args = [str(tie_manifest) if a == MANIFEST else a for a in argv]
+    for out in (tmp_path / "miss", tmp_path / "hit"):
+        assert run(args + ["--out", str(out)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert written == REPORT_DIGESTS[argv]
+    assert parses == [str(tie_manifest)]

@@ -396,7 +396,32 @@ class TestSchedule:
         assert freqs.min() >= 0.18 and freqs.max() <= 0.22
 
 
+def slowest_per_round(partition, schedule, epoch_seconds, local_epochs):
+    """Each round's slowest client, one selection at a time: the reference
+    for the gather in ``estimate_wall_clock``."""
+    return tuple(
+        max(epoch_seconds[partition.clients[idx].client_id] * local_epochs
+            for idx in selected)
+        for selected in schedule.rounds)
+
+
 class TestWallClock:
+    @pytest.mark.parametrize("local_epochs", [1, 3])
+    def test_round_maxima_match_one_selection_at_a_time(self, corpus_manifest,
+                                                        local_epochs):
+        partition = partition_by_speaker(corpus_manifest, 40, seed=3)
+        devices = [get_profile(name) for name in ("nx", "a40", "agx", "macbook")]
+        assignment = {c.client_id: devices[i % len(devices)]
+                      for i, c in enumerate(partition.clients)}
+        schedule = schedule_rounds(40, 7, 300, seed=5)
+        est = estimate_wall_clock(partition, schedule, assignment, base_preset(),
+                                  batch=4, local_epochs=local_epochs)
+        expected = slowest_per_round(partition, schedule, est.seconds_per_local_epoch,
+                                     local_epochs)
+        assert len(set(expected)) > 10  # the slowest client varies by round
+        assert [x.hex() for x in est.seconds_per_round] == [x.hex() for x in expected]
+        assert est.total_seconds.hex() == sum(expected).hex()
+
     def test_reference_plan_numbers(self):
         arch = base_preset()
         partition = uniform_partition(10, 19_500)

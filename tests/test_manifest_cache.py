@@ -1,0 +1,231 @@
+import errno
+import io
+import os
+
+import pytest
+
+from conftest import manifest_text, tie_heavy_rows
+from fedspeech import federation, manifest_cache
+from fedspeech.cli import main
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths ``load_manifest`` parsed through the cache, in order."""
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return federation.load_manifest(path)
+
+    monkeypatch.setattr(manifest_cache, "load_manifest", counting)
+    return calls
+
+
+@pytest.fixture
+def manifest(tmp_path):
+    path = tmp_path / "validated.tsv"
+    path.write_text(manifest_text(tie_heavy_rows()))
+    return path
+
+
+def plan(manifest, out, seed="7"):
+    """Exit code and report bytes of one fl-plan over ``manifest``."""
+    code = main(["fl-plan", "--manifest", str(manifest), "--clients", "3", "--rounds", "2",
+                 "--device", "nx", "--batch", "4", "--seed", seed, "--out", str(out)])
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())} if code == 0 \
+        else None
+
+
+def entries(cache_home):
+    directory = cache_home / "fedspeech"
+    return sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
+
+
+def test_second_plan_reads_the_entry(tmp_path, manifest, parses, cache_home):
+    first = plan(manifest, tmp_path / "a")
+    assert first[0] == 0 and len(parses) == 1
+    assert len(entries(cache_home)) == 1
+    assert plan(manifest, tmp_path / "b") == first
+    assert len(parses) == 1
+
+
+def test_entry_is_the_parsed_manifest(manifest, cache_home):
+    parsed = federation.load_manifest(manifest)
+    manifest_cache.load_manifest_cached(manifest)
+    cached = manifest_cache.load_manifest_cached(manifest)
+    assert cached.utterance_ids.tolist() == parsed.utterance_ids.tolist()
+    assert cached.speaker_ids == parsed.speaker_ids
+    assert cached.speaker_codes.tolist() == parsed.speaker_codes.tolist()
+    assert cached.durations_s.tobytes() == parsed.durations_s.tobytes()
+    assert cached.speaker_codes.dtype == parsed.speaker_codes.dtype
+    assert cached.utterance_ids.dtype == parsed.utterance_ids.dtype
+
+
+def _move_one_byte(step):
+    """Damage that counts ``step`` bytes of utterance ids as speaker id bytes:
+    the same size, but one section cut mid-string."""
+    def damage(data):
+        fields = list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
+        fields[4] -= step
+        fields[5] += step
+        return manifest_cache._HEADER.pack(*fields) + data[manifest_cache._HEADER.size:]
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:len(data) // 2],
+    lambda data: data[:manifest_cache._HEADER.size - 1],
+    lambda data: data + b"x",
+    _move_one_byte(1),
+    _move_one_byte(-1),
+    lambda data: data[:8] + bytes(32) + data[40:],  # another key
+], ids=["truncated", "header-cut", "trailing-byte", "ids-cut", "speakers-cut",
+        "other-key"])
+def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache_home,
+                                               damage):
+    first = plan(manifest, tmp_path / "a")
+    [name] = entries(cache_home)
+    entry = cache_home / "fedspeech" / name
+    good = entry.read_bytes()
+    entry.write_bytes(damage(good))
+    assert plan(manifest, tmp_path / "b") == first
+    assert len(parses) == 2
+    assert entry.read_bytes() == good
+
+
+def _refuse_writes(monkeypatch, directory):
+    """Refuse, as a read-only directory would, every file opened for writing
+    in ``directory`` through the cache module: root ignores file modes."""
+    def guarded(file, mode="r", *args, **kwargs):
+        if "r" not in mode and os.path.dirname(os.fspath(file)) == str(directory):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(manifest_cache, "open", guarded, raising=False)
+
+
+def test_read_only_cache_dir_plans_as_without_a_cache(tmp_path, manifest, cache_home,
+                                                      monkeypatch):
+    reference = plan(manifest, tmp_path / "reference")
+    directory = cache_home / "fedspeech"
+    for entry in directory.iterdir():
+        entry.unlink()
+    directory.chmod(0o555)
+    _refuse_writes(monkeypatch, directory)
+    try:
+        assert plan(manifest, tmp_path / "a") == reference
+        assert plan(manifest, tmp_path / "b") == reference
+        assert entries(cache_home) == []
+    finally:
+        directory.chmod(0o755)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, manifest, cache_home, monkeypatch):
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full(file, mode="r", *args, **kwargs):
+        return FullDisk(file, mode.replace("b", "")) if mode == "xb" else \
+            open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(manifest_cache, "open", full, raising=False)
+    reference = plan(manifest, tmp_path / "a")
+    assert reference[0] == 0
+    assert entries(cache_home) == []
+    monkeypatch.delattr(manifest_cache, "open")
+    assert plan(manifest, tmp_path / "b") == reference
+
+
+def test_same_size_rewrite_with_restored_mtime_is_parsed_again(tmp_path, manifest, parses):
+    first = plan(manifest, tmp_path / "a")
+    text = manifest.read_text()
+    before = manifest.stat()
+    # one clip's duration goes from 1200 ms to 2100 ms: same size, new totals
+    at = text.index("\t1200\n")
+    manifest.write_text(text[:at] + "\t2100\n" + text[at + 6:])
+    os.utime(manifest, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert manifest.stat().st_size == before.st_size
+    assert manifest.stat().st_mtime_ns == before.st_mtime_ns
+    second = plan(manifest, tmp_path / "b")
+    assert len(parses) == 2
+    assert second[0] == 0 and second != first
+    (tmp_path / "fresh.tsv").write_text(manifest.read_text())
+    assert plan(tmp_path / "fresh.tsv", tmp_path / "c") == second
+
+
+def test_manifest_changed_while_parsed_keeps_no_entry(tmp_path, manifest, cache_home,
+                                                    monkeypatch):
+    def edit_then_parse(path):
+        with open(path, "a") as fh:
+            fh.write("late\tclip_late.mp3\tx\t1000\n")
+        return federation.load_manifest(path)
+
+    monkeypatch.setattr(manifest_cache, "load_manifest", edit_then_parse)
+    assert plan(manifest, tmp_path / "a")[0] == 0
+    assert entries(cache_home) == []
+
+
+def test_id_with_a_newline_is_not_cached(tmp_path, parses, cache_home):
+    rows = tie_heavy_rows()
+    rows[3] = (rows[3][0], '"clip\nwith a newline.mp3"') + rows[3][2:]
+    path = tmp_path / "m.tsv"
+    path.write_text(manifest_text(rows))
+    assert "clip\nwith a newline.mp3" in federation.load_manifest(path).utterance_ids
+    first = plan(path, tmp_path / "a")
+    assert first[0] == 0
+    assert b"clip\\nwith a newline.mp3" in first[1]["fl_partition.json"]
+    assert entries(cache_home) == []
+    assert plan(path, tmp_path / "b") == first
+    assert len(parses) == 2
+
+
+def test_manifest_with_an_error_is_never_cached(tmp_path, parses, cache_home, capsys):
+    rows = tie_heavy_rows()
+    rows[40] = rows[40][:3] + ("-5",)
+    path = tmp_path / "bad.tsv"
+    path.write_text(manifest_text(rows))
+    errors = []
+    for run in ("a", "b"):
+        assert plan(path, tmp_path / run) == (3, None)
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: line 42: non-positive duration -0.005\n"] * 2
+    assert len(parses) == 2
+    assert entries(cache_home) == []
+
+
+def test_cache_keeps_at_most_its_cap_most_recent_first(tmp_path, parses, cache_home):
+    rows = tie_heavy_rows()
+    paths = []
+    for k in range(manifest_cache.MAX_ENTRIES + 2):
+        path = tmp_path / f"m{k}.tsv"
+        path.write_text(manifest_text(rows[k:]))
+        paths.append(path)
+        manifest_cache.load_manifest_cached(path)
+        manifest_cache.load_manifest_cached(paths[0])  # the first stays in use
+        assert len(entries(cache_home)) == min(k + 1, manifest_cache.MAX_ENTRIES)
+    assert len(parses) == len(paths)
+    # the least recently used, m1, is gone; m0 and the newest are kept
+    for path, parsed_again in ((paths[0], False), (paths[-1], False), (paths[1], True)):
+        before = len(parses)
+        manifest_cache.load_manifest_cached(path)
+        assert len(parses) - before == parsed_again
+
+
+def test_loader_source_is_part_of_the_key(manifest, parses, monkeypatch):
+    manifest_cache.load_manifest_cached(manifest)
+    digest = manifest_cache._source_digest()
+    monkeypatch.setattr(manifest_cache, "_source_digest", lambda: bytes(32))
+    manifest_cache.load_manifest_cached(manifest)
+    monkeypatch.setattr(manifest_cache, "_source_digest", lambda: digest)
+    manifest_cache.load_manifest_cached(manifest)
+    assert len(parses) == 2
+
+
+def test_relative_xdg_cache_home_falls_back_to_home(tmp_path, manifest, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert manifest_cache.cache_dir() == tmp_path / "home" / ".cache" / "fedspeech"
+    manifest_cache.load_manifest_cached(manifest)
+    assert len(list((tmp_path / "home" / ".cache" / "fedspeech").iterdir())) == 1
