@@ -699,7 +699,8 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 # listing made-up utterance ids: each file is the earlier one without its
 # utterance_ids keys, and no other report changed. Every fl-plan JSON
 # digest was then re-recorded when meta began to record the sample rate and,
-# for an idealised corpus, its clip length and clips per client.
+# for an idealised corpus, its clip length and clips per client. The 8 kHz
+# cases and the batch-1 mixed forecast were recorded at commit cbbc09d.
 MANIFEST = "<tie-heavy manifest>"
 CONFIGS = {
     "<custom arch>": """
@@ -761,6 +762,9 @@ devices:
       - {arch: large, batch: 1, precision: fp32, seconds_per_batch: 0.6, duration_s: 6.5}
       - {arch: large, batch: 4, precision: mixed, seconds_per_batch: 1.1}
 workload: {duration_s: 5.0, batch: 1, precision: fp32}
+""",
+    "<8 kHz>": """
+workload: {sample_rate_hz: 8000}
 """,
 }
 REPORT_DIGESTS = {
@@ -920,6 +924,26 @@ REPORT_DIGESTS = {
         "forecast.json":
             "19f5d56f44adc80a0b73f13505b00dcf2731ed7ba7d7ab5236132ad3b292e0a9",
     },
+    ("memory", "--config", "<8 kHz>"): {
+        "memory.csv":
+            "4033965596fbd7089d70c81b46e08186773d636ff0c3b192a8bb9d89a567c7ce",
+        "memory.json":
+            "572a13fb06a558fcf38a0ec0592100e38b5c6b2fc6c7cd1dfaaf6977ca034f48",
+    },
+    ("predict-time", "--config", "<8 kHz>", "--device", "nx"): {
+        "predict_time.csv":
+            "366293c341aba5ecd2783f28492ef650a2dbec9ab18ba5dc4f2922cde8b1c796",
+        "predict_time.json":
+            "65374c69568dca52a82e034af331d19ad2e97cd464d06fa2f844479a109375a6",
+    },
+    ("forecast", "--config", "<8 kHz>", "--device", "nx"): {
+        "forecast.json":
+            "b7d58665d3c210c1b45b99bc978e13efd9dc7aeb061a56583ef9b6ce68564135",
+    },
+    ("forecast", "--device", "nx", "--batch", "1", "--precision", "mixed"): {
+        "forecast.json":
+            "9a3e8ba0911ac0154f02da599bacdf811d3a9924fb73e58d1e1fab1c5e6b127e",
+    },
 }
 
 
@@ -937,7 +961,17 @@ def _case_id(argv):
                      "s" + argv[argv.index("--seed") + 1]])
 
 
-@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_id)
+def _case_ids(cases):
+    """Each case's id; a later case whose id an earlier one has also names
+    its flag values."""
+    ids = []
+    for argv in cases:
+        case_id = _case_id(argv)
+        ids.append("-".join([argv[0], *argv[2::2]]) if case_id in ids else case_id)
+    return ids
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_ids(REPORT_DIGESTS))
 def test_reports_byte_identical_to_recorded(argv, tmp_path, tie_manifest):
     out = tmp_path / "out"
     args = [str(tie_manifest) if a == MANIFEST else a for a in argv]
