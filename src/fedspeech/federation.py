@@ -134,11 +134,13 @@ def load_manifest(path) -> Manifest:
     numbers, or an utterance id seen before are rejected with their line
     number.
 
-    The file is read in blocks cut at the last newline. A block whose lines
-    all hold the same number of tab-separated fields is split into columns
-    at once; from the first block that does not (blank lines, short rows,
-    quoted fields, bare carriage returns) the rest of the file goes through
-    ``csv.reader``, whose quoting rules then apply.
+    The file is read in blocks cut at the last newline. A block of plain
+    rows that all hold the same number of tab-separated fields and keep
+    every rule is split into columns at once. From the first block that
+    does not (blank lines, short rows, quoted fields, bare carriage returns,
+    or a row that breaks a rule) the rest of the file goes through
+    ``csv.reader``, whose quoting rules then apply and which alone names a
+    bad row.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -182,7 +184,7 @@ def load_manifest(path) -> Manifest:
             block, rest = data[:cut], data[cut:]
             if not block:
                 continue
-            n_lines = columns.add_block(block, line_no)
+            n_lines = columns.add_block(block)
             if n_lines is None:
                 fh.seek(offset)
                 columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8",
@@ -209,9 +211,10 @@ class _ManifestColumns:
         self.codes: list[np.ndarray] = []
         self.durations: list[np.ndarray] = []
 
-    def add_block(self, block: bytes, line_no: int) -> Optional[int]:
-        """Add a block of whole lines whose first is ``line_no``; return its
-        line count, or None (adding nothing) if it needs ``csv.reader``."""
+    def add_block(self, block: bytes) -> Optional[int]:
+        """Add a block of whole lines and return its line count, or return
+        None, adding nothing, unless every line is a plain row that keeps
+        every rule: the block then goes to ``add_rows``."""
         if b'"' in block:
             return None
         if b"\r" in block:
@@ -224,13 +227,10 @@ class _ManifestColumns:
         width = int(tabs_per_line[0]) + 1
         if width < self.n_fields or (tabs_per_line != width - 1).any():
             return None
-
-        problems = []  # (row in block, rank among a row's checks, message)
         try:
             text = block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            problems.append((block.count(b"\n", 0, exc.start), -1, _NOT_UTF8))
-            text = block.decode("utf-8", "surrogateescape")
+        except UnicodeDecodeError:
+            return None
         text = text.replace("\n", "\t")  # one string alive during the split
         fields = text.split("\t")
         del text
@@ -239,47 +239,26 @@ class _ManifestColumns:
         speakers = list(map(str.strip, fields[self.spk_col::width]))
         raw_durations = fields[self.dur_col::width]
         del fields
-
-        empty = [column.index("") for column in (ids, speakers) if "" in column]
-        if empty:
-            problems.append((min(empty), 0, "empty utterance or speaker id"))
+        if "" in ids or "" in speakers:
+            return None
         try:
             # float() semantics for each string, as the csv path has
             durations = np.array(raw_durations, dtype=np.float64) * self.dur_scale
         except ValueError:
-            for row, text in enumerate(raw_durations):
-                try:
-                    float(text)
-                except ValueError:
-                    problems.append((row, 1, _not_a_number(text)))
-                    break
-        else:
-            bad = np.flatnonzero(~(np.isfinite(durations) & (durations > 0)))
-            if bad.size:
-                problems.append((int(bad[0]), 2, _bad_duration(float(durations[bad[0]]))))
+            return None
+        if not (np.isfinite(durations) & (durations > 0)).all():
+            return None
         before = len(self.seen)
         self.seen.update(ids)
         if len(self.seen) - before != len(ids):
-            row = self._first_repeat(ids)
-            problems.append((row, 3, _duplicate(ids[row])))
-        if problems:
-            row, _, message = min(problems)
-            raise MalformedRowError(line_no + row, message)
+            self.seen = set(self.ids)  # the ids of the rows added so far
+            return None
 
         self.ids += ids
         self.codes.append(np.fromiter(map(self.speaker_code.__getitem__, speakers),
                                       np.int64, len(speakers)))
         self.durations.append(durations)
         return len(ids)
-
-    def _first_repeat(self, block_ids: list[str]) -> int:
-        """Index of the first id in ``block_ids`` that an earlier row holds."""
-        earlier = set(self.ids)
-        for j, utt in enumerate(block_ids):
-            if utt in earlier:
-                return j
-            earlier.add(utt)
-        raise AssertionError("the block repeats no id")
 
     def add_rows(self, text, first_line: int) -> None:
         """Add every remaining row of ``text``, read with ``csv.reader``; its
@@ -301,11 +280,14 @@ class _ManifestColumns:
             try:
                 duration = float(text) * self.dur_scale
             except ValueError:
-                raise MalformedRowError(line_no, _not_a_number(text)) from None
-            if not (math.isfinite(duration) and duration > 0):
-                raise MalformedRowError(line_no, _bad_duration(duration))
+                raise MalformedRowError(line_no,
+                                        f"duration {text!r} is not a number") from None
+            if not math.isfinite(duration):
+                raise MalformedRowError(line_no, f"duration {duration!r} is not finite")
+            if not duration > 0:
+                raise MalformedRowError(line_no, f"non-positive duration {duration!r}")
             if utt in self.seen:
-                raise MalformedRowError(line_no, _duplicate(utt))
+                raise MalformedRowError(line_no, f"duplicate utterance id {utt!r}")
             self.seen.add(utt)
             ids.append(utt)
             codes.append(self.speaker_code[spk])
@@ -333,20 +315,6 @@ def _has_undecoded_bytes(row: list[str]) -> bool:
     except UnicodeEncodeError:
         return True
     return False
-
-
-def _not_a_number(text: str) -> str:
-    return f"duration {text!r} is not a number"
-
-
-def _bad_duration(duration: float) -> str:
-    if not math.isfinite(duration):
-        return f"duration {duration!r} is not finite"
-    return f"non-positive duration {duration!r}"
-
-
-def _duplicate(utt: str) -> str:
-    return f"duplicate utterance id {utt!r}"
 
 
 def write_manifest(path, manifest: Manifest) -> None:

@@ -64,6 +64,55 @@ def reference_rows(path):
                 for row in reader if row and not (len(row) == 1 and not row[0].strip())]
 
 
+def reference_first_bad_row(path):
+    """(line, message) of the first row a record-at-a-time csv.reader loop
+    rejects under the loader's rules, or None when every row is good."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh, delimiter="\t")
+        header = [h.strip() for h in next(reader)]
+        utt, spk, dur = (header.index(n) for n in ("path", "client_id", "duration[ms]"))
+        seen = set()
+        for line, row in enumerate(reader, start=2):
+            if any("\udc80" <= c <= "\udcff" for c in "".join(row)):
+                return line, "bytes that are not valid UTF-8"
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < len(header):
+                return line, f"expected {len(header)} fields, got {len(row)}"
+            if not row[utt].strip() or not row[spk].strip():
+                return line, "empty utterance or speaker id"
+            try:
+                duration = float(row[dur]) * 1e-3
+            except ValueError:
+                return line, f"duration {row[dur]!r} is not a number"
+            if math.isnan(duration) or math.isinf(duration):
+                return line, f"duration {duration!r} is not finite"
+            if duration <= 0:
+                return line, f"non-positive duration {duration!r}"
+            if row[utt].strip() in seen:
+                return line, f"duplicate utterance id {row[utt].strip()!r}"
+            seen.add(row[utt].strip())
+    return None
+
+
+# Ways to break a (speaker, clip, sentence, milliseconds) row; ``earlier`` is
+# the clip of a row above it.
+BREAK_ROW = {
+    "short": lambda row, earlier: row[:3],
+    "empty id": lambda row, earlier: (row[0], " ") + row[2:],
+    "empty speaker": lambda row, earlier: ("",) + row[1:],
+    "not a number": lambda row, earlier: row[:3] + ("fast",),
+    "empty duration": lambda row, earlier: row[:3] + ("",),
+    "nan": lambda row, earlier: row[:3] + ("nan",),
+    "inf": lambda row, earlier: row[:3] + ("inf",),
+    "-inf": lambda row, earlier: row[:3] + ("-Infinity",),
+    "zero": lambda row, earlier: row[:3] + ("0",),
+    "negative": lambda row, earlier: row[:3] + ("-5",),
+    "duplicate": lambda row, earlier: (row[0], earlier) + row[2:],
+    "not utf-8": lambda row, earlier: (row[0], row[1], "caf\udce9") + row[3:],
+}
+
+
 def reference_partition(rows, k, seed):
     """Per-client (ids, total, speakers) from the record-at-a-time partitioner
     the columnar one replaced."""
@@ -231,6 +280,40 @@ class TestManifest:
         with pytest.raises(MalformedRowError) as err:
             load_manifest(tmp_path / "bad.tsv")
         assert str(err.value) == "line 11: non-positive duration 0.0"
+
+    def test_bad_duration_named_before_a_later_one_that_is_not_a_number(self, tmp_path):
+        # Both rows in one block: the first bad row is named, not the first
+        # duration that fails to parse.
+        rows = tie_heavy_rows()
+        rows[9] = rows[9][:3] + ("-inf",)
+        rows[10] = rows[10][:3] + ("fast",)
+        with pytest.raises(MalformedRowError) as err:
+            load_manifest(write_tsv(tmp_path / "bad.tsv", manifest_text(rows)))
+        assert str(err.value) == "line 11: duration -inf is not finite"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), newline=st.sampled_from(["\n", "\r\n"]),
+           block=st.integers(64, 4096) | st.integers(64, 4 << 20))
+    def test_bad_rows_named_as_a_row_at_a_time_reader_names_them(
+            self, tmp_path_factory, data, newline, block):
+        # One to three bad rows of any kinds, often a few lines apart so that
+        # one block holds two of them.
+        rows = tie_heavy_rows()
+        at = [data.draw(st.integers(1, len(rows) - 1))]
+        for _ in range(data.draw(st.integers(0, 2))):
+            at.append(min(at[-1] + data.draw(st.integers(1, 8)), len(rows) - 1))
+        for i in at:
+            kind = data.draw(st.sampled_from(sorted(BREAK_ROW)))
+            earlier = rows[data.draw(st.integers(0, i - 1))][1]
+            rows[i] = BREAK_ROW[kind](rows[i], earlier)
+        p = tmp_path_factory.mktemp("bad") / "bad.tsv"
+        p.write_bytes(manifest_text(rows, newline).encode("utf-8", "surrogateescape"))
+        line, message = reference_first_bad_row(p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "_READ_BLOCK_BYTES", block)
+            with pytest.raises(MalformedRowError) as err:
+                load_manifest(p)
+        assert (err.value.line_number, str(err.value)) == (line, f"line {line}: {message}")
 
     def test_non_ascii_utf8_accepted(self, tmp_path):
         rows = [(spk, clip, "un été à Reykjavík", ms)
