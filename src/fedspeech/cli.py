@@ -74,6 +74,19 @@ def _workload_from(args: argparse.Namespace, cfg: dict,
                 precision=args.precision and Precision(args.precision))
 
 
+def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal, profile,
+         report=None) -> tuple[float, FitVerdict]:
+    """The training residency of ``workload`` and its fit on ``profile``;
+    with --fail-on-oom a workload that does not fit exits 4."""
+    peak = training_residency_bytes(arch, workload, cal, report)
+    verdict = check_fit(profile, peak)
+    if args.fail_on_oom and verdict is FitVerdict.OOM:
+        raise InfeasibleError(
+            f"{arch.name} at batch {workload.batch} does not fit on {profile.name}: "
+            f"{peak / 1e9:.2f} GB vs {profile.memory_budget_bytes / 1e9:.2f} GB")
+    return peak, verdict
+
+
 def _out_dir(args: argparse.Namespace, cfg: dict) -> Path:
     out = Path(args.out or cfg.get("output_dir", "reports"))
     try:
@@ -138,12 +151,7 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
     cal = resolve_calibration(cfg)
     report = forward_flops(arch, workload)
     pred = predict_batch_time(profile, arch, workload, report)
-    peak = training_residency_bytes(arch, workload, cal, report)
-    verdict = check_fit(profile, peak)
-    if args.fail_on_oom and verdict is FitVerdict.OOM:
-        raise InfeasibleError(
-            f"{arch.name} at batch {workload.batch} does not fit on {profile.name}: "
-            f"{peak / 1e9:.2f} GB vs {profile.memory_budget_bytes / 1e9:.2f} GB")
+    peak, verdict = _fit(args, arch, workload, cal, profile, report)
     meta = _meta(args, arch, device=profile.name,
                  workload={"duration_s": workload.duration_s, "batch": workload.batch,
                            "precision": workload.precision.value})
@@ -204,10 +212,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
         corpus = {"samples_per_client": samples, "duration_s": workload.duration_s}
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
-    verdict = check_fit(profile, training_residency_bytes(arch, workload, cal))
-    if args.fail_on_oom and verdict is FitVerdict.OOM:
-        raise InfeasibleError(f"{arch.name} at batch {fl.batch} does not fit on "
-                              f"{profile.name}")
+    _, verdict = _fit(args, arch, workload, cal, profile)
     estimate = estimate_wall_clock(partition, schedule,
                                    uniform_assignment(partition, profile), arch,
                                    batch=fl.batch, local_epochs=fl.local_epochs,
@@ -337,6 +342,9 @@ def _add_common(p: argparse.ArgumentParser, duration: bool = True) -> None:
     p.add_argument("--precision", choices=["fp32", "mixed"])
 
 
+FAIL_ON_OOM_HELP = "exit 4 when the workload does not fit"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedspeech",
@@ -353,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict-time", help="per-batch training time on a device")
     _add_common(p)
     p.add_argument("--device", required=True)
-    p.add_argument("--fail-on-oom", action="store_true",
-                   help="exit 4 when the workload does not fit")
+    p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
 
     p = sub.add_parser("fl-plan", help="federated wall-clock and traffic estimate")
     _add_common(p, duration=False)  # an idealised corpus has --mean-duration
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-duration", type=float, dest="duration", metavar="MEAN_DURATION",
                    help="idealised clip length in seconds (default: the config's "
                         "workload.duration_s, else 5.5)")
-    p.add_argument("--fail-on-oom", action="store_true")
+    p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
 
     p = sub.add_parser("fl-sim", help="synthetic federated aggregation run")
     p.add_argument("--config", help="YAML config path")

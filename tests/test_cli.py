@@ -121,6 +121,18 @@ class TestPredictTime:
 
 
 class TestFlPlan:
+    def test_oom_with_flag_exits_4_with_both_figures(self, tmp_path, capsys):
+        # the same line as predict-time's for the same workload and device
+        assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--device", "nx",
+                    "--batch", "32", "--fail-on-oom", "--out", str(tmp_path / "r")]) == 4
+        assert capsys.readouterr().err == \
+            "error: base at batch 32 does not fit on xavier-nx: 39.86 GB vs 6.50 GB\n"
+        assert not (tmp_path / "r").exists()
+        assert run(["predict-time", "--device", "nx", "--batch", "32", "--fail-on-oom",
+                    "--out", str(tmp_path / "p")]) == 4
+        assert capsys.readouterr().err == \
+            "error: base at batch 32 does not fit on xavier-nx: 39.86 GB vs 6.50 GB\n"
+
     def test_reference_plan(self, tmp_path):
         out = tmp_path / "r"
         assert run(["fl-plan", "--clients", "10", "--rounds", "150",
