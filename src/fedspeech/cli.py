@@ -31,8 +31,8 @@ from .arch import Precision, WorkloadSpec, arch_to_mapping
 from .config import (FlSettings, config_fingerprint, load_config, resolve_arch,
                      resolve_calibration, resolve_profiles)
 from .costs import forward_flops, module_rollup
-from .devices import FitVerdict, check_fit, get_profile, predict_batch_time, \
-    training_residency_bytes
+from .devices import DeviceProfile, FitVerdict, check_fit, get_profile, \
+    predict_batch_time, training_residency_bytes
 from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
                      MalformedRowError, MissingAnchorError, MissingColumnError,
                      UnreadableManifestError, UnsupportedPrecisionError)
@@ -56,14 +56,23 @@ EXIT_INFEASIBLE = 4
 IDEALISED_SAMPLES_PER_CLIENT = 19_500
 
 
-def _meta(args: argparse.Namespace, arch=None, **extra) -> dict:
+def _meta(args: argparse.Namespace, arch=None, profiles=(), **extra) -> dict:
+    """A report's resolved inputs and their fingerprint, which changes with
+    every input that changes a number in the report. A device is recorded by
+    its name and the digest of all it holds, anchors included."""
     resolved = {"command": args.command, **extra}
     if arch is not None:
         resolved["arch"] = arch_to_mapping(arch)
-    if getattr(args, "seed", None) is not None:
-        resolved["seed"] = args.seed
+    if profiles:
+        resolved["profiles"] = {p.name: _profile_digest(p) for p in profiles}
     resolved["fingerprint"] = config_fingerprint(resolved)
     return resolved
+
+
+@functools.cache  # profiles are frozen, and a process reads few of them
+def _profile_digest(profile: DeviceProfile) -> str:
+    return config_fingerprint({**to_mapping(profile),
+                               "anchors": [to_mapping(a) for a in profile.anchors]})
 
 
 def _workload_from(args: argparse.Namespace, cfg: dict,
@@ -127,10 +136,7 @@ def cmd_memory(args: argparse.Namespace) -> int:
     workload = _workload_from(args, cfg)
     cal = resolve_calibration(cfg)
     timeline = memory_timeline(arch, workload, cal)
-    meta = _meta(args, arch, workload={"duration_s": workload.duration_s,
-                                       "batch": workload.batch,
-                                       "precision": workload.precision.value},
-                 activation_overhead=cal.activation_overhead)
+    meta = _meta(args, arch, workload=to_mapping(workload), memory=to_mapping(cal))
     out = _out_dir(args, cfg)
     write_json(out / "memory.json", timeline_payload(timeline, meta))
     write_csv(out / "memory.csv", TIMELINE_CSV_HEADER, timeline_rows(timeline))
@@ -152,9 +158,8 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
     report = forward_flops(arch, workload)
     pred = predict_batch_time(profile, arch, workload, report)
     peak, verdict = _fit(args, arch, workload, cal, profile, report)
-    meta = _meta(args, arch, device=profile.name,
-                 workload={"duration_s": workload.duration_s, "batch": workload.batch,
-                           "precision": workload.precision.value})
+    meta = _meta(args, arch, [profile], device=profile.name,
+                 workload=to_mapping(workload), memory=to_mapping(cal))
     out = _out_dir(args, cfg)
     write_json(out / "predict_time.json", {
         "meta": meta,
@@ -220,10 +225,10 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
                                    sample_rate_hz=workload.sample_rate_hz)
     comm = estimate_communication(arch, schedule, precision)
 
-    meta = _meta(args, arch, device=profile.name, clients=fl.clients, rounds=fl.rounds,
-                 per_round=per_round, batch=fl.batch, local_epochs=fl.local_epochs,
-                 precision=precision.value, sample_rate_hz=workload.sample_rate_hz,
-                 **corpus)
+    meta = _meta(args, arch, [profile], device=profile.name, clients=fl.clients,
+                 rounds=fl.rounds, per_round=per_round, batch=fl.batch,
+                 local_epochs=fl.local_epochs, seed=fl.seed, precision=precision.value,
+                 sample_rate_hz=workload.sample_rate_hz, **corpus)
     out = _out_dir(args, cfg)
     write_json(out / "fl_partition.json", partition_payload(partition, meta))
     write_json(out / "fl_schedule.json", schedule_payload(schedule, meta))
@@ -257,9 +262,11 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
         seed=seed, report_pre_loss=args.pre_loss)
     trajectory = run_synthetic_fl(sim, agg)
 
-    meta = _meta(args, None, agg=agg.method.value, alpha=agg.alpha, clients=args.clients,
-                 per_round=args.per_round or args.clients, rounds=args.rounds,
-                 dim=args.dim, lr=args.lr, local_steps=args.local_steps)
+    meta = _meta(args, None, agg=agg.method.value, alpha=agg.alpha, epsilon=agg.epsilon,
+                 clients=args.clients, per_round=args.per_round or args.clients,
+                 rounds=args.rounds, dim=args.dim, samples=args.samples, lr=args.lr,
+                 local_steps=args.local_steps, spread=args.spread, pre_loss=args.pre_loss,
+                 seed=seed)
     out = _out_dir(args, cfg)
     write_json(out / "fl_sim.json", trajectory_payload(trajectory, meta))
     write_csv(out / "fl_sim.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(trajectory))
@@ -300,9 +307,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         raise ConfigError(f"no anchors for the requested comparison {headline_key}")
     headline = combos[headline_key]
 
-    meta = _meta(args, arch, device=device.name, reference=reference.name,
-                 duration_s=workload.duration_s, doubling_months=args.doubling_months,
-                 base_year=args.base_year)
+    meta = _meta(args, arch, [device, reference], device=device.name,
+                 reference=reference.name, workload=to_mapping(workload),
+                 doubling_months=args.doubling_months, base_year=args.base_year)
     out = _out_dir(args, cfg)
     write_json(out / "forecast.json", {"meta": meta, "headline": headline_key,
                                        "combos": combos})

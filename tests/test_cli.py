@@ -489,7 +489,8 @@ class TestForecast:
                         "--out", str(out)]) == 0
             payloads[duration] = json.loads((out / "forecast.json").read_text())
         short, long = payloads["3"], payloads["30"]
-        assert (short["meta"]["duration_s"], long["meta"]["duration_s"]) == (3.0, 30.0)
+        assert (short["meta"]["workload"]["duration_s"],
+                long["meta"]["workload"]["duration_s"]) == (3.0, 30.0)
         assert short["meta"]["fingerprint"] != long["meta"]["fingerprint"]
         assert long["combos"]["b4-fp32"]["slow_s"] > 5 * short["combos"]["b4-fp32"]["slow_s"]
 
@@ -712,7 +713,10 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 # utterance_ids keys, and no other report changed. Every fl-plan JSON
 # digest was then re-recorded when meta began to record the sample rate and,
 # for an idealised corpus, its clip length and clips per client. The 8 kHz
-# cases and the batch-1 mixed forecast were recorded at commit cbbc09d.
+# cases and the batch-1 mixed forecast were recorded at commit cbbc09d. Every
+# JSON digest but analyze's was then re-recorded when meta began to record
+# each input that changes a number (see test_fingerprint_follows_each_input);
+# no CSV digest changed.
 MANIFEST = "<tie-heavy manifest>"
 CONFIGS = {
     "<custom arch>": """
@@ -788,99 +792,99 @@ REPORT_DIGESTS = {
     },
     ("memory", "--arch", "base", "--duration", "5.5", "--batch", "4"): {
         "memory.csv": "0f55151093333fd811e541995502c444ee8596bd7a33f1aea285d6eaed6c0dfc",
-        "memory.json": "8358f5b48653e6b46a6339699e674b6fe2297404e169d8c71b2dde9960ebbc09",
+        "memory.json": "49effdcc9ae1918d48272501e518de9605f4691016cd6e8e720704b5eba9108c",
     },
     ("predict-time", "--device", "nx", "--arch", "base", "--duration", "5.5",
      "--batch", "4", "--precision", "mixed"): {
         "predict_time.csv":
             "959f4ecb881f43895199c8d1e32dde0390ec9f8cd2ccfc857b5889cc2fbb52a7",
         "predict_time.json":
-            "bbf4a06a9514eed561182204aacde1ddb7cec787953f25b7e08a147cd97dad75",
+            "a278e3fab7e52b02327a5611a43a77d27c46130dfa9a449c81ca763f4484d879",
     },
     ("fl-plan", "--clients", "10", "--rounds", "150", "--device", "a40",
      "--batch", "4"): {
         "fl_partition.json":
-            "3c02cb0381ba5bcc0e7cf3057b4ba783220489be8172749cc169d654782c2b52",
+            "ef4e18d49af402759991ed7af06ddca28ad1c0aeac848f92b7ce39281cdfdca2",
         "fl_plan.csv": "600cb7da5359827e65b8dd1a100e35605832784fb9263163683d88b3aaa8ac9d",
-        "fl_plan.json": "1b0df968b54279b94a15d020202e17041e560ca8154da4ae7f69925cdda738e4",
+        "fl_plan.json": "17457f88d0aa00cebbd70646946da741e262842ff00c32aadaf1d2c56789b560",
         "fl_schedule.json":
-            "d87a747900c1804c31fa9fb041d31492c3f42747ee4d6eba7fbc13f65f3f2c2d",
+            "c441b3a465fcd1a774bd9addf3882a0cbeda099658b313ef203f1ec1781de027",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "1", "--rounds", "3",
      "--device", "a40", "--batch", "4", "--seed", "0"): {
         "fl_partition.json":
-            "b5ddea3bc59e101ae38131d700ac309dd7ce810d7a6e12bd6b36ec52582d3715",
+            "a03d1b59afca2afcb214f6e1a43ea99666377d9dcebf994329d48ec03eeb93ab",
         "fl_plan.csv":
             "941244b3b09ae54b65711848d099cd4256df7fe4874ba6b6c632cd4eb11352db",
         "fl_plan.json":
-            "3907f46b4b99b86f2a65469bcec957aa6af251f7bf312e129ff8bc99e7cbcde5",
+            "7ac9bac2ba31f2d25e7211c2ad05fd84e5bb78d3499d5c158b0c362280f133a1",
         "fl_schedule.json":
-            "c3efb9de9fa650cd0b4b0290f9e3b32b4552af8e7cb447670205d28b2b6c094b",
+            "8f5c00bcbebbdc41b55c19d749a656d73d10e94e6aff4b4ae88e40174810521d",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "1"): {
         "fl_partition.json":
-            "b19c404e69962e29cf28407368d37b09d5e4e67ee09fd7bf23f966ea086d4ae7",
+            "60d32977a895d8f1e03219d1a81a7dcbc3415eb364b5f6745ec09dcc08899d02",
         "fl_plan.csv":
             "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
         "fl_plan.json":
-            "cf5be42319fcabfdfc62f365eeea6006cff38cc0041dde75962f6d3694a97743",
+            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
         "fl_schedule.json":
-            "0b9a2eb365077141c123a520fa27c54fd3e63e4461845fec43a554f7547b3f88",
+            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
      "--device", "rpi", "--batch", "4", "--seed", "2"): {
         "fl_partition.json":
-            "caa481e674482aef69e53dbc18e9f7a5618c4030d1f372831edca326f6dbf291",
+            "2b6e56f6d7706077416f78308258969dafb4304f0a34ce3ac05ed748dd72439b",
         "fl_plan.csv":
             "9c4dc64768ee9d3538f18d83c4d1bddc9f0b19dcb52074db5e28fe617f661eca",
         "fl_plan.json":
-            "b69fd1148c65e4569b7a5dd717ff537dc74c0077be2da9589884da88fa8b7b59",
+            "c7a346c31178f272ef70a2f1389f5117297da29a5eba7585aed2b654b0ce74f6",
         "fl_schedule.json":
-            "415c555cb56618f2bd2c47ea3f78a5bf2d183e04829c1529a364028917f9027c",
+            "a6961d98c1dac3f0970c4f5ee04bdd3081488c2cdf46287b6c694339d5472232",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
      "--device", "agx", "--batch", "4", "--seed", "3"): {
         "fl_partition.json":
-            "fcde4d223ada95ba86b030e60b9f24d5ab28bda18d05e6c1d71b8786d05d4975",
+            "aeb349d2f33f2ceb93a07fe2623d92aa18b83a36e06dcf49403f6a7b7f33f5d7",
         "fl_plan.csv":
             "662b92d7e0c4c4ea6251f1bc20b704dd8afdf84dad321f1932bd92d46a0a1f10",
         "fl_plan.json":
-            "87110c6cb7053e99e5e9c872b9eb7f373e35ed2024259dc4b32c7662165709ea",
+            "6dcf908ada189591ec86e2a5070896e71b59faf5b27af7619eee8ee7e532c89b",
         "fl_schedule.json":
-            "d34fa01cf2041d99f7ecd8433e1bdeafaf31c6f6158a4ec066fc1c22a007a190",
+            "4be3fb22009c6780eb69bae0674eefc19d548ee7609c5ceacad8329c3458e353",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "4"): {
         "fl_partition.json":
-            "1fb082cf389f5f7e170118eca7782738d37734883518915d9a2b241e9d25d619",
+            "1fc8208f05629fa5954261521eb92e0dd767a2bb177877b1b68f0e9759993cc4",
         "fl_plan.csv":
             "143692f1935208f973ee187499d61b48e714298fee568814ed3f835552a71d7d",
         "fl_plan.json":
-            "9aa137d10974b32ed6b9ea47a871ed3df626c817c6791fee5eb37e066368920b",
+            "506a07aabfc3374d0dc245b424edf0c4f2a50de2ca7db1970f2958f6bae3aa21",
         "fl_schedule.json":
-            "154d647f0f954f63058db33e8754daec451a6102e70b4dea4bce8a14dbbb4a30",
+            "08f1db28cda83cb241628d344b4bb354f4b079bf1f3acd81111fe83a6f83ddae",
     },
     ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "100", "--per-round",
      "20", "--dim", "2000", "--rounds", "20", "--seed", "11"): {
         "fl_sim.csv": "540b1f477e0b7a0a60f548e590005e6ba2f7821e93834c55a599bc516eb0103e",
-        "fl_sim.json": "4fba2c6875f741850d6e78bf465fd2455260c88b4c61c4a58bf3e9baec69ac80",
+        "fl_sim.json": "fe281160725c018f76ad198fb2b86f15ae596ef068a5653cf5e7871ba9afb4c4",
     },
     ("fl-sim", "--agg", "loss", "--alpha", "0", "--pre-loss", "--clients", "12",
      "--per-round", "5", "--dim", "16", "--rounds", "10", "--seed", "3"): {
         "fl_sim.csv": "a159e078aeb21cdc3d1f7ffd257b6e8693102400c47e868e6aa99419b72eca57",
-        "fl_sim.json": "2a2f5127d7ff791d566fec2e0721a595681f4df89446822e55a6425ed26aef8d",
+        "fl_sim.json": "9c5203ee0c7b97f0a28b87ac179300665e7e0758c3c5065a17e4a4331893cb41",
     },
     ("fl-sim", "--agg", "fedavg", "--clients", "6", "--dim", "5", "--rounds", "12",
      "--lr", "0.1", "--local-steps", "2", "--seed", "4"): {
         "fl_sim.csv": "d14ee5ee8818745b65b1f377a19fa2683e3883addf62bc24ca952d1f8a139571",
-        "fl_sim.json": "934baea7831cad33c7756647c622d3f3faccdb4ff18acfe8e541228805f960ed",
+        "fl_sim.json": "4b500f9b256a1768d84aeb677c255eac6aa76f7e1bc33a0be25dec588aeba1b2",
     },
     # Round 0 selects c10031, which sorts between c1003 and c1004.
     ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "10050", "--per-round",
      "30", "--dim", "3", "--rounds", "5", "--seed", "5"): {
         "fl_sim.csv": "f5aa8a2548bd8cd70dc20cdf81313920685896e13c207a690a948bb9e9f1a818",
-        "fl_sim.json": "101ca966ecc899909d6b439c514d37dcabe0e5a5cda7ba36884fdecafaa9415e",
+        "fl_sim.json": "9bab0305a76f95877501aca37a488e0a549badb16f90c4f428c18f4d54ad033d",
     },
     ("analyze", "--config", "<custom arch>"): {
         "analyze.csv":
@@ -894,67 +898,67 @@ REPORT_DIGESTS = {
         "memory.csv":
             "adc6e681b0117d04a223332b40872bd9294cd517a10c6a9593eef17a40bc0943",
         "memory.json":
-            "761aa53a7a024b3ffba8200afed8e210a7109f361fa342209de69bd87e0ea539",
+            "079fa7e667529c8e73b5eb55437b3ec9298599cd093c0786962a554f0ada235b",
     },
     ("predict-time", "--config", "<devices>", "--device", "edge-tpu"): {
         "predict_time.csv":
             "dc75ff43550a143e4f66266e4e0afb6857f4a850478ec7fece99b12b3258e736",
         "predict_time.json":
-            "a7e943d5dd47e12b249149bb9dcacd6255fdad673f33a269f4aa043cbd792d91",
+            "b42e39d59a96cbbf8f3b8f958fa6ee9617d68e5a7b1d7e6d238e8343dfb6aec4",
     },
     ("predict-time", "--config", "<devices>", "--device", "rpi", "--precision",
      "fp32"): {
         "predict_time.csv":
             "df68eb01c175f10715615923c272f7572b9decb9fdd3a43603551b4b67459a37",
         "predict_time.json":
-            "4ac2ccdaecff8eebd2f68a5fef7de4259f1d065c538d94d3dd62b1a2669a0449",
+            "ba743618f5c87c82c282a5fc98e206cdcee168593ae0ceec26cd0c9d87096d07",
     },
     ("fl-plan", "--config", "<fl>", "--device", "rpi", "--samples-per-client",
      "300"): {
         "fl_partition.json":
-            "d9a2e8a57dd31e1fa8fbe6745d5060cdbc399865bfc400954b09d736e408bc6d",
+            "4af18463e6f87cc9145ccb64c6eb78c8e49b998a76c4eb6349fc8883edb8ae27",
         "fl_plan.csv":
             "a09999e39672ef18699e78d6adae7869c92ff7e22a37d42508da91be7f44e171",
         "fl_plan.json":
-            "277e955d9b42ebac86b6832bf8c61c445d247a54392c3473349419b8104ce5a5",
+            "87270edebf2cd130355ae16f764b3ffee82d71c9cd7c0a4431b51fd5c45f8a03",
         "fl_schedule.json":
-            "4a8eb1cae192d6fb1aad32d34f7332f6cd0c2a9e0b70faab8b6e1f247b2da1d6",
+            "31e5fea5894e6595c53a45cce5724314275fd798c604c4a69c74dda4152dd919",
     },
     ("fl-sim", "--config", "<aggregation>", "--clients", "8", "--per-round", "3",
      "--dim", "6", "--rounds", "10"): {
         "fl_sim.csv":
             "dfc13a5016960318e65592870d73138c2d2c3785aa1fc6daf9d5b36ddc12b152",
         "fl_sim.json":
-            "30d5b7bc768ae1911a4b153a8518347679ea46d8f350c88d5a40491c82beee8c",
+            "de835f6d8ff1e8bace8c43ae35bb803803b8472e434e300d08879a361979e3ae",
     },
     ("forecast", "--config", "<new device>", "--device", "jetson-orin"): {
         "forecast.json":
-            "532888d0b6ac2b68d98a8ad79c73d92bcda5d566c2f52bea9d43d191aa2fdbd9",
+            "81cdb80c68429e0c2734205a99599d0a6fc6600fb2ee0ee4f78b46ee03612be2",
     },
     ("forecast", "--device", "agx", "--arch", "large", "--doubling-months", "24",
      "--base-year", "2023"): {
         "forecast.json":
-            "19f5d56f44adc80a0b73f13505b00dcf2731ed7ba7d7ab5236132ad3b292e0a9",
+            "cc5c1dda9e81fac98a7d529361b0443cacf7afcbd222b5345a886c7633a79313",
     },
     ("memory", "--config", "<8 kHz>"): {
         "memory.csv":
             "4033965596fbd7089d70c81b46e08186773d636ff0c3b192a8bb9d89a567c7ce",
         "memory.json":
-            "572a13fb06a558fcf38a0ec0592100e38b5c6b2fc6c7cd1dfaaf6977ca034f48",
+            "c13dafc4109a8ac06ad14e7d7f0a931a84d7116059563b12fbaebecb0cf67e9d",
     },
     ("predict-time", "--config", "<8 kHz>", "--device", "nx"): {
         "predict_time.csv":
             "366293c341aba5ecd2783f28492ef650a2dbec9ab18ba5dc4f2922cde8b1c796",
         "predict_time.json":
-            "65374c69568dca52a82e034af331d19ad2e97cd464d06fa2f844479a109375a6",
+            "d7ad580750dc2fa79942982cda394596450eff2f60394d9772772d057685d0b4",
     },
     ("forecast", "--config", "<8 kHz>", "--device", "nx"): {
         "forecast.json":
-            "b7d58665d3c210c1b45b99bc978e13efd9dc7aeb061a56583ef9b6ce68564135",
+            "1102bd88bd1a20620b98838aaf27fa8013e811505aab4158ff85322ed8b535f7",
     },
     ("forecast", "--device", "nx", "--batch", "1", "--precision", "mixed"): {
         "forecast.json":
-            "9a3e8ba0911ac0154f02da599bacdf811d3a9924fb73e58d1e1fab1c5e6b127e",
+            "2d8c1ddbd45007168c737783208f5726de68fc56c2c959c8ace57f13077839da",
     },
 }
 
@@ -981,6 +985,57 @@ def _case_ids(cases):
         case_id = _case_id(argv)
         ids.append("-".join([argv[0], *argv[2::2]]) if case_id in ids else case_id)
     return ids
+
+
+_BOX = ("devices:\n  - {{name: box, memory_gb: 8, anchors: [{{arch: base, batch: 1, "
+        "precision: fp32, seconds_per_batch: {}}}]}}\n")
+# (argv, its config) -> (flags added, config) of a run whose reports hold
+# other numbers; each names one input of the report.
+FINGERPRINT_INPUTS = {
+    "memory-sample-rate": (["memory"], "", [], "workload: {sample_rate_hz: 8000}"),
+    # the same kappa, a larger static floor
+    "memory-calibration": (["memory"], "", [],
+                           "memory: {runtime_overhead_gb: 0.5, reference_peak_gb: 2.64}"),
+    "predict-time-sample-rate": (["predict-time", "--device", "nx"], "", [],
+                                 "workload: {sample_rate_hz: 8000}"),
+    "predict-time-residency": (["predict-time", "--device", "nx"], "", [],
+                               "memory: {residency_factor: 3.9}"),
+    "predict-time-anchors": (["predict-time", "--device", "box"], _BOX.format(0.5), [],
+                             _BOX.format(0.9)),
+    "forecast-sample-rate": (["forecast", "--device", "nx"], "", [],
+                             "workload: {sample_rate_hz: 8000}"),
+    "forecast-headline": (["forecast", "--device", "nx"], "",
+                          ["--batch", "1", "--precision", "mixed"], ""),
+    "forecast-anchors": (["forecast", "--device", "box", "--batch", "1"], _BOX.format(0.5),
+                         [], _BOX.format(0.9)),
+    "fl-plan-anchors": (["fl-plan", "--device", "box", "--clients", "2", "--rounds", "2",
+                         "--batch", "1"], _BOX.format(0.5), [], _BOX.format(0.9)),
+    "fl-plan-config-seed": (["fl-plan", "--clients", "4", "--per-round", "2", "--rounds",
+                             "3"], "", [], "fl: {seed: 5}"),
+    "fl-sim-spread": (["fl-sim"], "", ["--spread", "3"], ""),
+    "fl-sim-samples": (["fl-sim", "--agg", "loss"], "", ["--samples", "77"], ""),
+    "fl-sim-pre-loss": (["fl-sim", "--agg", "loss"], "", ["--pre-loss"], ""),
+    "fl-sim-epsilon": (["fl-sim", "--agg", "loss"], "", [], "aggregation: {epsilon: 1.0}"),
+    "fl-sim-config-seed": (["fl-sim"], "", [], "seed: 9"),
+}
+
+
+@pytest.mark.parametrize("case", FINGERPRINT_INPUTS)
+def test_fingerprint_follows_each_input(case, tmp_path):
+    argv, config, flags, changed_config = FINGERPRINT_INPUTS[case]
+
+    def reports(name, extra, text):
+        out = tmp_path / name
+        if text:
+            (tmp_path / f"{name}.yaml").write_text(text + "\n")
+            extra = extra + ["--config", str(tmp_path / f"{name}.yaml")]
+        assert run(argv + extra + ["--out", str(out)]) == 0
+        payloads = {p.name: json.loads(p.read_text()) for p in out.glob("*.json")}
+        return {n: (p.pop("meta")["fingerprint"], p) for n, p in payloads.items()}
+
+    before, after = reports("before", [], config), reports("after", flags, changed_config)
+    assert any(before[n][1] != after[n][1] for n in before)  # some number changed
+    assert all(before[n][0] != after[n][0] for n in before)
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_ids(REPORT_DIGESTS))
