@@ -718,6 +718,29 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 # each input that changes a number (see test_fingerprint_follows_each_input);
 # no CSV digest changed.
 MANIFEST = "<tie-heavy manifest>"
+
+
+def _with_clips(clip_of):
+    """The tie-heavy manifest with the clip of row i renamed ``clip_of(i)``."""
+    return manifest_text([(spk, clip_of(i), sentence, ms)
+                          for i, (spk, _, sentence, ms) in enumerate(tie_heavy_rows())])
+
+
+# Each manifest stands for its file like MANIFEST. The three with ids that the
+# JSON writer escapes were recorded at commit 2cc095d: non-ASCII ids (a
+# two-byte, a CJK and an astral-plane character); quoted fields holding a
+# double quote, a backslash or a tab; and one 10 kB id among short ones.
+MANIFESTS = {
+    MANIFEST: lambda: manifest_text(tie_heavy_rows()),
+    "<non-ASCII ids>": lambda: _with_clips(
+        lambda i: ("caf\u00e9_{}.mp3", "\u5f55\u97f3_{}.mp3", "\U0001f3a4_{}.mp3")[i % 3]
+        .format(i)),
+    "<quoted ids>": lambda: _with_clips(
+        lambda i: ('"say ""hi"" {}.mp3"', '"dir\\{}.mp3"', '"tab\t{}.mp3"')[i % 3]
+        .format(i)),
+    "<10 kB id>": lambda: _with_clips(
+        lambda i: "x" * 10_000 if i == 17 else f"common_voice_{i:05d}.mp3"),
+}
 CONFIGS = {
     "<custom arch>": """
 arch:
@@ -865,6 +888,39 @@ REPORT_DIGESTS = {
         "fl_schedule.json":
             "08f1db28cda83cb241628d344b4bb354f4b079bf1f3acd81111fe83a6f83ddae",
     },
+    ("fl-plan", "--manifest", "<non-ASCII ids>", "--clients", "3", "--rounds", "3",
+     "--device", "nx", "--batch", "4", "--seed", "1"): {
+        "fl_partition.json":
+            "65a37aadff609773ddba830f4abacf256635c3e79c9092937f5d80f96b8e6bfe",
+        "fl_plan.csv":
+            "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
+        "fl_plan.json":
+            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
+        "fl_schedule.json":
+            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
+    },
+    ("fl-plan", "--manifest", "<quoted ids>", "--clients", "3", "--rounds", "3",
+     "--device", "nx", "--batch", "4", "--seed", "1"): {
+        "fl_partition.json":
+            "23277535f09b96fefee42c5c602fc57414288310125bbedc68059da9a251ad98",
+        "fl_plan.csv":
+            "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
+        "fl_plan.json":
+            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
+        "fl_schedule.json":
+            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
+    },
+    ("fl-plan", "--manifest", "<10 kB id>", "--clients", "3", "--rounds", "3",
+     "--device", "nx", "--batch", "4", "--seed", "1"): {
+        "fl_partition.json":
+            "3e458aa36ce5ca4800eec968dfeac9d723bd166675d7dd9533140759c8ac440f",
+        "fl_plan.csv":
+            "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
+        "fl_plan.json":
+            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
+        "fl_schedule.json":
+            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
+    },
     ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "100", "--per-round",
      "20", "--dim", "2000", "--rounds", "20", "--seed", "11"): {
         "fl_sim.csv": "540b1f477e0b7a0a60f548e590005e6ba2f7821e93834c55a599bc516eb0103e",
@@ -971,9 +1027,11 @@ def _case_id(argv):
         return "-".join([argv[0], argv[argv.index("--agg") + 1],
                          "c" + argv[argv.index("--clients") + 1],
                          "s" + argv[argv.index("--seed") + 1]])
-    if MANIFEST not in argv:
+    if "--manifest" not in argv:
         return argv[0]
-    return "-".join([argv[0], "manifest", "c" + argv[argv.index("--clients") + 1],
+    name = argv[argv.index("--manifest") + 1]
+    kind = [] if name == MANIFEST else [name.strip("<>").replace(" ", "-")]
+    return "-".join([argv[0], "manifest", *kind, "c" + argv[argv.index("--clients") + 1],
                      "s" + argv[argv.index("--seed") + 1]])
 
 
@@ -1038,10 +1096,21 @@ def test_fingerprint_follows_each_input(case, tmp_path):
     assert all(before[n][0] != after[n][0] for n in before)
 
 
+def _with_manifest(argv, tmp_path):
+    """``argv`` with its manifest, if any, written under ``tmp_path``."""
+    args = list(argv)
+    if "--manifest" in argv:
+        at = argv.index("--manifest") + 1
+        path = tmp_path / "manifest.tsv"
+        path.write_text(MANIFESTS[argv[at]](), encoding="utf-8")
+        args[at] = str(path)
+    return args
+
+
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_ids(REPORT_DIGESTS))
-def test_reports_byte_identical_to_recorded(argv, tmp_path, tie_manifest):
+def test_reports_byte_identical_to_recorded(argv, tmp_path):
     out = tmp_path / "out"
-    args = [str(tie_manifest) if a == MANIFEST else a for a in argv]
+    args = _with_manifest(argv, tmp_path)
     text = CONFIGS[argv[argv.index("--config") + 1]] if "--config" in argv else ""
     if text:
         args[argv.index("--config") + 1] = str(tmp_path / "config.yaml")
@@ -1054,9 +1123,9 @@ def test_reports_byte_identical_to_recorded(argv, tmp_path, tie_manifest):
     assert written == REPORT_DIGESTS[argv]
 
 
-@pytest.mark.parametrize("argv", [argv for argv in REPORT_DIGESTS if MANIFEST in argv],
+@pytest.mark.parametrize("argv", [argv for argv in REPORT_DIGESTS if "--manifest" in argv],
                          ids=_case_id)
-def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, tie_manifest, monkeypatch):
+def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, monkeypatch):
     parses = []
 
     def counting(path):
@@ -1064,10 +1133,10 @@ def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, tie_manifest, monk
         return federation.load_manifest(path)
 
     monkeypatch.setattr(manifest_cache, "load_manifest", counting)
-    args = [str(tie_manifest) if a == MANIFEST else a for a in argv]
+    args = _with_manifest(argv, tmp_path)
     for out in (tmp_path / "miss", tmp_path / "hit"):
         assert run(args + ["--out", str(out)]) == 0
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir()}
         assert written == REPORT_DIGESTS[argv]
-    assert parses == [str(tie_manifest)]
+    assert parses == [args[args.index("--manifest") + 1]]
