@@ -18,10 +18,12 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,14 +47,57 @@ _COLUMN_ALIASES = {
 }
 
 
+# Utterance ids are held as their JSON text, quotes included, in a fixed-width
+# bytes array: ASCII, so never a newline or a NUL, and written to a report as
+# they are. Ids that the width of the longest would pad to more than this many
+# times their own bytes (one very long id) are held as an object array of
+# those texts instead.
+MAX_ID_PADDING = 1.5
+
+
+def encode_ids(ids: Sequence[str]) -> np.ndarray:
+    """The JSON texts of ``ids``, as held in a ``Manifest``."""
+    encoded, width, total = _encode(ids)
+    return _id_array([encoded], width, total)
+
+
+def _encode(ids: Sequence[str]) -> tuple[list[str], int, int]:
+    """The JSON texts of ``ids``, the longest one's length and their total."""
+    encoded = list(map(encode_basestring_ascii, ids))
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return encoded, int(lengths.max(initial=1)), int(lengths.sum())
+
+
+def decode_ids(ids: np.ndarray) -> list[str]:
+    """The utterance ids an array of their JSON texts holds."""
+    return [json.loads(text) for text in ids.tolist()]
+
+
+def _id_array(parts: list, width: int, total: int) -> np.ndarray:
+    """One array of the JSON texts in ``parts`` (lists of str, or arrays from
+    this function), ``width`` the longest and ``total`` their length."""
+    n = sum(map(len, parts))
+    wide = width * n > MAX_ID_PADDING * total
+    ids = np.empty(n, object if wide else f"S{max(width, 1)}")
+    lo = 0
+    while parts:
+        part = parts.pop(0)  # each part is released once copied
+        if wide and isinstance(part, np.ndarray) and part.dtype.kind == "S":
+            part = part.astype(str)
+        ids[lo:lo + len(part)] = part
+        lo += len(part)
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class Manifest:
     """A manifest as columns, one entry per utterance in file order.
 
+    ``utterance_ids`` holds each id's JSON text (see ``MAX_ID_PADDING``).
     ``speaker_codes`` index ``speaker_ids``, numbered in order of first
     appearance; every listed speaker has at least one utterance.
     """
-    utterance_ids: np.ndarray  # object array of str
+    utterance_ids: np.ndarray  # JSON texts: bytes, or str when one id is very long
     speaker_codes: np.ndarray  # int64
     speaker_ids: tuple[str, ...]
     durations_s: np.ndarray  # float64
@@ -69,7 +114,7 @@ class ClientDataset:
     n_utterances: int
     total_duration_s: float
     speakers: frozenset[str]
-    utterance_ids: Optional[np.ndarray] = None  # object array of str
+    utterance_ids: Optional[np.ndarray] = None  # JSON texts, as in a Manifest
 
     @property
     def mean_duration_s(self) -> float:
@@ -203,7 +248,9 @@ class _ManifestColumns:
         self.utt_col, self.spk_col, self.dur_col = utt_col, spk_col, dur_col
         self.n_fields = max(utt_col, spk_col, dur_col) + 1
         self.dur_scale = dur_scale
-        self.ids: list[str] = []
+        # each block's ids as one array of their JSON texts (see _id_array)
+        self.id_parts: list[np.ndarray] = []
+        self.id_width = self.id_bytes = 0
         self.seen: set[str] = set()
         # Looking up a new speaker inserts it with the next free code.
         self.speaker_code: defaultdict[str, int] = defaultdict()
@@ -251,10 +298,11 @@ class _ManifestColumns:
         before = len(self.seen)
         self.seen.update(ids)
         if len(self.seen) - before != len(ids):
-            self.seen = set(self.ids)  # the ids of the rows added so far
+            # the ids of the rows added so far
+            self.seen = {i for part in self.id_parts for i in decode_ids(part)}
             return None
 
-        self.ids += ids
+        self._add_ids(ids)
         self.codes.append(np.fromiter(map(self.speaker_code.__getitem__, speakers),
                                       np.int64, len(speakers)))
         self.durations.append(durations)
@@ -292,13 +340,19 @@ class _ManifestColumns:
             ids.append(utt)
             codes.append(self.speaker_code[spk])
             durations.append(duration)
-        self.ids += ids
+        self._add_ids(ids)
         self.codes.append(np.array(codes, dtype=np.int64))
         self.durations.append(np.array(durations, dtype=np.float64))
 
+    def _add_ids(self, ids: list[str]) -> None:
+        encoded, width, total = _encode(ids)
+        self.id_parts.append(_id_array([encoded], width, total))
+        self.id_width, self.id_bytes = max(self.id_width, width), self.id_bytes + total
+
     def manifest(self) -> Manifest:
+        self.seen.clear()  # the ids as str, no longer needed
         return Manifest(
-            utterance_ids=np.array(self.ids, dtype=object),
+            utterance_ids=_id_array(self.id_parts, self.id_width, self.id_bytes),
             speaker_codes=np.concatenate(self.codes or [np.zeros(0, np.int64)]),
             speaker_ids=tuple(self.speaker_code),
             durations_s=np.concatenate(self.durations or [np.zeros(0)]))
@@ -322,7 +376,7 @@ def write_manifest(path, manifest: Manifest) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(REQUIRED_COLUMNS)
-        writer.writerows(zip(manifest.utterance_ids, speaker_of,
+        writer.writerows(zip(decode_ids(manifest.utterance_ids), speaker_of,
                              (f"{d:.6f}" for d in manifest.durations_s.tolist())))
 
 
@@ -345,8 +399,7 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
     width_u = len(str(n_utterances - 1))
     width_s = len(str(n_speakers - 1))
     return Manifest(
-        utterance_ids=np.array([f"utt_{i:0{width_u}d}" for i in range(n_utterances)],
-                               dtype=object),
+        utterance_ids=encode_ids([f"utt_{i:0{width_u}d}" for i in range(n_utterances)]),
         speaker_codes=np.repeat(np.arange(n_speakers), counts),
         speaker_ids=tuple(f"spk_{s:0{width_s}d}" for s in range(n_speakers)),
         durations_s=durations)

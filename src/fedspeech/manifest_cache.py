@@ -15,19 +15,23 @@ does not hold what its header says, is a miss, and the manifest is parsed as
 without a cache; a cache that cannot be written is left alone.
 
 An entry is a fixed header, then the speaker codes (int64) and durations
-(float64), then the utterance ids and the speaker ids as UTF-8 text, each
-string ended by a newline. A manifest with an id that holds a newline is not
-cached.
+(float64), then the utterance ids' JSON texts as the manifest holds them:
+``rows x width`` bytes of the fixed-width array, or (width 0 in the header,
+for ids with one very long id) one text per line. Last come the speaker ids'
+JSON texts, one per line. A JSON text never holds a newline, so every
+manifest that loads can be cached.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import struct
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -41,8 +45,9 @@ MAX_ENTRIES = 4
 
 _SUFFIX = ".manifest"
 _MAGIC = b"FSMANIF1"
-# magic, key, rows, speakers, bytes of utterance ids, bytes of speaker ids
-_HEADER = struct.Struct("<8s32sQQQQ")
+# magic, key, rows, speakers, width of an utterance id (0: one per line),
+# bytes of utterance ids, bytes of speaker ids
+_HEADER = struct.Struct("<8s32sQQQQQ")
 _BLOCK_BYTES = 1 << 20
 _STRINGS_PER_WRITE = 1 << 16
 
@@ -132,30 +137,53 @@ def _read_entry(entry: Path, key: bytes) -> Optional[Manifest]:
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
                 return None
-            magic, stored_key, rows, n_speakers, id_bytes, speaker_bytes = \
+            magic, stored_key, rows, n_speakers, width, id_bytes, speaker_bytes = \
                 _HEADER.unpack(header)
             size = _HEADER.size + 16 * rows + id_bytes + speaker_bytes
-            if (magic, stored_key) != (_MAGIC, key) or os.fstat(fh.fileno()).st_size != size:
+            if (magic, stored_key) != (_MAGIC, key) or os.fstat(fh.fileno()).st_size != size \
+                    or (width and id_bytes != rows * width):
                 return None
             codes, durations = np.empty(rows, "<i8"), np.empty(rows, "<f8")
             fh.readinto(codes)
             fh.readinto(durations)
-            ids = _read_lines(fh, id_bytes, rows)
+            if width:
+                ids = np.empty(rows, f"S{width}")
+                fh.readinto(ids)
+            else:
+                ids = _read_lines(fh, id_bytes, rows)
             speakers = _read_lines(fh, speaker_bytes, n_speakers)
+            if ids is None or speakers is None:
+                return None
+            speakers = json.loads("[" + ",".join(speakers) + "]")
     except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
         return None
-    if ids is None or speakers is None:
+    if len(speakers) != n_speakers or (width and not _json_texts(ids)):
         return None
     if rows and not (0 <= codes.min() and codes.max() < n_speakers
                      and (durations > 0).all() and np.isfinite(durations).all()):
         return None
-    return Manifest(utterance_ids=ids, speaker_codes=codes,
-                    speaker_ids=tuple(speakers.tolist()), durations_s=durations)
+    return Manifest(utterance_ids=ids, speaker_codes=codes, speaker_ids=tuple(speakers),
+                    durations_s=durations)
+
+
+def _json_texts(ids: np.ndarray) -> bool:
+    """Whether each item of a fixed-width bytes array can be the JSON text
+    of an id: it starts with a quote, every byte is printable ASCII, and NUL
+    bytes only pad its end."""
+    grid = ids.view(np.uint8).reshape(len(ids), ids.dtype.itemsize)
+    if not (grid[:, 0] == ord('"')).all() or grid.max(initial=0) > 0x7e:
+        return False
+    if grid.min(initial=0x20) >= 0x20:  # no NUL and no control byte
+        return True
+    # Every NUL is padding, which str_len leaves out, and every other byte is
+    # printable: a NUL less one wraps round to 0xff.
+    nuls = grid.size - np.count_nonzero(grid)
+    return nuls == grid.size - np.char.str_len(ids).sum() and (grid - 1).min() >= 0x1f
 
 
 def _read_lines(fh, size: int, count: int) -> Optional[np.ndarray]:
-    """The ``count`` newline-ended strings in the next ``size`` bytes of
-    ``fh`` as an object array, or None if those bytes hold another count."""
+    """The ``count`` newline-ended ASCII strings in the next ``size`` bytes
+    of ``fh`` as an object array, or None if those bytes hold another count."""
     strings = np.empty(count, dtype=object)
     filled, rest = 0, b""
     while size:
@@ -165,7 +193,7 @@ def _read_lines(fh, size: int, count: int) -> Optional[np.ndarray]:
         size -= len(chunk)
         data = rest + chunk
         cut = data.rfind(b"\n") + 1
-        lines = data[:cut].decode("utf-8").split("\n")[:-1]
+        lines = data[:cut].decode("ascii").split("\n")[:-1]
         rest = data[cut:]
         if filled + len(lines) > count:
             return None
@@ -180,21 +208,24 @@ def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -
     be stored leaves the cache as it was."""
     directory.mkdir(parents=True, exist_ok=True)
     tmp = directory / f".{entry.name}.{os.getpid()}.tmp"
+    ids = manifest.utterance_ids
     try:
         with open(tmp, "xb") as fh:
             fh.write(bytes(_HEADER.size))
             fh.write(np.ascontiguousarray(manifest.speaker_codes, "<i8"))
             fh.write(np.ascontiguousarray(manifest.durations_s, "<f8"))
-            id_bytes = _write_lines(fh, manifest.utterance_ids)
-            speaker_bytes = _write_lines(fh, manifest.speaker_ids)
-            if id_bytes is None or speaker_bytes is None:
-                return
+            if ids.dtype.kind == "S":
+                width, id_bytes = ids.dtype.itemsize, fh.write(np.ascontiguousarray(ids))
+            else:
+                width, id_bytes = 0, _write_lines(fh, ids)
+            speaker_bytes = _write_lines(fh, list(map(encode_basestring_ascii,
+                                                      manifest.speaker_ids)))
             fh.seek(0)
             fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_ids),
-                                  id_bytes, speaker_bytes))
+                                  width, id_bytes, speaker_bytes))
         os.replace(tmp, entry)
         _touch(entry)
-    except (OSError, ValueError):  # a UnicodeEncodeError is a ValueError
+    except OSError:
         pass
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -202,16 +233,12 @@ def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -
     _prune(directory)
 
 
-def _write_lines(fh, strings) -> Optional[int]:
-    """Write each string and a newline; the byte count, or None (after
-    writing part of them) if a string holds a newline."""
+def _write_lines(fh, strings) -> int:
+    """Write each ASCII string and a newline; the byte count."""
     written = 0
     for lo in range(0, len(strings), _STRINGS_PER_WRITE):
         part = strings[lo:lo + _STRINGS_PER_WRITE]
-        data = ("\n".join(part) + "\n").encode("utf-8")
-        if data.count(b"\n") != len(part):
-            return None
-        written += fh.write(data)
+        written += fh.write(("\n".join(part) + "\n").encode("ascii"))
     return written
 
 

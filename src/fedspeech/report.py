@@ -12,7 +12,9 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .aggregation import Trajectory
 from .costs import CostReport, module_rollup
@@ -22,21 +24,33 @@ from .memory import MemoryTimeline
 
 
 class StreamedList:
-    """A JSON list in a payload, which ``write_json`` writes with one join of
-    ``encode`` over its items, never walking them one by one in the encoder.
-    ``encode`` gives an item's JSON text: see ``strings`` and ``ints``."""
+    """A JSON list in a payload, which ``write_json`` writes in one piece,
+    never walking its items one by one in the encoder. ``encode`` gives an
+    item's JSON text (see ``ints``); without it the items are their own JSON
+    texts, as the utterance ids of a manifest are: a fixed-width bytes array,
+    or a sequence of str."""
 
-    def __init__(self, items: Sequence, encode: Callable[[Any], str]):
+    def __init__(self, items: Sequence, encode: Optional[Callable[[Any], str]] = None):
         self.items = items
         self.encode = encode
 
     @classmethod
-    def strings(cls, items: Sequence[str]) -> "StreamedList":
-        return cls(items, json.encoder.encode_basestring_ascii)
-
-    @classmethod
     def ints(cls, items: Sequence[int]) -> "StreamedList":
         return cls(items, int.__repr__)  # Python ints, as json.dumps writes them
+
+    def json_bytes(self, separator: str) -> bytes:
+        """The items' JSON texts joined by ``separator``."""
+        items = self.items
+        if not (isinstance(items, np.ndarray) and items.dtype.kind == "S"):
+            texts = items if self.encode is None else map(self.encode, items)
+            return separator.join(texts).encode("ascii")
+        # One row per item: its text, NUL-padded to the width, then the separator.
+        n, width, sep = len(items), items.dtype.itemsize, separator.encode("ascii")
+        grid = np.empty((n, width + len(sep)), np.uint8)
+        grid[:, :width] = items.view(np.uint8).reshape(n, width)
+        grid[:, width:] = np.frombuffer(sep, np.uint8)
+        data = grid.reshape(-1)[:-len(sep)].tobytes()
+        return data.replace(b"\0", b"") if (grid[:, width - 1] == 0).any() else data
 
 
 def write_json(path, payload: Mapping[str, Any]) -> None:
@@ -67,13 +81,12 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     if len(pieces) != len(streamed) + 1:  # a string in the payload is the placeholder
         pieces, streamed = [json.dumps(payload, indent=2, sort_keys=True,
                                        default=_listed)], []
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(tmp, "wb") as fh:  # json.dumps escapes every non-ASCII character
         for piece, value in zip(pieces, streamed):
             indent = piece[piece.rindex("\n") + 1:]
-            fh.write(piece)
-            fh.write((",\n" + indent).join(map(value.encode, value.items)))
-        fh.write(pieces[-1])
-        fh.write("\n")
+            fh.write(piece.encode("ascii"))
+            fh.write(value.json_bytes(",\n" + indent))
+        fh.write(pieces[-1].encode("ascii") + b"\n")
     os.replace(tmp, path)
 
 
@@ -81,7 +94,9 @@ _STREAMED = "\x00streamed strings"
 
 
 def _listed(value):
-    return list(value.items) if isinstance(value, StreamedList) else str(value)
+    if not isinstance(value, StreamedList):
+        return str(value)
+    return list(value.items) if value.encode else [json.loads(t) for t in value.items]
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -167,7 +182,7 @@ def _client_entry(client: ClientDataset) -> dict:
              "total_duration_s": round(client.total_duration_s, 6),
              "n_speakers": len(client.speakers)}
     if client.utterance_ids is not None:  # an idealised client has no ids
-        entry["utterance_ids"] = StreamedList.strings(client.utterance_ids)
+        entry["utterance_ids"] = StreamedList(client.utterance_ids)
     return entry
 
 

@@ -16,8 +16,8 @@ from fedspeech.devices import get_profile, predict_batch_time
 from fedspeech.errors import (InvalidSampleSizeError, MalformedRowError,
                               MissingAnchorError, MissingColumnError,
                               TooFewSpeakersError)
-from fedspeech.federation import (Manifest, RoundSchedule, estimate_communication,
-                                  estimate_wall_clock, load_manifest,
+from fedspeech.federation import (Manifest, RoundSchedule, decode_ids, encode_ids,
+                                  estimate_communication, estimate_wall_clock, load_manifest,
                                   partition_by_speaker, schedule_rounds,
                                   uniform_assignment, uniform_partition)
 from fedspeech.report import partition_payload, write_json
@@ -37,7 +37,7 @@ def head(manifest, n):
 
 
 def rows_of(manifest):
-    return list(zip(manifest.utterance_ids.tolist(),
+    return list(zip(decode_ids(manifest.utterance_ids),
                     [manifest.speaker_ids[c] for c in manifest.speaker_codes.tolist()],
                     manifest.durations_s.tolist()))
 
@@ -47,7 +47,7 @@ def _manifest(rows):
     order of first appearance as ``load_manifest`` codes them."""
     first_seen = {}
     codes = [first_seen.setdefault(spk, len(first_seen)) for spk, _ in rows]
-    return Manifest(np.array([f"u{i}" for i in range(len(rows))], dtype=object),
+    return Manifest(encode_ids([f"u{i}" for i in range(len(rows))]),
                     np.array(codes, dtype=np.int64),
                     tuple(f"spk{spk}" for spk in first_seen),
                     np.array([d for _, d in rows], dtype=np.float64))
@@ -376,13 +376,13 @@ class TestPartition:
     @pytest.mark.parametrize("k,seed", [(1, 0), (3, 1), (3, 2), (10, 3), (10, 4)])
     def test_matches_record_at_a_time_partitioner(self, tie_manifest, k, seed):
         part = partition_by_speaker(load_manifest(tie_manifest), k, seed=seed)
-        got = [(tuple(c.utterance_ids), c.total_duration_s, c.speakers)
+        got = [(tuple(decode_ids(c.utterance_ids)), c.total_duration_s, c.speakers)
                for c in part.clients]
         assert got == reference_partition(reference_rows(tie_manifest), k, seed)
 
     def test_matches_record_at_a_time_partitioner_at_corpus_scale(self, corpus_manifest):
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
-        got = [(tuple(c.utterance_ids), c.total_duration_s, c.speakers)
+        got = [(tuple(decode_ids(c.utterance_ids)), c.total_duration_s, c.speakers)
                for c in part.clients]
         assert got == reference_partition(rows_of(corpus_manifest), 10, 3)
 

@@ -67,9 +67,28 @@ def _move_one_byte(step):
     the same size, but one section cut mid-string."""
     def damage(data):
         fields = list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
-        fields[4] -= step
-        fields[5] += step
+        fields[-2] -= step
+        fields[-1] += step
         return manifest_cache._HEADER.pack(*fields) + data[manifest_cache._HEADER.size:]
+    return damage
+
+
+def _wider_ids(data):
+    """Damage that adds one to the id width in the header: the id bytes are
+    then not rows x width."""
+    fields = list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
+    fields[4] += 1
+    return manifest_cache._HEADER.pack(*fields) + data[manifest_cache._HEADER.size:]
+
+
+def _id_byte(item, at, value):
+    """Damage that sets byte ``at`` of utterance id ``item``'s JSON text in
+    the fixed-width array."""
+    def damage(data):
+        fields = manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size])
+        rows, width = fields[2], fields[4]
+        pos = manifest_cache._HEADER.size + 16 * rows + item * width + at
+        return data[:pos] + bytes([value]) + data[pos + 1:]
     return damage
 
 
@@ -80,8 +99,14 @@ def _move_one_byte(step):
     _move_one_byte(1),
     _move_one_byte(-1),
     lambda data: data[:8] + bytes(32) + data[40:],  # another key
+    _wider_ids,
+    _id_byte(7, 0, ord("c")),
+    _id_byte(7, 5, 0x7f),
+    _id_byte(7, 5, 0x0a),
+    _id_byte(7, 5, 0),
 ], ids=["truncated", "header-cut", "trailing-byte", "ids-cut", "speakers-cut",
-        "other-key"])
+        "other-key", "id-bytes-not-rows-x-width", "id-without-opening-quote",
+        "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id"])
 def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache_home,
                                                damage):
     first = plan(manifest, tmp_path / "a")
@@ -92,6 +117,42 @@ def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache
     assert plan(manifest, tmp_path / "b") == first
     assert len(parses) == 2
     assert entry.read_bytes() == good
+
+
+@pytest.mark.parametrize("damage", [
+    _id_byte(7, 3, 0x1f),
+    _id_byte(7, 3, 0),
+    _id_byte(7, 9, ord("x")),
+], ids=["id-byte-below-printable", "nul-inside-id", "padding-then-a-byte"])
+def test_damaged_padded_ids_are_a_miss_and_rewritten(tmp_path, parses, cache_home, damage):
+    # ids from "c0.mp3" to "c218.mp3": "c7.mp3" takes 8 of 10 bytes
+    rows = [(spk, f"c{i}.mp3", sentence, ms)
+            for i, (spk, _, sentence, ms) in enumerate(tie_heavy_rows())]
+    path = tmp_path / "m.tsv"
+    path.write_text(manifest_text(rows))
+    first = plan(path, tmp_path / "a")
+    [name] = entries(cache_home)
+    entry = cache_home / "fedspeech" / name
+    good = entry.read_bytes()
+    assert manifest_cache._HEADER.unpack(good[:manifest_cache._HEADER.size])[4] == 10
+    entry.write_bytes(damage(good))
+    assert plan(path, tmp_path / "b") == first
+    assert len(parses) == 2
+    assert entry.read_bytes() == good
+
+
+def test_entry_holds_ids_padded_past_the_bound_as_lines(tmp_path, parses):
+    rows = tie_heavy_rows()
+    rows[17] = (rows[17][0], "x" * 10_000) + rows[17][2:]
+    path = tmp_path / "m.tsv"
+    path.write_text(manifest_text(rows))
+    parsed = federation.load_manifest(path)
+    manifest_cache.load_manifest_cached(path)
+    cached = manifest_cache.load_manifest_cached(path)
+    assert len(parses) == 1
+    assert parsed.utterance_ids.dtype == cached.utterance_ids.dtype == object
+    assert cached.utterance_ids.tolist() == parsed.utterance_ids.tolist()
+    assert '"' + "x" * 10_000 + '"' in cached.utterance_ids.tolist()
 
 
 def _refuse_writes(monkeypatch, directory):
@@ -167,18 +228,22 @@ def test_manifest_changed_while_parsed_keeps_no_entry(tmp_path, manifest, cache_
     assert entries(cache_home) == []
 
 
-def test_id_with_a_newline_is_not_cached(tmp_path, parses, cache_home):
+def test_id_with_a_newline_is_cached(tmp_path, parses, cache_home):
+    # A JSON text escapes the newline, so the entry holds no newline of it.
     rows = tie_heavy_rows()
     rows[3] = (rows[3][0], '"clip\nwith a newline.mp3"') + rows[3][2:]
+    rows[5] = ('"speaker\nwith a newline"',) + rows[5][1:]
     path = tmp_path / "m.tsv"
     path.write_text(manifest_text(rows))
-    assert "clip\nwith a newline.mp3" in federation.load_manifest(path).utterance_ids
+    parsed = federation.load_manifest(path)
+    assert "clip\nwith a newline.mp3" in federation.decode_ids(parsed.utterance_ids)
+    assert "speaker\nwith a newline" in parsed.speaker_ids
     first = plan(path, tmp_path / "a")
     assert first[0] == 0
     assert b"clip\\nwith a newline.mp3" in first[1]["fl_partition.json"]
-    assert entries(cache_home) == []
+    assert len(entries(cache_home)) == 1
     assert plan(path, tmp_path / "b") == first
-    assert len(parses) == 2
+    assert len(parses) == 1
 
 
 def test_manifest_with_an_error_is_never_cached(tmp_path, parses, cache_home, capsys):

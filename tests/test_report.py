@@ -1,5 +1,6 @@
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -7,7 +8,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedspeech.errors import ConfigError
+from fedspeech.federation import MAX_ID_PADDING, encode_ids
 from fedspeech.report import StreamedList, write_json
+
+# Streamed lists of strings as a manifest holds utterance ids: their JSON
+# texts in a fixed-width bytes array when little of it is padding (``ids``),
+# else in an object array of str; ``texts`` always takes the object array.
+STREAMED = {
+    "ids": lambda items: StreamedList(encode_ids(items)),
+    "texts": lambda items: StreamedList(np.array(list(map(encode_basestring_ascii, items)),
+                                                 dtype=object)),
+    "ints": StreamedList.ints,
+}
+
+
+def test_ids_padded_past_the_bound_are_held_as_str():
+    assert encode_ids(["a" * 10, "b" * 10, "c"]).dtype == "S12"
+    wide = encode_ids(["a" * 100, "b", "c"])
+    assert wide.dtype == object and wide.tolist() == ['"' + "a" * 100 + '"', '"b"', '"c"']
+    assert 102 * 3 > MAX_ID_PADDING * (102 + 3 + 3)
 
 
 def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
@@ -23,10 +42,10 @@ def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
             "f": 1.5,
         }
 
-    write_json(tmp_path / "p.json",
-               payload(lambda s: StreamedList.strings(np.array(s, dtype=object))))
     expected = json.dumps(payload(list), indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
+    for kind in ("ids", "texts"):
+        write_json(tmp_path / "p.json", payload(STREAMED[kind]))
+        assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
 
 
 def test_a_string_equal_to_the_placeholder_is_written_as_itself(tmp_path):
@@ -34,7 +53,7 @@ def test_a_string_equal_to_the_placeholder_is_written_as_itself(tmp_path):
         return {"name": "\x00streamed strings", "ids": strings(["a", "\x00streamed strings"]),
                 "rounds": [{"selected": ints([3, 7])}, {"\x00streamed strings": ints([])}]}
 
-    write_json(tmp_path / "p.json", payload(StreamedList.strings, StreamedList.ints))
+    write_json(tmp_path / "p.json", payload(STREAMED["ids"], StreamedList.ints))
     expected = json.dumps(payload(list, list), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
 
@@ -59,7 +78,7 @@ _TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\x80ä \U0001f6
 _KEYS = st.text("ab\"\x7fä", max_size=2)
 _INTS = st.integers(-2**70, 2**70)
 _STREAMED_LISTS = st.one_of(
-    st.builds(_Streamed, st.just("strings"), st.lists(_TEXT, max_size=5)),
+    st.builds(_Streamed, st.sampled_from(["ids", "texts"]), st.lists(_TEXT, max_size=5)),
     st.builds(_Streamed, st.just("ints"), st.lists(_INTS, max_size=5)))
 _LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _STREAMED_LISTS,
                     st.floats(allow_nan=False, allow_infinity=False))
@@ -70,7 +89,7 @@ _PAYLOADS = st.dictionaries(_KEYS, st.recursive(
 
 def _build(node, streamed):
     if isinstance(node, _Streamed):
-        return getattr(StreamedList, node.kind)(node.items) if streamed else node.items
+        return STREAMED[node.kind](node.items) if streamed else node.items
     if isinstance(node, dict):
         return {k: _build(v, streamed) for k, v in node.items()}
     if isinstance(node, list):
