@@ -201,15 +201,15 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     workload = replace(_workload_from(args, cfg), batch=fl.batch)
     precision = workload.precision
 
-    if args.manifest:  # meta leaves out its path: reports do not depend on where it sits
+    if args.manifest:  # meta records its content, not its path
         if args.samples_per_client is not None:
             raise ConfigError("--samples-per-client sizes an idealised corpus; "
                               "it cannot be given with --manifest")
         from .manifest_cache import load_manifest_cached  # hashlib only for a manifest
 
-        partition = partition_by_speaker(load_manifest_cached(args.manifest), fl.clients,
-                                         fl.seed)
-        corpus = {}
+        manifest, digest = load_manifest_cached(args.manifest)
+        partition = partition_by_speaker(manifest, fl.clients, fl.seed)
+        corpus = {"manifest_sha256": digest}
     else:
         samples = IDEALISED_SAMPLES_PER_CLIENT if args.samples_per_client is None \
             else args.samples_per_client

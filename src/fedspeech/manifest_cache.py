@@ -3,10 +3,11 @@
 ``fl-plan --manifest`` parses and validates every row of the manifest, and a
 corpus is planned many times over with the same bytes. An entry holds the
 validated :class:`~fedspeech.federation.Manifest` columns. Its key is the
-SHA-256 of the manifest's bytes and of the loader's own source, so an edited
-manifest or an edited loader is a miss whatever the file's size and times
-say, and no version number has to be bumped by hand (the idea of hash-based
-``.pyc`` files, PEP 552).
+SHA-256 of the loader's own source digest and the manifest's digest (the
+SHA-256 of its bytes, which a plan also records), so an edited manifest or
+an edited loader is a miss whatever the file's size and times say, and no
+version number has to be bumped by hand (the idea of hash-based ``.pyc``
+files, PEP 552).
 
 Entries live in ``$XDG_CACHE_HOME/fedspeech``, else ``~/.cache/fedspeech``.
 At most ``MAX_ENTRIES`` are kept; the least recently used goes first.
@@ -63,34 +64,35 @@ def cache_dir() -> Optional[Path]:
     return Path(base) / "fedspeech"
 
 
-def load_manifest_cached(path) -> Manifest:
-    """``load_manifest(path)`` through the cache. A manifest that cannot be
-    opened or read raises ``UnreadableManifestError``."""
-    directory = cache_dir()
-    try:
-        source = _source_digest()
-    except OSError:
-        directory = None
-    if directory is None:
-        return _parse(path)
+def load_manifest_cached(path) -> tuple[Manifest, str]:
+    """``load_manifest(path)`` through the cache, and the hex SHA-256 of the
+    manifest's bytes. A manifest that cannot be opened or read raises
+    ``UnreadableManifestError``."""
     try:
         with open(path, "rb") as fh:
             before = os.fstat(fh.fileno())
-            key = _key(source, fh)
+            digest = _file_digest(fh)
     except OSError as exc:
         raise _unreadable(path, exc) from None
+    directory = cache_dir()
+    try:
+        key = hashlib.sha256(_source_digest() + digest).digest()
+    except OSError:
+        directory = None
+    if directory is None:
+        return _parse(path), digest.hex()
     entry = directory / (key.hex() + _SUFFIX)
     manifest = _read_entry(entry, key)
     if manifest is not None:
         with contextlib.suppress(OSError):
             _touch(entry)
-        return manifest
+        return manifest, digest.hex()
     manifest = _parse(path)
     # A file changed since it was hashed (a write moves its ctime) keeps no entry.
     with contextlib.suppress(OSError):
         if _identity(os.stat(path)) == _identity(before):
             _write_entry(directory, entry, key, manifest)
-    return manifest
+    return manifest, digest.hex()
 
 
 def _parse(path) -> Manifest:
@@ -108,9 +110,9 @@ def _identity(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _key(source: bytes, fh) -> bytes:
-    """SHA-256 of the loader's source digest followed by the file's bytes."""
-    digest = hashlib.sha256(source)
+def _file_digest(fh) -> bytes:
+    """SHA-256 of the file's bytes, read in blocks."""
+    digest = hashlib.sha256()
     buffer = bytearray(_BLOCK_BYTES)
     view = memoryview(buffer)
     while n := fh.readinto(buffer):

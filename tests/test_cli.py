@@ -279,6 +279,12 @@ class TestFlPlan:
         assert slow < json.loads(default["fl_plan.json"])["total_seconds"]
 
 
+def _manifest_meta(reports):
+    """The manifest digest and the fingerprint in a plan's meta, as bytes."""
+    meta = json.loads(reports["fl_plan.json"])["meta"]
+    return meta["manifest_sha256"].encode(), meta["fingerprint"].encode()
+
+
 class TestManifestInput:
     """The manifest reader's handling of real-world file layouts, seen through
     the reports of ``fl-plan --manifest``."""
@@ -292,8 +298,15 @@ class TestManifestInput:
         return reports
 
     def check_same(self, tmp_path, text, reference):
+        # Other bytes, so another manifest digest and fingerprint in meta;
+        # every other byte of every report is the reference's.
         (tmp_path / "m.tsv").write_bytes(text.encode("utf-8"))
-        assert plan_reports(tmp_path / "m.tsv", tmp_path / "out") == (0, reference)
+        code, reports = plan_reports(tmp_path / "m.tsv", tmp_path / "out")
+        assert code == 0
+        (digest, fingerprint), like = _manifest_meta(reports), _manifest_meta(reference)
+        assert digest != like[0]
+        assert {name: data.replace(digest, like[0]).replace(fingerprint, like[1])
+                for name, data in reports.items()} == reference
 
     def test_crlf_line_endings(self, tmp_path, reference):
         self.check_same(tmp_path, manifest_text(tie_heavy_rows(), "\r\n"), reference)
@@ -716,7 +729,9 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 # cases and the batch-1 mixed forecast were recorded at commit cbbc09d. Every
 # JSON digest but analyze's was then re-recorded when meta began to record
 # each input that changes a number (see test_fingerprint_follows_each_input);
-# no CSV digest changed.
+# no CSV digest changed. Every manifest case's JSON digests were then
+# re-recorded when meta began to record the manifest's SHA-256; no CSV
+# digest changed.
 MANIFEST = "<tie-heavy manifest>"
 
 
@@ -836,90 +851,90 @@ REPORT_DIGESTS = {
     ("fl-plan", "--manifest", MANIFEST, "--clients", "1", "--rounds", "3",
      "--device", "a40", "--batch", "4", "--seed", "0"): {
         "fl_partition.json":
-            "a03d1b59afca2afcb214f6e1a43ea99666377d9dcebf994329d48ec03eeb93ab",
+            "53f9a54282928deeadc279895abd0a9121fa0dd487dffd8c98a6f61e33fd5bbd",
         "fl_plan.csv":
             "941244b3b09ae54b65711848d099cd4256df7fe4874ba6b6c632cd4eb11352db",
         "fl_plan.json":
-            "7ac9bac2ba31f2d25e7211c2ad05fd84e5bb78d3499d5c158b0c362280f133a1",
+            "727ddb890fd924bf2ff3a3d0dba6767213687386a15fbb02fcbd499be0e47d0b",
         "fl_schedule.json":
-            "8f5c00bcbebbdc41b55c19d749a656d73d10e94e6aff4b4ae88e40174810521d",
+            "78d5e6f6a2838ae5de4f026e20e1c9000b4071453919af9c91ea38919b1e3932",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "1"): {
         "fl_partition.json":
-            "60d32977a895d8f1e03219d1a81a7dcbc3415eb364b5f6745ec09dcc08899d02",
+            "532c52de4780aa657b5d68ad8e51e98d12152fafe5c5e6e9d4fd5b0af5490803",
         "fl_plan.csv":
             "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
         "fl_plan.json":
-            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
+            "ee32b4029a9107d5bce7e9e8e45bd0cfad01819a0b2f70f4d516aa7a0641b98d",
         "fl_schedule.json":
-            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
+            "d82475f6800a4109def41fa6b89f5f4f8855204c2285bd642e1e16afdf169230",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
      "--device", "rpi", "--batch", "4", "--seed", "2"): {
         "fl_partition.json":
-            "2b6e56f6d7706077416f78308258969dafb4304f0a34ce3ac05ed748dd72439b",
+            "54c848a0a42ae403fd7010e1b078a22cf224ea20dd792f740c47ca0d4b874c44",
         "fl_plan.csv":
             "9c4dc64768ee9d3538f18d83c4d1bddc9f0b19dcb52074db5e28fe617f661eca",
         "fl_plan.json":
-            "c7a346c31178f272ef70a2f1389f5117297da29a5eba7585aed2b654b0ce74f6",
+            "42b128de60530428aa90c865275b2c6a9c365c9cae130e07cb27ac1cec86e8d3",
         "fl_schedule.json":
-            "a6961d98c1dac3f0970c4f5ee04bdd3081488c2cdf46287b6c694339d5472232",
+            "79fed56239e50c59439e0669fe6fb3771aff2fbf0d64045d7906998d26b04435",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
      "--device", "agx", "--batch", "4", "--seed", "3"): {
         "fl_partition.json":
-            "aeb349d2f33f2ceb93a07fe2623d92aa18b83a36e06dcf49403f6a7b7f33f5d7",
+            "98f53d7d4ecba1c24ed4cd7f80b16561dffeb8046b327b092ec7c81f5a21ecf5",
         "fl_plan.csv":
             "662b92d7e0c4c4ea6251f1bc20b704dd8afdf84dad321f1932bd92d46a0a1f10",
         "fl_plan.json":
-            "6dcf908ada189591ec86e2a5070896e71b59faf5b27af7619eee8ee7e532c89b",
+            "fe8477b20b45bce586948bea90128062a2ece9df78404faa84774c942fc52255",
         "fl_schedule.json":
-            "4be3fb22009c6780eb69bae0674eefc19d548ee7609c5ceacad8329c3458e353",
+            "3af2c8920b0dcc928e83d83013d5f2e70862872df4069d899658b750c85f02e7",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "4"): {
         "fl_partition.json":
-            "1fc8208f05629fa5954261521eb92e0dd767a2bb177877b1b68f0e9759993cc4",
+            "83c8ffa2697eee4753f059049f5cb195c7c174bbb6f6074ff4aa278521ed7a14",
         "fl_plan.csv":
             "143692f1935208f973ee187499d61b48e714298fee568814ed3f835552a71d7d",
         "fl_plan.json":
-            "506a07aabfc3374d0dc245b424edf0c4f2a50de2ca7db1970f2958f6bae3aa21",
+            "7080c60f0b702626408740f3708338be89753b7501c98ce9cca7350182a843f4",
         "fl_schedule.json":
-            "08f1db28cda83cb241628d344b4bb354f4b079bf1f3acd81111fe83a6f83ddae",
+            "2df5fc97af2ea9f167ab7230f7503bcba197869a2f179ebc14ba06e6e623aecb",
     },
     ("fl-plan", "--manifest", "<non-ASCII ids>", "--clients", "3", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "1"): {
         "fl_partition.json":
-            "65a37aadff609773ddba830f4abacf256635c3e79c9092937f5d80f96b8e6bfe",
+            "4413b0b7b29748215dd628094f0c5b5dd7ea8fd60683434e7de795c24418cc00",
         "fl_plan.csv":
             "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
         "fl_plan.json":
-            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
+            "291ff8f14e6700dd9553fbfd3704964d14caa87fa81d89a4136f8bea73922514",
         "fl_schedule.json":
-            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
+            "b760a70ac1f231a44689ae217dc761a21dad8261c75a1826e8ffea0ebb3acec6",
     },
     ("fl-plan", "--manifest", "<quoted ids>", "--clients", "3", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "1"): {
         "fl_partition.json":
-            "23277535f09b96fefee42c5c602fc57414288310125bbedc68059da9a251ad98",
+            "175f85da14503021814178f9d4335b69fe948f22eb2937ffec21ff807333835c",
         "fl_plan.csv":
             "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
         "fl_plan.json":
-            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
+            "2d2a7f47cdc48e4d825955908b39f1104d1a350658d655b7cbdf034c1c5cf0f0",
         "fl_schedule.json":
-            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
+            "9611092d1619b9dd4caa7f739dc65d559a468711e728c671886adc41696df494",
     },
     ("fl-plan", "--manifest", "<10 kB id>", "--clients", "3", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "1"): {
         "fl_partition.json":
-            "3e458aa36ce5ca4800eec968dfeac9d723bd166675d7dd9533140759c8ac440f",
+            "910ada78d347fa102b82440a84241123c6f1ef4d217f958a8900de11a3d1e783",
         "fl_plan.csv":
             "bd8bb07e926a9356b6e29b62557b1452425ba245c124e03dc753ed588d7d72a4",
         "fl_plan.json":
-            "cf74c0b7015a5cdc4121ea0e8b448686c3ad28ee06d047a644594e71d66f5866",
+            "9fd2a1ebb8ed990daf62f0adfe21ad788955b6399aa76e32d87ab9f17fe3e23a",
         "fl_schedule.json":
-            "670565e3283adf9f351bd5a053a917d99d26b025ac339579af48ed7d65682765",
+            "a9d9688a4746776720e32d6721e87d7c6ab23d7b4e00d5035a487eed6703d215",
     },
     ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "100", "--per-round",
      "20", "--dim", "2000", "--rounds", "20", "--seed", "11"): {
@@ -1105,6 +1120,24 @@ def _with_manifest(argv, tmp_path):
         path.write_text(MANIFESTS[argv[at]](), encoding="utf-8")
         args[at] = str(path)
     return args
+
+
+def test_fingerprint_follows_the_manifest_content_not_its_path(tmp_path):
+    text = manifest_text(tie_heavy_rows())
+    first_150 = "".join(text.splitlines(keepends=True)[:151])
+    manifests = {"a": text, "b": first_150, "a-elsewhere": text}
+    meta = {}
+    for name, content in manifests.items():
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "validated.tsv"
+        path.write_text(content)
+        code, reports = plan_reports(path, tmp_path / name / "out", seed="1")
+        assert code == 0
+        meta[name] = json.loads(reports["fl_plan.json"])["meta"]
+        assert meta[name]["manifest_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert meta["a"]["fingerprint"] != meta["b"]["fingerprint"]
+    assert meta["a"] == meta["a-elsewhere"]
+    assert str(tmp_path) not in json.dumps(meta)
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_ids(REPORT_DIGESTS))

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import os
 
@@ -53,13 +54,22 @@ def test_second_plan_reads_the_entry(tmp_path, manifest, parses, cache_home):
 def test_entry_is_the_parsed_manifest(manifest, cache_home):
     parsed = federation.load_manifest(manifest)
     manifest_cache.load_manifest_cached(manifest)
-    cached = manifest_cache.load_manifest_cached(manifest)
+    cached, _ = manifest_cache.load_manifest_cached(manifest)
     assert cached.utterance_ids.tolist() == parsed.utterance_ids.tolist()
     assert cached.speaker_ids == parsed.speaker_ids
     assert cached.speaker_codes.tolist() == parsed.speaker_codes.tolist()
     assert cached.durations_s.tobytes() == parsed.durations_s.tobytes()
     assert cached.speaker_codes.dtype == parsed.speaker_codes.dtype
     assert cached.utterance_ids.dtype == parsed.utterance_ids.dtype
+
+
+def test_digest_is_the_sha256_of_the_manifest_bytes(manifest, parses, monkeypatch):
+    expected = hashlib.sha256(manifest.read_bytes()).hexdigest()
+    assert manifest_cache.load_manifest_cached(manifest)[1] == expected  # a miss
+    assert manifest_cache.load_manifest_cached(manifest)[1] == expected  # a hit
+    monkeypatch.setattr(manifest_cache, "cache_dir", lambda: None)
+    assert manifest_cache.load_manifest_cached(manifest)[1] == expected  # no cache
+    assert len(parses) == 2
 
 
 def _move_one_byte(step):
@@ -148,7 +158,7 @@ def test_entry_holds_ids_padded_past_the_bound_as_lines(tmp_path, parses):
     path.write_text(manifest_text(rows))
     parsed = federation.load_manifest(path)
     manifest_cache.load_manifest_cached(path)
-    cached = manifest_cache.load_manifest_cached(path)
+    cached, _ = manifest_cache.load_manifest_cached(path)
     assert len(parses) == 1
     assert parsed.utterance_ids.dtype == cached.utterance_ids.dtype == object
     assert cached.utterance_ids.tolist() == parsed.utterance_ids.tolist()
