@@ -54,6 +54,9 @@ EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
 IDEALISED_SAMPLES_PER_CLIENT = 19_500
+# fl-sim's clients all hold this many samples; aggregation normalises an
+# equal count away, and 100 keeps the bits of the reports written before.
+SYNTHETIC_SAMPLES_PER_CLIENT = 100
 
 
 def _meta(args: argparse.Namespace, arch=None, profiles=(), **extra) -> dict:
@@ -256,7 +259,7 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
     # a negative size leaves the optima empty, which SyntheticFLConfig reports
     optima = rng.normal(scale=args.spread, size=(max(args.clients, 0), max(args.dim, 0)))
     sim = SyntheticFLConfig(
-        optima=optima, n_samples=(args.samples,) * args.clients,
+        optima=optima, n_samples=(SYNTHETIC_SAMPLES_PER_CLIENT,) * args.clients,
         learning_rate=args.lr, local_steps=args.local_steps, rounds=args.rounds,
         per_round=None if args.per_round in (None, args.clients) else args.per_round,
         seed=seed, report_pre_loss=args.pre_loss)
@@ -264,7 +267,7 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
 
     meta = _meta(args, None, agg=agg.method.value, alpha=agg.alpha, epsilon=agg.epsilon,
                  clients=args.clients, per_round=args.per_round or args.clients,
-                 rounds=args.rounds, dim=args.dim, samples=args.samples, lr=args.lr,
+                 rounds=args.rounds, dim=args.dim, lr=args.lr,
                  local_steps=args.local_steps, spread=args.spread, pre_loss=args.pre_loss,
                  seed=seed)
     out = _out_dir(args, cfg)
@@ -396,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-round", type=int, dest="per_round")
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.3)
     p.add_argument("--local-steps", type=int, dest="local_steps", default=5)
     p.add_argument("--spread", type=float, default=1.0,

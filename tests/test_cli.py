@@ -414,6 +414,14 @@ class TestFlSim:
         run(args + ["--out", str(out_b)])
         assert (out_a / "fl_sim.csv").read_bytes() == (out_b / "fl_sim.csv").read_bytes()
 
+    def test_samples_flag_is_gone(self, tmp_path, capsys):
+        # every client held the same count, which aggregation normalises away
+        with pytest.raises(SystemExit) as exc:
+            run(["fl-sim", "--samples", "77", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples 77" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--lr", "nan", "learning_rate must be finite and > 0, got nan"),
         ("--lr", "inf", "learning_rate must be finite and > 0, got inf"),
@@ -672,7 +680,7 @@ ARGV_FLAGS = {
                  "--fail-on-oom": None},
                 ("--clients", "--rounds", "--samples-per-client")),
     "fl-sim": ({"--agg": ["fedavg", "loss", "loss_weighted", "median"],
-                "--alpha": REALS, "--per-round": COUNTS, "--samples": COUNTS,
+                "--alpha": REALS, "--per-round": COUNTS,
                 "--lr": REALS, "--local-steps": COUNTS, "--spread": REALS,
                 "--seed": COUNTS, "--pre-loss": None},
                ("--clients", "--rounds", "--dim")),
@@ -730,8 +738,9 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 # JSON digest but analyze's was then re-recorded when meta began to record
 # each input that changes a number (see test_fingerprint_follows_each_input);
 # no CSV digest changed. Every manifest case's JSON digests were then
-# re-recorded when meta began to record the manifest's SHA-256; no CSV
-# digest changed.
+# re-recorded when meta began to record the manifest's SHA-256, and every
+# fl-sim case's JSON digest when fl-sim lost --samples and meta its samples
+# key; no CSV digest changed either time.
 MANIFEST = "<tie-heavy manifest>"
 
 
@@ -939,23 +948,23 @@ REPORT_DIGESTS = {
     ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "100", "--per-round",
      "20", "--dim", "2000", "--rounds", "20", "--seed", "11"): {
         "fl_sim.csv": "540b1f477e0b7a0a60f548e590005e6ba2f7821e93834c55a599bc516eb0103e",
-        "fl_sim.json": "fe281160725c018f76ad198fb2b86f15ae596ef068a5653cf5e7871ba9afb4c4",
+        "fl_sim.json": "222508a22ba2bf89c4aaadfb794103319eee3c1b1c74fcdad8642657b45e1135",
     },
     ("fl-sim", "--agg", "loss", "--alpha", "0", "--pre-loss", "--clients", "12",
      "--per-round", "5", "--dim", "16", "--rounds", "10", "--seed", "3"): {
         "fl_sim.csv": "a159e078aeb21cdc3d1f7ffd257b6e8693102400c47e868e6aa99419b72eca57",
-        "fl_sim.json": "9c5203ee0c7b97f0a28b87ac179300665e7e0758c3c5065a17e4a4331893cb41",
+        "fl_sim.json": "9395c763297051081da20a050ac7dde9c83d525bc7d9b021b23be358b8227ac0",
     },
     ("fl-sim", "--agg", "fedavg", "--clients", "6", "--dim", "5", "--rounds", "12",
      "--lr", "0.1", "--local-steps", "2", "--seed", "4"): {
         "fl_sim.csv": "d14ee5ee8818745b65b1f377a19fa2683e3883addf62bc24ca952d1f8a139571",
-        "fl_sim.json": "4b500f9b256a1768d84aeb677c255eac6aa76f7e1bc33a0be25dec588aeba1b2",
+        "fl_sim.json": "4fb396acb02ea276d7df8411f29d28049a6945dfe5654dd1e7565f283c8d9129",
     },
     # Round 0 selects c10031, which sorts between c1003 and c1004.
     ("fl-sim", "--agg", "loss", "--alpha", "1.0", "--clients", "10050", "--per-round",
      "30", "--dim", "3", "--rounds", "5", "--seed", "5"): {
         "fl_sim.csv": "f5aa8a2548bd8cd70dc20cdf81313920685896e13c207a690a948bb9e9f1a818",
-        "fl_sim.json": "9bab0305a76f95877501aca37a488e0a549badb16f90c4f428c18f4d54ad033d",
+        "fl_sim.json": "20bdc1f3e38ebd90ea0ae90e613900c7d3b87cdf58de60d215bcb3712cd6e49f",
     },
     ("analyze", "--config", "<custom arch>"): {
         "analyze.csv":
@@ -1000,7 +1009,7 @@ REPORT_DIGESTS = {
         "fl_sim.csv":
             "dfc13a5016960318e65592870d73138c2d2c3785aa1fc6daf9d5b36ddc12b152",
         "fl_sim.json":
-            "de835f6d8ff1e8bace8c43ae35bb803803b8472e434e300d08879a361979e3ae",
+            "eed578da097d4f0e263402c342218139f8d7eab2b426691cfa39358bae946bf0",
     },
     ("forecast", "--config", "<new device>", "--device", "jetson-orin"): {
         "forecast.json":
@@ -1086,7 +1095,6 @@ FINGERPRINT_INPUTS = {
     "fl-plan-config-seed": (["fl-plan", "--clients", "4", "--per-round", "2", "--rounds",
                              "3"], "", [], "fl: {seed: 5}"),
     "fl-sim-spread": (["fl-sim"], "", ["--spread", "3"], ""),
-    "fl-sim-samples": (["fl-sim", "--agg", "loss"], "", ["--samples", "77"], ""),
     "fl-sim-pre-loss": (["fl-sim", "--agg", "loss"], "", ["--pre-loss"], ""),
     "fl-sim-epsilon": (["fl-sim", "--agg", "loss"], "", [], "aggregation: {epsilon: 1.0}"),
     "fl-sim-config-seed": (["fl-sim"], "", [], "seed: 9"),
