@@ -315,6 +315,24 @@ class TestManifest:
                 load_manifest(p)
         assert (err.value.line_number, str(err.value)) == (line, f"line {line}: {message}")
 
+    @pytest.mark.parametrize("long_id", [10_000, 100], ids=["one-very-long", "many-long"])
+    @pytest.mark.parametrize("block", [64, 1000])
+    def test_ids_held_alike_whatever_the_blocks(self, tmp_path, monkeypatch, long_id,
+                                                block):
+        # Blocks are encoded one at a time, some padded past MAX_ID_PADDING
+        # and some not; the whole is held as one file read in one block is.
+        # Short ids from row 100 to 120 but for row 110, or only row 17 long.
+        long_rows = {17} if long_id == 10_000 else set(range(219)) - set(range(100, 121)) | {110}
+        p = write_tsv(tmp_path / "m.tsv", manifest_text([
+            (spk, f"{'x' * long_id if i in long_rows else 'c'}_{i}", sentence, ms)
+            for i, (spk, _, sentence, ms) in enumerate(tie_heavy_rows())]))
+        whole = load_manifest(p).utterance_ids
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        ids = load_manifest(p).utterance_ids
+        assert ids.dtype == whole.dtype == (object if long_id == 10_000 else "S106")
+        assert ids.tolist() == whole.tolist()
+        assert decode_ids(ids) == [row[0] for row in reference_rows(p)]
+
     def test_non_ascii_utf8_accepted(self, tmp_path):
         rows = [(spk, clip, "un été à Reykjavík", ms)
                 for spk, clip, _, ms in tie_heavy_rows()]

@@ -83,12 +83,21 @@ def _move_one_byte(step):
     return damage
 
 
-def _wider_ids(data):
-    """Damage that adds one to the id width in the header: the id bytes are
-    then not rows x width."""
-    fields = list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
-    fields[4] += 1
-    return manifest_cache._HEADER.pack(*fields) + data[manifest_cache._HEADER.size:]
+def _id_width(width_of):
+    """Damage that sets the id width in the header to ``width_of(width)``:
+    the id bytes are then not rows x width."""
+    def damage(data):
+        fields = list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
+        fields[4] = width_of(fields[4])
+        return manifest_cache._HEADER.pack(*fields) + data[manifest_cache._HEADER.size:]
+    return damage
+
+
+def _split_speaker(data):
+    """Damage that turns the first speaker's JSON text into two of the same
+    length: the lines then hold one speaker too many."""
+    first = data.rindex(b'"2f18e5e12c"\n')
+    return data[:first] + b'"2f1","e12c"' + data[first + 12:]
 
 
 def _id_byte(item, at, value):
@@ -109,13 +118,16 @@ def _id_byte(item, at, value):
     _move_one_byte(1),
     _move_one_byte(-1),
     lambda data: data[:8] + bytes(32) + data[40:],  # another key
-    _wider_ids,
+    _id_width(lambda width: width + 1),
+    _id_width(lambda width: 1 << 30),
+    _split_speaker,
     _id_byte(7, 0, ord("c")),
     _id_byte(7, 5, 0x7f),
     _id_byte(7, 5, 0x0a),
     _id_byte(7, 5, 0),
 ], ids=["truncated", "header-cut", "trailing-byte", "ids-cut", "speakers-cut",
-        "other-key", "id-bytes-not-rows-x-width", "id-without-opening-quote",
+        "other-key", "id-bytes-not-rows-x-width", "id-width-past-the-file",
+        "speaker-line-holding-two", "id-without-opening-quote",
         "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id"])
 def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache_home,
                                                damage):
