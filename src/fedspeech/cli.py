@@ -86,11 +86,11 @@ def _workload_from(args: argparse.Namespace, cfg: dict,
                 precision=args.precision and Precision(args.precision))
 
 
-def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal, profile,
-         report=None) -> tuple[float, FitVerdict]:
+def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
+         profile) -> tuple[float, FitVerdict]:
     """The training residency of ``workload`` and its fit on ``profile``;
     with --fail-on-oom a workload that does not fit exits 4."""
-    peak = training_residency_bytes(arch, workload, cal, report)
+    peak = training_residency_bytes(arch, workload, cal)
     verdict = check_fit(profile, peak)
     if args.fail_on_oom and verdict is FitVerdict.OOM:
         raise InfeasibleError(
@@ -158,9 +158,8 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
     profiles = resolve_profiles(cfg)
     profile = get_profile(args.device, profiles)
     cal = resolve_calibration(cfg)
-    report = forward_flops(arch, workload)
-    pred = predict_batch_time(profile, arch, workload, report)
-    peak, verdict = _fit(args, arch, workload, cal, profile, report)
+    pred = predict_batch_time(profile, arch, workload)
+    peak, verdict = _fit(args, arch, workload, cal, profile)
     meta = _meta(args, arch, [profile], device=profile.name,
                  workload=to_mapping(workload), memory=to_mapping(cal))
     out = _out_dir(args, cfg)

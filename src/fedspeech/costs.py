@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .arch import (Activation, ArchitectureSpec, ConvLayerSpec, NormKind,
@@ -35,6 +36,9 @@ from .arch import (Activation, ArchitectureSpec, ConvLayerSpec, NormKind,
 from .errors import DegenerateInputError
 
 ELEMENTWISE_FLOPS = 5  # per element: norm, activation, softmax
+# Reports forward_flops keeps, least recently used dropped first; 64 reports
+# of the large preset hold about 0.66 MB.
+REPORT_CACHE_SIZE = 64
 
 
 class LayerKind(str, enum.Enum):
@@ -219,15 +223,15 @@ def _quantizer_flops(arch: ArchitectureSpec, frames: int) -> float:
 
 
 def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> list[LayerCost]:
-    lens: list[int] = []
-    frames = 0
+    # Without a workload every length is 0, and so is every FLOP and activation.
+    lens = [0] * len(arch.conv_stack)
     batch = 1
     elem = 4
     if workload is not None:
         lens = conv_stack_lens(arch, workload.samples)
-        frames = lens[-1]
         batch = workload.batch
         elem = workload.precision.activation_bytes
+    frames = lens[-1]
 
     layers: list[LayerCost] = []
 
@@ -240,10 +244,8 @@ def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> l
             output_len=out_len))
 
     for i, conv in enumerate(arch.conv_stack):
-        out_len = lens[i] if workload else 0
-        add(LayerKind.CONV, f"conv{i}", conv_params(conv),
-            _conv_flops(conv, out_len) if workload else 0.0,
-            _conv_retained(conv, out_len) if workload else 0, out_len)
+        add(LayerKind.CONV, f"conv{i}", conv_params(conv), _conv_flops(conv, lens[i]),
+            _conv_retained(conv, lens[i]), lens[i])
 
     d_in, d_out = arch.feature_proj
     add(LayerKind.FEATURE_PROJ, "feature_proj",
@@ -263,8 +265,7 @@ def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> l
 
     for i in range(arch.block_count):
         add(LayerKind.TRANSFORMER_BLOCK, f"block{i}", _block_params(arch),
-            _block_flops(arch, frames) if workload else 0.0,
-            _block_retained(arch, frames) if workload else 0, frames)
+            _block_flops(arch, frames), _block_retained(arch, frames), frames)
 
     if arch.block_count:
         d = arch.block.model_dim
@@ -273,7 +274,7 @@ def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> l
 
     q = arch.quantizer
     add(LayerKind.QUANTIZER, "quantizer", quantizer_params(arch),
-        _quantizer_flops(arch, frames) if workload else 0.0,
+        _quantizer_flops(arch, frames),
         (q.total_entries + q.codevector_dim) * frames, frames)
     add(LayerKind.QUANT_OUT_PROJ, "quant_out_proj",
         linear_params(q.codevector_dim, q.codevector_dim),
@@ -289,11 +290,13 @@ def param_count(arch: ArchitectureSpec) -> CostReport:
                       per_layer=tuple(_build_layers(arch, None)), workload=None)
 
 
+@lru_cache(maxsize=REPORT_CACHE_SIZE)
 def forward_flops(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
     """Per-layer forward cost at the workload's duration, batch, and precision.
 
     FLOPs scale linearly with ``workload.batch``; activation bytes are
-    reported per sample.
+    reported per sample. A report is built once per (arch, workload) and
+    shared by every later call, which its immutability makes safe.
     """
     return CostReport(arch_name=arch.name,
                       per_layer=tuple(_build_layers(arch, workload)), workload=workload)

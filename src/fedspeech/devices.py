@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
-from .costs import CostReport, forward_flops
+from .costs import forward_flops
 from .errors import ConfigError, MissingAnchorError, UnsupportedPrecisionError
 from .memory import (GB, MemoryCalibration, default_calibration, static_memory,
                      training_flops)
@@ -187,20 +187,17 @@ def _select_anchor(profile: DeviceProfile, arch: ArchitectureSpec,
 
 
 def predict_batch_time(profile: DeviceProfile, arch: ArchitectureSpec,
-                       workload: WorkloadSpec,
-                       report: Optional[CostReport] = None) -> TimePrediction:
+                       workload: WorkloadSpec) -> TimePrediction:
     """Seconds per batch for an arbitrary workload on this device.
 
     The effective training throughput (FLOP/s) is calibrated from the
     matching anchor; predicting at an anchor's own workload returns the
-    measured anchor time exactly. ``report``, when given, is
-    ``forward_flops(arch, workload)``, built once by the caller.
+    measured anchor time exactly.
     """
     anchor = _select_anchor(profile, arch, workload)
     throughput = (training_flops(forward_flops(arch, anchor.workload))
                   / anchor.seconds_per_batch)
-    report = report or forward_flops(arch, workload)
-    seconds = training_flops(report) / throughput
+    seconds = training_flops(forward_flops(arch, workload)) / throughput
     return TimePrediction(seconds_per_batch=seconds, effective_throughput=throughput,
                           anchor_used=anchor)
 
@@ -222,12 +219,10 @@ def check_fit(profile: DeviceProfile, peak_memory_bytes: float) -> FitVerdict:
 
 
 def training_residency_bytes(arch: ArchitectureSpec, workload: WorkloadSpec,
-                             calibration: Optional[MemoryCalibration] = None,
-                             report: Optional[CostReport] = None) -> float:
-    """Whole-process peak residency of a training step, for fit checks.
-    ``report``, when given, is ``forward_flops(arch, workload)``."""
+                             calibration: Optional[MemoryCalibration] = None) -> float:
+    """Whole-process peak residency of a training step, for fit checks."""
     cal = calibration or default_calibration()
-    report = report or forward_flops(arch, workload)
+    report = forward_flops(arch, workload)
     activations = report.total_activation_bytes_per_sample * workload.batch
     return (static_memory(report)
             + cal.runtime_overhead_bytes

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import cli, costs, devices, federation, manifest_cache
+from fedspeech import cli, costs, federation, manifest_cache, memory
 from fedspeech.cli import main
 
 
@@ -101,23 +101,34 @@ class TestPredictTime:
         assert capsys.readouterr().err == \
             "error: duration must be finite and > 0, got nan\n"
 
-    def test_one_cost_report_per_distinct_workload(self, tmp_path, monkeypatch):
-        built = []
-
-        def counted(arch, workload):
-            built.append(workload)
-            return costs.forward_flops(arch, workload)
-
-        for module in (cli, devices):
-            monkeypatch.setattr(module, "forward_flops", counted)
-        assert run(["predict-time", "--device", "nx", "--duration", "7.25", "--batch", "2",
-                    "--out", str(tmp_path)]) == 0
-        assert len(built) == len(set(built)) == 2  # the anchor's and the requested
-
     def test_oom_with_flag_exits_4(self, tmp_path):
         assert run(["predict-time", "--device", "nx", "--arch", "base",
                     "--duration", "5.5", "--batch", "16", "--fail-on-oom",
                     "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("argv,builds", [
+    # the default calibration's reference workload, the anchor's, the requested
+    (["predict-time", "--device", "nx", "--duration", "7.25", "--batch", "2"], 3),
+    # the reference workload, which is also the plan's and the anchor's, and
+    # the parameter counts that size the traffic
+    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], 2),
+    # batch 1 and 4 at fp32 and mixed, each also both devices' anchor
+    (["forecast", "--device", "nx"], 4),
+], ids=["predict-time", "fl-plan", "forecast"])
+def test_one_cost_report_per_distinct_workload(argv, builds, tmp_path, monkeypatch):
+    costs.forward_flops.cache_clear()
+    memory.default_calibration.cache_clear()
+    built = []
+    build_layers = costs._build_layers
+
+    def counted(arch, workload):
+        built.append((arch, workload))
+        return build_layers(arch, workload)
+
+    monkeypatch.setattr(costs, "_build_layers", counted)
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert len(built) == len(set(built)) == builds
 
 
 class TestFlPlan:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -91,6 +92,24 @@ class TestParams:
         assert report.group_params(ModuleGroup.CNN_ENCODER) == pytest.approx(cnn, rel=0.02)
         assert report.group_params(ModuleGroup.TRANSFORMER) == pytest.approx(tr, rel=0.02)
         assert report.group_params(ModuleGroup.QUANTIZER) == pytest.approx(quant, rel=0.02)
+
+    @pytest.mark.parametrize("name", ["base", "large", "convonly"])
+    def test_param_count_is_a_forward_report_with_nothing_computed(self, name):
+        # A report without a workload has every length 0, so every FLOP and
+        # activation formula gives 0 by itself.
+        arch = conv_only_arch() if name == "convonly" else get_preset(name)
+        report = forward_flops(arch, WorkloadSpec(5.5, batch=4))
+        expected = tuple(replace(l, fwd_flops=0.0, activation_bytes_per_sample=0.0,
+                                 output_len=0) for l in report.per_layer)
+        assert repr(param_count(arch).per_layer) == repr(expected)
+
+
+def conv_only_arch():
+    """The base front end and quantizer with no transformer block and no pos_conv."""
+    base = get_preset("base")
+    return ArchitectureSpec(
+        name="convonly", conv_stack=base.conv_stack, feature_proj=(512, 512),
+        block_count=0, block=base.block, quantizer=base.quantizer, pos_conv=None)
 
 
 def tiny_conv_arch():
@@ -195,11 +214,7 @@ class TestRollup:
             total["gflops"], rel=1e-12)
 
     def test_empty_transformer_row_is_zero(self):
-        base = get_preset("base")
-        no_tr = ArchitectureSpec(
-            name="convonly", conv_stack=base.conv_stack, feature_proj=(512, 512),
-            block_count=0, block=base.block, quantizer=base.quantizer, pos_conv=None)
-        rows = module_rollup(forward_flops(no_tr, WorkloadSpec(5.5)))
+        rows = module_rollup(forward_flops(conv_only_arch(), WorkloadSpec(5.5)))
         tr = next(r for r in rows if r["module"] == "Transformer")
         assert tr["params"] == 0 and tr["gflops"] == 0.0
 
