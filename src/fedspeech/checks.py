@@ -243,12 +243,12 @@ def wall_clock_checks() -> list[CheckResult]:
     def total_days(device: str) -> float:
         profile = get_profile(device)
         est = estimate_wall_clock(partition, schedule, uniform_assignment(partition,
-                                  profile), arch, batch=4)
+                                  profile), arch, WorkloadSpec(batch=4))
         return est.total_days
 
     a40 = get_profile("a40")
     est = estimate_wall_clock(partition, schedule, uniform_assignment(partition, a40),
-                              arch, batch=4)
+                              arch, WorkloadSpec(batch=4))
     epoch_h = next(iter(est.seconds_per_local_epoch.values())) / 3600.0
     out.append(_within("wallclock/a40-epoch-hours", epoch_h, 0.37, 0.02, " h"))
     out.append(_within("wallclock/a40-total-hours", est.total_hours, 55.5, 0.02, " h"))

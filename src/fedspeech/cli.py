@@ -201,7 +201,6 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     # the fl section's batch is the one trained; the workload section gives
     # the precision, the sample rate and an idealised corpus's clip length
     workload = replace(_workload_from(args, cfg), batch=fl.batch)
-    precision = workload.precision
 
     if args.manifest:  # meta records its content, not its path
         if args.samples_per_client is not None:
@@ -221,15 +220,14 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
     _, verdict = _fit(args, arch, workload, cal, profile)
     estimate = estimate_wall_clock(partition, schedule,
-                                   uniform_assignment(partition, profile), arch,
-                                   batch=fl.batch, local_epochs=fl.local_epochs,
-                                   precision=precision,
-                                   sample_rate_hz=workload.sample_rate_hz)
-    comm = estimate_communication(arch, schedule, precision)
+                                   uniform_assignment(partition, profile), arch, workload,
+                                   fl.local_epochs)
+    comm = estimate_communication(arch, schedule, workload.precision)
 
     meta = _meta(args, arch, [profile], device=profile.name, clients=fl.clients,
                  rounds=fl.rounds, per_round=per_round, batch=fl.batch,
-                 local_epochs=fl.local_epochs, seed=fl.seed, precision=precision.value,
+                 local_epochs=fl.local_epochs, seed=fl.seed,
+                 precision=workload.precision.value,
                  sample_rate_hz=workload.sample_rate_hz, **corpus)
     out = _out_dir(args, cfg)
     write_json(out / "fl_partition.json", partition_payload(partition, meta))

@@ -21,7 +21,7 @@ import io
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence
 
@@ -514,14 +514,10 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
 
 def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
                         device_assignment: Mapping[str, DeviceProfile],
-                        arch: ArchitectureSpec, batch: int,
-                        local_epochs: int = 1,
-                        precision: Precision = Precision.FP32,
-                        sample_rate_hz: int = WorkloadSpec.sample_rate_hz
-                        ) -> WallClockEstimate:
-    """Synchronous-round wall clock: sum over rounds of the slowest client."""
-    if batch < 1:
-        raise InvalidSampleSizeError("batch must be >= 1")
+                        arch: ArchitectureSpec, workload: WorkloadSpec,
+                        local_epochs: int = 1) -> WallClockEstimate:
+    """Synchronous-round wall clock: sum over rounds of the slowest client,
+    each training ``workload`` at its own mean utterance duration."""
     if local_epochs < 1:
         raise InvalidSampleSizeError(f"local_epochs must be >= 1, got {local_epochs}")
     if schedule.total_clients != partition.n_clients:
@@ -532,19 +528,17 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
     # One local epoch is ceil(n / batch) batches at the predicted batch time,
     # evaluated at the client's mean utterance duration; clients that share a
     # device and a mean duration share one prediction.
-    batch_seconds: dict[tuple[DeviceProfile, WorkloadSpec], float] = {}
+    batch_seconds: dict[tuple[DeviceProfile, float], float] = {}
     epoch_seconds: dict[str, float] = {}
     device_of: dict[str, str] = {}
     for client in partition.clients:
         profile = device_assignment[client.client_id]
-        key = (profile, WorkloadSpec(duration_s=client.mean_duration_s,
-                                     sample_rate_hz=sample_rate_hz, batch=batch,
-                                     precision=precision))
+        key = (profile, client.mean_duration_s)
         if key not in batch_seconds:
-            batch_seconds[key] = predict_batch_time(profile, arch,
-                                                    key[1]).seconds_per_batch
+            batch_seconds[key] = predict_batch_time(
+                profile, arch, replace(workload, duration_s=key[1])).seconds_per_batch
         epoch_seconds[client.client_id] = \
-            math.ceil(client.n_utterances / batch) * batch_seconds[key]
+            math.ceil(client.n_utterances / workload.batch) * batch_seconds[key]
         device_of[client.client_id] = profile.name
 
     # Each round's slowest client: one gather over the (rounds, per_round)

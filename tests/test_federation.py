@@ -516,7 +516,7 @@ class TestWallClock:
                       for i, c in enumerate(partition.clients)}
         schedule = schedule_rounds(40, 7, 300, seed=5)
         est = estimate_wall_clock(partition, schedule, assignment, base_preset(),
-                                  batch=4, local_epochs=local_epochs)
+                                  WorkloadSpec(batch=4), local_epochs=local_epochs)
         expected = slowest_per_round(partition, schedule, est.seconds_per_local_epoch,
                                      local_epochs)
         assert len(set(expected)) > 10  # the slowest client varies by round
@@ -529,7 +529,7 @@ class TestWallClock:
         schedule = schedule_rounds(10, 10, 150, seed=0)
         est = estimate_wall_clock(partition, schedule,
                                   uniform_assignment(partition, get_profile("a40")),
-                                  arch, batch=4)
+                                  arch, WorkloadSpec(batch=4))
         epoch_h = est.seconds_per_local_epoch["client_0"] / 3600
         assert epoch_h == pytest.approx(0.37, rel=0.02)
         assert est.total_hours == pytest.approx(55.5, rel=0.02)
@@ -543,7 +543,7 @@ class TestWallClock:
         schedule = schedule_rounds(10, 10, 150, seed=0)
         est = estimate_wall_clock(partition, schedule,
                                   uniform_assignment(partition, get_profile(device)),
-                                  arch, batch=4)
+                                  arch, WorkloadSpec(batch=4))
         assert est.total_days == pytest.approx(days, rel=0.05)
 
     def test_single_batch_trivial_case(self):
@@ -552,7 +552,7 @@ class TestWallClock:
         schedule = schedule_rounds(1, 1, 1, seed=0)
         est = estimate_wall_clock(partition, schedule,
                                   uniform_assignment(partition, get_profile("a40")),
-                                  arch, batch=64)
+                                  arch, WorkloadSpec(batch=64))
         # one predicted batch only: 64 sequences of 5.5 s, nearest anchor is b4
         pred = predict_batch_time(get_profile("a40"), arch, WorkloadSpec(5.5, batch=64))
         assert est.total_seconds == pytest.approx(pred.seconds_per_batch, rel=1e-12)
@@ -563,7 +563,7 @@ class TestWallClock:
         schedule = schedule_rounds(4, 2, 25, seed=2)
         est = estimate_wall_clock(partition, schedule,
                                   uniform_assignment(partition, get_profile("nx")),
-                                  arch, batch=4)
+                                  arch, WorkloadSpec(batch=4))
         assert est.total_seconds == pytest.approx(sum(est.seconds_per_round), rel=1e-12)
         # homogeneous devices and equal clients: every round costs the same
         assert est.total_seconds == pytest.approx(
@@ -574,8 +574,9 @@ class TestWallClock:
         partition = uniform_partition(2, 100)
         schedule = schedule_rounds(2, 2, 3, seed=0)
         assignment = uniform_assignment(partition, get_profile("a40"))
-        one = estimate_wall_clock(partition, schedule, assignment, arch, batch=4)
-        three = estimate_wall_clock(partition, schedule, assignment, arch, batch=4,
+        workload = WorkloadSpec(batch=4)
+        one = estimate_wall_clock(partition, schedule, assignment, arch, workload)
+        three = estimate_wall_clock(partition, schedule, assignment, arch, workload,
                                     local_epochs=3)
         assert three.total_seconds == pytest.approx(3 * one.total_seconds, rel=1e-12)
 
@@ -599,7 +600,7 @@ class TestWallClock:
             monkeypatch.setattr(federation, "predict_batch_time", counted)
             calls.clear()
             est = estimate_wall_clock(partition, schedule, assignment, base_preset(),
-                                      batch=4)
+                                      WorkloadSpec(batch=4))
             monkeypatch.undo()
             assert len(calls) == len(set(calls)) == len(
                 {(assignment[c.client_id].name, c.mean_duration_s)
@@ -617,7 +618,7 @@ class TestWallClock:
         with pytest.raises(MissingAnchorError):
             estimate_wall_clock(partition, schedule,
                                 uniform_assignment(partition, get_profile("rpi")),
-                                large_preset(), batch=4)
+                                large_preset(), WorkloadSpec(batch=4))
 
     def test_ceil_batching(self):
         arch = base_preset()
@@ -625,7 +626,7 @@ class TestWallClock:
         schedule = schedule_rounds(1, 1, 1, seed=0)
         est = estimate_wall_clock(partition, schedule,
                                   uniform_assignment(partition, get_profile("a40")),
-                                  arch, batch=4)
+                                  arch, WorkloadSpec(batch=4))
         per_batch = predict_batch_time(get_profile("a40"), arch,
                                        WorkloadSpec(5.5, batch=4)).seconds_per_batch
         assert est.total_seconds == pytest.approx(
