@@ -25,8 +25,8 @@ class Precision(str, enum.Enum):
     MIXED = "mixed"
 
     @property
-    def activation_bytes(self) -> int:
-        """Bytes per retained activation element."""
+    def bytes_per_value(self) -> int:
+        """Bytes per stored value: a retained activation or a model weight sent."""
         return 4 if self is Precision.FP32 else 2
 
     @classmethod

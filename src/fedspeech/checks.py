@@ -23,10 +23,8 @@ from .devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
                       training_residency_bytes)
 from .federation import (estimate_wall_clock, partition_by_speaker, schedule_rounds,
                          synthetic_manifest, uniform_assignment, uniform_partition)
-from .memory import default_calibration, memory_timeline, precision_memory_delta
+from .memory import GB, default_calibration, memory_timeline, precision_memory_delta
 from .trend import parity_year, speedup_after
-
-GB = 1e9
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> l
     if workload is not None:
         lens = conv_stack_lens(arch, workload.samples)
         batch = workload.batch
-        elem = workload.precision.activation_bytes
+        elem = workload.precision.bytes_per_value
     frames = lens[-1]
 
     layers: list[LayerCost] = []

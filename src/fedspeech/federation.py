@@ -409,6 +409,11 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
 # Partitioning
 
 
+def _client_id(idx: int, n_clients: int) -> str:
+    """The id of client ``idx`` of ``n_clients``, zero-padded so ids sort in order."""
+    return f"client_{idx:0{len(str(n_clients - 1))}d}"
+
+
 def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition:
     """Split a manifest into ``k`` speaker-disjoint, duration-balanced clients."""
     if k < 1:
@@ -452,13 +457,12 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     speaker_rank[order[np.argsort(assigned, kind="stable")]] = np.arange(n_speakers)
     rows = np.argsort(speaker_rank[codes], kind="stable")
     ends = np.cumsum(np.bincount(client_of[codes], minlength=k)).tolist()
-    width = len(str(k - 1))
     clients = []
     for idx, (lo, hi) in enumerate(zip([0] + ends, ends)):
         client_rows = rows[lo:hi]
         speakers = order[assigned == idx]
         clients.append(ClientDataset(
-            client_id=f"client_{idx:0{width}d}",
+            client_id=_client_id(idx, k),
             n_utterances=hi - lo,
             # one addition at a time in row order; np.sum would add pairwise
             total_duration_s=float(np.cumsum(durations[client_rows])[-1]),
@@ -475,10 +479,9 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
     if utterances_per_client < 1:
         raise InvalidSampleSizeError(
             f"utterances per client must be >= 1, got {utterances_per_client}")
-    width = len(str(max(n_clients - 1, 1)))
     clients = []
     for idx in range(n_clients):
-        cid = f"client_{idx:0{width}d}"
+        cid = _client_id(idx, n_clients)
         clients.append(ClientDataset(
             client_id=cid, n_utterances=utterances_per_client,
             total_duration_s=mean_duration_s * utterances_per_client,
@@ -567,6 +570,5 @@ def uniform_assignment(partition: Partition,
 def estimate_communication(arch: ArchitectureSpec, schedule: RoundSchedule,
                            precision: Precision = Precision.FP32) -> float:
     """Total model bytes moved: down plus up, per selected client, per round."""
-    bytes_per_param = 4 if precision is Precision.FP32 else 2
     params = param_count(arch).total_params
-    return float(params) * bytes_per_param * 2 * schedule.total_selections
+    return float(params) * precision.bytes_per_value * 2 * schedule.total_selections
