@@ -66,8 +66,8 @@ def cache_dir() -> Optional[Path]:
 
 def load_manifest_cached(path) -> tuple[Manifest, str]:
     """``load_manifest(path)`` through the cache, and the hex SHA-256 of the
-    manifest's bytes. A manifest that cannot be opened or read raises
-    ``UnreadableManifestError``."""
+    manifest's bytes. A manifest that cannot be opened or read, or that
+    changes between the hash and the parse, raises ``UnreadableManifestError``."""
     try:
         with open(path, "rb") as fh:
             before = os.fstat(fh.fileno())
@@ -80,26 +80,33 @@ def load_manifest_cached(path) -> tuple[Manifest, str]:
     except OSError:
         directory = None
     if directory is None:
-        return _parse(path), digest.hex()
+        return _parse(path, before), digest.hex()
     entry = directory / (key.hex() + _SUFFIX)
     manifest = _read_entry(entry, key)
     if manifest is not None:
         with contextlib.suppress(OSError):
             _touch(entry)
         return manifest, digest.hex()
-    manifest = _parse(path)
-    # A file changed since it was hashed (a write moves its ctime) keeps no entry.
+    manifest = _parse(path, before)
     with contextlib.suppress(OSError):
-        if _identity(os.stat(path)) == _identity(before):
-            _write_entry(directory, entry, key, manifest)
+        _write_entry(directory, entry, key, manifest)
     return manifest, digest.hex()
 
 
-def _parse(path) -> Manifest:
+def _parse(path, before: os.stat_result) -> Manifest:
+    """``load_manifest(path)`` of the file that was ``before`` when it was
+    hashed: a file changed since then (a write moves its ctime), or gone, has
+    other bytes than the digest names."""
     try:
-        return load_manifest(path)
+        manifest = load_manifest(path)
+        unchanged = _identity(os.stat(path)) == _identity(before)
+    except FileNotFoundError:
+        unchanged = False
     except OSError as exc:
         raise _unreadable(path, exc) from None
+    if not unchanged:
+        raise UnreadableManifestError(f"manifest {path} changed while it was read")
+    return manifest
 
 
 def _unreadable(path, exc: OSError) -> UnreadableManifestError:

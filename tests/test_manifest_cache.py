@@ -239,14 +239,18 @@ def test_same_size_rewrite_with_restored_mtime_is_parsed_again(tmp_path, manifes
 
 
 def test_manifest_changed_while_parsed_keeps_no_entry(tmp_path, manifest, cache_home,
-                                                    monkeypatch):
+                                                    monkeypatch, capsys):
+    # The digest names the bytes that were hashed, not those that were parsed.
     def edit_then_parse(path):
         with open(path, "a") as fh:
             fh.write("late\tclip_late.mp3\tx\t1000\n")
         return federation.load_manifest(path)
 
     monkeypatch.setattr(manifest_cache, "load_manifest", edit_then_parse)
-    assert plan(manifest, tmp_path / "a")[0] == 0
+    assert plan(manifest, tmp_path / "a")[0] == 3
+    assert capsys.readouterr().err == \
+        f"error: manifest {manifest} changed while it was read\n"
+    assert not (tmp_path / "a").exists()
     assert entries(cache_home) == []
 
 
