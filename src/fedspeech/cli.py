@@ -203,22 +203,28 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     workload = replace(_workload_from(args, cfg), batch=fl.batch)
 
     if args.manifest:  # meta records its content, not its path
-        if args.samples_per_client is not None:
-            raise ConfigError("--samples-per-client sizes an idealised corpus; "
-                              "it cannot be given with --manifest")
+        for flag, value, what in (("--samples-per-client", args.samples_per_client, "sizes"),
+                                  ("--mean-duration", args.duration, "sets the clips of")):
+            if value is not None:
+                raise ConfigError(f"{flag} {what} an idealised corpus; "
+                                  "it cannot be given with --manifest")
         from .manifest_cache import load_manifest_cached  # hashlib only for a manifest
 
         manifest, digest = load_manifest_cached(args.manifest)
         partition = partition_by_speaker(manifest, fl.clients, fl.seed)
         corpus = {"manifest_sha256": digest}
+        # each client trains at its own mean clip length; the longest needs the most memory
+        fit_workload = replace(workload, duration_s=max(
+            c.mean_duration_s for c in partition.clients))
     else:
         samples = IDEALISED_SAMPLES_PER_CLIENT if args.samples_per_client is None \
             else args.samples_per_client
         partition = uniform_partition(fl.clients, samples, workload.duration_s)
         corpus = {"samples_per_client": samples, "duration_s": workload.duration_s}
+        fit_workload = workload
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
-    _, verdict = _fit(args, arch, workload, cal, profile)
+    _, verdict = _fit(args, arch, fit_workload, cal, profile)
     estimate = estimate_wall_clock(partition, schedule,
                                    uniform_assignment(partition, profile), arch, workload,
                                    fl.local_epochs)
@@ -384,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{IDEALISED_SAMPLES_PER_CLIENT}); not with --manifest")
     p.add_argument("--mean-duration", type=float, dest="duration", metavar="MEAN_DURATION",
                    help="idealised clip length in seconds (default: the config's "
-                        "workload.duration_s, else 5.5)")
+                        "workload.duration_s, else 5.5); not with --manifest")
     p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
 
     p = sub.add_parser("fl-sim", help="synthetic federated aggregation run")

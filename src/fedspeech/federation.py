@@ -73,9 +73,11 @@ def decode_ids(ids: np.ndarray) -> list[str]:
     return [json.loads(text) for text in ids.tolist()]
 
 
-def _id_array(parts: list, width: int, total: int) -> np.ndarray:
+def _id_array(parts: list, width: int, total: int,
+              at: Optional[np.ndarray] = None) -> np.ndarray:
     """One array of the JSON texts in ``parts`` (lists of str, or arrays from
-    this function), ``width`` the longest and ``total`` their length."""
+    this function), ``width`` the longest and ``total`` their length. Item
+    ``i`` of the parts goes to position ``at[i]``, else to ``i``."""
     n = sum(map(len, parts))
     wide = width * n > MAX_ID_PADDING * total
     ids = np.empty(n, object if wide else f"S{max(width, 1)}")
@@ -84,18 +86,20 @@ def _id_array(parts: list, width: int, total: int) -> np.ndarray:
         part = parts.pop(0)  # each part is released once copied
         if wide and isinstance(part, np.ndarray) and part.dtype.kind == "S":
             part = part.astype(str)
-        ids[lo:lo + len(part)] = part
-        lo += len(part)
+        hi = lo + len(part)
+        ids[slice(lo, hi) if at is None else at[lo:hi]] = part
+        lo = hi
     return ids
 
 
 @dataclass(frozen=True, eq=False)
 class Manifest:
-    """A manifest as columns, one entry per utterance in file order.
+    """A manifest as columns, one entry per utterance.
 
     ``utterance_ids`` holds each id's JSON text (see ``MAX_ID_PADDING``).
-    ``speaker_codes`` index ``speaker_ids``, numbered in order of first
-    appearance; every listed speaker has at least one utterance.
+    ``speaker_codes`` index ``speaker_ids``; every listed speaker has at
+    least one utterance. Rows may come in any order; ``load_manifest`` groups
+    them by speaker (see there).
     """
     utterance_ids: np.ndarray  # JSON texts: bytes, or str when one id is very long
     speaker_codes: np.ndarray  # int64
@@ -173,6 +177,10 @@ _READ_BLOCK_BYTES = 4 << 20
 def load_manifest(path) -> Manifest:
     """Read a tab-separated manifest with utterance_id, speaker_id, duration_s.
 
+    The rows come grouped by speaker: speakers are numbered in name order
+    and each speaker's rows keep their file order, the order in which
+    ``partition_by_speaker`` reads them.
+
     Raw Common Voice column names (client_id, path, duration in ms) are
     accepted through the documented alias map. Blank lines are skipped. Rows
     with missing fields, empty ids, durations that are not positive finite
@@ -242,7 +250,8 @@ def load_manifest(path) -> Manifest:
 
 
 class _ManifestColumns:
-    """Validated manifest columns, filled in file order by ``load_manifest``."""
+    """Validated manifest columns, filled in file order by ``load_manifest``
+    and grouped by speaker at the end."""
 
     def __init__(self, utt_col: int, spk_col: int, dur_col: int, dur_scale: float):
         self.utt_col, self.spk_col, self.dur_col = utt_col, spk_col, dur_col
@@ -350,12 +359,32 @@ class _ManifestColumns:
         self.id_width, self.id_bytes = max(self.id_width, width), self.id_bytes + total
 
     def manifest(self) -> Manifest:
+        """The rows grouped by speaker, speakers numbered in name order. Each
+        block's columns go straight to their grouped positions and are
+        released once there."""
         self.seen.clear()  # the ids as str, no longer needed
+        names = sorted(self.speaker_code)
+        n_speakers, n_rows = len(names), sum(map(len, self.codes))
+        # Codes in the narrowest integer type, as numpy radix-sorts keys of
+        # 16 bits or fewer.
+        renumber = np.empty(n_speakers, np.min_scalar_type(max(n_speakers - 1, 0)))
+        renumber[list(map(self.speaker_code.__getitem__, names))] = np.arange(n_speakers)
+        codes = np.concatenate([renumber[part] for part in self.codes] or [renumber[:0]])
+        self.codes.clear()
+        at = np.empty(n_rows, np.min_scalar_type(max(n_rows - 1, 0)))  # grouped position
+        at[np.argsort(codes, kind="stable")] = np.arange(n_rows, dtype=at.dtype)
+        durations = np.empty(n_rows)
+        lo = 0
+        while self.durations:
+            part = self.durations.pop(0)
+            durations[at[lo:lo + len(part)]] = part
+            lo += len(part)
         return Manifest(
-            utterance_ids=_id_array(self.id_parts, self.id_width, self.id_bytes),
-            speaker_codes=np.concatenate(self.codes or [np.zeros(0, np.int64)]),
-            speaker_ids=tuple(self.speaker_code),
-            durations_s=np.concatenate(self.durations or [np.zeros(0)]))
+            utterance_ids=_id_array(self.id_parts, self.id_width, self.id_bytes, at),
+            speaker_codes=np.repeat(np.arange(n_speakers),
+                                    np.bincount(codes, minlength=n_speakers)),
+            speaker_ids=tuple(names),
+            durations_s=durations)
 
 
 _NOT_UTF8 = "bytes that are not valid UTF-8"
@@ -437,7 +466,7 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     rng = np.random.default_rng(seed)
     for lo, hi in zip(starts, starts[1:] + [n_speakers]):
         if hi - lo > 1:
-            order[lo:hi] = order[lo:hi][rng.permutation(hi - lo)]
+            rng.shuffle(order[lo:hi])  # the draws of rng.permutation(hi - lo)
 
     heap = [(0.0, idx) for idx in range(k)]
     heapq.heapify(heap)
@@ -447,27 +476,36 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
         heapq.heapreplace(heap, (load + total, idx))
         assigned.append(idx)
     assigned = np.array(assigned, dtype=np.int64)  # client of each speaker in order
-    client_of = np.empty(n_speakers, np.int64)
-    client_of[order] = assigned
 
     # Rows grouped by client, speakers in assignment order, each speaker's
-    # rows in manifest order. Ranks take the narrowest integer type, as numpy
-    # radix-sorts keys of 16 bits or fewer.
-    speaker_rank = np.empty(n_speakers, np.min_scalar_type(n_speakers - 1))
-    speaker_rank[order[np.argsort(assigned, kind="stable")]] = np.arange(n_speakers)
-    rows = np.argsort(speaker_rank[codes], kind="stable")
-    ends = np.cumsum(np.bincount(client_of[codes], minlength=k)).tolist()
+    # rows in manifest order: one run per speaker of a stable sort of the
+    # codes, which is linear on the rows load_manifest groups by speaker.
+    # Codes take the narrowest integer type, as numpy radix-sorts keys of 16
+    # bits or fewer.
+    counts = np.bincount(codes, minlength=n_speakers)
+    sequence = order[np.argsort(assigned, kind="stable")]  # speakers, client by client
+    lengths = counts[sequence]
+    run_ends = np.cumsum(lengths)  # in rows
+    run_starts = (np.cumsum(counts) - counts)[sequence]  # in the sorted codes
+    rows = np.repeat(run_starts - (run_ends - lengths), lengths)
+    rows += np.arange(len(codes))
+    rows = np.argsort(codes.astype(np.min_scalar_type(n_speakers - 1)), kind="stable")[rows]
+    speaker_ends = np.cumsum(np.bincount(assigned, minlength=k))
+    row_ends = run_ends[speaker_ends - 1]
+    sizes = np.diff(row_ends, prepend=0)
+    # bincount adds each client's durations in row order, one at a time.
+    client_totals = np.bincount(np.repeat(np.arange(k), sizes), weights=durations[rows],
+                                minlength=k)
     clients = []
-    for idx, (lo, hi) in enumerate(zip([0] + ends, ends)):
-        client_rows = rows[lo:hi]
-        speakers = order[assigned == idx]
+    for idx, (client_rows, speakers, total) in enumerate(zip(
+            np.split(rows, row_ends[:-1]), np.split(sequence, speaker_ends[:-1]),
+            client_totals.tolist())):
         clients.append(ClientDataset(
             client_id=_client_id(idx, k),
-            n_utterances=hi - lo,
-            # one addition at a time in row order; np.sum would add pairwise
-            total_duration_s=float(np.cumsum(durations[client_rows])[-1]),
+            n_utterances=len(client_rows),
+            total_duration_s=total,
             speakers=frozenset(map(names.__getitem__, speakers.tolist())),
-            utterance_ids=manifest.utterance_ids[client_rows]))
+            utterance_ids=np.take(manifest.utterance_ids, client_rows)))
     return Partition(clients=tuple(clients), seed=seed)
 
 

@@ -2,7 +2,8 @@
 
 ``fl-plan --manifest`` parses and validates every row of the manifest, and a
 corpus is planned many times over with the same bytes. An entry holds the
-validated :class:`~fedspeech.federation.Manifest` columns. Its key is the
+validated :class:`~fedspeech.federation.Manifest` columns in the loader's
+layout, grouped by speaker. Its key is the
 SHA-256 of the loader's own source digest and the manifest's digest (the
 SHA-256 of its bytes, which a plan also records), so an edited manifest or
 an edited loader is a miss whatever the file's size and times say, and no

@@ -38,8 +38,8 @@ class StreamedList:
     def ints(cls, items: Sequence[int]) -> "StreamedList":
         return cls(items, int.__repr__)  # Python ints, as json.dumps writes them
 
-    def json_bytes(self, separator: str) -> bytes:
-        """The items' JSON texts joined by ``separator``."""
+    def json_bytes(self, separator: str) -> bytes | memoryview:
+        """The items' JSON texts joined by ``separator``, as a bytes-like object."""
         items = self.items
         if not (isinstance(items, np.ndarray) and items.dtype.kind == "S"):
             texts = items if self.encode is None else map(self.encode, items)
@@ -49,8 +49,8 @@ class StreamedList:
         grid = np.empty((n, width + len(sep)), np.uint8)
         grid[:, :width] = items.view(np.uint8).reshape(n, width)
         grid[:, width:] = np.frombuffer(sep, np.uint8)
-        data = grid.reshape(-1)[:-len(sep)].tobytes()
-        return data.replace(b"\0", b"") if (grid[:, width - 1] == 0).any() else data
+        data = memoryview(grid.reshape(-1)[:-len(sep)])
+        return data.tobytes().replace(b"\0", b"") if (grid[:, width - 1] == 0).any() else data
 
 
 def write_json(path, payload: Mapping[str, Any]) -> None:

@@ -186,6 +186,33 @@ class TestFlPlan:
                                            "corpus; it cannot be given with --manifest\n")
         assert not (tmp_path / "r").exists()
 
+    def test_mean_duration_with_manifest_exits_2(self, tmp_path, capsys, tie_manifest):
+        assert run(["fl-plan", "--manifest", str(tie_manifest), "--mean-duration", "25",
+                    "--clients", "1", "--rounds", "1", "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == ("error: --mean-duration sets the clips of an "
+                                           "idealised corpus; it cannot be given with "
+                                           "--manifest\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_manifest_plan_fits_its_longest_client_mean_clip(self, tmp_path, capsys):
+        # Every clip 25 s but one client's 2 s: base at batch 4 fits xavier-nx
+        # at the 5.5 s default (marginal) and at 2 s, but not at 25 s.
+        rows = [(f"s{i % 3}", f"u{i}", "x", 2000 if i % 3 == 0 else 25000)
+                for i in range(30)]
+        long_clips = tmp_path / "long.tsv"
+        long_clips.write_text(manifest_text(rows))
+        plan = ["fl-plan", "--manifest", str(long_clips), "--clients", "3", "--rounds", "2",
+                "--device", "nx", "--batch", "4"]
+        assert run(plan + ["--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith("memory fit: oom")
+        assert run(plan + ["--fail-on-oom", "--out", str(tmp_path / "b")]) == 4
+        assert capsys.readouterr().err.startswith("error: base at batch 4 does not fit on "
+                                                  "xavier-nx: ")
+        assert not (tmp_path / "b").exists()
+        assert run(["predict-time", "--device", "nx", "--batch", "4", "--duration", "2",
+                    "--out", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith("memory fit: fits")
+
     def test_idealised_corpus_defaults_to_19500_clips_per_client(self, tmp_path):
         assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--out", str(tmp_path)]) == 0
         plan = json.loads((tmp_path / "fl_plan.json").read_text())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import federation
+from fedspeech import federation, manifest_cache
 from fedspeech.arch import WorkloadSpec, base_preset, large_preset
 from fedspeech.costs import param_count
 from fedspeech.devices import get_profile, predict_batch_time
@@ -19,7 +19,7 @@ from fedspeech.errors import (InvalidSampleSizeError, MalformedRowError,
 from fedspeech.federation import (Manifest, RoundSchedule, decode_ids, encode_ids,
                                   estimate_communication, estimate_wall_clock, load_manifest,
                                   partition_by_speaker, schedule_rounds,
-                                  uniform_assignment, uniform_partition)
+                                  uniform_assignment, uniform_partition, write_manifest)
 from fedspeech.report import partition_payload, write_json
 
 
@@ -43,8 +43,8 @@ def rows_of(manifest):
 
 
 def _manifest(rows):
-    """A manifest of (speaker number, duration) rows, its speakers coded in
-    order of first appearance as ``load_manifest`` codes them."""
+    """A manifest of (speaker number, duration) rows in the given order, its
+    speakers coded in order of first appearance (not the loader's layout)."""
     first_seen = {}
     codes = [first_seen.setdefault(spk, len(first_seen)) for spk, _ in rows]
     return Manifest(encode_ids([f"u{i}" for i in range(len(rows))]),
@@ -62,6 +62,12 @@ def reference_rows(path):
         utt, spk, dur = (header.index(n) for n in ("path", "client_id", "duration[ms]"))
         return [(row[utt].strip(), row[spk].strip(), float(row[dur]) * 1e-3)
                 for row in reader if row and not (len(row) == 1 and not row[0].strip())]
+
+
+def grouped(rows):
+    """(utterance, speaker, duration) rows as ``load_manifest`` holds them:
+    grouped by speaker in name order, each speaker's rows in file order."""
+    return sorted(rows, key=lambda row: row[1])  # a stable sort
 
 
 def reference_first_bad_row(path):
@@ -220,7 +226,7 @@ class TestManifest:
         lines[100:100] = ["", "   "]
         p = write_tsv(tmp_path / "m.tsv", newline.join(lines).rstrip(newline))
         monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
-        assert rows_of(load_manifest(p)) == reference_rows(p)
+        assert rows_of(load_manifest(p)) == grouped(reference_rows(p))
 
     @pytest.mark.parametrize("bad,message", [
         ("{spk}\tx.mp3\t3000", "expected 4 fields, got 3"),
@@ -331,13 +337,29 @@ class TestManifest:
         ids = load_manifest(p).utterance_ids
         assert ids.dtype == whole.dtype == (object if long_id == 10_000 else "S106")
         assert ids.tolist() == whole.tolist()
-        assert decode_ids(ids) == [row[0] for row in reference_rows(p)]
+        assert decode_ids(ids) == [row[0] for row in grouped(reference_rows(p))]
 
     def test_non_ascii_utf8_accepted(self, tmp_path):
         rows = [(spk, clip, "un été à Reykjavík", ms)
                 for spk, clip, _, ms in tie_heavy_rows()]
         p = write_tsv(tmp_path / "m.tsv", manifest_text(rows))
-        assert rows_of(load_manifest(p)) == reference_rows(p)
+        assert rows_of(load_manifest(p)) == grouped(reference_rows(p))
+
+    def test_rows_grouped_by_speaker_in_name_order(self, tie_manifest, tmp_path):
+        manifest = load_manifest(tie_manifest)
+        rows = reference_rows(tie_manifest)
+        assert manifest.speaker_ids == tuple(sorted({spk for _, spk, _ in rows}))
+        assert (np.diff(manifest.speaker_codes) >= 0).all()  # each speaker's rows together
+        assert rows_of(manifest) == grouped(rows)  # in file order within a speaker
+        manifest_cache.load_manifest_cached(tie_manifest)
+        cached, _ = manifest_cache.load_manifest_cached(tie_manifest)  # a hit
+        written = tmp_path / "written.tsv"
+        write_manifest(written, manifest)
+        for again in (cached, load_manifest(written)):
+            assert again.speaker_ids == manifest.speaker_ids
+            assert again.speaker_codes.tolist() == manifest.speaker_codes.tolist()
+            assert again.utterance_ids.tolist() == manifest.utterance_ids.tolist()
+            assert again.durations_s.tobytes() == manifest.durations_s.tobytes()
 
     def test_header_only_and_empty(self, tmp_path):
         p = write_tsv(tmp_path / "h.tsv", "utterance_id\tspeaker_id\tduration_s\n")
@@ -428,6 +450,28 @@ class TestPartition:
                 for c in again.clients] == \
             [(c.client_id, ids, c.total_duration_s, c.speakers)
              for c, ids in zip(part.clients, held)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(layout=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_partition_does_not_depend_on_row_layout(self, tie_manifest, layout, k, seed):
+        # The loader's rows interleaved at random, each speaker's rows kept in
+        # their order, and the speakers numbered at random.
+        manifest = load_manifest(tie_manifest)
+        rng = np.random.default_rng(layout)
+        codes = manifest.speaker_codes
+        interleaved = rng.permutation(codes)
+        take = np.empty(len(codes), np.intp)  # row i of the new layout is row take[i]
+        take[np.argsort(interleaved, kind="stable")] = np.argsort(codes, kind="stable")
+        renumber = rng.permutation(len(manifest.speaker_ids))  # speaker i is renumber[i]
+        names = tuple(manifest.speaker_ids[i] for i in np.argsort(renumber).tolist())
+        shuffled = Manifest(manifest.utterance_ids[take], renumber[codes[take]], names,
+                            manifest.durations_s[take])
+        assert sorted(rows_of(shuffled)) == sorted(rows_of(manifest))
+        assert [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+                for c in partition_by_speaker(shuffled, k, seed).clients] == \
+            [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+             for c in partition_by_speaker(manifest, k, seed).clients]
 
     def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25

@@ -141,12 +141,11 @@ def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache
     assert entry.read_bytes() == good
 
 
-@pytest.mark.parametrize("damage", [
-    _id_byte(7, 3, 0x1f),
-    _id_byte(7, 3, 0),
-    _id_byte(7, 9, ord("x")),
-], ids=["id-byte-below-printable", "nul-inside-id", "padding-then-a-byte"])
-def test_damaged_padded_ids_are_a_miss_and_rewritten(tmp_path, parses, cache_home, damage):
+@pytest.mark.parametrize("at,value", [(3, 0x1f), (3, 0), (9, ord("x"))],
+                         ids=["id-byte-below-printable", "nul-inside-id",
+                              "padding-then-a-byte"])
+def test_damaged_padded_ids_are_a_miss_and_rewritten(tmp_path, parses, cache_home, at,
+                                                     value):
     # ids from "c0.mp3" to "c218.mp3": "c7.mp3" takes 8 of 10 bytes
     rows = [(spk, f"c{i}.mp3", sentence, ms)
             for i, (spk, _, sentence, ms) in enumerate(tie_heavy_rows())]
@@ -156,8 +155,13 @@ def test_damaged_padded_ids_are_a_miss_and_rewritten(tmp_path, parses, cache_hom
     [name] = entries(cache_home)
     entry = cache_home / "fedspeech" / name
     good = entry.read_bytes()
-    assert manifest_cache._HEADER.unpack(good[:manifest_cache._HEADER.size])[4] == 10
-    entry.write_bytes(damage(good))
+    # the entry holds the rows grouped by speaker name, in file order within each
+    item = [clip for _, clip, *_ in sorted(rows, key=lambda row: row[0])].index("c7.mp3")
+    fields = manifest_cache._HEADER.unpack(good[:manifest_cache._HEADER.size])
+    assert fields[4] == 10
+    pos = manifest_cache._HEADER.size + 16 * fields[2] + item * 10
+    assert good[pos:pos + 10] == b'"c7.mp3"\0\0'
+    entry.write_bytes(_id_byte(item, at, value)(good))
     assert plan(path, tmp_path / "b") == first
     assert len(parses) == 2
     assert entry.read_bytes() == good
