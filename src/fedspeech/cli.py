@@ -94,7 +94,8 @@ def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
     verdict = check_fit(profile, peak)
     if args.fail_on_oom and verdict is FitVerdict.OOM:
         raise InfeasibleError(
-            f"{arch.name} at batch {workload.batch} does not fit on {profile.name}: "
+            f"{arch.name} at batch {workload.batch} on {workload.duration_s} s clips "
+            f"does not fit on {profile.name}: "
             f"{peak / 1e9:.2f} GB vs {profile.memory_budget_bytes / 1e9:.2f} GB")
     return peak, verdict
 

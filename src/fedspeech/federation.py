@@ -22,6 +22,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence
 
@@ -94,15 +95,16 @@ def _id_array(parts: list, width: int, total: int,
 
 @dataclass(frozen=True, eq=False)
 class Manifest:
-    """A manifest as columns, one entry per utterance.
+    """A manifest as columns, its rows grouped by speaker.
 
-    ``utterance_ids`` holds each id's JSON text (see ``MAX_ID_PADDING``).
-    ``speaker_codes`` index ``speaker_ids``; every listed speaker has at
-    least one utterance. Rows may come in any order; ``load_manifest`` groups
-    them by speaker (see there).
+    ``speaker_ids`` are in name order, and speaker ``s`` holds the
+    ``speaker_rows[s]`` rows (at least one) that follow those of the
+    speakers before it, in file order. ``utterance_ids`` and ``durations_s``
+    have one entry per row; each id is held as its JSON text (see
+    ``MAX_ID_PADDING``).
     """
     utterance_ids: np.ndarray  # JSON texts: bytes, or str when one id is very long
-    speaker_codes: np.ndarray  # int64
+    speaker_rows: np.ndarray  # int64, one row count per speaker
     speaker_ids: tuple[str, ...]
     durations_s: np.ndarray  # float64
 
@@ -177,9 +179,7 @@ _READ_BLOCK_BYTES = 4 << 20
 def load_manifest(path) -> Manifest:
     """Read a tab-separated manifest with utterance_id, speaker_id, duration_s.
 
-    The rows come grouped by speaker: speakers are numbered in name order
-    and each speaker's rows keep their file order, the order in which
-    ``partition_by_speaker`` reads them.
+    The rows come grouped by speaker, as a ``Manifest`` holds them.
 
     Raw Common Voice column names (client_id, path, duration in ms) are
     accepted through the documented alias map. Blank lines are skipped. Rows
@@ -359,9 +359,9 @@ class _ManifestColumns:
         self.id_width, self.id_bytes = max(self.id_width, width), self.id_bytes + total
 
     def manifest(self) -> Manifest:
-        """The rows grouped by speaker, speakers numbered in name order. Each
-        block's columns go straight to their grouped positions and are
-        released once there."""
+        """The rows grouped by speaker, speakers in name order. Each block's
+        columns go straight to their grouped positions and are released once
+        there."""
         self.seen.clear()  # the ids as str, no longer needed
         names = sorted(self.speaker_code)
         n_speakers, n_rows = len(names), sum(map(len, self.codes))
@@ -381,8 +381,7 @@ class _ManifestColumns:
             lo += len(part)
         return Manifest(
             utterance_ids=_id_array(self.id_parts, self.id_width, self.id_bytes, at),
-            speaker_codes=np.repeat(np.arange(n_speakers),
-                                    np.bincount(codes, minlength=n_speakers)),
+            speaker_rows=np.bincount(codes),
             speaker_ids=tuple(names),
             durations_s=durations)
 
@@ -401,7 +400,8 @@ def _has_undecoded_bytes(row: list[str]) -> bool:
 
 
 def write_manifest(path, manifest: Manifest) -> None:
-    speaker_of = map(manifest.speaker_ids.__getitem__, manifest.speaker_codes.tolist())
+    speaker_of = chain.from_iterable(map(repeat, manifest.speaker_ids,
+                                         manifest.speaker_rows.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(REQUIRED_COLUMNS)
@@ -429,7 +429,7 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
     width_s = len(str(n_speakers - 1))
     return Manifest(
         utterance_ids=encode_ids([f"utt_{i:0{width_u}d}" for i in range(n_utterances)]),
-        speaker_codes=np.repeat(np.arange(n_speakers), counts),
+        speaker_rows=counts,
         speaker_ids=tuple(f"spk_{s:0{width_s}d}" for s in range(n_speakers)),
         durations_s=durations)
 
@@ -452,15 +452,16 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     if n_speakers < k:
         raise TooFewSpeakersError(
             f"{n_speakers} distinct speakers cannot fill {k} clients")
-    codes, durations = manifest.speaker_codes, manifest.durations_s
-    # bincount adds each speaker's durations in row order, one at a time.
-    totals = np.bincount(codes, weights=durations, minlength=n_speakers)
+    counts, durations = manifest.speaker_rows, manifest.durations_s
+    # bincount adds each speaker's durations in row order, one at a time
+    # (np.add.reduceat would pair them and round differently).
+    totals = np.bincount(np.repeat(np.arange(n_speakers), counts), weights=durations,
+                         minlength=n_speakers)
 
-    # Longest first, then by name; speakers with identical totals are
-    # ordered by a seeded shuffle so ties do not encode manifest order.
-    name_rank = np.empty(n_speakers, np.int64)
-    name_rank[sorted(range(n_speakers), key=names.__getitem__)] = np.arange(n_speakers)
-    order = np.lexsort((name_rank, -totals))
+    # Longest first, then by name (the manifest's speaker order); speakers
+    # with identical totals are ordered by a seeded shuffle so ties do not
+    # encode manifest order.
+    order = np.argsort(-totals, kind="stable")
     ordered_totals = totals[order]
     starts = np.flatnonzero(np.diff(ordered_totals, prepend=np.nan) != 0).tolist()
     rng = np.random.default_rng(seed)
@@ -478,18 +479,13 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     assigned = np.array(assigned, dtype=np.int64)  # client of each speaker in order
 
     # Rows grouped by client, speakers in assignment order, each speaker's
-    # rows in manifest order: one run per speaker of a stable sort of the
-    # codes, which is linear on the rows load_manifest groups by speaker.
-    # Codes take the narrowest integer type, as numpy radix-sorts keys of 16
-    # bits or fewer.
-    counts = np.bincount(codes, minlength=n_speakers)
+    # rows in manifest order: each speaker's run of rows in turn.
     sequence = order[np.argsort(assigned, kind="stable")]  # speakers, client by client
     lengths = counts[sequence]
-    run_ends = np.cumsum(lengths)  # in rows
-    run_starts = (np.cumsum(counts) - counts)[sequence]  # in the sorted codes
+    run_ends = np.cumsum(lengths)  # in the client-grouped rows
+    run_starts = (np.cumsum(counts) - counts)[sequence]  # in the manifest
     rows = np.repeat(run_starts - (run_ends - lengths), lengths)
-    rows += np.arange(len(codes))
-    rows = np.argsort(codes.astype(np.min_scalar_type(n_speakers - 1)), kind="stable")[rows]
+    rows += np.arange(len(durations))
     speaker_ends = np.cumsum(np.bincount(assigned, minlength=k))
     row_ends = run_ends[speaker_ends - 1]
     sizes = np.diff(row_ends, prepend=0)

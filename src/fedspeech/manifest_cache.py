@@ -2,8 +2,7 @@
 
 ``fl-plan --manifest`` parses and validates every row of the manifest, and a
 corpus is planned many times over with the same bytes. An entry holds the
-validated :class:`~fedspeech.federation.Manifest` columns in the loader's
-layout, grouped by speaker. Its key is the
+validated :class:`~fedspeech.federation.Manifest` columns. Its key is the
 SHA-256 of the loader's own source digest and the manifest's digest (the
 SHA-256 of its bytes, which a plan also records), so an edited manifest or
 an edited loader is a miss whatever the file's size and times say, and no
@@ -16,12 +15,12 @@ Deleting the directory clears the cache. An entry that cannot be read, or
 does not hold what its header says, is a miss, and the manifest is parsed as
 without a cache; a cache that cannot be written is left alone.
 
-An entry is a fixed header, then the speaker codes (int64) and durations
-(float64), then the utterance ids' JSON texts as the manifest holds them:
-``rows x width`` bytes of the fixed-width array, or (width 0 in the header,
-for ids with one very long id) one text per line. Last come the speaker ids'
-JSON texts, one per line. A JSON text never holds a newline, so every
-manifest that loads can be cached.
+An entry is a fixed header, then each speaker's row count (int64) and each
+row's duration (float64), then the utterance ids' JSON texts as the manifest
+holds them: ``rows x width`` bytes of the fixed-width array, or (width 0 in
+the header, for ids with one very long id) one text per line. Last come the
+speaker ids' JSON texts, one per line, in name order. A JSON text never
+holds a newline, so every manifest that loads can be cached.
 """
 
 from __future__ import annotations
@@ -149,12 +148,12 @@ def _read_entry(entry: Path, key: bytes) -> Optional[Manifest]:
                 return None
             magic, stored_key, rows, n_speakers, width, id_bytes, speaker_bytes = \
                 _HEADER.unpack(header)
-            size = _HEADER.size + 16 * rows + id_bytes + speaker_bytes
+            size = _HEADER.size + 8 * (n_speakers + rows) + id_bytes + speaker_bytes
             if (magic, stored_key) != (_MAGIC, key) or os.fstat(fh.fileno()).st_size != size \
                     or (width and id_bytes != rows * width):
                 return None
-            codes, durations = np.empty(rows, "<i8"), np.empty(rows, "<f8")
-            fh.readinto(codes)
+            counts, durations = np.empty(n_speakers, "<i8"), np.empty(rows, "<f8")
+            fh.readinto(counts)
             fh.readinto(durations)
             if width:
                 ids = np.empty(rows, f"S{width}")
@@ -167,12 +166,13 @@ def _read_entry(entry: Path, key: bytes) -> Optional[Manifest]:
             speakers = json.loads("[" + ",".join(speakers) + "]")
     except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
         return None
-    if len(speakers) != n_speakers or (width and not _json_texts(ids)):
+    if len(speakers) != n_speakers or (width and not _json_texts(ids)) \
+            or not all(map(str.__lt__, speakers, speakers[1:])):  # in name order
         return None
-    if rows and not (0 <= codes.min() and codes.max() < n_speakers
-                     and (durations > 0).all() and np.isfinite(durations).all()):
+    if not (counts.min(initial=1) >= 1 and counts.sum() == rows
+            and (durations > 0).all() and np.isfinite(durations).all()):
         return None
-    return Manifest(utterance_ids=ids, speaker_codes=codes, speaker_ids=tuple(speakers),
+    return Manifest(utterance_ids=ids, speaker_rows=counts, speaker_ids=tuple(speakers),
                     durations_s=durations)
 
 
@@ -222,7 +222,7 @@ def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -
     try:
         with open(tmp, "xb") as fh:
             fh.write(bytes(_HEADER.size))
-            fh.write(np.ascontiguousarray(manifest.speaker_codes, "<i8"))
+            fh.write(np.ascontiguousarray(manifest.speaker_rows, "<i8"))
             fh.write(np.ascontiguousarray(manifest.durations_s, "<f8"))
             if ids.dtype.kind == "S":
                 width, id_bytes = ids.dtype.itemsize, fh.write(np.ascontiguousarray(ids))

@@ -136,13 +136,13 @@ class TestFlPlan:
         # the same line as predict-time's for the same workload and device
         assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--device", "nx",
                     "--batch", "32", "--fail-on-oom", "--out", str(tmp_path / "r")]) == 4
-        assert capsys.readouterr().err == \
-            "error: base at batch 32 does not fit on xavier-nx: 39.86 GB vs 6.50 GB\n"
+        assert capsys.readouterr().err == ("error: base at batch 32 on 5.5 s clips does "
+                                           "not fit on xavier-nx: 39.86 GB vs 6.50 GB\n")
         assert not (tmp_path / "r").exists()
         assert run(["predict-time", "--device", "nx", "--batch", "32", "--fail-on-oom",
                     "--out", str(tmp_path / "p")]) == 4
-        assert capsys.readouterr().err == \
-            "error: base at batch 32 does not fit on xavier-nx: 39.86 GB vs 6.50 GB\n"
+        assert capsys.readouterr().err == ("error: base at batch 32 on 5.5 s clips does "
+                                           "not fit on xavier-nx: 39.86 GB vs 6.50 GB\n")
 
     def test_reference_plan(self, tmp_path):
         out = tmp_path / "r"
@@ -206,8 +206,9 @@ class TestFlPlan:
         assert run(plan + ["--out", str(tmp_path / "a")]) == 0
         assert capsys.readouterr().out.splitlines()[0].endswith("memory fit: oom")
         assert run(plan + ["--fail-on-oom", "--out", str(tmp_path / "b")]) == 4
-        assert capsys.readouterr().err.startswith("error: base at batch 4 does not fit on "
-                                                  "xavier-nx: ")
+        # the longest client mean: two of the three clients hold only 25 s clips
+        assert capsys.readouterr().err.startswith("error: base at batch 4 on 25.0 s clips "
+                                                  "does not fit on xavier-nx: ")
         assert not (tmp_path / "b").exists()
         assert run(["predict-time", "--device", "nx", "--batch", "4", "--duration", "2",
                     "--out", str(tmp_path / "p")]) == 0

@@ -29,28 +29,35 @@ def write_tsv(path, text):
 
 
 def head(manifest, n):
-    """The first ``n`` rows of a manifest (its speaker codes are numbered in
-    order of first appearance)."""
-    codes = manifest.speaker_codes[:n]
-    return Manifest(manifest.utterance_ids[:n], codes,
-                    manifest.speaker_ids[:codes.max() + 1], manifest.durations_s[:n])
+    """The first ``n`` rows of a manifest and the speakers that hold them."""
+    ends = np.minimum(np.cumsum(manifest.speaker_rows), n)
+    kept = int(np.searchsorted(ends, n)) + 1  # up to the speaker holding row n - 1
+    return Manifest(manifest.utterance_ids[:n], np.diff(ends[:kept], prepend=0),
+                    manifest.speaker_ids[:kept], manifest.durations_s[:n])
+
+
+def speaker_of_rows(manifest):
+    """The speaker id of each row."""
+    return [spk for spk, n in zip(manifest.speaker_ids, manifest.speaker_rows.tolist())
+            for _ in range(n)]
 
 
 def rows_of(manifest):
-    return list(zip(decode_ids(manifest.utterance_ids),
-                    [manifest.speaker_ids[c] for c in manifest.speaker_codes.tolist()],
+    return list(zip(decode_ids(manifest.utterance_ids), speaker_of_rows(manifest),
                     manifest.durations_s.tolist()))
 
 
 def _manifest(rows):
-    """A manifest of (speaker number, duration) rows in the given order, its
-    speakers coded in order of first appearance (not the loader's layout)."""
-    first_seen = {}
-    codes = [first_seen.setdefault(spk, len(first_seen)) for spk, _ in rows]
-    return Manifest(encode_ids([f"u{i}" for i in range(len(rows))]),
-                    np.array(codes, dtype=np.int64),
-                    tuple(f"spk{spk}" for spk in first_seen),
-                    np.array([d for _, d in rows], dtype=np.float64))
+    """A manifest of (speaker number, duration) rows, held as the loader
+    holds them: speakers in name order, each speaker's rows in the given
+    order; row ``i`` has id ``u{i}``."""
+    names = [f"spk{spk}" for spk, _ in rows]
+    order = sorted(range(len(rows)), key=names.__getitem__)  # a stable sort
+    speakers = sorted(set(names))
+    return Manifest(encode_ids([f"u{i}" for i in order]),
+                    np.array([names.count(name) for name in speakers], dtype=np.int64),
+                    tuple(speakers),
+                    np.array([rows[i][1] for i in order], dtype=np.float64))
 
 
 def reference_rows(path):
@@ -164,7 +171,7 @@ class TestManifest:
         assert rows_of(manifest) == [("u1", "s1", 5.0), ("u2", "s1", 4.0),
                                      ("u3", "s2", 6.5)]
         assert manifest.speaker_ids == ("s1", "s2")
-        assert manifest.speaker_codes.tolist() == [0, 0, 1]
+        assert manifest.speaker_rows.tolist() == [2, 1]
 
     def test_common_voice_column_names(self, tmp_path):
         p = write_tsv(tmp_path / "cv.tsv",
@@ -207,10 +214,11 @@ class TestManifest:
         assert len(loaded) == len(corpus_manifest) == 195_000
         total_h = sum(loaded.durations_s.tolist()) / 3600
         assert total_h == pytest.approx(298.0, rel=0.01)
-        assert len(loaded.speaker_ids) == len(set(loaded.speaker_codes.tolist())) == 6_000
+        assert len(loaded.speaker_ids) == len(loaded.speaker_rows) == 6_000
+        assert loaded.speaker_rows.min() >= 1
         assert loaded.utterance_ids.tolist() == corpus_manifest.utterance_ids.tolist()
         assert loaded.speaker_ids == corpus_manifest.speaker_ids
-        assert np.array_equal(loaded.speaker_codes, corpus_manifest.speaker_codes)
+        assert np.array_equal(loaded.speaker_rows, corpus_manifest.speaker_rows)
         assert np.abs(loaded.durations_s - corpus_manifest.durations_s).max() <= 5e-7
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -349,7 +357,8 @@ class TestManifest:
         manifest = load_manifest(tie_manifest)
         rows = reference_rows(tie_manifest)
         assert manifest.speaker_ids == tuple(sorted({spk for _, spk, _ in rows}))
-        assert (np.diff(manifest.speaker_codes) >= 0).all()  # each speaker's rows together
+        assert manifest.speaker_rows.tolist() == [  # each speaker's rows together
+            sum(spk == name for _, spk, _ in rows) for name in manifest.speaker_ids]
         assert rows_of(manifest) == grouped(rows)  # in file order within a speaker
         manifest_cache.load_manifest_cached(tie_manifest)
         cached, _ = manifest_cache.load_manifest_cached(tie_manifest)  # a hit
@@ -357,9 +366,36 @@ class TestManifest:
         write_manifest(written, manifest)
         for again in (cached, load_manifest(written)):
             assert again.speaker_ids == manifest.speaker_ids
-            assert again.speaker_codes.tolist() == manifest.speaker_codes.tolist()
+            assert again.speaker_rows.tolist() == manifest.speaker_rows.tolist()
             assert again.utterance_ids.tolist() == manifest.utterance_ids.tolist()
             assert again.durations_s.tobytes() == manifest.durations_s.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(layout=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_interleaved_rows_load_and_partition_alike(self, tmp_path_factory, tie_manifest,
+                                                      layout, k, seed):
+        # The file's rows interleaved at random, each speaker's rows kept in
+        # their order.
+        rows = tie_heavy_rows()
+        by_speaker = {}
+        for row in rows:
+            by_speaker.setdefault(row[0], []).append(row)
+        queues = {spk: iter(spk_rows) for spk, spk_rows in by_speaker.items()}
+        speakers = np.random.default_rng(layout).permutation([row[0] for row in rows])
+        interleaved = [next(queues[spk]) for spk in speakers.tolist()]
+        path = tmp_path_factory.mktemp("interleaved") / "m.tsv"
+        path.write_text(manifest_text(interleaved))
+        manifest, again = load_manifest(tie_manifest), load_manifest(path)
+        assert again.utterance_ids.dtype == manifest.utterance_ids.dtype
+        assert again.utterance_ids.tobytes() == manifest.utterance_ids.tobytes()
+        assert again.speaker_rows.tobytes() == manifest.speaker_rows.tobytes()
+        assert again.speaker_ids == manifest.speaker_ids
+        assert again.durations_s.tobytes() == manifest.durations_s.tobytes()
+        assert [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+                for c in partition_by_speaker(again, k, seed).clients] == \
+            [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+             for c in partition_by_speaker(manifest, k, seed).clients]
 
     def test_header_only_and_empty(self, tmp_path):
         p = write_tsv(tmp_path / "h.tsv", "utterance_id\tspeaker_id\tduration_s\n")
@@ -436,9 +472,7 @@ class TestPartition:
         k = data.draw(st.integers(1, len(manifest.speaker_ids)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         part = partition_by_speaker(manifest, k, seed)
-        speaker_of = dict(zip(manifest.utterance_ids.tolist(),
-                              (manifest.speaker_ids[c] for c in
-                               manifest.speaker_codes.tolist())))
+        speaker_of = dict(zip(manifest.utterance_ids.tolist(), speaker_of_rows(manifest)))
         held = [c.utterance_ids.tolist() for c in part.clients]
         assert [c.n_utterances for c in part.clients] == list(map(len, held))
         assert sorted(sum(held, [])) == sorted(speaker_of)  # every row, once
@@ -450,28 +484,6 @@ class TestPartition:
                 for c in again.clients] == \
             [(c.client_id, ids, c.total_duration_s, c.speakers)
              for c, ids in zip(part.clients, held)]
-
-    @settings(max_examples=40, deadline=None)
-    @given(layout=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1))
-    def test_partition_does_not_depend_on_row_layout(self, tie_manifest, layout, k, seed):
-        # The loader's rows interleaved at random, each speaker's rows kept in
-        # their order, and the speakers numbered at random.
-        manifest = load_manifest(tie_manifest)
-        rng = np.random.default_rng(layout)
-        codes = manifest.speaker_codes
-        interleaved = rng.permutation(codes)
-        take = np.empty(len(codes), np.intp)  # row i of the new layout is row take[i]
-        take[np.argsort(interleaved, kind="stable")] = np.argsort(codes, kind="stable")
-        renumber = rng.permutation(len(manifest.speaker_ids))  # speaker i is renumber[i]
-        names = tuple(manifest.speaker_ids[i] for i in np.argsort(renumber).tolist())
-        shuffled = Manifest(manifest.utterance_ids[take], renumber[codes[take]], names,
-                            manifest.durations_s[take])
-        assert sorted(rows_of(shuffled)) == sorted(rows_of(manifest))
-        assert [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
-                for c in partition_by_speaker(shuffled, k, seed).clients] == \
-            [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
-             for c in partition_by_speaker(manifest, k, seed).clients]
 
     def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 
+import numpy as np
 import pytest
 
 from conftest import manifest_text, tie_heavy_rows
@@ -57,9 +58,9 @@ def test_entry_is_the_parsed_manifest(manifest, cache_home):
     cached, _ = manifest_cache.load_manifest_cached(manifest)
     assert cached.utterance_ids.tolist() == parsed.utterance_ids.tolist()
     assert cached.speaker_ids == parsed.speaker_ids
-    assert cached.speaker_codes.tolist() == parsed.speaker_codes.tolist()
+    assert cached.speaker_rows.tolist() == parsed.speaker_rows.tolist()
     assert cached.durations_s.tobytes() == parsed.durations_s.tobytes()
-    assert cached.speaker_codes.dtype == parsed.speaker_codes.dtype
+    assert cached.speaker_rows.dtype == parsed.speaker_rows.dtype
     assert cached.utterance_ids.dtype == parsed.utterance_ids.dtype
 
 
@@ -93,6 +94,26 @@ def _id_width(width_of):
     return damage
 
 
+def _speaker_rows(change):
+    """Damage that replaces the per-speaker row counts with ``change(counts)``:
+    the same size, but counts the rows do not have."""
+    def damage(data):
+        n_speakers = manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size])[3]
+        lo = manifest_cache._HEADER.size
+        counts = np.frombuffer(data, "<i8", n_speakers, lo)
+        return data[:lo] + change(counts).astype("<i8").tobytes() + data[lo + counts.nbytes:]
+    return damage
+
+
+def _swap_speakers(data):
+    """Damage that swaps the first two speaker lines, which have the same
+    length: every line decodes, but out of name order."""
+    start = len(data) - manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size])[-1]
+    first, second, rest = data[start:].split(b"\n", 2)
+    assert len(first) == len(second)
+    return data[:start] + second + b"\n" + first + b"\n" + rest
+
+
 def _split_speaker(data):
     """Damage that turns the first speaker's JSON text into two of the same
     length: the lines then hold one speaker too many."""
@@ -105,8 +126,8 @@ def _id_byte(item, at, value):
     the fixed-width array."""
     def damage(data):
         fields = manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size])
-        rows, width = fields[2], fields[4]
-        pos = manifest_cache._HEADER.size + 16 * rows + item * width + at
+        rows, n_speakers, width = fields[2], fields[3], fields[4]
+        pos = manifest_cache._HEADER.size + 8 * (n_speakers + rows) + item * width + at
         return data[:pos] + bytes([value]) + data[pos + 1:]
     return damage
 
@@ -121,13 +142,17 @@ def _id_byte(item, at, value):
     _id_width(lambda width: width + 1),
     _id_width(lambda width: 1 << 30),
     _split_speaker,
+    _speaker_rows(lambda counts: np.concatenate([[0, counts[0] + counts[1]], counts[2:]])),
+    _speaker_rows(lambda counts: counts + (np.arange(len(counts)) == 0)),
+    _swap_speakers,
     _id_byte(7, 0, ord("c")),
     _id_byte(7, 5, 0x7f),
     _id_byte(7, 5, 0x0a),
     _id_byte(7, 5, 0),
 ], ids=["truncated", "header-cut", "trailing-byte", "ids-cut", "speakers-cut",
         "other-key", "id-bytes-not-rows-x-width", "id-width-past-the-file",
-        "speaker-line-holding-two", "id-without-opening-quote",
+        "speaker-line-holding-two", "speaker-without-rows", "rows-one-too-many",
+        "speakers-out-of-order", "id-without-opening-quote",
         "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id"])
 def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache_home,
                                                damage):
@@ -159,7 +184,7 @@ def test_damaged_padded_ids_are_a_miss_and_rewritten(tmp_path, parses, cache_hom
     item = [clip for _, clip, *_ in sorted(rows, key=lambda row: row[0])].index("c7.mp3")
     fields = manifest_cache._HEADER.unpack(good[:manifest_cache._HEADER.size])
     assert fields[4] == 10
-    pos = manifest_cache._HEADER.size + 16 * fields[2] + item * 10
+    pos = manifest_cache._HEADER.size + 8 * (fields[3] + fields[2]) + item * 10
     assert good[pos:pos + 10] == b'"c7.mp3"\0\0'
     entry.write_bytes(_id_byte(item, at, value)(good))
     assert plan(path, tmp_path / "b") == first
