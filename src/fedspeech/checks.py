@@ -414,17 +414,17 @@ def partitioner_checks() -> list[CheckResult]:
     ratio = max(durations) / min(durations)
     out.append(CheckResult("partition/duration-balance", ratio <= 1.1,
                            f"max/min client duration {ratio:.4f} (limit 1.1)"))
-    speakers = [c.speakers for c in part.clients]
-    disjoint = all(not (a & b) for i, a in enumerate(speakers)
-                   for b in speakers[i + 1:])
+    # every speaker held by exactly one client
+    held = np.bincount(np.concatenate([c.speaker_indices for c in part.clients]),
+                       minlength=len(manifest.speaker_ids))
+    disjoint = bool((held == 1).all())
     covered = sum(c.n_utterances for c in part.clients) == len(manifest)
     out.append(CheckResult("partition/speaker-disjoint", disjoint and covered,
                            "speaker sets disjoint and every utterance assigned"))
 
     again = partition_by_speaker(manifest, 10, seed=2)
-    identical = all(
-        a.client_id == b.client_id and np.array_equal(a.utterance_ids, b.utterance_ids)
-        for a, b in zip(part.clients, again.clients))
+    identical = all(a.client_id == b.client_id and np.array_equal(a.rows, b.rows)
+                    for a, b in zip(part.clients, again.clients))
     out.append(CheckResult("partition/deterministic", identical,
                            "repeated seeded runs are identical"))
     return out

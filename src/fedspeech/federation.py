@@ -21,7 +21,7 @@ import io
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence
@@ -114,17 +114,35 @@ class Manifest:
 
 @dataclass(frozen=True, eq=False)
 class ClientDataset:
-    """One client's share of the corpus. A manifest partition lists its
-    utterance ids; an idealised client is a count and has none."""
+    """One client's share of the corpus. A manifest partition's client is an
+    index into its manifest: ``rows`` and ``speaker_indices`` are views of
+    arrays that all its partition's clients share. An idealised client is a
+    count of one speaker's clips and has no index."""
     client_id: str
     n_utterances: int
     total_duration_s: float
-    speakers: frozenset[str]
-    utterance_ids: Optional[np.ndarray] = None  # JSON texts, as in a Manifest
+    n_speakers: int
+    manifest: Optional[Manifest] = field(default=None, repr=False)
+    rows: Optional[np.ndarray] = None  # the client's rows of the manifest, in order
+    speaker_indices: Optional[np.ndarray] = None  # its speakers' positions there
 
     @property
     def mean_duration_s(self) -> float:
         return self.total_duration_s / self.n_utterances
+
+    @property
+    def speakers(self) -> frozenset[str]:
+        if self.manifest is None:
+            return frozenset({f"{self.client_id}_spk"})
+        return frozenset(map(self.manifest.speaker_ids.__getitem__,
+                             self.speaker_indices.tolist()))
+
+    @property
+    def utterance_ids(self) -> Optional[np.ndarray]:
+        """The client's ids as JSON texts, as a ``Manifest`` holds them."""
+        if self.manifest is None:
+            return None
+        return np.take(self.manifest.utterance_ids, self.rows)
 
 
 @dataclass(frozen=True)
@@ -447,14 +465,14 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     """Split a manifest into ``k`` speaker-disjoint, duration-balanced clients."""
     if k < 1:
         raise TooFewSpeakersError("need at least one client")
-    names = manifest.speaker_ids
-    n_speakers = len(names)
+    n_speakers = len(manifest.speaker_ids)
     if n_speakers < k:
         raise TooFewSpeakersError(
             f"{n_speakers} distinct speakers cannot fill {k} clients")
     counts, durations = manifest.speaker_rows, manifest.durations_s
     # bincount adds each speaker's durations in row order, one at a time
-    # (np.add.reduceat would pair them and round differently).
+    # (np.add.reduceat would pair them and round differently); so does
+    # _sum_in_order each client's.
     totals = np.bincount(np.repeat(np.arange(n_speakers), counts), weights=durations,
                          minlength=n_speakers)
 
@@ -463,11 +481,11 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     # encode manifest order.
     order = np.argsort(-totals, kind="stable")
     ordered_totals = totals[order]
-    starts = np.flatnonzero(np.diff(ordered_totals, prepend=np.nan) != 0).tolist()
+    bounds = np.flatnonzero(np.diff(ordered_totals, prepend=np.nan, append=np.nan) != 0)
+    ties = np.flatnonzero(np.diff(bounds) > 1)  # groups of more than one speaker
     rng = np.random.default_rng(seed)
-    for lo, hi in zip(starts, starts[1:] + [n_speakers]):
-        if hi - lo > 1:
-            rng.shuffle(order[lo:hi])  # the draws of rng.permutation(hi - lo)
+    for lo, hi in zip(bounds[ties].tolist(), bounds[ties + 1].tolist()):
+        rng.shuffle(order[lo:hi])  # the draws of rng.permutation(hi - lo)
 
     heap = [(0.0, idx) for idx in range(k)]
     heapq.heapify(heap)
@@ -479,30 +497,36 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     assigned = np.array(assigned, dtype=np.int64)  # client of each speaker in order
 
     # Rows grouped by client, speakers in assignment order, each speaker's
-    # rows in manifest order: each speaker's run of rows in turn.
+    # rows in manifest order: each speaker's run of rows in turn. Within a
+    # run the row steps by one; at a run's first row it jumps to the run's
+    # start in the manifest. One cumulative sum of those steps, in place,
+    # gives the rows.
     sequence = order[np.argsort(assigned, kind="stable")]  # speakers, client by client
     lengths = counts[sequence]
     run_ends = np.cumsum(lengths)  # in the client-grouped rows
     run_starts = (np.cumsum(counts) - counts)[sequence]  # in the manifest
-    rows = np.repeat(run_starts - (run_ends - lengths), lengths)
-    rows += np.arange(len(durations))
+    rows = np.ones(len(durations), np.int64)
+    rows[0] = run_starts[0]
+    rows[run_ends[:-1]] = run_starts[1:] - run_starts[:-1] - lengths[:-1] + 1
+    np.cumsum(rows, out=rows)
     speaker_ends = np.cumsum(np.bincount(assigned, minlength=k))
     row_ends = run_ends[speaker_ends - 1]
-    sizes = np.diff(row_ends, prepend=0)
-    # bincount adds each client's durations in row order, one at a time.
-    client_totals = np.bincount(np.repeat(np.arange(k), sizes), weights=durations[rows],
-                                minlength=k)
     clients = []
-    for idx, (client_rows, speakers, total) in enumerate(zip(
-            np.split(rows, row_ends[:-1]), np.split(sequence, speaker_ends[:-1]),
-            client_totals.tolist())):
+    for idx, (client_rows, speakers) in enumerate(zip(
+            np.split(rows, row_ends[:-1]), np.split(sequence, speaker_ends[:-1]))):
         clients.append(ClientDataset(
             client_id=_client_id(idx, k),
             n_utterances=len(client_rows),
-            total_duration_s=total,
-            speakers=frozenset(map(names.__getitem__, speakers.tolist())),
-            utterance_ids=np.take(manifest.utterance_ids, client_rows)))
+            total_duration_s=_sum_in_order(durations[client_rows]),
+            n_speakers=len(speakers),
+            manifest=manifest, rows=client_rows, speaker_indices=speakers))
     return Partition(clients=tuple(clients), seed=seed)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """The sum of ``values`` added in order, one at a time, as ``np.bincount``
+    adds its weights; ``values`` is overwritten."""
+    return float(np.cumsum(values, out=values)[-1])
 
 
 def uniform_partition(n_clients: int, utterances_per_client: int,
@@ -513,14 +537,11 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
     if utterances_per_client < 1:
         raise InvalidSampleSizeError(
             f"utterances per client must be >= 1, got {utterances_per_client}")
-    clients = []
-    for idx in range(n_clients):
-        cid = _client_id(idx, n_clients)
-        clients.append(ClientDataset(
-            client_id=cid, n_utterances=utterances_per_client,
-            total_duration_s=mean_duration_s * utterances_per_client,
-            speakers=frozenset({f"{cid}_spk"})))
-    return Partition(clients=tuple(clients), seed=0)
+    clients = tuple(ClientDataset(
+        client_id=_client_id(idx, n_clients), n_utterances=utterances_per_client,
+        total_duration_s=mean_duration_s * utterances_per_client, n_speakers=1)
+        for idx in range(n_clients))
+    return Partition(clients=clients, seed=0)
 
 
 # ---------------------------------------------------------------------------

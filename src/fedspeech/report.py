@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -26,40 +27,79 @@ from .memory import MemoryTimeline
 class StreamedList:
     """A JSON list in a payload, which ``write_json`` writes in one piece,
     never walking its items one by one in the encoder. ``encode`` gives an
-    item's JSON text (see ``ints``); without it the items are their own JSON
-    texts, as the utterance ids of a manifest are: a fixed-width bytes array,
-    or a sequence of str."""
+    item's JSON text as ``json.dumps(indent=2, sort_keys=True)`` writes it at
+    the top level; without it the items are their own JSON texts, as the
+    utterance ids of a manifest are: a fixed-width bytes array, or a
+    sequence of str. With ``rows`` the list holds ``items[rows]``, gathered
+    only as it is written."""
 
-    def __init__(self, items: Sequence, encode: Optional[Callable[[Any], str]] = None):
+    def __init__(self, items: Sequence, encode: Optional[Callable[[Any], str]] = None,
+                 rows: Optional[np.ndarray] = None):
         self.items = items
         self.encode = encode
+        self.rows = rows
 
-    @classmethod
-    def ints(cls, items: Sequence[int]) -> "StreamedList":
-        return cls(items, int.__repr__)  # Python ints, as json.dumps writes them
+    def __len__(self) -> int:
+        return len(self.items if self.rows is None else self.rows)
 
-    def json_bytes(self, separator: str) -> bytes | memoryview:
-        """The items' JSON texts joined by ``separator``, as a bytes-like object."""
+    def texts(self) -> Iterable:
+        """The items' JSON texts, one by one."""
+        items = self.items if self.rows is None else self.items[self.rows]
+        return items if self.encode is None else map(self.encode, items)
+
+    def json_bytes(self, indent: str) -> bytes | memoryview:
+        """The items' JSON texts as the lines of a JSON list at ``indent``:
+        joined by a comma, a newline and ``indent``, as a bytes-like object."""
+        newline = "\n" + indent
         items = self.items
         if not (isinstance(items, np.ndarray) and items.dtype.kind == "S"):
-            texts = items if self.encode is None else map(self.encode, items)
-            return separator.join(texts).encode("ascii")
-        # One row per item: its text, NUL-padded to the width, then the separator.
-        n, width, sep = len(items), items.dtype.itemsize, separator.encode("ascii")
-        grid = np.empty((n, width + len(sep)), np.uint8)
-        grid[:, :width] = items.view(np.uint8).reshape(n, width)
-        grid[:, width:] = np.frombuffer(sep, np.uint8)
-        data = memoryview(grid.reshape(-1)[:-len(sep)])
-        return data.tobytes().replace(b"\0", b"") if (grid[:, width - 1] == 0).any() else data
+            texts = self.texts()
+            if self.encode is not None:  # an item's own lines, indented with it
+                texts = (text.replace("\n", newline) for text in texts)
+            return ("," + newline).join(texts).encode("ascii")
+        # One cell per item: its text, NUL-padded to the width, then the
+        # separator. The gathered ids go straight into their cells.
+        n, width, sep = len(self), items.dtype.itemsize, ("," + newline).encode("ascii")
+        ids = items.view(f"V{width}")
+        grid = np.empty(n, [("id", ids.dtype), ("sep", f"V{len(sep)}")])
+        if self.rows is None:
+            grid["id"] = ids
+        else:
+            np.take(ids, self.rows, out=grid["id"])
+        grid["sep"] = sep
+        cells = grid.view(np.uint8).reshape(n, width + len(sep))
+        data = memoryview(cells.reshape(-1)[:-len(sep)])
+        return data.tobytes().replace(b"\0", b"") if (cells[:, width - 1] == 0).any() else data
+
+
+@contextmanager
+def _replaced(path: Path, mode: str, **kwargs):
+    """A file opened for writing in place of ``path``: a temp file beside it,
+    renamed over ``path`` once written. An ``OSError`` raises ``ConfigError``
+    and leaves no temp file; ``path`` is then untouched."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        raise
 
 
 def write_json(path, payload: Mapping[str, Any]) -> None:
     """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` would,
     without encoding the items of any ``StreamedList`` in it one by one.
-    A non-finite number in it raises ``ConfigError`` and writes nothing."""
+    A non-finite number in it, or a file that cannot be written, raises
+    ``ConfigError`` and writes nothing."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
     streamed: list[StreamedList] = []
 
     def default(value):
@@ -67,7 +107,7 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
         # one-string list in its place; the file gets the items there.
         if not isinstance(value, StreamedList):
             return str(value)
-        if len(value.items) == 0:
+        if len(value) == 0:
             return []
         streamed.append(value)
         return [_STREAMED]
@@ -81,13 +121,12 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     if len(pieces) != len(streamed) + 1:  # a string in the payload is the placeholder
         pieces, streamed = [json.dumps(payload, indent=2, sort_keys=True,
                                        default=_listed)], []
-    with open(tmp, "wb") as fh:  # json.dumps escapes every non-ASCII character
+    with _replaced(path, "wb") as fh:  # json.dumps escapes every non-ASCII character
         for piece, value in zip(pieces, streamed):
             indent = piece[piece.rindex("\n") + 1:]
             fh.write(piece.encode("ascii"))
-            fh.write(value.json_bytes(",\n" + indent))
+            fh.write(value.json_bytes(indent))
         fh.write(pieces[-1].encode("ascii") + b"\n")
-    os.replace(tmp, path)
 
 
 _STREAMED = "\x00streamed strings"
@@ -96,18 +135,16 @@ _STREAMED = "\x00streamed strings"
 def _listed(value):
     if not isinstance(value, StreamedList):
         return str(value)
-    return list(value.items) if value.encode else [json.loads(t) for t in value.items]
+    return [json.loads(text) for text in value.texts()]
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    """Write ``header`` and ``rows`` as CSV; a file that cannot be written
+    raises ``ConfigError`` and writes nothing."""
+    with _replaced(Path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def cost_report_payload(report: CostReport, meta: Mapping[str, Any]) -> dict:
@@ -180,9 +217,10 @@ def partition_payload(partition: Partition, meta: Mapping[str, Any]) -> dict:
 def _client_entry(client: ClientDataset) -> dict:
     entry = {"client_id": client.client_id, "n_utterances": client.n_utterances,
              "total_duration_s": round(client.total_duration_s, 6),
-             "n_speakers": len(client.speakers)}
-    if client.utterance_ids is not None:  # an idealised client has no ids
-        entry["utterance_ids"] = StreamedList(client.utterance_ids)
+             "n_speakers": client.n_speakers}
+    if client.manifest is not None:  # an idealised client has no ids
+        entry["utterance_ids"] = StreamedList(client.manifest.utterance_ids,
+                                              rows=client.rows)
     return entry
 
 
@@ -192,9 +230,15 @@ def schedule_payload(schedule: RoundSchedule, meta: Mapping[str, Any]) -> dict:
         "total_clients": schedule.total_clients,
         "per_round": schedule.per_round,
         "seed": schedule.seed,
-        "rounds": [{"round_id": i, "selected": StreamedList.ints(sel)}
-                   for i, sel in enumerate(schedule.rounds)],
+        "rounds": StreamedList(tuple(enumerate(schedule.rounds)), _round_text),
     }
+
+
+def _round_text(item: tuple[int, Sequence[int]]) -> str:
+    """A round's JSON text, as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    round_id, selected = item
+    listed = ",\n    ".join(map(int.__repr__, selected))  # a round selects at least one
+    return f'{{\n  "round_id": {round_id},\n  "selected": [\n    {listed}\n  ]\n}}'
 
 
 def wall_clock_payload(estimate: WallClockEstimate, communication_bytes: float,

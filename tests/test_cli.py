@@ -616,6 +616,20 @@ def test_out_at_a_file_exits_2(tmp_path, capsys, under):
         err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,blocked", [
+    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], "fl_partition.json"),
+    (["analyze"], "analyze.json.tmp"),
+], ids=["report", "temp-file"])
+def test_unwritable_report_exits_2_on_one_line_and_leaves_no_temp_file(tmp_path, capsys,
+                                                                      argv, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert run(argv + ["--out", str(out)]) == 2
+    report = out / blocked.removesuffix(".tmp")
+    assert capsys.readouterr().err == f"error: cannot write {report}: Is a directory\n"
+    assert not [p for p in out.iterdir() if p.suffix == ".tmp" and p.is_file()]
+
+
 @pytest.mark.parametrize("argv,text,report", [
     (["memory"], "memory: {reference_peak_gb: 1.0e+300}\n", "memory.json"),
     (["predict-time", "--device", "a40"],

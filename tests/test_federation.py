@@ -485,6 +485,30 @@ class TestPartition:
             [(c.client_id, ids, c.total_duration_s, c.speakers)
              for c, ids in zip(part.clients, held)]
 
+    def test_clients_are_views_of_one_partition_wide_index(self, corpus_manifest):
+        part = partition_by_speaker(corpus_manifest, 10, seed=3)
+        rows = part.clients[0].rows.base
+        speakers = part.clients[0].speaker_indices.base
+        assert np.array_equal(np.sort(rows), np.arange(len(corpus_manifest)))
+        assert np.array_equal(np.sort(speakers), np.arange(len(corpus_manifest.speaker_ids)))
+        for client in part.clients:
+            assert np.shares_memory(client.rows, rows)
+            assert np.shares_memory(client.speaker_indices, speakers)
+            assert client.manifest is corpus_manifest
+            assert (client.n_utterances, client.n_speakers) == \
+                (len(client.rows), len(client.speaker_indices))
+
+    def test_partition_allocates_less_than_the_manifest_ids(self, corpus_manifest):
+        # the synthetic_manifest() of the checks: each client is an index,
+        # not a copy of its ids
+        tracemalloc.start()
+        try:
+            partition_by_speaker(corpus_manifest, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < corpus_manifest.utterance_ids.nbytes
+
     def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25
         subset = head(corpus_manifest, 20_000)

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import re
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedspeech.errors import ConfigError
-from fedspeech.federation import MAX_ID_PADDING, encode_ids
-from fedspeech.report import StreamedList, write_json
+from fedspeech.federation import MAX_ID_PADDING, encode_ids, schedule_rounds
+from fedspeech.report import StreamedList, schedule_payload, write_csv, write_json
 
 # Streamed lists of strings as a manifest holds utterance ids: their JSON
 # texts in a fixed-width bytes array when little of it is padding (``ids``),
@@ -18,7 +20,10 @@ STREAMED = {
     "ids": lambda items: StreamedList(encode_ids(items)),
     "texts": lambda items: StreamedList(np.array(list(map(encode_basestring_ascii, items)),
                                                  dtype=object)),
-    "ints": StreamedList.ints,
+    "ints": lambda items: StreamedList(items, int.__repr__),  # as json.dumps writes ints
+    # items whose JSON texts span lines, as a schedule's rounds do
+    "dicts": lambda items: StreamedList(items, lambda v: json.dumps(v, indent=2,
+                                                                     sort_keys=True)),
 }
 
 
@@ -53,7 +58,7 @@ def test_a_string_equal_to_the_placeholder_is_written_as_itself(tmp_path):
         return {"name": "\x00streamed strings", "ids": strings(["a", "\x00streamed strings"]),
                 "rounds": [{"selected": ints([3, 7])}, {"\x00streamed strings": ints([])}]}
 
-    write_json(tmp_path / "p.json", payload(STREAMED["ids"], StreamedList.ints))
+    write_json(tmp_path / "p.json", payload(STREAMED["ids"], STREAMED["ints"]))
     expected = json.dumps(payload(list, list), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
 
@@ -79,7 +84,9 @@ _KEYS = st.text("ab\"\x7fä", max_size=2)
 _INTS = st.integers(-2**70, 2**70)
 _STREAMED_LISTS = st.one_of(
     st.builds(_Streamed, st.sampled_from(["ids", "texts"]), st.lists(_TEXT, max_size=5)),
-    st.builds(_Streamed, st.just("ints"), st.lists(_INTS, max_size=5)))
+    st.builds(_Streamed, st.just("ints"), st.lists(_INTS, max_size=5)),
+    st.builds(_Streamed, st.just("dicts"), st.lists(st.dictionaries(
+        _KEYS, _INTS | st.lists(_INTS, max_size=3), max_size=3), max_size=4)))
 _LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _STREAMED_LISTS,
                     st.floats(allow_nan=False, allow_infinity=False))
 _PAYLOADS = st.dictionaries(_KEYS, st.recursive(
@@ -104,3 +111,79 @@ def test_streamed_lists_written_as_json_dumps_writes_them(tmp_path, payload):
     write_json(tmp_path / "p.json", _build(payload, streamed=True))
     expected = json.dumps(_build(payload, streamed=False), indent=2, sort_keys=True)
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected + "\n"
+
+
+def test_schedule_written_as_json_dumps_writes_its_rounds(tmp_path):
+    schedule = schedule_rounds(30, 4, 25, seed=3)
+    write_json(tmp_path / "s.json", schedule_payload(schedule, {"k": 1}))
+    expected = {"meta": {"k": 1}, "total_clients": 30, "per_round": 4, "seed": 3,
+                "rounds": [{"round_id": i, "selected": list(selected)}
+                           for i, selected in enumerate(schedule.rounds)]}
+    assert (tmp_path / "s.json").read_text() == \
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_indexed_as_gathered(tmp_path, held, items, rows):
+    """Ids written from ``held`` at ``rows`` read as those ``items`` do, and
+    as the gathered ids do."""
+    rows = np.array(rows, dtype=np.int64)
+    indexed, gathered = StreamedList(held, rows=rows), StreamedList(held[rows])
+    assert len(indexed) == len(rows)
+    assert bytes(indexed.json_bytes("    ")) == bytes(gathered.json_bytes("    "))
+    write_json(tmp_path / "p.json", {"clients": [{"ids": indexed}]})
+    expected = {"clients": [{"ids": [items[i] for i in rows.tolist()]}]}
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == \
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("items,rows,dtype", [
+    (["a", "bb", "ccc", "dd"], [3, 0, 2], "S5"),  # NUL-padded to the longest
+    (["aa", "bb", "cc"], [2, 1], "S4"),  # no padding
+    (["a" * 40, "b", "c"], [1, 0], object),
+    (["a", "bb"], [], "S4"),  # a client that holds no row
+], ids=["padded", "unpadded", "object", "empty"])
+def test_indexed_ids_written_as_their_gather(tmp_path, items, rows, dtype):
+    held = encode_ids(items)
+    assert held.dtype == dtype
+    _assert_indexed_as_gathered(tmp_path, held, items, rows)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), items=st.lists(_TEXT, min_size=1, max_size=8),
+       kind=st.sampled_from(["ids", "texts"]))
+def test_indexed_ids_property(tmp_path, data, items, kind):
+    held = STREAMED[kind](items).items
+    rows = data.draw(st.lists(st.integers(0, len(items) - 1), unique=True))
+    _assert_indexed_as_gathered(tmp_path, held, items, rows)
+
+
+_WRITERS = {"json": lambda path: write_json(path, {"a": [1, 2]}),
+            "csv": lambda path: write_csv(path, ["a"], [[1], [2]])}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("blocked", ["report", "temp file"])
+def test_unwritable_report_raises_and_leaves_no_temp_file(tmp_path, writer, blocked):
+    # a directory where the report goes fails the rename; one where its
+    # temp file goes fails the open
+    path = tmp_path / "r.out"
+    directory = path if blocked == "report" else tmp_path / "r.out.tmp"
+    directory.mkdir()
+    with pytest.raises(ConfigError,
+                       match=rf"^cannot write {re.escape(str(path))}: Is a directory$"):
+        _WRITERS[writer](path)
+    assert list(tmp_path.iterdir()) == [directory]
+    assert not any(directory.iterdir())
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    def full(item):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    path = tmp_path / "r.json"
+    path.write_text("the last report\n")
+    with pytest.raises(ConfigError, match=r"^cannot write .*r\.json: No space left on device$"):
+        write_json(path, {"ids": StreamedList([1], full)})
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "the last report\n"
