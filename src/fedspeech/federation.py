@@ -22,11 +22,13 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import param_count
@@ -48,49 +50,29 @@ _COLUMN_ALIASES = {
 }
 
 
-# Utterance ids are held as their JSON text, quotes included, in a fixed-width
-# bytes array: ASCII, so never a newline or a NUL, and written to a report as
-# they are. Ids that the width of the longest would pad to more than this many
-# times their own bytes (one very long id) are held as an object array of
-# those texts instead.
-MAX_ID_PADDING = 1.5
+# Utterance ids are held as their JSON texts, quotes included, each ended by a
+# newline, in one uint8 array: ASCII, so a text never holds a newline, and
+# written to a report as they are.
 
 
-def encode_ids(ids: Sequence[str]) -> np.ndarray:
-    """The JSON texts of ``ids``, as held in a ``Manifest``."""
-    encoded, width, total = _encode(ids)
-    return _id_array([encoded], width, total)
+def encode_ids(ids: Sequence[str]) -> bytes:
+    """The JSON texts of ``ids``, each ended by a newline, as a ``Manifest``
+    holds them."""
+    return _encode(ids)[0]
 
 
-def _encode(ids: Sequence[str]) -> tuple[list[str], int, int]:
-    """The JSON texts of ``ids``, the longest one's length and their total."""
+def _encode(ids: Sequence[str]) -> tuple[bytes, np.ndarray]:
+    """The JSON texts of ``ids``, each ended by a newline, and each one's
+    length with its newline."""
     encoded = list(map(encode_basestring_ascii, ids))
-    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    return encoded, int(lengths.max(initial=1)), int(lengths.sum())
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded)) + 1
+    encoded.append("")  # the newline after the last text
+    return "\n".join(encoded).encode("ascii") if lengths.size else b"", lengths
 
 
-def decode_ids(ids: np.ndarray) -> list[str]:
-    """The utterance ids an array of their JSON texts holds."""
-    return [json.loads(text) for text in ids.tolist()]
-
-
-def _id_array(parts: list, width: int, total: int,
-              at: Optional[np.ndarray] = None) -> np.ndarray:
-    """One array of the JSON texts in ``parts`` (lists of str, or arrays from
-    this function), ``width`` the longest and ``total`` their length. Item
-    ``i`` of the parts goes to position ``at[i]``, else to ``i``."""
-    n = sum(map(len, parts))
-    wide = width * n > MAX_ID_PADDING * total
-    ids = np.empty(n, object if wide else f"S{max(width, 1)}")
-    lo = 0
-    while parts:
-        part = parts.pop(0)  # each part is released once copied
-        if wide and isinstance(part, np.ndarray) and part.dtype.kind == "S":
-            part = part.astype(str)
-        hi = lo + len(part)
-        ids[slice(lo, hi) if at is None else at[lo:hi]] = part
-        lo = hi
-    return ids
+def decode_ids(texts) -> list[str]:
+    """The strings that newline-ended JSON texts, in a bytes-like object, hold."""
+    return json.loads(b"[" + bytes(texts)[:-1].replace(b"\n", b",") + b"]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,17 +81,35 @@ class Manifest:
 
     ``speaker_ids`` are in name order, and speaker ``s`` holds the
     ``speaker_rows[s]`` rows (at least one) that follow those of the
-    speakers before it, in file order. ``utterance_ids`` and ``durations_s``
-    have one entry per row; each id is held as its JSON text (see
-    ``MAX_ID_PADDING``).
+    speakers before it, in file order. ``durations_s`` has one entry per
+    row. ``utterance_ids`` holds the bytes of each row's id as its JSON
+    text, ended by a newline, in row order (see ``encode_ids``); speaker
+    ``s``'s texts take ``speaker_bytes[s]`` bytes of it.
     """
-    utterance_ids: np.ndarray  # JSON texts: bytes, or str when one id is very long
+    utterance_ids: np.ndarray  # uint8
     speaker_rows: np.ndarray  # int64, one row count per speaker
+    speaker_bytes: np.ndarray  # int64, one byte count of utterance_ids per speaker
     speaker_ids: tuple[str, ...]
     durations_s: np.ndarray  # float64
 
+    @classmethod
+    def of_rows(cls, utterance_ids: Sequence[str], speaker_rows, speaker_ids: Sequence[str],
+                durations_s) -> "Manifest":
+        """The manifest of rows already grouped by speaker."""
+        texts, lengths = _encode(utterance_ids)
+        speaker_rows = np.asarray(speaker_rows, np.int64)
+        ends = np.cumsum(lengths)[np.cumsum(speaker_rows) - 1]
+        return cls(np.frombuffer(texts, np.uint8), speaker_rows, np.diff(ends, prepend=0),
+                   tuple(speaker_ids), np.asarray(durations_s, np.float64))
+
     def __len__(self) -> int:
-        return len(self.utterance_ids)
+        return len(self.durations_s)
+
+    @cached_property
+    def id_offsets(self) -> np.ndarray:
+        """Where each speaker's texts start in ``utterance_ids``, and after
+        them the end of the last."""
+        return np.concatenate(([0], np.cumsum(self.speaker_bytes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +137,11 @@ class ClientDataset:
         return frozenset(map(self.manifest.speaker_ids.__getitem__,
                              self.speaker_indices.tolist()))
 
-    @property
-    def utterance_ids(self) -> Optional[np.ndarray]:
-        """The client's ids as JSON texts, as a ``Manifest`` holds them."""
-        if self.manifest is None:
-            return None
-        return np.take(self.manifest.utterance_ids, self.rows)
+    def id_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (start, end) offsets in the manifest's ``utterance_ids`` of
+        each of the client's speakers' texts, which hold its ids in order."""
+        offsets = self.manifest.id_offsets
+        return offsets[self.speaker_indices], offsets[self.speaker_indices + 1]
 
 
 @dataclass(frozen=True)
@@ -192,6 +191,7 @@ class WallClockEstimate:
 
 
 _READ_BLOCK_BYTES = 4 << 20
+_id_hash = hash  # of each id a block adds
 
 
 def load_manifest(path) -> Manifest:
@@ -207,11 +207,13 @@ def load_manifest(path) -> Manifest:
 
     The file is read in blocks cut at the last newline. A block of plain
     rows that all hold the same number of tab-separated fields and keep
-    every rule is split into columns at once. From the first block that
-    does not (blank lines, short rows, quoted fields, bare carriage returns,
-    or a row that breaks a rule) the rest of the file goes through
-    ``csv.reader``, whose quoting rules then apply and which alone names a
-    bad row.
+    every rule but the one on repeated ids is split into columns at once.
+    From the first block that does not (blank lines, short rows, quoted
+    fields, bare carriage returns, or a row that breaks a rule) the rest of
+    the file goes through ``csv.reader``, whose quoting rules then apply and
+    which alone names a bad row. Blocks keep the ``hash()`` of each id
+    instead of the id: if two of those hashes are equal, the whole file goes
+    through ``csv.reader``.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -241,10 +243,13 @@ def load_manifest(path) -> Manifest:
             if required not in index:
                 raise MissingColumnError(f"manifest has no {required} column")
 
-        columns = _ManifestColumns(index["utterance_id"], index["speaker_id"], dur_col,
-                                   dur_scale)
-        offset, line_no, rest = len(header_line), 2, b""
-        while True:
+        def new_columns():
+            return _ManifestColumns(index["utterance_id"], index["speaker_id"], dur_col,
+                                    dur_scale)
+
+        columns = new_columns()
+        offset, line_no, rest, handed_over = len(header_line), 2, b"", False
+        while not handed_over:
             chunk = fh.read(_READ_BLOCK_BYTES)
             data = rest + chunk
             if not chunk:
@@ -253,17 +258,17 @@ def load_manifest(path) -> Manifest:
                 data += b"\n"  # a last line without its newline
             cut = data.rfind(b"\n") + 1
             block, rest = data[:cut], data[cut:]
-            if not block:
-                continue
-            n_lines = columns.add_block(block)
-            if n_lines is None:
-                fh.seek(offset)
-                columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8",
-                                                  errors="surrogateescape", newline=""),
-                                 line_no)
-                break
-            offset += len(block)
-            line_no += n_lines
+            n_lines = columns.add_block(block) if block else 0
+            handed_over = n_lines is None
+            if not handed_over:
+                offset += len(block)
+                line_no += n_lines
+        if columns.may_repeat_an_id():  # read every row again, one at a time
+            columns, offset, line_no, handed_over = new_columns(), len(header_line), 2, True
+        if handed_over:
+            fh.seek(offset)
+            columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
+                                              newline=""), line_no)
         return columns.manifest()
 
 
@@ -275,10 +280,11 @@ class _ManifestColumns:
         self.utt_col, self.spk_col, self.dur_col = utt_col, spk_col, dur_col
         self.n_fields = max(utt_col, spk_col, dur_col) + 1
         self.dur_scale = dur_scale
-        # each block's ids as one array of their JSON texts (see _id_array)
-        self.id_parts: list[np.ndarray] = []
-        self.id_width = self.id_bytes = 0
-        self.seen: set[str] = set()
+        # Each block's ids: their newline-ended JSON texts, the length of
+        # each, and (from add_block) the hash of each id.
+        self.id_texts: list[bytes] = []
+        self.id_lengths: list[np.ndarray] = []
+        self.id_hashes: list[np.ndarray] = []
         # Looking up a new speaker inserts it with the next free code.
         self.speaker_code: defaultdict[str, int] = defaultdict()
         self.speaker_code.default_factory = self.speaker_code.__len__
@@ -288,7 +294,8 @@ class _ManifestColumns:
     def add_block(self, block: bytes) -> Optional[int]:
         """Add a block of whole lines and return its line count, or return
         None, adding nothing, unless every line is a plain row that keeps
-        every rule: the block then goes to ``add_rows``."""
+        every rule but that its id be new: the block then goes to
+        ``add_rows``."""
         if b'"' in block:
             return None
         if b"\r" in block:
@@ -322,23 +329,23 @@ class _ManifestColumns:
             return None
         if not (np.isfinite(durations) & (durations > 0)).all():
             return None
-        before = len(self.seen)
-        self.seen.update(ids)
-        if len(self.seen) - before != len(ids):
-            # the ids of the rows added so far
-            self.seen = {i for part in self.id_parts for i in decode_ids(part)}
-            return None
-
-        self._add_ids(ids)
-        self.codes.append(np.fromiter(map(self.speaker_code.__getitem__, speakers),
-                                      np.int64, len(speakers)))
-        self.durations.append(durations)
+        self.id_hashes.append(np.fromiter(map(_id_hash, ids), np.int64, len(ids)))
+        self._add(ids, speakers, durations)
         return len(ids)
+
+    def may_repeat_an_id(self) -> bool:
+        """Whether two ids that ``add_block`` added have one hash, as two
+        rows of one id do."""
+        hashes = np.concatenate(self.id_hashes or [np.empty(0, np.int64)])
+        self.id_hashes.clear()
+        hashes.sort()
+        return bool((hashes[1:] == hashes[:-1]).any())
 
     def add_rows(self, text, first_line: int) -> None:
         """Add every remaining row of ``text``, read with ``csv.reader``; its
-        first line is ``first_line``."""
-        ids, codes, durations = [], [], []
+        first line is ``first_line``. The ids added before must differ."""
+        seen = set(decode_ids(b"".join(self.id_texts)))
+        ids, speakers, durations = [], [], []
         for line_no, row in enumerate(csv.reader(text, delimiter="\t"), start=first_line):
             if _has_undecoded_bytes(row):
                 raise MalformedRowError(line_no, _NOT_UTF8)
@@ -361,26 +368,26 @@ class _ManifestColumns:
                 raise MalformedRowError(line_no, f"duration {duration!r} is not finite")
             if not duration > 0:
                 raise MalformedRowError(line_no, f"non-positive duration {duration!r}")
-            if utt in self.seen:
+            if utt in seen:
                 raise MalformedRowError(line_no, f"duplicate utterance id {utt!r}")
-            self.seen.add(utt)
+            seen.add(utt)
             ids.append(utt)
-            codes.append(self.speaker_code[spk])
+            speakers.append(spk)
             durations.append(duration)
-        self._add_ids(ids)
-        self.codes.append(np.array(codes, dtype=np.int64))
-        self.durations.append(np.array(durations, dtype=np.float64))
+        self._add(ids, speakers, np.array(durations, dtype=np.float64))
 
-    def _add_ids(self, ids: list[str]) -> None:
-        encoded, width, total = _encode(ids)
-        self.id_parts.append(_id_array([encoded], width, total))
-        self.id_width, self.id_bytes = max(self.id_width, width), self.id_bytes + total
+    def _add(self, ids: list[str], speakers: list[str], durations: np.ndarray) -> None:
+        texts, lengths = _encode(ids)
+        self.id_texts.append(texts)
+        self.id_lengths.append(lengths)
+        self.codes.append(np.fromiter(map(self.speaker_code.__getitem__, speakers),
+                                      np.int64, len(speakers)))
+        self.durations.append(durations)
 
     def manifest(self) -> Manifest:
         """The rows grouped by speaker, speakers in name order. Each block's
         columns go straight to their grouped positions and are released once
         there."""
-        self.seen.clear()  # the ids as str, no longer needed
         names = sorted(self.speaker_code)
         n_speakers, n_rows = len(names), sum(map(len, self.codes))
         # Codes in the narrowest integer type, as numpy radix-sorts keys of
@@ -391,17 +398,44 @@ class _ManifestColumns:
         self.codes.clear()
         at = np.empty(n_rows, np.min_scalar_type(max(n_rows - 1, 0)))  # grouped position
         at[np.argsort(codes, kind="stable")] = np.arange(n_rows, dtype=at.dtype)
+        speaker_rows = np.bincount(codes)
+        del codes
+        # Where each row's text ends once grouped, then where it starts
+        lengths = np.concatenate(self.id_lengths or [np.empty(0, np.int64)])
+        self.id_lengths.clear()
+        ends = np.empty(n_rows, np.int64)
+        ends[at] = lengths
+        np.cumsum(ends, out=ends)
+        speaker_bytes = np.diff(ends[np.cumsum(speaker_rows) - 1], prepend=0)
+        texts = np.empty(int(ends[-1]) if n_rows else 0, np.uint8)
+        starts = ends[at]
+        del ends
+        starts -= lengths
         durations = np.empty(n_rows)
         lo = 0
         while self.durations:
             part = self.durations.pop(0)
-            durations[at[lo:lo + len(part)]] = part
-            lo += len(part)
-        return Manifest(
-            utterance_ids=_id_array(self.id_parts, self.id_width, self.id_bytes, at),
-            speaker_rows=np.bincount(codes),
-            speaker_ids=tuple(names),
-            durations_s=durations)
+            hi = lo + len(part)
+            durations[at[lo:hi]] = part
+            _place_lines(texts, self.id_texts.pop(0), lengths[lo:hi], starts[lo:hi])
+            lo = hi
+        return Manifest(utterance_ids=texts, speaker_rows=speaker_rows,
+                        speaker_bytes=speaker_bytes, speaker_ids=tuple(names),
+                        durations_s=durations)
+
+
+def _place_lines(out: np.ndarray, lines: bytes, lengths: np.ndarray,
+                 starts: np.ndarray) -> None:
+    """Copy line ``i`` of ``lines``, ``lengths[i]`` bytes long, to
+    ``out[starts[i]:]``: lines of one length move as one fixed-width gather
+    and scatter."""
+    source = np.frombuffer(lines, np.uint8)
+    offsets = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    widths, firsts = np.unique(lengths[order], return_index=True)
+    for width, rows in zip(widths.tolist(), np.split(order, firsts[1:])):
+        sliding_window_view(out, width, writeable=True)[starts[rows]] = \
+            sliding_window_view(source, width)[offsets[rows]]
 
 
 _NOT_UTF8 = "bytes that are not valid UTF-8"
@@ -445,11 +479,8 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
     durations *= mean_duration_s / durations.mean()
     width_u = len(str(n_utterances - 1))
     width_s = len(str(n_speakers - 1))
-    return Manifest(
-        utterance_ids=encode_ids([f"utt_{i:0{width_u}d}" for i in range(n_utterances)]),
-        speaker_rows=counts,
-        speaker_ids=tuple(f"spk_{s:0{width_s}d}" for s in range(n_speakers)),
-        durations_s=durations)
+    return Manifest.of_rows([f"utt_{i:0{width_u}d}" for i in range(n_utterances)], counts,
+                            [f"spk_{s:0{width_s}d}" for s in range(n_speakers)], durations)
 
 
 # ---------------------------------------------------------------------------

@@ -15,24 +15,25 @@ Deleting the directory clears the cache. An entry that cannot be read, or
 does not hold what its header says, is a miss, and the manifest is parsed as
 without a cache; a cache that cannot be written is left alone.
 
-An entry is a fixed header, then each speaker's row count (int64) and each
-row's duration (float64), then the utterance ids' JSON texts as the manifest
-holds them: ``rows x width`` bytes of the fixed-width array, or (width 0 in
-the header, for ids with one very long id) one text per line. Last come the
-speaker ids' JSON texts, one per line, in name order. A JSON text never
-holds a newline, so every manifest that loads can be cached.
+An entry is a fixed header, then each speaker's row count and byte count of
+utterance ids (int64) and each row's duration (float64), then the utterance
+ids as the manifest holds them: their JSON texts, each ended by a newline,
+grouped by speaker. Last come the speaker ids' JSON texts in the same form,
+in name order. A JSON text never holds a newline, so every manifest that
+loads can be cached. The header holds each section's size and a CRC-32 of
+the counts and the ids, so a damaged entry is found without a scan of its
+ids for newlines; durations are checked by value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import struct
 import sys
 import time
-from json.encoder import encode_basestring_ascii
+import zlib
 from pathlib import Path
 from typing import Optional
 
@@ -40,17 +41,16 @@ import numpy as np
 
 from . import federation
 from .errors import UnreadableManifestError
-from .federation import Manifest, load_manifest
+from .federation import Manifest, decode_ids, encode_ids, load_manifest
 
 MAX_ENTRIES = 4
 
 _SUFFIX = ".manifest"
-_MAGIC = b"FSMANIF1"
-# magic, key, rows, speakers, width of an utterance id (0: one per line),
-# bytes of utterance ids, bytes of speaker ids
-_HEADER = struct.Struct("<8s32sQQQQQ")
+_MAGIC = b"FSMANIF2"
+# magic, key, rows, speakers, bytes of utterance ids, bytes of speaker ids,
+# CRC-32 of every section but the durations, which are checked by value
+_HEADER = struct.Struct("<8s32sQQQQI")
 _BLOCK_BYTES = 1 << 20
-_STRINGS_PER_WRITE = 1 << 16
 
 
 def cache_dir() -> Optional[Path]:
@@ -146,70 +146,30 @@ def _read_entry(entry: Path, key: bytes) -> Optional[Manifest]:
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
                 return None
-            magic, stored_key, rows, n_speakers, width, id_bytes, speaker_bytes = \
+            magic, stored_key, rows, n_speakers, id_bytes, speaker_id_bytes, crc = \
                 _HEADER.unpack(header)
-            size = _HEADER.size + 8 * (n_speakers + rows) + id_bytes + speaker_bytes
-            if (magic, stored_key) != (_MAGIC, key) or os.fstat(fh.fileno()).st_size != size \
-                    or (width and id_bytes != rows * width):
+            size = _HEADER.size + 16 * n_speakers + 8 * rows + id_bytes + speaker_id_bytes
+            if (magic, stored_key) != (_MAGIC, key) or os.fstat(fh.fileno()).st_size != size:
                 return None
-            counts, durations = np.empty(n_speakers, "<i8"), np.empty(rows, "<f8")
-            fh.readinto(counts)
-            fh.readinto(durations)
-            if width:
-                ids = np.empty(rows, f"S{width}")
-                fh.readinto(ids)
-            else:
-                ids = _read_lines(fh, id_bytes, rows)
-            speakers = _read_lines(fh, speaker_bytes, n_speakers)
-            if ids is None or speakers is None:
+            counts, byte_counts = np.empty(n_speakers, "<i8"), np.empty(n_speakers, "<i8")
+            durations, ids = np.empty(rows, "<f8"), np.empty(id_bytes, np.uint8)
+            for array in (counts, byte_counts, durations, ids):
+                fh.readinto(array)
+            speakers = fh.read(speaker_id_bytes)
+            if _crc(counts, byte_counts, ids, speakers) != crc:
                 return None
-            speakers = json.loads("[" + ",".join(speakers) + "]")
+            speakers = decode_ids(speakers)
     except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
         return None
-    if len(speakers) != n_speakers or (width and not _json_texts(ids)) \
+    if len(speakers) != n_speakers \
             or not all(map(str.__lt__, speakers, speakers[1:])):  # in name order
         return None
     if not (counts.min(initial=1) >= 1 and counts.sum() == rows
+            and byte_counts.sum() == id_bytes
             and (durations > 0).all() and np.isfinite(durations).all()):
         return None
-    return Manifest(utterance_ids=ids, speaker_rows=counts, speaker_ids=tuple(speakers),
-                    durations_s=durations)
-
-
-def _json_texts(ids: np.ndarray) -> bool:
-    """Whether each item of a fixed-width bytes array can be the JSON text
-    of an id: it starts with a quote, every byte is printable ASCII, and NUL
-    bytes only pad its end."""
-    grid = ids.view(np.uint8).reshape(len(ids), ids.dtype.itemsize)
-    if not (grid[:, 0] == ord('"')).all() or grid.max(initial=0) > 0x7e:
-        return False
-    if grid.min(initial=0x20) >= 0x20:  # no NUL and no control byte
-        return True
-    # Every NUL is padding, which str_len leaves out, and every other byte is
-    # printable: a NUL less one wraps round to 0xff.
-    nuls = grid.size - np.count_nonzero(grid)
-    return nuls == grid.size - np.char.str_len(ids).sum() and (grid - 1).min() >= 0x1f
-
-
-def _read_lines(fh, size: int, count: int) -> Optional[np.ndarray]:
-    """The ``count`` newline-ended ASCII strings in the next ``size`` bytes
-    of ``fh`` as an object array, or None if those bytes hold another count."""
-    strings = np.empty(count, dtype=object)
-    filled, rest = 0, b""
-    while size:
-        chunk = fh.read(min(size, _BLOCK_BYTES))
-        if not chunk:
-            return None
-        size -= len(chunk)
-        data = rest + chunk
-        cut = data.rfind(b"\n") + 1
-        lines = data[:cut].decode("ascii").split("\n")[:-1]
-        rest = data[cut:]
-        if filled + len(lines) > count:
-            return None
-        strings[filled:filled + len(lines)] = lines
-        filled += len(lines)
-    return strings if filled == count and not rest else None
+    return Manifest(utterance_ids=ids, speaker_rows=counts, speaker_bytes=byte_counts,
+                    speaker_ids=tuple(speakers), durations_s=durations)
 
 
 def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -> None:
@@ -218,21 +178,17 @@ def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -
     be stored leaves the cache as it was."""
     directory.mkdir(parents=True, exist_ok=True)
     tmp = directory / f".{entry.name}.{os.getpid()}.tmp"
-    ids = manifest.utterance_ids
+    counts = np.ascontiguousarray(manifest.speaker_rows, "<i8")
+    byte_counts = np.ascontiguousarray(manifest.speaker_bytes, "<i8")
+    ids, speakers = manifest.utterance_ids, encode_ids(manifest.speaker_ids)
     try:
         with open(tmp, "xb") as fh:
-            fh.write(bytes(_HEADER.size))
-            fh.write(np.ascontiguousarray(manifest.speaker_rows, "<i8"))
-            fh.write(np.ascontiguousarray(manifest.durations_s, "<f8"))
-            if ids.dtype.kind == "S":
-                width, id_bytes = ids.dtype.itemsize, fh.write(np.ascontiguousarray(ids))
-            else:
-                width, id_bytes = 0, _write_lines(fh, ids)
-            speaker_bytes = _write_lines(fh, list(map(encode_basestring_ascii,
-                                                      manifest.speaker_ids)))
-            fh.seek(0)
             fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_ids),
-                                  width, id_bytes, speaker_bytes))
+                                  len(ids), len(speakers),
+                                  _crc(counts, byte_counts, ids, speakers)))
+            for section in (counts, byte_counts,
+                            np.ascontiguousarray(manifest.durations_s, "<f8"), ids, speakers):
+                fh.write(section)
         os.replace(tmp, entry)
         _touch(entry)
     except OSError:
@@ -243,13 +199,12 @@ def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -
     _prune(directory)
 
 
-def _write_lines(fh, strings) -> int:
-    """Write each ASCII string and a newline; the byte count."""
-    written = 0
-    for lo in range(0, len(strings), _STRINGS_PER_WRITE):
-        part = strings[lo:lo + _STRINGS_PER_WRITE]
-        written += fh.write(("\n".join(part) + "\n").encode("ascii"))
-    return written
+def _crc(*sections) -> int:
+    """The CRC-32 of the bytes of ``sections`` in turn."""
+    check = 0
+    for section in sections:
+        check = zlib.crc32(section, check)
+    return check
 
 
 def _touch(entry: Path) -> None:

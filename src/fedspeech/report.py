@@ -13,7 +13,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,51 +25,52 @@ from .memory import MemoryTimeline
 
 
 class StreamedList:
-    """A JSON list in a payload, which ``write_json`` writes in one piece,
-    never walking its items one by one in the encoder. ``encode`` gives an
-    item's JSON text as ``json.dumps(indent=2, sort_keys=True)`` writes it at
-    the top level; without it the items are their own JSON texts, as the
-    utterance ids of a manifest are: a fixed-width bytes array, or a
-    sequence of str. With ``rows`` the list holds ``items[rows]``, gathered
-    only as it is written."""
+    """A JSON list in a payload, which ``write_json`` writes in pieces, never
+    walking its items one by one in the encoder. With ``encode``, which
+    gives an item's JSON text as ``json.dumps(indent=2, sort_keys=True)``
+    writes it at the top level, the list holds ``items``. Without it,
+    ``items`` are the list's own JSON texts, each ended by a newline, in a
+    bytes-like object, as a ``Manifest`` holds utterance ids; with ``runs``,
+    a pair of arrays of (start, end) byte offsets, none empty, the list
+    holds the texts of those ranges in turn."""
 
-    def __init__(self, items: Sequence, encode: Optional[Callable[[Any], str]] = None,
-                 rows: Optional[np.ndarray] = None):
+    def __init__(self, items, encode: Optional[Callable[[Any], str]] = None,
+                 runs: Optional[tuple[np.ndarray, np.ndarray]] = None):
         self.items = items
         self.encode = encode
-        self.rows = rows
+        self.runs = runs
 
-    def __len__(self) -> int:
-        return len(self.items if self.rows is None else self.rows)
+    def __bool__(self) -> bool:
+        return len(self.items if self.runs is None else self.runs[0]) > 0
 
-    def texts(self) -> Iterable:
-        """The items' JSON texts, one by one."""
-        items = self.items if self.rows is None else self.items[self.rows]
-        return items if self.encode is None else map(self.encode, items)
+    def chunks(self, indent: str) -> Iterator[bytes | memoryview]:
+        """The items' JSON texts as the lines of a JSON list at ``indent``,
+        joined by a comma, a newline and ``indent``: bytes-like pieces of at
+        most ``_PER_CHUNK`` items or runs, each made once the one before is
+        written."""
+        sep = ",\n" + indent
+        if self.encode is None:  # a text's newline becomes the separator
+            texts, newline = memoryview(self.items), sep.encode("ascii")
+            starts, ends = ([0], [len(texts)]) if self.runs is None else \
+                map(np.ndarray.tolist, self.runs)
+            n = len(starts)
 
-    def json_bytes(self, indent: str) -> bytes | memoryview:
-        """The items' JSON texts as the lines of a JSON list at ``indent``:
-        joined by a comma, a newline and ``indent``, as a bytes-like object."""
-        newline = "\n" + indent
-        items = self.items
-        if not (isinstance(items, np.ndarray) and items.dtype.kind == "S"):
-            texts = self.texts()
-            if self.encode is not None:  # an item's own lines, indented with it
-                texts = (text.replace("\n", newline) for text in texts)
-            return ("," + newline).join(texts).encode("ascii")
-        # One cell per item: its text, NUL-padded to the width, then the
-        # separator. The gathered ids go straight into their cells.
-        n, width, sep = len(self), items.dtype.itemsize, ("," + newline).encode("ascii")
-        ids = items.view(f"V{width}")
-        grid = np.empty(n, [("id", ids.dtype), ("sep", f"V{len(sep)}")])
-        if self.rows is None:
-            grid["id"] = ids
-        else:
-            np.take(ids, self.rows, out=grid["id"])
-        grid["sep"] = sep
-        cells = grid.view(np.uint8).reshape(n, width + len(sep))
-        data = memoryview(cells.reshape(-1)[:-len(sep)])
-        return data.tobytes().replace(b"\0", b"") if (cells[:, width - 1] == 0).any() else data
+            def chunk(lo):
+                return b"".join(map(texts.__getitem__, map(
+                    slice, starts[lo:lo + _PER_CHUNK], ends[lo:lo + _PER_CHUNK]))
+                ).replace(b"\n", newline)
+        else:  # an item's own lines are indented with it
+            n, newline = len(self.items), "\n" + indent
+
+            def chunk(lo):
+                return "".join(self.encode(item).replace("\n", newline) + sep
+                               for item in self.items[lo:lo + _PER_CHUNK]).encode("ascii")
+        for lo in range(0, n, _PER_CHUNK):
+            text = chunk(lo)  # each text followed by the separator; the last one's is cut
+            yield text if lo + _PER_CHUNK < n else memoryview(text)[:-len(sep)]
+
+
+_PER_CHUNK = 256
 
 
 @contextmanager
@@ -107,7 +108,7 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
         # one-string list in its place; the file gets the items there.
         if not isinstance(value, StreamedList):
             return str(value)
-        if len(value) == 0:
+        if not value:
             return []
         streamed.append(value)
         return [_STREAMED]
@@ -125,7 +126,8 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
         for piece, value in zip(pieces, streamed):
             indent = piece[piece.rindex("\n") + 1:]
             fh.write(piece.encode("ascii"))
-            fh.write(value.json_bytes(indent))
+            for chunk in value.chunks(indent):
+                fh.write(chunk)
         fh.write(pieces[-1].encode("ascii") + b"\n")
 
 
@@ -135,7 +137,7 @@ _STREAMED = "\x00streamed strings"
 def _listed(value):
     if not isinstance(value, StreamedList):
         return str(value)
-    return [json.loads(text) for text in value.texts()]
+    return json.loads(b"[" + b"".join(value.chunks("")) + b"]")
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -220,7 +222,7 @@ def _client_entry(client: ClientDataset) -> dict:
              "n_speakers": client.n_speakers}
     if client.manifest is not None:  # an idealised client has no ids
         entry["utterance_ids"] = StreamedList(client.manifest.utterance_ids,
-                                              rows=client.rows)
+                                              runs=client.id_runs())
     return entry
 
 

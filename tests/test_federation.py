@@ -16,7 +16,7 @@ from fedspeech.devices import get_profile, predict_batch_time
 from fedspeech.errors import (InvalidSampleSizeError, MalformedRowError,
                               MissingAnchorError, MissingColumnError,
                               TooFewSpeakersError)
-from fedspeech.federation import (Manifest, RoundSchedule, decode_ids, encode_ids,
+from fedspeech.federation import (Manifest, RoundSchedule, decode_ids,
                                   estimate_communication, estimate_wall_clock, load_manifest,
                                   partition_by_speaker, schedule_rounds,
                                   uniform_assignment, uniform_partition, write_manifest)
@@ -32,14 +32,21 @@ def head(manifest, n):
     """The first ``n`` rows of a manifest and the speakers that hold them."""
     ends = np.minimum(np.cumsum(manifest.speaker_rows), n)
     kept = int(np.searchsorted(ends, n)) + 1  # up to the speaker holding row n - 1
-    return Manifest(manifest.utterance_ids[:n], np.diff(ends[:kept], prepend=0),
-                    manifest.speaker_ids[:kept], manifest.durations_s[:n])
+    return Manifest.of_rows(decode_ids(manifest.utterance_ids)[:n],
+                            np.diff(ends[:kept], prepend=0), manifest.speaker_ids[:kept],
+                            manifest.durations_s[:n])
 
 
 def speaker_of_rows(manifest):
     """The speaker id of each row."""
     return [spk for spk, n in zip(manifest.speaker_ids, manifest.speaker_rows.tolist())
             for _ in range(n)]
+
+
+def client_ids(client):
+    """A manifest partition client's utterance ids, in order."""
+    texts = client.manifest.utterance_ids
+    return [i for start, end in zip(*client.id_runs()) for i in decode_ids(texts[start:end])]
 
 
 def rows_of(manifest):
@@ -54,10 +61,9 @@ def _manifest(rows):
     names = [f"spk{spk}" for spk, _ in rows]
     order = sorted(range(len(rows)), key=names.__getitem__)  # a stable sort
     speakers = sorted(set(names))
-    return Manifest(encode_ids([f"u{i}" for i in order]),
-                    np.array([names.count(name) for name in speakers], dtype=np.int64),
-                    tuple(speakers),
-                    np.array([rows[i][1] for i in order], dtype=np.float64))
+    return Manifest.of_rows([f"u{i}" for i in order],
+                            [names.count(name) for name in speakers], speakers,
+                            [rows[i][1] for i in order])
 
 
 def reference_rows(path):
@@ -216,9 +222,10 @@ class TestManifest:
         assert total_h == pytest.approx(298.0, rel=0.01)
         assert len(loaded.speaker_ids) == len(loaded.speaker_rows) == 6_000
         assert loaded.speaker_rows.min() >= 1
-        assert loaded.utterance_ids.tolist() == corpus_manifest.utterance_ids.tolist()
+        assert loaded.utterance_ids.tobytes() == corpus_manifest.utterance_ids.tobytes()
         assert loaded.speaker_ids == corpus_manifest.speaker_ids
         assert np.array_equal(loaded.speaker_rows, corpus_manifest.speaker_rows)
+        assert np.array_equal(loaded.speaker_bytes, corpus_manifest.speaker_bytes)
         assert np.abs(loaded.durations_s - corpus_manifest.durations_s).max() <= 5e-7
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -333,19 +340,20 @@ class TestManifest:
     @pytest.mark.parametrize("block", [64, 1000])
     def test_ids_held_alike_whatever_the_blocks(self, tmp_path, monkeypatch, long_id,
                                                 block):
-        # Blocks are encoded one at a time, some padded past MAX_ID_PADDING
-        # and some not; the whole is held as one file read in one block is.
-        # Short ids from row 100 to 120 but for row 110, or only row 17 long.
+        # Blocks are encoded one at a time, some holding ids of one length
+        # and some of several; the whole is held as one file read in one
+        # block is. Short ids from row 100 to 120 but for row 110, or only
+        # row 17 long.
         long_rows = {17} if long_id == 10_000 else set(range(219)) - set(range(100, 121)) | {110}
         p = write_tsv(tmp_path / "m.tsv", manifest_text([
             (spk, f"{'x' * long_id if i in long_rows else 'c'}_{i}", sentence, ms)
             for i, (spk, _, sentence, ms) in enumerate(tie_heavy_rows())]))
-        whole = load_manifest(p).utterance_ids
+        whole = load_manifest(p)
         monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
-        ids = load_manifest(p).utterance_ids
-        assert ids.dtype == whole.dtype == (object if long_id == 10_000 else "S106")
-        assert ids.tolist() == whole.tolist()
-        assert decode_ids(ids) == [row[0] for row in grouped(reference_rows(p))]
+        again = load_manifest(p)
+        assert again.utterance_ids.tobytes() == whole.utterance_ids.tobytes()
+        assert again.speaker_bytes.tolist() == whole.speaker_bytes.tolist()
+        assert decode_ids(again.utterance_ids) == [row[0] for row in grouped(reference_rows(p))]
 
     def test_non_ascii_utf8_accepted(self, tmp_path):
         rows = [(spk, clip, "un été à Reykjavík", ms)
@@ -367,7 +375,8 @@ class TestManifest:
         for again in (cached, load_manifest(written)):
             assert again.speaker_ids == manifest.speaker_ids
             assert again.speaker_rows.tolist() == manifest.speaker_rows.tolist()
-            assert again.utterance_ids.tolist() == manifest.utterance_ids.tolist()
+            assert again.utterance_ids.tobytes() == manifest.utterance_ids.tobytes()
+            assert again.speaker_bytes.tolist() == manifest.speaker_bytes.tolist()
             assert again.durations_s.tobytes() == manifest.durations_s.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -387,15 +396,79 @@ class TestManifest:
         path = tmp_path_factory.mktemp("interleaved") / "m.tsv"
         path.write_text(manifest_text(interleaved))
         manifest, again = load_manifest(tie_manifest), load_manifest(path)
-        assert again.utterance_ids.dtype == manifest.utterance_ids.dtype
         assert again.utterance_ids.tobytes() == manifest.utterance_ids.tobytes()
         assert again.speaker_rows.tobytes() == manifest.speaker_rows.tobytes()
+        assert again.speaker_bytes.tobytes() == manifest.speaker_bytes.tobytes()
         assert again.speaker_ids == manifest.speaker_ids
         assert again.durations_s.tobytes() == manifest.durations_s.tobytes()
-        assert [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+        assert [(c.client_id, client_ids(c), c.total_duration_s, c.speakers)
                 for c in partition_by_speaker(again, k, seed).clients] == \
-            [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+            [(c.client_id, client_ids(c), c.total_duration_s, c.speakers)
              for c in partition_by_speaker(manifest, k, seed).clients]
+
+    def test_cold_parse_allocates_under_three_times_the_file(self, corpus_manifest_path,
+                                                            monkeypatch):
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", 64 << 10)
+        tracemalloc.start()
+        try:
+            load_manifest(corpus_manifest_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * corpus_manifest_path.stat().st_size
+
+    @pytest.mark.parametrize("block", [64, 1000, 1 << 22])
+    def test_ids_of_one_hash_are_read_again_and_loaded(self, tie_manifest, monkeypatch,
+                                                      block):
+        # Two distinct ids share a hash: each row is read again with
+        # csv.reader, which finds no id twice.
+        expected = load_manifest(tie_manifest)
+        rows = []
+        real_add_rows = federation._ManifestColumns.add_rows
+
+        def add_rows(columns, text, first_line):
+            rows.append(first_line)
+            return real_add_rows(columns, text, first_line)
+
+        colliding = {"common_voice_00003.mp3", "common_voice_00150.mp3"}
+        monkeypatch.setattr(federation, "_id_hash", lambda i: 0 if i in colliding else hash(i))
+        monkeypatch.setattr(federation._ManifestColumns, "add_rows", add_rows)
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        again = load_manifest(tie_manifest)
+        assert rows == [2]
+        assert again.utterance_ids.tobytes() == expected.utterance_ids.tobytes()
+        assert again.speaker_bytes.tobytes() == expected.speaker_bytes.tobytes()
+        assert again.speaker_rows.tobytes() == expected.speaker_rows.tobytes()
+        assert again.speaker_ids == expected.speaker_ids
+        assert again.durations_s.tobytes() == expected.durations_s.tobytes()
+
+    @pytest.mark.parametrize("block", [64, 1000, 4 << 20])
+    def test_early_duplicate_named_before_a_later_bad_row(self, tmp_path, monkeypatch,
+                                                          block):
+        # Blocks before the bad row's are kept, one of them holding the id
+        # twice; the bad row's block goes to csv.reader, which names the
+        # duplicate's second row.
+        rows = tie_heavy_rows()
+        rows[5] = (rows[5][0], rows[2][1]) + rows[5][2:]
+        rows[200] = rows[200][:3] + ("-5",)
+        p = write_tsv(tmp_path / "bad.tsv", manifest_text(rows))
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        with pytest.raises(MalformedRowError) as err:
+            load_manifest(p)
+        assert str(err.value) == f"line 7: duplicate utterance id {rows[2][1]!r}"
+
+    @pytest.mark.parametrize("block", [64, 1000, 4 << 20])
+    def test_id_repeated_after_a_quoted_field_is_named(self, tmp_path, monkeypatch, block):
+        # The quoted field's block and the rest go to csv.reader, which
+        # still knows the ids of the blocks kept before it.
+        rows = tie_heavy_rows()
+        rows[150] = (rows[150][0], f'"{rows[150][1]}"') + rows[150][2:]
+        rows[160] = (rows[160][0], rows[2][1]) + rows[160][2:]
+        p = write_tsv(tmp_path / "bad.tsv", manifest_text(rows))
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        with pytest.raises(MalformedRowError) as err:
+            load_manifest(p)
+        assert str(err.value) == f"line 162: duplicate utterance id {rows[2][1]!r}"
 
     def test_header_only_and_empty(self, tmp_path):
         p = write_tsv(tmp_path / "h.tsv", "utterance_id\tspeaker_id\tduration_s\n")
@@ -440,7 +513,7 @@ class TestPartition:
         manifest = load_manifest(tie_manifest)
         a, b = (partition_by_speaker(manifest, 4, seed=s) for s in (1, 2))
         assert a.n_clients == b.n_clients == 4
-        held = [[set(c.utterance_ids) for c in p.clients] for p in (a, b)]
+        held = [[set(client_ids(c)) for c in p.clients] for p in (a, b)]
         assert held[0] != held[1]
 
     def test_too_few_speakers(self, tmp_path):
@@ -452,14 +525,12 @@ class TestPartition:
     @pytest.mark.parametrize("k,seed", [(1, 0), (3, 1), (3, 2), (10, 3), (10, 4)])
     def test_matches_record_at_a_time_partitioner(self, tie_manifest, k, seed):
         part = partition_by_speaker(load_manifest(tie_manifest), k, seed=seed)
-        got = [(tuple(decode_ids(c.utterance_ids)), c.total_duration_s, c.speakers)
-               for c in part.clients]
+        got = [(tuple(client_ids(c)), c.total_duration_s, c.speakers) for c in part.clients]
         assert got == reference_partition(reference_rows(tie_manifest), k, seed)
 
     def test_matches_record_at_a_time_partitioner_at_corpus_scale(self, corpus_manifest):
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
-        got = [(tuple(decode_ids(c.utterance_ids)), c.total_duration_s, c.speakers)
-               for c in part.clients]
+        got = [(tuple(client_ids(c)), c.total_duration_s, c.speakers) for c in part.clients]
         assert got == reference_partition(rows_of(corpus_manifest), 10, 3)
 
     @settings(max_examples=100, deadline=None)
@@ -472,15 +543,15 @@ class TestPartition:
         k = data.draw(st.integers(1, len(manifest.speaker_ids)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         part = partition_by_speaker(manifest, k, seed)
-        speaker_of = dict(zip(manifest.utterance_ids.tolist(), speaker_of_rows(manifest)))
-        held = [c.utterance_ids.tolist() for c in part.clients]
+        speaker_of = dict(zip(decode_ids(manifest.utterance_ids), speaker_of_rows(manifest)))
+        held = [client_ids(c) for c in part.clients]
         assert [c.n_utterances for c in part.clients] == list(map(len, held))
         assert sorted(sum(held, [])) == sorted(speaker_of)  # every row, once
         for client, ids in zip(part.clients, held):
             assert {speaker_of[u] for u in ids} == client.speakers
         assert sum(len(c.speakers) for c in part.clients) == len(manifest.speaker_ids)
         again = partition_by_speaker(manifest, k, seed)
-        assert [(c.client_id, c.utterance_ids.tolist(), c.total_duration_s, c.speakers)
+        assert [(c.client_id, client_ids(c), c.total_duration_s, c.speakers)
                 for c in again.clients] == \
             [(c.client_id, ids, c.total_duration_s, c.speakers)
              for c, ids in zip(part.clients, held)]
@@ -507,7 +578,8 @@ class TestPartition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < corpus_manifest.utterance_ids.nbytes
+        # the ids' JSON texts, without their newlines
+        assert peak < len(corpus_manifest.utterance_ids) - len(corpus_manifest)
 
     def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25
@@ -523,7 +595,7 @@ class TestIdealisedPartition:
     def test_clients_carry_counts_and_no_ids(self):
         part = uniform_partition(3, 40, 2.5)
         assert [(c.client_id, c.n_utterances, c.total_duration_s, len(c.speakers),
-                 c.utterance_ids) for c in part.clients] == \
+                 c.manifest) for c in part.clients] == \
             [(f"client_{i}", 40, 100.0, 1, None) for i in range(3)]
         assert {c.mean_duration_s for c in part.clients} == {2.5}
         payload = partition_payload(part, {})

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import io
+import math
 import os
 
 import numpy as np
@@ -56,11 +57,13 @@ def test_entry_is_the_parsed_manifest(manifest, cache_home):
     parsed = federation.load_manifest(manifest)
     manifest_cache.load_manifest_cached(manifest)
     cached, _ = manifest_cache.load_manifest_cached(manifest)
-    assert cached.utterance_ids.tolist() == parsed.utterance_ids.tolist()
+    assert cached.utterance_ids.tobytes() == parsed.utterance_ids.tobytes()
     assert cached.speaker_ids == parsed.speaker_ids
     assert cached.speaker_rows.tolist() == parsed.speaker_rows.tolist()
+    assert cached.speaker_bytes.tolist() == parsed.speaker_bytes.tolist()
     assert cached.durations_s.tobytes() == parsed.durations_s.tobytes()
     assert cached.speaker_rows.dtype == parsed.speaker_rows.dtype
+    assert cached.speaker_bytes.dtype == parsed.speaker_bytes.dtype
     assert cached.utterance_ids.dtype == parsed.utterance_ids.dtype
 
 
@@ -73,42 +76,65 @@ def test_digest_is_the_sha256_of_the_manifest_bytes(manifest, parses, monkeypatc
     assert len(parses) == 2
 
 
-def _move_one_byte(step):
-    """Damage that counts ``step`` bytes of utterance ids as speaker id bytes:
-    the same size, but one section cut mid-string."""
+def _header(data):
+    """The fields of an entry's header."""
+    return list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
+
+
+def _with_header(change):
+    """Damage that sets the header's fields to ``change(fields)``."""
     def damage(data):
-        fields = list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
-        fields[-2] -= step
-        fields[-1] += step
+        fields = _header(data)
+        change(fields)
         return manifest_cache._HEADER.pack(*fields) + data[manifest_cache._HEADER.size:]
     return damage
 
 
-def _id_width(width_of):
-    """Damage that sets the id width in the header to ``width_of(width)``:
-    the id bytes are then not rows x width."""
+def _move_one_byte(step):
+    """Damage that counts ``step`` bytes of utterance ids as speaker id bytes:
+    the same size, but one section cut mid-string."""
+    def change(fields):
+        fields[4] -= step
+        fields[5] += step
+    return _with_header(change)
+
+
+def _set_field(at, value_of):
+    """Damage that sets header field ``at`` to ``value_of(field)``."""
+    def change(fields):
+        fields[at] = value_of(fields[at])
+    return _with_header(change)
+
+
+def _per_speaker(section, change):
+    """Damage that replaces the per-speaker counts of ``section`` (0: rows, 1:
+    id bytes) with ``change(counts)``: the same size, but counts the section
+    after them does not have."""
     def damage(data):
-        fields = list(manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size]))
-        fields[4] = width_of(fields[4])
-        return manifest_cache._HEADER.pack(*fields) + data[manifest_cache._HEADER.size:]
+        n_speakers = _header(data)[3]
+        lo = manifest_cache._HEADER.size + 8 * n_speakers * section
+        counts = np.frombuffer(data, "<i8", n_speakers, lo)
+        return data[:lo] + change(counts).astype("<i8").tobytes() + data[lo + counts.nbytes:]
     return damage
 
 
 def _speaker_rows(change):
-    """Damage that replaces the per-speaker row counts with ``change(counts)``:
-    the same size, but counts the rows do not have."""
+    return _per_speaker(0, change)
+
+
+def _first_duration(value):
+    """Damage that sets the first row's duration to ``value``, which the
+    CRC-32 does not cover."""
     def damage(data):
-        n_speakers = manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size])[3]
-        lo = manifest_cache._HEADER.size
-        counts = np.frombuffer(data, "<i8", n_speakers, lo)
-        return data[:lo] + change(counts).astype("<i8").tobytes() + data[lo + counts.nbytes:]
+        pos = manifest_cache._HEADER.size + 16 * _header(data)[3]
+        return data[:pos] + np.float64(value).tobytes() + data[pos + 8:]
     return damage
 
 
 def _swap_speakers(data):
     """Damage that swaps the first two speaker lines, which have the same
     length: every line decodes, but out of name order."""
-    start = len(data) - manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size])[-1]
+    start = len(data) - _header(data)[5]
     first, second, rest = data[start:].split(b"\n", 2)
     assert len(first) == len(second)
     return data[:start] + second + b"\n" + first + b"\n" + rest
@@ -122,12 +148,12 @@ def _split_speaker(data):
 
 
 def _id_byte(item, at, value):
-    """Damage that sets byte ``at`` of utterance id ``item``'s JSON text in
-    the fixed-width array."""
+    """Damage that sets byte ``at`` of utterance id ``item``'s JSON text."""
     def damage(data):
-        fields = manifest_cache._HEADER.unpack(data[:manifest_cache._HEADER.size])
-        rows, n_speakers, width = fields[2], fields[3], fields[4]
-        pos = manifest_cache._HEADER.size + 8 * (n_speakers + rows) + item * width + at
+        _, _, rows, n_speakers, id_bytes, _, _ = _header(data)
+        start = manifest_cache._HEADER.size + 16 * n_speakers + 8 * rows
+        lines = data[start:start + id_bytes].split(b"\n")
+        pos = start + sum(map(len, lines[:item])) + item + at
         return data[:pos] + bytes([value]) + data[pos + 1:]
     return damage
 
@@ -139,21 +165,30 @@ def _id_byte(item, at, value):
     _move_one_byte(1),
     _move_one_byte(-1),
     lambda data: data[:8] + bytes(32) + data[40:],  # another key
-    _id_width(lambda width: width + 1),
-    _id_width(lambda width: 1 << 30),
+    _set_field(4, lambda id_bytes: id_bytes + 1),
+    _set_field(4, lambda id_bytes: 1 << 30),
+    _set_field(6, lambda crc: crc ^ 1),
     _split_speaker,
     _speaker_rows(lambda counts: np.concatenate([[0, counts[0] + counts[1]], counts[2:]])),
     _speaker_rows(lambda counts: counts + (np.arange(len(counts)) == 0)),
+    _per_speaker(1, lambda counts: np.concatenate([counts[:2] + [1, -1], counts[2:]])),
+    _per_speaker(1, lambda counts: counts + (np.arange(len(counts)) == 0)),
     _swap_speakers,
+    _first_duration(0.0),
+    _first_duration(math.nan),
     _id_byte(7, 0, ord("c")),
     _id_byte(7, 5, 0x7f),
     _id_byte(7, 5, 0x0a),
     _id_byte(7, 5, 0),
+    _id_byte(7, 24, ord(",")),
 ], ids=["truncated", "header-cut", "trailing-byte", "ids-cut", "speakers-cut",
-        "other-key", "id-bytes-not-rows-x-width", "id-width-past-the-file",
+        "other-key", "id-bytes-not-the-file-size", "id-bytes-past-the-file", "other-crc",
         "speaker-line-holding-two", "speaker-without-rows", "rows-one-too-many",
-        "speakers-out-of-order", "id-without-opening-quote",
-        "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id"])
+        "speaker-id-bytes-moved", "speaker-id-bytes-one-too-many",
+        "speakers-out-of-order", "duration-not-positive", "duration-not-finite",
+        "id-without-opening-quote",
+        "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id",
+        "two-ids-on-one-line"])
 def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache_home,
                                                damage):
     first = plan(manifest, tmp_path / "a")
@@ -166,12 +201,12 @@ def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache
     assert entry.read_bytes() == good
 
 
-@pytest.mark.parametrize("at,value", [(3, 0x1f), (3, 0), (9, ord("x"))],
+@pytest.mark.parametrize("at,value", [(3, 0x1f), (3, 0), (8, ord("x"))],
                          ids=["id-byte-below-printable", "nul-inside-id",
-                              "padding-then-a-byte"])
-def test_damaged_padded_ids_are_a_miss_and_rewritten(tmp_path, parses, cache_home, at,
-                                                     value):
-    # ids from "c0.mp3" to "c218.mp3": "c7.mp3" takes 8 of 10 bytes
+                              "newline-replaced"])
+def test_damaged_ids_of_mixed_lengths_are_a_miss_and_rewritten(tmp_path, parses,
+                                                               cache_home, at, value):
+    # ids from "c0.mp3" to "c218.mp3": "c7.mp3" takes 8 bytes and its newline
     rows = [(spk, f"c{i}.mp3", sentence, ms)
             for i, (spk, _, sentence, ms) in enumerate(tie_heavy_rows())]
     path = tmp_path / "m.tsv"
@@ -182,17 +217,16 @@ def test_damaged_padded_ids_are_a_miss_and_rewritten(tmp_path, parses, cache_hom
     good = entry.read_bytes()
     # the entry holds the rows grouped by speaker name, in file order within each
     item = [clip for _, clip, *_ in sorted(rows, key=lambda row: row[0])].index("c7.mp3")
-    fields = manifest_cache._HEADER.unpack(good[:manifest_cache._HEADER.size])
-    assert fields[4] == 10
-    pos = manifest_cache._HEADER.size + 8 * (fields[3] + fields[2]) + item * 10
-    assert good[pos:pos + 10] == b'"c7.mp3"\0\0'
+    assert _id_byte(item, 0, ord('"'))(good) == good
+    assert _id_byte(item, 8, ord("\n"))(good) == good
+    assert _id_byte(item, 7, ord('"'))(good) == good
     entry.write_bytes(_id_byte(item, at, value)(good))
     assert plan(path, tmp_path / "b") == first
     assert len(parses) == 2
     assert entry.read_bytes() == good
 
 
-def test_entry_holds_ids_padded_past_the_bound_as_lines(tmp_path, parses):
+def test_entry_holds_one_very_long_id(tmp_path, parses):
     rows = tie_heavy_rows()
     rows[17] = (rows[17][0], "x" * 10_000) + rows[17][2:]
     path = tmp_path / "m.tsv"
@@ -201,9 +235,9 @@ def test_entry_holds_ids_padded_past_the_bound_as_lines(tmp_path, parses):
     manifest_cache.load_manifest_cached(path)
     cached, _ = manifest_cache.load_manifest_cached(path)
     assert len(parses) == 1
-    assert parsed.utterance_ids.dtype == cached.utterance_ids.dtype == object
-    assert cached.utterance_ids.tolist() == parsed.utterance_ids.tolist()
-    assert '"' + "x" * 10_000 + '"' in cached.utterance_ids.tolist()
+    assert cached.utterance_ids.tobytes() == parsed.utterance_ids.tobytes()
+    assert cached.speaker_bytes.tolist() == parsed.speaker_bytes.tolist()
+    assert "x" * 10_000 in federation.decode_ids(cached.utterance_ids)
 
 
 def _refuse_writes(monkeypatch, directory):

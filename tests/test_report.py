@@ -10,28 +10,31 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedspeech.errors import ConfigError
-from fedspeech.federation import MAX_ID_PADDING, encode_ids, schedule_rounds
+from fedspeech import report
+from fedspeech.federation import encode_ids, schedule_rounds
 from fedspeech.report import StreamedList, schedule_payload, write_csv, write_json
 
-# Streamed lists of strings as a manifest holds utterance ids: their JSON
-# texts in a fixed-width bytes array when little of it is padding (``ids``),
-# else in an object array of str; ``texts`` always takes the object array.
+
+def _runs(items, picked):
+    """The (start, end) offsets in ``encode_ids(items)`` of the texts of the
+    items at ``picked``."""
+    offsets = np.cumsum([0] + [len(encode_basestring_ascii(i)) + 1 for i in items])
+    picked = np.array(picked, dtype=np.int64)
+    return offsets[picked], offsets[picked + 1]
+
+
+# Streamed lists of strings as a manifest holds utterance ids: their
+# newline-ended JSON texts in one bytes object (``ids``), or picked one run
+# per text from a bytearray (``texts``).
 STREAMED = {
     "ids": lambda items: StreamedList(encode_ids(items)),
-    "texts": lambda items: StreamedList(np.array(list(map(encode_basestring_ascii, items)),
-                                                 dtype=object)),
+    "texts": lambda items: StreamedList(bytearray(encode_ids(items)),
+                                        runs=_runs(items, range(len(items)))),
     "ints": lambda items: StreamedList(items, int.__repr__),  # as json.dumps writes ints
     # items whose JSON texts span lines, as a schedule's rounds do
     "dicts": lambda items: StreamedList(items, lambda v: json.dumps(v, indent=2,
                                                                      sort_keys=True)),
 }
-
-
-def test_ids_padded_past_the_bound_are_held_as_str():
-    assert encode_ids(["a" * 10, "b" * 10, "c"]).dtype == "S12"
-    wide = encode_ids(["a" * 100, "b", "c"])
-    assert wide.dtype == object and wide.tolist() == ['"' + "a" * 100 + '"', '"b"', '"c"']
-    assert 102 * 3 > MAX_ID_PADDING * (102 + 3 + 3)
 
 
 def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
@@ -123,39 +126,51 @@ def test_schedule_written_as_json_dumps_writes_its_rounds(tmp_path):
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
-def _assert_indexed_as_gathered(tmp_path, held, items, rows):
-    """Ids written from ``held`` at ``rows`` read as those ``items`` do, and
-    as the gathered ids do."""
-    rows = np.array(rows, dtype=np.int64)
-    indexed, gathered = StreamedList(held, rows=rows), StreamedList(held[rows])
-    assert len(indexed) == len(rows)
-    assert bytes(indexed.json_bytes("    ")) == bytes(gathered.json_bytes("    "))
+def test_rounds_are_encoded_a_chunk_at_a_time(tmp_path):
+    schedule = schedule_rounds(30, 4, 5000, seed=3)
+    payload = schedule_payload(schedule, {})
+    chunks = [bytes(chunk) for chunk in payload["rounds"].chunks("  ")]
+    assert len(chunks) == -(-5000 // report._PER_CHUNK)
+    assert max(map(len, chunks)) * 10 < len(b"".join(chunks))
+    write_json(tmp_path / "s.json", payload)
+    expected = {"meta": {}, "total_clients": 30, "per_round": 4, "seed": 3,
+                "rounds": [{"round_id": i, "selected": list(selected)}
+                           for i, selected in enumerate(schedule.rounds)]}
+    assert (tmp_path / "s.json").read_text() == \
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_indexed_as_gathered(tmp_path, held, items, picked):
+    """Ids written from the runs of ``held`` at ``picked`` read as those
+    ``items`` do, and as the gathered ids do."""
+    indexed = StreamedList(held, runs=_runs(items, picked))
+    gathered = StreamedList(encode_ids([items[i] for i in picked]))
+    assert bool(indexed) == bool(gathered) == bool(picked)
+    if picked:
+        assert b"".join(indexed.chunks("    ")) == b"".join(gathered.chunks("    "))
     write_json(tmp_path / "p.json", {"clients": [{"ids": indexed}]})
-    expected = {"clients": [{"ids": [items[i] for i in rows.tolist()]}]}
+    expected = {"clients": [{"ids": [items[i] for i in picked]}]}
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == \
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("items,rows,dtype", [
-    (["a", "bb", "ccc", "dd"], [3, 0, 2], "S5"),  # NUL-padded to the longest
-    (["aa", "bb", "cc"], [2, 1], "S4"),  # no padding
-    (["a" * 40, "b", "c"], [1, 0], object),
-    (["a", "bb"], [], "S4"),  # a client that holds no row
-], ids=["padded", "unpadded", "object", "empty"])
-def test_indexed_ids_written_as_their_gather(tmp_path, items, rows, dtype):
-    held = encode_ids(items)
-    assert held.dtype == dtype
-    _assert_indexed_as_gathered(tmp_path, held, items, rows)
+@pytest.mark.parametrize("items,picked", [
+    (["a", "bb", "ccc", "dd"], [3, 0, 2]),
+    (["aa", "bb", "cc"], [2, 1]),
+    (["a" * 10_000, "b", "c"], [1, 0]),
+    (["a", "bb"], []),  # a client that holds no row
+], ids=["mixed-lengths", "one-length", "one-very-long", "empty"])
+def test_indexed_ids_written_as_their_gather(tmp_path, items, picked):
+    _assert_indexed_as_gathered(tmp_path, encode_ids(items), items, picked)
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), items=st.lists(_TEXT, min_size=1, max_size=8),
-       kind=st.sampled_from(["ids", "texts"]))
-def test_indexed_ids_property(tmp_path, data, items, kind):
-    held = STREAMED[kind](items).items
-    rows = data.draw(st.lists(st.integers(0, len(items) - 1), unique=True))
-    _assert_indexed_as_gathered(tmp_path, held, items, rows)
+       held=st.sampled_from([bytes, bytearray]))
+def test_indexed_ids_property(tmp_path, data, items, held):
+    picked = data.draw(st.lists(st.integers(0, len(items) - 1), unique=True))
+    _assert_indexed_as_gathered(tmp_path, held(encode_ids(items)), items, picked)
 
 
 _WRITERS = {"json": lambda path: write_json(path, {"a": [1, 2]}),
