@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, DimensionMismatchError, EmptyUpdateSetError
+from .lazy import lazy_import
+
+np = lazy_import("numpy")
 
 
 class AggMethod(str, enum.Enum):

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .aggregation import AggMethod, AggregationConfig, SyntheticFLConfig, run_synthetic_fl
 from .arch import Precision, WorkloadSpec, arch_to_mapping
@@ -39,6 +38,7 @@ from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioE
 from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_assignment,
                          uniform_partition)
+from .lazy import lazy_import
 from .memory import memory_timeline
 from .report import (COST_CSV_HEADER, TIMELINE_CSV_HEADER, TRAJECTORY_CSV_HEADER,
                      cost_report_payload, cost_report_rows, partition_payload,
@@ -47,6 +47,8 @@ from .report import (COST_CSV_HEADER, TIMELINE_CSV_HEADER, TRAJECTORY_CSV_HEADER
                      write_csv, write_json)
 from .settings import read, to_mapping
 from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, parity_year
+
+np = lazy_import("numpy")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,6 +192,9 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
 
 
 def cmd_fl_plan(args: argparse.Namespace) -> int:
+    # numpy loads here, so its import is timed with the command and not with
+    # the first layer that makes an array
+    np.ndarray
     cfg = load_config(args.config)
     fl = read(FlSettings, cfg.get("fl", {}), "fl", clients=args.clients,
               per_round=args.per_round, rounds=args.rounds, local_epochs=args.local_epochs,
@@ -259,6 +264,8 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if seed < 0 or args.spread < 0:
         raise ConfigError(f"seed and spread must be >= 0, got {seed} and {args.spread}")
+    if not math.isfinite(args.spread):
+        raise ConfigError(f"spread must be finite, got {args.spread}")
     rng = np.random.default_rng(seed)
     # a negative size leaves the optima empty, which SyntheticFLConfig reports
     optima = rng.normal(scale=args.spread, size=(max(args.clients, 0), max(args.dim, 0)))

@@ -27,14 +27,14 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import param_count
 from .devices import DeviceProfile, predict_batch_time
 from .errors import (InvalidSampleSizeError, MalformedRowError, MissingColumnError,
                      TooFewSpeakersError)
+from .lazy import lazy_import
+
+np = lazy_import("numpy")
 
 REQUIRED_COLUMNS = ("utterance_id", "speaker_id", "duration_s")
 
@@ -433,9 +433,9 @@ def _place_lines(out: np.ndarray, lines: bytes, lengths: np.ndarray,
     offsets = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
     widths, firsts = np.unique(lengths[order], return_index=True)
+    window = np.lib.stride_tricks.sliding_window_view
     for width, rows in zip(widths.tolist(), np.split(order, firsts[1:])):
-        sliding_window_view(out, width, writeable=True)[starts[rows]] = \
-            sliding_window_view(source, width)[offsets[rows]]
+        window(out, width, writeable=True)[starts[rows]] = window(source, width)[offsets[rows]]
 
 
 _NOT_UTF8 = "bytes that are not valid UTF-8"

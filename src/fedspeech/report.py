@@ -13,15 +13,17 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 from .aggregation import Trajectory
 from .costs import CostReport, module_rollup
 from .errors import ConfigError
 from .federation import ClientDataset, Partition, RoundSchedule, WallClockEstimate
 from .memory import MemoryTimeline
+
+if TYPE_CHECKING:  # a report writes arrays it is given and makes none
+    import numpy as np
 
 
 class StreamedList:
@@ -52,7 +54,7 @@ class StreamedList:
         if self.encode is None:  # a text's newline becomes the separator
             texts, newline = memoryview(self.items), sep.encode("ascii")
             starts, ends = ([0], [len(texts)]) if self.runs is None else \
-                map(np.ndarray.tolist, self.runs)
+                (run.tolist() for run in self.runs)
             n = len(starts)
 
             def chunk(lo):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -466,14 +469,15 @@ class TestFlSim:
         ("--lr", "inf", "learning_rate must be finite and > 0, got inf"),
         ("--dim", "0", "optima must be a (n_clients, dim) array with n_clients, dim >= 1"),
         ("--alpha", "nan", "alpha must be finite and >= 0, got nan"),
-        ("--spread", "nan", "optima must be finite"),
+        ("--spread", "nan", "spread must be finite, got nan"),
+        ("--spread", "inf", "spread must be finite, got inf"),
         ("--dim", "-1", "optima must be a (n_clients, dim) array with n_clients, dim >= 1"),
         ("--clients", "-1",
          "optima must be a (n_clients, dim) array with n_clients, dim >= 1"),
         ("--spread", "-1", "seed and spread must be >= 0, got 0 and -1.0"),
         ("--seed", "-1", "seed and spread must be >= 0, got -1 and 1.0"),
-    ], ids=["lr-nan", "lr-inf", "dim-0", "alpha-nan", "spread-nan", "dim-negative",
-            "clients-negative", "spread-negative", "seed-negative"])
+    ], ids=["lr-nan", "lr-inf", "dim-0", "alpha-nan", "spread-nan", "spread-inf",
+            "dim-negative", "clients-negative", "spread-negative", "seed-negative"])
     def test_bad_value_exits_2_on_one_line(self, tmp_path, capsys, flag, value, message):
         assert run(["fl-sim", "--agg", "loss", flag, value, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -1234,3 +1238,61 @@ def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, monkeypatch):
                    for p in out.iterdir()}
         assert written == REPORT_DIGESTS[argv]
     assert parses == [args[args.index("--manifest") + 1]]
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter, which has imported neither numpy nor
+    fedspeech, and return its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("FEDSPEECH_CONFIG", None)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+# Runs each (argv, out) given as JSON through cli.main and records, after
+# each, its exit code, the numpy submodules loaded so far and its reports'
+# digests.
+_RUN_IN_ORDER = """
+import hashlib, json, pathlib, sys
+from fedspeech.cli import main
+results = []
+for argv, out in json.loads(sys.argv[1]):
+    code = main(argv + ["--out", out])
+    results.append([code, sorted(m for m in sys.modules if m.startswith("numpy.")),
+                    {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in pathlib.Path(out).iterdir()}])
+pathlib.Path(sys.argv[2]).write_text(json.dumps(results))
+"""
+
+
+def test_queries_leave_numpy_unloaded_and_plans_load_it(tmp_path):
+    queries = [("analyze", "--arch", "base", "--duration", "5.5"),
+               ("memory", "--arch", "base", "--duration", "5.5", "--batch", "4"),
+               ("predict-time", "--device", "nx", "--arch", "base", "--duration", "5.5",
+                "--batch", "4", "--precision", "mixed"),
+               ("forecast", "--device", "nx", "--batch", "1", "--precision", "mixed")]
+    plans = [("fl-plan", "--clients", "10", "--rounds", "150", "--device", "a40",
+              "--batch", "4"),
+             ("fl-plan", "--manifest", MANIFEST, "--clients", "1", "--rounds", "3",
+              "--device", "a40", "--batch", "4", "--seed", "0"),
+             ("fl-sim", "--agg", "fedavg", "--clients", "6", "--dim", "5", "--rounds", "12",
+              "--lr", "0.1", "--local-steps", "2", "--seed", "4")]
+    cases = [(_with_manifest(argv, tmp_path), str(tmp_path / f"out{i}"))
+             for i, argv in enumerate(queries + plans)]
+    _fresh_python(_RUN_IN_ORDER, json.dumps(cases), str(tmp_path / "results.json"))
+    results = json.loads((tmp_path / "results.json").read_text())
+    for argv, (code, numpy_modules, written) in zip(queries + plans, results):
+        assert code == 0
+        assert written == REPORT_DIGESTS[argv]
+        if argv in queries:
+            assert numpy_modules == [], argv[0]
+    assert results[-1][1]  # the plans loaded numpy
+
+
+def test_cli_import_loads_every_module_the_tracer_patches():
+    # perfbench/tracer.py looks these modules up in sys.modules after
+    # ``import fedspeech.cli``; only numpy's own import may wait for first use
+    code = ("import sys, fedspeech.cli; print(*sorted(m for m in "
+            "('config', 'costs', 'memory', 'devices', 'federation', 'report', "
+            "'aggregation') if 'fedspeech.' + m not in sys.modules))")
+    assert _fresh_python(code) == "\n"
