@@ -10,10 +10,11 @@ Subcommands::
     forecast      device parity year under a compute-doubling trend
     validate      run every built-in reference check and print a table
 
-Exit codes: 0 success, 2 configuration or validation error, 3 data error
-(manifest problems), 4 infeasible request (failed memory fit with
---fail-on-oom). Reports embed the resolved configuration and are
-byte-identical across runs with the same inputs.
+Exit codes: 0 success, 1 a failed ``validate`` check, 2 configuration or
+validation error, 3 data error (manifest problems), 4 infeasible request
+(failed memory fit with --fail-on-oom); each error type carries its code.
+Reports embed the resolved configuration and are byte-identical across
+runs with the same inputs.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .costs import forward_flops, module_rollup
 from .devices import DeviceProfile, FitVerdict, check_fit, get_profile, \
     predict_batch_time, training_residency_bytes
 from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
-                     MalformedRowError, MissingAnchorError, MissingColumnError,
-                     UnreadableManifestError, UnsupportedPrecisionError)
+                     MissingAnchorError, UnsupportedPrecisionError)
 from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_assignment,
                          uniform_partition)
@@ -51,9 +51,6 @@ from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, parity_year
 np = lazy_import("numpy")
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_INFEASIBLE = 4
 
 IDEALISED_SAMPLES_PER_CLIENT = 19_500
 # fl-sim's clients all hold this many samples; aggregation normalises an
@@ -261,6 +258,9 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     agg = read(AggregationConfig, cfg.get("aggregation", {}), "aggregation",
                method=args.agg and AggMethod(args.agg), alpha=args.alpha)
+    if args.alpha is not None and agg.method is AggMethod.FEDAVG:
+        raise ConfigError("--alpha weights clients by their loss; "
+                          "it cannot be given with fedavg")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if seed < 0 or args.spread < 0:
         raise ConfigError(f"seed and spread must be >= 0, got {seed} and {args.spread}")
@@ -353,9 +353,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser, duration: bool = True) -> None:
+def _add_config_and_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config path (or set FEDSPEECH_CONFIG)")
     p.add_argument("--out", help="output directory (default: reports)")
+
+
+def _add_common(p: argparse.ArgumentParser, duration: bool = True) -> None:
+    _add_config_and_out(p)
     p.add_argument("--arch", help="architecture preset (base or large)")
     if duration:
         p.add_argument("--duration", type=float, help="clip length in seconds")
@@ -402,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
 
     p = sub.add_parser("fl-sim", help="synthetic federated aggregation run")
-    p.add_argument("--config", help="YAML config path")
-    p.add_argument("--out", help="output directory")
+    _add_config_and_out(p)
     p.add_argument("--agg", choices=["fedavg", "loss", "loss_weighted"])
     p.add_argument("--alpha", type=float)
     p.add_argument("--clients", type=int, default=10)
@@ -445,18 +448,9 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (MalformedRowError, MissingColumnError, UnreadableManifestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FedspeechError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
 
 
 if __name__ == "__main__":

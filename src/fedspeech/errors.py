@@ -4,7 +4,9 @@ from __future__ import annotations
 
 
 class FedspeechError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the command line exits with its
+    ``exit_code``."""
+    exit_code = 2
 
 
 class ConfigError(FedspeechError):
@@ -17,6 +19,7 @@ class DegenerateInputError(FedspeechError):
 
 class MalformedRowError(FedspeechError):
     """A manifest row that cannot be parsed; carries the 1-based line number."""
+    exit_code = 3
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
@@ -25,10 +28,12 @@ class MalformedRowError(FedspeechError):
 
 class MissingColumnError(FedspeechError):
     """A required manifest column is absent."""
+    exit_code = 3
 
 
 class UnreadableManifestError(FedspeechError):
     """A manifest that cannot be opened or read."""
+    exit_code = 3
 
 
 class TooFewSpeakersError(FedspeechError):
@@ -61,3 +66,4 @@ class InvalidRatioError(FedspeechError):
 
 class InfeasibleError(FedspeechError):
     """A requested plan was found infeasible (for example a failed memory fit)."""
+    exit_code = 4

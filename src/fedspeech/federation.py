@@ -208,12 +208,11 @@ def load_manifest(path) -> Manifest:
     The file is read in blocks cut at the last newline. A block of plain
     rows that all hold the same number of tab-separated fields and keep
     every rule but the one on repeated ids is split into columns at once.
-    From the first block that does not (blank lines, short rows, quoted
-    fields, bare carriage returns, or a row that breaks a rule) the rest of
-    the file goes through ``csv.reader``, whose quoting rules then apply and
-    which alone names a bad row. Blocks keep the ``hash()`` of each id
-    instead of the id: if two of those hashes are equal, the whole file goes
-    through ``csv.reader``.
+    Blocks keep the ``hash()`` of each id instead of the id. Unless every
+    block is plain and no two of those hashes are equal, the whole file is
+    read again from line 2 with ``csv.reader``, whose quoting rules then
+    apply and which alone names a bad row. A header that starts with a
+    UTF-8 byte order mark is read without it.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -224,7 +223,7 @@ def load_manifest(path) -> Manifest:
             header_line = header_line[:cr + 1]
             fh.seek(cr + 1)
         try:
-            header = next(csv.reader([header_line.decode("utf-8")], delimiter="\t"), [])
+            header = next(csv.reader([header_line.decode("utf-8-sig")], delimiter="\t"), [])
         except UnicodeDecodeError:
             raise MalformedRowError(1, _NOT_UTF8) from None
         names = [_COLUMN_ALIASES.get(h.strip(), h.strip()) for h in header]
@@ -247,9 +246,8 @@ def load_manifest(path) -> Manifest:
             return _ManifestColumns(index["utterance_id"], index["speaker_id"], dur_col,
                                     dur_scale)
 
-        columns = new_columns()
-        offset, line_no, rest, handed_over = len(header_line), 2, b"", False
-        while not handed_over:
+        columns, rest, plain = new_columns(), b"", True
+        while plain:
             chunk = fh.read(_READ_BLOCK_BYTES)
             data = rest + chunk
             if not chunk:
@@ -258,17 +256,12 @@ def load_manifest(path) -> Manifest:
                 data += b"\n"  # a last line without its newline
             cut = data.rfind(b"\n") + 1
             block, rest = data[:cut], data[cut:]
-            n_lines = columns.add_block(block) if block else 0
-            handed_over = n_lines is None
-            if not handed_over:
-                offset += len(block)
-                line_no += n_lines
-        if columns.may_repeat_an_id():  # read every row again, one at a time
-            columns, offset, line_no, handed_over = new_columns(), len(header_line), 2, True
-        if handed_over:
-            fh.seek(offset)
+            plain = not block or columns.add_block(block)
+        if not plain or columns.may_repeat_an_id():  # read every row again, one at a time
+            columns = new_columns()
+            fh.seek(len(header_line))
             columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
-                                              newline=""), line_no)
+                                              newline=""))
         return columns.manifest()
 
 
@@ -291,27 +284,26 @@ class _ManifestColumns:
         self.codes: list[np.ndarray] = []
         self.durations: list[np.ndarray] = []
 
-    def add_block(self, block: bytes) -> Optional[int]:
-        """Add a block of whole lines and return its line count, or return
-        None, adding nothing, unless every line is a plain row that keeps
-        every rule but that its id be new: the block then goes to
-        ``add_rows``."""
+    def add_block(self, block: bytes) -> bool:
+        """Add a block of whole lines and return True, or return False
+        unless every line is a plain row that keeps every rule but that its
+        id be new: the file then goes to ``add_rows``."""
         if b'"' in block:
-            return None
+            return False
         if b"\r" in block:
             if block.count(b"\r") != block.count(b"\r\n"):
-                return None
+                return False
             block = block.replace(b"\r\n", b"\n")
         raw = np.frombuffer(block, np.uint8)
         tabs_per_line = np.diff(np.searchsorted(np.flatnonzero(raw == 9),
                                                 np.flatnonzero(raw == 10)), prepend=0)
         width = int(tabs_per_line[0]) + 1
         if width < self.n_fields or (tabs_per_line != width - 1).any():
-            return None
+            return False
         try:
             text = block.decode("utf-8")
         except UnicodeDecodeError:
-            return None
+            return False
         text = text.replace("\n", "\t")  # one string alive during the split
         fields = text.split("\t")
         del text
@@ -321,17 +313,17 @@ class _ManifestColumns:
         raw_durations = fields[self.dur_col::width]
         del fields
         if "" in ids or "" in speakers:
-            return None
+            return False
         try:
             # float() semantics for each string, as the csv path has
             durations = np.array(raw_durations, dtype=np.float64) * self.dur_scale
         except ValueError:
-            return None
+            return False
         if not (np.isfinite(durations) & (durations > 0)).all():
-            return None
+            return False
         self.id_hashes.append(np.fromiter(map(_id_hash, ids), np.int64, len(ids)))
         self._add(ids, speakers, durations)
-        return len(ids)
+        return True
 
     def may_repeat_an_id(self) -> bool:
         """Whether two ids that ``add_block`` added have one hash, as two
@@ -341,12 +333,12 @@ class _ManifestColumns:
         hashes.sort()
         return bool((hashes[1:] == hashes[:-1]).any())
 
-    def add_rows(self, text, first_line: int) -> None:
-        """Add every remaining row of ``text``, read with ``csv.reader``; its
-        first line is ``first_line``. The ids added before must differ."""
-        seen = set(decode_ids(b"".join(self.id_texts)))
+    def add_rows(self, text) -> None:
+        """Add every row of ``text``, the file after its header line, read
+        with ``csv.reader``."""
+        seen = set()
         ids, speakers, durations = [], [], []
-        for line_no, row in enumerate(csv.reader(text, delimiter="\t"), start=first_line):
+        for line_no, row in enumerate(csv.reader(text, delimiter="\t"), start=2):
             if _has_undecoded_bytes(row):
                 raise MalformedRowError(line_no, _NOT_UTF8)
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import cli, costs, federation, manifest_cache, memory
+from fedspeech import cli, costs, errors, federation, manifest_cache, memory
 from fedspeech.cli import main
 
 
@@ -483,6 +484,20 @@ class TestFlSim:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("method", ["flag", "config", "default"])
+    def test_alpha_under_fedavg_exits_2_on_one_line(self, tmp_path, capsys, method):
+        # fedavg weights clients by their sample counts alone
+        (tmp_path / "c.yaml").write_text("aggregation: {method: fedavg}\n")
+        extra = {"flag": ["--agg", "fedavg"], "config": ["--config", str(tmp_path / "c.yaml")],
+                 "default": []}[method]
+        assert run(["fl-sim", "--alpha", "3", "--out", str(tmp_path / "r")] + extra) == 2
+        assert capsys.readouterr().err == \
+            "error: --alpha weights clients by their loss; it cannot be given with fedavg\n"
+        assert not (tmp_path / "r").exists()
+        # a bad value is named before the method it cannot serve
+        assert run(["fl-sim", "--alpha", "nan", "--out", str(tmp_path / "r")] + extra) == 2
+        assert capsys.readouterr().err == "error: alpha must be finite and >= 0, got nan\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["--lr", "2.5", "--rounds", "400"],
          "round 173: non-finite population loss; local descent diverges at "
@@ -661,6 +676,36 @@ class TestParser:
         for cmd in ("analyze", "memory", "predict-time", "fl-plan", "fl-sim",
                     "forecast", "validate"):
             assert cmd in text
+
+
+    def test_report_commands_share_config_and_out(self):
+        # every command that writes reports reads --config and --out alike
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        helps = {name: {a.dest: a.help for a in p._actions if a.dest in ("config", "out")}
+                 for name, p in subparsers.choices.items() if name != "validate"}
+        assert len(helps) == 6
+        assert all(h == helps["analyze"] for h in helps.values()), helps
+        assert "FEDSPEECH_CONFIG" in helps["fl-sim"]["config"]
+
+
+ERROR_EXIT_CODES = {"MalformedRowError": 3, "MissingColumnError": 3,
+                    "UnreadableManifestError": 3, "InfeasibleError": 4}  # else 2
+
+
+@pytest.mark.parametrize("error", sorted(
+    (t for t in vars(errors).values()
+     if isinstance(t, type) and issubclass(t, errors.FedspeechError)),
+    key=lambda t: t.__name__), ids=lambda t: t.__name__)
+def test_each_error_type_exits_with_its_code(monkeypatch, capsys, error):
+    exc = error(9, "bad row") if error is errors.MalformedRowError else error("bad input")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate"]) == error.exit_code == ERROR_EXIT_CODES.get(error.__name__, 2)
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 class TestSharedParser:

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import heapq
 import math
@@ -81,6 +82,26 @@ def grouped(rows):
     """(utterance, speaker, duration) rows as ``load_manifest`` holds them:
     grouped by speaker in name order, each speaker's rows in file order."""
     return sorted(rows, key=lambda row: row[1])  # a stable sort
+
+
+def add_rows_starts(monkeypatch):
+    """The byte offset in the file at which each ``add_rows`` call starts
+    reading, appended as calls come."""
+    starts = []
+    real_add_rows = federation._ManifestColumns.add_rows
+
+    def add_rows(columns, text):
+        starts.append(text.buffer.tell())
+        return real_add_rows(columns, text)
+
+    monkeypatch.setattr(federation._ManifestColumns, "add_rows", add_rows)
+    return starts
+
+
+def header_bytes(path):
+    """The length of a file's first line, its newline included."""
+    with open(path, "rb") as fh:
+        return len(fh.readline())
 
 
 def reference_first_bad_row(path):
@@ -423,19 +444,12 @@ class TestManifest:
         # Two distinct ids share a hash: each row is read again with
         # csv.reader, which finds no id twice.
         expected = load_manifest(tie_manifest)
-        rows = []
-        real_add_rows = federation._ManifestColumns.add_rows
-
-        def add_rows(columns, text, first_line):
-            rows.append(first_line)
-            return real_add_rows(columns, text, first_line)
-
+        starts = add_rows_starts(monkeypatch)
         colliding = {"common_voice_00003.mp3", "common_voice_00150.mp3"}
         monkeypatch.setattr(federation, "_id_hash", lambda i: 0 if i in colliding else hash(i))
-        monkeypatch.setattr(federation._ManifestColumns, "add_rows", add_rows)
         monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
         again = load_manifest(tie_manifest)
-        assert rows == [2]
+        assert starts == [header_bytes(tie_manifest)]
         assert again.utterance_ids.tobytes() == expected.utterance_ids.tobytes()
         assert again.speaker_bytes.tobytes() == expected.speaker_bytes.tobytes()
         assert again.speaker_rows.tobytes() == expected.speaker_rows.tobytes()
@@ -443,11 +457,44 @@ class TestManifest:
         assert again.durations_s.tobytes() == expected.durations_s.tobytes()
 
     @pytest.mark.parametrize("block", [64, 1000, 4 << 20])
+    def test_late_quoted_field_reads_the_whole_file_again(self, tmp_path, monkeypatch,
+                                                          block):
+        # Plain blocks come first; the quoted field near the end sends the
+        # whole file, once, through csv.reader from the line after the header.
+        # The tie-heavy rows, repeated under new ids until the file is longer
+        # than a block.
+        rows = [(spk, f"c{copy}_{clip}", sentence, ms) for copy in range(1 + block // 10_000)
+                for spk, clip, sentence, ms in tie_heavy_rows()]
+        rows[-5] = (rows[-5][0], f'"{rows[-5][1]}"') + rows[-5][2:]
+        p = write_tsv(tmp_path / "m.tsv", manifest_text(rows))
+        assert p.read_bytes().index(b'"') > header_bytes(p) + block
+        starts = add_rows_starts(monkeypatch)
+        monkeypatch.setattr(federation, "_READ_BLOCK_BYTES", block)
+        assert rows_of(load_manifest(p)) == grouped(reference_rows(p))
+        assert starts == [header_bytes(p)]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["blocks", "csv"])
+    def test_header_after_a_byte_order_mark(self, tmp_path, quoted):
+        rows = tie_heavy_rows()
+        if quoted:
+            rows[3] = (rows[3][0], f'"{rows[3][1]}"') + rows[3][2:]
+        text = manifest_text(rows).encode()
+        (tmp_path / "bom.tsv").write_bytes(codecs.BOM_UTF8 + text)
+        (tmp_path / "plain.tsv").write_bytes(text)
+        bom, plain = load_manifest(tmp_path / "bom.tsv"), load_manifest(tmp_path / "plain.tsv")
+        assert bom.utterance_ids.tobytes() == plain.utterance_ids.tobytes()
+        assert bom.speaker_rows.tobytes() == plain.speaker_rows.tobytes()
+        assert bom.speaker_bytes.tobytes() == plain.speaker_bytes.tobytes()
+        assert bom.speaker_ids == plain.speaker_ids
+        assert bom.durations_s.tobytes() == plain.durations_s.tobytes()
+        assert len(bom) == len(rows)
+
+    @pytest.mark.parametrize("block", [64, 1000, 4 << 20])
     def test_early_duplicate_named_before_a_later_bad_row(self, tmp_path, monkeypatch,
                                                           block):
-        # Blocks before the bad row's are kept, one of them holding the id
-        # twice; the bad row's block goes to csv.reader, which names the
-        # duplicate's second row.
+        # A block before the bad row's holds the id twice; the bad row sends
+        # the whole file to csv.reader, which names the duplicate's second
+        # row.
         rows = tie_heavy_rows()
         rows[5] = (rows[5][0], rows[2][1]) + rows[5][2:]
         rows[200] = rows[200][:3] + ("-5",)
@@ -459,8 +506,8 @@ class TestManifest:
 
     @pytest.mark.parametrize("block", [64, 1000, 4 << 20])
     def test_id_repeated_after_a_quoted_field_is_named(self, tmp_path, monkeypatch, block):
-        # The quoted field's block and the rest go to csv.reader, which
-        # still knows the ids of the blocks kept before it.
+        # The quoted field sends the whole file to csv.reader, which sees
+        # the ids of the rows before it too.
         rows = tie_heavy_rows()
         rows[150] = (rows[150][0], f'"{rows[150][1]}"') + rows[150][2:]
         rows[160] = (rows[160][0], rows[2][1]) + rows[160][2:]
