@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Mapping, Optional, TypedDict
 
 from .errors import ConfigError
@@ -188,6 +189,7 @@ def _pos_conv(dim: int) -> ConvLayerSpec:
     return ConvLayerSpec(dim, dim, kernel=128, stride=1, bias=True, groups=16)
 
 
+@cache  # a spec is frozen, so every caller in a process shares one
 def base_preset() -> ArchitectureSpec:
     return ArchitectureSpec(
         name="base",
@@ -201,6 +203,7 @@ def base_preset() -> ArchitectureSpec:
     )
 
 
+@cache
 def large_preset() -> ArchitectureSpec:
     return ArchitectureSpec(
         name="large",
@@ -292,8 +295,10 @@ def arch_from_mapping(m: Mapping, where: str = "arch") -> ArchitectureSpec:
                             pos_conv=pos_conv)
 
 
+@cache  # keyed by the whole spec, not its name; a process reads few
 def arch_to_mapping(arch: ArchitectureSpec) -> dict:
-    """Inverse of :func:`arch_from_mapping`, used to embed configs in reports."""
+    """Inverse of :func:`arch_from_mapping`, used to embed configs in reports.
+    Equal specs get the same dict, which callers must not change."""
     return {"name": arch.name,
             "conv_stack": [to_mapping(c) for c in arch.conv_stack],
             "feature_proj": to_mapping(_FeatureProj(*arch.feature_proj)),

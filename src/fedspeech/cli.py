@@ -258,9 +258,15 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     agg = read(AggregationConfig, cfg.get("aggregation", {}), "aggregation",
                method=args.agg and AggMethod(args.agg), alpha=args.alpha)
-    if args.alpha is not None and agg.method is AggMethod.FEDAVG:
-        raise ConfigError("--alpha weights clients by their loss; "
-                          "it cannot be given with fedavg")
+    if agg.method is AggMethod.FEDAVG:  # which weights clients by their sample counts alone
+        section = cfg.get("aggregation", {})
+        for name, given, what in (
+                ("--alpha", args.alpha is not None, "weights clients by their loss"),
+                ("aggregation.alpha", "alpha" in section, "weights clients by their loss"),
+                ("aggregation.epsilon", "epsilon" in section,
+                 "floors the losses clients are weighted by")):
+            if given:
+                raise ConfigError(f"{name} {what}; it cannot be given with fedavg")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if seed < 0 or args.spread < 0:
         raise ConfigError(f"seed and spread must be >= 0, got {seed} and {args.spread}")

@@ -3,12 +3,14 @@
 Reports carry the fully resolved configuration and its fingerprint, never a
 timestamp, so identical inputs produce byte-identical files. Writers go
 through a temp file and an atomic rename so a failed run never leaves
-partial output behind.
+partial output behind. They make no directory: a command makes its output
+directory once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -82,7 +84,6 @@ def _replaced(path: Path, mode: str, **kwargs):
     and leaves no temp file; ``path`` is then untouched."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(tmp, mode, **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
@@ -98,48 +99,86 @@ def _replaced(path: Path, mode: str, **kwargs):
 
 
 def write_json(path, payload: Mapping[str, Any]) -> None:
-    """Write ``payload`` as ``json.dump(indent=2, sort_keys=True)`` would,
-    without encoding the items of any ``StreamedList`` in it one by one.
-    A non-finite number in it, or a file that cannot be written, raises
-    ``ConfigError`` and writes nothing."""
+    """Write ``payload`` byte for byte as ``json.dumps(indent=2,
+    sort_keys=True, default=str)`` writes it, plus a newline. A dict, list
+    or tuple that holds no container is encoded in one call to json's C
+    encoder; only containers of containers are walked here, and a
+    ``StreamedList`` writes its chunks where it stands. A non-finite number
+    in ``payload``, or a file that cannot be written, raises ``ConfigError``
+    and leaves no file."""
     path = Path(path)
-    streamed: list[StreamedList] = []
+    with _replaced(path, "wb") as fh:
+        text: list[str] = []  # encoded, not yet written
+        try:
+            _encode(payload, 0, text, fh)
+        except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+            raise ConfigError(f"cannot write {path.name}: {exc}") from None
+        text.append("\n")
+        fh.write("".join(text).encode("ascii"))  # every non-ASCII character is escaped
 
-    def default(value):
-        # The encoder meets each StreamedList in output order and writes a
-        # one-string list in its place; the file gets the items there.
-        if not isinstance(value, StreamedList):
-            return str(value)
+
+_CONTAINERS = (dict, list, tuple, StreamedList)
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The encoder of a container at nesting ``depth``, whose items it
+    separates as ``json.dumps(indent=2)`` does there. Without an indent it
+    runs in C."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, default=str,
+                            separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _encode(value, depth: int, text: list[str], fh) -> None:
+    """Append the JSON text of ``value`` at nesting ``depth`` to ``text``; a
+    ``StreamedList`` first writes ``text`` to ``fh``, then its chunks."""
+    if isinstance(value, StreamedList):
         if not value:
-            return []
-        streamed.append(value)
-        return [_STREAMED]
+            text.append("[]")
+            return
+        indent = "  " * (depth + 1)
+        text.append("[\n" + indent)
+        fh.write("".join(text).encode("ascii"))
+        text.clear()
+        for chunk in value.chunks(indent):
+            fh.write(chunk)
+        text.append("\n" + "  " * depth + "]")
+        return
+    encoder = _encoder(depth)
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:  # a scalar, or an object that default=str writes as a string
+        text.append(encoder.encode(value))
+        return
+    newline, close = encoder.item_separator[1:], "\n" + "  " * depth
+    if not any(isinstance(item, _CONTAINERS) for item in items):
+        flat = encoder.encode(value)  # "{}", "[]", or brackets around the items
+        text.append(flat if len(flat) == 2 else flat[0] + newline + flat[1:-1] + close + flat[-1])
+    elif isinstance(value, dict):
+        text.append("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            text.append(("," if i else "") + newline + _key(encoder, key) + ": ")
+            _encode(item, depth + 1, text, fh)
+        text.append(close + "}")
+    else:
+        text.append("[")
+        for i, item in enumerate(value):
+            text.append(("," if i else "") + newline)
+            _encode(item, depth + 1, text, fh)
+        text.append(close + "]")
 
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=default,
-                          allow_nan=False)
-    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
-        raise ConfigError(f"cannot write {path.name}: {exc}") from None
-    pieces = text.split(json.dumps(_STREAMED))
-    if len(pieces) != len(streamed) + 1:  # a string in the payload is the placeholder
-        pieces, streamed = [json.dumps(payload, indent=2, sort_keys=True,
-                                       default=_listed)], []
-    with _replaced(path, "wb") as fh:  # json.dumps escapes every non-ASCII character
-        for piece, value in zip(pieces, streamed):
-            indent = piece[piece.rindex("\n") + 1:]
-            fh.write(piece.encode("ascii"))
-            for chunk in value.chunks(indent):
-                fh.write(chunk)
-        fh.write(pieces[-1].encode("ascii") + b"\n")
 
-
-_STREAMED = "\x00streamed strings"
-
-
-def _listed(value):
-    if not isinstance(value, StreamedList):
-        return str(value)
-    return json.loads(b"[" + b"".join(value.chunks("")) + b"]")
+def _key(encoder: json.JSONEncoder, key) -> str:
+    """A dict key as json writes it: a string, or a number, true, false or
+    null written as one."""
+    if isinstance(key, str):
+        return encoder.encode(key)
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return encoder.encode(encoder.encode(key))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

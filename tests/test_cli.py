@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
 from fedspeech import cli, costs, errors, federation, manifest_cache, memory
+from fedspeech.arch import arch_to_mapping, get_preset
 from fedspeech.cli import main
 
 
@@ -497,6 +498,21 @@ class TestFlSim:
         # a bad value is named before the method it cannot serve
         assert run(["fl-sim", "--alpha", "nan", "--out", str(tmp_path / "r")] + extra) == 2
         assert capsys.readouterr().err == "error: alpha must be finite and >= 0, got nan\n"
+
+    @pytest.mark.parametrize("section,flags,message", [
+        ("{method: fedavg, alpha: 3, epsilon: 0.5}", [],
+         "aggregation.alpha weights clients by their loss"),
+        ("{method: loss_weighted, alpha: 2}", ["--agg", "fedavg"],
+         "aggregation.alpha weights clients by their loss"),
+        ("{epsilon: 0.5}", [], "aggregation.epsilon floors the losses clients are weighted by"),
+    ], ids=["config-method", "flag-method", "default-method-epsilon"])
+    def test_loss_weighting_config_under_fedavg_exits_2_on_one_line(
+            self, tmp_path, capsys, section, flags, message):
+        (tmp_path / "c.yaml").write_text(f"aggregation: {section}\n")
+        argv = ["fl-sim", "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path / "r")]
+        assert run(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}; it cannot be given with fedavg\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("argv,message", [
         (["--lr", "2.5", "--rounds", "400"],
@@ -1299,6 +1315,7 @@ def _fresh_python(code, *args):
 # digests.
 _RUN_IN_ORDER = """
 import hashlib, json, pathlib, sys
+from fedspeech.arch import arch_to_mapping, get_preset
 from fedspeech.cli import main
 results = []
 for argv, out in json.loads(sys.argv[1]):
@@ -1332,6 +1349,32 @@ def test_queries_leave_numpy_unloaded_and_plans_load_it(tmp_path):
         if argv in queries:
             assert numpy_modules == [], argv[0]
     assert results[-1][1]  # the plans loaded numpy
+
+
+def test_one_process_keeps_each_arch_apart_from_a_namesake(tmp_path):
+    # the override's arch is also named "large"; a preset or mapping kept
+    # for the process by name would give one command the other's arch
+    override = ("memory", "--config", "<large override>", "--precision", "mixed")
+    preset = ("forecast", "--device", "agx", "--arch", "large", "--doubling-months", "24",
+              "--base-year", "2023")
+    (tmp_path / "config.yaml").write_text(CONFIGS["<large override>"])
+    argvs = [override, preset, override]
+    cases = [([str(tmp_path / "config.yaml") if a == "<large override>" else a
+               for a in argv], str(tmp_path / f"out{i}")) for i, argv in enumerate(argvs)]
+    _fresh_python(_RUN_IN_ORDER, json.dumps(cases), str(tmp_path / "results.json"))
+    results = json.loads((tmp_path / "results.json").read_text())
+    assert [(code, written) for code, _, written in results] == \
+        [(0, REPORT_DIGESTS[argv]) for argv in argvs]
+    assert json.loads((tmp_path / "out0" / "memory.json").read_text()
+                      )["meta"]["arch"]["name"] == "large"
+
+
+def test_commands_leave_the_shared_arch_mapping_as_built(tmp_path):
+    arch = get_preset("base")
+    for argv in (["analyze"], ["memory"], ["predict-time", "--device", "nx"],
+                 ["forecast", "--device", "nx"]):
+        assert run(argv + ["--arch", "base", "--out", str(tmp_path)]) == 0
+    assert arch_to_mapping(arch) == arch_to_mapping.__wrapped__(arch)
 
 
 def test_cli_import_loads_every_module_the_tracer_patches():

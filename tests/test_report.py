@@ -1,8 +1,10 @@
+import enum
 import errno
 import json
 import math
 import re
 from json.encoder import encode_basestring_ascii
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
@@ -90,11 +92,39 @@ _STREAMED_LISTS = st.one_of(
     st.builds(_Streamed, st.just("ints"), st.lists(_INTS, max_size=5)),
     st.builds(_Streamed, st.just("dicts"), st.lists(st.dictionaries(
         _KEYS, _INTS | st.lists(_INTS, max_size=3), max_size=3), max_size=4)))
-_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _STREAMED_LISTS,
-                    st.floats(allow_nan=False, allow_infinity=False))
-_PAYLOADS = st.dictionaries(_KEYS, st.recursive(
-    _LEAVES, lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=12), max_size=4)
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Colour(str, enum.Enum):
+    RED = "red"
+    QUOTE = '"q\u00e4"'
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# values json writes as numbers or strings without being one of their
+# plain types: int and str subclasses, a float subclass, and objects that
+# default=str writes
+_LOOKALIKES = st.one_of(st.sampled_from(list(_Level) + list(_Colour)), _FLOATS.map(np.float64),
+                        st.builds(PurePosixPath, st.text("ab/\u00e4", max_size=4)))
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _STREAMED_LISTS, _FLOATS,
+                    _LOOKALIKES, st.just(-0.0), st.sampled_from([[], {}, ()]))
+# keys json can sort: strings, numbers (bool and IntEnum among them), or a
+# lone None; each non-str key is written as a string
+_NUMBER_KEYS = st.one_of(st.booleans(), st.integers(-3, 3), _FLOATS, st.just(-0.0),
+                         st.sampled_from(list(_Level)))
+
+
+def _dicts(values, max_size):
+    return (st.dictionaries(_KEYS, values, max_size=max_size)
+            | st.dictionaries(_NUMBER_KEYS, values, max_size=max_size)
+            | st.dictionaries(st.none(), values, max_size=1))
+
+
+_PAYLOADS = _dicts(st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | _dicts(inner, 3), max_leaves=12), 4)
 
 
 def _build(node, streamed):
@@ -102,8 +132,8 @@ def _build(node, streamed):
         return STREAMED[node.kind](node.items) if streamed else node.items
     if isinstance(node, dict):
         return {k: _build(v, streamed) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_build(v, streamed) for v in node]
+    if isinstance(node, (list, tuple)):
+        return type(node)(_build(v, streamed) for v in node)
     return node
 
 
@@ -112,9 +142,35 @@ def _build(node, streamed):
 @given(payload=_PAYLOADS)
 def test_streamed_lists_written_as_json_dumps_writes_them(tmp_path, payload):
     write_json(tmp_path / "p.json", _build(payload, streamed=True))
-    expected = json.dumps(_build(payload, streamed=False), indent=2, sort_keys=True)
+    expected = json.dumps(_build(payload, streamed=False), indent=2, sort_keys=True,
+                          default=str)
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected + "\n"
 
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("where", ["depth-2", "depth-3", "after-streamed", "key"])
+def test_non_finite_in_a_flat_list_raises_and_leaves_no_file(tmp_path, value, where):
+    # the ids sort first, so their chunks are in the temp file before the
+    # non-finite number is met
+    payload = {"depth-2": {"a": {"b": [1.0, value]}},
+               "depth-3": {"a": [{"b": [2, value]}], "c": 1},
+               "after-streamed": {"a-ids": StreamedList(encode_ids(["x", "y"])),
+                                  "b": {"c": [value, 3.0]}},
+               "key": {"a": [1], "b": {value: [1.0]}}}[where]
+    with pytest.raises(ConfigError, match=r"^cannot write p\.json: Out of range float"):
+        write_json(tmp_path / "p.json", payload)
+    assert not any(tmp_path.iterdir())
+
+
+
+@pytest.mark.parametrize("payload", [{"a": {(1, 2): 1}}, {"a": {(1, 2): [1]}}],
+                         ids=["flat", "walked"])
+def test_a_key_json_cannot_write_raises_as_json_dumps_does(tmp_path, payload):
+    with pytest.raises(TypeError) as dumped:
+        json.dumps(payload, indent=2, sort_keys=True, default=str)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(dumped.value))}$"):
+        write_json(tmp_path / "p.json", payload)
+    assert not any(tmp_path.iterdir())
 
 def test_schedule_written_as_json_dumps_writes_its_rounds(tmp_path):
     schedule = schedule_rounds(30, 4, 25, seed=3)
