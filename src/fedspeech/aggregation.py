@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -179,9 +180,33 @@ class SyntheticFLConfig:
 
     def population_loss(self, weights: np.ndarray) -> float:
         """Sample-weighted mean of the quadratic client losses at ``weights``."""
-        w = np.asarray(self.n_samples, dtype=np.float64)
-        per_client = 0.5 * ((weights[None, :] - self.optima) ** 2).sum(axis=1)
-        return float((w * per_client).sum() / w.sum())
+        return _PopulationLoss(self)(weights)
+
+
+_BLOCK_ROWS = 16  # clients per population-loss block: 256 KB at width 2000
+
+
+class _PopulationLoss:
+    """``SyntheticFLConfig.population_loss`` with the sample weights, their
+    sum and its buffers made once. Client rows are squared and summed
+    ``_BLOCK_ROWS`` at a time; each row is reduced on its own, as one
+    ``(n_clients, dim)`` sum reduces it, so the bits do not depend on the
+    block size."""
+
+    def __init__(self, cfg: SyntheticFLConfig):
+        self.optima = cfg.optima
+        self.n_samples = np.asarray(cfg.n_samples, dtype=np.float64)
+        self.total = self.n_samples.sum()
+        self.block = np.empty((min(_BLOCK_ROWS, cfg.n_clients), cfg.dim))
+        self.per_client = np.empty(cfg.n_clients)
+
+    def __call__(self, weights: np.ndarray) -> float:
+        for start in range(0, len(self.optima), _BLOCK_ROWS):
+            rows = self.optima[start:start + _BLOCK_ROWS]
+            block = np.subtract(weights, rows, out=self.block[:len(rows)])
+            np.square(block, out=block).sum(
+                axis=1, out=self.per_client[start:start + len(rows)])
+        return float((self.n_samples * (0.5 * self.per_client)).sum() / self.total)
 
 
 @dataclass(frozen=True)
@@ -213,13 +238,42 @@ def _diverged(round_id: int, what: str, learning_rate: float) -> ConfigError:
                        f"diverges at learning_rate {learning_rate}")
 
 
+def _population_losses(loss: _PopulationLoss, todo, done) -> None:
+    """Worker: puts ``loss(w)`` on ``done`` for each ``w`` taken from ``todo``
+    until ``None``. An exception is put there in place of a result and ends
+    the worker."""
+    try:
+        with np.errstate(all="ignore"):  # per thread; the caller reports a non-finite loss
+            while (weights := todo.get()) is not None:
+                done.put(loss(weights))
+    except BaseException as exc:
+        done.put(exc)
+
+
+def _settled(fields: dict, population_loss, learning_rate: float) -> RoundRecord:
+    """The record of a round whose ``fields`` wait on the worker's
+    ``population_loss``; raises what the worker raised, or the divergence a
+    non-finite loss means."""
+    if isinstance(population_loss, BaseException):
+        raise population_loss
+    if not math.isfinite(population_loss):
+        raise _diverged(fields["round_id"], "population loss", learning_rate)
+    return RoundRecord(population_loss=population_loss, **fields)
+
+
 def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajectory:
     """Round-based simulation; deterministic for a fixed seed.
 
     Each round trains, scores and checks its k selected clients as one
     ``(k, dim)`` array; elementwise steps and row sums give the same bits as
     one client at a time, and the reduction takes the rows in ascending
-    client-id order as ``aggregate`` does."""
+    client-id order as ``aggregate`` does.
+
+    A worker thread computes round r's population loss while round r + 1
+    trains. Round r is recorded, or fails on its population loss, before
+    round r + 1's clients are checked, so errors come in round order."""
+    import queue  # here, so that importing the command line does not load it
+
     rng = np.random.default_rng(cfg.seed)
     optimum = cfg.population_optimum()
     global_w = np.zeros(cfg.dim, dtype=np.float64)
@@ -233,40 +287,52 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     k = cfg.n_clients if cfg.per_round is None else cfg.per_round
     mu, local, step = (np.empty((k, cfg.dim)) for _ in range(3))
 
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    worker = threading.Thread(target=_population_losses, name="population-loss",
+                              args=(_PopulationLoss(cfg), todo, done), daemon=True)
+    worker.start()
     records: list[RoundRecord] = []
-    for round_id in range(cfg.rounds):
-        if cfg.per_round is None:
-            selected = tuple(range(cfg.n_clients))
-        else:
-            selected = tuple(sorted(
-                int(i) for i in rng.choice(cfg.n_clients, size=cfg.per_round,
-                                           replace=False)))
-        sel = np.array(selected, dtype=np.int64)
-        np.take(cfg.optima, sel, axis=0, out=mu)
-        local[:] = global_w
-        with np.errstate(all="ignore"):  # a diverging run is reported below
-            for _ in range(cfg.local_steps):
-                np.subtract(local, mu, out=step)
-                step *= lr
-                local -= step
-            np.subtract(global_w if cfg.report_pre_loss else local, mu, out=step)
-            losses = 0.5 * np.square(step, out=step).sum(axis=1)
-            by_id = np.argsort(id_rank[sel])
-            healthy = np.isfinite(losses) & np.isfinite(local).all(axis=1)
-            if not healthy.all():
-                first = sel[by_id[np.flatnonzero(~healthy[by_id])[0]]]
-                raise _diverged(round_id, f"loss or weights of client {ids[first]}", lr)
-            global_w = _combine(local[by_id], _raw_coefficients(
-                n_samples[sel[by_id]].tolist(), losses[by_id].tolist(), alpha,
-                agg.epsilon))
-            population_loss = cfg.population_loss(global_w)
-            if not math.isfinite(population_loss):
-                raise _diverged(round_id, "population loss", lr)
-            records.append(RoundRecord(
-                round_id=round_id, selected=selected,
-                client_losses=dict(zip([ids[i] for i in selected], losses.tolist())),
-                mean_client_loss=float(losses.mean()),
-                population_loss=population_loss,
-                distance_to_optimum=float(np.linalg.norm(global_w - optimum))))
+    pending = None  # the last round's record fields, short of its population loss
+    try:
+        for round_id in range(cfg.rounds):
+            if cfg.per_round is None:
+                selected = tuple(range(cfg.n_clients))
+            else:
+                selected = tuple(sorted(
+                    int(i) for i in rng.choice(cfg.n_clients, size=cfg.per_round,
+                                               replace=False)))
+            sel = np.array(selected, dtype=np.int64)
+            np.take(cfg.optima, sel, axis=0, out=mu)
+            local[:] = global_w
+            with np.errstate(all="ignore"):  # a diverging run is reported below
+                for _ in range(cfg.local_steps):
+                    np.subtract(local, mu, out=step)
+                    step *= lr
+                    local -= step
+                np.subtract(global_w if cfg.report_pre_loss else local, mu, out=step)
+                losses = 0.5 * np.square(step, out=step).sum(axis=1)
+                if pending is not None:
+                    records.append(_settled(pending, done.get(), lr))
+                by_id = np.argsort(id_rank[sel])
+                # a non-finite row of local weights makes its post-training loss non-finite
+                healthy = np.isfinite(losses)
+                if cfg.report_pre_loss:
+                    healthy &= np.isfinite(local).all(axis=1)
+                if not healthy.all():
+                    first = sel[by_id[np.flatnonzero(~healthy[by_id])[0]]]
+                    raise _diverged(round_id, f"loss or weights of client {ids[first]}", lr)
+                global_w = _combine(local[by_id], _raw_coefficients(
+                    n_samples[sel[by_id]].tolist(), losses[by_id].tolist(), alpha,
+                    agg.epsilon))
+                todo.put(global_w)
+                pending = dict(
+                    round_id=round_id, selected=selected,
+                    client_losses=dict(zip([ids[i] for i in selected], losses.tolist())),
+                    mean_client_loss=float(losses.mean()),
+                    distance_to_optimum=float(np.linalg.norm(global_w - optimum)))
+        records.append(_settled(pending, done.get(), lr))
+    finally:
+        todo.put(None)
+        worker.join()
 
     return Trajectory(records=tuple(records), final_weights=global_w)

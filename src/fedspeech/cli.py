@@ -274,7 +274,12 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
         raise ConfigError(f"spread must be finite, got {args.spread}")
     rng = np.random.default_rng(seed)
     # a negative size leaves the optima empty, which SyntheticFLConfig reports
-    optima = rng.normal(scale=args.spread, size=(max(args.clients, 0), max(args.dim, 0)))
+    try:
+        optima = rng.normal(scale=args.spread, size=(max(args.clients, 0), max(args.dim, 0)))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
+        raise ConfigError(f"--clients {args.clients} x --dim {args.dim} client optima "
+                          f"({8 * args.clients * args.dim:.3g} bytes) cannot be "
+                          f"allocated") from None
     sim = SyntheticFLConfig(
         optima=optima, n_samples=(SYNTHETIC_SAMPLES_PER_CLIENT,) * args.clients,
         learning_rate=args.lr, local_steps=args.local_steps, rounds=args.rounds,

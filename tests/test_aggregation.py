@@ -1,8 +1,11 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedspeech import aggregation
 from fedspeech.aggregation import (AggMethod, AggregationConfig, ClientUpdate,
                                    SyntheticFLConfig, aggregate, fedavg, loss_weighted,
                                    run_synthetic_fl)
@@ -23,6 +26,14 @@ def one_at_a_time(updates, config=None):
     for c, u in zip(coeffs[1:], ordered[1:]):
         acc = acc + c * u.weights.astype(np.float64)
     return acc
+
+
+def plain_population_loss(cfg, weights):
+    """The population loss as one ``(n_clients, dim)`` array expression, as
+    it was written before it was summed in blocks of clients."""
+    w = np.asarray(cfg.n_samples, dtype=np.float64)
+    per_client = 0.5 * ((weights[None, :] - cfg.optima) ** 2).sum(axis=1)
+    return float((w * per_client).sum() / w.sum())
 
 
 def reference_run(cfg, agg):
@@ -47,7 +58,7 @@ def reference_run(cfg, agg):
             updates.append(ClientUpdate(f"c{idx:04d}", w, cfg.n_samples[idx],
                                         losses[f"c{idx:04d}"]))
         global_w = aggregate(updates, agg)
-        rounds.append((selected, losses, cfg.population_loss(global_w),
+        rounds.append((selected, losses, plain_population_loss(cfg, global_w),
                        float(np.linalg.norm(global_w - optimum))))
     return rounds, global_w
 
@@ -268,16 +279,24 @@ class TestSyntheticRun:
         assert traj.rounds_to_loss(1e-9) == 1  # starts at the optimum
         assert traj.rounds_to_loss(-1.0) is None
 
-    @pytest.mark.parametrize("n_clients,per_round,method,pre_loss", [
-        (8, None, AggMethod.FEDAVG, False),
-        (30, 7, AggMethod.LOSS_WEIGHTED, False),
-        (30, 7, AggMethod.LOSS_WEIGHTED, True),
-        (10_050, 40, AggMethod.LOSS_WEIGHTED, False),
+    @pytest.mark.parametrize("n_clients,per_round,method,pre_loss,dim", [
+        pytest.param(8, None, AggMethod.FEDAVG, False, 6, id="8-None-fedavg-False"),
+        pytest.param(30, 7, AggMethod.LOSS_WEIGHTED, False, 6,
+                     id="30-7-loss_weighted-False"),
+        pytest.param(30, 7, AggMethod.LOSS_WEIGHTED, True, 6, id="30-7-loss_weighted-True"),
+        pytest.param(10_050, 40, AggMethod.LOSS_WEIGHTED, False, 6,
+                     id="10050-40-loss_weighted-False"),
+        # the population loss sums blocks of 16, 16 and 5 clients
+        *[pytest.param(37, 9, method, pre_loss, 40, id=f"37-9-{method.value}-{pre_loss}-dim40")
+          for method in AggMethod for pre_loss in (False, True)],
+        # each row is summed in more than one pairwise block
+        pytest.param(17, None, AggMethod.LOSS_WEIGHTED, False, 300,
+                     id="17-None-loss_weighted-False-dim300"),
     ])
     def test_stacked_rounds_match_client_at_a_time(self, n_clients, per_round, method,
-                                                   pre_loss):
+                                                   pre_loss, dim):
         rng = np.random.default_rng(n_clients)
-        cfg = SyntheticFLConfig(optima=rng.normal(size=(n_clients, 6)),
+        cfg = SyntheticFLConfig(optima=rng.normal(size=(n_clients, dim)),
                                 n_samples=tuple(int(x) for x in
                                                 rng.integers(1, 50, size=n_clients)),
                                 rounds=12, per_round=per_round, seed=n_clients,
@@ -311,3 +330,102 @@ class TestSyntheticRun:
         base = dict(optima=np.zeros((3, 2)), n_samples=(1, 1, 1))
         with pytest.raises(ConfigError):
             SyntheticFLConfig(**{**base, **change})
+
+
+# Runs that fail on a round's population loss, on a client's loss, and on
+# loss-weighting coefficients that overflow: (config fields, aggregation, error)
+DIVERGING = {
+    "population": (dict(optima=np.random.default_rng(0).normal(size=(10, 8)),
+                        n_samples=(1,) * 10, learning_rate=2.5, rounds=400),
+                   AggregationConfig(), r"^round 174: non-finite population loss;"),
+    "client": (dict(optima=np.array([[0.0], [1.0], [0.0]]), n_samples=(1,) * 3,
+                    learning_rate=1e300, local_steps=3, rounds=2),
+               AggregationConfig(), r"^round 0: non-finite loss or weights of client c0001;"),
+    "coefficients": (dict(optima=np.random.default_rng(1).normal(size=(3, 4)),
+                          n_samples=(1,) * 3, rounds=1),
+                     AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1e300),
+                     "overflow or vanish at alpha 1e[+]300$"),
+}
+
+
+class TestPopulationLossWorker:
+    """Each round's population loss is computed on a worker thread while the
+    next round trains."""
+
+    @pytest.mark.parametrize("outcome", ["returns", *DIVERGING])
+    def test_no_thread_outlives_the_run(self, outcome):
+        before = threading.active_count()
+        if outcome == "returns":
+            run_synthetic_fl(SyntheticFLConfig(optima=np.ones((4, 3)), n_samples=(1,) * 4,
+                                               rounds=5), AggregationConfig())
+        else:
+            fields, agg, message = DIVERGING[outcome]
+            with pytest.raises(ConfigError, match=message):
+                run_synthetic_fl(SyntheticFLConfig(**fields), agg)
+        assert threading.active_count() == before
+
+    def test_population_loss_error_comes_before_the_next_rounds_client_error(
+            self, monkeypatch):
+        fields, agg, message = DIVERGING["population"]
+        cfg = SyntheticFLConfig(**fields)
+        with pytest.raises(ConfigError, match=message):
+            run_synthetic_fl(cfg, agg)
+        # with a finite population loss, round 175 fails on a client instead
+        monkeypatch.setattr(aggregation._PopulationLoss, "__call__", lambda self, w: 0.0)
+        with pytest.raises(ConfigError, match=r"^round 175: non-finite loss or weights "
+                                              r"of client c0000;"):
+            run_synthetic_fl(cfg, agg)
+
+    def test_an_exception_in_the_worker_reaches_the_caller(self, monkeypatch):
+        calls = []
+
+        def failing_on_the_third_round(self, weights):
+            calls.append(weights)
+            if len(calls) == 3:
+                raise RuntimeError("population loss failed")
+            return 1.0
+
+        monkeypatch.setattr(aggregation._PopulationLoss, "__call__",
+                            failing_on_the_third_round)
+        raised = []
+
+        def call():
+            try:
+                run_synthetic_fl(SyntheticFLConfig(optima=np.ones((4, 3)), n_samples=(1,) * 4,
+                                                   rounds=10),
+                                 AggregationConfig())
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "the run hangs on a failed worker"
+        assert [str(exc) for exc in raised] == ["population loss failed"]
+        assert threading.active_count() == before
+
+    def test_runs_side_by_side_give_the_bits_of_one_run(self):
+        # four callers and their four workers on fewer cores, switching often
+        rng = np.random.default_rng(12)
+        cfg = SyntheticFLConfig(optima=rng.normal(size=(37, 40)), n_samples=(3,) * 37,
+                                rounds=40, per_round=9, seed=12)
+        agg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.3)
+        alone = run_synthetic_fl(cfg, agg)
+        results = []
+        callers = [threading.Thread(target=lambda: results.append(run_synthetic_fl(cfg, agg)),
+                                    daemon=True) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(results) == 4
+        for traj in results:
+            assert np.array_equal(traj.final_weights, alone.final_weights)
+            assert traj.records == alone.records

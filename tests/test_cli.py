@@ -485,6 +485,20 @@ class TestFlSim:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
+    # Both sizes exceed any address space, so they fail before a byte is
+    # allocated: the first in the allocator, the second in numpy's size check.
+    @pytest.mark.parametrize("clients,dim,size", [
+        ("1000000000", "1000000000", "8e+18"), ("10000000000", "10000000000", "8e+20"),
+    ], ids=["no-memory", "no-index"])
+    def test_optima_that_cannot_be_allocated_exit_2_on_one_line(self, tmp_path, capsys,
+                                                                clients, dim, size):
+        assert run(["fl-sim", "--clients", clients, "--dim", dim,
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --clients {clients} x --dim {dim} client optima ({size} bytes) "
+            f"cannot be allocated\n")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("method", ["flag", "config", "default"])
     def test_alpha_under_fedavg_exits_2_on_one_line(self, tmp_path, capsys, method):
         # fedavg weights clients by their sample counts alone
