@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DimensionMismatchError, EmptyUpdateSetError
+from .federation import schedule_rounds
 from .lazy import lazy_import
 
 np = lazy_import("numpy")
@@ -262,7 +263,8 @@ def _settled(fields: dict, population_loss, learning_rate: float) -> RoundRecord
 
 
 def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajectory:
-    """Round-based simulation; deterministic for a fixed seed.
+    """Round-based simulation; deterministic for a fixed seed. Its rounds
+    train the clients of ``schedule_rounds``, the schedule fl-plan draws.
 
     Each round trains, scores and checks its k selected clients as one
     ``(k, dim)`` array; elementwise steps and row sums give the same bits as
@@ -274,7 +276,8 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     round r + 1's clients are checked, so errors come in round order."""
     import queue  # here, so that importing the command line does not load it
 
-    rng = np.random.default_rng(cfg.seed)
+    k = cfg.per_round or cfg.n_clients
+    schedule = schedule_rounds(cfg.n_clients, k, cfg.rounds, cfg.seed)
     optimum = cfg.population_optimum()
     global_w = np.zeros(cfg.dim, dtype=np.float64)
     ids = [f"c{idx:04d}" for idx in range(cfg.n_clients)]
@@ -284,7 +287,6 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     alpha = agg.alpha if agg.method is AggMethod.LOSS_WEIGHTED else 0.0
     lr = cfg.learning_rate
 
-    k = cfg.n_clients if cfg.per_round is None else cfg.per_round
     mu, local, step = (np.empty((k, cfg.dim)) for _ in range(3))
 
     todo, done = queue.SimpleQueue(), queue.SimpleQueue()
@@ -294,14 +296,8 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     records: list[RoundRecord] = []
     pending = None  # the last round's record fields, short of its population loss
     try:
-        for round_id in range(cfg.rounds):
-            if cfg.per_round is None:
-                selected = tuple(range(cfg.n_clients))
-            else:
-                selected = tuple(sorted(
-                    int(i) for i in rng.choice(cfg.n_clients, size=cfg.per_round,
-                                               replace=False)))
-            sel = np.array(selected, dtype=np.int64)
+        for round_id, sel in enumerate(schedule.selected):
+            selected = tuple(sel.tolist())
             np.take(cfg.optima, sel, axis=0, out=mu)
             local[:] = global_w
             with np.errstate(all="ignore"):  # a diverging run is reported below

@@ -283,7 +283,7 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
     sim = SyntheticFLConfig(
         optima=optima, n_samples=(SYNTHETIC_SAMPLES_PER_CLIENT,) * args.clients,
         learning_rate=args.lr, local_steps=args.local_steps, rounds=args.rounds,
-        per_round=None if args.per_round in (None, args.clients) else args.per_round,
+        per_round=args.per_round,
         seed=seed, report_pre_loss=args.pre_loss)
     trajectory = run_synthetic_fl(sim, agg)
 
@@ -351,12 +351,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     results = run_all_checks()
     width = max(len(r.name) for r in results)
-    failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failed += 1
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
+    failed = sum(not r.passed for r in results)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else 1
 

@@ -8,9 +8,10 @@ deterministic for a fixed seed and balances within a few parts per thousand
 on corpus-scale manifests; optimal partitioning would be NP-hard and buys
 nothing at the tolerances that matter here.
 
-Rounds are synchronous: a round takes as long as its slowest selected
-client, and clients process their local epoch at their device's predicted
-seconds per batch using the client's mean utterance duration.
+A round schedule is one array of client indices, drawn once and read by
+fl-plan and fl-sim alike. Rounds are synchronous: a round takes as long as its
+slowest selected client, and clients process their local epoch at their
+device's predicted seconds per batch using the client's mean utterance duration.
 """
 
 from __future__ import annotations
@@ -154,20 +155,21 @@ class Partition:
         return len(self.clients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundSchedule:
-    rounds: tuple[tuple[int, ...], ...]  # round -> sorted selected client indices
+    """Row ``r`` of ``selected`` holds the distinct clients, of
+    ``total_clients``, that round ``r`` trains, in ascending order."""
+    selected: np.ndarray  # int64, (n_rounds, per_round), drawn under ``seed``
     total_clients: int
-    per_round: int
     seed: int
 
     @property
     def n_rounds(self) -> int:
-        return len(self.rounds)
+        return self.selected.shape[0]
 
     @property
-    def total_selections(self) -> int:
-        return sum(len(r) for r in self.rounds)
+    def per_round(self) -> int:
+        return self.selected.shape[1]
 
 
 @dataclass(frozen=True)
@@ -573,7 +575,9 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
 
 def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
                     seed: int = 0) -> RoundSchedule:
-    """Sample ``per_round`` distinct clients uniformly, independently per round."""
+    """Sample ``per_round`` distinct clients uniformly, independently per
+    round; when every client takes part, no draw is made. A schedule too
+    large to allocate raises ``InvalidSampleSizeError``."""
     if total_clients < 1 or per_round < 1:
         raise InvalidSampleSizeError("client counts must be >= 1")
     if per_round > total_clients:
@@ -581,12 +585,20 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
             f"cannot select {per_round} of {total_clients} clients")
     if n_rounds < 1:
         raise InvalidSampleSizeError("need at least one round")
-    rng = np.random.default_rng(seed)
-    rounds = tuple(
-        tuple(np.sort(rng.choice(total_clients, size=per_round, replace=False)).tolist())
-        for _ in range(n_rounds))
-    return RoundSchedule(rounds=rounds, total_clients=total_clients,
-                         per_round=per_round, seed=seed)
+    try:
+        selected = np.empty((n_rounds, per_round), np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
+        raise InvalidSampleSizeError(
+            f"{n_rounds} rounds x {per_round} clients per round "
+            f"({8 * n_rounds * per_round:.3g} bytes) cannot be allocated") from None
+    if per_round == total_clients:  # a full selection, sorted, is arange whatever the draw
+        selected[:] = np.arange(total_clients)
+    else:
+        rng = np.random.default_rng(seed)
+        for row in selected:
+            row[:] = rng.choice(total_clients, size=per_round, replace=False)
+        selected.sort(axis=1)
+    return RoundSchedule(selected=selected, total_clients=total_clients, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +634,10 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
             math.ceil(client.n_utterances / workload.batch) * batch_seconds[key]
         device_of[client.client_id] = profile.name
 
-    # Each round's slowest client: one gather over the (rounds, per_round)
-    # selections and a row max, the same floats as a max over each round.
+    # Each round's slowest client: one gather over the schedule's selections
+    # and a row max, the same floats as a max over each round.
     client_seconds = np.array([epoch_seconds[c.client_id] for c in partition.clients])
-    selected = np.array(schedule.rounds, dtype=np.intp).reshape(schedule.n_rounds,
-                                                                schedule.per_round)
-    per_round = tuple((client_seconds * local_epochs)[selected].max(axis=1).tolist())
+    per_round = tuple((client_seconds * local_epochs)[schedule.selected].max(1).tolist())
 
     breakdown: dict[str, float] = {}
     for cid, secs in epoch_seconds.items():
@@ -649,4 +659,4 @@ def estimate_communication(arch: ArchitectureSpec, schedule: RoundSchedule,
                            precision: Precision = Precision.FP32) -> float:
     """Total model bytes moved: down plus up, per selected client, per round."""
     params = param_count(arch).total_params
-    return float(params) * precision.bytes_per_value * 2 * schedule.total_selections
+    return float(params) * precision.bytes_per_value * 2 * schedule.selected.size

@@ -273,14 +273,14 @@ def schedule_payload(schedule: RoundSchedule, meta: Mapping[str, Any]) -> dict:
         "total_clients": schedule.total_clients,
         "per_round": schedule.per_round,
         "seed": schedule.seed,
-        "rounds": StreamedList(tuple(enumerate(schedule.rounds)), _round_text),
+        "rounds": StreamedList(range(schedule.n_rounds),
+                               functools.partial(_round_text, schedule.selected)),
     }
 
 
-def _round_text(item: tuple[int, Sequence[int]]) -> str:
-    """A round's JSON text, as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
-    round_id, selected = item
-    listed = ",\n    ".join(map(int.__repr__, selected))  # a round selects at least one
+def _round_text(selected: np.ndarray, round_id: int) -> str:
+    """Round ``round_id`` as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    listed = ",\n    ".join(map(int.__repr__, selected[round_id].tolist()))  # never empty
     return f'{{\n  "round_id": {round_id},\n  "selected": [\n    {listed}\n  ]\n}}'
 
 

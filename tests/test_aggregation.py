@@ -10,6 +10,7 @@ from fedspeech.aggregation import (AggMethod, AggregationConfig, ClientUpdate,
                                    SyntheticFLConfig, aggregate, fedavg, loss_weighted,
                                    run_synthetic_fl)
 from fedspeech.errors import ConfigError, DimensionMismatchError, EmptyUpdateSetError
+from fedspeech.federation import schedule_rounds
 
 
 def one_at_a_time(updates, config=None):
@@ -258,6 +259,15 @@ class TestSyntheticRun:
         traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
         for rec in traj.records:
             assert len(rec.selected) == len(set(rec.selected)) == 7
+
+    @pytest.mark.parametrize("per_round", [7, None], ids=["7-of-30", "all-30"])
+    def test_rounds_train_the_clients_fl_plan_schedules(self, per_round):
+        rng = np.random.default_rng(8)
+        cfg = SyntheticFLConfig(optima=rng.normal(size=(30, 3)), n_samples=(1,) * 30,
+                                rounds=25, per_round=per_round, seed=4)
+        traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
+        schedule = schedule_rounds(30, per_round or 30, 25, seed=4)
+        assert [list(rec.selected) for rec in traj.records] == schedule.selected.tolist()
 
     def test_pre_loss_reporting_changes_weighting(self):
         rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -848,6 +849,37 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Address space for a large-count run: enough for the interpreter, numpy and
+# a small plan, while a schedule of 10**12 rounds can never be allocated.
+CHILD_ADDRESS_SPACE = 2 << 30
+
+
+def _limit_address_space():
+    """Caps the address space of the child it runs in, between fork and exec."""
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["fl-plan", "fl-sim"]), clients=st.integers(1, 1000),
+       rounds=st.sampled_from([1, 10**12, 10**18]), everyone=st.booleans())
+def test_large_counts_exit_0_or_2_in_a_limited_child(tmp_path, command, clients, rounds,
+                                                      everyone):
+    argv = [command, "--clients", str(clients), "--rounds", str(rounds),
+            "--per-round", str(clients if everyone else 1), "--out", str(tmp_path / "r")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("FEDSPEECH_CONFIG", None)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from fedspeech.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=_limit_address_space)
+    assert done.returncode in (0, 2), done.stderr
+    assert done.stderr.count("error:") <= 1 and "Traceback" not in done.stderr, done.stderr
+    if done.returncode:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 # SHA-256 of every report these commands wrote at commit 2486d38. None of

@@ -664,22 +664,32 @@ class TestSchedule:
     def test_full_participation(self):
         schedule = schedule_rounds(10, 10, 150, seed=4)
         assert schedule.n_rounds == 150
-        assert all(sel == tuple(range(10)) for sel in schedule.rounds)
+        assert schedule.selected.tolist() == [list(range(10))] * 150
 
     def test_partial_participation_shape(self):
         schedule = schedule_rounds(100, 20, 500, seed=4)
-        assert schedule.n_rounds == 500
-        for sel in schedule.rounds:
+        assert (schedule.n_rounds, schedule.per_round) == (500, 20)
+        for sel in schedule.selected.tolist():
             assert len(sel) == len(set(sel)) == 20
             assert all(0 <= c < 100 for c in sel)
 
     def test_single_round_all_clients(self):
         schedule = schedule_rounds(5, 5, 1, seed=0)
-        assert schedule.rounds == ((0, 1, 2, 3, 4),)
+        assert schedule.selected.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_deterministic(self):
-        assert schedule_rounds(100, 20, 50, seed=9).rounds == \
-            schedule_rounds(100, 20, 50, seed=9).rounds
+        assert schedule_rounds(100, 20, 50, seed=9).selected.tolist() == \
+            schedule_rounds(100, 20, 50, seed=9).selected.tolist()
+
+    @pytest.mark.parametrize("total,per_round,rounds,seed",
+                             [(30, 7, 40, 2), (500, 50, 1000, 0), (8, 8, 25, 5)])
+    def test_rows_are_each_rounds_draw_sorted(self, total, per_round, rounds, seed):
+        # the reference: one draw per round from one generator, sorted; a full
+        # selection makes no draw and must still give these rows
+        rng = np.random.default_rng(seed)
+        drawn = [sorted(rng.choice(total, size=per_round, replace=False).tolist())
+                 for _ in range(rounds)]
+        assert schedule_rounds(total, per_round, rounds, seed).selected.tolist() == drawn
 
     def test_invalid_sizes(self):
         with pytest.raises(InvalidSampleSizeError):
@@ -687,12 +697,19 @@ class TestSchedule:
         with pytest.raises(InvalidSampleSizeError):
             schedule_rounds(10, 5, 0, seed=0)
 
+    # 8e19 bytes is more than an index holds; 8e16 more than any address space
+    @pytest.mark.parametrize("total,per_round,rounds,size", [
+        (10, 10, 10**18, "8e+19"), (100, 10, 10**15, "8e+16")])
+    def test_a_schedule_too_large_to_allocate_is_refused(self, total, per_round, rounds,
+                                                          size):
+        with pytest.raises(InvalidSampleSizeError) as exc:
+            schedule_rounds(total, per_round, rounds)
+        assert str(exc.value) == (f"{rounds} rounds x {per_round} clients per round "
+                                  f"({size} bytes) cannot be allocated")
+
     def test_selection_uniformity(self):
         schedule = schedule_rounds(100, 20, 10_000, seed=123)
-        counts = np.zeros(100)
-        for sel in schedule.rounds:
-            counts[list(sel)] += 1
-        freqs = counts / 10_000
+        freqs = np.bincount(schedule.selected.ravel(), minlength=100) / 10_000
         assert freqs.min() >= 0.18 and freqs.max() <= 0.22
 
 
@@ -702,7 +719,7 @@ def slowest_per_round(partition, schedule, epoch_seconds, local_epochs):
     return tuple(
         max(epoch_seconds[partition.clients[idx].client_id] * local_epochs
             for idx in selected)
-        for selected in schedule.rounds)
+        for selected in schedule.selected.tolist())
 
 
 class TestWallClock:
@@ -840,7 +857,8 @@ class TestCommunication:
         assert volume == pytest.approx(1.1375e12, rel=0.01)
 
     def test_zero_rounds_zero_bytes(self):
-        empty = RoundSchedule(rounds=(), total_clients=10, per_round=10, seed=0)
+        empty = RoundSchedule(selected=np.empty((0, 10), np.int64), total_clients=10,
+                              seed=0)
         assert estimate_communication(base_preset(), empty) == 0.0
 
     def test_large_to_base_ratio_tracks_param_ratio(self):

@@ -176,8 +176,8 @@ def test_schedule_written_as_json_dumps_writes_its_rounds(tmp_path):
     schedule = schedule_rounds(30, 4, 25, seed=3)
     write_json(tmp_path / "s.json", schedule_payload(schedule, {"k": 1}))
     expected = {"meta": {"k": 1}, "total_clients": 30, "per_round": 4, "seed": 3,
-                "rounds": [{"round_id": i, "selected": list(selected)}
-                           for i, selected in enumerate(schedule.rounds)]}
+                "rounds": [{"round_id": i, "selected": selected}
+                           for i, selected in enumerate(schedule.selected.tolist())]}
     assert (tmp_path / "s.json").read_text() == \
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
@@ -190,8 +190,8 @@ def test_rounds_are_encoded_a_chunk_at_a_time(tmp_path):
     assert max(map(len, chunks)) * 10 < len(b"".join(chunks))
     write_json(tmp_path / "s.json", payload)
     expected = {"meta": {}, "total_clients": 30, "per_round": 4, "seed": 3,
-                "rounds": [{"round_id": i, "selected": list(selected)}
-                           for i, selected in enumerate(schedule.rounds)]}
+                "rounds": [{"round_id": i, "selected": selected}
+                           for i, selected in enumerate(schedule.selected.tolist())]}
     assert (tmp_path / "s.json").read_text() == \
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
