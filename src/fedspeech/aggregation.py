@@ -263,8 +263,7 @@ def _settled(fields: dict, population_loss, learning_rate: float) -> RoundRecord
 
 
 def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajectory:
-    """Round-based simulation; deterministic for a fixed seed. Its rounds
-    train the clients of ``schedule_rounds``, the schedule fl-plan draws.
+    """Round-based simulation of the schedule fl-plan draws; deterministic for a seed.
 
     Each round trains, scores and checks its k selected clients as one
     ``(k, dim)`` array; elementwise steps and row sums give the same bits as

@@ -238,16 +238,20 @@ def wall_clock_checks() -> list[CheckResult]:
     partition = uniform_partition(10, 19_500)
     schedule = schedule_rounds(10, 10, 150, seed=1)
 
-    def estimate(device: str):
-        return estimate_wall_clock(partition, schedule, uniform_assignment(
-            partition, get_profile(device)), arch, WorkloadSpec(batch=4))
+    def total_days(device: str) -> float:
+        profile = get_profile(device)
+        est = estimate_wall_clock(partition, schedule, uniform_assignment(partition,
+                                  profile), arch, WorkloadSpec(batch=4))
+        return est.total_days
 
-    est = estimate("a40")
+    a40 = get_profile("a40")
+    est = estimate_wall_clock(partition, schedule, uniform_assignment(partition, a40),
+                              arch, WorkloadSpec(batch=4))
     epoch_h = next(iter(est.seconds_per_local_epoch.values())) / 3600.0
     out.append(_within("wallclock/a40-epoch-hours", epoch_h, 0.37, 0.02, " h"))
     out.append(_within("wallclock/a40-total-hours", est.total_hours, 55.5, 0.02, " h"))
     for device, days in [("macbook", 110.0), ("rpi", 456.0), ("agx", 9.0), ("nx", 15.0)]:
-        out.append(_within(f"wallclock/{device}-days", estimate(device).total_days, days,
+        out.append(_within(f"wallclock/{device}-days", total_days(device), days,
                            0.05, " d"))
     return out
 

@@ -278,13 +278,11 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
         optima = rng.normal(scale=args.spread, size=(max(args.clients, 0), max(args.dim, 0)))
     except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
         raise ConfigError(f"--clients {args.clients} x --dim {args.dim} client optima "
-                          f"({8 * args.clients * args.dim:.3g} bytes) cannot be "
-                          f"allocated") from None
+                          "cannot be allocated") from None
     sim = SyntheticFLConfig(
         optima=optima, n_samples=(SYNTHETIC_SAMPLES_PER_CLIENT,) * args.clients,
         learning_rate=args.lr, local_steps=args.local_steps, rounds=args.rounds,
-        per_round=args.per_round,
-        seed=seed, report_pre_loss=args.pre_loss)
+        per_round=args.per_round, seed=seed, report_pre_loss=args.pre_loss)
     trajectory = run_synthetic_fl(sim, agg)
 
     meta = _meta(args, None, agg=agg.method.value, alpha=agg.alpha, epsilon=agg.epsilon,
@@ -351,9 +349,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     results = run_all_checks()
     width = max(len(r.name) for r in results)
+    failed = 0
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
-    failed = sum(not r.passed for r in results)
+        status = "PASS" if r.passed else "FAIL"
+        if not r.passed:
+            failed += 1
+        print(f"{status}  {r.name:<{width}}  {r.detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else 1
 

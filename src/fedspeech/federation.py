@@ -8,10 +8,9 @@ deterministic for a fixed seed and balances within a few parts per thousand
 on corpus-scale manifests; optimal partitioning would be NP-hard and buys
 nothing at the tolerances that matter here.
 
-A round schedule is one array of client indices, drawn once and read by
-fl-plan and fl-sim alike. Rounds are synchronous: a round takes as long as its
-slowest selected client, and clients process their local epoch at their
-device's predicted seconds per batch using the client's mean utterance duration.
+Rounds are synchronous, one array of client indices that fl-plan and fl-sim
+share: a round takes as long as its slowest selected client, and clients train
+at their device's predicted seconds per batch at their mean utterance duration.
 """
 
 from __future__ import annotations
@@ -157,8 +156,7 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class RoundSchedule:
-    """Row ``r`` of ``selected`` holds the distinct clients, of
-    ``total_clients``, that round ``r`` trains, in ascending order."""
+    """Row ``r`` of ``selected`` holds the clients round ``r`` trains, ascending."""
     selected: np.ndarray  # int64, (n_rounds, per_round), drawn under ``seed``
     total_clients: int
     seed: int
@@ -575,9 +573,8 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
 
 def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
                     seed: int = 0) -> RoundSchedule:
-    """Sample ``per_round`` distinct clients uniformly, independently per
-    round; when every client takes part, no draw is made. A schedule too
-    large to allocate raises ``InvalidSampleSizeError``."""
+    """Sample ``per_round`` distinct clients uniformly, independently per round
+    (no draw when all take part); a schedule too large to allocate is refused."""
     if total_clients < 1 or per_round < 1:
         raise InvalidSampleSizeError("client counts must be >= 1")
     if per_round > total_clients:
@@ -588,9 +585,8 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
     try:
         selected = np.empty((n_rounds, per_round), np.int64)
     except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
-        raise InvalidSampleSizeError(
-            f"{n_rounds} rounds x {per_round} clients per round "
-            f"({8 * n_rounds * per_round:.3g} bytes) cannot be allocated") from None
+        raise InvalidSampleSizeError(f"{n_rounds} rounds x {per_round} clients per "
+                                     "round cannot be allocated") from None
     if per_round == total_clients:  # a full selection, sorted, is arange whatever the draw
         selected[:] = np.arange(total_clients)
     else:
@@ -637,7 +633,8 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
     # Each round's slowest client: one gather over the schedule's selections
     # and a row max, the same floats as a max over each round.
     client_seconds = np.array([epoch_seconds[c.client_id] for c in partition.clients])
-    per_round = tuple((client_seconds * local_epochs)[schedule.selected].max(1).tolist())
+    round_seconds = (client_seconds * local_epochs)[schedule.selected].max(axis=1)
+    per_round = tuple(round_seconds.tolist())
 
     breakdown: dict[str, float] = {}
     for cid, secs in epoch_seconds.items():

@@ -8,7 +8,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
@@ -486,18 +486,19 @@ class TestFlSim:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
-    # Both sizes exceed any address space, so they fail before a byte is
-    # allocated: the first in the allocator, the second in numpy's size check.
-    @pytest.mark.parametrize("clients,dim,size", [
-        ("1000000000", "1000000000", "8e+18"), ("10000000000", "10000000000", "8e+20"),
-    ], ids=["no-memory", "no-index"])
+    # Every size exceeds any address space, so it fails before a byte is
+    # allocated: the first in the allocator, the others in numpy's size check.
+    # The last one's byte count is more than a float holds.
+    @pytest.mark.parametrize("clients,dim", [
+        ("1000000000", "1000000000"), ("10000000000", "10000000000"),
+        (str(10**400), "1"),
+    ], ids=["no-memory", "no-index", "no-float"])
     def test_optima_that_cannot_be_allocated_exit_2_on_one_line(self, tmp_path, capsys,
-                                                                clients, dim, size):
+                                                                clients, dim):
         assert run(["fl-sim", "--clients", clients, "--dim", dim,
                     "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: --clients {clients} x --dim {dim} client optima ({size} bytes) "
-            f"cannot be allocated\n")
+            f"error: --clients {clients} x --dim {dim} client optima cannot be allocated\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("method", ["flag", "config", "default"])
@@ -864,7 +865,10 @@ def _limit_address_space():
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["fl-plan", "fl-sim"]), clients=st.integers(1, 1000),
-       rounds=st.sampled_from([1, 10**12, 10**18]), everyone=st.booleans())
+       rounds=st.sampled_from([1, 10**12, 10**18, 10**400]), everyone=st.booleans())
+# a byte count of 10**400 rounds is more than a float holds; run it every time
+@example(command="fl-plan", clients=10, rounds=10**400, everyone=True)
+@example(command="fl-sim", clients=100, rounds=10**400, everyone=False)
 def test_large_counts_exit_0_or_2_in_a_limited_child(tmp_path, command, clients, rounds,
                                                       everyone):
     argv = [command, "--clients", str(clients), "--rounds", str(rounds),
