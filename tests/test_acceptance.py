@@ -14,8 +14,9 @@ GROUPS = dict(CHECK_GROUPS)
 COVERED = set()  # groups with a test below, filled at import
 
 
-def group_test(name, max_seconds=None):
-    """A test that runs one check group and fails with each failed detail."""
+def group_test(name, max_seconds=None, details=None):
+    """A test that runs one check group and fails with each failed detail;
+    with ``details``, each check's (name, detail) must be as given there."""
     COVERED.add(name)
 
     def test():
@@ -24,11 +25,31 @@ def group_test(name, max_seconds=None):
         elapsed = time.perf_counter() - start
         failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
         assert results and not failed, "\n".join(failed)
+        if details is not None:
+            assert [(r.name, r.detail) for r in results] == details
         if max_seconds is not None:
             assert elapsed < max_seconds
         print(f"\nPASS {name}: {len(results)} checks ({elapsed * 1e3:.0f} ms)")
     return test
 
+
+# The details of the groups that read a partition or a wall-clock estimate,
+# as recorded at commit b61fb37.
+WALL_CLOCK_DETAILS = [
+    ("wallclock/a40-epoch-hours", "0.3656 h vs 0.37 h (-1.18%, tol 2%)"),
+    ("wallclock/a40-total-hours", "54.84 h vs 55.5 h (-1.18%, tol 2%)"),
+    ("wallclock/macbook-days", "108.6 d vs 110 d (-1.28%, tol 5%)"),
+    ("wallclock/rpi-days", "450.8 d vs 456 d (-1.15%, tol 5%)"),
+    ("wallclock/agx-days", "9.141 d vs 9 d (+1.56%, tol 5%)"),
+    ("wallclock/nx-days", "15.07 d vs 15 d (+0.43%, tol 5%)"),
+]
+PARTITIONER_DETAILS = [
+    ("partition/fixture-hours", "297.9 h vs 298 h (-0.03%, tol 1%)"),
+    ("partition/client-counts", "counts 19398..19599 vs 19500 +-5%"),
+    ("partition/duration-balance", "max/min client duration 1.0001 (limit 1.1)"),
+    ("partition/speaker-disjoint", "speaker sets disjoint and every utterance assigned"),
+    ("partition/deterministic", "repeated seeded runs are identical"),
+]
 
 test_criterion_1_parameter_totals = group_test("parameter totals", max_seconds=1.0)
 test_criterion_2_inference_flops = group_test("inference flops")
@@ -37,11 +58,13 @@ test_criterion_4_scaling_and_precision = group_test("scaling behaviour")
 test_criterion_5_device_time_ratios = group_test("device time ratios")
 test_criterion_5_device_memory_fit = group_test("device memory fit")
 test_criterion_6_federated_wall_clock = group_test("federated wall clock",
-                                                   max_seconds=1.0)
+                                                   max_seconds=1.0,
+                                                   details=WALL_CLOCK_DETAILS)
 test_criterion_7_trend_parity = group_test("hardware trend")
 test_criterion_8_aggregation_oracles = group_test("aggregation rules")
 test_criterion_9_synthetic_fl = group_test("synthetic federated run", max_seconds=30.0)
-test_criterion_10_partitioner = group_test("speaker partitioner")
+test_criterion_10_partitioner = group_test("speaker partitioner",
+                                            details=PARTITIONER_DETAILS)
 
 
 def test_every_check_group_has_a_test():

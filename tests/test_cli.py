@@ -1080,6 +1080,20 @@ REPORT_DIGESTS = {
         "fl_schedule.json":
             "2df5fc97af2ea9f167ab7230f7503bcba197869a2f179ebc14ba06e6e623aecb",
     },
+    # Partial participation over clients of unequal mean clip lengths, with
+    # two local epochs: its 10 clients have 10 distinct epoch times. Recorded
+    # at commit b61fb37.
+    ("fl-plan", "--manifest", MANIFEST, "--clients", "10", "--per-round", "3", "--rounds",
+     "20", "--local-epochs", "2", "--device", "nx", "--batch", "4", "--seed", "5"): {
+        "fl_partition.json":
+            "c3c776ff78870a844d9756cc02cbeaaf6f2277a86be4fdbd0777c803801190b5",
+        "fl_plan.csv":
+            "4f9e68ebaf4bdb952b40bd6b946680933d168eed11c1e1cf38510e3e5b6c13fa",
+        "fl_plan.json":
+            "34164ed4b81e71b5fed9539b20f2298691be381c8ac0df1973db7cd75cb99192",
+        "fl_schedule.json":
+            "8a462d7026e6f22133c9180cc7d275aed889ed891bc7c23eb83e0f0637d1959e",
+    },
     ("fl-plan", "--manifest", "<non-ASCII ids>", "--clients", "3", "--rounds", "3",
      "--device", "nx", "--batch", "4", "--seed", "1"): {
         "fl_partition.json":
