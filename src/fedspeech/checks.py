@@ -21,8 +21,8 @@ from .arch import Precision, WorkloadSpec, get_preset
 from .costs import ModuleGroup, forward_flops, param_count
 from .devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
                       training_residency_bytes)
-from .federation import (estimate_wall_clock, partition_by_speaker, schedule_rounds,
-                         synthetic_manifest, uniform_assignment, uniform_partition)
+from .federation import (WallClockEstimate, estimate_wall_clock, partition_by_speaker,
+                         schedule_rounds, synthetic_manifest, uniform_partition)
 from .memory import GB, default_calibration, memory_timeline, precision_memory_delta
 from .trend import parity_year, speedup_after
 
@@ -238,20 +238,16 @@ def wall_clock_checks() -> list[CheckResult]:
     partition = uniform_partition(10, 19_500)
     schedule = schedule_rounds(10, 10, 150, seed=1)
 
-    def total_days(device: str) -> float:
-        profile = get_profile(device)
-        est = estimate_wall_clock(partition, schedule, uniform_assignment(partition,
-                                  profile), arch, WorkloadSpec(batch=4))
-        return est.total_days
+    def estimate(device: str) -> WallClockEstimate:
+        return estimate_wall_clock(partition, schedule, get_profile(device), arch,
+                                   WorkloadSpec(batch=4))
 
-    a40 = get_profile("a40")
-    est = estimate_wall_clock(partition, schedule, uniform_assignment(partition, a40),
-                              arch, WorkloadSpec(batch=4))
-    epoch_h = next(iter(est.seconds_per_local_epoch.values())) / 3600.0
+    est = estimate("a40")
+    epoch_h = est.seconds_per_local_epoch[0].item() / 3600.0
     out.append(_within("wallclock/a40-epoch-hours", epoch_h, 0.37, 0.02, " h"))
     out.append(_within("wallclock/a40-total-hours", est.total_hours, 55.5, 0.02, " h"))
     for device, days in [("macbook", 110.0), ("rpi", 456.0), ("agx", 9.0), ("nx", 15.0)]:
-        out.append(_within(f"wallclock/{device}-days", total_days(device), days,
+        out.append(_within(f"wallclock/{device}-days", estimate(device).total_days, days,
                            0.05, " d"))
     return out
 
@@ -406,25 +402,24 @@ def partitioner_checks() -> list[CheckResult]:
     out.append(_within("partition/fixture-hours", total_h, 298.0, 0.01, " h"))
 
     part = partition_by_speaker(manifest, 10, seed=2)
-    counts = [c.n_utterances for c in part.clients]
+    counts = part.n_utterances.tolist()
     out.append(CheckResult("partition/client-counts",
                            all(abs(c - 19_500) / 19_500 <= 0.05 for c in counts),
                            f"counts {min(counts)}..{max(counts)} vs 19500 +-5%"))
-    durations = [c.total_duration_s for c in part.clients]
+    durations = part.total_duration_s.tolist()
     ratio = max(durations) / min(durations)
     out.append(CheckResult("partition/duration-balance", ratio <= 1.1,
                            f"max/min client duration {ratio:.4f} (limit 1.1)"))
     # every speaker held by exactly one client
-    held = np.bincount(np.concatenate([c.speaker_indices for c in part.clients]),
-                       minlength=len(manifest.speaker_ids))
+    held = np.bincount(part.speakers, minlength=len(manifest.speaker_ids))
     disjoint = bool((held == 1).all())
-    covered = sum(c.n_utterances for c in part.clients) == len(manifest)
+    covered = sum(counts) == len(manifest)
     out.append(CheckResult("partition/speaker-disjoint", disjoint and covered,
                            "speaker sets disjoint and every utterance assigned"))
 
     again = partition_by_speaker(manifest, 10, seed=2)
-    identical = all(a.client_id == b.client_id and np.array_equal(a.rows, b.rows)
-                    for a, b in zip(part.clients, again.clients))
+    identical = np.array_equal(part.n_speakers, again.n_speakers) and \
+        np.array_equal(part.speakers, again.speakers)
     out.append(CheckResult("partition/deterministic", identical,
                            "repeated seeded runs are identical"))
     return out

@@ -36,12 +36,11 @@ from .devices import DeviceProfile, FitVerdict, check_fit, get_profile, \
 from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
                      MissingAnchorError, UnsupportedPrecisionError)
 from .federation import (estimate_communication, estimate_wall_clock,
-                         partition_by_speaker, schedule_rounds, uniform_assignment,
-                         uniform_partition)
+                         partition_by_speaker, schedule_rounds, uniform_partition)
 from .lazy import lazy_import
 from .memory import memory_timeline
 from .report import (COST_CSV_HEADER, TIMELINE_CSV_HEADER, TRAJECTORY_CSV_HEADER,
-                     cost_report_payload, cost_report_rows, partition_payload,
+                     client_ids, cost_report_payload, cost_report_rows, partition_payload,
                      schedule_payload, timeline_payload, timeline_rows,
                      trajectory_payload, trajectory_rows, wall_clock_payload,
                      write_csv, write_json)
@@ -217,8 +216,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
         partition = partition_by_speaker(manifest, fl.clients, fl.seed)
         corpus = {"manifest_sha256": digest}
         # each client trains at its own mean clip length; the longest needs the most memory
-        fit_workload = replace(workload, duration_s=max(
-            c.mean_duration_s for c in partition.clients))
+        fit_workload = replace(workload, duration_s=partition.mean_duration_s.max().item())
     else:
         samples = IDEALISED_SAMPLES_PER_CLIENT if args.samples_per_client is None \
             else args.samples_per_client
@@ -228,8 +226,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
     _, verdict = _fit(args, arch, fit_workload, cal, profile)
-    estimate = estimate_wall_clock(partition, schedule,
-                                   uniform_assignment(partition, profile), arch, workload,
+    estimate = estimate_wall_clock(partition, schedule, profile, arch, workload,
                                    fl.local_epochs)
     comm = estimate_communication(arch, schedule, workload.precision)
 
@@ -244,9 +241,9 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     write_json(out / "fl_plan.json", wall_clock_payload(estimate, comm, meta))
     write_csv(out / "fl_plan.csv",
               ["client_id", "device", "n_utterances", "seconds_per_local_epoch"],
-              [[c.client_id, profile.name, c.n_utterances,
-                f"{estimate.seconds_per_local_epoch[c.client_id]:.6g}"]
-               for c in partition.clients])
+              ([cid, profile.name, n, f"{epoch:.6g}"] for cid, n, epoch in zip(
+                  client_ids(fl.clients), partition.n_utterances.tolist(),
+                  estimate.seconds_per_local_epoch.tolist())))
     print(f"{fl.clients} clients x {fl.rounds} rounds on {profile.name}: "
           f"{estimate.total_hours:.1f} h total ({estimate.total_days:.2f} days), "
           f"{comm / 1e12:.3f} TB moved; memory fit: {verdict.value}")

@@ -8,9 +8,14 @@ deterministic for a fixed seed and balances within a few parts per thousand
 on corpus-scale manifests; optimal partitioning would be NP-hard and buys
 nothing at the tolerances that matter here.
 
+A partition is columns, one entry per client: clip counts, total durations
+and speaker counts, and for a manifest partition the manifest's speakers in
+client order. Client ids are made only where a report writes them.
+
 Rounds are synchronous, one array of client indices that fl-plan and fl-sim
-share: a round takes as long as its slowest selected client, and clients train
-at their device's predicted seconds per batch at their mean utterance duration.
+share: a round takes as long as its slowest selected client, and every client
+trains on one device at its predicted seconds per batch at the client's mean
+utterance duration.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import param_count
@@ -113,45 +118,27 @@ class Manifest:
 
 
 @dataclass(frozen=True, eq=False)
-class ClientDataset:
-    """One client's share of the corpus. A manifest partition's client is an
-    index into its manifest: ``rows`` and ``speaker_indices`` are views of
-    arrays that all its partition's clients share. An idealised client is a
-    count of one speaker's clips and has no index."""
-    client_id: str
-    n_utterances: int
-    total_duration_s: float
-    n_speakers: int
-    manifest: Optional[Manifest] = field(default=None, repr=False)
-    rows: Optional[np.ndarray] = None  # the client's rows of the manifest, in order
-    speaker_indices: Optional[np.ndarray] = None  # its speakers' positions there
-
-    @property
-    def mean_duration_s(self) -> float:
-        return self.total_duration_s / self.n_utterances
-
-    @property
-    def speakers(self) -> frozenset[str]:
-        if self.manifest is None:
-            return frozenset({f"{self.client_id}_spk"})
-        return frozenset(map(self.manifest.speaker_ids.__getitem__,
-                             self.speaker_indices.tolist()))
-
-    def id_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (start, end) offsets in the manifest's ``utterance_ids`` of
-        each of the client's speakers' texts, which hold its ids in order."""
-        offsets = self.manifest.id_offsets
-        return offsets[self.speaker_indices], offsets[self.speaker_indices + 1]
-
-
-@dataclass(frozen=True)
 class Partition:
-    clients: tuple[ClientDataset, ...]
+    """Clients as columns, one entry per client in client order. A manifest
+    partition also keeps its manifest and ``speakers``, the positions there
+    of each client's speakers in turn: client ``c`` holds the
+    ``n_speakers[c]`` that follow those of the clients before it, whose rows
+    it holds in that order, each speaker's in manifest order. An idealised
+    partition has neither: each client is a count of one speaker's clips."""
+    n_utterances: np.ndarray  # int64
+    total_duration_s: np.ndarray  # float64, each client's durations added in order
+    n_speakers: np.ndarray  # int64
     seed: int
+    manifest: Optional[Manifest] = field(default=None, repr=False)
+    speakers: Optional[np.ndarray] = None  # int64, the manifest's speakers, client by client
 
     @property
     def n_clients(self) -> int:
-        return len(self.clients)
+        return len(self.n_utterances)
+
+    @property
+    def mean_duration_s(self) -> np.ndarray:
+        return self.total_duration_s / self.n_utterances
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +159,7 @@ class RoundSchedule:
 
 @dataclass(frozen=True)
 class WallClockEstimate:
-    seconds_per_local_epoch: dict[str, float]  # client_id -> one local epoch
+    seconds_per_local_epoch: np.ndarray  # float64, one local epoch of each client
     seconds_per_round: tuple[float, ...]
     total_seconds: float
     device_breakdown: dict[str, float]  # device name -> slowest epoch on it
@@ -478,10 +465,7 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
 # ---------------------------------------------------------------------------
 # Partitioning
 
-
-def _client_id(idx: int, n_clients: int) -> str:
-    """The id of client ``idx`` of ``n_clients``, zero-padded so ids sort in order."""
-    return f"client_{idx:0{len(str(n_clients - 1))}d}"
+_MAX_COUNT = 2**63 - 1  # the largest int64: a larger count of clips or epochs is refused
 
 
 def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition:
@@ -532,18 +516,13 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     rows[0] = run_starts[0]
     rows[run_ends[:-1]] = run_starts[1:] - run_starts[:-1] - lengths[:-1] + 1
     np.cumsum(rows, out=rows)
-    speaker_ends = np.cumsum(np.bincount(assigned, minlength=k))
-    row_ends = run_ends[speaker_ends - 1]
-    clients = []
-    for idx, (client_rows, speakers) in enumerate(zip(
-            np.split(rows, row_ends[:-1]), np.split(sequence, speaker_ends[:-1]))):
-        clients.append(ClientDataset(
-            client_id=_client_id(idx, k),
-            n_utterances=len(client_rows),
-            total_duration_s=_sum_in_order(durations[client_rows]),
-            n_speakers=len(speakers),
-            manifest=manifest, rows=client_rows, speaker_indices=speakers))
-    return Partition(clients=tuple(clients), seed=seed)
+    held = np.bincount(assigned, minlength=k)  # speakers per client
+    row_ends = run_ends[np.cumsum(held) - 1]
+    n_utterances = np.diff(row_ends, prepend=0)
+    total_duration_s = np.empty(k)
+    for idx, (lo, hi) in enumerate(zip((row_ends - n_utterances).tolist(), row_ends.tolist())):
+        total_duration_s[idx] = _sum_in_order(durations[rows[lo:hi]])
+    return Partition(n_utterances, total_duration_s, held, seed, manifest, sequence)
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -556,15 +535,20 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
                       mean_duration_s: float = 5.5) -> Partition:
     """Idealised partition: every client is one speaker holding the same
     count of identical mean-length utterances, kept as the count alone.
-    Used for planning when no manifest is given."""
+    Used for planning when no manifest is given. A count that int64 cannot
+    hold, or more clients than can be allocated, are refused."""
     if utterances_per_client < 1:
         raise InvalidSampleSizeError(
             f"utterances per client must be >= 1, got {utterances_per_client}")
-    clients = tuple(ClientDataset(
-        client_id=_client_id(idx, n_clients), n_utterances=utterances_per_client,
-        total_duration_s=mean_duration_s * utterances_per_client, n_speakers=1)
-        for idx in range(n_clients))
-    return Partition(clients=clients, seed=0)
+    if utterances_per_client > _MAX_COUNT:
+        raise InvalidSampleSizeError(f"utterances per client must be <= {_MAX_COUNT}, "
+                                     f"got {utterances_per_client}")
+    try:
+        return Partition(np.full(n_clients, utterances_per_client, np.int64),
+                         np.full(n_clients, mean_duration_s * utterances_per_client),
+                         np.ones(n_clients, np.int64), seed=0)
+    except (MemoryError, ValueError):  # ValueError: more clients than an index holds
+        raise InvalidSampleSizeError(f"{n_clients} clients cannot be allocated") from None
 
 
 # ---------------------------------------------------------------------------
@@ -602,54 +586,40 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
 
 
 def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
-                        device_assignment: Mapping[str, DeviceProfile],
-                        arch: ArchitectureSpec, workload: WorkloadSpec,
-                        local_epochs: int = 1) -> WallClockEstimate:
-    """Synchronous-round wall clock: sum over rounds of the slowest client,
-    each training ``workload`` at its own mean utterance duration."""
+                        profile: DeviceProfile, arch: ArchitectureSpec,
+                        workload: WorkloadSpec, local_epochs: int = 1) -> WallClockEstimate:
+    """Synchronous-round wall clock on ``profile``: sum over rounds of the
+    slowest client, each training ``workload`` at its own mean utterance
+    duration."""
     if local_epochs < 1:
         raise InvalidSampleSizeError(f"local_epochs must be >= 1, got {local_epochs}")
+    if local_epochs > _MAX_COUNT:
+        raise InvalidSampleSizeError(f"local_epochs must be <= {_MAX_COUNT}, got {local_epochs}")
     if schedule.total_clients != partition.n_clients:
         raise InvalidSampleSizeError(
             f"schedule covers {schedule.total_clients} clients but the "
             f"partition has {partition.n_clients}")
 
     # One local epoch is ceil(n / batch) batches at the predicted batch time,
-    # evaluated at the client's mean utterance duration; clients that share a
-    # device and a mean duration share one prediction.
-    batch_seconds: dict[tuple[DeviceProfile, float], float] = {}
-    epoch_seconds: dict[str, float] = {}
-    device_of: dict[str, str] = {}
-    for client in partition.clients:
-        profile = device_assignment[client.client_id]
-        key = (profile, client.mean_duration_s)
-        if key not in batch_seconds:
-            batch_seconds[key] = predict_batch_time(
-                profile, arch, replace(workload, duration_s=key[1])).seconds_per_batch
-        epoch_seconds[client.client_id] = \
-            math.ceil(client.n_utterances / workload.batch) * batch_seconds[key]
-        device_of[client.client_id] = profile.name
+    # evaluated at the client's mean utterance duration: one prediction per
+    # distinct mean duration, and one ceil per distinct count, of Python's
+    # correctly rounded n / batch.
+    durations, at_duration = np.unique(partition.mean_duration_s, return_inverse=True)
+    counts, at_count = np.unique(partition.n_utterances, return_inverse=True)
+    batch_seconds = np.array([predict_batch_time(
+        profile, arch, replace(workload, duration_s=d)).seconds_per_batch
+        for d in durations.tolist()])
+    batches = np.array([math.ceil(n / workload.batch) for n in counts.tolist()], np.float64)
+    epoch_seconds = batches[at_count] * batch_seconds[at_duration]
 
     # Each round's slowest client: one gather over the schedule's selections
     # and a row max, the same floats as a max over each round.
-    client_seconds = np.array([epoch_seconds[c.client_id] for c in partition.clients])
-    round_seconds = (client_seconds * local_epochs)[schedule.selected].max(axis=1)
+    round_seconds = (epoch_seconds * local_epochs)[schedule.selected].max(axis=1)
     per_round = tuple(round_seconds.tolist())
-
-    breakdown: dict[str, float] = {}
-    for cid, secs in epoch_seconds.items():
-        name = device_of[cid]
-        breakdown[name] = max(breakdown.get(name, 0.0), secs)
-
     return WallClockEstimate(seconds_per_local_epoch=epoch_seconds,
                              seconds_per_round=per_round,
                              total_seconds=sum(per_round),
-                             device_breakdown=breakdown)
-
-
-def uniform_assignment(partition: Partition,
-                       profile: DeviceProfile) -> dict[str, DeviceProfile]:
-    return {c.client_id: profile for c in partition.clients}
+                             device_breakdown={profile.name: float(epoch_seconds.max())})
 
 
 def estimate_communication(arch: ArchitectureSpec, schedule: RoundSchedule,

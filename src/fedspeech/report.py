@@ -21,10 +21,10 @@ from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, O
 from .aggregation import Trajectory
 from .costs import CostReport, module_rollup
 from .errors import ConfigError
-from .federation import ClientDataset, Partition, RoundSchedule, WallClockEstimate
+from .federation import Partition, RoundSchedule, WallClockEstimate
 from .memory import MemoryTimeline
 
-if TYPE_CHECKING:  # a report writes arrays it is given and makes none
+if TYPE_CHECKING:  # a report reads the arrays it is given through their methods
     import numpy as np
 
 
@@ -249,22 +249,28 @@ def timeline_rows(timeline: MemoryTimeline) -> list[list]:
                     timeline.per_layer_bytes, timeline.cumulative_bytes))]
 
 
+def client_ids(n_clients: int) -> Iterator[str]:
+    """Each client's id in turn, zero-padded so ids sort in client order."""
+    width = len(str(n_clients - 1))
+    return (f"client_{idx:0{width}d}" for idx in range(n_clients))
+
+
 def partition_payload(partition: Partition, meta: Mapping[str, Any]) -> dict:
-    return {
-        "meta": dict(meta),
-        "seed": partition.seed,
-        "clients": [_client_entry(c) for c in partition.clients],
-    }
-
-
-def _client_entry(client: ClientDataset) -> dict:
-    entry = {"client_id": client.client_id, "n_utterances": client.n_utterances,
-             "total_duration_s": round(client.total_duration_s, 6),
-             "n_speakers": client.n_speakers}
-    if client.manifest is not None:  # an idealised client has no ids
-        entry["utterance_ids"] = StreamedList(client.manifest.utterance_ids,
-                                              runs=client.id_runs())
-    return entry
+    clients = [{"client_id": cid, "n_utterances": n, "total_duration_s": round(total, 6),
+                "n_speakers": held}
+               for cid, n, total, held in zip(client_ids(partition.n_clients),
+                                              partition.n_utterances.tolist(),
+                                              partition.total_duration_s.tolist(),
+                                              partition.n_speakers.tolist())]
+    if partition.manifest is not None:  # an idealised client has no ids
+        # client c's ids: the texts of its speakers, each a run of the manifest's
+        texts, offsets = partition.manifest.utterance_ids, partition.manifest.id_offsets
+        ends = partition.n_speakers.cumsum().tolist()
+        for entry, lo, hi in zip(clients, [0] + ends, ends):
+            speakers = partition.speakers[lo:hi]
+            entry["utterance_ids"] = StreamedList(
+                texts, runs=(offsets[speakers], offsets[speakers + 1]))
+    return {"meta": dict(meta), "seed": partition.seed, "clients": clients}
 
 
 def schedule_payload(schedule: RoundSchedule, meta: Mapping[str, Any]) -> dict:
@@ -288,8 +294,9 @@ def wall_clock_payload(estimate: WallClockEstimate, communication_bytes: float,
                        meta: Mapping[str, Any]) -> dict:
     return {
         "meta": dict(meta),
-        "seconds_per_local_epoch": {k: round(v, 6) for k, v in
-                                    sorted(estimate.seconds_per_local_epoch.items())},
+        "seconds_per_local_epoch": dict(zip(
+            client_ids(len(estimate.seconds_per_local_epoch)),
+            (round(v, 6) for v in estimate.seconds_per_local_epoch.tolist()))),
         "device_breakdown_s": {k: round(v, 6) for k, v in
                                sorted(estimate.device_breakdown.items())},
         "n_rounds": len(estimate.seconds_per_round),

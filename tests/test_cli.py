@@ -250,7 +250,12 @@ class TestFlPlan:
         ("--samples-per-client", "0", "utterances per client must be >= 1, got 0"),
         ("--local-epochs", "0", "local_epochs must be >= 1, got 0"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
-    ], ids=["samples-per-client", "local-epochs", "seed"])
+        # counts that int64 cannot hold
+        ("--samples-per-client", str(2**63),
+         f"utterances per client must be <= {2**63 - 1}, got {2**63}"),
+        ("--local-epochs", str(10**400), f"local_epochs must be <= {2**63 - 1}, got {10**400}"),
+    ], ids=["samples-per-client", "local-epochs", "seed", "samples-past-int64",
+            "local-epochs-past-int64"])
     def test_bad_count_exits_2_on_one_line(self, tmp_path, capsys, flag, value, message):
         assert run(["fl-plan", "--clients", "2", "--rounds", "1", flag, value,
                     "--out", str(tmp_path / "r")]) == 2
@@ -864,15 +869,24 @@ def _limit_address_space():
 
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["fl-plan", "fl-sim"]), clients=st.integers(1, 1000),
-       rounds=st.sampled_from([1, 10**12, 10**18, 10**400]), everyone=st.booleans())
+@given(command=st.sampled_from(["fl-plan", "fl-sim"]),
+       clients=st.integers(1, 1000) | st.sampled_from([10**9, 10**18, 10**400]),
+       rounds=st.sampled_from([1, 10**12, 10**18, 10**400]), everyone=st.booleans(),
+       samples=st.sampled_from([None, 10**400]))
 # a byte count of 10**400 rounds is more than a float holds; run it every time
-@example(command="fl-plan", clients=10, rounds=10**400, everyone=True)
-@example(command="fl-sim", clients=100, rounds=10**400, everyone=False)
+@example(command="fl-plan", clients=10, rounds=10**400, everyone=True, samples=None)
+@example(command="fl-sim", clients=100, rounds=10**400, everyone=False, samples=None)
+# idealised clients too many to allocate, and clips per client more than int64 holds
+@example(command="fl-plan", clients=10**9, rounds=2, everyone=False, samples=None)
+@example(command="fl-plan", clients=10**18, rounds=2, everyone=False, samples=None)
+@example(command="fl-plan", clients=10**400, rounds=2, everyone=True, samples=None)
+@example(command="fl-plan", clients=10, rounds=2, everyone=True, samples=10**400)
 def test_large_counts_exit_0_or_2_in_a_limited_child(tmp_path, command, clients, rounds,
-                                                      everyone):
+                                                      everyone, samples):
     argv = [command, "--clients", str(clients), "--rounds", str(rounds),
             "--per-round", str(clients if everyone else 1), "--out", str(tmp_path / "r")]
+    if command == "fl-plan" and samples is not None:  # fl-sim has no such flag
+        argv += ["--samples-per-client", str(samples)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     env.pop("FEDSPEECH_CONFIG", None)
     done = subprocess.run(

@@ -20,7 +20,7 @@ from fedspeech.errors import (InvalidSampleSizeError, MalformedRowError,
 from fedspeech.federation import (Manifest, RoundSchedule, decode_ids,
                                   estimate_communication, estimate_wall_clock, load_manifest,
                                   partition_by_speaker, schedule_rounds,
-                                  uniform_assignment, uniform_partition, write_manifest)
+                                  uniform_partition, write_manifest)
 from fedspeech.report import partition_payload, write_json
 
 
@@ -44,10 +44,16 @@ def speaker_of_rows(manifest):
             for _ in range(n)]
 
 
-def client_ids(client):
-    """A manifest partition client's utterance ids, in order."""
-    texts = client.manifest.utterance_ids
-    return [i for start, end in zip(*client.id_runs()) for i in decode_ids(texts[start:end])]
+def clients_of(partition):
+    """Each client of a manifest partition as (its utterance ids in order,
+    its total duration, its speakers' names), from its columns."""
+    manifest = partition.manifest
+    texts, offsets = manifest.utterance_ids, manifest.id_offsets.tolist()
+    ends = np.cumsum(partition.n_speakers).tolist()
+    return [(tuple(u for s in speakers for u in decode_ids(texts[offsets[s]:offsets[s + 1]])),
+             total, frozenset(manifest.speaker_ids[s] for s in speakers))
+            for lo, hi, total in zip([0] + ends, ends, partition.total_duration_s.tolist())
+            for speakers in [partition.speakers[lo:hi].tolist()]]
 
 
 def rows_of(manifest):
@@ -422,10 +428,8 @@ class TestManifest:
         assert again.speaker_bytes.tobytes() == manifest.speaker_bytes.tobytes()
         assert again.speaker_ids == manifest.speaker_ids
         assert again.durations_s.tobytes() == manifest.durations_s.tobytes()
-        assert [(c.client_id, client_ids(c), c.total_duration_s, c.speakers)
-                for c in partition_by_speaker(again, k, seed).clients] == \
-            [(c.client_id, client_ids(c), c.total_duration_s, c.speakers)
-             for c in partition_by_speaker(manifest, k, seed).clients]
+        assert clients_of(partition_by_speaker(again, k, seed)) == \
+            clients_of(partition_by_speaker(manifest, k, seed))
 
     def test_cold_parse_allocates_under_three_times_the_file(self, corpus_manifest_path,
                                                             monkeypatch):
@@ -528,25 +532,25 @@ class TestPartition:
     def test_single_client_gets_everything(self, corpus_manifest):
         part = partition_by_speaker(head(corpus_manifest, 1000), 1, seed=0)
         assert part.n_clients == 1
-        assert part.clients[0].n_utterances == 1000
+        assert part.n_utterances.tolist() == [1000]
 
     def test_corpus_scale_counts(self, corpus_manifest):
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
-        for client in part.clients:
-            assert client.n_utterances == pytest.approx(19_500, rel=0.05)
+        for n in part.n_utterances.tolist():
+            assert n == pytest.approx(19_500, rel=0.05)
 
     def test_duration_balance(self, corpus_manifest):
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
-        durations = [c.total_duration_s for c in part.clients]
+        durations = part.total_duration_s.tolist()
         assert max(durations) / min(durations) <= 1.1
 
     def test_speakers_disjoint_and_exhaustive(self, corpus_manifest):
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
         seen = set()
-        for client in part.clients:
-            assert not (client.speakers & seen)
-            seen |= client.speakers
-        assert sum(c.n_utterances for c in part.clients) == len(corpus_manifest)
+        for _, _, speakers in clients_of(part):
+            assert not (speakers & seen)
+            seen |= speakers
+        assert part.n_utterances.sum() == len(corpus_manifest)
 
     def test_bit_identical_for_fixed_seed(self, corpus_manifest, tmp_path):
         for name in ("a", "b"):
@@ -560,7 +564,7 @@ class TestPartition:
         manifest = load_manifest(tie_manifest)
         a, b = (partition_by_speaker(manifest, 4, seed=s) for s in (1, 2))
         assert a.n_clients == b.n_clients == 4
-        held = [[set(client_ids(c)) for c in p.clients] for p in (a, b)]
+        held = [[set(ids) for ids, _, _ in clients_of(p)] for p in (a, b)]
         assert held[0] != held[1]
 
     def test_too_few_speakers(self, tmp_path):
@@ -572,13 +576,11 @@ class TestPartition:
     @pytest.mark.parametrize("k,seed", [(1, 0), (3, 1), (3, 2), (10, 3), (10, 4)])
     def test_matches_record_at_a_time_partitioner(self, tie_manifest, k, seed):
         part = partition_by_speaker(load_manifest(tie_manifest), k, seed=seed)
-        got = [(tuple(client_ids(c)), c.total_duration_s, c.speakers) for c in part.clients]
-        assert got == reference_partition(reference_rows(tie_manifest), k, seed)
+        assert clients_of(part) == reference_partition(reference_rows(tie_manifest), k, seed)
 
     def test_matches_record_at_a_time_partitioner_at_corpus_scale(self, corpus_manifest):
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
-        got = [(tuple(client_ids(c)), c.total_duration_s, c.speakers) for c in part.clients]
-        assert got == reference_partition(rows_of(corpus_manifest), 10, 3)
+        assert clients_of(part) == reference_partition(rows_of(corpus_manifest), 10, 3)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -591,30 +593,37 @@ class TestPartition:
         seed = data.draw(st.integers(0, 2**32 - 1))
         part = partition_by_speaker(manifest, k, seed)
         speaker_of = dict(zip(decode_ids(manifest.utterance_ids), speaker_of_rows(manifest)))
-        held = [client_ids(c) for c in part.clients]
-        assert [c.n_utterances for c in part.clients] == list(map(len, held))
-        assert sorted(sum(held, [])) == sorted(speaker_of)  # every row, once
-        for client, ids in zip(part.clients, held):
-            assert {speaker_of[u] for u in ids} == client.speakers
-        assert sum(len(c.speakers) for c in part.clients) == len(manifest.speaker_ids)
-        again = partition_by_speaker(manifest, k, seed)
-        assert [(c.client_id, client_ids(c), c.total_duration_s, c.speakers)
-                for c in again.clients] == \
-            [(c.client_id, ids, c.total_duration_s, c.speakers)
-             for c, ids in zip(part.clients, held)]
+        clients = clients_of(part)
+        assert part.n_utterances.tolist() == [len(ids) for ids, _, _ in clients]
+        assert part.n_speakers.tolist() == [len(spk) for _, _, spk in clients]
+        assert sorted(u for ids, _, _ in clients for u in ids) == sorted(speaker_of)  # once each
+        for ids, _, speakers in clients:
+            assert {speaker_of[u] for u in ids} == speakers
+        assert sum(len(spk) for _, _, spk in clients) == len(manifest.speaker_ids)
+        assert clients_of(partition_by_speaker(manifest, k, seed)) == clients
 
     def test_clients_are_views_of_one_partition_wide_index(self, corpus_manifest):
+        # The partition keeps the manifest and one speaker order: each
+        # speaker once, client by client, each client's longest first; a
+        # client's counts and total are those of its speakers' rows in turn.
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
-        rows = part.clients[0].rows.base
-        speakers = part.clients[0].speaker_indices.base
-        assert np.array_equal(np.sort(rows), np.arange(len(corpus_manifest)))
-        assert np.array_equal(np.sort(speakers), np.arange(len(corpus_manifest.speaker_ids)))
-        for client in part.clients:
-            assert np.shares_memory(client.rows, rows)
-            assert np.shares_memory(client.speaker_indices, speakers)
-            assert client.manifest is corpus_manifest
-            assert (client.n_utterances, client.n_speakers) == \
-                (len(client.rows), len(client.speaker_indices))
+        assert part.manifest is corpus_manifest
+        assert np.array_equal(np.sort(part.speakers),
+                              np.arange(len(corpus_manifest.speaker_ids)))
+        rows = corpus_manifest.speaker_rows.tolist()
+        row_starts = (np.cumsum(rows) - rows).tolist()
+        durations = corpus_manifest.durations_s.tolist()
+        ends = np.cumsum(part.n_speakers).tolist()
+        for c, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            speakers = part.speakers[lo:hi].tolist()
+            held = [r for s in speakers for r in range(row_starts[s], row_starts[s] + rows[s])]
+            totals = [sum(durations[row_starts[s]:row_starts[s] + rows[s]]) for s in speakers]
+            assert totals == sorted(totals, reverse=True)
+            assert part.n_utterances[c] == len(held)
+            total = 0.0
+            for r in held:
+                total += durations[r]
+            assert part.total_duration_s[c] == total
 
     def test_partition_allocates_less_than_the_manifest_ids(self, corpus_manifest):
         # the synthetic_manifest() of the checks: each client is an index,
@@ -634,18 +643,19 @@ class TestPartition:
         speakers = len(subset.speaker_ids)
         assert speakers >= 100
         part = partition_by_speaker(subset, min(10, speakers // 10), seed=5)
-        durations = [c.total_duration_s for c in part.clients]
+        durations = part.total_duration_s.tolist()
         assert max(durations) / min(durations) <= 1.25
 
 
 class TestIdealisedPartition:
     def test_clients_carry_counts_and_no_ids(self):
         part = uniform_partition(3, 40, 2.5)
-        assert [(c.client_id, c.n_utterances, c.total_duration_s, len(c.speakers),
-                 c.manifest) for c in part.clients] == \
-            [(f"client_{i}", 40, 100.0, 1, None) for i in range(3)]
-        assert {c.mean_duration_s for c in part.clients} == {2.5}
+        assert (part.n_utterances.tolist(), part.total_duration_s.tolist(),
+                part.n_speakers.tolist(), part.manifest, part.speakers) == \
+            ([40] * 3, [100.0] * 3, [1] * 3, None, None)
+        assert part.mean_duration_s.tolist() == [2.5] * 3
         payload = partition_payload(part, {})
+        assert [c["client_id"] for c in payload["clients"]] == [f"client_{i}" for i in range(3)]
         assert all("utterance_ids" not in c for c in payload["clients"])
 
     def test_a_billion_clips_each_cost_no_memory(self):
@@ -656,8 +666,8 @@ class TestIdealisedPartition:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert [c.n_utterances for c in part.clients] == [10**9] * 3
-        assert part.clients[0].total_duration_s == 5.5 * 10**9
+        assert part.n_utterances.tolist() == [10**9] * 3
+        assert part.total_duration_s[0] == 5.5 * 10**9
 
 
 class TestSchedule:
@@ -714,27 +724,23 @@ class TestSchedule:
         assert freqs.min() >= 0.18 and freqs.max() <= 0.22
 
 
-def slowest_per_round(partition, schedule, epoch_seconds, local_epochs):
+def slowest_per_round(schedule, epoch_seconds, local_epochs):
     """Each round's slowest client, one selection at a time: the reference
     for the gather in ``estimate_wall_clock``."""
-    return tuple(
-        max(epoch_seconds[partition.clients[idx].client_id] * local_epochs
-            for idx in selected)
-        for selected in schedule.selected.tolist())
+    return tuple(max(epoch_seconds[idx] * local_epochs for idx in selected)
+                 for selected in schedule.selected.tolist())
 
 
 class TestWallClock:
     @pytest.mark.parametrize("local_epochs", [1, 3])
     def test_round_maxima_match_one_selection_at_a_time(self, corpus_manifest,
                                                         local_epochs):
+        # one device; the clients' mean clip lengths differ
         partition = partition_by_speaker(corpus_manifest, 40, seed=3)
-        devices = [get_profile(name) for name in ("nx", "a40", "agx", "macbook")]
-        assignment = {c.client_id: devices[i % len(devices)]
-                      for i, c in enumerate(partition.clients)}
         schedule = schedule_rounds(40, 7, 300, seed=5)
-        est = estimate_wall_clock(partition, schedule, assignment, base_preset(),
+        est = estimate_wall_clock(partition, schedule, get_profile("nx"), base_preset(),
                                   WorkloadSpec(batch=4), local_epochs=local_epochs)
-        expected = slowest_per_round(partition, schedule, est.seconds_per_local_epoch,
+        expected = slowest_per_round(schedule, est.seconds_per_local_epoch.tolist(),
                                      local_epochs)
         assert len(set(expected)) > 10  # the slowest client varies by round
         assert [x.hex() for x in est.seconds_per_round] == [x.hex() for x in expected]
@@ -744,10 +750,9 @@ class TestWallClock:
         arch = base_preset()
         partition = uniform_partition(10, 19_500)
         schedule = schedule_rounds(10, 10, 150, seed=0)
-        est = estimate_wall_clock(partition, schedule,
-                                  uniform_assignment(partition, get_profile("a40")),
-                                  arch, WorkloadSpec(batch=4))
-        epoch_h = est.seconds_per_local_epoch["client_0"] / 3600
+        est = estimate_wall_clock(partition, schedule, get_profile("a40"), arch,
+                                  WorkloadSpec(batch=4))
+        epoch_h = est.seconds_per_local_epoch[0] / 3600
         assert epoch_h == pytest.approx(0.37, rel=0.02)
         assert est.total_hours == pytest.approx(55.5, rel=0.02)
         assert est.total_days == pytest.approx(2.31, rel=0.02)
@@ -758,18 +763,16 @@ class TestWallClock:
         arch = base_preset()
         partition = uniform_partition(10, 19_500)
         schedule = schedule_rounds(10, 10, 150, seed=0)
-        est = estimate_wall_clock(partition, schedule,
-                                  uniform_assignment(partition, get_profile(device)),
-                                  arch, WorkloadSpec(batch=4))
+        est = estimate_wall_clock(partition, schedule, get_profile(device), arch,
+                                  WorkloadSpec(batch=4))
         assert est.total_days == pytest.approx(days, rel=0.05)
 
     def test_single_batch_trivial_case(self):
         arch = base_preset()
         partition = uniform_partition(1, 64)
         schedule = schedule_rounds(1, 1, 1, seed=0)
-        est = estimate_wall_clock(partition, schedule,
-                                  uniform_assignment(partition, get_profile("a40")),
-                                  arch, WorkloadSpec(batch=64))
+        est = estimate_wall_clock(partition, schedule, get_profile("a40"), arch,
+                                  WorkloadSpec(batch=64))
         # one predicted batch only: 64 sequences of 5.5 s, nearest anchor is b4
         pred = predict_batch_time(get_profile("a40"), arch, WorkloadSpec(5.5, batch=64))
         assert est.total_seconds == pytest.approx(pred.seconds_per_batch, rel=1e-12)
@@ -778,9 +781,8 @@ class TestWallClock:
         arch = base_preset()
         partition = uniform_partition(4, 100)
         schedule = schedule_rounds(4, 2, 25, seed=2)
-        est = estimate_wall_clock(partition, schedule,
-                                  uniform_assignment(partition, get_profile("nx")),
-                                  arch, WorkloadSpec(batch=4))
+        est = estimate_wall_clock(partition, schedule, get_profile("nx"), arch,
+                                  WorkloadSpec(batch=4))
         assert est.total_seconds == pytest.approx(sum(est.seconds_per_round), rel=1e-12)
         # homogeneous devices and equal clients: every round costs the same
         assert est.total_seconds == pytest.approx(
@@ -790,60 +792,51 @@ class TestWallClock:
         arch = base_preset()
         partition = uniform_partition(2, 100)
         schedule = schedule_rounds(2, 2, 3, seed=0)
-        assignment = uniform_assignment(partition, get_profile("a40"))
-        workload = WorkloadSpec(batch=4)
-        one = estimate_wall_clock(partition, schedule, assignment, arch, workload)
-        three = estimate_wall_clock(partition, schedule, assignment, arch, workload,
-                                    local_epochs=3)
+        a40, workload = get_profile("a40"), WorkloadSpec(batch=4)
+        one = estimate_wall_clock(partition, schedule, a40, arch, workload)
+        three = estimate_wall_clock(partition, schedule, a40, arch, workload, local_epochs=3)
         assert three.total_seconds == pytest.approx(3 * one.total_seconds, rel=1e-12)
 
-    def test_one_prediction_per_device_and_mean_duration(self, monkeypatch,
-                                                          corpus_manifest):
-        # Mixed devices over a manifest partition and over equal idealised
-        # clients: each distinct (device, mean duration) is predicted once,
-        # and the result is that of one prediction per client.
+    def test_one_prediction_per_distinct_mean_duration(self, monkeypatch, corpus_manifest):
+        # Over a manifest partition and over equal idealised clients: each
+        # distinct mean duration is predicted once, and the result is that of
+        # one prediction per client.
         calls = []
 
         def counted(profile, arch, workload):
-            calls.append((profile.name, workload))
+            calls.append(workload)
             return predict_batch_time(profile, arch, workload)
 
-        devices = [get_profile(name) for name in ("a40", "nx", "agx")]
+        nx = get_profile("nx")
         for partition in (partition_by_speaker(corpus_manifest, 12, seed=1),
                           uniform_partition(12, 300)):
-            assignment = {c.client_id: devices[i % 3]
-                          for i, c in enumerate(partition.clients)}
             schedule = schedule_rounds(12, 4, 5, seed=0)
             monkeypatch.setattr(federation, "predict_batch_time", counted)
             calls.clear()
-            est = estimate_wall_clock(partition, schedule, assignment, base_preset(),
+            est = estimate_wall_clock(partition, schedule, nx, base_preset(),
                                       WorkloadSpec(batch=4))
             monkeypatch.undo()
-            assert len(calls) == len(set(calls)) == len(
-                {(assignment[c.client_id].name, c.mean_duration_s)
-                 for c in partition.clients})
-            assert est.seconds_per_local_epoch == {
-                c.client_id: math.ceil(c.n_utterances / 4) * predict_batch_time(
-                    assignment[c.client_id], base_preset(),
-                    WorkloadSpec(c.mean_duration_s, batch=4)).seconds_per_batch
-                for c in partition.clients}
-        assert len(calls) == 3  # the idealised clients share one mean duration
+            means = partition.mean_duration_s.tolist()
+            assert len(calls) == len(set(calls)) == len(set(means))
+            assert est.seconds_per_local_epoch.tolist() == [
+                math.ceil(n / 4) * predict_batch_time(
+                    nx, base_preset(), WorkloadSpec(mean, batch=4)).seconds_per_batch
+                for n, mean in zip(partition.n_utterances.tolist(), means)]
+        assert len(calls) == 1  # the idealised clients share one mean duration
 
     def test_missing_anchor_propagates(self):
         partition = uniform_partition(2, 100)
         schedule = schedule_rounds(2, 2, 1, seed=0)
         with pytest.raises(MissingAnchorError):
-            estimate_wall_clock(partition, schedule,
-                                uniform_assignment(partition, get_profile("rpi")),
-                                large_preset(), WorkloadSpec(batch=4))
+            estimate_wall_clock(partition, schedule, get_profile("rpi"), large_preset(),
+                                WorkloadSpec(batch=4))
 
     def test_ceil_batching(self):
         arch = base_preset()
         partition = uniform_partition(1, 101)
         schedule = schedule_rounds(1, 1, 1, seed=0)
-        est = estimate_wall_clock(partition, schedule,
-                                  uniform_assignment(partition, get_profile("a40")),
-                                  arch, WorkloadSpec(batch=4))
+        est = estimate_wall_clock(partition, schedule, get_profile("a40"), arch,
+                                  WorkloadSpec(batch=4))
         per_batch = predict_batch_time(get_profile("a40"), arch,
                                        WorkloadSpec(5.5, batch=4)).seconds_per_batch
         assert est.total_seconds == pytest.approx(
