@@ -50,10 +50,12 @@ def clients_of(partition):
     manifest = partition.manifest
     texts, offsets = manifest.utterance_ids, manifest.id_offsets.tolist()
     ends = np.cumsum(partition.n_speakers).tolist()
-    return [(tuple(u for s in speakers for u in decode_ids(texts[offsets[s]:offsets[s + 1]])),
-             total, frozenset(manifest.speaker_ids[s] for s in speakers))
-            for lo, hi, total in zip([0] + ends, ends, partition.total_duration_s.tolist())
-            for speakers in [partition.speakers[lo:hi].tolist()]]
+    clients = []
+    for lo, hi, total in zip([0] + ends, ends, partition.total_duration_s.tolist()):
+        speakers = partition.speakers[lo:hi].tolist()
+        ids = [u for s in speakers for u in decode_ids(texts[offsets[s]:offsets[s + 1]])]
+        clients.append((tuple(ids), total, frozenset(manifest.speaker_ids[s] for s in speakers)))
+    return clients
 
 
 def rows_of(manifest):
