@@ -11,7 +11,9 @@ Both reduce in ascending client-id order so results are bit-identical
 regardless of input order or any parallel local training.
 
 The synthetic harness trains quadratic clients ``f_k(w) = 0.5 * |w - mu_k|^2``
-with plain gradient descent. Quadratics keep every claim checkable in closed
+with plain gradient descent and holds the run as columns: the schedule's
+``(rounds, per_round)`` array, a loss table of that shape and one population
+loss and distance per round. Quadratics keep every claim checkable in closed
 form: full-participation fedavg must converge to the sample-weighted mean of
 the client optima.
 """
@@ -211,27 +213,29 @@ class _PopulationLoss:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    round_id: int
-    selected: tuple[int, ...]
-    client_losses: dict[str, float]
-    mean_client_loss: float
-    population_loss: float
-    distance_to_optimum: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    records: tuple[RoundRecord, ...]
+    selected: np.ndarray  # (rounds, per_round) int64: the schedule's own array
+    client_losses: np.ndarray  # (rounds, per_round) float64, each row in selection order
+    population_loss: np.ndarray  # (rounds,) float64
+    distance_to_optimum: np.ndarray  # (rounds,) float64
     final_weights: np.ndarray
 
     def rounds_to_loss(self, threshold: float) -> Optional[int]:
         """1-based round count until population loss first drops below the
         threshold, or None if it never does."""
-        for rec in self.records:
-            if rec.population_loss <= threshold:
-                return rec.round_id + 1
-        return None
+        hits = np.flatnonzero(self.population_loss <= threshold)
+        return int(hits[0]) + 1 if hits.size else None
+
+
+def _id_rank(n_clients: int) -> np.ndarray:
+    """Rank of client i's id ``c{i:04d}`` in string order, from integers: the
+    ids' digits padded on the right with zeros to the widest compare as the
+    ids do, and on a tie the shorter id, the lower i, comes first."""
+    index = np.arange(n_clients, dtype=np.int64)
+    digits = np.maximum(4, np.searchsorted(10 ** np.arange(1, 19), index, side="right") + 1)
+    rank = np.empty_like(index)
+    rank[np.argsort(index * 10 ** (digits[-1] - digits), kind="stable")] = index
+    return rank
 
 
 def _diverged(round_id: int, what: str, learning_rate: float) -> ConfigError:
@@ -251,15 +255,14 @@ def _population_losses(loss: _PopulationLoss, todo, done) -> None:
         done.put(exc)
 
 
-def _settled(fields: dict, population_loss, learning_rate: float) -> RoundRecord:
-    """The record of a round whose ``fields`` wait on the worker's
-    ``population_loss``; raises what the worker raised, or the divergence a
-    non-finite loss means."""
+def _settled(round_id: int, population_loss, learning_rate: float) -> float:
+    """Round ``round_id``'s ``population_loss`` as the worker gave it; raises
+    what the worker raised, or the divergence a non-finite loss means."""
     if isinstance(population_loss, BaseException):
         raise population_loss
     if not math.isfinite(population_loss):
-        raise _diverged(fields["round_id"], "population loss", learning_rate)
-    return RoundRecord(population_loss=population_loss, **fields)
+        raise _diverged(round_id, "population loss", learning_rate)
+    return population_loss
 
 
 def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajectory:
@@ -268,20 +271,25 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     Each round trains, scores and checks its k selected clients as one
     ``(k, dim)`` array; elementwise steps and row sums give the same bits as
     one client at a time, and the reduction takes the rows in ascending
-    client-id order as ``aggregate`` does.
+    client-id order as ``aggregate`` does. Round r writes its losses to row r
+    of a ``(rounds, k)`` table made before the first round, or refused.
 
     A worker thread computes round r's population loss while round r + 1
-    trains. Round r is recorded, or fails on its population loss, before
-    round r + 1's clients are checked, so errors come in round order."""
+    trains. Round r's loss is stored, or fails, before round r + 1's clients
+    are checked, so errors come in round order."""
     import queue  # here, so that importing the command line does not load it
 
     k = cfg.per_round or cfg.n_clients
     schedule = schedule_rounds(cfg.n_clients, k, cfg.rounds, cfg.seed)
+    try:
+        client_losses = np.empty((cfg.rounds, k))
+        population_loss, distance = np.empty(cfg.rounds), np.empty(cfg.rounds)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
+        raise ConfigError(f"{cfg.rounds} rounds x {k} client losses cannot be "
+                          "allocated") from None
     optimum = cfg.population_optimum()
     global_w = np.zeros(cfg.dim, dtype=np.float64)
-    ids = [f"c{idx:04d}" for idx in range(cfg.n_clients)]
-    id_rank = np.empty(cfg.n_clients, dtype=np.int64)
-    id_rank[sorted(range(cfg.n_clients), key=ids.__getitem__)] = np.arange(cfg.n_clients)
+    id_rank = _id_rank(cfg.n_clients)
     n_samples = np.asarray(cfg.n_samples, dtype=np.int64)
     alpha = agg.alpha if agg.method is AggMethod.LOSS_WEIGHTED else 0.0
     lr = cfg.learning_rate
@@ -292,11 +300,8 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     worker = threading.Thread(target=_population_losses, name="population-loss",
                               args=(_PopulationLoss(cfg), todo, done), daemon=True)
     worker.start()
-    records: list[RoundRecord] = []
-    pending = None  # the last round's record fields, short of its population loss
     try:
-        for round_id, sel in enumerate(schedule.selected):
-            selected = tuple(sel.tolist())
+        for round_id, (sel, losses) in enumerate(zip(schedule.selected, client_losses)):
             np.take(cfg.optima, sel, axis=0, out=mu)
             local[:] = global_w
             with np.errstate(all="ignore"):  # a diverging run is reported below
@@ -305,9 +310,10 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                     step *= lr
                     local -= step
                 np.subtract(global_w if cfg.report_pre_loss else local, mu, out=step)
-                losses = 0.5 * np.square(step, out=step).sum(axis=1)
-                if pending is not None:
-                    records.append(_settled(pending, done.get(), lr))
+                np.square(step, out=step).sum(axis=1, out=losses)
+                losses *= 0.5
+                if round_id:
+                    population_loss[round_id - 1] = _settled(round_id - 1, done.get(), lr)
                 by_id = np.argsort(id_rank[sel])
                 # a non-finite row of local weights makes its post-training loss non-finite
                 healthy = np.isfinite(losses)
@@ -315,19 +321,17 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                     healthy &= np.isfinite(local).all(axis=1)
                 if not healthy.all():
                     first = sel[by_id[np.flatnonzero(~healthy[by_id])[0]]]
-                    raise _diverged(round_id, f"loss or weights of client {ids[first]}", lr)
+                    raise _diverged(round_id, f"loss or weights of client c{first:04d}", lr)
                 global_w = _combine(local[by_id], _raw_coefficients(
                     n_samples[sel[by_id]].tolist(), losses[by_id].tolist(), alpha,
                     agg.epsilon))
                 todo.put(global_w)
-                pending = dict(
-                    round_id=round_id, selected=selected,
-                    client_losses=dict(zip([ids[i] for i in selected], losses.tolist())),
-                    mean_client_loss=float(losses.mean()),
-                    distance_to_optimum=float(np.linalg.norm(global_w - optimum)))
-        records.append(_settled(pending, done.get(), lr))
+                distance[round_id] = np.linalg.norm(global_w - optimum)
+        population_loss[-1] = _settled(cfg.rounds - 1, done.get(), lr)
     finally:
         todo.put(None)
         worker.join()
 
-    return Trajectory(records=tuple(records), final_weights=global_w)
+    return Trajectory(selected=schedule.selected, client_losses=client_losses,
+                      population_loss=population_loss, distance_to_optimum=distance,
+                      final_weights=global_w)

@@ -168,8 +168,8 @@ class WorkloadSpec:
         if max(self.sample_rate_hz, self.duration_s * self.sample_rate_hz) >= 2**53:
             raise ConfigError(f"{self.duration_s} s at {self.sample_rate_hz} Hz is more "
                               "samples than a float counts exactly")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
+        if not 1 <= self.batch < 2**53:
+            raise ConfigError("batch must be >= 1 and below 2**53, which a float counts exactly")
 
     @property
     def samples(self) -> int:

@@ -290,10 +290,9 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
     out = _out_dir(args, cfg)
     write_json(out / "fl_sim.json", trajectory_payload(trajectory, meta))
     write_csv(out / "fl_sim.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(trajectory))
-    last = trajectory.records[-1]
     print(f"{agg.method.value}: {args.rounds} rounds, final population loss "
-          f"{last.population_loss:.4g}, distance to weighted-mean optimum "
-          f"{last.distance_to_optimum:.4g}")
+          f"{trajectory.population_loss[-1]:.4g}, distance to weighted-mean optimum "
+          f"{trajectory.distance_to_optimum[-1]:.4g}")
     print(f"wrote {out / 'fl_sim.json'} and {out / 'fl_sim.csv'}")
     return EXIT_OK
 

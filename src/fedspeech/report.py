@@ -312,21 +312,18 @@ TRAJECTORY_CSV_HEADER = ["round", "mean_client_loss", "min_client_loss",
 
 
 def trajectory_rows(trajectory: Trajectory) -> list[list]:
-    rows = []
-    for rec in trajectory.records:
-        losses = list(rec.client_losses.values())
-        rows.append([rec.round_id, f"{rec.mean_client_loss:.10g}",
-                     f"{min(losses):.10g}", f"{max(losses):.10g}",
-                     f"{rec.population_loss:.10g}",
-                     f"{rec.distance_to_optimum:.10g}"])
-    return rows
+    losses = trajectory.client_losses
+    columns = (losses.mean(axis=1), losses.min(axis=1), losses.max(axis=1),
+               trajectory.population_loss, trajectory.distance_to_optimum)
+    return [[round_id, *(f"{x:.10g}" for x in row)]
+            for round_id, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 def trajectory_payload(trajectory: Trajectory, meta: Mapping[str, Any]) -> dict:
     return {
         "meta": dict(meta),
-        "n_rounds": len(trajectory.records),
-        "final_weights": [float(x) for x in trajectory.final_weights],
-        "final_population_loss": trajectory.records[-1].population_loss,
-        "final_distance_to_optimum": trajectory.records[-1].distance_to_optimum,
+        "n_rounds": len(trajectory.population_loss),
+        "final_weights": trajectory.final_weights.tolist(),
+        "final_population_loss": trajectory.population_loss[-1].item(),
+        "final_distance_to_optimum": trajectory.distance_to_optimum[-1].item(),
     }

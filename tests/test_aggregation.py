@@ -64,6 +64,16 @@ def reference_run(cfg, agg):
     return rounds, global_w
 
 
+def rounds_of(traj):
+    """``traj``'s columns as ``reference_run`` gives its rounds: (selected,
+    client losses by id, population loss, distance) per round."""
+    return [(tuple(sel), dict(zip([f"c{i:04d}" for i in sel], losses)), pop, dist)
+            for sel, losses, pop, dist in zip(traj.selected.tolist(),
+                                              traj.client_losses.tolist(),
+                                              traj.population_loss.tolist(),
+                                              traj.distance_to_optimum.tolist())]
+
+
 def updates_from(pairs):
     return [ClientUpdate(f"c{i}", np.asarray(w, dtype=float), n, loss)
             for i, (w, n, loss) in enumerate(pairs)]
@@ -248,26 +258,33 @@ class TestSyntheticRun:
         a = run_synthetic_fl(cfg, agg)
         b = run_synthetic_fl(cfg, agg)
         assert np.array_equal(a.final_weights, b.final_weights)
-        assert all(x.selected == y.selected and x.client_losses == y.client_losses
-                   and x.population_loss == y.population_loss
-                   for x, y in zip(a.records, b.records))
+        assert rounds_of(a) == rounds_of(b)
 
     def test_partial_participation_selects_requested_count(self):
         rng = np.random.default_rng(6)
         cfg = SyntheticFLConfig(optima=rng.normal(size=(50, 3)),
                                 n_samples=(1,) * 50, rounds=10, per_round=7, seed=1)
         traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
-        for rec in traj.records:
-            assert len(rec.selected) == len(set(rec.selected)) == 7
+        assert traj.selected.shape == traj.client_losses.shape == (10, 7)
+        for selected in traj.selected.tolist():
+            assert len(set(selected)) == 7
 
     @pytest.mark.parametrize("per_round", [7, None], ids=["7-of-30", "all-30"])
-    def test_rounds_train_the_clients_fl_plan_schedules(self, per_round):
+    def test_rounds_train_the_clients_fl_plan_schedules(self, per_round, monkeypatch):
         rng = np.random.default_rng(8)
         cfg = SyntheticFLConfig(optima=rng.normal(size=(30, 3)), n_samples=(1,) * 30,
                                 rounds=25, per_round=per_round, seed=4)
+        drawn = []
+
+        def drawing(*args):
+            drawn.append(schedule_rounds(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(aggregation, "schedule_rounds", drawing)
         traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
         schedule = schedule_rounds(30, per_round or 30, 25, seed=4)
-        assert [list(rec.selected) for rec in traj.records] == schedule.selected.tolist()
+        assert traj.selected.tolist() == schedule.selected.tolist()
+        assert traj.selected is drawn[0].selected  # the schedule's array, not a copy
 
     def test_pre_loss_reporting_changes_weighting(self):
         rng = np.random.default_rng(7)
@@ -277,9 +294,10 @@ class TestSyntheticRun:
         post = SyntheticFLConfig(**base)
         pre = SyntheticFLConfig(**base, report_pre_loss=True)
         agg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
-        post_losses = run_synthetic_fl(post, agg).records[0].client_losses
-        pre_losses = run_synthetic_fl(pre, agg).records[0].client_losses
+        post_losses = rounds_of(run_synthetic_fl(post, agg))[0][1]
+        pre_losses = rounds_of(run_synthetic_fl(pre, agg))[0][1]
         # loss before local training is never smaller than after it
+        assert pre_losses.keys() == post_losses.keys()
         assert all(pre_losses[k] >= post_losses[k] for k in pre_losses)
 
     def test_rounds_to_loss(self):
@@ -302,6 +320,9 @@ class TestSyntheticRun:
         # each row is summed in more than one pairwise block
         pytest.param(17, None, AggMethod.LOSS_WEIGHTED, False, 300,
                      id="17-None-loss_weighted-False-dim300"),
+        # each row's mean of client losses sums more than one pairwise block
+        pytest.param(300, 200, AggMethod.LOSS_WEIGHTED, False, 6,
+                     id="300-200-loss_weighted-False"),
     ])
     def test_stacked_rounds_match_client_at_a_time(self, n_clients, per_round, method,
                                                    pre_loss, dim):
@@ -315,12 +336,11 @@ class TestSyntheticRun:
         traj = run_synthetic_fl(cfg, agg)
         rounds, final = reference_run(cfg, agg)
         assert np.array_equal(traj.final_weights, final)
-        assert [(r.selected, r.client_losses, r.population_loss, r.distance_to_optimum)
-                for r in traj.records] == rounds
-        assert [r.mean_client_loss for r in traj.records] == \
+        assert rounds_of(traj) == rounds
+        assert traj.client_losses.mean(axis=1).tolist() == \
             [float(np.mean(list(losses.values()))) for _, losses, _, _ in rounds]
         if n_clients > 10_000:  # some round reduced a client past c9999
-            assert any(max(r.selected) >= 10_000 for r in traj.records)
+            assert traj.selected.max() >= 10_000
 
     def test_divergence_names_first_client_in_id_order(self):
         # Only c2000 and c10000 move away from zero, and c10000 sorts first.
@@ -331,6 +351,13 @@ class TestSyntheticRun:
         with pytest.raises(ConfigError, match="round 0: non-finite loss or weights "
                                               "of client c10000;"):
             run_synthetic_fl(cfg, AggregationConfig())
+
+    @pytest.mark.parametrize("n_clients", [1, 9999, 10_000, 10_001, 10_050, 123_457])
+    def test_id_rank_from_integers_is_the_string_order(self, n_clients):
+        ids = [f"c{i:04d}" for i in range(n_clients)]
+        rank = np.empty(n_clients, dtype=np.int64)
+        rank[sorted(range(n_clients), key=ids.__getitem__)] = np.arange(n_clients)
+        assert np.array_equal(aggregation._id_rank(n_clients), rank)
 
     @pytest.mark.parametrize("change", [
         dict(learning_rate=np.nan), dict(learning_rate=np.inf),
@@ -438,4 +465,4 @@ class TestPopulationLossWorker:
         assert len(results) == 4
         for traj in results:
             assert np.array_equal(traj.final_weights, alone.final_weights)
-            assert traj.records == alone.records
+            assert rounds_of(traj) == rounds_of(alone)

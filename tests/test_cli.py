@@ -555,6 +555,23 @@ class TestFlSim:
             assert run(["fl-sim"] + argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_loss_table_that_cannot_be_allocated_exits_2_on_one_line(self, tmp_path):
+        # In a 2 GB child the 600 MB schedule fits; the loss table and the
+        # two per-round columns, 1.8 GB more, do not.
+        done = limited_child(["fl-sim", "--clients", "1", "--dim", "1",
+                              "--rounds", "75000000", "--out", str(tmp_path / "r")])
+        assert (done.returncode, done.stderr) == (
+            2, "error: 75000000 rounds x 1 client losses cannot be allocated\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_ten_million_clients_finish_in_a_limited_child(self, tmp_path):
+        # 1.5 GB holds the run's per-client arrays but not an id string per client
+        done = limited_child(["fl-sim", "--clients", "10000000", "--dim", "1",
+                              "--per-round", "1", "--rounds", "1",
+                              "--out", str(tmp_path / "r")], address_space=3 << 29)
+        assert done.returncode == 0, done.stderr
+        assert json.loads((tmp_path / "r" / "fl_sim.json").read_text())["n_rounds"] == 1
+
 
 class TestForecast:
     def test_nx_parity_window(self, tmp_path):
@@ -647,6 +664,30 @@ def test_ill_typed_config_exits_2_naming_its_key(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
     assert not (tmp_path / "r").exists()
+
+
+# Each command that builds a workload, and its arguments.
+WORKLOAD_COMMANDS = {"analyze": [], "memory": [], "predict-time": ["--device", "nx"],
+                     "fl-plan": ["--clients", "2", "--rounds", "1"],
+                     "forecast": ["--device", "nx"]}
+BATCH_PAST_A_FLOAT = "batch must be >= 1 and below 2**53, which a float counts exactly"
+
+
+@pytest.mark.parametrize("command", WORKLOAD_COMMANDS)
+@pytest.mark.parametrize("batch", [2**53, 10**400], ids=["2**53", "10**400"])
+def test_batch_past_a_float_exits_2_on_one_line(tmp_path, capsys, command, batch):
+    argv = [command, *WORKLOAD_COMMANDS[command], "--out", str(tmp_path / "r")]
+    assert run(argv + ["--batch", str(batch)]) == 2
+    assert capsys.readouterr().err == f"error: {BATCH_PAST_A_FLOAT}\n"
+    section = "fl" if command == "fl-plan" else "workload"  # the batch fl-plan trains
+    (tmp_path / "c.yaml").write_text(f"{section}: {{batch: {batch}}}\n")
+    assert run(argv + ["--config", str(tmp_path / "c.yaml")]) == 2
+    assert capsys.readouterr().err == f"error: {BATCH_PAST_A_FLOAT}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_largest_batch_a_float_counts_exits_0(tmp_path):
+    assert run(["memory", "--batch", str(2**53 - 1), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("method", ["fedavg", "loss", "loss_weighted"])
@@ -862,9 +903,17 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 CHILD_ADDRESS_SPACE = 2 << 30
 
 
-def _limit_address_space():
-    """Caps the address space of the child it runs in, between fork and exec."""
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+def limited_child(argv, address_space=CHILD_ADDRESS_SPACE):
+    """The command line ``argv`` run in a child whose address space is capped
+    between fork and exec, without a config from the environment."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("FEDSPEECH_CONFIG", None)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from fedspeech.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (address_space, address_space)))
 
 
 @settings(max_examples=12, deadline=None,
@@ -887,13 +936,7 @@ def test_large_counts_exit_0_or_2_in_a_limited_child(tmp_path, command, clients,
             "--per-round", str(clients if everyone else 1), "--out", str(tmp_path / "r")]
     if command == "fl-plan" and samples is not None:  # fl-sim has no such flag
         argv += ["--samples-per-client", str(samples)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    env.pop("FEDSPEECH_CONFIG", None)
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from fedspeech.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-        preexec_fn=_limit_address_space)
+    done = limited_child(argv)
     assert done.returncode in (0, 2), done.stderr
     assert done.stderr.count("error:") <= 1 and "Traceback" not in done.stderr, done.stderr
     if done.returncode:
