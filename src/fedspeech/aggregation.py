@@ -13,9 +13,11 @@ regardless of input order or any parallel local training.
 The synthetic harness trains quadratic clients ``f_k(w) = 0.5 * |w - mu_k|^2``
 with plain gradient descent and holds the run as columns: the schedule's
 ``(rounds, per_round)`` array, a loss table of that shape and one population
-loss and distance per round. Quadratics keep every claim checkable in closed
-form: full-participation fedavg must converge to the sample-weighted mean of
-the client optima.
+loss and distance per round. Its rounds train, score and reduce in
+``(per_round, dim)`` buffers made before the first round, and the population
+loss is summed in 512 KB blocks of client rows; neither changes a bit.
+Quadratics keep every claim checkable in closed form: full-participation
+fedavg must converge to the sample-weighted mean of the client optima.
 """
 
 from __future__ import annotations
@@ -99,14 +101,19 @@ def _raw_coefficients(n_samples: Sequence[int], losses: Sequence[float],
     return np.array(raw, dtype=np.float64)
 
 
-def _combine(rows: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Sum of float64 ``rows`` (ascending client id) weighted by ``raw``
-    normalised, accumulated one row at a time so the bits never depend on
-    how many rows there are or on a BLAS kernel."""
-    coeffs = raw / raw.sum()
-    acc = coeffs[0] * rows[0]
-    for c, row in zip(coeffs[1:], rows[1:]):
-        acc += c * row
+def _combine(rows: np.ndarray, raw: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Sum of float64 ``rows`` weighted by ``raw`` normalised; ``raw`` and
+    ``order``, the row indices, are in ascending client id. ``rows`` is
+    scaled in place, then accumulated one row at a time in ``order`` into a
+    copy of the first, so the bits never depend on how many rows there are,
+    on their order in ``rows`` or on a BLAS kernel."""
+    coeffs = np.empty_like(raw)
+    coeffs[order] = raw / raw.sum()
+    np.multiply(rows, coeffs[:, None], out=rows)
+    order = order.tolist()
+    acc = rows[order[0]].copy()
+    for i in order[1:]:
+        acc += rows[i]
     return acc
 
 
@@ -114,7 +121,8 @@ def _reduce(updates: Sequence[ClientUpdate], alpha: float, epsilon: float) -> np
     ordered = _sorted_updates(updates)
     return _combine(np.array([u.weights for u in ordered], dtype=np.float64),
                     _raw_coefficients([u.n_samples for u in ordered],
-                                      [u.local_loss for u in ordered], alpha, epsilon))
+                                      [u.local_loss for u in ordered], alpha, epsilon),
+                    np.arange(len(ordered)))
 
 
 def fedavg(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -142,7 +150,7 @@ def aggregate(updates: Sequence[ClientUpdate], config: AggregationConfig) -> np.
 @dataclass(frozen=True)
 class SyntheticFLConfig:
     optima: np.ndarray  # (n_clients, dim) client optima
-    n_samples: tuple[int, ...]  # per-client sample counts (aggregation weights)
+    n_samples: np.ndarray  # (n_clients,) int64 sample counts; converted from any int sequence
     learning_rate: float = 0.3
     local_steps: int = 5
     rounds: int = 50
@@ -156,9 +164,10 @@ class SyntheticFLConfig:
                               "n_clients, dim >= 1")
         if not np.isfinite(self.optima).all():
             raise ConfigError("optima must be finite")
-        if len(self.n_samples) != len(self.optima):
+        object.__setattr__(self, "n_samples", np.asarray(self.n_samples, dtype=np.int64))
+        if self.n_samples.shape != self.optima.shape[:1]:
             raise ConfigError("one sample count per client is required")
-        if min(self.n_samples) < 1:
+        if self.n_samples.min() < 1:
             raise ConfigError("sample counts must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
@@ -178,38 +187,41 @@ class SyntheticFLConfig:
 
     def population_optimum(self) -> np.ndarray:
         """Sample-weighted mean of the client optima: the fedavg fixed point."""
-        w = np.asarray(self.n_samples, dtype=np.float64)
-        return (w[:, None] * self.optima).sum(axis=0) / w.sum()
+        w = self.n_samples
+        return (w[:, None] * self.optima).sum(axis=0) / w.sum(dtype=np.float64)
 
     def population_loss(self, weights: np.ndarray) -> float:
         """Sample-weighted mean of the quadratic client losses at ``weights``."""
         return _PopulationLoss(self)(weights)
 
 
-_BLOCK_ROWS = 16  # clients per population-loss block: 256 KB at width 2000
+_BLOCK_VALUES = 1 << 16  # float64 values per population-loss block: 512 KB
 
 
 class _PopulationLoss:
-    """``SyntheticFLConfig.population_loss`` with the sample weights, their
-    sum and its buffers made once. Client rows are squared and summed
-    ``_BLOCK_ROWS`` at a time; each row is reduced on its own, as one
-    ``(n_clients, dim)`` sum reduces it, so the bits do not depend on the
-    block size."""
+    """``SyntheticFLConfig.population_loss`` with the sample-weight sum and
+    the buffers made once. Client rows are squared and summed in blocks of
+    ``_BLOCK_VALUES // dim`` rows (at least one); each row is reduced on its
+    own, as one ``(n_clients, dim)`` sum reduces it, so the bits do not
+    depend on the block size."""
 
     def __init__(self, cfg: SyntheticFLConfig):
         self.optima = cfg.optima
-        self.n_samples = np.asarray(cfg.n_samples, dtype=np.float64)
-        self.total = self.n_samples.sum()
-        self.block = np.empty((min(_BLOCK_ROWS, cfg.n_clients), cfg.dim))
+        self.n_samples = cfg.n_samples
+        self.total = self.n_samples.sum(dtype=np.float64)
+        self.rows = max(1, _BLOCK_VALUES // cfg.dim)
+        self.block = np.empty((min(self.rows, cfg.n_clients), cfg.dim))
         self.per_client = np.empty(cfg.n_clients)
 
     def __call__(self, weights: np.ndarray) -> float:
-        for start in range(0, len(self.optima), _BLOCK_ROWS):
-            rows = self.optima[start:start + _BLOCK_ROWS]
+        for start in range(0, len(self.optima), self.rows):
+            rows = self.optima[start:start + self.rows]
             block = np.subtract(weights, rows, out=self.block[:len(rows)])
             np.square(block, out=block).sum(
                 axis=1, out=self.per_client[start:start + len(rows)])
-        return float((self.n_samples * (0.5 * self.per_client)).sum() / self.total)
+        self.per_client *= 0.5
+        self.per_client *= self.n_samples  # n_k * (0.5 * loss_k), in float64
+        return float(self.per_client.sum() / self.total)
 
 
 @dataclass(frozen=True)
@@ -271,8 +283,12 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     Each round trains, scores and checks its k selected clients as one
     ``(k, dim)`` array; elementwise steps and row sums give the same bits as
     one client at a time, and the reduction takes the rows in ascending
-    client-id order as ``aggregate`` does. Round r writes its losses to row r
-    of a ``(rounds, k)`` table made before the first round, or refused.
+    client-id order as ``aggregate`` does. The optima, local weights and
+    steps live in three ``(k, dim)`` buffers made before the first round:
+    the optima are gathered into one, the first step starts from the global
+    weights themselves and the rows are scaled where they are, so a round
+    allocates no ``(k, dim)`` array. Round r writes its losses to row r of a
+    ``(rounds, k)`` table made before the first round, or refused.
 
     A worker thread computes round r's population loss while round r + 1
     trains. Round r's loss is stored, or fails, before round r + 1's clients
@@ -290,7 +306,6 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     optimum = cfg.population_optimum()
     global_w = np.zeros(cfg.dim, dtype=np.float64)
     id_rank = _id_rank(cfg.n_clients)
-    n_samples = np.asarray(cfg.n_samples, dtype=np.int64)
     alpha = agg.alpha if agg.method is AggMethod.LOSS_WEIGHTED else 0.0
     lr = cfg.learning_rate
 
@@ -302,13 +317,13 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     worker.start()
     try:
         for round_id, (sel, losses) in enumerate(zip(schedule.selected, client_losses)):
-            np.take(cfg.optima, sel, axis=0, out=mu)
-            local[:] = global_w
+            np.take(cfg.optima, sel, axis=0, out=mu, mode="clip")  # unbuffered; sel in range
+            start = global_w  # broadcast by the first step, not copied
             with np.errstate(all="ignore"):  # a diverging run is reported below
                 for _ in range(cfg.local_steps):
-                    np.subtract(local, mu, out=step)
+                    np.subtract(start, mu, out=step)
                     step *= lr
-                    local -= step
+                    start = np.subtract(start, step, out=local)
                 np.subtract(global_w if cfg.report_pre_loss else local, mu, out=step)
                 np.square(step, out=step).sum(axis=1, out=losses)
                 losses *= 0.5
@@ -317,14 +332,14 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                 by_id = np.argsort(id_rank[sel])
                 # a non-finite row of local weights makes its post-training loss non-finite
                 healthy = np.isfinite(losses)
-                if cfg.report_pre_loss:
-                    healthy &= np.isfinite(local).all(axis=1)
+                if cfg.report_pre_loss:  # 0 * w is 0 for a finite weight and nan otherwise
+                    healthy &= np.isfinite(np.multiply(local, 0.0, out=step).sum(axis=1))
                 if not healthy.all():
                     first = sel[by_id[np.flatnonzero(~healthy[by_id])[0]]]
                     raise _diverged(round_id, f"loss or weights of client c{first:04d}", lr)
-                global_w = _combine(local[by_id], _raw_coefficients(
-                    n_samples[sel[by_id]].tolist(), losses[by_id].tolist(), alpha,
-                    agg.epsilon))
+                global_w = _combine(local, _raw_coefficients(
+                    cfg.n_samples[sel[by_id]].tolist(), losses[by_id].tolist(), alpha,
+                    agg.epsilon), by_id)
                 todo.put(global_w)
                 distance[round_id] = np.linalg.norm(global_w - optimum)
         population_loss[-1] = _settled(cfg.rounds - 1, done.get(), lr)

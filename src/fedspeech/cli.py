@@ -277,7 +277,7 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
         raise ConfigError(f"--clients {args.clients} x --dim {args.dim} client optima "
                           "cannot be allocated") from None
     sim = SyntheticFLConfig(
-        optima=optima, n_samples=(SYNTHETIC_SAMPLES_PER_CLIENT,) * args.clients,
+        optima=optima, n_samples=np.full(len(optima), SYNTHETIC_SAMPLES_PER_CLIENT, np.int64),
         learning_rate=args.lr, local_steps=args.local_steps, rounds=args.rounds,
         per_round=args.per_round, seed=seed, report_pre_loss=args.pre_loss)
     trajectory = run_synthetic_fl(sim, agg)

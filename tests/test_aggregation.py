@@ -129,6 +129,28 @@ class TestFedavg:
             assert np.array_equal(fedavg(shuffled), one_at_a_time(ups))
             assert np.array_equal(loss_weighted(shuffled, cfg), one_at_a_time(ups, cfg))
 
+    @pytest.mark.parametrize("indices", [
+        range(12),
+        # ids past c9999 sort among the shorter ones: c10000 before c1001
+        [9999, 10_000, 10_049, 1000, 1001, 100, 12, 10_001, 999, 0],
+    ], ids=["shuffled-12", "past-c9999"])
+    def test_combine_takes_rows_in_the_order_given(self, indices):
+        rng = np.random.default_rng(len(indices))
+        for alpha in (0.0, 0.7):
+            cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=alpha)
+            for _ in range(20):
+                ups = [ClientUpdate(f"c{i:04d}", rng.normal(size=33),
+                                    int(rng.integers(1, 90)), float(rng.uniform(0, 5)))
+                       for i in rng.permutation(indices)]
+                order = np.array(sorted(range(len(ups)), key=lambda r: ups[r].client_id))
+                assert not np.array_equal(order, np.arange(len(ups)))
+                raw = aggregation._raw_coefficients(
+                    [ups[r].n_samples for r in order], [ups[r].local_loss for r in order],
+                    cfg.alpha, cfg.epsilon)
+                rows = np.array([u.weights for u in ups])
+                assert np.array_equal(aggregation._combine(rows, raw, order),
+                                      one_at_a_time(ups, cfg))
+
 
 class TestLossWeighted:
     def test_alpha_zero_is_fedavg_bitwise(self):
@@ -314,12 +336,18 @@ class TestSyntheticRun:
         pytest.param(30, 7, AggMethod.LOSS_WEIGHTED, True, 6, id="30-7-loss_weighted-True"),
         pytest.param(10_050, 40, AggMethod.LOSS_WEIGHTED, False, 6,
                      id="10050-40-loss_weighted-False"),
-        # the population loss sums blocks of 16, 16 and 5 clients
+        # all 37 clients fit in one population-loss block
         *[pytest.param(37, 9, method, pre_loss, 40, id=f"37-9-{method.value}-{pre_loss}-dim40")
           for method in AggMethod for pre_loss in (False, True)],
         # each row is summed in more than one pairwise block
         pytest.param(17, None, AggMethod.LOSS_WEIGHTED, False, 300,
                      id="17-None-loss_weighted-False-dim300"),
+        # the population loss sums blocks of 32, 32 and 6 clients
+        pytest.param(70, 9, AggMethod.LOSS_WEIGHTED, False, 2000,
+                     id="70-9-loss_weighted-False-dim2000"),
+        # and blocks of 65,536, 65,536 and 8,928 clients
+        pytest.param(140_000, 5, AggMethod.LOSS_WEIGHTED, True, 1,
+                     id="140000-5-loss_weighted-True-dim1"),
         # each row's mean of client losses sums more than one pairwise block
         pytest.param(300, 200, AggMethod.LOSS_WEIGHTED, False, 6,
                      id="300-200-loss_weighted-False"),
@@ -359,18 +387,42 @@ class TestSyntheticRun:
         rank[sorted(range(n_clients), key=ids.__getitem__)] = np.arange(n_clients)
         assert np.array_equal(aggregation._id_rank(n_clients), rank)
 
+    @pytest.mark.parametrize("n_clients,dim,blocks", [
+        (37, 40, [37]),
+        (70, 2000, [32, 32, 6]),
+        (140_000, 1, [65_536, 65_536, 8_928]),
+        (3, 70_000, [1, 1, 1]),  # a row wider than a block is a block of its own
+    ])
+    def test_population_loss_in_blocks_is_the_plain_sum(self, n_clients, dim, blocks):
+        rng = np.random.default_rng(dim)
+        cfg = SyntheticFLConfig(optima=rng.normal(size=(n_clients, dim)),
+                                n_samples=rng.integers(1, 50, size=n_clients))
+        loss = aggregation._PopulationLoss(cfg)
+        assert [min(loss.rows, n_clients - start)
+                for start in range(0, n_clients, loss.rows)] == blocks
+        for weights in (np.zeros(dim), rng.normal(size=dim), rng.normal(size=dim) * 1e3):
+            assert loss(weights) == plain_population_loss(cfg, weights)
+            assert cfg.population_loss(weights) == plain_population_loss(cfg, weights)
+
+    def test_sample_counts_are_held_as_one_int64_array(self):
+        cfg = SyntheticFLConfig(optima=np.zeros((3, 2)), n_samples=(4, 5, 6))
+        assert cfg.n_samples.dtype == np.int64 and cfg.n_samples.tolist() == [4, 5, 6]
+        assert replace(cfg, rounds=2).n_samples.tolist() == [4, 5, 6]
+
     @pytest.mark.parametrize("change", [
         dict(learning_rate=np.nan), dict(learning_rate=np.inf),
         dict(optima=np.zeros((3, 0))), dict(optima=np.full((3, 2), np.nan)),
-    ], ids=["lr-nan", "lr-inf", "dim-0", "optima-nan"])
+        dict(n_samples=(1, 1)), dict(n_samples=(1, 0, 1)),
+    ], ids=["lr-nan", "lr-inf", "dim-0", "optima-nan", "counts-2-of-3", "count-0"])
     def test_config_rejects_non_finite_and_empty(self, change):
         base = dict(optima=np.zeros((3, 2)), n_samples=(1, 1, 1))
         with pytest.raises(ConfigError):
             SyntheticFLConfig(**{**base, **change})
 
 
-# Runs that fail on a round's population loss, on a client's loss, and on
-# loss-weighting coefficients that overflow: (config fields, aggregation, error)
+# Runs that fail on a round's population loss, on a client's loss, on a
+# client's weights, and on loss-weighting coefficients that overflow:
+# (config fields, aggregation, error)
 DIVERGING = {
     "population": (dict(optima=np.random.default_rng(0).normal(size=(10, 8)),
                         n_samples=(1,) * 10, learning_rate=2.5, rounds=400),
@@ -378,6 +430,12 @@ DIVERGING = {
     "client": (dict(optima=np.array([[0.0], [1.0], [0.0]]), n_samples=(1,) * 3,
                     learning_rate=1e300, local_steps=3, rounds=2),
                AggregationConfig(), r"^round 0: non-finite loss or weights of client c0001;"),
+    # losses scored before training stay finite; only the weights show it
+    "pre-loss-client": (dict(optima=np.array([[0.0], [1.0], [0.0]]), n_samples=(1,) * 3,
+                             learning_rate=1e300, local_steps=3, rounds=2,
+                             report_pre_loss=True),
+                        AggregationConfig(),
+                        r"^round 0: non-finite loss or weights of client c0001;"),
     "coefficients": (dict(optima=np.random.default_rng(1).normal(size=(3, 4)),
                           n_samples=(1,) * 3, rounds=1),
                      AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1e300),

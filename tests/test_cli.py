@@ -565,10 +565,11 @@ class TestFlSim:
         assert not (tmp_path / "r").exists()
 
     def test_ten_million_clients_finish_in_a_limited_child(self, tmp_path):
-        # 1.5 GB holds the run's per-client arrays but not an id string per client
+        # 1 GB holds the run's per-client arrays (it needs about 0.7 GB) but
+        # not an id string per client
         done = limited_child(["fl-sim", "--clients", "10000000", "--dim", "1",
                               "--per-round", "1", "--rounds", "1",
-                              "--out", str(tmp_path / "r")], address_space=3 << 29)
+                              "--out", str(tmp_path / "r")], address_space=1 << 30)
         assert done.returncode == 0, done.stderr
         assert json.loads((tmp_path / "r" / "fl_sim.json").read_text())["n_rounds"] == 1
 
