@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -1036,6 +1037,14 @@ fl: {clients: 6, per_round: 4, rounds: 12, local_epochs: 2, batch: 2, seed: 5}
 workload: {precision: fp32}
 memory: {runtime_overhead_gb: 0.3}
 """,
+    # a device name that csv quotes and that holds a %-format's escape
+    "<quoted device>": """
+devices:
+  - name: 'lab "5%", b'
+    memory_gb: 16
+    anchors:
+      - {arch: base, batch: 4, precision: fp32, seconds_per_batch: 0.7, duration_s: 5.5}
+""",
     "<aggregation>": """
 aggregation: {method: loss_weighted, alpha: 0.5, epsilon: 1.0e-3}
 seed: 9
@@ -1082,6 +1091,19 @@ REPORT_DIGESTS = {
         "fl_plan.json": "17457f88d0aa00cebbd70646946da741e262842ff00c32aadaf1d2c56789b560",
         "fl_schedule.json":
             "c441b3a465fcd1a774bd9addf3882a0cbeda099658b313ef203f1ec1781de027",
+    },
+    # Idealised, with a sampled schedule and 4-digit client ids: every
+    # per-client and per-round section runs past one written chunk.
+    ("fl-plan", "--clients", "1001", "--per-round", "7", "--rounds", "600", "--device",
+     "nx", "--mean-duration", "7.25", "--seed", "3"): {
+        "fl_partition.json":
+            "3e085d61dafac62699adbc53628b8548afda834bc3ec7b0b2edf516bf1a4b995",
+        "fl_plan.csv":
+            "3db36e218aa38042ab08cc3096f2efacc0dde3fd0ed65d31066f2e93cc0aca02",
+        "fl_plan.json":
+            "429e42493f2c8aa4f30744f618ef42d44dcf09c52eb590da2ce068f222d3cace",
+        "fl_schedule.json":
+            "a9f3d203f0555d1df6485b002f934c5c390cdde0003a9a47adb74053f8ee6d5b",
     },
     ("fl-plan", "--manifest", MANIFEST, "--clients", "1", "--rounds", "3",
      "--device", "a40", "--batch", "4", "--seed", "0"): {
@@ -1244,6 +1266,19 @@ REPORT_DIGESTS = {
         "fl_schedule.json":
             "31e5fea5894e6595c53a45cce5724314275fd798c604c4a69c74dda4152dd919",
     },
+    # The same shape on a device whose name csv quotes and which holds a "%".
+    ("fl-plan", "--config", "<quoted device>", "--device", 'lab "5%", b', "--clients",
+     "1001", "--per-round", "7", "--rounds", "600", "--mean-duration", "7.25",
+     "--seed", "3"): {
+        "fl_partition.json":
+            "7374a58e307430fff1d441d40d1fae95a49b6031164c2c5588f1f0c9be1a4200",
+        "fl_plan.csv":
+            "23555ad63e735e876c61453bf2580f5a5e9d2a7238c5758663ce2302153fb591",
+        "fl_plan.json":
+            "c5aa37a51d63f5a608848fde78e707661df53bd0626f2e6532c1a28f5b5e5f5f",
+        "fl_schedule.json":
+            "5b3880686e3836f7659c3c8bc082768c3e59302f0fe372ab1234b56fab22f6c1",
+    },
     ("fl-sim", "--config", "<aggregation>", "--clients", "8", "--per-round", "3",
      "--dim", "6", "--rounds", "10"): {
         "fl_sim.csv":
@@ -1284,9 +1319,10 @@ REPORT_DIGESTS = {
 
 
 def _case_id(argv):
-    if "--config" in argv:
-        return "-".join([argv[0], "config", argv[argv.index("--config") + 1].strip("<>")
-                         .replace(" ", "-"), *argv[argv.index("--config") + 2:][1::2]])
+    if "--config" in argv:  # a value's quotes, spaces and signs read as one "-"
+        return re.sub(r"[^\w.-]+", "-", "-".join(
+            [argv[0], "config", argv[argv.index("--config") + 1].strip("<>"),
+             *argv[argv.index("--config") + 2:][1::2]]))
     if argv[0] == "fl-sim":
         return "-".join([argv[0], argv[argv.index("--agg") + 1],
                          "c" + argv[argv.index("--clients") + 1],
