@@ -242,12 +242,23 @@ class Trajectory:
 def _id_rank(n_clients: int) -> np.ndarray:
     """Rank of client i's id ``c{i:04d}`` in string order, from integers: the
     ids' digits padded on the right with zeros to the widest compare as the
-    ids do, and on a tie the shorter id, the lower i, comes first."""
-    index = np.arange(n_clients, dtype=np.int64)
-    digits = np.maximum(4, np.searchsorted(10 ** np.arange(1, 19), index, side="right") + 1)
-    rank = np.empty_like(index)
-    rank[np.argsort(index * 10 ** (digits[-1] - digits), kind="stable")] = index
-    return rank
+    ids do, and on a tie the shorter id, the lower i, comes first. Three
+    arrays of ``n_clients`` live at once; if they cannot be allocated, raises
+    ``ConfigError``."""
+    try:
+        index = np.arange(n_clients, dtype=np.int64)
+        key = np.searchsorted(10 ** np.arange(1, 19), index, side="right")
+        key += 1  # each id's digits,
+        np.maximum(key, 4, out=key)
+        np.subtract(key[-1], key, out=key)  # then the zeros it is padded with
+        np.power(10, key, out=key)
+        key *= index
+        order = np.argsort(key, kind="stable")
+        key[order] = index  # the padded ids are sorted; their buffer holds the rank
+        return key
+    except MemoryError:
+        raise ConfigError(f"the id order of {n_clients} clients cannot be "
+                          "allocated") from None
 
 
 def _diverged(round_id: int, what: str, learning_rate: float) -> ConfigError:

@@ -39,11 +39,11 @@ from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_partition)
 from .lazy import lazy_import
 from .memory import memory_timeline
-from .report import (COST_CSV_HEADER, TIMELINE_CSV_HEADER, TRAJECTORY_CSV_HEADER,
-                     client_ids, cost_report_payload, cost_report_rows, partition_payload,
-                     schedule_payload, timeline_payload, timeline_rows,
-                     trajectory_payload, trajectory_rows, wall_clock_payload,
-                     write_csv, write_json)
+from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
+                     TRAJECTORY_CSV_HEADER, cost_report_payload, cost_report_rows,
+                     partition_payload, plan_rows, schedule_payload, timeline_payload,
+                     timeline_rows, trajectory_payload, trajectory_rows,
+                     wall_clock_payload, write_csv, write_json)
 from .settings import read, to_mapping
 from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, parity_year
 
@@ -239,11 +239,8 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     write_json(out / "fl_partition.json", partition_payload(partition, meta))
     write_json(out / "fl_schedule.json", schedule_payload(schedule, meta))
     write_json(out / "fl_plan.json", wall_clock_payload(estimate, comm, meta))
-    write_csv(out / "fl_plan.csv",
-              ["client_id", "device", "n_utterances", "seconds_per_local_epoch"],
-              ([cid, profile.name, n, f"{epoch:.6g}"] for cid, n, epoch in zip(
-                  client_ids(fl.clients), partition.n_utterances.tolist(),
-                  estimate.seconds_per_local_epoch.tolist())))
+    write_csv(out / "fl_plan.csv", PLAN_CSV_HEADER,
+              plan_rows(partition, estimate, profile.name))
     print(f"{fl.clients} clients x {fl.rounds} rounds on {profile.name}: "
           f"{estimate.total_hours:.1f} h total ({estimate.total_days:.2f} days), "
           f"{comm / 1e12:.3f} TB moved; memory fit: {verdict.value}")

@@ -5,73 +5,120 @@ timestamp, so identical inputs produce byte-identical files. Writers go
 through a temp file and an atomic rename so a failed run never leaves
 partial output behind. They make no directory: a command makes its output
 directory once.
+
+A section with one entry per client or per round (``fl_partition.json``'s
+clients, ``fl_schedule.json``'s rounds, ``fl_plan.json``'s epoch times and
+the rows of ``fl_plan.csv``) is text filled into a %-template per row,
+straight from the columns that hold it: a piece of rows at a time, each
+piece in one %-call, so no object is made per client or per round and
+memory stays bounded at any count.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Optional,
-                    Sequence)
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .aggregation import Trajectory
 from .costs import CostReport, module_rollup
 from .errors import ConfigError
 from .federation import Partition, RoundSchedule, WallClockEstimate
+from .lazy import lazy_import
 from .memory import MemoryTimeline
 
-if TYPE_CHECKING:  # a report reads the arrays it is given through their methods
-    import numpy as np
+np = lazy_import("numpy")
+
+
+class Rows:
+    """``n`` rows of text, each a %-template filled with one row's values.
+    ``values(lo, hi)`` gives the values of rows ``lo`` to ``hi - 1``, row by
+    row in one flat sequence, ``width`` to a row. A template holds a format
+    for each value and "%%" for each "%" of its own; ``%d`` is given Python
+    ints and ``%r`` Python floats, whose repr is their JSON text."""
+
+    def __init__(self, row: str, n: int, width: int, values: Callable[[int, int], Sequence]):
+        self.row, self.n, self.width, self.values = row, n, width, values
+
+    def texts(self, row: str, sep: str, per: Optional[int] = None) -> Iterator[str]:
+        """The rows, each filled into ``row`` (this one's template or a
+        re-indented copy), joined by ``sep``: a piece of ``per`` rows, or of
+        about ``_CHUNK_VALUES`` values, made in one %-call once the piece before
+        is taken; each piece but the last ends with ``sep``."""
+        per = per or max(1, _CHUNK_VALUES // self.width)
+        for lo in range(0, self.n, per):
+            hi = min(lo + per, self.n)
+            text = sep.join([row] * (hi - lo)) % tuple(self.values(lo, hi))
+            yield text if hi == self.n else text + sep
+
+
+_CHUNK_VALUES = 1 << 12
 
 
 class StreamedList:
-    """A JSON list in a payload, which ``write_json`` writes in pieces, never
-    walking its items one by one in the encoder. With ``encode``, which
-    gives an item's JSON text as ``json.dumps(indent=2, sort_keys=True)``
-    writes it at the top level, the list holds ``items``. Without it,
-    ``items`` are the list's own JSON texts, each ended by a newline, in a
-    bytes-like object, as a ``Manifest`` holds utterance ids; with ``runs``,
-    a pair of arrays of (start, end) byte offsets, none empty, the list
-    holds the texts of those ranges in turn."""
+    """A JSON list in a payload, or with ``brackets="{}"`` a JSON object, which
+    ``write_json`` writes in pieces, never walking its items one by one in the
+    encoder. Its items are given in one of two ways.
 
-    def __init__(self, items, encode: Optional[Callable[[Any], str]] = None,
-                 runs: Optional[tuple[np.ndarray, np.ndarray]] = None):
-        self.items = items
-        self.encode = encode
-        self.runs = runs
+    As texts: ``items`` is a bytes-like object of the items' own JSON texts,
+    each ended by a newline, as a ``Manifest`` holds utterance ids; with
+    ``runs``, a pair of arrays of (start, end) byte offsets, none empty, the
+    list holds the texts of those ranges in turn.
+
+    As rows: ``items`` is a ``Rows`` whose template is one item's JSON text
+    (in an object, one ``"key": value`` member) as ``json.dumps(indent=2,
+    sort_keys=True)`` writes it at the top level. With ``last``, a key and one
+    ``StreamedList`` per item, each item is a dict whose template ends before
+    that key, which sorts after the template's keys, and its list."""
+
+    def __init__(self, items, runs: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                 brackets: str = "[]",
+                 last: Optional[tuple[str, Sequence[StreamedList]]] = None):
+        self.items, self.runs, self.brackets, self.last = items, runs, brackets, last
 
     def __bool__(self) -> bool:
+        if isinstance(self.items, Rows):
+            return self.items.n > 0
         return len(self.items if self.runs is None else self.runs[0]) > 0
 
-    def chunks(self, indent: str) -> Iterator[bytes | memoryview]:
-        """The items' JSON texts as the lines of a JSON list at ``indent``,
-        joined by a comma, a newline and ``indent``: bytes-like pieces of at
-        most ``_PER_CHUNK`` items or runs, each made once the one before is
-        written."""
+    def pieces(self, depth: int) -> Iterator[bytes | memoryview]:
+        """The JSON text at nesting ``depth``, in bytes-like pieces of at most
+        ``_PER_CHUNK`` runs or about ``_CHUNK_VALUES`` row values, each made
+        once the one before is written."""
+        if not self:
+            yield self.brackets.encode("ascii")
+            return
+        indent = "  " * (depth + 1)
         sep = ",\n" + indent
-        if self.encode is None:  # a text's newline becomes the separator
+        yield (self.brackets[0] + "\n" + indent).encode("ascii")
+        if not isinstance(self.items, Rows):  # a text's newline becomes the separator
             texts, newline = memoryview(self.items), sep.encode("ascii")
             starts, ends = ([0], [len(texts)]) if self.runs is None else \
                 (run.tolist() for run in self.runs)
             n = len(starts)
-
-            def chunk(lo):
-                return b"".join(map(texts.__getitem__, map(
+            for lo in range(0, n, _PER_CHUNK):
+                text = b"".join(map(texts.__getitem__, map(
                     slice, starts[lo:lo + _PER_CHUNK], ends[lo:lo + _PER_CHUNK]))
-                ).replace(b"\n", newline)
-        else:  # an item's own lines are indented with it
-            n, newline = len(self.items), "\n" + indent
-
-            def chunk(lo):
-                return "".join(self.encode(item).replace("\n", newline) + sep
-                               for item in self.items[lo:lo + _PER_CHUNK]).encode("ascii")
-        for lo in range(0, n, _PER_CHUNK):
-            text = chunk(lo)  # each text followed by the separator; the last one's is cut
-            yield text if lo + _PER_CHUNK < n else memoryview(text)[:-len(sep)]
+                ).replace(b"\n", newline)  # each text followed by the separator
+                yield text if lo + _PER_CHUNK < n else memoryview(text)[:-len(sep)]
+        elif self.last is None:  # an item's own lines are indented with it
+            for text in self.items.texts(self.items.row.replace("\n", "\n" + indent), sep):
+                yield text.encode("ascii")
+        else:  # each item a dict: its template's members, then its streamed last one
+            key, lists = self.last
+            close = "\n" + indent + "}"
+            row = self.items.row.replace("\n", "\n" + indent)
+            head = row[:-len(close)] + ",\n" + indent + "  " + json.dumps(key) + ": "
+            for i, text in enumerate(self.items.texts(head, "", per=1)):
+                yield text.encode("ascii")
+                yield from lists[i].pieces(depth + 2)
+                yield (close if i + 1 == self.items.n else close + sep).encode("ascii")
+        yield ("\n" + "  " * depth + self.brackets[1]).encode("ascii")
 
 
 _PER_CHUNK = 256
@@ -103,7 +150,7 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     sort_keys=True, default=str)`` writes it, plus a newline. A dict, list
     or tuple that holds no container is encoded in one call to json's C
     encoder; only containers of containers are walked here, and a
-    ``StreamedList`` writes its chunks where it stands. A non-finite number
+    ``StreamedList`` writes its pieces where it stands. A non-finite number
     in ``payload``, or a file that cannot be written, raises ``ConfigError``
     and leaves no file."""
     path = Path(path)
@@ -131,18 +178,12 @@ def _encoder(depth: int) -> json.JSONEncoder:
 
 def _encode(value, depth: int, text: list[str], fh) -> None:
     """Append the JSON text of ``value`` at nesting ``depth`` to ``text``; a
-    ``StreamedList`` first writes ``text`` to ``fh``, then its chunks."""
+    ``StreamedList`` first writes ``text`` to ``fh``, then its pieces."""
     if isinstance(value, StreamedList):
-        if not value:
-            text.append("[]")
-            return
-        indent = "  " * (depth + 1)
-        text.append("[\n" + indent)
         fh.write("".join(text).encode("ascii"))
         text.clear()
-        for chunk in value.chunks(indent):
-            fh.write(chunk)
-        text.append("\n" + "  " * depth + "]")
+        for piece in value.pieces(depth):
+            fh.write(piece)
         return
     encoder = _encoder(depth)
     if isinstance(value, dict):
@@ -181,13 +222,18 @@ def _key(encoder: json.JSONEncoder, key) -> str:
     return encoder.encode(encoder.encode(key))
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write ``header`` and ``rows`` as CSV; a file that cannot be written
-    raises ``ConfigError`` and writes nothing."""
+def write_csv(path, header: Sequence[str], rows: Rows | Iterable[Sequence[Any]]) -> None:
+    """Write ``header`` and ``rows`` as CSV, where ``Rows`` are lines of CSV
+    text; a file that cannot be written raises ``ConfigError`` and writes
+    nothing."""
     with _replaced(Path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, Rows):
+            for text in rows.texts(rows.row, ""):
+                fh.write(text)
+        else:
+            writer.writerows(rows)
 
 
 def cost_report_payload(report: CostReport, meta: Mapping[str, Any]) -> dict:
@@ -249,54 +295,72 @@ def timeline_rows(timeline: MemoryTimeline) -> list[list]:
                     timeline.per_layer_bytes, timeline.cumulative_bytes))]
 
 
-def client_ids(n_clients: int) -> Iterator[str]:
-    """Each client's id in turn, zero-padded so ids sort in client order."""
-    width = len(str(n_clients - 1))
-    return (f"client_{idx:0{width}d}" for idx in range(n_clients))
+def _client_id(n_clients: int) -> str:
+    """The %-format of a client's id, zero-padded so ids sort in client order."""
+    return f"client_%0{len(str(n_clients - 1))}d"
+
+
+def _interleaved(*columns: Sequence) -> list:
+    """The values of ``columns``, each as long as the first, row by row."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        flat[j::len(columns)] = column
+    return flat
+
+
+def _rounded(column: np.ndarray) -> list[float]:
+    """``column``'s values rounded to 6 decimals; a NaN or an infinity raises
+    the ``ValueError`` json raises for it."""
+    finite = np.isfinite(column)
+    if not finite.all():
+        _encoder(0).encode(column[~finite][0].item())
+    return [round(v, 6) for v in column.tolist()]
 
 
 def partition_payload(partition: Partition, meta: Mapping[str, Any]) -> dict:
-    clients = [{"client_id": cid, "n_utterances": n, "total_duration_s": round(total, 6),
-                "n_speakers": held}
-               for cid, n, total, held in zip(client_ids(partition.n_clients),
-                                              partition.n_utterances.tolist(),
-                                              partition.total_duration_s.tolist(),
-                                              partition.n_speakers.tolist())]
+    held, utterances, totals = \
+        partition.n_speakers, partition.n_utterances, partition.total_duration_s
+    row = ('{\n  "client_id": "%s",\n  "n_speakers": %%d,\n  "n_utterances": %%d,\n'
+           '  "total_duration_s": %%r\n}') % _client_id(partition.n_clients)
+    clients = Rows(row, partition.n_clients, 4, lambda lo, hi: _interleaved(
+        range(lo, hi), held[lo:hi].tolist(), utterances[lo:hi].tolist(),
+        _rounded(totals[lo:hi])))
+    ids = None
     if partition.manifest is not None:  # an idealised client has no ids
         # client c's ids: the texts of its speakers, each a run of the manifest's
         texts, offsets = partition.manifest.utterance_ids, partition.manifest.id_offsets
-        ends = partition.n_speakers.cumsum().tolist()
-        for entry, lo, hi in zip(clients, [0] + ends, ends):
-            speakers = partition.speakers[lo:hi]
-            entry["utterance_ids"] = StreamedList(
-                texts, runs=(offsets[speakers], offsets[speakers + 1]))
-    return {"meta": dict(meta), "seed": partition.seed, "clients": clients}
+        ends = held.cumsum().tolist()
+        speakers = [partition.speakers[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        ids = ("utterance_ids", [StreamedList(texts, runs=(offsets[s], offsets[s + 1]))
+                                 for s in speakers])
+    return {"meta": dict(meta), "seed": partition.seed,
+            "clients": StreamedList(clients, last=ids)}
 
 
 def schedule_payload(schedule: RoundSchedule, meta: Mapping[str, Any]) -> dict:
+    selected = schedule.selected  # never empty
+    row = ('{\n  "round_id": %d,\n  "selected": [\n    '
+           + ",\n    ".join(["%d"] * schedule.per_round) + "\n  ]\n}")
     return {
         "meta": dict(meta),
         "total_clients": schedule.total_clients,
         "per_round": schedule.per_round,
         "seed": schedule.seed,
-        "rounds": StreamedList(range(schedule.n_rounds),
-                               functools.partial(_round_text, schedule.selected)),
+        "rounds": StreamedList(Rows(
+            row, schedule.n_rounds, 1 + schedule.per_round, lambda lo, hi: np.column_stack(
+                (np.arange(lo, hi), selected[lo:hi])).ravel().tolist())),
     }
-
-
-def _round_text(selected: np.ndarray, round_id: int) -> str:
-    """Round ``round_id`` as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
-    listed = ",\n    ".join(map(int.__repr__, selected[round_id].tolist()))  # never empty
-    return f'{{\n  "round_id": {round_id},\n  "selected": [\n    {listed}\n  ]\n}}'
 
 
 def wall_clock_payload(estimate: WallClockEstimate, communication_bytes: float,
                        meta: Mapping[str, Any]) -> dict:
+    epochs = estimate.seconds_per_local_epoch
     return {
         "meta": dict(meta),
-        "seconds_per_local_epoch": dict(zip(
-            client_ids(len(estimate.seconds_per_local_epoch)),
-            (round(v, 6) for v in estimate.seconds_per_local_epoch.tolist()))),
+        "seconds_per_local_epoch": StreamedList(
+            Rows(f'"{_client_id(len(epochs))}": %r', len(epochs), 2,
+                 lambda lo, hi: _interleaved(range(lo, hi), _rounded(epochs[lo:hi]))),
+            brackets="{}"),
         "device_breakdown_s": {k: round(v, 6) for k, v in
                                sorted(estimate.device_breakdown.items())},
         "n_rounds": len(estimate.seconds_per_round),
@@ -305,6 +369,20 @@ def wall_clock_payload(estimate: WallClockEstimate, communication_bytes: float,
         "total_days": round(estimate.total_days, 6),
         "communication_bytes": communication_bytes,
     }
+
+
+PLAN_CSV_HEADER = ["client_id", "device", "n_utterances", "seconds_per_local_epoch"]
+
+
+def plan_rows(partition: Partition, estimate: WallClockEstimate, device: str) -> Rows:
+    """``fl_plan.csv``'s rows, one per client on ``device``, which csv quotes
+    as it needs."""
+    quoted = io.StringIO()
+    csv.writer(quoted, lineterminator="\n").writerow(
+        [_client_id(partition.n_clients), device.replace("%", "%%"), "%d", "%.6g"])
+    utterances, epochs = partition.n_utterances, estimate.seconds_per_local_epoch
+    return Rows(quoted.getvalue(), partition.n_clients, 3, lambda lo, hi: _interleaved(
+        range(lo, hi), utterances[lo:hi].tolist(), epochs[lo:hi].tolist()))
 
 
 TRAJECTORY_CSV_HEADER = ["round", "mean_client_loss", "min_client_loss",

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import warnings
@@ -329,6 +330,27 @@ class TestFlPlan:
         slow = json.loads(rate["fl_plan.json"])["total_seconds"]
         assert slow < json.loads(default["fl_plan.json"])["total_seconds"]
 
+    def test_a_million_clients_finish_in_a_limited_child(self, tmp_path):
+        # 512 MB holds the per-client columns and a piece of each report's
+        # text (it needs about 0.22 GB) but not a dict or an id per client
+        out = tmp_path / "r"
+        done = limited_child(["fl-plan", "--clients", "1000000", "--per-round", "10",
+                              "--rounds", "2", "--device", "a40", "--out", str(out)],
+                             address_space=512 << 20)
+        try:
+            assert done.returncode == 0, done.stderr
+            with open(out / "fl_plan.csv", "rb") as fh:
+                lines = fh.readlines()
+            assert len(lines) == 10**6 + 1
+            assert lines[-1].startswith(b"client_999999,a40,19500,")
+            with open(out / "fl_partition.json", "rb") as fh:
+                fh.seek(-4096, os.SEEK_END)
+                assert b'"client_id": "client_999999",\n      "n_speakers": 1,\n' \
+                    b'      "n_utterances": 19500,\n      "total_duration_s": 107250.0\n' \
+                    b'    }\n  ],\n  "meta": {' in fh.read()
+        finally:
+            shutil.rmtree(out, ignore_errors=True)  # 200 MB of reports
+
 
 def _manifest_meta(reports):
     """The manifest digest and the fingerprint in a plan's meta, as bytes."""
@@ -563,6 +585,16 @@ class TestFlSim:
                               "--rounds", "75000000", "--out", str(tmp_path / "r")])
         assert (done.returncode, done.stderr) == (
             2, "error: 75000000 rounds x 1 client losses cannot be allocated\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_id_order_that_cannot_be_allocated_exits_2_on_one_line(self, tmp_path):
+        # 448 MB holds the optima, the sample counts and the loss table, but
+        # not the three 80 MB arrays that order 10**7 client ids
+        done = limited_child(["fl-sim", "--clients", "10000000", "--dim", "1",
+                              "--per-round", "1", "--rounds", "1",
+                              "--out", str(tmp_path / "r")], address_space=448 << 20)
+        assert (done.returncode, done.stderr) == (
+            2, "error: the id order of 10000000 clients cannot be allocated\n")
         assert not (tmp_path / "r").exists()
 
     def test_ten_million_clients_finish_in_a_limited_child(self, tmp_path):

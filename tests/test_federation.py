@@ -1,6 +1,7 @@
 import codecs
 import csv
 import heapq
+import json
 import math
 import tracemalloc
 
@@ -650,15 +651,16 @@ class TestPartition:
 
 
 class TestIdealisedPartition:
-    def test_clients_carry_counts_and_no_ids(self):
+    def test_clients_carry_counts_and_no_ids(self, tmp_path):
         part = uniform_partition(3, 40, 2.5)
         assert (part.n_utterances.tolist(), part.total_duration_s.tolist(),
                 part.n_speakers.tolist(), part.manifest, part.speakers) == \
             ([40] * 3, [100.0] * 3, [1] * 3, None, None)
         assert part.mean_duration_s.tolist() == [2.5] * 3
-        payload = partition_payload(part, {})
-        assert [c["client_id"] for c in payload["clients"]] == [f"client_{i}" for i in range(3)]
-        assert all("utterance_ids" not in c for c in payload["clients"])
+        write_json(tmp_path / "p.json", partition_payload(part, {}))
+        clients = json.loads((tmp_path / "p.json").read_text())["clients"]
+        assert [c["client_id"] for c in clients] == [f"client_{i}" for i in range(3)]
+        assert all("utterance_ids" not in c for c in clients)
 
     def test_a_billion_clips_each_cost_no_memory(self):
         tracemalloc.start()

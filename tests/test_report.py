@@ -1,5 +1,7 @@
+import csv
 import enum
 import errno
+import io
 import json
 import math
 import re
@@ -13,8 +15,11 @@ from hypothesis import strategies as st
 
 from fedspeech.errors import ConfigError
 from fedspeech import report
-from fedspeech.federation import encode_ids, schedule_rounds
-from fedspeech.report import StreamedList, schedule_payload, write_csv, write_json
+from fedspeech.federation import (Partition, WallClockEstimate, decode_ids, encode_ids,
+                                  partition_by_speaker, schedule_rounds, synthetic_manifest)
+from fedspeech.report import (PLAN_CSV_HEADER, Rows, StreamedList, partition_payload,
+                              plan_rows, schedule_payload, wall_clock_payload, write_csv,
+                              write_json)
 
 
 def _runs(items, picked):
@@ -25,18 +30,30 @@ def _runs(items, picked):
     return offsets[picked], offsets[picked + 1]
 
 
-# Streamed lists of strings as a manifest holds utterance ids: their
-# newline-ended JSON texts in one bytes object (``ids``), or picked one run
-# per text from a bytearray (``texts``).
+# Streamed lists as a report holds them. Strings as a manifest holds
+# utterance ids: their newline-ended JSON texts in one bytes object
+# (``ids``), or picked one run per text from a bytearray (``texts``). Rows
+# filled into a %-template: ints (``ints``), (int, float) pairs whose JSON
+# texts span lines, as a schedule's rounds do (``rows``), and floats as an
+# object's members, as fl_plan.json's epoch times (``members``).
 STREAMED = {
     "ids": lambda items: StreamedList(encode_ids(items)),
     "texts": lambda items: StreamedList(bytearray(encode_ids(items)),
                                         runs=_runs(items, range(len(items)))),
-    "ints": lambda items: StreamedList(items, int.__repr__),  # as json.dumps writes ints
-    # items whose JSON texts span lines, as a schedule's rounds do
-    "dicts": lambda items: StreamedList(items, lambda v: json.dumps(v, indent=2,
-                                                                     sort_keys=True)),
+    "ints": lambda items: StreamedList(Rows("%d", len(items), 1,
+                                            lambda lo, hi: items[lo:hi])),
+    "rows": lambda items: StreamedList(Rows(
+        '{\n  "n": %d,\n  "x": [\n    %r,\n    %d\n  ]\n}', len(items), 3,
+        lambda lo, hi: [v for n, x in items[lo:hi] for v in (n, x, n)])),
+    "members": lambda items: StreamedList(Rows(
+        '"k%d": %r', len(items), 2,
+        lambda lo, hi: [v for i, x in enumerate(items[lo:hi], lo) for v in (i, x)]),
+        brackets="{}"),
 }
+# The JSON value each kind stands for, from the same items
+PLAIN = {"ids": list, "texts": list, "ints": list,
+         "rows": lambda items: [{"n": n, "x": [x, n]} for n, x in items],
+         "members": lambda items: {f"k{i}": x for i, x in enumerate(items)}}
 
 
 def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
@@ -87,11 +104,13 @@ _TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\x80ä \U0001f6
                           st.characters()), max_size=6)
 _KEYS = st.text("ab\"\x7fä", max_size=2)
 _INTS = st.integers(-2**70, 2**70)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _STREAMED_LISTS = st.one_of(
     st.builds(_Streamed, st.sampled_from(["ids", "texts"]), st.lists(_TEXT, max_size=5)),
     st.builds(_Streamed, st.just("ints"), st.lists(_INTS, max_size=5)),
-    st.builds(_Streamed, st.just("dicts"), st.lists(st.dictionaries(
-        _KEYS, _INTS | st.lists(_INTS, max_size=3), max_size=3), max_size=4)))
+    st.builds(_Streamed, st.just("rows"), st.lists(st.tuples(_INTS, _FLOATS), max_size=4)),
+    # at most 10 members, whose keys k0 to k9 sort in member order
+    st.builds(_Streamed, st.just("members"), st.lists(_FLOATS | st.just(-0.0), max_size=10)))
 class _Level(enum.IntEnum):
     LOW = 1
     HIGH = 2
@@ -102,7 +121,6 @@ class _Colour(str, enum.Enum):
     QUOTE = '"q\u00e4"'
 
 
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 # values json writes as numbers or strings without being one of their
 # plain types: int and str subclasses, a float subclass, and objects that
 # default=str writes
@@ -129,7 +147,7 @@ _PAYLOADS = _dicts(st.recursive(
 
 def _build(node, streamed):
     if isinstance(node, _Streamed):
-        return STREAMED[node.kind](node.items) if streamed else node.items
+        return (STREAMED if streamed else PLAIN)[node.kind](node.items)
     if isinstance(node, dict):
         return {k: _build(v, streamed) for k, v in node.items()}
     if isinstance(node, (list, tuple)):
@@ -185,9 +203,12 @@ def test_schedule_written_as_json_dumps_writes_its_rounds(tmp_path):
 def test_rounds_are_encoded_a_chunk_at_a_time(tmp_path):
     schedule = schedule_rounds(30, 4, 5000, seed=3)
     payload = schedule_payload(schedule, {})
-    chunks = [bytes(chunk) for chunk in payload["rounds"].chunks("  ")]
-    assert len(chunks) == -(-5000 // report._PER_CHUNK)
-    assert max(map(len, chunks)) * 10 < len(b"".join(chunks))
+    pieces = [bytes(piece) for piece in payload["rounds"].pieces(1)]
+    per = report._CHUNK_VALUES // 5  # rounds to a piece: a round is 5 values
+    assert 5000 % per  # the last piece is a short one
+    # the brackets, then the pieces of rounds
+    assert [piece.count(b'"round_id"') for piece in pieces[1:-1]] == \
+        [per] * (5000 // per) + [5000 % per]
     write_json(tmp_path / "s.json", payload)
     expected = {"meta": {}, "total_clients": 30, "per_round": 4, "seed": 3,
                 "rounds": [{"round_id": i, "selected": selected}
@@ -196,14 +217,152 @@ def test_rounds_are_encoded_a_chunk_at_a_time(tmp_path):
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+# The dict-built sections, as the reports were built one client or one round
+# at a time; the templated sections must write them byte for byte.
+def _client_ids(n):
+    return [f"client_{i:0{len(str(n - 1))}d}" for i in range(n)]
+
+
+def _dict_partition(partition, ids=None):
+    clients = [{"client_id": cid, "n_utterances": n, "total_duration_s": round(total, 6),
+                "n_speakers": held}
+               for cid, n, total, held in zip(_client_ids(partition.n_clients),
+                                              partition.n_utterances.tolist(),
+                                              partition.total_duration_s.tolist(),
+                                              partition.n_speakers.tolist())]
+    for client, held in zip(clients, ids or ()):
+        client["utterance_ids"] = held
+    return {"meta": {"k": 1}, "seed": partition.seed, "clients": clients}
+
+
+def _dict_schedule(schedule):
+    return {"meta": {"k": 1}, "total_clients": schedule.total_clients,
+            "per_round": schedule.per_round, "seed": schedule.seed,
+            "rounds": [{"round_id": i, "selected": selected}
+                       for i, selected in enumerate(schedule.selected.tolist())]}
+
+
+def _dict_wall_clock(estimate, comm):
+    epochs = estimate.seconds_per_local_epoch.tolist()
+    return {"meta": {"k": 1},
+            "seconds_per_local_epoch": dict(zip(_client_ids(len(epochs)),
+                                                (round(v, 6) for v in epochs))),
+            "device_breakdown_s": {k: round(v, 6) for k, v in
+                                   sorted(estimate.device_breakdown.items())},
+            "n_rounds": len(estimate.seconds_per_round),
+            "total_seconds": round(estimate.total_seconds, 6),
+            "total_hours": round(estimate.total_hours, 6),
+            "total_days": round(estimate.total_days, 6),
+            "communication_bytes": comm}
+
+
+def _csv_rows(partition, estimate, device):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(PLAN_CSV_HEADER)
+    writer.writerows([cid, device, n, f"{epoch:.6g}"] for cid, n, epoch in zip(
+        _client_ids(partition.n_clients), partition.n_utterances.tolist(),
+        estimate.seconds_per_local_epoch.tolist()))
+    return text.getvalue()
+
+
+def _assert_written_as(path, payload, dicts):
+    write_json(path, payload)
+    assert path.read_text() == json.dumps(dicts, indent=2, sort_keys=True) + "\n"
+
+
+# Floats whose text or rounding is an edge: signed zero, below the rounding,
+# on it, e-notation, the largest float; then drawn ones of many digits.
+_EDGE_FLOATS = [0.0, -0.0, 4e-7, 5e-7, 2.5e-6, 123456.0000005, 1e16, 1.7976931348623157e308]
+
+
+def _floats(rng, n):
+    return np.concatenate([_EDGE_FLOATS, rng.uniform(0, 1e5, n)])[:n]
+
+
+# Sizes on each side of a piece of rows; with 40 values to a piece, a piece
+# holds 10 clients of the partition, 20 epoch times, 13 CSV rows or 10
+# rounds of 3 clients.
+SIZES = [1, 10, 11, 256, 257, 1001]
+CHUNKS = pytest.mark.parametrize("chunk_values", [None, 40], ids=["pieces", "40-values"])
+
+
+@CHUNKS
+@pytest.mark.parametrize("n", SIZES)
+def test_templated_sections_written_as_their_dicts(tmp_path, monkeypatch, n, chunk_values):
+    if chunk_values:
+        monkeypatch.setattr(report, "_CHUNK_VALUES", chunk_values)
+    rng = np.random.default_rng(n)
+    partition = Partition(n_utterances=rng.integers(1, 2**62, n),
+                          total_duration_s=_floats(rng, n),
+                          n_speakers=rng.integers(1, 1000, n), seed=n)
+    _assert_written_as(tmp_path / "p.json", partition_payload(partition, {"k": 1}),
+                       _dict_partition(partition))
+    schedule = schedule_rounds(n + 3, 3, n, seed=n)  # a sampled schedule
+    _assert_written_as(tmp_path / "s.json", schedule_payload(schedule, {"k": 1}),
+                       _dict_schedule(schedule))
+    estimate = WallClockEstimate(seconds_per_local_epoch=_floats(rng, n)[::-1].copy(),
+                                 seconds_per_round=(1.5,) * 3, total_seconds=4.5e9 / 7,
+                                 device_breakdown={"nx": 1 / 3})
+    _assert_written_as(tmp_path / "w.json", wall_clock_payload(estimate, 1e12, {"k": 1}),
+                       _dict_wall_clock(estimate, 1e12))
+    for device in ('lab "5%", b', "%d\u00e4 %%\nx", "nx"):  # csv quotes all but the last
+        write_csv(tmp_path / "p.csv", PLAN_CSV_HEADER, plan_rows(partition, estimate, device))
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == \
+            _csv_rows(partition, estimate, device)
+
+
+@pytest.fixture(scope="module")
+def small_manifest():
+    return synthetic_manifest(n_utterances=3300, n_speakers=1100, seed=5)
+
+
+@CHUNKS
+@pytest.mark.parametrize("n", SIZES)
+def test_manifest_clients_written_as_their_dicts(tmp_path, monkeypatch, small_manifest, n,
+                                                 chunk_values):
+    if chunk_values:
+        monkeypatch.setattr(report, "_CHUNK_VALUES", chunk_values)
+    partition = partition_by_speaker(small_manifest, n, seed=n)
+    texts, offsets = small_manifest.utterance_ids, small_manifest.id_offsets.tolist()
+    ends = partition.n_speakers.cumsum().tolist()
+    ids = [[u for s in partition.speakers[lo:hi].tolist()
+            for u in decode_ids(texts[offsets[s]:offsets[s + 1]])]
+           for lo, hi in zip([0] + ends, ends)]
+    _assert_written_as(tmp_path / "p.json", partition_payload(partition, {"k": 1}),
+                       _dict_partition(partition, ids))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("at", [0, 1500])  # in the first piece, or after one is written
+@pytest.mark.parametrize("section", ["partition", "wall-clock"])
+def test_non_finite_column_value_raises_as_json_and_leaves_no_file(tmp_path, value, at,
+                                                                   section):
+    column = np.full(2000, 2.5)
+    column[at] = value
+    if section == "partition":
+        payload = partition_payload(Partition(
+            n_utterances=np.ones(2000, np.int64), total_duration_s=column,
+            n_speakers=np.ones(2000, np.int64), seed=0), {})
+    else:
+        payload = wall_clock_payload(WallClockEstimate(
+            seconds_per_local_epoch=column, seconds_per_round=(2.5,), total_seconds=2.5,
+            device_breakdown={"nx": 2.5}), 1.0, {})
+    with pytest.raises(ValueError) as dumped:
+        json.dumps(value, allow_nan=False)
+    message = re.escape(str(dumped.value))
+    with pytest.raises(ConfigError, match=f"^cannot write p\\.json: {message}$"):
+        write_json(tmp_path / "p.json", payload)
+    assert not any(tmp_path.iterdir())
+
+
 def _assert_indexed_as_gathered(tmp_path, held, items, picked):
     """Ids written from the runs of ``held`` at ``picked`` read as those
     ``items`` do, and as the gathered ids do."""
     indexed = StreamedList(held, runs=_runs(items, picked))
     gathered = StreamedList(encode_ids([items[i] for i in picked]))
     assert bool(indexed) == bool(gathered) == bool(picked)
-    if picked:
-        assert b"".join(indexed.chunks("    ")) == b"".join(gathered.chunks("    "))
+    assert b"".join(indexed.pieces(1)) == b"".join(gathered.pieces(1))
     write_json(tmp_path / "p.json", {"clients": [{"ids": indexed}]})
     expected = {"clients": [{"ids": [items[i] for i in picked]}]}
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == \
@@ -249,12 +408,12 @@ def test_unwritable_report_raises_and_leaves_no_temp_file(tmp_path, writer, bloc
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
-    def full(item):
+    def full(lo, hi):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     path = tmp_path / "r.json"
     path.write_text("the last report\n")
     with pytest.raises(ConfigError, match=r"^cannot write .*r\.json: No space left on device$"):
-        write_json(path, {"ids": StreamedList([1], full)})
+        write_json(path, {"ids": StreamedList(Rows("%d", 1, 1, full))})
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_text() == "the last report\n"
