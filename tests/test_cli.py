@@ -598,7 +598,7 @@ class TestFlSim:
         assert not (tmp_path / "r").exists()
 
     def test_ten_million_clients_finish_in_a_limited_child(self, tmp_path):
-        # 1 GB holds the run's per-client arrays (it needs about 0.7 GB) but
+        # 1 GB holds the run's per-client arrays (it needs about 0.55 GB) but
         # not an id string per client
         done = limited_child(["fl-sim", "--clients", "10000000", "--dim", "1",
                               "--per-round", "1", "--rounds", "1",
