@@ -34,7 +34,7 @@ from .costs import forward_flops, module_rollup
 from .devices import DeviceProfile, FitVerdict, check_fit, get_profile, \
     predict_batch_time, training_residency_bytes
 from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
-                     MissingAnchorError, UnsupportedPrecisionError)
+                     MissingAnchorError, UnsupportedPrecisionError, allocating)
 from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_partition)
 from .lazy import lazy_import
@@ -117,15 +117,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = forward_flops(arch, workload)
     meta = _meta(args, arch, workload=to_mapping(workload))
     out = _out_dir(args, cfg)
-    write_json(out / "analyze.json", cost_report_payload(report, meta))
+    rollup = module_rollup(report)
+    write_json(out / "analyze.json", cost_report_payload(report, rollup, meta))
     write_csv(out / "analyze.csv", COST_CSV_HEADER, cost_report_rows(report))
     write_csv(out / "analyze_modules.csv", ["module", "params_m", "gflops"],
               [[row["module"], f"{row['params'] / 1e6:.4f}", f"{row['gflops']:.4f}"]
-               for row in module_rollup(report)])
+               for row in rollup])
     print(f"{arch.name}: {report.total_params / 1e6:.2f} M params, "
           f"{report.total_fwd_flops / 1e9:.2f} GFLOPs forward "
           f"({workload.duration_s} s, batch {workload.batch})")
-    for row in module_rollup(report):
+    for row in rollup:
         print(f"  {row['module']:<12} {row['params'] / 1e6:10.2f} M "
               f"{row['gflops']:10.2f} GF")
     print(f"wrote {out / 'analyze.json'} and {out / 'analyze.csv'}")
@@ -268,15 +269,14 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
         raise ConfigError(f"spread must be finite, got {args.spread}")
     rng = np.random.default_rng(seed)
     # a negative size leaves the optima empty, which SyntheticFLConfig reports
-    try:
+    with allocating(f"--clients {args.clients} x --dim {args.dim} client optima"):
         optima = rng.normal(scale=args.spread, size=(max(args.clients, 0), max(args.dim, 0)))
-    except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
-        raise ConfigError(f"--clients {args.clients} x --dim {args.dim} client optima "
-                          "cannot be allocated") from None
+    with allocating(f"the sample counts of {len(optima)} clients"):
+        n_samples = np.full(len(optima), SYNTHETIC_SAMPLES_PER_CLIENT, np.int64)
     sim = SyntheticFLConfig(
-        optima=optima, n_samples=np.full(len(optima), SYNTHETIC_SAMPLES_PER_CLIENT, np.int64),
-        learning_rate=args.lr, local_steps=args.local_steps, rounds=args.rounds,
-        per_round=args.per_round, seed=seed, report_pre_loss=args.pre_loss)
+        optima=optima, n_samples=n_samples, learning_rate=args.lr,
+        local_steps=args.local_steps, rounds=args.rounds, per_round=args.per_round,
+        seed=seed, report_pre_loss=args.pre_loss)
     trajectory = run_synthetic_fl(sim, agg)
 
     meta = _meta(args, None, agg=agg.method.value, alpha=agg.alpha, epsilon=agg.epsilon,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class FedspeechError(Exception):
     """Base class for all toolkit errors; the command line exits with its
@@ -67,3 +70,18 @@ class InvalidRatioError(FedspeechError):
 class InfeasibleError(FedspeechError):
     """A requested plan was found infeasible (for example a failed memory fit)."""
     exit_code = 4
+
+
+class AllocationError(FedspeechError):
+    """Arrays for the requested counts that cannot be allocated."""
+
+
+@contextmanager
+def allocating(what: str) -> Iterator[None]:
+    """Around statements that only allocate: a ``MemoryError``, or numpy's
+    ``ValueError`` for more bytes than an index holds, becomes
+    ``AllocationError("<what> cannot be allocated")``; ``what`` names counts."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise AllocationError(f"{what} cannot be allocated") from None

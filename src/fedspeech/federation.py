@@ -36,7 +36,7 @@ from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import param_count
 from .devices import DeviceProfile, predict_batch_time
 from .errors import (InvalidSampleSizeError, MalformedRowError, MissingColumnError,
-                     TooFewSpeakersError)
+                     TooFewSpeakersError, allocating)
 from .lazy import lazy_import
 
 np = lazy_import("numpy")
@@ -543,12 +543,11 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
     if utterances_per_client > _MAX_COUNT:
         raise InvalidSampleSizeError(f"utterances per client must be <= {_MAX_COUNT}, "
                                      f"got {utterances_per_client}")
-    try:
-        return Partition(np.full(n_clients, utterances_per_client, np.int64),
-                         np.full(n_clients, mean_duration_s * utterances_per_client),
-                         np.ones(n_clients, np.int64), seed=0)
-    except (MemoryError, ValueError):  # ValueError: more clients than an index holds
-        raise InvalidSampleSizeError(f"{n_clients} clients cannot be allocated") from None
+    with allocating(f"{n_clients} clients"):
+        columns = (np.full(n_clients, utterances_per_client, np.int64),
+                   np.full(n_clients, mean_duration_s * utterances_per_client),
+                   np.ones(n_clients, np.int64))
+    return Partition(*columns, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +565,8 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
             f"cannot select {per_round} of {total_clients} clients")
     if n_rounds < 1:
         raise InvalidSampleSizeError("need at least one round")
-    try:
+    with allocating(f"{n_rounds} rounds x {per_round} clients per round"):
         selected = np.empty((n_rounds, per_round), np.int64)
-    except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
-        raise InvalidSampleSizeError(f"{n_rounds} rounds x {per_round} clients per "
-                                     "round cannot be allocated") from None
     if per_round == total_clients:  # a full selection, sorted, is arange whatever the draw
         selected[:] = np.arange(total_clients)
     else:
@@ -604,8 +600,9 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
     # evaluated at the client's mean utterance duration: one prediction per
     # distinct mean duration, and one ceil per distinct count, of Python's
     # correctly rounded n / batch.
-    durations, at_duration = np.unique(partition.mean_duration_s, return_inverse=True)
-    counts, at_count = np.unique(partition.n_utterances, return_inverse=True)
+    with allocating(f"the epoch times of {partition.n_clients} clients"):
+        durations, at_duration = np.unique(partition.mean_duration_s, return_inverse=True)
+        counts, at_count = np.unique(partition.n_utterances, return_inverse=True)
     batch_seconds = np.array([predict_batch_time(
         profile, arch, replace(workload, duration_s=d)).seconds_per_batch
         for d in durations.tolist()])

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .aggregation import Trajectory
-from .costs import CostReport, module_rollup
+from .costs import CostReport
 from .errors import ConfigError
 from .federation import Partition, RoundSchedule, WallClockEstimate
 from .lazy import lazy_import
@@ -236,7 +236,9 @@ def write_csv(path, header: Sequence[str], rows: Rows | Iterable[Sequence[Any]])
             writer.writerows(rows)
 
 
-def cost_report_payload(report: CostReport, meta: Mapping[str, Any]) -> dict:
+def cost_report_payload(report: CostReport, rollup: list[dict],
+                        meta: Mapping[str, Any]) -> dict:
+    """The analyze report; ``rollup`` is ``costs.module_rollup(report)``."""
     return {
         "meta": dict(meta),
         "arch": report.arch_name,
@@ -251,7 +253,7 @@ def cost_report_payload(report: CostReport, meta: Mapping[str, Any]) -> dict:
             name: {"params": params, "fwd_flops": flops}
             for name, (params, flops) in report.module_totals.items()
         },
-        "rollup": module_rollup(report),
+        "rollup": rollup,
         "grand_total": {"params": report.total_params,
                         "fwd_flops": report.total_fwd_flops},
     }

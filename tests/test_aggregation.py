@@ -9,7 +9,8 @@ from fedspeech import aggregation
 from fedspeech.aggregation import (AggMethod, AggregationConfig, ClientUpdate,
                                    SyntheticFLConfig, aggregate, fedavg, loss_weighted,
                                    run_synthetic_fl)
-from fedspeech.errors import ConfigError, DimensionMismatchError, EmptyUpdateSetError
+from fedspeech.errors import (AllocationError, ConfigError, DimensionMismatchError,
+                              EmptyUpdateSetError)
 from fedspeech.federation import schedule_rounds
 
 
@@ -441,6 +442,27 @@ DIVERGING = {
                      AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1e300),
                      "overflow or vanish at alpha 1e[+]300$"),
 }
+
+
+class TestAlignedEmpty:
+    def test_a_c_contiguous_writable_buffer_on_a_cache_line(self):
+        # numpy's 16-byte alignment places arrays of these sizes at several
+        # offsets in a cache line; each buffer made here starts on one
+        shapes = [(rows, dim) for rows in (0, 1, 3, 20) for dim in (0, 1, 2, 5, 7, 2000)] * 4
+        buffers = [aggregation._aligned_empty(shape, "some counts") for shape in shapes]
+        for value, (shape, buffer) in enumerate(zip(shapes, buffers)):
+            assert (buffer.shape, buffer.dtype) == (shape, np.float64)
+            assert buffer.ctypes.data % 64 == 0, shape
+            assert buffer.flags.c_contiguous and buffer.flags.writeable
+            buffer[...] = value
+        # each keeps what was written to it, so none overlaps another
+        assert all((buffer == value).all() for value, buffer in enumerate(buffers))
+
+    @pytest.mark.parametrize("shape", [(10**10, 10**10), (10**400, 1)],
+                             ids=["no-memory", "no-index"])
+    def test_a_buffer_too_large_is_refused(self, shape):
+        with pytest.raises(AllocationError, match="^some counts cannot be allocated$"):
+            aggregation._aligned_empty(shape, "some counts")
 
 
 class TestPopulationLossWorker:

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -9,12 +10,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import cli, costs, errors, federation, manifest_cache, memory
+from fedspeech import aggregation, cli, costs, errors, federation, manifest_cache, memory
 from fedspeech.arch import arch_to_mapping, get_preset
 from fedspeech.cli import main
 
@@ -330,6 +332,16 @@ class TestFlPlan:
         slow = json.loads(rate["fl_plan.json"])["total_seconds"]
         assert slow < json.loads(default["fl_plan.json"])["total_seconds"]
 
+    def test_epoch_times_that_cannot_be_allocated_exit_2_on_one_line(self, tmp_path):
+        # 160 MB holds a million clients' columns but not the grouping of
+        # their epoch times; earlier versions ended in a traceback there
+        done = limited_child(["fl-plan", "--clients", "1000000", "--per-round", "10",
+                              "--rounds", "2", "--device", "a40",
+                              "--out", str(tmp_path / "r")], address_space=160 << 20)
+        assert (done.returncode, done.stderr) == (
+            2, "error: the epoch times of 1000000 clients cannot be allocated\n")
+        assert not (tmp_path / "r").exists()
+
     def test_a_million_clients_finish_in_a_limited_child(self, tmp_path):
         # 512 MB holds the per-client columns and a piece of each report's
         # text (it needs about 0.22 GB) but not a dict or an id per client
@@ -585,6 +597,17 @@ class TestFlSim:
                               "--rounds", "75000000", "--out", str(tmp_path / "r")])
         assert (done.returncode, done.stderr) == (
             2, "error: 75000000 rounds x 1 client losses cannot be allocated\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_optimum_that_cannot_be_allocated_exits_2_on_one_line(self, tmp_path):
+        # 300 MB holds the optima and the sample counts, 80 MB each, but not
+        # the weighted optima the population optimum sums; earlier versions
+        # ended in a traceback there, or at the sample counts
+        done = limited_child(["fl-sim", "--clients", "10000000", "--dim", "1",
+                              "--per-round", "1", "--rounds", "1",
+                              "--out", str(tmp_path / "r")], address_space=300 << 20)
+        assert (done.returncode, done.stderr) == (
+            2, "error: 10000000 x 1 weighted client optima cannot be allocated\n")
         assert not (tmp_path / "r").exists()
 
     def test_id_order_that_cannot_be_allocated_exits_2_on_one_line(self, tmp_path):
@@ -939,8 +962,11 @@ CHILD_ADDRESS_SPACE = 2 << 30
 
 def limited_child(argv, address_space=CHILD_ADDRESS_SPACE):
     """The command line ``argv`` run in a child whose address space is capped
-    between fork and exec, without a config from the environment."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    between fork and exec, without a config from the environment. numpy's
+    BLAS runs one thread there: each thread it starts reserves address space
+    of its own (about 40 MB more on two CPUs than on one), so the room left
+    for arrays does not depend on the machine's CPU count."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
     env.pop("FEDSPEECH_CONFIG", None)
     return subprocess.run(
         [sys.executable, "-c", "import sys; from fedspeech.cli import main; "
@@ -1456,20 +1482,50 @@ def test_fingerprint_follows_the_manifest_content_not_its_path(tmp_path):
     assert str(tmp_path) not in json.dumps(meta)
 
 
-@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_ids(REPORT_DIGESTS))
-def test_reports_byte_identical_to_recorded(argv, tmp_path):
-    out = tmp_path / "out"
-    args = _with_manifest(argv, tmp_path)
+def _digests_written(argv, root):
+    """The SHA-256 of each report the ``REPORT_DIGESTS`` case ``argv`` writes,
+    its inputs and reports kept under ``root``."""
+    out = root / "out"
+    args = _with_manifest(argv, root)
     text = CONFIGS[argv[argv.index("--config") + 1]] if "--config" in argv else ""
     if text:
-        args[argv.index("--config") + 1] = str(tmp_path / "config.yaml")
-        (tmp_path / "config.yaml").write_text(text.replace("OUT", str(out)))
+        args[argv.index("--config") + 1] = str(root / "config.yaml")
+        (root / "config.yaml").write_text(text.replace("OUT", str(out)))
     if "output_dir" not in text:
         args += ["--out", str(out)]
     assert run(args) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in out.iterdir()}
-    assert written == REPORT_DIGESTS[argv]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_ids(REPORT_DIGESTS))
+def test_reports_byte_identical_to_recorded(argv, tmp_path):
+    assert _digests_written(argv, tmp_path) == REPORT_DIGESTS[argv]
+
+
+FL_SIM_CASES = [argv for argv in REPORT_DIGESTS if argv[0] == "fl-sim"]
+
+
+@pytest.mark.parametrize("argv", FL_SIM_CASES, ids=_case_ids(FL_SIM_CASES))
+def test_fl_sim_reports_hold_at_every_buffer_offset(argv, tmp_path, monkeypatch):
+    # fl-sim's round buffers and population-loss block start on a 64-byte
+    # line; placed at each 8-byte offset in a line instead, the reports keep
+    # every bit. The buffers start as nan, so a value read before it is
+    # written changes a report too.
+    placed = []
+
+    def at_offset(shape, what):
+        size = math.prod(shape)
+        raw = np.full(size + 15, np.nan)
+        start = (-raw.ctypes.data % 64 + offset) // 8
+        placed.append(offset)
+        return raw[start:start + size].reshape(shape)
+
+    monkeypatch.setattr(aggregation, "_aligned_empty", at_offset)
+    for offset in range(0, 64, 8):
+        (tmp_path / str(offset)).mkdir()
+        assert _digests_written(argv, tmp_path / str(offset)) == REPORT_DIGESTS[argv], offset
+    # three round buffers and one block a run
+    assert placed == [offset for offset in range(0, 64, 8) for _ in range(4)]
 
 
 @pytest.mark.parametrize("argv", [argv for argv in REPORT_DIGESTS if "--manifest" in argv],

@@ -15,8 +15,8 @@ from fedspeech import federation, manifest_cache
 from fedspeech.arch import WorkloadSpec, base_preset, large_preset
 from fedspeech.costs import param_count
 from fedspeech.devices import get_profile, predict_batch_time
-from fedspeech.errors import (InvalidSampleSizeError, MalformedRowError,
-                              MissingAnchorError, MissingColumnError,
+from fedspeech.errors import (AllocationError, InvalidSampleSizeError,
+                              MalformedRowError, MissingAnchorError, MissingColumnError,
                               TooFewSpeakersError)
 from fedspeech.federation import (Manifest, RoundSchedule, decode_ids,
                                   estimate_communication, estimate_wall_clock, load_manifest,
@@ -717,7 +717,7 @@ class TestSchedule:
         (10, 10, 10**18), (100, 10, 10**15), (10, 10, 10**400),
     ], ids=["no-index", "no-memory", "no-float"])
     def test_a_schedule_too_large_to_allocate_is_refused(self, total, per_round, rounds):
-        with pytest.raises(InvalidSampleSizeError) as exc:
+        with pytest.raises(AllocationError) as exc:
             schedule_rounds(total, per_round, rounds)
         assert str(exc.value) == (f"{rounds} rounds x {per_round} clients per round "
                                   "cannot be allocated")
