@@ -1,14 +1,14 @@
-"""Server-side aggregation rules and a desk-scale synthetic federated run.
+"""Server-side aggregation and a desk-scale synthetic federated run.
 
-Two rules are implemented over abstract parameter vectors:
-
-* ``fedavg``: sample-count-weighted averaging.
-* ``loss_weighted``: coefficients ``n_k * max(loss_k, eps) ** -alpha``,
-  normalised to sum to one. ``alpha = 0`` reduces exactly to fedavg;
-  ``alpha > 0`` down-weights clients reporting high local loss.
-
-Both reduce in ascending client-id order so results are bit-identical
-regardless of input order or any parallel local training.
+One reducer serves two rules over abstract parameter vectors. Client k's
+coefficient is ``n_k * max(loss_k, eps) ** -alpha``, normalised to sum to
+one: ``loss_weighted`` down-weights clients reporting high local loss for
+``alpha > 0``, and ``fedavg``, sample-count-weighted averaging, is alpha 0
+(``AggregationConfig.exponent``). ``aggregate`` reduces a list of
+``ClientUpdate``; fl-sim's rounds reduce their stacked rows through the
+same private reducer. It takes the rows in ascending client-id order, so
+results are bit-identical regardless of input order or any parallel local
+training.
 
 The synthetic harness trains quadratic clients ``f_k(w) = 0.5 * |w - mu_k|^2``
 with plain gradient descent and holds the run as columns: the schedule's
@@ -64,7 +64,7 @@ class ClientUpdate:
 @dataclass(frozen=True)
 class AggregationConfig:
     method: AggMethod = AggMethod.FEDAVG
-    alpha: float = 1.0  # loss exponent; 0 recovers fedavg
+    alpha: float = 1.0  # loss exponent of loss_weighted
     epsilon: float = 1e-8  # loss floor
 
     def __post_init__(self) -> None:
@@ -73,41 +73,32 @@ class AggregationConfig:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
-
-def _sorted_updates(updates: Sequence[ClientUpdate]) -> list[ClientUpdate]:
-    if not updates:
-        raise EmptyUpdateSetError("no client updates to aggregate")
-    dim = updates[0].weights.shape
-    for u in updates:
-        if u.weights.shape != dim:
-            raise DimensionMismatchError(
-                f"client {u.client_id} has shape {u.weights.shape}, expected {dim}")
-    return sorted(updates, key=lambda u: u.client_id)
+    @property
+    def exponent(self) -> float:
+        """The loss exponent the reduction applies: fedavg is alpha 0."""
+        return self.alpha if self.method is AggMethod.LOSS_WEIGHTED else 0.0
 
 
-def _raw_coefficients(n_samples: Sequence[int], losses: Sequence[float],
-                      alpha: float, epsilon: float) -> np.ndarray:
-    """Unnormalised coefficients ``n_k * max(loss_k, eps) ** -alpha`` from
-    Python scalars; ``alpha = 0`` gives the sample counts exactly. A large
-    alpha can overflow a coefficient or underflow all of them, which leaves
-    nothing to normalise by and raises ``ConfigError``."""
+def _combine(rows: np.ndarray, n_samples: Sequence[int], losses: Sequence[float],
+             order: np.ndarray, config: AggregationConfig) -> np.ndarray:
+    """Sum of float64 ``rows`` weighted by ``n_k * max(loss_k, eps) ** -exponent``
+    normalised. The Python scalars ``n_samples`` and ``losses`` are in
+    ascending client id, and ``order`` holds the row indices in that order.
+    A large exponent can overflow a coefficient or underflow all of them,
+    which leaves nothing to normalise by and raises ``ConfigError``. ``rows``
+    is scaled in place, then accumulated one row at a time in ``order`` into
+    a copy of the first, so the bits never depend on how many rows there
+    are, on their order in ``rows`` or on a BLAS kernel."""
+    alpha = config.exponent
     try:
-        raw = [float(n) * max(loss, epsilon) ** -alpha
+        raw = [float(n) * max(loss, config.epsilon) ** -alpha
                for n, loss in zip(n_samples, losses)]
     except OverflowError:
         raw = [math.inf]
     if not 0 < sum(raw) < math.inf:
         raise ConfigError(f"client weights n * max(loss, epsilon) ** -alpha overflow "
                           f"or vanish at alpha {alpha:g}")
-    return np.array(raw, dtype=np.float64)
-
-
-def _combine(rows: np.ndarray, raw: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Sum of float64 ``rows`` weighted by ``raw`` normalised; ``raw`` and
-    ``order``, the row indices, are in ascending client id. ``rows`` is
-    scaled in place, then accumulated one row at a time in ``order`` into a
-    copy of the first, so the bits never depend on how many rows there are,
-    on their order in ``rows`` or on a BLAS kernel."""
+    raw = np.array(raw, dtype=np.float64)
     coeffs = np.empty_like(raw)
     coeffs[order] = raw / raw.sum()
     np.multiply(rows, coeffs[:, None], out=rows)
@@ -118,30 +109,20 @@ def _combine(rows: np.ndarray, raw: np.ndarray, order: np.ndarray) -> np.ndarray
     return acc
 
 
-def _reduce(updates: Sequence[ClientUpdate], alpha: float, epsilon: float) -> np.ndarray:
-    ordered = _sorted_updates(updates)
-    return _combine(np.array([u.weights for u in ordered], dtype=np.float64),
-                    _raw_coefficients([u.n_samples for u in ordered],
-                                      [u.local_loss for u in ordered], alpha, epsilon),
-                    np.arange(len(ordered)))
-
-
-def fedavg(updates: Sequence[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted average of the client weight vectors."""
-    return _reduce(updates, 0.0, AggregationConfig().epsilon)
-
-
-def loss_weighted(updates: Sequence[ClientUpdate],
-                  config: Optional[AggregationConfig] = None) -> np.ndarray:
-    """Fedavg re-weighted by each client's reported loss."""
-    cfg = config or AggregationConfig(method=AggMethod.LOSS_WEIGHTED)
-    return _reduce(updates, cfg.alpha, cfg.epsilon)
-
-
 def aggregate(updates: Sequence[ClientUpdate], config: AggregationConfig) -> np.ndarray:
-    if config.method is AggMethod.FEDAVG:
-        return fedavg(updates)
-    return loss_weighted(updates, config)
+    """The clients' weight vectors reduced under ``config``'s rule, in
+    ascending client-id order whatever order ``updates`` come in."""
+    if not updates:
+        raise EmptyUpdateSetError("no client updates to aggregate")
+    dim = updates[0].weights.shape
+    for u in updates:
+        if u.weights.shape != dim:
+            raise DimensionMismatchError(
+                f"client {u.client_id} has shape {u.weights.shape}, expected {dim}")
+    order = sorted(range(len(updates)), key=lambda i: updates[i].client_id)
+    return _combine(np.array([u.weights for u in updates], dtype=np.float64),
+                    [updates[i].n_samples for i in order],
+                    [updates[i].local_loss for i in order], np.array(order), config)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +317,6 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
     optimum = cfg.population_optimum()
     global_w = np.zeros(cfg.dim, dtype=np.float64)
     id_rank = _id_rank(cfg.n_clients)
-    alpha = agg.alpha if agg.method is AggMethod.LOSS_WEIGHTED else 0.0
     lr = cfg.learning_rate
 
     mu, local, step = (_aligned_empty((k, cfg.dim), f"a round of {k} clients x "
@@ -368,9 +348,8 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                 if not healthy.all():
                     first = sel[by_id[np.flatnonzero(~healthy[by_id])[0]]]
                     raise _diverged(round_id, f"loss or weights of client c{first:04d}", lr)
-                global_w = _combine(local, _raw_coefficients(
-                    cfg.n_samples[sel[by_id]].tolist(), losses[by_id].tolist(), alpha,
-                    agg.epsilon), by_id)
+                global_w = _combine(local, cfg.n_samples[sel[by_id]].tolist(),
+                                    losses[by_id].tolist(), by_id, agg)
                 todo.put(global_w)
                 distance[round_id] = np.linalg.norm(global_w - optimum)
         population_loss[-1] = _settled(cfg.rounds - 1, done.get(), lr)

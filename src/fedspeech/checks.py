@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .aggregation import (AggMethod, AggregationConfig, ClientUpdate, SyntheticFLConfig,
-                          fedavg, loss_weighted, run_synthetic_fl)
+                          aggregate, run_synthetic_fl)
 from .arch import Precision, WorkloadSpec, get_preset
 from .costs import ModuleGroup, forward_flops, param_count
 from .devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
@@ -272,14 +272,15 @@ def trend_checks() -> list[CheckResult]:
 
 def aggregation_checks(trials: int = 10_000, seed: int = 5) -> list[CheckResult]:
     out = []
-    v1 = fedavg([ClientUpdate("a", np.array([0.0, 2.0]), 1),
-                 ClientUpdate("b", np.array([4.0, 0.0]), 3)])
+    fedavg = AggregationConfig(method=AggMethod.FEDAVG)
+    v1 = aggregate([ClientUpdate("a", np.array([0.0, 2.0]), 1),
+                    ClientUpdate("b", np.array([4.0, 0.0]), 3)], fedavg)
     out.append(CheckResult("agg/fedavg-hand", bool(np.max(np.abs(
         v1 - np.array([3.0, 0.5]))) < 1e-12), f"got {v1.tolist()}"))
 
     cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
-    v2 = loss_weighted([ClientUpdate("a", np.array([1.0, 0.0]), 5, local_loss=1.0),
-                        ClientUpdate("b", np.array([0.0, 1.0]), 5, local_loss=2.0)], cfg)
+    v2 = aggregate([ClientUpdate("a", np.array([1.0, 0.0]), 5, local_loss=1.0),
+                    ClientUpdate("b", np.array([0.0, 1.0]), 5, local_loss=2.0)], cfg)
     out.append(CheckResult("agg/loss-weighted-hand", bool(np.max(np.abs(
         v2 - np.array([2 / 3, 1 / 3]))) < 1e-12), f"got {v2.tolist()}"))
 
@@ -288,21 +289,21 @@ def aggregation_checks(trials: int = 10_000, seed: int = 5) -> list[CheckResult]
     reduction_ok = hull_ok = perm_ok = scale_ok = True
     for _ in range(1000):
         updates = _random_updates(rng)
-        if not np.array_equal(loss_weighted(updates, alpha0), fedavg(updates)):
+        if not np.array_equal(aggregate(updates, alpha0), aggregate(updates, fedavg)):
             reduction_ok = False
     for _ in range(trials):
         updates = _random_updates(rng)
-        agg = fedavg(updates)
+        agg = aggregate(updates, fedavg)
         stack = np.stack([u.weights for u in updates])
         if not (np.all(agg >= stack.min(axis=0) - 1e-9)
                 and np.all(agg <= stack.max(axis=0) + 1e-9)):
             hull_ok = False
         shuffled = [updates[i] for i in rng.permutation(len(updates))]
-        if not np.array_equal(fedavg(shuffled), agg):
+        if not np.array_equal(aggregate(shuffled, fedavg), agg):
             perm_ok = False
         scaled = [ClientUpdate(u.client_id, u.weights, u.n_samples * 10, u.local_loss)
                   for u in updates]
-        if np.max(np.abs(fedavg(scaled) - agg)) > 1e-12:
+        if np.max(np.abs(aggregate(scaled, fedavg) - agg)) > 1e-12:
             scale_ok = False
     out.append(CheckResult("agg/alpha0-reduction", reduction_ok,
                            "alpha=0 identical to fedavg on 1000 random inputs"))

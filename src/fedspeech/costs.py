@@ -139,11 +139,6 @@ def conv_stack_lens(arch: ArchitectureSpec, samples: int) -> list[int]:
     return lens
 
 
-def frames_for_duration(arch: ArchitectureSpec, workload: WorkloadSpec) -> int:
-    """Frames produced by the conv stack for the workload's audio duration."""
-    return conv_stack_lens(arch, workload.samples)[-1]
-
-
 # ---------------------------------------------------------------------------
 # Per-layer formulas
 

@@ -535,8 +535,11 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
                       mean_duration_s: float = 5.5) -> Partition:
     """Idealised partition: every client is one speaker holding the same
     count of identical mean-length utterances, kept as the count alone.
-    Used for planning when no manifest is given. A count that int64 cannot
-    hold, or more clients than can be allocated, are refused."""
+    Used for planning when no manifest is given. A count below 1 or one
+    that int64 cannot hold, or more clients than can be allocated, are
+    refused."""
+    if n_clients < 1:
+        raise InvalidSampleSizeError("client counts must be >= 1")
     if utterances_per_client < 1:
         raise InvalidSampleSizeError(
             f"utterances per client must be >= 1, got {utterances_per_client}")

@@ -59,6 +59,17 @@ SYNTHETIC_FL_DETAILS = [
     ("flsim/partial-participation-slower", "rounds to loss 3.95: 10/10 -> 31, 20/100 -> 37"),
 ]
 
+# The details of the aggregation rules, as recorded at commit 496d383, where
+# fedavg and loss_weighted were reducers of their own.
+AGGREGATION_DETAILS = [
+    ("agg/fedavg-hand", "got [3.0, 0.5]"),
+    ("agg/loss-weighted-hand", "got [0.6666666666666666, 0.3333333333333333]"),
+    ("agg/alpha0-reduction", "alpha=0 identical to fedavg on 1000 random inputs"),
+    ("agg/convex-hull", "coordinate bounds hold on 10000 random inputs"),
+    ("agg/permutation-invariance", "order never changes the result (10000 trials)"),
+    ("agg/weight-scale-invariance", "scaling all n_k by 10 is a no-op (10000 trials)"),
+]
+
 test_criterion_1_parameter_totals = group_test("parameter totals", max_seconds=1.0)
 test_criterion_2_inference_flops = group_test("inference flops")
 test_criterion_3_memory_two_point = group_test("memory model")
@@ -69,7 +80,8 @@ test_criterion_6_federated_wall_clock = group_test("federated wall clock",
                                                    max_seconds=1.0,
                                                    details=WALL_CLOCK_DETAILS)
 test_criterion_7_trend_parity = group_test("hardware trend")
-test_criterion_8_aggregation_oracles = group_test("aggregation rules")
+test_criterion_8_aggregation_oracles = group_test("aggregation rules",
+                                                 details=AGGREGATION_DETAILS)
 test_criterion_9_synthetic_fl = group_test("synthetic federated run", max_seconds=30.0,
                                            details=SYNTHETIC_FL_DETAILS)
 test_criterion_10_partitioner = group_test("speaker partitioner",

@@ -7,11 +7,13 @@ import pytest
 
 from fedspeech import aggregation
 from fedspeech.aggregation import (AggMethod, AggregationConfig, ClientUpdate,
-                                   SyntheticFLConfig, aggregate, fedavg, loss_weighted,
-                                   run_synthetic_fl)
+                                   SyntheticFLConfig, aggregate, run_synthetic_fl)
 from fedspeech.errors import (AllocationError, ConfigError, DimensionMismatchError,
                               EmptyUpdateSetError)
 from fedspeech.federation import schedule_rounds
+
+
+FEDAVG = AggregationConfig(method=AggMethod.FEDAVG)
 
 
 def one_at_a_time(updates, config=None):
@@ -82,27 +84,28 @@ def updates_from(pairs):
 
 class TestFedavg:
     def test_hand_example(self):
-        result = fedavg(updates_from([(([0.0, 2.0]), 1, 0.0), (([4.0, 0.0]), 3, 0.0)]))
+        result = aggregate(updates_from([(([0.0, 2.0]), 1, 0.0), (([4.0, 0.0]), 3, 0.0)]),
+                           FEDAVG)
         assert np.max(np.abs(result - np.array([3.0, 0.5]))) < 1e-12
 
     def test_idempotent_on_identical_vectors(self):
         v = np.array([1.5, -2.0, 7.0])
-        result = fedavg([ClientUpdate("a", v, 3), ClientUpdate("b", v, 9)])
+        result = aggregate([ClientUpdate("a", v, 3), ClientUpdate("b", v, 9)], FEDAVG)
         assert np.array_equal(result, v)
 
     def test_weight_scale_invariance(self):
         ups = updates_from([(([1.0, 0.0]), 2, 0.0), (([0.0, 1.0]), 5, 0.0)])
         scaled = [ClientUpdate(u.client_id, u.weights, u.n_samples * 10) for u in ups]
-        assert np.max(np.abs(fedavg(ups) - fedavg(scaled))) < 1e-12
+        assert np.max(np.abs(aggregate(ups, FEDAVG) - aggregate(scaled, FEDAVG))) < 1e-12
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyUpdateSetError):
-            fedavg([])
+            aggregate([], FEDAVG)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            fedavg([ClientUpdate("a", np.zeros(2), 1),
-                    ClientUpdate("b", np.zeros(3), 1)])
+            aggregate([ClientUpdate("a", np.zeros(2), 1),
+                       ClientUpdate("b", np.zeros(3), 1)], FEDAVG)
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ConfigError):
@@ -112,8 +115,8 @@ class TestFedavg:
         rng = np.random.default_rng(0)
         ups = [ClientUpdate(f"c{i}", rng.normal(size=5), int(rng.integers(1, 50)))
                for i in range(7)]
-        forward = fedavg(ups)
-        backward = fedavg(list(reversed(ups)))
+        forward = aggregate(ups, FEDAVG)
+        backward = aggregate(list(reversed(ups)), FEDAVG)
         assert np.array_equal(forward, backward)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -127,8 +130,8 @@ class TestFedavg:
                                 int(rng.integers(1, 90)), float(rng.uniform(0, 5)))
                    for i in range(12)]
             shuffled = [ups[i] for i in rng.permutation(12)]
-            assert np.array_equal(fedavg(shuffled), one_at_a_time(ups))
-            assert np.array_equal(loss_weighted(shuffled, cfg), one_at_a_time(ups, cfg))
+            assert np.array_equal(aggregate(shuffled, FEDAVG), one_at_a_time(ups))
+            assert np.array_equal(aggregate(shuffled, cfg), one_at_a_time(ups, cfg))
 
     @pytest.mark.parametrize("indices", [
         range(12),
@@ -136,6 +139,7 @@ class TestFedavg:
         [9999, 10_000, 10_049, 1000, 1001, 100, 12, 10_001, 999, 0],
     ], ids=["shuffled-12", "past-c9999"])
     def test_combine_takes_rows_in_the_order_given(self, indices):
+        # aggregate stacks the rows as given and reduces them in id order
         rng = np.random.default_rng(len(indices))
         for alpha in (0.0, 0.7):
             cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=alpha)
@@ -143,14 +147,9 @@ class TestFedavg:
                 ups = [ClientUpdate(f"c{i:04d}", rng.normal(size=33),
                                     int(rng.integers(1, 90)), float(rng.uniform(0, 5)))
                        for i in rng.permutation(indices)]
-                order = np.array(sorted(range(len(ups)), key=lambda r: ups[r].client_id))
-                assert not np.array_equal(order, np.arange(len(ups)))
-                raw = aggregation._raw_coefficients(
-                    [ups[r].n_samples for r in order], [ups[r].local_loss for r in order],
-                    cfg.alpha, cfg.epsilon)
-                rows = np.array([u.weights for u in ups])
-                assert np.array_equal(aggregation._combine(rows, raw, order),
-                                      one_at_a_time(ups, cfg))
+                order = sorted(range(len(ups)), key=lambda r: ups[r].client_id)
+                assert order != list(range(len(ups)))
+                assert np.array_equal(aggregate(ups, cfg), one_at_a_time(ups, cfg))
 
 
 class TestLossWeighted:
@@ -163,18 +162,18 @@ class TestLossWeighted:
                                 int(rng.integers(1, 100)),
                                 float(rng.uniform(0.01, 9.0)))
                    for i in range(n)]
-            assert np.array_equal(loss_weighted(ups, cfg), fedavg(ups))
+            assert np.array_equal(aggregate(ups, cfg), aggregate(ups, FEDAVG))
 
     def test_hand_coefficients(self):
         cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
-        result = loss_weighted(updates_from([
+        result = aggregate(updates_from([
             (([1.0, 0.0]), 7, 1.0), (([0.0, 1.0]), 7, 2.0)]), cfg)
         assert np.max(np.abs(result - np.array([2 / 3, 1 / 3]))) < 1e-12
 
     def test_equal_losses_mean_regardless_of_alpha(self):
         for alpha in (0.0, 0.5, 1.0, 3.0):
             cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=alpha)
-            result = loss_weighted(updates_from([
+            result = aggregate(updates_from([
                 (([2.0, 0.0]), 5, 1.3), (([0.0, 2.0]), 5, 1.3)]), cfg)
             assert np.max(np.abs(result - np.array([1.0, 1.0]))) < 1e-12
 
@@ -183,7 +182,7 @@ class TestLossWeighted:
         cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
 
         def first_coordinate(loss_a):
-            return loss_weighted(updates_from([
+            return aggregate(updates_from([
                 (([1.0, 0.0]), 5, loss_a), (([0.0, 1.0]), 5, 1.0)]), cfg)[0]
 
         values = [first_coordinate(l) for l in (0.5, 1.0, 2.0, 4.0, 8.0)]
@@ -192,7 +191,7 @@ class TestLossWeighted:
     def test_loss_floor_applies(self):
         cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0,
                                 epsilon=1e-8)
-        result = loss_weighted(updates_from([
+        result = aggregate(updates_from([
             (([1.0]), 1, 0.0), (([0.0]), 1, 1.0)]), cfg)
         assert np.all(np.isfinite(result))
 
@@ -206,16 +205,26 @@ class TestLossWeighted:
                                 float(rng.uniform(0.1, 4.0)))
                    for i in range(n)]
             stack = np.stack([u.weights for u in ups])
-            for result in (fedavg(ups), loss_weighted(ups, cfg)):
+            for result in (aggregate(ups, FEDAVG), aggregate(ups, cfg)):
                 assert np.all(result >= stack.min(axis=0) - 1e-9)
                 assert np.all(result <= stack.max(axis=0) + 1e-9)
 
-    def test_dispatch(self):
-        ups = updates_from([(([1.0]), 1, 2.0), (([3.0]), 1, 1.0)])
-        assert np.array_equal(
-            aggregate(ups, AggregationConfig(method=AggMethod.FEDAVG)), fedavg(ups))
-        cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
-        assert np.array_equal(aggregate(ups, cfg), loss_weighted(ups, cfg))
+    def test_fedavg_ignores_alpha_and_epsilon(self):
+        # fedavg reduces as alpha 0, bit for bit, whatever alpha and floor it holds
+        fedavg = AggregationConfig(method=AggMethod.FEDAVG, alpha=3.0, epsilon=0.5)
+        alpha0 = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=0.0)
+        ups = updates_from([(([1.0]), 1, 2.0), (([3.0]), 2, 0.1)])
+        assert np.array_equal(aggregate(ups, fedavg), aggregate(ups, alpha0))
+        # loss weighting with that alpha and floor would move the result
+        weighted = replace(fedavg, method=AggMethod.LOSS_WEIGHTED)
+        assert not np.array_equal(aggregate(ups, weighted), aggregate(ups, alpha0))
+        rng = np.random.default_rng(11)
+        cfg = SyntheticFLConfig(optima=rng.normal(size=(12, 4)),
+                                n_samples=rng.integers(1, 50, size=12), rounds=10,
+                                per_round=5, seed=2)
+        a, b = run_synthetic_fl(cfg, fedavg), run_synthetic_fl(cfg, alpha0)
+        assert np.array_equal(a.final_weights, b.final_weights)
+        assert rounds_of(a) == rounds_of(b)
 
     @pytest.mark.parametrize("alpha,losses", [
         (50.0, (0.0, 1.0)),  # the floored loss 1e-8 ** -50 overflows
@@ -225,7 +234,7 @@ class TestLossWeighted:
         cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=alpha)
         ups = updates_from([(([1.0]), 1, losses[0]), (([0.0]), 1, losses[1])])
         with pytest.raises(ConfigError, match=f"vanish at alpha {alpha:g}$"):
-            loss_weighted(ups, cfg)
+            aggregate(ups, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -258,11 +258,18 @@ class TestFlPlan:
         ("--samples-per-client", str(2**63),
          f"utterances per client must be <= {2**63 - 1}, got {2**63}"),
         ("--local-epochs", str(10**400), f"local_epochs must be <= {2**63 - 1}, got {10**400}"),
+        # refused before the idealised partition allocates, in the schedule's words
+        ("--clients", "-1", "client counts must be >= 1"),
+        ("--config", "fl: {clients: -1}\n", "client counts must be >= 1"),
     ], ids=["samples-per-client", "local-epochs", "seed", "samples-past-int64",
-            "local-epochs-past-int64"])
+            "local-epochs-past-int64", "clients-negative", "clients-negative-in-config"])
     def test_bad_count_exits_2_on_one_line(self, tmp_path, capsys, flag, value, message):
-        assert run(["fl-plan", "--clients", "2", "--rounds", "1", flag, value,
-                    "--out", str(tmp_path / "r")]) == 2
+        if flag == "--config":  # the config's count, which --clients would override
+            (tmp_path / "c.yaml").write_text(value)
+            args = [flag, str(tmp_path / "c.yaml")]
+        else:
+            args = ["--clients", "2", flag, value]
+        assert run(["fl-plan", "--rounds", "1", *args, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
@@ -1630,3 +1637,21 @@ def test_cli_import_loads_every_module_the_tracer_patches():
             "('config', 'costs', 'memory', 'devices', 'federation', 'report', "
             "'aggregation') if 'fedspeech.' + m not in sys.modules))")
     assert _fresh_python(code) == "\n"
+    # and finds there each function it patches by name, also those no traced
+    # CI run calls, such as aggregate and load_manifest
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    assert _fresh_python(_TRACER_TARGETS_MISSING, perfbench) == "\n"
+
+
+# Prints each (module, function) of the tracer's TARGETS that is not found
+# in the fedspeech modules ``import fedspeech.cli`` has loaded.
+_TRACER_TARGETS_MISSING = """
+import sys
+import fedspeech.cli
+loaded = dict(sys.modules)
+sys.path.insert(0, sys.argv[1])
+from tracer import TARGETS
+print(*sorted(f"{m}.{a}" for m, a, *_ in TARGETS
+              if not hasattr(loaded.get("fedspeech." + m), a)))
+"""

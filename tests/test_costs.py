@@ -7,8 +7,8 @@ from fedspeech.arch import (Activation, ArchitectureSpec, AttentionBlockSpec,
                             ConvLayerSpec, QuantizerSpec, WorkloadSpec, base_preset,
                             get_preset, large_preset)
 from fedspeech.costs import (ModuleGroup, conv_output_len, conv_params,
-                             conv_stack_lens, forward_flops, frames_for_duration,
-                             linear_params, module_rollup, param_count)
+                             conv_stack_lens, forward_flops, linear_params,
+                             module_rollup, param_count)
 from fedspeech.errors import ConfigError, DegenerateInputError
 
 # The documented downsampling stack, used as an independent oracle for the
@@ -41,12 +41,12 @@ class TestFrames:
         arch = base_preset()
         w = WorkloadSpec(5.5)
         assert w.samples == 88_000
-        assert frames_for_duration(arch, w) == oracle_frames(88_000) == 274
+        assert conv_stack_lens(arch, w.samples)[-1] == oracle_frames(88_000) == 274
 
     def test_double_duration_doubles_frames_within_one(self):
         arch = base_preset()
-        f1 = frames_for_duration(arch, WorkloadSpec(5.5))
-        f2 = frames_for_duration(arch, WorkloadSpec(11.0))
+        f1 = conv_stack_lens(arch, WorkloadSpec(5.5).samples)[-1]
+        f2 = conv_stack_lens(arch, WorkloadSpec(11.0).samples)[-1]
         assert abs(f2 - 2 * f1) <= 1
 
     def test_single_identity_layer(self):
@@ -56,7 +56,8 @@ class TestFrames:
             feature_proj=(1, 2), block_count=0,
             block=AttentionBlockSpec(2, 1, 2),
             quantizer=QuantizerSpec(1, 1, 1, 1))
-        assert frames_for_duration(arch, WorkloadSpec(1.0, sample_rate_hz=100)) == 100
+        w = WorkloadSpec(1.0, sample_rate_hz=100)
+        assert conv_stack_lens(arch, w.samples)[-1] == 100
 
     def test_output_len_non_increasing_through_stack(self):
         lens = conv_stack_lens(base_preset(), 88_000)
@@ -64,7 +65,7 @@ class TestFrames:
 
     def test_too_short_audio_rejected(self):
         with pytest.raises(DegenerateInputError):
-            frames_for_duration(base_preset(), WorkloadSpec(0.0001))
+            conv_stack_lens(base_preset(), WorkloadSpec(0.0001).samples)
 
 
 class TestParams:
