@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigError, DimensionMismatchError, EmptyUpdateSetError, allocating
+from .errors import ConfigError, allocating
 from .federation import schedule_rounds
 from .lazy import lazy_import
 
@@ -113,11 +113,11 @@ def aggregate(updates: Sequence[ClientUpdate], config: AggregationConfig) -> np.
     """The clients' weight vectors reduced under ``config``'s rule, in
     ascending client-id order whatever order ``updates`` come in."""
     if not updates:
-        raise EmptyUpdateSetError("no client updates to aggregate")
+        raise ConfigError("no client updates to aggregate")
     dim = updates[0].weights.shape
     for u in updates:
         if u.weights.shape != dim:
-            raise DimensionMismatchError(
+            raise ConfigError(
                 f"client {u.client_id} has shape {u.weights.shape}, expected {dim}")
     order = sorted(range(len(updates)), key=lambda i: updates[i].client_id)
     return _combine(np.array([u.weights for u in updates], dtype=np.float64),
@@ -168,11 +168,16 @@ class SyntheticFLConfig:
         return self.optima.shape[1]
 
     def population_optimum(self) -> np.ndarray:
-        """Sample-weighted mean of the client optima: the fedavg fixed point."""
+        """Sample-weighted mean of the client optima: the fedavg fixed point.
+        Finite optima whose weighted sum overflows raise ``ConfigError``."""
         w = self.n_samples
-        with allocating(f"{self.n_clients} x {self.dim} weighted client optima"):
-            weighted = w[:, None] * self.optima
-        return weighted.sum(axis=0) / w.sum(dtype=np.float64)
+        with np.errstate(all="ignore"):  # a non-finite mean is refused below
+            with allocating(f"{self.n_clients} x {self.dim} weighted client optima"):
+                weighted = w[:, None] * self.optima
+            optimum = weighted.sum(axis=0) / w.sum(dtype=np.float64)
+        if not np.isfinite(optimum).all():
+            raise ConfigError("the sample-weighted mean of the client optima is not finite")
+        return optimum
 
     def population_loss(self, weights: np.ndarray) -> float:
         """Sample-weighted mean of the quadratic client losses at ``weights``."""
@@ -186,7 +191,7 @@ _LINE_BYTES = 64  # a cache line
 def _aligned_empty(shape: tuple[int, int], what: str) -> np.ndarray:
     """An uninitialised C-contiguous float64 array of ``shape`` that starts on
     a cache line, cut from one 7 values longer; numpy aligns to 16 bytes
-    only. ``what`` names the counts for the ``AllocationError`` raised when
+    only. ``what`` names the counts for the ``ConfigError`` raised when
     it cannot be allocated."""
     with allocating(what):
         raw = np.empty(math.prod(shape) + _LINE_BYTES // 8 - 1)
@@ -244,7 +249,7 @@ def _id_rank(n_clients: int) -> np.ndarray:
     ids' digits padded on the right with zeros to the widest compare as the
     ids do, and on a tie the shorter id, the lower i, comes first. Three
     arrays of ``n_clients`` live at once; if they cannot be allocated, raises
-    ``AllocationError``."""
+    ``ConfigError``."""
     with allocating(f"the id order of {n_clients} clients"):
         index = np.arange(n_clients, dtype=np.int64)
         key = np.searchsorted(10 ** np.arange(1, 19), index, side="right")

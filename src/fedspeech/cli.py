@@ -34,7 +34,7 @@ from .costs import forward_flops, module_rollup
 from .devices import DeviceProfile, FitVerdict, check_fit, get_profile, \
     predict_batch_time, training_residency_bytes
 from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
-                     MissingAnchorError, UnsupportedPrecisionError, allocating)
+                     MissingAnchorError, allocating)
 from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_partition)
 from .lazy import lazy_import
@@ -316,7 +316,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                     "slowdown_ratio": f.slowdown_ratio,
                     "years_to_parity": f.years_to_parity,
                     "parity_year": f.parity_year}
-            except (MissingAnchorError, UnsupportedPrecisionError, InvalidRatioError):
+            except (MissingAnchorError, InvalidRatioError):
                 continue  # a combination the anchors cannot compare is left out
     headline_key = f"b{workload.batch}-{workload.precision.value}"
     if headline_key not in combos:

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .arch import (Activation, ArchitectureSpec, ConvLayerSpec, NormKind,
                    WorkloadSpec)
-from .errors import DegenerateInputError
+from .errors import ConfigError
 
 ELEMENTWISE_FLOPS = 5  # per element: norm, activation, softmax
 # Reports forward_flops keeps, least recently used dropped first; 64 reports
@@ -91,7 +91,6 @@ class LayerCost:
 class CostReport:
     arch_name: str
     per_layer: tuple[LayerCost, ...]
-    workload: Optional[WorkloadSpec]
 
     @property
     def total_params(self) -> int:
@@ -124,8 +123,7 @@ class CostReport:
 def conv_output_len(len_in: int, kernel: int, stride: int) -> int:
     """Valid-convolution output length: floor((len_in - kernel) / stride) + 1."""
     if len_in < kernel:
-        raise DegenerateInputError(
-            f"input of {len_in} frames is shorter than the kernel ({kernel})")
+        raise ConfigError(f"input of {len_in} frames is shorter than the kernel ({kernel})")
     return (len_in - kernel) // stride + 1
 
 
@@ -281,8 +279,7 @@ def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> l
 
 def param_count(arch: ArchitectureSpec) -> CostReport:
     """Parameter counts only; FLOP and activation fields are zero."""
-    return CostReport(arch_name=arch.name,
-                      per_layer=tuple(_build_layers(arch, None)), workload=None)
+    return CostReport(arch_name=arch.name, per_layer=tuple(_build_layers(arch, None)))
 
 
 @lru_cache(maxsize=REPORT_CACHE_SIZE)
@@ -293,8 +290,7 @@ def forward_flops(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
     reported per sample. A report is built once per (arch, workload) and
     shared by every later call, which its immutability makes safe.
     """
-    return CostReport(arch_name=arch.name,
-                      per_layer=tuple(_build_layers(arch, workload)), workload=workload)
+    return CostReport(arch_name=arch.name, per_layer=tuple(_build_layers(arch, workload)))
 
 
 def module_rollup(report: CostReport) -> list[dict]:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import forward_flops
-from .errors import ConfigError, MissingAnchorError, UnsupportedPrecisionError
+from .errors import ConfigError, MissingAnchorError
 from .memory import (GB, MemoryCalibration, default_calibration, static_memory,
                      training_flops)
 from .settings import read, read_value
@@ -175,8 +175,7 @@ def get_profile(name: str,
 def _select_anchor(profile: DeviceProfile, arch: ArchitectureSpec,
                    workload: WorkloadSpec) -> Anchor:
     if workload.precision is Precision.MIXED and not profile.supports_mixed:
-        raise UnsupportedPrecisionError(
-            f"{profile.name} has no mixed-precision support")
+        raise MissingAnchorError(f"{profile.name} has no mixed-precision support")
     candidates = [a for a in profile.anchors
                   if a.arch == arch.name and a.precision is workload.precision]
     if not candidates:

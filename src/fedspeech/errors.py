@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""The toolkit's errors: one type per exit code of the command line, which
+prints ``error: <message>`` and exits 2 for an input the planner cannot use
+(``ConfigError``), 3 for a manifest it cannot read (``ManifestError``) and 4
+for a plan that does not fit (``InfeasibleError``). A subclass exists only
+where a caller tells it apart: forecast leaves out what ``MissingAnchorError``
+and ``InvalidRatioError`` name, and ``MalformedRowError`` carries its line."""
 
 from __future__ import annotations
 
@@ -13,75 +18,43 @@ class FedspeechError(Exception):
 
 
 class ConfigError(FedspeechError):
-    """Invalid configuration file, flag value, or specification field."""
+    """An input the planner cannot use: a flag, config value, specification
+    field, count or output path (exit 2)."""
 
 
-class DegenerateInputError(FedspeechError):
-    """An input too short (or otherwise degenerate) for the requested operation."""
+class MissingAnchorError(ConfigError):
+    """No measured anchor for the requested architecture and precision, or a
+    device without support for the precision."""
 
 
-class MalformedRowError(FedspeechError):
-    """A manifest row that cannot be parsed; carries the 1-based line number."""
+class InvalidRatioError(ConfigError):
+    """A slow/fast time ratio below 1, for which no parity forecast exists."""
+
+
+class ManifestError(FedspeechError):
+    """A manifest that cannot be opened, read or used (exit 3)."""
     exit_code = 3
+
+
+class MalformedRowError(ManifestError):
+    """A manifest row that cannot be parsed; carries the 1-based line number."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 
-class MissingColumnError(FedspeechError):
-    """A required manifest column is absent."""
-    exit_code = 3
-
-
-class UnreadableManifestError(FedspeechError):
-    """A manifest that cannot be opened or read."""
-    exit_code = 3
-
-
-class TooFewSpeakersError(FedspeechError):
-    """Fewer distinct speakers than requested client partitions."""
-
-
-class InvalidSampleSizeError(FedspeechError):
-    """Round scheduling parameters that cannot produce a valid schedule."""
-
-
-class MissingAnchorError(FedspeechError):
-    """No measured anchor matches the requested architecture and precision."""
-
-
-class UnsupportedPrecisionError(FedspeechError):
-    """The device does not support the requested numerical precision."""
-
-
-class EmptyUpdateSetError(FedspeechError):
-    """Aggregation was asked to combine zero client updates."""
-
-
-class DimensionMismatchError(FedspeechError):
-    """Client weight vectors of unequal dimension."""
-
-
-class InvalidRatioError(FedspeechError):
-    """A slow/fast time ratio below 1, for which no parity forecast exists."""
-
-
 class InfeasibleError(FedspeechError):
-    """A requested plan was found infeasible (for example a failed memory fit)."""
+    """A requested plan found infeasible, such as a failed memory fit (exit 4)."""
     exit_code = 4
-
-
-class AllocationError(FedspeechError):
-    """Arrays for the requested counts that cannot be allocated."""
 
 
 @contextmanager
 def allocating(what: str) -> Iterator[None]:
     """Around statements that only allocate: a ``MemoryError``, or numpy's
     ``ValueError`` for more bytes than an index holds, becomes
-    ``AllocationError("<what> cannot be allocated")``; ``what`` names counts."""
+    ``ConfigError("<what> cannot be allocated")``; ``what`` names counts."""
     try:
         yield
     except (MemoryError, ValueError):
-        raise AllocationError(f"{what} cannot be allocated") from None
+        raise ConfigError(f"{what} cannot be allocated") from None

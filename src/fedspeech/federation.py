@@ -28,15 +28,13 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import param_count
 from .devices import DeviceProfile, predict_batch_time
-from .errors import (InvalidSampleSizeError, MalformedRowError, MissingColumnError,
-                     TooFewSpeakersError, allocating)
+from .errors import ConfigError, MalformedRowError, ManifestError, allocating
 from .lazy import lazy_import
 
 np = lazy_import("numpy")
@@ -204,7 +202,7 @@ def load_manifest(path) -> Manifest:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
-            raise MissingColumnError("manifest is empty")
+            raise ManifestError("manifest is empty")
         cr = header_line.find(b"\r")
         if 0 <= cr < len(header_line) - 2:  # lines end in bare carriage returns
             header_line = header_line[:cr + 1]
@@ -223,11 +221,11 @@ def load_manifest(path) -> Manifest:
         elif "duration_ms" in index:
             dur_col, dur_scale = index["duration_ms"], 1e-3
         else:
-            raise MissingColumnError("manifest has no duration column "
-                                     "(duration_s, duration, or duration_ms)")
+            raise ManifestError("manifest has no duration column "
+                                "(duration_s, duration, or duration_ms)")
         for required in ("utterance_id", "speaker_id"):
             if required not in index:
-                raise MissingColumnError(f"manifest has no {required} column")
+                raise ManifestError(f"manifest has no {required} column")
 
         def new_columns():
             return _ManifestColumns(index["utterance_id"], index["speaker_id"], dur_col,
@@ -430,16 +428,6 @@ def _has_undecoded_bytes(row: list[str]) -> bool:
     return False
 
 
-def write_manifest(path, manifest: Manifest) -> None:
-    speaker_of = chain.from_iterable(map(repeat, manifest.speaker_ids,
-                                         manifest.speaker_rows.tolist()))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(REQUIRED_COLUMNS)
-        writer.writerows(zip(decode_ids(manifest.utterance_ids), speaker_of,
-                             (f"{d:.6f}" for d in manifest.durations_s.tolist())))
-
-
 def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
                        mean_duration_s: float = 5.5, seed: int = 7) -> Manifest:
     """Corpus-scale synthetic manifest with heterogeneous speakers.
@@ -449,7 +437,7 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
     exactly ``mean_duration_s``. Deterministic for a fixed seed.
     """
     if n_utterances < n_speakers:
-        raise InvalidSampleSizeError("need at least one utterance per speaker")
+        raise ConfigError("need at least one utterance per speaker")
     rng = np.random.default_rng(seed)
     weights = rng.lognormal(mean=0.0, sigma=0.6, size=n_speakers)
     extra = rng.multinomial(n_utterances - n_speakers, weights / weights.sum())
@@ -471,11 +459,10 @@ _MAX_COUNT = 2**63 - 1  # the largest int64: a larger count of clips or epochs i
 def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition:
     """Split a manifest into ``k`` speaker-disjoint, duration-balanced clients."""
     if k < 1:
-        raise TooFewSpeakersError("need at least one client")
+        raise ConfigError("need at least one client")
     n_speakers = len(manifest.speaker_ids)
     if n_speakers < k:
-        raise TooFewSpeakersError(
-            f"{n_speakers} distinct speakers cannot fill {k} clients")
+        raise ConfigError(f"{n_speakers} distinct speakers cannot fill {k} clients")
     counts, durations = manifest.speaker_rows, manifest.durations_s
     # bincount adds each speaker's durations in row order, one at a time
     # (np.add.reduceat would pair them and round differently); so does
@@ -539,13 +526,12 @@ def uniform_partition(n_clients: int, utterances_per_client: int,
     that int64 cannot hold, or more clients than can be allocated, are
     refused."""
     if n_clients < 1:
-        raise InvalidSampleSizeError("client counts must be >= 1")
+        raise ConfigError("client counts must be >= 1")
     if utterances_per_client < 1:
-        raise InvalidSampleSizeError(
-            f"utterances per client must be >= 1, got {utterances_per_client}")
+        raise ConfigError(f"utterances per client must be >= 1, got {utterances_per_client}")
     if utterances_per_client > _MAX_COUNT:
-        raise InvalidSampleSizeError(f"utterances per client must be <= {_MAX_COUNT}, "
-                                     f"got {utterances_per_client}")
+        raise ConfigError(f"utterances per client must be <= {_MAX_COUNT}, "
+                          f"got {utterances_per_client}")
     with allocating(f"{n_clients} clients"):
         columns = (np.full(n_clients, utterances_per_client, np.int64),
                    np.full(n_clients, mean_duration_s * utterances_per_client),
@@ -562,12 +548,11 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
     """Sample ``per_round`` distinct clients uniformly, independently per round
     (no draw when all take part); a schedule too large to allocate is refused."""
     if total_clients < 1 or per_round < 1:
-        raise InvalidSampleSizeError("client counts must be >= 1")
+        raise ConfigError("client counts must be >= 1")
     if per_round > total_clients:
-        raise InvalidSampleSizeError(
-            f"cannot select {per_round} of {total_clients} clients")
+        raise ConfigError(f"cannot select {per_round} of {total_clients} clients")
     if n_rounds < 1:
-        raise InvalidSampleSizeError("need at least one round")
+        raise ConfigError("need at least one round")
     with allocating(f"{n_rounds} rounds x {per_round} clients per round"):
         selected = np.empty((n_rounds, per_round), np.int64)
     if per_round == total_clients:  # a full selection, sorted, is arange whatever the draw
@@ -591,11 +576,11 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
     slowest client, each training ``workload`` at its own mean utterance
     duration."""
     if local_epochs < 1:
-        raise InvalidSampleSizeError(f"local_epochs must be >= 1, got {local_epochs}")
+        raise ConfigError(f"local_epochs must be >= 1, got {local_epochs}")
     if local_epochs > _MAX_COUNT:
-        raise InvalidSampleSizeError(f"local_epochs must be <= {_MAX_COUNT}, got {local_epochs}")
+        raise ConfigError(f"local_epochs must be <= {_MAX_COUNT}, got {local_epochs}")
     if schedule.total_clients != partition.n_clients:
-        raise InvalidSampleSizeError(
+        raise ConfigError(
             f"schedule covers {schedule.total_clients} clients but the "
             f"partition has {partition.n_clients}")
 

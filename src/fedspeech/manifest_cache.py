@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import federation
-from .errors import UnreadableManifestError
+from .errors import ManifestError
 from .federation import Manifest, decode_ids, encode_ids, load_manifest
 
 MAX_ENTRIES = 4
@@ -67,7 +67,7 @@ def cache_dir() -> Optional[Path]:
 def load_manifest_cached(path) -> tuple[Manifest, str]:
     """``load_manifest(path)`` through the cache, and the hex SHA-256 of the
     manifest's bytes. A manifest that cannot be opened or read, or that
-    changes between the hash and the parse, raises ``UnreadableManifestError``."""
+    changes between the hash and the parse, raises ``ManifestError``."""
     try:
         with open(path, "rb") as fh:
             before = os.fstat(fh.fileno())
@@ -105,12 +105,12 @@ def _parse(path, before: os.stat_result) -> Manifest:
     except OSError as exc:
         raise _unreadable(path, exc) from None
     if not unchanged:
-        raise UnreadableManifestError(f"manifest {path} changed while it was read")
+        raise ManifestError(f"manifest {path} changed while it was read")
     return manifest
 
 
-def _unreadable(path, exc: OSError) -> UnreadableManifestError:
-    return UnreadableManifestError(f"cannot read manifest {path}: {exc.strerror or exc}")
+def _unreadable(path, exc: OSError) -> ManifestError:
+    return ManifestError(f"cannot read manifest {path}: {exc.strerror or exc}")
 
 
 def _identity(st: os.stat_result) -> tuple:

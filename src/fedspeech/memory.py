@@ -76,7 +76,6 @@ class MemoryTimeline:
     """
 
     arch_name: str
-    workload: WorkloadSpec
     layer_labels: tuple[str, ...]
     layer_kinds: tuple[str, ...]
     per_layer_bytes: tuple[float, ...]
@@ -150,8 +149,7 @@ def memory_timeline(arch: ArchitectureSpec, workload: WorkloadSpec,
         running += b
         cumulative.append(running)
     return MemoryTimeline(
-        arch_name=arch.name, workload=workload,
-        layer_labels=tuple(l.label for l in report.per_layer),
+        arch_name=arch.name, layer_labels=tuple(l.label for l in report.per_layer),
         layer_kinds=tuple(l.kind.value for l in report.per_layer),
         per_layer_bytes=per_layer, cumulative_bytes=tuple(cumulative),
         static_bytes=weight_bytes(report) + cal.runtime_overhead_bytes,

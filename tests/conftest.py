@@ -1,8 +1,10 @@
+import csv
 import random
+from itertools import chain, repeat
 
 import pytest
 
-from fedspeech.federation import synthetic_manifest, write_manifest
+from fedspeech.federation import REQUIRED_COLUMNS, decode_ids, synthetic_manifest
 
 FIXTURE_SEED = 7
 
@@ -22,6 +24,17 @@ def cache_home(tmp_path, monkeypatch):
     home = tmp_path / "cache-home"
     monkeypatch.setenv("XDG_CACHE_HOME", str(home))
     return home
+
+
+def write_manifest(path, manifest):
+    """Write ``manifest`` as a tab-separated file under the required columns."""
+    speaker_of = chain.from_iterable(map(repeat, manifest.speaker_ids,
+                                         manifest.speaker_rows.tolist()))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
+        writer.writerow(REQUIRED_COLUMNS)
+        writer.writerows(zip(decode_ids(manifest.utterance_ids), speaker_of,
+                             (f"{d:.6f}" for d in manifest.durations_s.tolist())))
 
 
 @pytest.fixture(scope="session")

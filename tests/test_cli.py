@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import aggregation, cli, costs, errors, federation, manifest_cache, memory
-from fedspeech.arch import arch_to_mapping, get_preset
+from fedspeech import (aggregation, cli, costs, devices, errors, federation, manifest_cache,
+                       memory)
+from fedspeech.arch import Precision, WorkloadSpec, arch_to_mapping, get_preset
 from fedspeech.cli import main
 
 
@@ -590,7 +591,9 @@ class TestFlSim:
         (["--agg", "loss", "--alpha", "1000", "--spread", "100", "--rounds", "2"],
          "client weights n * max(loss, epsilon) ** -alpha overflow or vanish at "
          "alpha 1000"),
-    ], ids=["population", "client", "alpha-overflow", "alpha-vanish"])
+        (["--clients", "3", "--dim", "2", "--rounds", "2", "--spread", "1e308"],
+         "the sample-weighted mean of the client optima is not finite"),
+    ], ids=["population", "client", "alpha-overflow", "alpha-vanish", "optimum-overflow"])
     def test_divergence_fails_on_one_line(self, tmp_path, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy floating-point warning fails
@@ -831,23 +834,80 @@ class TestParser:
         assert "FEDSPEECH_CONFIG" in helps["fl-sim"]["config"]
 
 
-ERROR_EXIT_CODES = {"MalformedRowError": 3, "MissingColumnError": 3,
-                    "UnreadableManifestError": 3, "InfeasibleError": 4}  # else 2
+ERROR_EXIT_CODES = {"ManifestError": 3, "MalformedRowError": 3, "InfeasibleError": 4}  # else 2
 
 
-@pytest.mark.parametrize("error", sorted(
-    (t for t in vars(errors).values()
-     if isinstance(t, type) and issubclass(t, errors.FedspeechError)),
-    key=lambda t: t.__name__), ids=lambda t: t.__name__)
-def test_each_error_type_exits_with_its_code(monkeypatch, capsys, error):
-    exc = error(9, "bad row") if error is errors.MalformedRowError else error("bad input")
+def _raise(exc):
+    raise exc
 
-    def fail(args):
-        raise exc
 
-    monkeypatch.setattr(cli, "cmd_validate", fail)
+def _allocate_too_much(tmp_path):
+    with errors.allocating("2**62 samples"):
+        np.empty(2**62)
+
+
+def _aggregate(*shapes):
+    updates = [aggregation.ClientUpdate(f"c{i}", np.zeros(shape), 1)
+               for i, shape in enumerate(shapes)]
+    return aggregation.aggregate(updates, aggregation.AggregationConfig())
+
+
+def _predict_mixed_on_cpu(tmp_path):
+    devices.predict_batch_time(devices.get_profile("macbook-pro-2019"), get_preset("base"),
+                               WorkloadSpec(precision=Precision.MIXED))
+
+
+def _load_empty_manifest(tmp_path):
+    (tmp_path / "empty.tsv").write_text("")
+    federation.load_manifest(tmp_path / "empty.tsv")
+
+
+# Each error type by its name, with a call that raises it and the message; and
+# each type folded into one of these by the name it had, with a call that
+# reaches its former raise site and the message that site has always printed,
+# where ``{tmp_path}`` stands for the test's own directory.
+RAISES = {
+    t.__name__: (t, lambda tmp_path, t=t: _raise(
+        t(9, "bad row") if t is errors.MalformedRowError else t("bad input")),
+        "line 9: bad row" if t is errors.MalformedRowError else "bad input")
+    for t in vars(errors).values()
+    if isinstance(t, type) and issubclass(t, errors.FedspeechError)}
+RAISES.update({
+    "AllocationError": (errors.ConfigError, _allocate_too_much,
+                        "2**62 samples cannot be allocated"),
+    "DegenerateInputError": (errors.ConfigError,
+                             lambda tmp_path: costs.conv_output_len(3, 10, 5),
+                             "input of 3 frames is shorter than the kernel (10)"),
+    "DimensionMismatchError": (errors.ConfigError, lambda tmp_path: _aggregate(2, 3),
+                               "client c1 has shape (3,), expected (2,)"),
+    "EmptyUpdateSetError": (errors.ConfigError, lambda tmp_path: _aggregate(),
+                            "no client updates to aggregate"),
+    "InvalidSampleSizeError": (errors.ConfigError,
+                               lambda tmp_path: federation.schedule_rounds(4, 2, 0),
+                               "need at least one round"),
+    "MissingColumnError": (errors.ManifestError, _load_empty_manifest, "manifest is empty"),
+    "TooFewSpeakersError": (errors.ConfigError, lambda tmp_path: federation.partition_by_speaker(
+        federation.synthetic_manifest(4, 2), 3), "2 distinct speakers cannot fill 3 clients"),
+    "UnreadableManifestError": (errors.ManifestError,
+                                lambda tmp_path: manifest_cache.load_manifest_cached(
+                                    tmp_path / "absent.tsv"),
+                                "cannot read manifest {tmp_path}/absent.tsv: "
+                                "No such file or directory"),
+    "UnsupportedPrecisionError": (errors.MissingAnchorError, _predict_mixed_on_cpu,
+                                  "macbook-pro-2019 has no mixed-precision support"),
+})
+
+
+@pytest.mark.parametrize("name", sorted(RAISES))
+def test_each_error_type_exits_with_its_code(monkeypatch, capsys, tmp_path, name):
+    error, call, message = RAISES[name]
+    message = re.escape(message.format(tmp_path=tmp_path))
+    with pytest.raises(error, match=f"^{message}$") as raised:
+        call(tmp_path)
+    assert type(raised.value) is error
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: call(tmp_path))
     assert main(["validate"]) == error.exit_code == ERROR_EXIT_CODES.get(error.__name__, 2)
-    assert capsys.readouterr().err == f"error: {exc}\n"
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 class TestSharedParser:

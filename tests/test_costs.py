@@ -9,7 +9,7 @@ from fedspeech.arch import (Activation, ArchitectureSpec, AttentionBlockSpec,
 from fedspeech.costs import (ModuleGroup, conv_output_len, conv_params,
                              conv_stack_lens, forward_flops, linear_params,
                              module_rollup, param_count)
-from fedspeech.errors import ConfigError, DegenerateInputError
+from fedspeech.errors import ConfigError
 
 # The documented downsampling stack, used as an independent oracle for the
 # frame arithmetic (composed by hand rather than through conv_stack_lens).
@@ -32,7 +32,8 @@ class TestConvOutputLen:
         assert conv_output_len(88_000, 10, 5) == 17_599
 
     def test_input_shorter_than_kernel(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ConfigError,
+                           match=r"^input of 5 frames is shorter than the kernel \(10\)$"):
             conv_output_len(5, 10, 5)
 
 
@@ -64,7 +65,8 @@ class TestFrames:
         assert all(a >= b for a, b in zip(lens, lens[1:]))
 
     def test_too_short_audio_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ConfigError,
+                           match=r"^input of 2 frames is shorter than the kernel \(10\)$"):
             conv_stack_lens(base_preset(), WorkloadSpec(0.0001).samples)
 
 

@@ -5,7 +5,7 @@ from fedspeech.costs import forward_flops
 from fedspeech.devices import (Anchor, DeviceProfile, FitVerdict, builtin_profiles,
                                check_fit, get_profile, predict_batch_time,
                                training_residency_bytes)
-from fedspeech.errors import ConfigError, MissingAnchorError, UnsupportedPrecisionError
+from fedspeech.errors import ConfigError, MissingAnchorError
 from fedspeech.memory import training_flops
 
 GB = 1e9
@@ -86,7 +86,8 @@ class TestPrediction:
                     anchor.seconds_per_batch, rel=1e-12)
 
     def test_unsupported_precision(self):
-        with pytest.raises(UnsupportedPrecisionError):
+        with pytest.raises(MissingAnchorError,
+                           match="^macbook-pro-2019 has no mixed-precision support$"):
             predict_batch_time(get_profile("macbook"), base_preset(),
                                WorkloadSpec(5.5, batch=1, precision=Precision.MIXED))
 
