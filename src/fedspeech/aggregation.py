@@ -351,7 +351,16 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                 if cfg.report_pre_loss:  # 0 * w is 0 for a finite weight and nan otherwise
                     healthy &= np.isfinite(np.multiply(local, 0.0, out=step).sum(axis=1))
                 if not healthy.all():
-                    first = sel[by_id[np.flatnonzero(~healthy[by_id])[0]]]
+                    row = by_id[np.flatnonzero(~healthy[by_id])[0]]
+                    first = sel[row]
+                    # finite weights, and an optimum whose own square overflows: the
+                    # spread, not the descent, put the loss out of range
+                    if np.isfinite(local[row]).all() and not np.isfinite(
+                            np.square(mu[row]).sum()):
+                        raise ConfigError(
+                            f"round {round_id}: the loss 0.5 * |w - optimum|^2 of client "
+                            f"c{first:04d} overflows at finite weights; its optimum is too "
+                            f"large (lower --spread)")
                     raise _diverged(round_id, f"loss or weights of client c{first:04d}", lr)
                 global_w = _combine(local, cfg.n_samples[sel[by_id]].tolist(),
                                     losses[by_id].tolist(), by_id, agg)

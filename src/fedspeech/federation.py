@@ -39,8 +39,6 @@ from .lazy import lazy_import
 
 np = lazy_import("numpy")
 
-REQUIRED_COLUMNS = ("utterance_id", "speaker_id", "duration_s")
-
 # Adapter for raw Common Voice exports: validated.tsv names its columns
 # client_id / path, and duration shows up under several names depending on
 # release tooling.

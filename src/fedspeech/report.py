@@ -22,6 +22,8 @@ import io
 import json
 import os
 from contextlib import contextmanager
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -148,11 +150,11 @@ def _replaced(path: Path, mode: str, **kwargs):
 def write_json(path, payload: Mapping[str, Any]) -> None:
     """Write ``payload`` byte for byte as ``json.dumps(indent=2,
     sort_keys=True, default=str)`` writes it, plus a newline. A dict, list
-    or tuple that holds no container is encoded in one call to json's C
-    encoder; only containers of containers are walked here, and a
-    ``StreamedList`` writes its pieces where it stands. A non-finite number
-    in ``payload``, or a file that cannot be written, raises ``ConfigError``
-    and leaves no file."""
+    or tuple that holds no container, and a list or tuple of non-empty dicts
+    that hold none, is encoded in one call to json's C encoder; only other
+    containers of containers are walked here, and a ``StreamedList`` writes
+    its pieces where it stands. A non-finite number in ``payload``, or a
+    file that cannot be written, raises ``ConfigError`` and leaves no file."""
     path = Path(path)
     with _replaced(path, "wb") as fh:
         text: list[str] = []  # encoded, not yet written
@@ -168,12 +170,26 @@ _CONTAINERS = (dict, list, tuple, StreamedList)
 
 
 @functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """The encoder of a container at nesting ``depth``, whose items it
-    separates as ``json.dumps(indent=2)`` does there. Without an indent it
-    runs in C."""
-    return json.JSONEncoder(sort_keys=True, allow_nan=False, default=str,
-                            separators=(",\n" + "  " * (depth + 1), ": "))
+def _encoder(depth: int) -> Callable[[Any, int], list[str]]:
+    """json's C encoder of a container at nesting ``depth``, made once: it
+    separates the items as ``json.dumps(indent=2)`` does there, and is
+    called as ``(value, 0)`` for a list of texts. It keeps no markers, as
+    it is only given values that hold no container or rows that hold
+    none, which cannot hold themselves."""
+    return c_make_encoder(None, str, encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * (depth + 1), True, False, False)
+
+
+def _json(value, depth: int) -> str:
+    """The JSON text of ``value``, which holds no container, or of rows,
+    with the items parted as at nesting ``depth`` but no newline after its
+    opening bracket or before its closing one."""
+    return "".join(_encoder(depth)(value, 0))
+
+
+def _flat(values: Iterable) -> bool:
+    """No value of ``values`` is a container."""
+    return not any(map(isinstance, values, repeat(_CONTAINERS)))
 
 
 def _encode(value, depth: int, text: list[str], fh) -> None:
@@ -185,22 +201,31 @@ def _encode(value, depth: int, text: list[str], fh) -> None:
         for piece in value.pieces(depth):
             fh.write(piece)
         return
-    encoder = _encoder(depth)
     if isinstance(value, dict):
         items = value.values()
     elif isinstance(value, (list, tuple)):
         items = value
     else:  # a scalar, or an object that default=str writes as a string
-        text.append(encoder.encode(value))
+        text.append(_json(value, depth))
         return
-    newline, close = encoder.item_separator[1:], "\n" + "  " * depth
-    if not any(isinstance(item, _CONTAINERS) for item in items):
-        flat = encoder.encode(value)  # "{}", "[]", or brackets around the items
+    newline, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if _flat(items):
+        flat = _json(value, depth)  # "{}", "[]", or brackets around the items
         text.append(flat if len(flat) == 2 else flat[0] + newline + flat[1:-1] + close + flat[-1])
+    elif items is value and all(map(isinstance, items, repeat(dict))) and all(items) \
+            and _flat(chain.from_iterable(map(dict.values, items))):
+        # rows, encoded at the rows' depth, whose item separator parts the
+        # rows too. A separator after a "}" comes after a row, as a row holds
+        # no container and a JSON string no raw newline, so one replace puts
+        # the braces of each row on lines of their own
+        inner = newline + "  "
+        rows = _json(value, depth + 1)[2:-2].replace(
+            "}," + inner + "{", newline + "}," + newline + "{" + inner)
+        text.append("[" + newline + "{" + inner + rows + newline + "}" + close + "]")
     elif isinstance(value, dict):
         text.append("{")
         for i, (key, item) in enumerate(sorted(value.items())):
-            text.append(("," if i else "") + newline + _key(encoder, key) + ": ")
+            text.append(("," if i else "") + newline + _key(key) + ": ")
             _encode(item, depth + 1, text, fh)
         text.append(close + "}")
     else:
@@ -211,15 +236,15 @@ def _encode(value, depth: int, text: list[str], fh) -> None:
         text.append(close + "]")
 
 
-def _key(encoder: json.JSONEncoder, key) -> str:
+def _key(key) -> str:
     """A dict key as json writes it: a string, or a number, true, false or
     null written as one."""
     if isinstance(key, str):
-        return encoder.encode(key)
+        return encode_basestring_ascii(key)
     if key is not None and not isinstance(key, (int, float)):
         raise TypeError(f"keys must be str, int, float, bool or None, "
                         f"not {type(key).__name__}")
-    return encoder.encode(encoder.encode(key))
+    return encode_basestring_ascii(_json(key, 0))
 
 
 def write_csv(path, header: Sequence[str], rows: Rows | Iterable[Sequence[Any]]) -> None:
@@ -315,7 +340,7 @@ def _rounded(column: np.ndarray) -> list[float]:
     the ``ValueError`` json raises for it."""
     finite = np.isfinite(column)
     if not finite.all():
-        _encoder(0).encode(column[~finite][0].item())
+        _json(column[~finite][0].item(), 0)
     return [round(v, 6) for v in column.tolist()]
 
 

@@ -4,9 +4,11 @@ from itertools import chain, repeat
 
 import pytest
 
-from fedspeech.federation import REQUIRED_COLUMNS, decode_ids, synthetic_manifest
+from fedspeech.federation import decode_ids, synthetic_manifest
 
 FIXTURE_SEED = 7
+# The columns a manifest must have, as write_manifest writes them
+REQUIRED_COLUMNS = ("utterance_id", "speaker_id", "duration_s")
 
 
 @pytest.fixture(scope="session", autouse=True)

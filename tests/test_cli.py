@@ -593,7 +593,14 @@ class TestFlSim:
          "alpha 1000"),
         (["--clients", "3", "--dim", "2", "--rounds", "2", "--spread", "1e308"],
          "the sample-weighted mean of the client optima is not finite"),
-    ], ids=["population", "client", "alpha-overflow", "alpha-vanish", "optimum-overflow"])
+        (["--clients", "3", "--dim", "2", "--rounds", "2", "--spread", "1e200"],
+         "round 0: the loss 0.5 * |w - optimum|^2 of client c0000 overflows at finite "
+         "weights; its optimum is too large (lower --spread)"),
+        (["--clients", "3", "--dim", "2", "--rounds", "2", "--spread", "1e160"],
+         "round 0: the loss 0.5 * |w - optimum|^2 of client c0000 overflows at finite "
+         "weights; its optimum is too large (lower --spread)"),
+    ], ids=["population", "client", "alpha-overflow", "alpha-vanish", "optimum-overflow",
+            "loss-overflow-1e200", "loss-overflow-1e160"])
     def test_divergence_fails_on_one_line(self, tmp_path, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy floating-point warning fails

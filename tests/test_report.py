@@ -13,13 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fedspeech.arch import WorkloadSpec, arch_to_mapping, base_preset
+from fedspeech.costs import forward_flops, module_rollup
 from fedspeech.errors import ConfigError
 from fedspeech import report
 from fedspeech.federation import (Partition, WallClockEstimate, decode_ids, encode_ids,
                                   partition_by_speaker, schedule_rounds, synthetic_manifest)
-from fedspeech.report import (PLAN_CSV_HEADER, Rows, StreamedList, partition_payload,
-                              plan_rows, schedule_payload, wall_clock_payload, write_csv,
-                              write_json)
+from fedspeech.report import (PLAN_CSV_HEADER, Rows, StreamedList, cost_report_payload,
+                              partition_payload, plan_rows, schedule_payload,
+                              wall_clock_payload, write_csv, write_json)
 
 
 def _runs(items, picked):
@@ -99,9 +101,12 @@ class _Streamed:
         self.kind, self.items = kind, items
 
 
-# Characters JSON escapes or ensure_ascii writes as \u escapes, then any other
-_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\x80ä \U0001f600'),
-                          st.characters()), max_size=6)
+# Characters JSON escapes or ensure_ascii writes as \u escapes, JSON's own
+# punctuation, then any other; or a separator a fix-up of encoded rows could
+# mistake for one between rows or members
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\x80ä \U0001f600{}[],:'),
+                          st.characters()), max_size=6) \
+    | st.sampled_from(["}, {", "},\n    {", ", ", '", "', ": {"])
 _KEYS = st.text("ab\"\x7fä", max_size=2)
 _INTS = st.integers(-2**70, 2**70)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -126,18 +131,36 @@ class _Colour(str, enum.Enum):
 # default=str writes
 _LOOKALIKES = st.one_of(st.sampled_from(list(_Level) + list(_Colour)), _FLOATS.map(np.float64),
                         st.builds(PurePosixPath, st.text("ab/\u00e4", max_size=4)))
-_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _STREAMED_LISTS, _FLOATS,
-                    _LOOKALIKES, st.just(-0.0), st.sampled_from([[], {}, ()]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _FLOATS, _LOOKALIKES,
+                     st.just(-0.0))
 # keys json can sort: strings, numbers (bool and IntEnum among them), or a
 # lone None; each non-str key is written as a string
 _NUMBER_KEYS = st.one_of(st.booleans(), st.integers(-3, 3), _FLOATS, st.just(-0.0),
                          st.sampled_from(list(_Level)))
 
 
-def _dicts(values, max_size):
-    return (st.dictionaries(_KEYS, values, max_size=max_size)
-            | st.dictionaries(_NUMBER_KEYS, values, max_size=max_size)
-            | st.dictionaries(st.none(), values, max_size=1))
+def _dicts(values, max_size, min_size=0):
+    return (st.dictionaries(_KEYS, values, min_size=min_size, max_size=max_size)
+            | st.dictionaries(_NUMBER_KEYS, values, min_size=min_size, max_size=max_size)
+            | st.dictionaries(st.none(), values, min_size=min_size, max_size=1))
+
+
+def _mixed(rows, odd, at, kind):
+    """``rows`` with the ``odd`` items put in at ``at``, as a ``kind``."""
+    at %= len(rows) + 1
+    return kind(rows[:at] + odd + rows[at:])
+
+
+# Rows as a report holds them: 2 or more non-empty dicts that hold no
+# container, which write_json encodes in one call as a list or tuple; their
+# values are strings more often than other scalars, so that separators turn
+# up in them. Mixed in, an odd item sends them back to the walk: an empty
+# dict, a dict that holds a container, or a scalar.
+_FLAT_DICTS = st.lists(_dicts(_TEXT | _SCALARS, 4, min_size=1), min_size=2, max_size=4)
+_ODD = [{}, {"a": [1]}, {"b": {"c": 0}}, "x"]
+_ROWS = st.builds(_mixed, _FLAT_DICTS, st.lists(st.sampled_from(_ODD) | _SCALARS, max_size=1),
+                  st.integers(0, 4), st.sampled_from([list, tuple]))
+_LEAVES = st.one_of(_SCALARS, _STREAMED_LISTS, _ROWS, st.sampled_from([[], {}, ()]))
 
 
 _PAYLOADS = _dicts(st.recursive(
@@ -162,6 +185,21 @@ def test_streamed_lists_written_as_json_dumps_writes_them(tmp_path, payload):
     write_json(tmp_path / "p.json", _build(payload, streamed=True))
     expected = json.dumps(_build(payload, streamed=False), indent=2, sort_keys=True,
                           default=str)
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected + "\n"
+
+
+@pytest.mark.parametrize("odd", [[]] + [[item] for item in _ODD],
+                         ids=["rows", "empty-dict", "list-in-a-row", "dict-in-a-row", "scalar"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_FLAT_DICTS, at=st.integers(0, 4), kind=st.sampled_from([list, tuple]),
+       depth=st.integers(0, 2))
+def test_rows_written_as_json_dumps_writes_them(tmp_path, odd, rows, at, kind, depth):
+    payload = {"rows": _mixed(rows, odd, at, kind)}
+    for _ in range(depth):
+        payload = {"a": payload, "b": 1}
+    write_json(tmp_path / "p.json", payload)
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=str)
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected + "\n"
 
 
@@ -215,6 +253,28 @@ def test_rounds_are_encoded_a_chunk_at_a_time(tmp_path):
                            for i, selected in enumerate(schedule.selected.tolist())]}
     assert (tmp_path / "s.json").read_text() == \
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_an_analyze_reports_rows_are_encoded_in_one_call_each(tmp_path, monkeypatch):
+    arch = base_preset()
+    costs = forward_flops(arch, WorkloadSpec(5.5, batch=4))
+    payload = cost_report_payload(costs, module_rollup(costs), {"arch": arch_to_mapping(arch)})
+    encoded = []  # each value given to one of json's C encoders
+    made = report._encoder
+
+    def counted(depth):
+        encoder = made(depth)
+        return lambda value, level: encoded.append(value) or encoder(value, level)
+
+    monkeypatch.setattr(report, "_encoder", counted)
+    write_json(tmp_path / "a.json", payload)
+    tables = [payload["per_layer"], payload["rollup"], payload["meta"]["arch"]["conv_stack"]]
+    assert [len(table) for table in tables] == [24, 5, 7]
+    for table in tables:  # the whole table in one call, and never a row by itself
+        assert sum(value is table for value in encoded) == 1
+        assert not any(value is row for value in encoded for row in table)
+    assert (tmp_path / "a.json").read_text() == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # The dict-built sections, as the reports were built one client or one round
