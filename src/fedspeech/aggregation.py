@@ -280,13 +280,18 @@ def _population_losses(loss: _PopulationLoss, todo, done) -> None:
         done.put(exc)
 
 
-def _settled(round_id: int, population_loss, learning_rate: float) -> float:
-    """Round ``round_id``'s ``population_loss`` as the worker gave it; raises
-    what the worker raised, or the divergence a non-finite loss means."""
+def _settled(round_id: int, population_loss, cfg: SyntheticFLConfig, weights) -> float:
+    """Round ``round_id``'s ``population_loss`` at ``weights``, as the worker
+    gave it; raises what the worker raised, or what a non-finite loss means."""
     if isinstance(population_loss, BaseException):
         raise population_loss
     if not math.isfinite(population_loss):
-        raise _diverged(round_id, "population loss", learning_rate)
+        with np.errstate(all="ignore"):  # finite weights, and a loss at 0 that overflows too
+            if np.isfinite(weights).all() and not math.isfinite(
+                    cfg.population_loss(np.zeros(cfg.dim))):
+                raise ConfigError(f"round {round_id}: the population loss overflows at finite "
+                                  "weights; the client optima are too large (lower --spread)")
+        raise _diverged(round_id, "population loss", cfg.learning_rate)
     return population_loss
 
 
@@ -344,7 +349,8 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                 np.square(step, out=step).sum(axis=1, out=losses)
                 losses *= 0.5
                 if round_id:
-                    population_loss[round_id - 1] = _settled(round_id - 1, done.get(), lr)
+                    population_loss[round_id - 1] = _settled(round_id - 1, done.get(), cfg,
+                                                              global_w)
                 by_id = np.argsort(id_rank[sel])
                 # a non-finite row of local weights makes its post-training loss non-finite
                 healthy = np.isfinite(losses)
@@ -366,7 +372,7 @@ def run_synthetic_fl(cfg: SyntheticFLConfig, agg: AggregationConfig) -> Trajecto
                                     losses[by_id].tolist(), by_id, agg)
                 todo.put(global_w)
                 distance[round_id] = np.linalg.norm(global_w - optimum)
-        population_loss[-1] = _settled(cfg.rounds - 1, done.get(), lr)
+        population_loss[-1] = _settled(cfg.rounds - 1, done.get(), cfg, global_w)
     finally:
         todo.put(None)
         worker.join()

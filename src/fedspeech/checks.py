@@ -18,12 +18,12 @@ import numpy as np
 from .aggregation import (AggMethod, AggregationConfig, ClientUpdate, SyntheticFLConfig,
                           aggregate, run_synthetic_fl)
 from .arch import Precision, WorkloadSpec, get_preset
-from .costs import ModuleGroup, forward_flops, param_count
+from .costs import ModuleGroup, forward_flops
 from .devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
                       training_residency_bytes)
 from .federation import (WallClockEstimate, estimate_wall_clock, partition_by_speaker,
                          schedule_rounds, synthetic_manifest, uniform_partition)
-from .memory import GB, default_calibration, memory_timeline, precision_memory_delta
+from .memory import GB, default_calibration, memory_timeline
 from .trend import parity_year, speedup_after
 
 
@@ -64,7 +64,7 @@ _PARAM_TARGETS = {  # millions
 def param_checks() -> list[CheckResult]:
     out = []
     for preset, targets in _PARAM_TARGETS.items():
-        report = param_count(get_preset(preset))
+        report = forward_flops(get_preset(preset), WorkloadSpec(duration_s=5.5, batch=1))
         for key, target in targets.items():
             tol = 0.01 if key == "total" else 0.02
             value = (report.total_params if key == "total"
@@ -133,7 +133,8 @@ def scaling_checks() -> list[CheckResult]:
     out.append(_in_range("scaling/flops-doubling", worst_f, 1.95, 2.15))
     out.append(_in_range("scaling/memory-doubling", worst_m, 1.95, 2.15))
 
-    fp32_peak, mixed_peak = precision_memory_delta(arch, WorkloadSpec(5.5, batch=4))
+    fp32_peak, mixed_peak = (memory_timeline(arch, WorkloadSpec(5.5, batch=4, precision=p))
+                             .peak_bytes for p in (Precision.FP32, Precision.MIXED))
     saving = (fp32_peak - mixed_peak) / fp32_peak
     out.append(CheckResult("scaling/mixed-saving", 0.0 < saving < 0.35,
                            f"mixed precision saves {saving:.1%} of the fp32 peak "

@@ -229,7 +229,8 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     _, verdict = _fit(args, arch, fit_workload, cal, profile)
     estimate = estimate_wall_clock(partition, schedule, profile, arch, workload,
                                    fl.local_epochs)
-    comm = estimate_communication(arch, schedule, workload.precision)
+    comm = estimate_communication(forward_flops(arch, fit_workload), schedule,
+                                  workload.precision)
 
     meta = _meta(args, arch, [profile], device=profile.name, clients=fl.clients,
                  rounds=fl.rounds, per_round=per_round, batch=fl.batch,
@@ -413,10 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--clients", type=int, default=10)
     p.add_argument("--per-round", type=int, dest="per_round")
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--rounds", type=int, default=SyntheticFLConfig.rounds)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--local-steps", type=int, dest="local_steps", default=5)
+    p.add_argument("--lr", type=float, default=SyntheticFLConfig.learning_rate)
+    p.add_argument("--local-steps", type=int, default=SyntheticFLConfig.local_steps)
     p.add_argument("--spread", type=float, default=1.0,
                    help="stddev of the synthetic client optima")
     p.add_argument("--pre-loss", action="store_true", dest="pre_loss",

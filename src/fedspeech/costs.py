@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
 
 from .arch import (Activation, ArchitectureSpec, ConvLayerSpec, NormKind,
                    WorkloadSpec)
@@ -110,7 +109,7 @@ class CostReport:
     def group_fwd_flops(self, group: ModuleGroup) -> float:
         return sum(l.fwd_flops for l in self.per_layer if _FLOP_GROUP[l.kind] is group)
 
-    @property
+    @cached_property  # summed once per report and shared: callers only read it
     def module_totals(self) -> dict[str, tuple[int, float]]:
         return {g.value: (self.group_params(g), self.group_fwd_flops(g))
                 for g in ModuleGroup}
@@ -215,15 +214,9 @@ def _quantizer_flops(arch: ArchitectureSpec, frames: int) -> float:
 # Report construction
 
 
-def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> list[LayerCost]:
-    # Without a workload every length is 0, and so is every FLOP and activation.
-    lens = [0] * len(arch.conv_stack)
-    batch = 1
-    elem = 4
-    if workload is not None:
-        lens = conv_stack_lens(arch, workload.samples)
-        batch = workload.batch
-        elem = workload.precision.bytes_per_value
+def _build_layers(arch: ArchitectureSpec, workload: WorkloadSpec) -> list[LayerCost]:
+    lens = conv_stack_lens(arch, workload.samples)
+    elem = workload.precision.bytes_per_value
     frames = lens[-1]
 
     layers: list[LayerCost] = []
@@ -232,7 +225,7 @@ def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> l
             retained_elems: int, out_len: int) -> None:
         layers.append(LayerCost(
             layer_id=len(layers), kind=kind, label=label, params=params,
-            fwd_flops=flops * batch,
+            fwd_flops=flops * workload.batch,
             activation_bytes_per_sample=float(retained_elems * elem),
             output_len=out_len))
 
@@ -277,32 +270,26 @@ def _build_layers(arch: ArchitectureSpec, workload: Optional[WorkloadSpec]) -> l
     return layers
 
 
-def param_count(arch: ArchitectureSpec) -> CostReport:
-    """Parameter counts only; FLOP and activation fields are zero."""
-    return CostReport(arch_name=arch.name, per_layer=tuple(_build_layers(arch, None)))
-
-
 @lru_cache(maxsize=REPORT_CACHE_SIZE)
 def forward_flops(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
     """Per-layer forward cost at the workload's duration, batch, and precision.
 
     FLOPs scale linearly with ``workload.batch``; activation bytes are
-    reported per sample. A report is built once per (arch, workload) and
-    shared by every later call, which its immutability makes safe.
+    reported per sample; parameters are the same at every workload. A report
+    is built once per (arch, workload) and shared by every later call, which
+    its immutability makes safe.
     """
     return CostReport(arch_name=arch.name, per_layer=tuple(_build_layers(arch, workload)))
 
 
+_MODULE_LABELS = {"cnn_encoder": "CNN Encoder", "transformer": "Transformer",
+                  "quantizer": "Quantization", "other": "Other"}
+
+
 def module_rollup(report: CostReport) -> list[dict]:
     """Module-level summary rows: one per group plus a grand total."""
-    rows = []
-    for group, label in [(ModuleGroup.CNN_ENCODER, "CNN Encoder"),
-                         (ModuleGroup.TRANSFORMER, "Transformer"),
-                         (ModuleGroup.QUANTIZER, "Quantization"),
-                         (ModuleGroup.OTHER, "Other")]:
-        rows.append({"module": label,
-                     "params": report.group_params(group),
-                     "gflops": report.group_fwd_flops(group) / 1e9})
+    rows = [{"module": _MODULE_LABELS[group], "params": params, "gflops": flops / 1e9}
+            for group, (params, flops) in report.module_totals.items()]
     rows.append({"module": "Total", "params": report.total_params,
                  "gflops": report.total_fwd_flops / 1e9})
     return rows

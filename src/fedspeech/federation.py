@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
-from .costs import param_count
+from .costs import CostReport
 from .devices import DeviceProfile, predict_batch_time
 from .errors import ConfigError, MalformedRowError, ManifestError, allocating
 from .lazy import lazy_import
@@ -56,15 +56,9 @@ _COLUMN_ALIASES = {
 # written to a report as they are.
 
 
-def encode_ids(ids: Sequence[str]) -> bytes:
+def encode_ids(ids: Sequence[str]) -> tuple[bytes, np.ndarray]:
     """The JSON texts of ``ids``, each ended by a newline, as a ``Manifest``
-    holds them."""
-    return _encode(ids)[0]
-
-
-def _encode(ids: Sequence[str]) -> tuple[bytes, np.ndarray]:
-    """The JSON texts of ``ids``, each ended by a newline, and each one's
-    length with its newline."""
+    holds them, and each one's length with its newline."""
     encoded = list(map(encode_basestring_ascii, ids))
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded)) + 1
     encoded.append("")  # the newline after the last text
@@ -97,7 +91,7 @@ class Manifest:
     def of_rows(cls, utterance_ids: Sequence[str], speaker_rows, speaker_ids: Sequence[str],
                 durations_s) -> "Manifest":
         """The manifest of rows already grouped by speaker."""
-        texts, lengths = _encode(utterance_ids)
+        texts, lengths = encode_ids(utterance_ids)
         speaker_rows = np.asarray(speaker_rows, np.int64)
         ends = np.cumsum(lengths)[np.cumsum(speaker_rows) - 1]
         return cls(np.frombuffer(texts, np.uint8), speaker_rows, np.diff(ends, prepend=0),
@@ -352,7 +346,7 @@ class _ManifestColumns:
         self._add(ids, speakers, np.array(durations, dtype=np.float64))
 
     def _add(self, ids: list[str], speakers: list[str], durations: np.ndarray) -> None:
-        texts, lengths = _encode(ids)
+        texts, lengths = encode_ids(ids)
         self.id_texts.append(texts)
         self.id_lengths.append(lengths)
         self.codes.append(np.fromiter(map(self.speaker_code.__getitem__, speakers),
@@ -605,8 +599,8 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
                              device_breakdown={profile.name: float(epoch_seconds.max())})
 
 
-def estimate_communication(arch: ArchitectureSpec, schedule: RoundSchedule,
+def estimate_communication(report: CostReport, schedule: RoundSchedule,
                            precision: Precision = Precision.FP32) -> float:
-    """Total model bytes moved: down plus up, per selected client, per round."""
-    params = param_count(arch).total_params
-    return float(params) * precision.bytes_per_value * 2 * schedule.selected.size
+    """Total model bytes moved: down plus up, per selected client, per round.
+    Any cost report of the trained architecture gives its parameter count."""
+    return float(report.total_params) * precision.bytes_per_value * 2 * schedule.selected.size

@@ -180,7 +180,7 @@ def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -
     tmp = directory / f".{entry.name}.{os.getpid()}.tmp"
     counts = np.ascontiguousarray(manifest.speaker_rows, "<i8")
     byte_counts = np.ascontiguousarray(manifest.speaker_bytes, "<i8")
-    ids, speakers = manifest.utterance_ids, encode_ids(manifest.speaker_ids)
+    ids, speakers = manifest.utterance_ids, encode_ids(manifest.speaker_ids)[0]
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_ids),

@@ -20,7 +20,7 @@ an immutable :class:`MemoryCalibration` record, never global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -89,13 +89,7 @@ class MemoryTimeline:
 
     @property
     def peak_bytes(self) -> float:
-        return peak_from_parts(self.static_bytes, self.activation_bytes,
-                               self.activation_overhead)
-
-
-def peak_from_parts(static_bytes: float, activation_bytes: float,
-                    activation_overhead: float) -> float:
-    return static_bytes + activation_overhead * activation_bytes
+        return self.static_bytes + self.activation_overhead * self.activation_bytes
 
 
 def training_flops(report: CostReport) -> float:
@@ -154,17 +148,3 @@ def memory_timeline(arch: ArchitectureSpec, workload: WorkloadSpec,
         per_layer_bytes=per_layer, cumulative_bytes=tuple(cumulative),
         static_bytes=weight_bytes(report) + cal.runtime_overhead_bytes,
         activation_overhead=cal.activation_overhead)
-
-
-def precision_memory_delta(arch: ArchitectureSpec, workload: WorkloadSpec,
-                           calibration: Optional[MemoryCalibration] = None,
-                           ) -> tuple[float, float]:
-    """(fp32 peak, mixed peak) at the same workload.
-
-    Mixed precision halves retained-activation bytes only; the static
-    portion (fp32 master weights plus the runtime floor) is unchanged.
-    """
-    fp32 = memory_timeline(arch, replace(workload, precision=Precision.FP32), calibration)
-    mixed = memory_timeline(arch, replace(workload, precision=Precision.MIXED), calibration)
-    return fp32.peak_bytes, mixed.peak_bytes
-

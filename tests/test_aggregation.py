@@ -446,6 +446,11 @@ DIVERGING = {
                              report_pre_loss=True),
                         AggregationConfig(),
                         r"^round 0: non-finite loss or weights of client c0001;"),
+    # finite weights, and optima whose loss overflows at zero weights too
+    "population-overflow": (dict(optima=np.array([[2e154], [-2e154], [0.0]]),
+                                 n_samples=(1,) * 3, rounds=2),
+                            AggregationConfig(),
+                            r"^round 0: the population loss overflows at finite weights;"),
     "coefficients": (dict(optima=np.random.default_rng(1).normal(size=(3, 4)),
                           n_samples=(1,) * 3, rounds=1),
                      AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1e300),

@@ -121,9 +121,9 @@ class TestPredictTime:
 @pytest.mark.parametrize("argv,builds", [
     # the default calibration's reference workload, the anchor's, the requested
     (["predict-time", "--device", "nx", "--duration", "7.25", "--batch", "2"], 3),
-    # the reference workload, which is also the plan's and the anchor's, and
-    # the parameter counts that size the traffic
-    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], 2),
+    # the reference workload, which is also the plan's and the anchor's; the
+    # fit check's report also gives the parameter counts that size the traffic
+    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], 1),
     # batch 1 and 4 at fp32 and mixed, each also both devices' anchor
     (["forecast", "--device", "nx"], 4),
 ], ids=["predict-time", "fl-plan", "forecast"])
@@ -599,8 +599,13 @@ class TestFlSim:
         (["--clients", "3", "--dim", "2", "--rounds", "2", "--spread", "1e160"],
          "round 0: the loss 0.5 * |w - optimum|^2 of client c0000 overflows at finite "
          "weights; its optimum is too large (lower --spread)"),
+        # every client's loss is finite after training; the population loss
+        # at the finite global weights overflows, as it does at zero weights
+        (["--clients", "3", "--dim", "2", "--rounds", "2", "--spread", "1e154"],
+         "round 0: the population loss overflows at finite weights; the client optima "
+         "are too large (lower --spread)"),
     ], ids=["population", "client", "alpha-overflow", "alpha-vanish", "optimum-overflow",
-            "loss-overflow-1e200", "loss-overflow-1e160"])
+            "loss-overflow-1e200", "loss-overflow-1e160", "population-overflow-1e154"])
     def test_divergence_fails_on_one_line(self, tmp_path, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy floating-point warning fails
@@ -1619,6 +1624,20 @@ def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, monkeypatch):
                    for p in out.iterdir()}
         assert written == REPORT_DIGESTS[argv]
     assert parses == [args[args.index("--manifest") + 1]]
+
+
+def test_manifest_plan_builds_no_report_at_the_config_clip_length(tmp_path):
+    # A manifest plan trains and is fitted at its clients' mean clips, and the
+    # fit's report sizes the traffic; a 0.001 s clip, shorter than the first
+    # conv kernel, is never costed and changes no byte.
+    argv = ("fl-plan", "--manifest", MANIFEST, "--clients", "3", "--rounds", "3",
+            "--device", "nx", "--batch", "4", "--seed", "1")
+    (tmp_path / "c.yaml").write_text("workload: {duration_s: 0.001}\n")
+    out = tmp_path / "out"
+    assert run(_with_manifest(argv, tmp_path)
+               + ["--config", str(tmp_path / "c.yaml"), "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == REPORT_DIGESTS[argv]
 
 
 def _fresh_python(code, *args):

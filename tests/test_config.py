@@ -11,7 +11,7 @@ from fedspeech.arch import WorkloadSpec, arch_from_mapping, arch_to_mapping, bas
 from fedspeech.cli import main
 from fedspeech.config import (config_fingerprint, load_config, resolve_arch,
                               resolve_calibration, resolve_profiles, validate_config)
-from fedspeech.costs import param_count
+from fedspeech.costs import forward_flops
 from fedspeech.errors import ConfigError
 from fedspeech.memory import default_calibration, memory_timeline
 
@@ -106,8 +106,8 @@ class TestResolution:
         small = resolve_arch({"arch": {"preset": "base",
                                        "transformer": {"blocks": 6}}})
         assert small.block_count == 6
-        assert (param_count(small).total_params
-                < param_count(resolve_arch({})).total_params)
+        assert (forward_flops(small, WorkloadSpec()).total_params
+                < forward_flops(resolve_arch({}), WorkloadSpec()).total_params)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -8,7 +7,7 @@ from fedspeech.arch import (Activation, ArchitectureSpec, AttentionBlockSpec,
                             get_preset, large_preset)
 from fedspeech.costs import (ModuleGroup, conv_output_len, conv_params,
                              conv_stack_lens, forward_flops, linear_params,
-                             module_rollup, param_count)
+                             module_rollup)
 from fedspeech.errors import ConfigError
 
 # The documented downsampling stack, used as an independent oracle for the
@@ -79,11 +78,11 @@ class TestParams:
         assert conv_params(layer) == 4 * 8 * 3 + 8
 
     def test_base_total(self):
-        total = param_count(base_preset()).total_params
+        total = forward_flops(base_preset(), WorkloadSpec()).total_params
         assert total == pytest.approx(94.79e6, rel=0.01)
 
     def test_large_total(self):
-        total = param_count(large_preset()).total_params
+        total = forward_flops(large_preset(), WorkloadSpec()).total_params
         assert total == pytest.approx(316.00e6, rel=0.01)
 
     @pytest.mark.parametrize("preset,cnn,tr,quant", [
@@ -91,20 +90,10 @@ class TestParams:
         ("large", 4.73e6, 310.70e6, 0.57e6),
     ])
     def test_module_split(self, preset, cnn, tr, quant):
-        report = param_count(get_preset(preset))
+        report = forward_flops(get_preset(preset), WorkloadSpec())
         assert report.group_params(ModuleGroup.CNN_ENCODER) == pytest.approx(cnn, rel=0.02)
         assert report.group_params(ModuleGroup.TRANSFORMER) == pytest.approx(tr, rel=0.02)
         assert report.group_params(ModuleGroup.QUANTIZER) == pytest.approx(quant, rel=0.02)
-
-    @pytest.mark.parametrize("name", ["base", "large", "convonly"])
-    def test_param_count_is_a_forward_report_with_nothing_computed(self, name):
-        # A report without a workload has every length 0, so every FLOP and
-        # activation formula gives 0 by itself.
-        arch = conv_only_arch() if name == "convonly" else get_preset(name)
-        report = forward_flops(arch, WorkloadSpec(5.5, batch=4))
-        expected = tuple(replace(l, fwd_flops=0.0, activation_bytes_per_sample=0.0,
-                                 output_len=0) for l in report.per_layer)
-        assert repr(param_count(arch).per_layer) == repr(expected)
 
 
 def conv_only_arch():
@@ -196,7 +185,7 @@ class TestForwardFlops:
             block_count=base.block_count + 1, block=base.block,
             quantizer=base.quantizer, pos_conv=base.pos_conv)
         w = WorkloadSpec(5.5)
-        assert param_count(bigger).total_params > param_count(base).total_params
+        assert forward_flops(bigger, w).total_params > forward_flops(base, w).total_params
         assert (forward_flops(bigger, w).total_fwd_flops
                 > forward_flops(base, w).total_fwd_flops)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import manifest_text, tie_heavy_rows, write_manifest
 from fedspeech import federation, manifest_cache
 from fedspeech.arch import WorkloadSpec, base_preset, large_preset
-from fedspeech.costs import param_count
+from fedspeech.costs import forward_flops
 from fedspeech.devices import get_profile, predict_batch_time
 from fedspeech.errors import ConfigError, MalformedRowError, ManifestError, MissingAnchorError
 from fedspeech.federation import (Manifest, RoundSchedule, decode_ids,
@@ -848,26 +848,28 @@ class TestWallClock:
 class TestCommunication:
     def test_reference_volume(self):
         schedule = schedule_rounds(10, 10, 150, seed=0)
-        volume = estimate_communication(base_preset(), schedule)
+        volume = estimate_communication(forward_flops(base_preset(), WorkloadSpec()), schedule)
         # params * 4 B * 2 directions * 10 clients * 150 rounds ~= 1.137 TB
         assert volume == pytest.approx(1.1375e12, rel=0.01)
 
     def test_zero_rounds_zero_bytes(self):
         empty = RoundSchedule(selected=np.empty((0, 10), np.int64), total_clients=10,
                               seed=0)
-        assert estimate_communication(base_preset(), empty) == 0.0
+        assert estimate_communication(forward_flops(base_preset(), WorkloadSpec()),
+                                      empty) == 0.0
 
     def test_large_to_base_ratio_tracks_param_ratio(self):
         schedule = schedule_rounds(10, 10, 150, seed=0)
-        ratio = (estimate_communication(large_preset(), schedule)
-                 / estimate_communication(base_preset(), schedule))
+        large = forward_flops(large_preset(), WorkloadSpec())
+        base = forward_flops(base_preset(), WorkloadSpec())
+        ratio = (estimate_communication(large, schedule)
+                 / estimate_communication(base, schedule))
         assert ratio == pytest.approx(316.00 / 94.79, rel=0.01)
-        assert ratio == pytest.approx(
-            param_count(large_preset()).total_params
-            / param_count(base_preset()).total_params, rel=1e-12)
+        assert ratio == pytest.approx(large.total_params / base.total_params, rel=1e-12)
 
     def test_mixed_halves_volume(self):
         from fedspeech.arch import Precision
         schedule = schedule_rounds(10, 10, 150, seed=0)
-        assert estimate_communication(base_preset(), schedule, Precision.MIXED) == \
-            estimate_communication(base_preset(), schedule) / 2
+        base = forward_flops(base_preset(), WorkloadSpec())
+        assert estimate_communication(base, schedule, Precision.MIXED) == \
+            estimate_communication(base, schedule) / 2

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from fedspeech.arch import Precision, WorkloadSpec, base_preset
-from fedspeech.costs import forward_flops, param_count
+from fedspeech.costs import forward_flops
 from fedspeech.devices import training_residency_bytes
 from fedspeech.memory import (DEFAULT_RESIDENCY_FACTOR, default_calibration,
-                              fit_activation_overhead, memory_timeline, peak_from_parts,
-                              precision_memory_delta, static_memory, training_flops)
+                              fit_activation_overhead, memory_timeline, static_memory,
+                              training_flops)
 
 GB = 1e9
 
@@ -26,14 +28,10 @@ class TestTrainingFlops:
         assert sum(3 * l.fwd_flops for l in report.per_layer) == pytest.approx(
             training_flops(report), rel=1e-12)
 
-    def test_zero_forward_is_zero_total(self):
-        report = param_count(base_preset())  # flops fields all zero
-        assert training_flops(report) == 0.0
-
 
 class TestStaticMemory:
     def test_adam_fp32_bytes_per_param(self):
-        report = param_count(base_preset())
+        report = forward_flops(base_preset(), WorkloadSpec())
         assert static_memory(report) == 16 * report.total_params
         # ~1.517 GB for the base encoder
         assert static_memory(report) == pytest.approx(1.517 * GB, rel=0.01)
@@ -93,23 +91,23 @@ class TestTimeline:
         assert kappa == default_calibration().activation_overhead
 
 
+def precision_peaks(arch, workload):
+    """(fp32 peak, mixed peak) at ``workload``'s duration and batch."""
+    return tuple(memory_timeline(arch, replace(workload, precision=p)).peak_bytes
+                 for p in (Precision.FP32, Precision.MIXED))
+
+
 class TestPrecisionDelta:
     def test_mixed_strictly_smaller_but_under_35_percent(self):
-        fp32_peak, mixed_peak = precision_memory_delta(
+        fp32_peak, mixed_peak = precision_peaks(
             base_preset(), WorkloadSpec(5.5, batch=4))
         assert mixed_peak < fp32_peak
         saving = (fp32_peak - mixed_peak) / fp32_peak
         assert 0.0 < saving < 0.35
 
-    def test_zero_activations_means_equal_peaks(self):
-        static = 1.0 * GB
-        kappa = default_calibration().activation_overhead
-        assert peak_from_parts(static, 0.0, kappa) == peak_from_parts(static, 0.0, kappa)
-        assert peak_from_parts(static, 0.0, kappa) == static
-
     def test_saving_grows_with_sequence_length(self):
         def saving(seconds):
-            fp32_peak, mixed_peak = precision_memory_delta(
+            fp32_peak, mixed_peak = precision_peaks(
                 base_preset(), WorkloadSpec(seconds, batch=4))
             return (fp32_peak - mixed_peak) / fp32_peak
 

@@ -25,7 +25,7 @@ from fedspeech.report import (PLAN_CSV_HEADER, Rows, StreamedList, cost_report_p
 
 
 def _runs(items, picked):
-    """The (start, end) offsets in ``encode_ids(items)`` of the texts of the
+    """The (start, end) offsets in ``encode_ids(items)[0]`` of the texts of the
     items at ``picked``."""
     offsets = np.cumsum([0] + [len(encode_basestring_ascii(i)) + 1 for i in items])
     picked = np.array(picked, dtype=np.int64)
@@ -39,8 +39,8 @@ def _runs(items, picked):
 # texts span lines, as a schedule's rounds do (``rows``), and floats as an
 # object's members, as fl_plan.json's epoch times (``members``).
 STREAMED = {
-    "ids": lambda items: StreamedList(encode_ids(items)),
-    "texts": lambda items: StreamedList(bytearray(encode_ids(items)),
+    "ids": lambda items: StreamedList(encode_ids(items)[0]),
+    "texts": lambda items: StreamedList(bytearray(encode_ids(items)[0]),
                                         runs=_runs(items, range(len(items)))),
     "ints": lambda items: StreamedList(Rows("%d", len(items), 1,
                                             lambda lo, hi: items[lo:hi])),
@@ -210,7 +210,7 @@ def test_non_finite_in_a_flat_list_raises_and_leaves_no_file(tmp_path, value, wh
     # non-finite number is met
     payload = {"depth-2": {"a": {"b": [1.0, value]}},
                "depth-3": {"a": [{"b": [2, value]}], "c": 1},
-               "after-streamed": {"a-ids": StreamedList(encode_ids(["x", "y"])),
+               "after-streamed": {"a-ids": StreamedList(encode_ids(["x", "y"])[0]),
                                   "b": {"c": [value, 3.0]}},
                "key": {"a": [1], "b": {value: [1.0]}}}[where]
     with pytest.raises(ConfigError, match=r"^cannot write p\.json: Out of range float"):
@@ -420,7 +420,7 @@ def _assert_indexed_as_gathered(tmp_path, held, items, picked):
     """Ids written from the runs of ``held`` at ``picked`` read as those
     ``items`` do, and as the gathered ids do."""
     indexed = StreamedList(held, runs=_runs(items, picked))
-    gathered = StreamedList(encode_ids([items[i] for i in picked]))
+    gathered = StreamedList(encode_ids([items[i] for i in picked])[0])
     assert bool(indexed) == bool(gathered) == bool(picked)
     assert b"".join(indexed.pieces(1)) == b"".join(gathered.pieces(1))
     write_json(tmp_path / "p.json", {"clients": [{"ids": indexed}]})
@@ -436,7 +436,7 @@ def _assert_indexed_as_gathered(tmp_path, held, items, picked):
     (["a", "bb"], []),  # a client that holds no row
 ], ids=["mixed-lengths", "one-length", "one-very-long", "empty"])
 def test_indexed_ids_written_as_their_gather(tmp_path, items, picked):
-    _assert_indexed_as_gathered(tmp_path, encode_ids(items), items, picked)
+    _assert_indexed_as_gathered(tmp_path, encode_ids(items)[0], items, picked)
 
 
 @settings(max_examples=150, deadline=None,
@@ -445,7 +445,7 @@ def test_indexed_ids_written_as_their_gather(tmp_path, items, picked):
        held=st.sampled_from([bytes, bytearray]))
 def test_indexed_ids_property(tmp_path, data, items, held):
     picked = data.draw(st.lists(st.integers(0, len(items) - 1), unique=True))
-    _assert_indexed_as_gathered(tmp_path, held(encode_ids(items)), items, picked)
+    _assert_indexed_as_gathered(tmp_path, held(encode_ids(items)[0]), items, picked)
 
 
 _WRITERS = {"json": lambda path: write_json(path, {"a": [1, 2]}),
