@@ -87,14 +87,19 @@ def _workload_from(args: argparse.Namespace, cfg: dict,
 def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
          profile) -> tuple[float, FitVerdict]:
     """The training residency of ``workload`` and its fit on ``profile``;
-    with --fail-on-oom a workload that does not fit exits 4."""
+    with --fail-on-oom a workload that does not fit exits 4, and the line
+    also says when ``profile`` has no anchor to time it."""
     peak = training_residency_bytes(arch, workload, cal)
     verdict = check_fit(profile, peak)
     if args.fail_on_oom and verdict is FitVerdict.OOM:
-        raise InfeasibleError(
-            f"{arch.name} at batch {workload.batch} on {workload.duration_s} s clips "
-            f"does not fit on {profile.name}: "
-            f"{peak / 1e9:.2f} GB vs {profile.memory_budget_bytes / 1e9:.2f} GB")
+        message = (f"{arch.name} at batch {workload.batch} on {workload.duration_s} s "
+                   f"clips does not fit on {profile.name}: "
+                   f"{peak / 1e9:.2f} GB vs {profile.memory_budget_bytes / 1e9:.2f} GB")
+        try:
+            predict_batch_time(profile, arch, workload)
+        except MissingAnchorError as exc:
+            message += f", and {exc}"
+        raise InfeasibleError(message)
     return peak, verdict
 
 
@@ -158,8 +163,8 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
     profiles = resolve_profiles(cfg)
     profile = get_profile(args.device, profiles)
     cal = resolve_calibration(cfg)
+    peak, verdict = _fit(args, arch, workload, cal, profile)  # as fl-plan, the fit first
     pred = predict_batch_time(profile, arch, workload)
-    peak, verdict = _fit(args, arch, workload, cal, profile)
     meta = _meta(args, arch, [profile], device=profile.name,
                  workload=to_mapping(workload), memory=to_mapping(cal))
     out = _out_dir(args, cfg)
@@ -189,9 +194,6 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
 
 
 def cmd_fl_plan(args: argparse.Namespace) -> int:
-    # numpy loads here, so its import is timed with the command and not with
-    # the first layer that makes an array
-    np.ndarray
     cfg = load_config(args.config)
     fl = read(FlSettings, cfg.get("fl", {}), "fl", clients=args.clients,
               per_round=args.per_round, rounds=args.rounds, local_epochs=args.local_epochs,
@@ -213,12 +215,17 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
                                   "it cannot be given with --manifest")
         from .manifest_cache import load_manifest_cached  # hashlib only for a manifest
 
-        manifest, digest = load_manifest_cached(args.manifest)
-        partition = partition_by_speaker(manifest, fl.clients, fl.seed)
+        # numpy loads in there, beside the manifest's hash
+        partition, digest = load_manifest_cached(
+            args.manifest, lambda manifest: partition_by_speaker(manifest, fl.clients,
+                                                                 fl.seed))
         corpus = {"manifest_sha256": digest}
         # each client trains at its own mean clip length; the longest needs the most memory
         fit_workload = replace(workload, duration_s=partition.mean_duration_s.max().item())
     else:
+        # numpy loads here, so its import is timed with the command and not
+        # with the first layer that makes an array
+        np.ndarray
         samples = IDEALISED_SAMPLES_PER_CLIENT if args.samples_per_client is None \
             else args.samples_per_client
         partition = uniform_partition(fl.clients, samples, workload.duration_s)
@@ -304,22 +311,29 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     # the headline compares batch 4 unless a flag or the config sets the batch
     workload = _workload_from(args, cfg, WorkloadSpec(batch=4))
 
-    combos = {}
+    combos, faster = {}, {}  # faster: the ratio of each combination the device wins
     for batch in (1, 4):
         for precision in (Precision.FP32, Precision.MIXED):
+            key = f"b{batch}-{precision.value}"
             try:
                 w = replace(workload, batch=batch, precision=precision)
                 slow = predict_batch_time(device, arch, w).seconds_per_batch
                 fast = predict_batch_time(reference, arch, w).seconds_per_batch
                 f = parity_year(args.base_year, slow, fast, args.doubling_months)
-                combos[f"b{batch}-{precision.value}"] = {
+                combos[key] = {
                     "slow_s": slow, "fast_s": fast,
                     "slowdown_ratio": f.slowdown_ratio,
                     "years_to_parity": f.years_to_parity,
                     "parity_year": f.parity_year}
-            except (MissingAnchorError, InvalidRatioError):
+            except MissingAnchorError:
                 continue  # a combination the anchors cannot compare is left out
+            except InvalidRatioError:
+                faster[key] = slow / fast  # and one without a parity year
     headline_key = f"b{workload.batch}-{workload.precision.value}"
+    if headline_key in faster:
+        raise ConfigError(
+            f"{device.name} is already faster than {reference.name} at {headline_key} "
+            f"(slowdown ratio {faster[headline_key]:.3f} < 1); no parity year to forecast")
     if headline_key not in combos:
         raise ConfigError(f"no anchors for the requested comparison {headline_key}")
     headline = combos[headline_key]

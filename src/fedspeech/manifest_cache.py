@@ -20,9 +20,22 @@ utterance ids (int64) and each row's duration (float64), then the utterance
 ids as the manifest holds them: their JSON texts, each ended by a newline,
 grouped by speaker. Last come the speaker ids' JSON texts in the same form,
 in name order. A JSON text never holds a newline, so every manifest that
-loads can be cached. The header holds each section's size and a CRC-32 of
-the counts and the ids, so a damaged entry is found without a scan of its
-ids for newlines; durations are checked by value.
+loads can be cached. The header (magic ``FSMANIF3``) holds each section's
+size and a CRC-32 of the counts and the ids, so a damaged entry is found
+without a scan of its ids for newlines; durations are checked by value.
+
+The header also holds a hint: the stat identity (device, inode, size,
+mtime, ctime) of the file the entry was last read for. Hashing a corpus-
+scale manifest takes a fifth of a warm plan, so a worker thread hashes it
+(``hashlib`` lets go of the GIL in each block) while the caller's thread
+reads the entry whose hint matches the file and runs the caller's
+``derive`` on it. The hint is never trusted: that entry's result is used
+only when its key equals the key of the bytes just hashed, and is dropped
+otherwise; then the entry of that key is read, else the manifest is parsed.
+An entry found by its key for a file of another identity (a copy, a
+checkout, a ``touch``) gets that file's identity as its hint, so the next
+plan of that file overlaps again. The manifest is read, never mapped: a
+file cut short while it is hashed is a read error, not a ``SIGBUS``.
 """
 
 from __future__ import annotations
@@ -32,24 +45,30 @@ import hashlib
 import os
 import struct
 import sys
+import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from . import federation
-from .errors import ManifestError
+from .errors import FedspeechError, ManifestError
 from .federation import Manifest, decode_ids, encode_ids, load_manifest
+from .lazy import lazy_import
+
+np = lazy_import("numpy")
+
+T = TypeVar("T")
 
 MAX_ENTRIES = 4
 
 _SUFFIX = ".manifest"
-_MAGIC = b"FSMANIF2"
+_MAGIC = b"FSMANIF3"
 # magic, key, rows, speakers, bytes of utterance ids, bytes of speaker ids,
-# CRC-32 of every section but the durations, which are checked by value
-_HEADER = struct.Struct("<8s32sQQQQI")
+# CRC-32 of every section but the durations, which are checked by value, and
+# the hint: the stat identity of the file the entry was last read for
+_HINT = struct.Struct("<5Q")
+_HEADER = struct.Struct(f"<8s32sQQQQI{_HINT.size}s")
 _BLOCK_BYTES = 1 << 20
 
 
@@ -64,33 +83,109 @@ def cache_dir() -> Optional[Path]:
     return Path(base) / "fedspeech"
 
 
-def load_manifest_cached(path) -> tuple[Manifest, str]:
-    """``load_manifest(path)`` through the cache, and the hex SHA-256 of the
-    manifest's bytes. A manifest that cannot be opened or read, or that
-    changes between the hash and the parse, raises ``ManifestError``."""
+def load_manifest_cached(path, derive: Callable[[Manifest], T] = lambda manifest: manifest
+                         ) -> tuple[T, str]:
+    """``derive(load_manifest(path))`` through the cache, and the hex SHA-256
+    of the manifest's bytes. ``derive`` must be a pure function of the
+    manifest: it may also run on an entry that turns out to hold other bytes,
+    and what it returned or raised there is dropped. A manifest that cannot be
+    opened or read, or that changes between the hash and the parse, raises
+    ``ManifestError``."""
     try:
-        with open(path, "rb") as fh:
+        fh = open(path, "rb")
+        try:
             before = os.fstat(fh.fileno())
-            digest = _file_digest(fh)
+        except BaseException:
+            fh.close()
+            raise
     except OSError as exc:
         raise _unreadable(path, exc) from None
-    directory = cache_dir()
+    hashing = _Hashing(fh)
+    hashing.start()  # before numpy's import, which the entry's read sets off
+    hint = _hint(before)
     try:
-        key = hashlib.sha256(_source_digest() + digest).digest()
-    except OSError:
-        directory = None
+        directory = cache_dir()
+        try:
+            source = _source_digest()
+        except OSError:
+            directory = None
+        # while the manifest is hashed: the entry last read for a file with
+        # this stat identity, and what derive makes of it
+        hinted = None if directory is None else _by_hint(directory, hint, derive)
+    finally:
+        hashing.join()
+    try:
+        digest = hashing.digest()
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     if directory is None:
-        return _parse(path, before), digest.hex()
-    entry = directory / (key.hex() + _SUFFIX)
-    manifest = _read_entry(entry, key)
-    if manifest is not None:
+        return derive(_parse(path, before)), digest.hex()
+    key = hashlib.sha256(source + digest).digest()
+    if hinted is not None and hinted.key == key:
         with contextlib.suppress(OSError):
+            _touch(hinted.entry)
+        if hinted.error is not None:
+            raise hinted.error
+        return hinted.result, digest.hex()
+    hinted = None  # a stale entry's manifest is let go before another is read
+    entry = directory / (key.hex() + _SUFFIX)
+    found = _read_entry(entry, key=key)
+    if found is not None:
+        with contextlib.suppress(OSError):
+            if found.hint != hint:  # a copy, a checkout or a touch moved the file
+                _write_hint(entry, hint)
             _touch(entry)
-        return manifest, digest.hex()
+        return derive(found.manifest), digest.hex()
     manifest = _parse(path, before)
     with contextlib.suppress(OSError):
-        _write_entry(directory, entry, key, manifest)
-    return manifest, digest.hex()
+        _write_entry(directory, entry, key, hint, manifest)
+    return derive(manifest), digest.hex()
+
+
+class _Hashing(threading.Thread):
+    """The SHA-256 of an open file's bytes, read on a thread of its own, which
+    closes the file. It prints nothing: ``digest`` raises what the hash
+    raised."""
+
+    def __init__(self, fh):
+        super().__init__(name="manifest-sha256", daemon=True)
+        self._fh, self._digest, self._error = fh, None, None
+
+    def run(self) -> None:
+        try:
+            with self._fh as fh:
+                self._digest = _file_digest(fh)
+        except BaseException as exc:  # raised again by digest(), on the caller's thread
+            self._error = exc
+
+    def digest(self) -> bytes:
+        """The digest, once the thread has ended."""
+        if self._error is not None:
+            raise self._error
+        return self._digest
+
+
+class _Hinted(NamedTuple):
+    """An entry found by its hint, before its key could be checked, and what
+    ``derive`` returned or raised on its manifest."""
+    entry: Path
+    key: bytes
+    result: object
+    error: Optional[FedspeechError]
+
+
+def _by_hint(directory: Path, hint: bytes, derive: Callable[[Manifest], T]
+             ) -> Optional[_Hinted]:
+    """The most recently used entry whose header holds ``hint``, if one can be
+    read, and ``derive`` of its manifest."""
+    for entry in _by_recent_use(directory):
+        found = _read_entry(entry, hint=hint)
+        if found is not None:
+            try:
+                return _Hinted(entry, found.key, derive(found.manifest), None)
+            except FedspeechError as exc:
+                return _Hinted(entry, found.key, None, exc)
+    return None
 
 
 def _parse(path, before: os.stat_result) -> Manifest:
@@ -117,6 +212,11 @@ def _identity(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
+def _hint(st: os.stat_result) -> bytes:
+    """``_identity(st)`` as a header holds it, each field modulo 2**64."""
+    return _HINT.pack(*(field % 2**64 for field in _identity(st)))
+
+
 def _file_digest(fh) -> bytes:
     """SHA-256 of the file's bytes, read in blocks."""
     digest = hashlib.sha256()
@@ -139,17 +239,27 @@ def _source_digest() -> bytes:
 # ------------------------------------------------------------------ entries
 
 
-def _read_entry(entry: Path, key: bytes) -> Optional[Manifest]:
-    """The manifest an entry holds, or None if it is missing or damaged."""
+class _Entry(NamedTuple):
+    key: bytes
+    hint: bytes
+    manifest: Manifest
+
+
+def _read_entry(entry: Path, key: Optional[bytes] = None,
+                hint: Optional[bytes] = None) -> Optional[_Entry]:
+    """What an entry holds, or None if it is missing or damaged, or its header
+    holds another ``key`` or ``hint`` than one given."""
     try:
         with open(entry, "rb") as fh:
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
                 return None
-            magic, stored_key, rows, n_speakers, id_bytes, speaker_id_bytes, crc = \
-                _HEADER.unpack(header)
+            magic, stored_key, rows, n_speakers, id_bytes, speaker_id_bytes, crc, \
+                stored_hint = _HEADER.unpack(header)
             size = _HEADER.size + 16 * n_speakers + 8 * rows + id_bytes + speaker_id_bytes
-            if (magic, stored_key) != (_MAGIC, key) or os.fstat(fh.fileno()).st_size != size:
+            if magic != _MAGIC or key not in (None, stored_key) \
+                    or hint not in (None, stored_hint) \
+                    or os.fstat(fh.fileno()).st_size != size:
                 return None
             counts, byte_counts = np.empty(n_speakers, "<i8"), np.empty(n_speakers, "<i8")
             durations, ids = np.empty(rows, "<f8"), np.empty(id_bytes, np.uint8)
@@ -168,11 +278,13 @@ def _read_entry(entry: Path, key: bytes) -> Optional[Manifest]:
             and byte_counts.sum() == id_bytes
             and (durations > 0).all() and np.isfinite(durations).all()):
         return None
-    return Manifest(utterance_ids=ids, speaker_rows=counts, speaker_bytes=byte_counts,
-                    speaker_ids=tuple(speakers), durations_s=durations)
+    return _Entry(stored_key, stored_hint, Manifest(
+        utterance_ids=ids, speaker_rows=counts, speaker_bytes=byte_counts,
+        speaker_ids=tuple(speakers), durations_s=durations))
 
 
-def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -> None:
+def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
+                 manifest: Manifest) -> None:
     """Write ``manifest`` to ``entry`` through a temp file, then drop the
     least recently used entries past ``MAX_ENTRIES``. A manifest that cannot
     be stored leaves the cache as it was."""
@@ -185,7 +297,7 @@ def _write_entry(directory: Path, entry: Path, key: bytes, manifest: Manifest) -
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_ids),
                                   len(ids), len(speakers),
-                                  _crc(counts, byte_counts, ids, speakers)))
+                                  _crc(counts, byte_counts, ids, speakers), hint))
             for section in (counts, byte_counts,
                             np.ascontiguousarray(manifest.durations_s, "<f8"), ids, speakers):
                 fh.write(section)
@@ -214,11 +326,26 @@ def _touch(entry: Path) -> None:
     os.utime(entry, ns=(now, now))
 
 
-def _prune(directory: Path) -> None:
+def _write_hint(entry: Path, hint: bytes) -> None:
+    """Set an entry's hint in place; a reader that meets it half written
+    finds no candidate there, or one whose key is checked."""
+    with open(entry, "r+b") as fh:
+        fh.seek(_HEADER.size - _HINT.size)
+        fh.write(hint)
+
+
+def _by_recent_use(directory: Path) -> list[Path]:
+    """The entries in ``directory``, the most recently used first."""
     entries = []
-    for entry in directory.glob("*" + _SUFFIX):
-        with contextlib.suppress(OSError):
-            entries.append((entry.stat().st_mtime_ns, entry))
-    for _, entry in sorted(entries, reverse=True)[MAX_ENTRIES:]:
+    with contextlib.suppress(OSError), os.scandir(directory) as items:
+        for item in items:
+            if item.name.endswith(_SUFFIX):
+                with contextlib.suppress(OSError):
+                    entries.append((item.stat().st_mtime_ns, item.path))
+    return [Path(path) for _, path in sorted(entries, reverse=True)]
+
+
+def _prune(directory: Path) -> None:
+    for entry in _by_recent_use(directory)[MAX_ENTRIES:]:
         with contextlib.suppress(OSError):
             entry.unlink()

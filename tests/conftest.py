@@ -28,6 +28,25 @@ def cache_home(tmp_path, monkeypatch):
     return home
 
 
+@pytest.fixture
+def entry_reads(monkeypatch):
+    """How each manifest-cache entry that was read was found, in order:
+    "hint" while the manifest was hashed, "key" after."""
+    from fedspeech import manifest_cache
+
+    found = []
+    read_entry = manifest_cache._read_entry
+
+    def recording(entry, key=None, hint=None):
+        result = read_entry(entry, key=key, hint=hint)
+        if result is not None:
+            found.append("hint" if hint is not None else "key")
+        return result
+
+    monkeypatch.setattr(manifest_cache, "_read_entry", recording)
+    return found
+
+
 def write_manifest(path, manifest):
     """Write ``manifest`` as a tab-separated file under the required columns."""
     speaker_of = chain.from_iterable(map(repeat, manifest.speaker_ids,

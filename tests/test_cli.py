@@ -106,6 +106,20 @@ class TestPredictTime:
         assert run(["predict-time", "--device", "rpi", "--arch", "large",
                     "--duration", "5.5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["predict-time", "--device", "rpi", "--arch", "large", "--batch", "4"],
+        ["fl-plan", "--device", "rpi", "--arch", "large", "--clients", "2", "--rounds", "1"],
+    ], ids=["predict-time", "fl-plan"])
+    def test_oom_without_an_anchor_exits_4_naming_both_on_one_line(self, tmp_path, capsys,
+                                                                   argv):
+        # the fit is checked before the time, so the finding that large does
+        # not fit rpi4 is the answer, and the missing anchor rides along
+        assert run(argv + ["--fail-on-oom", "--out", str(tmp_path / "r")]) == 4
+        assert capsys.readouterr().err == (
+            "error: large at batch 4 on 5.5 s clips does not fit on rpi4: 14.17 GB vs "
+            "6.50 GB, and rpi4 has no anchor for arch='large' precision=fp32\n")
+        assert not (tmp_path / "r").exists()
+
     def test_nan_duration_exits_2(self, tmp_path, capsys):
         assert run(["predict-time", "--device", "nx", "--duration", "nan",
                     "--out", str(tmp_path)]) == 2
@@ -675,6 +689,19 @@ class TestForecast:
         assert run(["forecast", "--device", "nx", flag, "nan", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--device", "a40", "--reference", "nx"],
+         "a40 is already faster than xavier-nx at b4-fp32 (slowdown ratio 0.152 < 1); "
+         "no parity year to forecast"),
+        (["--device", "nx", "--reference", "a40", "--batch", "1", "--precision", "mixed",
+          "--arch", "large"], "no anchors for the requested comparison b1-mixed"),
+    ], ids=["device-already-faster", "no-anchor"])
+    def test_headline_without_a_forecast_exits_2_naming_its_cause(self, tmp_path, capsys,
+                                                                   argv, message):
+        assert run(["forecast", *argv, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
 
     def test_headline_from_config_workload_unless_flagged(self, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -1609,7 +1636,9 @@ def test_fl_sim_reports_hold_at_every_buffer_offset(argv, tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("argv", [argv for argv in REPORT_DIGESTS if "--manifest" in argv],
                          ids=_case_id)
-def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, monkeypatch):
+def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, monkeypatch, entry_reads):
+    # the hit partitions the entry it found by the file's stat identity while
+    # the manifest was hashed, and keeps that partition once the key matches
     parses = []
 
     def counting(path):
@@ -1618,11 +1647,13 @@ def test_manifest_reports_same_on_a_cache_hit(argv, tmp_path, monkeypatch):
 
     monkeypatch.setattr(manifest_cache, "load_manifest", counting)
     args = _with_manifest(argv, tmp_path)
-    for out in (tmp_path / "miss", tmp_path / "hit"):
+    for out, reads in ((tmp_path / "miss", []), (tmp_path / "hit", ["hint"])):
+        entry_reads.clear()
         assert run(args + ["--out", str(out)]) == 0
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir()}
         assert written == REPORT_DIGESTS[argv]
+        assert entry_reads == reads
     assert parses == [args[args.index("--manifest") + 1]]
 
 

@@ -3,13 +3,18 @@ import hashlib
 import io
 import math
 import os
+import shutil
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import federation, manifest_cache
+from fedspeech import cli, federation, manifest_cache
 from fedspeech.cli import main
+from fedspeech.errors import ConfigError, ManifestError
 
 
 @pytest.fixture
@@ -150,7 +155,7 @@ def _split_speaker(data):
 def _id_byte(item, at, value):
     """Damage that sets byte ``at`` of utterance id ``item``'s JSON text."""
     def damage(data):
-        _, _, rows, n_speakers, id_bytes, _, _ = _header(data)
+        _, _, rows, n_speakers, id_bytes, _, _, _ = _header(data)
         start = manifest_cache._HEADER.size + 16 * n_speakers + 8 * rows
         lines = data[start:start + id_bytes].split(b"\n")
         pos = start + sum(map(len, lines[:item])) + item + at
@@ -383,3 +388,171 @@ def test_relative_xdg_cache_home_falls_back_to_home(tmp_path, manifest, monkeypa
     assert manifest_cache.cache_dir() == tmp_path / "home" / ".cache" / "fedspeech"
     manifest_cache.load_manifest_cached(manifest)
     assert len(list((tmp_path / "home" / ".cache" / "fedspeech").iterdir())) == 1
+
+
+# ------------------------------------------------------------ the overlap
+
+
+def _speakers(count):
+    """A manifest text of ``count`` speakers with two clips each."""
+    return manifest_text([(f"{s:010x}", f"other_{s}_{c}.mp3", "a sentence", 1500 + 100 * c)
+                          for s in range(count) for c in range(2)])
+
+
+def _hint_of(path):
+    return manifest_cache._hint(os.stat(path))
+
+
+def _entry_of(cache_home, manifest):
+    """The entry whose key names ``manifest``'s bytes."""
+    digest = hashlib.sha256(manifest.read_bytes()).digest()
+    key = hashlib.sha256(manifest_cache._source_digest() + digest).hexdigest()
+    return cache_home / "fedspeech" / (key + manifest_cache._SUFFIX)
+
+
+@pytest.fixture
+def partitioned(monkeypatch):
+    """The speaker count of each manifest a plan partitioned, in order."""
+    counts = []
+
+    def counting(manifest, k, seed=0):
+        counts.append(len(manifest.speaker_ids))
+        return federation.partition_by_speaker(manifest, k, seed)
+
+    monkeypatch.setattr(cli, "partition_by_speaker", counting)
+    return counts
+
+
+@pytest.mark.parametrize("speakers", [5, 2], ids=["other-partition", "config-error"])
+def test_stale_hinted_entry_is_dropped(tmp_path, manifest, parses, cache_home, entry_reads,
+                                       partitioned, capsys, speakers):
+    # Another manifest's entry that holds this file's stat identity: its
+    # partition into 3 clients, or the ConfigError of 3 clients over 2
+    # speakers, is made while the file is hashed, then dropped for the key.
+    reference = plan(manifest, tmp_path / "reference")
+    other = tmp_path / "other.tsv"
+    other.write_text(_speakers(speakers))
+    assert plan(other, tmp_path / "other")[0] == (0 if speakers >= 3 else 2)
+    stale = _entry_of(cache_home, other)
+    stale.write_bytes(_set_field(7, lambda _: _hint_of(manifest))(stale.read_bytes()))
+    manifest_cache._touch(stale)  # tried before this file's own entry
+    partitioned.clear()
+    entry_reads.clear()
+    capsys.readouterr()
+    assert plan(manifest, tmp_path / "a") == reference
+    assert capsys.readouterr().err == ""
+    assert partitioned == [speakers, 90]
+    assert entry_reads == ["hint", "key"]  # the stale entry, then this file's by its key
+    assert len(parses) == 2  # only the first plan of each manifest parsed it
+
+
+def test_hinted_entry_error_is_the_plan_error_when_the_key_matches(
+        tmp_path, manifest, parses, entry_reads, partitioned, capsys):
+    plan(manifest, tmp_path / "a")
+    entry_reads.clear()
+    capsys.readouterr()
+    code = main(["fl-plan", "--manifest", str(manifest), "--clients", "91", "--rounds", "1",
+                 "--out", str(tmp_path / "b")])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: 90 distinct speakers cannot fill 91 clients\n")
+    assert entry_reads == ["hint"] and partitioned == [90, 90] and len(parses) == 1
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_hash_error_exits_3_on_one_line(tmp_path, manifest, cache_home, monkeypatch, capsys,
+                                        warm):
+    if warm:
+        plan(manifest, tmp_path / "a")
+    before = entries(cache_home)
+
+    def failing(fh):
+        fh.read(100)
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(manifest_cache, "_file_digest", failing)
+    capsys.readouterr()
+    assert plan(manifest, tmp_path / "b") == (3, None)
+    assert capsys.readouterr().err == \
+        f"error: cannot read manifest {manifest}: Input/output error\n"
+    assert not (tmp_path / "b").exists()
+    assert entries(cache_home) == before
+
+
+def _raise(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
+
+
+@pytest.mark.parametrize("case", ["miss", "hit", "no-cache", "hash-error", "parse-error",
+                                  "derive-error", "derive-crash"])
+def test_no_thread_outlives_the_load(tmp_path, manifest, monkeypatch, case):
+    if case != "miss":
+        manifest_cache.load_manifest_cached(manifest)
+    # a hash that outlasts the rest of the load: the load waits for it
+    file_digest = _raise(OSError(errno.EIO, os.strerror(errno.EIO))) \
+        if case == "hash-error" else manifest_cache._file_digest
+    monkeypatch.setattr(manifest_cache, "_file_digest",
+                        lambda fh: time.sleep(0.05) or file_digest(fh))
+    derive = lambda m: m  # noqa: E731
+    if case == "no-cache":
+        monkeypatch.setattr(manifest_cache, "cache_dir", lambda: None)
+    elif case == "parse-error":
+        monkeypatch.setattr(manifest_cache, "_source_digest", lambda: bytes(32))
+        monkeypatch.setattr(manifest_cache, "load_manifest",
+                            _raise(ManifestError("manifest is empty")))
+    elif case == "derive-error":
+        derive = _raise(ConfigError("no"))
+    elif case == "derive-crash":
+        derive = _raise(ZeroDivisionError())
+    threads = threading.enumerate()
+    try:
+        manifest_cache.load_manifest_cached(manifest, derive)
+    except (ManifestError, ConfigError, ZeroDivisionError):
+        assert case.endswith(("error", "crash"))
+    else:
+        assert case in ("miss", "hit", "no-cache")
+    assert threading.enumerate() == threads
+
+
+@pytest.mark.parametrize("move", ["copy", "touch"])
+def test_moved_manifest_overlaps_from_its_second_plan(tmp_path, manifest, parses,
+                                                      cache_home, entry_reads, move):
+    # A copy, or a touch, gives the file another stat identity than the
+    # entry's hint: its first plan finds the entry by its key and refreshes
+    # the hint, and its next plan overlaps.
+    reference = plan(manifest, tmp_path / "reference")
+    [name] = entries(cache_home)
+    entry = cache_home / "fedspeech" / name
+    moved = tmp_path / "copy.tsv" if move == "copy" else manifest
+    if move == "copy":
+        shutil.copyfile(manifest, moved)
+    else:
+        os.utime(manifest, ns=(1, 1))
+    assert _header(entry.read_bytes())[7] != _hint_of(moved)
+    for run, found in (("b", ["key"]), ("c", ["hint"]), ("d", ["hint"])):
+        entry_reads.clear()
+        assert plan(moved, tmp_path / run) == reference
+        assert entry_reads == found
+        assert _header(entry.read_bytes())[7] == _hint_of(moved)
+    assert len(parses) == 1
+
+
+def test_loads_hold_with_the_threads_switching_often(tmp_path, manifest, entry_reads):
+    # the hash and the hinted read interleave at nearly every bytecode
+    expected = manifest_cache.load_manifest_cached(manifest)[1]
+    reference = federation.partition_by_speaker(federation.load_manifest(manifest), 7, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            partition, digest = manifest_cache.load_manifest_cached(
+                manifest, lambda m: federation.partition_by_speaker(m, 7, 3))
+            assert digest == expected
+            assert partition.speakers.tolist() == reference.speakers.tolist()
+            assert partition.total_duration_s.tolist() == reference.total_duration_s.tolist()
+    finally:
+        sys.setswitchinterval(interval)
+    assert entry_reads == ["hint"] * 20
+    assert [t.name for t in threading.enumerate()].count("manifest-sha256") == 0
