@@ -33,8 +33,8 @@ from .config import (FlSettings, config_fingerprint, load_config, resolve_arch,
 from .costs import forward_flops, module_rollup
 from .devices import DeviceProfile, FitVerdict, check_fit, get_profile, \
     predict_batch_time, training_residency_bytes
-from .errors import (ConfigError, FedspeechError, InfeasibleError, InvalidRatioError,
-                     MissingAnchorError, allocating)
+from .errors import ConfigError, FedspeechError, InfeasibleError, MissingAnchorError, \
+    allocating
 from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_partition)
 from .lazy import lazy_import
@@ -45,7 +45,7 @@ from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
                      timeline_rows, trajectory_payload, trajectory_rows,
                      wall_clock_payload, write_csv, write_json)
 from .settings import read, to_mapping
-from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, parity_year
+from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, years_to_parity
 
 np = lazy_import("numpy")
 
@@ -303,6 +303,8 @@ def cmd_fl_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.base_year):
+        raise ConfigError(f"base year must be finite, got {args.base_year}")
     cfg = load_config(args.config)
     profiles = resolve_profiles(cfg)
     arch = resolve_arch(cfg, args.arch)
@@ -310,32 +312,30 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     reference = get_profile(args.reference, profiles)
     # the headline compares batch 4 unless a flag or the config sets the batch
     workload = _workload_from(args, cfg, WorkloadSpec(batch=4))
+    headline_key = f"b{workload.batch}-{workload.precision.value}"
 
-    combos, faster = {}, {}  # faster: the ratio of each combination the device wins
-    for batch in (1, 4):
+    combos = {}  # each combination the anchors can compare and the device is not faster in
+    for batch in sorted({1, 4, workload.batch}):
         for precision in (Precision.FP32, Precision.MIXED):
             key = f"b{batch}-{precision.value}"
+            w = replace(workload, batch=batch, precision=precision)
             try:
-                w = replace(workload, batch=batch, precision=precision)
                 slow = predict_batch_time(device, arch, w).seconds_per_batch
                 fast = predict_batch_time(reference, arch, w).seconds_per_batch
-                f = parity_year(args.base_year, slow, fast, args.doubling_months)
-                combos[key] = {
-                    "slow_s": slow, "fast_s": fast,
-                    "slowdown_ratio": f.slowdown_ratio,
-                    "years_to_parity": f.years_to_parity,
-                    "parity_year": f.parity_year}
-            except MissingAnchorError:
-                continue  # a combination the anchors cannot compare is left out
-            except InvalidRatioError:
-                faster[key] = slow / fast  # and one without a parity year
-    headline_key = f"b{workload.batch}-{workload.precision.value}"
-    if headline_key in faster:
-        raise ConfigError(
-            f"{device.name} is already faster than {reference.name} at {headline_key} "
-            f"(slowdown ratio {faster[headline_key]:.3f} < 1); no parity year to forecast")
-    if headline_key not in combos:
-        raise ConfigError(f"no anchors for the requested comparison {headline_key}")
+            except MissingAnchorError as exc:
+                if key == headline_key:
+                    raise ConfigError(
+                        f"no anchors for the requested comparison {key}: {exc}") from None
+                continue
+            if slow < fast:
+                if key == headline_key:
+                    raise ConfigError(
+                        f"{device.name} is already faster than {reference.name} at {key} "
+                        f"(slowdown ratio {slow / fast:.3f} < 1); no parity year to forecast")
+                continue
+            years = years_to_parity(slow, fast, args.doubling_months)
+            combos[key] = {"slow_s": slow, "fast_s": fast, "slowdown_ratio": slow / fast,
+                           "years_to_parity": years, "parity_year": args.base_year + years}
     headline = combos[headline_key]
 
     meta = _meta(args, arch, [device, reference], device=device.name,
@@ -409,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, duration=False)  # an idealised corpus has --mean-duration
     p.add_argument("--manifest", help="TSV manifest; omit for an idealised corpus")
     p.add_argument("--clients", type=int)
-    p.add_argument("--per-round", type=int, dest="per_round")
+    p.add_argument("--per-round", type=int)
     p.add_argument("--rounds", type=int)
-    p.add_argument("--local-epochs", type=int, dest="local_epochs")
+    p.add_argument("--local-epochs", type=int)
     p.add_argument("--device")
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples-per-client", type=int, dest="samples_per_client",
+    p.add_argument("--samples-per-client", type=int,
                    help="idealised corpus size per client (default: "
                         f"{IDEALISED_SAMPLES_PER_CLIENT}); not with --manifest")
     p.add_argument("--mean-duration", type=float, dest="duration", metavar="MEAN_DURATION",
@@ -427,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agg", choices=["fedavg", "loss", "loss_weighted"])
     p.add_argument("--alpha", type=float)
     p.add_argument("--clients", type=int, default=10)
-    p.add_argument("--per-round", type=int, dest="per_round")
+    p.add_argument("--per-round", type=int)
     p.add_argument("--rounds", type=int, default=SyntheticFLConfig.rounds)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--lr", type=float, default=SyntheticFLConfig.learning_rate)
     p.add_argument("--local-steps", type=int, default=SyntheticFLConfig.local_steps)
     p.add_argument("--spread", type=float, default=1.0,
                    help="stddev of the synthetic client optima")
-    p.add_argument("--pre-loss", action="store_true", dest="pre_loss",
+    p.add_argument("--pre-loss", action="store_true",
                    help="weight by the loss before local training")
     p.add_argument("--seed", type=int)
 
@@ -442,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--device", required=True)
     p.add_argument("--reference", default="a40")
-    p.add_argument("--doubling-months", type=float, dest="doubling_months",
-                   default=DEFAULT_DOUBLING_MONTHS)
-    p.add_argument("--base-year", type=float, dest="base_year", default=DEFAULT_BASE_YEAR)
+    p.add_argument("--doubling-months", type=float, default=DEFAULT_DOUBLING_MONTHS)
+    p.add_argument("--base-year", type=float, default=DEFAULT_BASE_YEAR)
 
     sub.add_parser("validate", help="run the built-in reference checks")
     return parser

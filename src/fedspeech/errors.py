@@ -2,8 +2,9 @@
 prints ``error: <message>`` and exits 2 for an input the planner cannot use
 (``ConfigError``), 3 for a manifest it cannot read (``ManifestError``) and 4
 for a plan that does not fit (``InfeasibleError``). A subclass exists only
-where a caller tells it apart: forecast leaves out what ``MissingAnchorError``
-and ``InvalidRatioError`` name, and ``MalformedRowError`` carries its line."""
+where a caller tells it apart: forecast leaves out a comparison that
+``MissingAnchorError`` names and ``--fail-on-oom`` adds its message to the
+fit's, and ``MalformedRowError`` carries its line."""
 
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ class ConfigError(FedspeechError):
 class MissingAnchorError(ConfigError):
     """No measured anchor for the requested architecture and precision, or a
     device without support for the precision."""
-
-
-class InvalidRatioError(ConfigError):
-    """A slow/fast time ratio below 1, for which no parity forecast exists."""
 
 
 class ManifestError(FedspeechError):

@@ -46,7 +46,6 @@ _COLUMN_ALIASES = {
     "client_id": "speaker_id",
     "path": "utterance_id",
     "duration": "duration_s",
-    "duration_ms": "duration_ms",
     "duration[ms]": "duration_ms",
 }
 
@@ -237,8 +236,9 @@ def load_manifest(path) -> Manifest:
         if not plain or columns.may_repeat_an_id():  # read every row again, one at a time
             columns = new_columns()
             fh.seek(len(header_line))
-            columns.add_rows(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
-                                              newline=""))
+            with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
+                                  newline="") as text:  # closes fh too
+                columns.add_rows(text)
         return columns.manifest()
 
 

@@ -111,6 +111,15 @@ class TestFedavg:
         with pytest.raises(ConfigError):
             ClientUpdate("a", np.array([np.nan]), 1)
 
+    @pytest.mark.parametrize("n_samples,local_loss,message", [
+        (0, 0.0, "n_samples must be >= 1"),
+        (1, -1.0, "local_loss must be finite and >= 0"),
+        (1, np.nan, "local_loss must be finite and >= 0"),
+    ], ids=["no-samples", "loss-negative", "loss-nan"])
+    def test_bad_update_rejected(self, n_samples, local_loss, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ClientUpdate("a", np.zeros(2), n_samples, local_loss)
+
     def test_order_independence_is_bitwise(self):
         rng = np.random.default_rng(0)
         ups = [ClientUpdate(f"c{i}", rng.normal(size=5), int(rng.integers(1, 50)))
@@ -428,6 +437,12 @@ class TestSyntheticRun:
         base = dict(optima=np.zeros((3, 2)), n_samples=(1, 1, 1))
         with pytest.raises(ConfigError):
             SyntheticFLConfig(**{**base, **change})
+
+    @pytest.mark.parametrize("per_round", [0, 4])
+    def test_per_round_outside_the_clients_rejected(self, per_round):
+        with pytest.raises(ConfigError, match=r"^per_round must be in \[1, n_clients\]$"):
+            SyntheticFLConfig(optima=np.zeros((3, 2)), n_samples=(1, 1, 1),
+                              per_round=per_round)
 
 
 # Runs that fail on a round's population loss, on a client's loss, on a

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import typing
 import warnings
 
 import numpy as np
@@ -16,8 +18,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import manifest_text, tie_heavy_rows
-from fedspeech import (aggregation, cli, costs, devices, errors, federation, manifest_cache,
-                       memory)
+from fedspeech import (aggregation, arch, checks, cli, config, costs, devices, errors,
+                       federation, manifest_cache, memory, trend)
 from fedspeech.arch import Precision, WorkloadSpec, arch_to_mapping, get_preset
 from fedspeech.cli import main
 
@@ -250,6 +252,22 @@ class TestFlPlan:
                     "--device", "a40", "--out", str(tmp_path / "r")]) == 3
         assert capsys.readouterr().err == \
             f"error: cannot read manifest {path}: No such file or directory\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("header,flags,code,message", [
+        ("client_id\tpath\tsentence", [], 3,
+         "manifest has no duration column (duration_s, duration, or duration_ms)"),
+        ("client_id\tpath\tduration", ["--clients", "0"], 2, "need at least one client"),
+        ("client_id\tpath\tduration", ["--per-round", "0"], 2,
+         "client counts must be >= 1"),
+    ], ids=["no-duration-column", "clients-0", "per-round-0"])
+    def test_manifest_plan_refused_on_one_line(self, tmp_path, capsys, header, flags, code,
+                                               message):
+        path = tmp_path / "m.tsv"
+        path.write_text(header + "\nspk1\tclip1.mp3\t2.5\n")
+        assert run(["fl-plan", "--manifest", str(path), "--clients", "1", "--rounds", "1",
+                    *flags, "--out", str(tmp_path / "r")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
     def test_directory_as_manifest_exits_3_on_one_line(self, tmp_path, capsys):
@@ -695,13 +713,40 @@ class TestForecast:
          "a40 is already faster than xavier-nx at b4-fp32 (slowdown ratio 0.152 < 1); "
          "no parity year to forecast"),
         (["--device", "nx", "--reference", "a40", "--batch", "1", "--precision", "mixed",
-          "--arch", "large"], "no anchors for the requested comparison b1-mixed"),
-    ], ids=["device-already-faster", "no-anchor"])
+          "--arch", "large"], "no anchors for the requested comparison b1-mixed: "
+         "xavier-nx has no anchor for arch='large' precision=mixed"),
+        (["--device", "a40", "--reference", "nx", "--batch", "2"],
+         "a40 is already faster than xavier-nx at b2-fp32 (slowdown ratio 0.179 < 1); "
+         "no parity year to forecast"),
+        (["--device", "rpi", "--precision", "mixed"],
+         "no anchors for the requested comparison b4-mixed: "
+         "rpi4 has no mixed-precision support"),
+    ], ids=["device-already-faster", "no-anchor", "device-already-faster-at-batch-2",
+            "no-mixed-precision"])
     def test_headline_without_a_forecast_exits_2_naming_its_cause(self, tmp_path, capsys,
                                                                    argv, message):
         assert run(["forecast", *argv, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("batch,anchor", [(2, 1), (8, 4)])
+    def test_headline_at_any_batch_through_the_nearest_anchors(self, tmp_path, batch,
+                                                                anchor):
+        # the headline's batch joins batch 1 and 4, and each device is timed
+        # as predict-time times it
+        out = tmp_path / "r"
+        assert run(["forecast", "--device", "nx", "--batch", str(batch),
+                    "--out", str(out)]) == 0
+        payload = json.loads((out / "forecast.json").read_text())
+        assert payload["headline"] == f"b{batch}-fp32"
+        assert set(payload["combos"]) == {f"b{b}-{p}" for b in (1, 4, batch)
+                                          for p in ("fp32", "mixed")}
+        for device, side in (("nx", "slow_s"), ("a40", "fast_s")):
+            assert run(["predict-time", "--device", device, "--batch", str(batch),
+                        "--out", str(tmp_path / device)]) == 0
+            timed = json.loads((tmp_path / device / "predict_time.json").read_text())
+            assert timed["anchor"]["batch"] == anchor
+            assert payload["combos"][f"b{batch}-fp32"][side] == timed["seconds_per_batch"]
 
     def test_headline_from_config_workload_unless_flagged(self, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -770,6 +815,101 @@ def test_ill_typed_config_exits_2_naming_its_key(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
     assert not (tmp_path / "r").exists()
+
+
+CUSTOM_ARCH = ("arch: {conv_stack: [{in_channels: 1, out_channels: 256, kernel: 10, stride: 5}], "
+               "transformer: {blocks: 2, model_dim: 256, heads: 4, ffn_dim: 512}, "
+               "quantizer: {input_dim: 256, groups: 2, entries_per_group: 8, "
+               "codevector_dim: 64}")
+
+
+def _base_with_conv(layer):
+    return "arch: {preset: base, conv_stack: [{" + layer + "}]}"
+
+
+# Each well-typed config value that a check of its section refuses, and the
+# line it prints; the command is the one COMMAND_OF gives its section.
+REFUSED_CONFIGS = {
+    "conv-kernel": (_base_with_conv("in_channels: 1, out_channels: 512, kernel: 0, stride: 5"),
+                    "conv kernel and stride must be >= 1"),
+    "conv-channels": (_base_with_conv("in_channels: 0, out_channels: 512, kernel: 10, "
+                                      "stride: 5"), "conv channel counts must be >= 1"),
+    "conv-groups": (_base_with_conv("in_channels: 3, out_channels: 512, kernel: 10, "
+                                    "stride: 5, groups: 2"),
+                    "conv groups must divide in_channels"),
+    "transformer-heads": ("arch: {preset: base, transformer: {heads: 0}}",
+                          "transformer block dimensions must be >= 1"),
+    "quantizer-groups": ("arch: {preset: base, quantizer: {groups: 0}}",
+                         "quantizer counts must be >= 1"),
+    "codevector-dim": ("arch: {preset: base, quantizer: {groups: 3}}",
+                       "codevector_dim must be divisible by groups"),
+    "conv-stack-empty": ("arch: {preset: base, conv_stack: []}",
+                         "conv_stack must contain at least one layer"),
+    "blocks-negative": ("arch: {preset: base, transformer: {blocks: -1}}",
+                        "block_count must be >= 0"),
+    "feature-proj-in": ("arch: {preset: base, feature_proj: {in_dim: 256, out_dim: 768}}",
+                        "feature_proj input must match the last conv output channels"),
+    "feature-proj-out": ("arch: {preset: base, feature_proj: {in_dim: 512, out_dim: 256}}",
+                         "feature_proj output must match the transformer width"),
+    "pos-conv-without-blocks": ("arch: {preset: base, transformer: {blocks: 0}, pos_conv: "
+                                + POS_CONV + "}}",
+                                "pos_conv requires at least one transformer block"),
+    "sample-rate": ("workload: {sample_rate_hz: 0}", "sample rate must be > 0"),
+    "duration-past-a-float": ("workload: {duration_s: " + str(10**400) + "}",
+                              f"workload.duration_s: expected a finite number, got {10**400}"),
+    "anchor-time": ("devices: [{name: rpi4, anchors: [{arch: base, batch: 1, "
+                    "precision: fp32, seconds_per_batch: 0}]}]", "anchor times must be > 0"),
+    "memory-under-reserve": ("devices: [{name: rpi4, memory_gb: 1}]",
+                             "device memory must exceed the OS reserve"),
+    "peak-under-static-floor": ("memory: {reference_peak_gb: 0.1}",
+                                "measured peak is below the static floor; check the "
+                                "measurement or the overhead setting"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CONFIGS)
+def test_refused_config_value_exits_2_on_one_line(tmp_path, capsys, case):
+    text, message = REFUSED_CONFIGS[case]
+    (tmp_path / "c.yaml").write_text(text + "\n")
+    argv = COMMAND_OF[text.split(":")[0]]
+    assert run(argv + ["--config", str(tmp_path / "c.yaml"),
+                       "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+# Configs that mean the same as another, or as none (None): a precision in
+# capitals, a custom arch that leaves feature_proj and pos_conv to their
+# derived values, and an empty file.
+SAME_CONFIGS = {
+    "precision-in-capitals": ("workload: {precision: FP32}", "workload: {precision: fp32}"),
+    "custom-arch-derived-keys": (CUSTOM_ARCH + "}", CUSTOM_ARCH + ", feature_proj: "
+                                 "{in_dim: 256, out_dim: 256}, pos_conv: null}"),
+    "empty-file": ("", None),
+}
+
+
+@pytest.mark.parametrize("case", SAME_CONFIGS)
+def test_config_reads_as_its_plain_spelling(tmp_path, case):
+    reports = []
+    for name, text in zip(("given", "plain"), SAME_CONFIGS[case]):
+        argv = ["analyze", "--out", str(tmp_path / name)]
+        if text is not None:
+            (tmp_path / f"{name}.yaml").write_text(text)
+            argv += ["--config", str(tmp_path / f"{name}.yaml")]
+        assert run(argv) == 0
+        reports.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert reports[0] == reports[1]
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "run_all_checks", lambda: [
+        checks.CheckResult("a/passes", True, "1 in [0, 2]"),
+        checks.CheckResult("b/fails", False, "3 not in [0, 2]")])
+    assert main(["validate"]) == 1
+    assert capsys.readouterr().out == ("PASS  a/passes  1 in [0, 2]\n"
+                                       "FAIL  b/fails   3 not in [0, 2]\n"
+                                       "1/2 checks passed\n")
 
 
 # Each command that builds a workload, and its arguments.
@@ -921,6 +1061,8 @@ RAISES.update({
                                "client c1 has shape (3,), expected (2,)"),
     "EmptyUpdateSetError": (errors.ConfigError, lambda tmp_path: _aggregate(),
                             "no client updates to aggregate"),
+    "InvalidRatioError": (errors.ConfigError, lambda tmp_path: trend.years_to_parity(0.5, 1.0),
+                          "slow time 0.5 is already faster than 1.0"),
     "InvalidSampleSizeError": (errors.ConfigError,
                                lambda tmp_path: federation.schedule_rounds(4, 2, 0),
                                "need at least one round"),
@@ -1001,48 +1143,85 @@ class TestSharedParser:
         assert "usage: fedspeech fl-sim" in capsys.readouterr().out
 
 
-# Flag values for the random-argv property: valid, boundary and invalid
-# spellings from small sets, every size and count at most 3.
-COUNTS = ["-1", "0", "1", "2", "3"]
-LENGTHS = ["0", "0.01", "0.5", "5.5", "30", "-1", "nan", "inf", "1e300", "long"]
-REALS = ["0", "0.1", "1", "2.5", "-1", "nan", "inf", "1e300", "-1e300"]
-DEVICES = ["a40", "nx", "rpi", "macbook", "agx-32gb", "abacus"]
-WORKLOAD_FLAGS = {"--arch": ["base", "large", "tiny"], "--batch": COUNTS,
-                  "--precision": ["fp32", "mixed", "bf16"]}
-# each command with its optional flags (a value list, or None for a switch)
-# and the flags it is always given
-ARGV_FLAGS = {
-    "analyze": ({**WORKLOAD_FLAGS, "--duration": LENGTHS}, ()),
-    "memory": ({**WORKLOAD_FLAGS, "--duration": LENGTHS}, ()),
-    "predict-time": ({**WORKLOAD_FLAGS, "--duration": LENGTHS, "--fail-on-oom": None},
-                     ("--device",)),
-    "forecast": ({**WORKLOAD_FLAGS, "--duration": LENGTHS, "--reference": DEVICES,
-                  "--doubling-months": REALS, "--base-year": REALS}, ("--device",)),
-    "fl-plan": ({**WORKLOAD_FLAGS, "--mean-duration": LENGTHS, "--per-round": COUNTS,
-                 "--local-epochs": COUNTS, "--device": DEVICES, "--seed": COUNTS,
-                 "--fail-on-oom": None},
-                ("--clients", "--rounds", "--samples-per-client")),
-    "fl-sim": ({"--agg": ["fedavg", "loss", "loss_weighted", "median"],
-                "--alpha": REALS, "--per-round": COUNTS,
-                "--lr": REALS, "--local-steps": COUNTS, "--spread": REALS,
-                "--seed": COUNTS, "--pre-loss": None},
-               ("--clients", "--rounds", "--dim")),
-}
-REQUIRED_VALUES = {"--device": DEVICES, "--clients": COUNTS, "--rounds": COUNTS,
-                   "--samples-per-client": COUNTS, "--dim": COUNTS}
+# Values for the random-argv property by the type an option takes. No drawn
+# count that runs a loop exceeds 3; 2**53 and 2**63 are sizes whose
+# allocation is refused at once, or counts that are past a float or int64.
+INT_VALUES = ["-1", "0", "1", "3", str(2**53), str(2**63)]
+FLOAT_VALUES = ["0", "1e-9", "5.5", "1e300", "nan", "inf", "-inf"]
+BAD_VALUE = "bogus"
+# options whose count is a loop that allocates nothing: never drawn above 3
+LOOP_COUNTS = {"local_steps"}
+DEVICE_NAMES = sorted(p.name for p in devices.builtin_profiles())
+CONFIG_SECTIONS = typing.get_type_hints(config.ConfigFile)
+# free-text options by their dest, with the names that mean something there;
+# "<...>" stands for a file the test writes
+STRING_VALUES = {"device": DEVICE_NAMES, "reference": DEVICE_NAMES,
+                 "arch": sorted(arch.PRESETS), "manifest": ["<manifest>"],
+                 "config": [f"<config {key}>" for key in CONFIG_SECTIONS]}
+
+
+def _ill_typed(key, typ):
+    """A config section ``key`` of type ``typ`` holding one ill-typed value."""
+    if dataclasses.is_dataclass(typ):  # in the section's first key
+        return {key: {dataclasses.fields(typ)[0].name: [1]}}
+    return {key: 1 if typing.get_origin(typ) is tuple else [1]}
+
+
+def _option_values(action):
+    """Each value the property draws for one option; None for a switch."""
+    if action.nargs == 0:
+        return None
+    if action.choices:
+        return [*action.choices, BAD_VALUE, ""]
+    if action.type is int:
+        return INT_VALUES[:4] if action.dest in LOOP_COUNTS else INT_VALUES
+    if action.type is float:
+        return FLOAT_VALUES
+    return [*STRING_VALUES.get(action.dest, []), BAD_VALUE, ""]
+
+
+# each command's options from the parser itself: (required, optional), each a
+# mapping of option string to its values; --out is always the test's own
+PARSED_OPTIONS = {
+    command: tuple({a.option_strings[-1]: _option_values(a)
+                    for a in parser._actions
+                    if a.option_strings and a.required is required
+                    and a.dest not in ("help", "out")}
+                   for required in (True, False))
+    for command, parser in next(a for a in cli.build_parser()._actions
+                                if isinstance(a, argparse._SubParsersAction)).choices.items()
+    if command != "validate"}
 
 
 @st.composite
 def command_lines(draw):
-    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
-    optional, required = ARGV_FLAGS[command]
+    command = draw(st.sampled_from(sorted(PARSED_OPTIONS)))
+    required, optional = PARSED_OPTIONS[command]
+    drawn = list(required) + draw(st.lists(st.sampled_from(sorted(optional)), max_size=4,
+                                           unique=True))
     argv = [command]
-    for flag in required:
-        argv += [flag, draw(st.sampled_from(REQUIRED_VALUES[flag]))]
-    for flag in draw(st.lists(st.sampled_from(sorted(optional)), max_size=4, unique=True)):
-        values = optional[flag]
-        argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    for flag in drawn:
+        values = {**required, **optional}[flag]
+        # one token, so that a value such as -inf is not read as a flag
+        argv.append(flag if values is None else f"{flag}={draw(st.sampled_from(values))}")
     return argv
+
+
+def _files_for(argv, root):
+    """``argv`` with each ``<...>`` value a file under ``root``: the
+    tie-heavy manifest, or a config with one ill-typed value in a section."""
+    out = []
+    for token in argv:
+        flag, _, value = token.partition("=")
+        if value == "<manifest>":
+            value = root / "manifest.tsv"
+            value.write_text(manifest_text(tie_heavy_rows()))
+        elif value.startswith("<config "):
+            key = value[len("<config "):-1]
+            value = root / f"{key}.yaml"
+            value.write_text(json.dumps(_ill_typed(key, CONFIG_SECTIONS[key])) + "\n")
+        out.append(f"{flag}={value}" if "=" in token else token)
+    return out
 
 
 @settings(max_examples=150, deadline=None,
@@ -1050,10 +1229,14 @@ def command_lines(draw):
 @given(argv=command_lines())
 def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
     capsys.readouterr()
-    try:
+    argv = _files_for(argv, tmp_path)
+    try:  # any exception but SystemExit fails the test
         code = main(argv + ["--out", str(tmp_path / "r")])
     except SystemExit as exc:  # argparse rejected a flag
         assert exc.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: fedspeech {argv[0]} "), lines
+        assert lines[-1].startswith(f"fedspeech {argv[0]}: error: "), lines
         return
     assert code in (0, 2, 3, 4)
     err = capsys.readouterr().err
@@ -1131,7 +1314,9 @@ def test_large_counts_exit_0_or_2_in_a_limited_child(tmp_path, command, clients,
 # no CSV digest changed. Every manifest case's JSON digests were then
 # re-recorded when meta began to record the manifest's SHA-256, and every
 # fl-sim case's JSON digest when fl-sim lost --samples and meta its samples
-# key; no CSV digest changed either time.
+# key; no CSV digest changed either time. The batch-2 forecast, whose
+# headline batch joins batch 1 and 4, was recorded when forecast began to
+# answer at any batch.
 MANIFEST = "<tie-heavy manifest>"
 
 
@@ -1478,6 +1663,10 @@ REPORT_DIGESTS = {
     ("forecast", "--device", "nx", "--batch", "1", "--precision", "mixed"): {
         "forecast.json":
             "2d8c1ddbd45007168c737783208f5726de68fc56c2c959c8ace57f13077839da",
+    },
+    ("forecast", "--device", "nx", "--batch", "2"): {
+        "forecast.json":
+            "b4e2f12cd2710b4356b99fe340dfb08caf01ab36d97b57e94caa8de58343475b",
     },
 }
 

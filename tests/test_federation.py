@@ -1,9 +1,11 @@
 import codecs
 import csv
+import gc
 import heapq
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -527,6 +529,24 @@ class TestManifest:
         assert len(load_manifest(p)) == 0
         with pytest.raises(ManifestError, match="^manifest is empty$"):
             load_manifest(write_tsv(tmp_path / "e.tsv", ""))
+
+    def test_quoted_manifest_reader_is_closed(self, tmp_path):
+        # A quoted field sends the file to csv.reader through a text wrapper,
+        # which is closed whether the rows are accepted or one is refused.
+        header = "utterance_id\tspeaker_id\tduration_s\n"
+        good = write_tsv(tmp_path / "good.tsv", header + '"u 1"\ts1\t5.0\n')
+        bad = write_tsv(tmp_path / "bad.tsv", header + '"u 1"\ts1\t-1\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert rows_of(load_manifest(good)) == [("u 1", "s1", 5.0)]
+            try:
+                load_manifest(bad)
+            except MalformedRowError as exc:
+                assert str(exc) == "line 2: non-positive duration -1.0"
+            else:
+                pytest.fail("the bad row was accepted")
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 class TestPartition:

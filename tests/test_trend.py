@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from fedspeech.errors import ConfigError, InvalidRatioError
-from fedspeech.trend import parity_year, speedup_after
+from fedspeech.errors import ConfigError
+from fedspeech.trend import speedup_after, years_to_parity
 
 
 class TestSpeedup:
@@ -25,30 +25,34 @@ class TestSpeedup:
 
 class TestParity:
     def test_nx_vs_a40_window(self):
-        forecast = parity_year(2022, 1.78, 0.27, 18)
-        assert 2026 <= forecast.parity_year <= 2028
+        assert 2026 <= 2022 + years_to_parity(1.78, 0.27, 18) <= 2028
 
     def test_equal_times(self):
-        forecast = parity_year(2022, 1.0, 1.0, 18)
-        assert forecast.years_to_parity == 0.0
-        assert forecast.parity_year == 2022
+        assert years_to_parity(1.0, 1.0, 18) == 0.0
 
     def test_ratio_eight_is_three_doublings(self):
-        forecast = parity_year(2022, 8.0, 1.0, 18)
-        assert forecast.years_to_parity == pytest.approx(4.5, rel=1e-12)
+        assert years_to_parity(8.0, 1.0, 18) == pytest.approx(4.5, rel=1e-12)
 
     def test_faster_than_reference_rejected(self):
-        with pytest.raises(InvalidRatioError):
-            parity_year(2022, 0.5, 1.0, 18)
+        with pytest.raises(ConfigError, match="^slow time 0.5 is already faster than 1.0$"):
+            years_to_parity(0.5, 1.0, 18)
 
     def test_monotone_in_ratio_and_doubling_period(self):
-        years = [parity_year(2022, r, 1.0, 18).parity_year for r in (2, 4, 8, 16)]
+        years = [years_to_parity(r, 1.0, 18) for r in (2, 4, 8, 16)]
         assert all(a < b for a, b in zip(years, years[1:]))
-        periods = [parity_year(2022, 6.0, 1.0, m).parity_year for m in (12, 18, 24)]
+        periods = [years_to_parity(6.0, 1.0, m) for m in (12, 18, 24)]
         assert all(a < b for a, b in zip(periods, periods[1:]))
 
     def test_composition_round_trip(self):
         for ratio in (1.5, 3.0, 6.59, 31.3):
-            forecast = parity_year(2022, ratio, 1.0, 18)
-            recovered = speedup_after(forecast.years_to_parity, 18)
+            recovered = speedup_after(years_to_parity(ratio, 1.0, 18), 18)
             assert math.isclose(recovered, ratio, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("slow,fast,months,message", [
+        (1.0, 0.0, 18, "fast time must be > 0"),
+        (2.0, 1.0, math.nan, "doubling period must be finite and > 0, got nan"),
+        (2.0, 1.0, 0.0, "doubling period must be finite and > 0, got 0.0"),
+    ], ids=["fast-time-zero", "doubling-nan", "doubling-zero"])
+    def test_bad_input_rejected_on_one_line(self, slow, fast, months, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            years_to_parity(slow, fast, months)
