@@ -18,7 +18,7 @@ from functools import cache
 from typing import Mapping, Optional, TypedDict
 
 from .errors import ConfigError
-from .settings import read, read_keys, read_value, to_mapping
+from .settings import blamed_on, read, read_keys, read_value, to_mapping
 
 
 class Precision(str, enum.Enum):
@@ -289,10 +289,11 @@ def arch_from_mapping(m: Mapping, where: str = "arch") -> ArchitectureSpec:
     else:
         pos_conv = None
 
-    return ArchitectureSpec(name=given.get("name", spec.name if spec else "custom"),
-                            conv_stack=conv_stack, feature_proj=feature_proj,
-                            block_count=block_count, block=block, quantizer=quantizer,
-                            pos_conv=pos_conv)
+    with blamed_on(where):
+        return ArchitectureSpec(name=given.get("name", spec.name if spec else "custom"),
+                                conv_stack=conv_stack, feature_proj=feature_proj,
+                                block_count=block_count, block=block, quantizer=quantizer,
+                                pos_conv=pos_conv)
 
 
 @cache  # keyed by the whole spec, not its name; a process reads few

@@ -18,7 +18,7 @@ import numpy as np
 from .aggregation import (AggMethod, AggregationConfig, ClientUpdate, SyntheticFLConfig,
                           aggregate, run_synthetic_fl)
 from .arch import Precision, WorkloadSpec, get_preset
-from .costs import ModuleGroup, forward_flops
+from .costs import forward_flops
 from .devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
                       training_residency_bytes)
 from .federation import (WallClockEstimate, estimate_wall_clock, partition_by_speaker,
@@ -29,9 +29,23 @@ from .trend import speedup_after, years_to_parity
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome. A check that compares one number with a bound or
+    a range keeps that number in ``value`` and the bound or the range's two
+    ends in ``bounds``; a check of a property keeps neither."""
+
     name: str
     passed: bool
     detail: str
+    value: Optional[float] = None
+    bounds: tuple[float, ...] = ()
+
+    @property
+    def margin(self) -> Optional[float]:
+        """``value``'s relative distance from the nearer of ``bounds``,
+        ``|value / bound - 1|``, or None for a check of a property."""
+        if self.value is None:
+            return None
+        return min(abs(self.value / bound - 1.0) for bound in self.bounds)
 
 
 def _rel(value: float, target: float) -> float:
@@ -43,12 +57,13 @@ def _within(name: str, value: float, target: float, tol: float,
     rel = _rel(value, target)
     return CheckResult(name, abs(rel) <= tol,
                        f"{value:.4g}{unit} vs {target:.4g}{unit} "
-                       f"({rel:+.2%}, tol {tol:.0%})")
+                       f"({rel:+.2%}, tol {tol:.0%})",
+                       float(value), (target * (1.0 - tol), target * (1.0 + tol)))
 
 
 def _in_range(name: str, value: float, lo: float, hi: float) -> CheckResult:
     return CheckResult(name, lo <= value <= hi,
-                       f"{value:.4g} in [{lo:.4g}, {hi:.4g}]")
+                       f"{value:.4g} in [{lo:.4g}, {hi:.4g}]", float(value), (lo, hi))
 
 
 # --------------------------------------------------------------------- params
@@ -68,7 +83,7 @@ def param_checks() -> list[CheckResult]:
         for key, target in targets.items():
             tol = 0.01 if key == "total" else 0.02
             value = (report.total_params if key == "total"
-                     else report.group_params(ModuleGroup(key))) / 1e6
+                     else report.module_totals[key][0]) / 1e6
             out.append(_within(f"params/{preset}/{key}", value, target, tol, " M"))
     return out
 
@@ -89,7 +104,7 @@ def flop_checks() -> list[CheckResult]:
         report = forward_flops(get_preset(preset), workload)
         for key, (target, tol) in targets.items():
             value = (report.total_fwd_flops if key == "total"
-                     else report.group_fwd_flops(ModuleGroup(key))) / 1e9
+                     else report.module_totals[key][1]) / 1e9
             out.append(_within(f"flops/{preset}/{key}", value, target, tol, " GF"))
     return out
 
@@ -226,7 +241,8 @@ def memory_fit_checks() -> list[CheckResult]:
             f"fit/{device}/{preset}-b{batch}-{precision}",
             verdict in wanted,
             f"{peak / GB:.2f} GB vs {profile.memory_budget_bytes / GB:.1f} GB "
-            f"budget -> {verdict.value} ({'ran' if ran else 'oom'} on device)"))
+            f"budget -> {verdict.value} ({'ran' if ran else 'oom'} on device)",
+            peak, (profile.memory_budget_bytes,)))
     return out
 
 

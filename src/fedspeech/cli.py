@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from dataclasses import replace
@@ -44,7 +45,7 @@ from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
                      partition_payload, plan_rows, schedule_payload, timeline_payload,
                      timeline_rows, trajectory_payload, trajectory_rows,
                      wall_clock_payload, write_csv, write_json)
-from .settings import read, to_mapping
+from .settings import blamed_on, read, to_mapping
 from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, years_to_parity
 
 np = lazy_import("numpy")
@@ -205,7 +206,9 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     per_round = fl.clients if fl.per_round is None else fl.per_round
     # the fl section's batch is the one trained; the workload section gives
     # the precision, the sample rate and an idealised corpus's clip length
-    workload = replace(_workload_from(args, cfg), batch=fl.batch)
+    workload = _workload_from(args, cfg)
+    with blamed_on("fl.batch" if args.batch is None else ""):
+        workload = replace(workload, batch=fl.batch)
 
     if args.manifest:  # meta records its content, not its path
         for flag, value, what in (("--samples-per-client", args.samples_per_client, "sizes"),
@@ -356,14 +359,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .checks import run_all_checks  # only validate loads the reference checks
 
     results = run_all_checks()
-    width = max(len(r.name) for r in results)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failed += 1
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    failed = sum(not r.passed for r in results)
+    if args.json:
+        print(json.dumps([{"name": r.name, "passed": r.passed, "value": r.value,
+                           "bounds": list(r.bounds) or None, "margin": r.margin,
+                           "detail": r.detail} for r in results], indent=2))
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
+        print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else 1
 
 
@@ -445,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doubling-months", type=float, default=DEFAULT_DOUBLING_MONTHS)
     p.add_argument("--base-year", type=float, default=DEFAULT_BASE_YEAR)
 
-    sub.add_parser("validate", help="run the built-in reference checks")
+    p = sub.add_parser("validate", help="run the built-in reference checks")
+    p.add_argument("--json", action="store_true",
+                   help="print each check as JSON: name, passed, value, bounds, margin")
     return parser
 
 

@@ -36,7 +36,7 @@ from .errors import ConfigError
 
 ELEMENTWISE_FLOPS = 5  # per element: norm, activation, softmax
 # Reports forward_flops keeps, least recently used dropped first; 64 reports
-# of the large preset hold about 0.66 MB.
+# of the large preset hold about 0.40 MB with their totals.
 REPORT_CACHE_SIZE = 64
 
 
@@ -50,69 +50,50 @@ class LayerKind(str, enum.Enum):
     QUANT_OUT_PROJ = "quant_out_proj"
 
 
-class ModuleGroup(str, enum.Enum):
-    CNN_ENCODER = "cnn_encoder"
-    TRANSFORMER = "transformer"
-    QUANTIZER = "quantizer"
-    OTHER = "other"
-
-
-_PARAM_GROUP = {
-    LayerKind.CONV: ModuleGroup.CNN_ENCODER,
-    LayerKind.FEATURE_PROJ: ModuleGroup.CNN_ENCODER,
-    LayerKind.POS_CONV: ModuleGroup.TRANSFORMER,
-    LayerKind.TRANSFORMER_BLOCK: ModuleGroup.TRANSFORMER,
-    LayerKind.FINAL_NORM: ModuleGroup.TRANSFORMER,
-    LayerKind.QUANTIZER: ModuleGroup.QUANTIZER,
-    LayerKind.QUANT_OUT_PROJ: ModuleGroup.OTHER,
-}
-_FLOP_GROUP = dict(_PARAM_GROUP, **{LayerKind.QUANT_OUT_PROJ: ModuleGroup.QUANTIZER})
-
-
-@dataclass(frozen=True)
-class LayerCost:
-    """Cost of a single layer at a given workload.
-
-    ``fwd_flops`` covers the whole batch; ``activation_bytes_per_sample``
-    is per sequence so callers can re-scale batching independently.
-    """
-
-    layer_id: int
-    kind: LayerKind
-    label: str
-    params: int
-    fwd_flops: float
-    activation_bytes_per_sample: float
-    output_len: int
-
-
 @dataclass(frozen=True)
 class CostReport:
+    """Per-layer forward cost at one workload, as columns: entry ``i`` of
+    each column is layer ``i`` in forward order.
+
+    ``fwd_flops`` covers the whole batch; ``activation_bytes_per_sample``
+    is per sequence so callers can re-scale batching independently. Each
+    total is summed once per report, in layer order, on first use.
+    """
+
     arch_name: str
-    per_layer: tuple[LayerCost, ...]
+    kinds: tuple[LayerKind, ...]
+    labels: tuple[str, ...]
+    params: tuple[int, ...]
+    fwd_flops: tuple[float, ...]
+    activation_bytes_per_sample: tuple[float, ...]
+    output_lens: tuple[int, ...]
 
-    @property
+    @cached_property
     def total_params(self) -> int:
-        return sum(l.params for l in self.per_layer)
+        return sum(self.params)
 
-    @property
+    @cached_property
     def total_fwd_flops(self) -> float:
-        return sum(l.fwd_flops for l in self.per_layer)
+        return sum(self.fwd_flops)
 
-    @property
+    @cached_property
     def total_activation_bytes_per_sample(self) -> float:
-        return sum(l.activation_bytes_per_sample for l in self.per_layer)
+        return sum(self.activation_bytes_per_sample)
 
-    def group_params(self, group: ModuleGroup) -> int:
-        return sum(l.params for l in self.per_layer if _PARAM_GROUP[l.kind] is group)
-
-    def group_fwd_flops(self, group: ModuleGroup) -> float:
-        return sum(l.fwd_flops for l in self.per_layer if _FLOP_GROUP[l.kind] is group)
-
-    @cached_property  # summed once per report and shared: callers only read it
+    @cached_property
     def module_totals(self) -> dict[str, tuple[int, float]]:
-        return {g.value: (self.group_params(g), self.group_fwd_flops(g))
-                for g in ModuleGroup}
+        """``(params, fwd_flops)`` of each module group. Each group is a run
+        of layers in forward order: the conv stack and feature projection,
+        then the transformer, then the quantizer, whose output projection
+        reports its parameters under ``other`` and its compute under
+        ``quantizer``."""
+        params, flops = self.params, self.fwd_flops
+        cnn_end = self.kinds.index(LayerKind.FEATURE_PROJ) + 1
+        quant = self.kinds.index(LayerKind.QUANTIZER)
+        return {"cnn_encoder": (sum(params[:cnn_end]), sum(flops[:cnn_end])),
+                "transformer": (sum(params[cnn_end:quant]), sum(flops[cnn_end:quant])),
+                "quantizer": (params[quant], sum(flops[quant:])),
+                "other": (params[quant + 1], 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +195,26 @@ def _quantizer_flops(arch: ArchitectureSpec, frames: int) -> float:
 # Report construction
 
 
-def _build_layers(arch: ArchitectureSpec, workload: WorkloadSpec) -> list[LayerCost]:
+def _build_layers(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
+    """The report's columns, filled in forward order in one pass; the
+    transformer block row is computed once and repeated ``block_count`` times."""
     lens = conv_stack_lens(arch, workload.samples)
-    elem = workload.precision.bytes_per_value
+    batch, elem = workload.batch, workload.precision.bytes_per_value
     frames = lens[-1]
 
-    layers: list[LayerCost] = []
+    def row(kind: LayerKind, label: str, params: int, flops: float,
+            retained_elems: int, out_len: int) -> tuple:
+        return kind, label, params, flops * batch, float(retained_elems * elem), out_len
 
-    def add(kind: LayerKind, label: str, params: int, flops: float,
-            retained_elems: int, out_len: int) -> None:
-        layers.append(LayerCost(
-            layer_id=len(layers), kind=kind, label=label, params=params,
-            fwd_flops=flops * workload.batch,
-            activation_bytes_per_sample=float(retained_elems * elem),
-            output_len=out_len))
-
-    for i, conv in enumerate(arch.conv_stack):
-        add(LayerKind.CONV, f"conv{i}", conv_params(conv), _conv_flops(conv, lens[i]),
-            _conv_retained(conv, lens[i]), lens[i])
+    rows = [row(LayerKind.CONV, f"conv{i}", conv_params(conv), _conv_flops(conv, n),
+                _conv_retained(conv, n), n)
+            for i, (conv, n) in enumerate(zip(arch.conv_stack, lens))]
 
     d_in, d_out = arch.feature_proj
-    add(LayerKind.FEATURE_PROJ, "feature_proj",
-        2 * d_in + linear_params(d_in, d_out),
-        (2.0 * d_in * d_out + ELEMENTWISE_FLOPS * d_in) * frames,
-        (d_in + d_out) * frames, frames)
+    rows.append(row(LayerKind.FEATURE_PROJ, "feature_proj",
+                    2 * d_in + linear_params(d_in, d_out),
+                    (2.0 * d_in * d_out + ELEMENTWISE_FLOPS * d_in) * frames,
+                    (d_in + d_out) * frames, frames))
 
     if arch.pos_conv is not None:
         pc = arch.pos_conv
@@ -246,28 +223,28 @@ def _build_layers(arch: ArchitectureSpec, workload: WorkloadSpec) -> list[LayerC
         if pc.activation is not Activation.NONE:
             pos_flops += ELEMENTWISE_FLOPS * pc.out_channels * frames
             copies += 1
-        add(LayerKind.POS_CONV, "pos_conv", conv_params(pc), pos_flops,
-            copies * pc.out_channels * frames, frames)
-
-    for i in range(arch.block_count):
-        add(LayerKind.TRANSFORMER_BLOCK, f"block{i}", _block_params(arch),
-            _block_flops(arch, frames), _block_retained(arch, frames), frames)
+        rows.append(row(LayerKind.POS_CONV, "pos_conv", conv_params(pc), pos_flops,
+                        copies * pc.out_channels * frames, frames))
 
     if arch.block_count:
+        kind, _, *block = row(LayerKind.TRANSFORMER_BLOCK, "", _block_params(arch),
+                              _block_flops(arch, frames), _block_retained(arch, frames),
+                              frames)
+        rows += [(kind, f"block{i}", *block) for i in range(arch.block_count)]
         d = arch.block.model_dim
-        add(LayerKind.FINAL_NORM, "final_norm", 2 * d,
-            float(ELEMENTWISE_FLOPS * d * frames), d * frames, frames)
+        rows.append(row(LayerKind.FINAL_NORM, "final_norm", 2 * d,
+                        float(ELEMENTWISE_FLOPS * d * frames), d * frames, frames))
 
     q = arch.quantizer
-    add(LayerKind.QUANTIZER, "quantizer", quantizer_params(arch),
-        _quantizer_flops(arch, frames),
-        (q.total_entries + q.codevector_dim) * frames, frames)
-    add(LayerKind.QUANT_OUT_PROJ, "quant_out_proj",
-        linear_params(q.codevector_dim, q.codevector_dim),
-        2.0 * q.codevector_dim * q.codevector_dim * frames,
-        q.codevector_dim * frames, frames)
+    rows.append(row(LayerKind.QUANTIZER, "quantizer", quantizer_params(arch),
+                    _quantizer_flops(arch, frames),
+                    (q.total_entries + q.codevector_dim) * frames, frames))
+    rows.append(row(LayerKind.QUANT_OUT_PROJ, "quant_out_proj",
+                    linear_params(q.codevector_dim, q.codevector_dim),
+                    2.0 * q.codevector_dim * q.codevector_dim * frames,
+                    q.codevector_dim * frames, frames))
 
-    return layers
+    return CostReport(arch.name, *zip(*rows))
 
 
 @lru_cache(maxsize=REPORT_CACHE_SIZE)
@@ -279,7 +256,7 @@ def forward_flops(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
     is built once per (arch, workload) and shared by every later call, which
     its immutability makes safe.
     """
-    return CostReport(arch_name=arch.name, per_layer=tuple(_build_layers(arch, workload)))
+    return _build_layers(arch, workload)
 
 
 _MODULE_LABELS = {"cnn_encoder": "CNN Encoder", "transformer": "Transformer",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec, base_preset
@@ -135,16 +136,11 @@ def memory_timeline(arch: ArchitectureSpec, workload: WorkloadSpec,
     """Per-layer retained bytes in forward order, with the calibrated peak."""
     cal = calibration or default_calibration()
     report = forward_flops(arch, workload)
-    per_layer = tuple(l.activation_bytes_per_sample * workload.batch
-                      for l in report.per_layer)
-    cumulative: list[float] = []
-    running = 0.0
-    for b in per_layer:
-        running += b
-        cumulative.append(running)
+    batch = workload.batch
+    per_layer = tuple(b * batch for b in report.activation_bytes_per_sample)
     return MemoryTimeline(
-        arch_name=arch.name, layer_labels=tuple(l.label for l in report.per_layer),
-        layer_kinds=tuple(l.kind.value for l in report.per_layer),
-        per_layer_bytes=per_layer, cumulative_bytes=tuple(cumulative),
+        arch_name=arch.name, layer_labels=report.labels,
+        layer_kinds=tuple(kind.value for kind in report.kinds),
+        per_layer_bytes=per_layer, cumulative_bytes=tuple(accumulate(per_layer)),
         static_bytes=weight_bytes(report) + cal.runtime_overhead_bytes,
         activation_overhead=cal.activation_overhead)

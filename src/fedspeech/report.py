@@ -268,11 +268,10 @@ def cost_report_payload(report: CostReport, rollup: list[dict],
         "meta": dict(meta),
         "arch": report.arch_name,
         "per_layer": [
-            {"layer_id": l.layer_id, "kind": l.kind.value, "label": l.label,
-             "params": l.params, "fwd_flops": l.fwd_flops,
-             "activation_bytes_per_sample": l.activation_bytes_per_sample,
-             "output_len": l.output_len}
-            for l in report.per_layer
+            {"layer_id": i, "kind": kind.value, "label": label, "params": params,
+             "fwd_flops": flops, "activation_bytes_per_sample": activation,
+             "output_len": out_len}
+            for i, (kind, label, params, flops, activation, out_len) in _layers(report)
         ],
         "module_totals": {
             name: {"params": params, "fwd_flops": flops}
@@ -285,9 +284,14 @@ def cost_report_payload(report: CostReport, rollup: list[dict],
 
 
 def cost_report_rows(report: CostReport) -> list[list]:
-    return [[l.layer_id, l.kind.value, l.label, l.params, f"{l.fwd_flops:.6g}",
-             f"{l.activation_bytes_per_sample:.6g}", l.output_len]
-            for l in report.per_layer]
+    return [[i, kind.value, label, params, f"{flops:.6g}", f"{activation:.6g}", out_len]
+            for i, (kind, label, params, flops, activation, out_len) in _layers(report)]
+
+
+def _layers(report: CostReport) -> Iterator[tuple[int, tuple]]:
+    """Each layer's number and its entries of the report's columns."""
+    return enumerate(zip(report.kinds, report.labels, report.params, report.fwd_flops,
+                         report.activation_bytes_per_sample, report.output_lens))
 
 
 COST_CSV_HEADER = ["layer_id", "kind", "label", "params", "fwd_flops",

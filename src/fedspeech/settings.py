@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import cache
-from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints, is_typeddict
+from typing import (Any, Iterator, Mapping, Union, get_args, get_origin, get_type_hints,
+                    is_typeddict)
 
 from .errors import ConfigError
 
@@ -62,16 +64,30 @@ def read(cls: type, value: Any, where: str, base: Any = None, **flags: Any) -> A
     A key that ``value`` leaves out keeps its value in ``base``, or else its
     field default; a field without a default is then required. ``flags``
     that are not None override the mapping. They come typed from the command
-    line, so only the checks of ``cls`` itself apply to them.
+    line, so only the checks of ``cls`` itself apply to them. A check of
+    ``cls`` that refuses the values names ``where`` when no flag gave one.
     """
     given = read_keys(cls, value, where)
-    given.update((key, flag) for key, flag in flags.items() if flag is not None)
-    if base is not None:
-        return replace(base, **given)
-    for key in _declared(cls)[1]:
-        if key not in given:
-            raise ConfigError(f"{_at(where, key)}: required key is missing")
-    return cls(**given)
+    flagged = {key: flag for key, flag in flags.items() if flag is not None}
+    given.update(flagged)
+    if base is None:
+        for key in _declared(cls)[1]:
+            if key not in given:
+                raise ConfigError(f"{_at(where, key)}: required key is missing")
+    with blamed_on("" if flagged else where):
+        return cls(**given) if base is None else replace(base, **given)
+
+
+@contextmanager
+def blamed_on(where: str) -> Iterator[None]:
+    """A ``ConfigError`` raised inside is raised again with ``where``, a
+    config key, before its message; with ``where`` empty it passes as it is."""
+    try:
+        yield
+    except ConfigError as exc:
+        if not where:
+            raise
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def read_value(typ: Any, value: Any, where: str, build: bool = True) -> Any:

@@ -7,7 +7,12 @@ group of those checks, the same ones ``fedspeech validate`` prints. Run with
 """
 
 import hashlib
+import io
+import json
 import time
+from contextlib import redirect_stdout
+
+import pytest
 
 from fedspeech.checks import CHECK_GROUPS
 from fedspeech.cli import main
@@ -99,8 +104,41 @@ def test_every_check_group_has_a_test():
 VALIDATE_STDOUT_SHA256 = "08bdd4e79edf3ae60607215aa5106f6ecfe18508a62154f200148e72839b4497"
 
 
-def test_validate_prints_the_recorded_report(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert out.endswith("\n86/86 checks passed\n")
-    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_STDOUT_SHA256
+@pytest.fixture(scope="module")
+def validate_stdout():
+    """What ``fedspeech validate`` prints, run once for the tests below."""
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["validate"]) == 0
+    return out.getvalue()
+
+
+def test_validate_prints_the_recorded_report(validate_stdout):
+    assert validate_stdout.endswith("\n86/86 checks passed\n")
+    assert hashlib.sha256(validate_stdout.encode()).hexdigest() == VALIDATE_STDOUT_SHA256
+
+
+def test_validate_json_agrees_with_the_text_table(validate_stdout, capsys):
+    assert main(["validate", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)
+    width = max(len(c["name"]) for c in checks)
+    assert [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']:<{width}}  {c['detail']}"
+            for c in checks] == validate_stdout.splitlines()[:-1]
+    numeric = 0
+    for c in checks:
+        assert list(c) == ["name", "passed", "value", "bounds", "margin", "detail"]
+        if c["value"] is None:  # a check of a property
+            assert c["bounds"] is None and c["margin"] is None
+            continue
+        numeric += 1
+        assert c["margin"] == min(abs(c["value"] / b - 1.0) for b in c["bounds"])
+        if c["name"].startswith("fit/"):  # residency against the budget, in bytes
+            (budget,) = c["bounds"]
+            assert c["detail"].startswith(f"{c['value'] / 1e9:.2f} GB vs "
+                                          f"{budget / 1e9:.1f} GB budget")
+        else:  # a value and a range
+            lo, hi = c["bounds"]
+            assert c["detail"].startswith(f"{c['value']:.4g}") and lo < hi
+    assert numeric == 68 and sum(c["name"].startswith("fit/") for c in checks) == 32
+    # the marginal fit cells, each as far from its budget as recorded at ced8973
+    assert sorted(round(100 * c["margin"], 2) for c in checks
+                  if "-> marginal" in c["detail"]) == [0.81, 2.31, 2.31, 2.46, 2.46]

@@ -828,41 +828,44 @@ def _base_with_conv(layer):
 
 
 # Each well-typed config value that a check of its section refuses, and the
-# line it prints; the command is the one COMMAND_OF gives its section.
+# line it prints, which names the key of the section or entry the check
+# refused; the command is the one COMMAND_OF gives its section.
 REFUSED_CONFIGS = {
     "conv-kernel": (_base_with_conv("in_channels: 1, out_channels: 512, kernel: 0, stride: 5"),
-                    "conv kernel and stride must be >= 1"),
+                    "arch.conv_stack[0]: conv kernel and stride must be >= 1"),
     "conv-channels": (_base_with_conv("in_channels: 0, out_channels: 512, kernel: 10, "
-                                      "stride: 5"), "conv channel counts must be >= 1"),
+                                      "stride: 5"),
+                      "arch.conv_stack[0]: conv channel counts must be >= 1"),
     "conv-groups": (_base_with_conv("in_channels: 3, out_channels: 512, kernel: 10, "
                                     "stride: 5, groups: 2"),
-                    "conv groups must divide in_channels"),
+                    "arch.conv_stack[0]: conv groups must divide in_channels"),
     "transformer-heads": ("arch: {preset: base, transformer: {heads: 0}}",
-                          "transformer block dimensions must be >= 1"),
+                          "arch.transformer: transformer block dimensions must be >= 1"),
     "quantizer-groups": ("arch: {preset: base, quantizer: {groups: 0}}",
-                         "quantizer counts must be >= 1"),
+                         "arch.quantizer: quantizer counts must be >= 1"),
     "codevector-dim": ("arch: {preset: base, quantizer: {groups: 3}}",
-                       "codevector_dim must be divisible by groups"),
+                       "arch.quantizer: codevector_dim must be divisible by groups"),
     "conv-stack-empty": ("arch: {preset: base, conv_stack: []}",
-                         "conv_stack must contain at least one layer"),
+                         "arch: conv_stack must contain at least one layer"),
     "blocks-negative": ("arch: {preset: base, transformer: {blocks: -1}}",
-                        "block_count must be >= 0"),
+                        "arch: block_count must be >= 0"),
     "feature-proj-in": ("arch: {preset: base, feature_proj: {in_dim: 256, out_dim: 768}}",
-                        "feature_proj input must match the last conv output channels"),
+                        "arch: feature_proj input must match the last conv output channels"),
     "feature-proj-out": ("arch: {preset: base, feature_proj: {in_dim: 512, out_dim: 256}}",
-                         "feature_proj output must match the transformer width"),
+                         "arch: feature_proj output must match the transformer width"),
     "pos-conv-without-blocks": ("arch: {preset: base, transformer: {blocks: 0}, pos_conv: "
                                 + POS_CONV + "}}",
-                                "pos_conv requires at least one transformer block"),
-    "sample-rate": ("workload: {sample_rate_hz: 0}", "sample rate must be > 0"),
+                                "arch: pos_conv requires at least one transformer block"),
+    "sample-rate": ("workload: {sample_rate_hz: 0}", "workload: sample rate must be > 0"),
     "duration-past-a-float": ("workload: {duration_s: " + str(10**400) + "}",
                               f"workload.duration_s: expected a finite number, got {10**400}"),
     "anchor-time": ("devices: [{name: rpi4, anchors: [{arch: base, batch: 1, "
-                    "precision: fp32, seconds_per_batch: 0}]}]", "anchor times must be > 0"),
+                    "precision: fp32, seconds_per_batch: 0}]}]",
+                    "devices[0].anchors[0]: anchor times must be > 0"),
     "memory-under-reserve": ("devices: [{name: rpi4, memory_gb: 1}]",
-                             "device memory must exceed the OS reserve"),
+                             "devices[0]: device memory must exceed the OS reserve"),
     "peak-under-static-floor": ("memory: {reference_peak_gb: 0.1}",
-                                "measured peak is below the static floor; check the "
+                                "memory: measured peak is below the static floor; check the "
                                 "measurement or the overhead setting"),
 }
 
@@ -902,6 +905,16 @@ def test_config_reads_as_its_plain_spelling(tmp_path, case):
     assert reports[0] == reports[1]
 
 
+def test_refusal_with_a_flag_names_no_key(tmp_path, capsys):
+    # a flag gave the workload a value, so the refusal cannot blame a config key
+    (tmp_path / "c.yaml").write_text("workload: {sample_rate_hz: 0}\n")
+    assert run(["analyze", "--batch", "2", "--config", str(tmp_path / "c.yaml"),
+                "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == "error: sample rate must be > 0\n"
+    assert run(["analyze", "--batch", "0", "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: {BATCH_PAST_A_FLOAT}\n"
+
+
 def test_failed_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(checks, "run_all_checks", lambda: [
         checks.CheckResult("a/passes", True, "1 in [0, 2]"),
@@ -910,6 +923,18 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().out == ("PASS  a/passes  1 in [0, 2]\n"
                                        "FAIL  b/fails   3 not in [0, 2]\n"
                                        "1/2 checks passed\n")
+
+
+def test_failed_check_exits_1_in_json(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "run_all_checks", lambda: [
+        checks.CheckResult("a/passes", True, "1 in [0, 2]", 1.0, (0.5, 2.0)),
+        checks.CheckResult("b/holds", False, "it does not")])
+    assert main(["validate", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"name": "a/passes", "passed": True, "value": 1.0, "bounds": [0.5, 2.0],
+         "margin": 0.5, "detail": "1 in [0, 2]"},
+        {"name": "b/holds", "passed": False, "value": None, "bounds": None,
+         "margin": None, "detail": "it does not"}]
 
 
 # Each command that builds a workload, and its arguments.
@@ -928,7 +953,8 @@ def test_batch_past_a_float_exits_2_on_one_line(tmp_path, capsys, command, batch
     section = "fl" if command == "fl-plan" else "workload"  # the batch fl-plan trains
     (tmp_path / "c.yaml").write_text(f"{section}: {{batch: {batch}}}\n")
     assert run(argv + ["--config", str(tmp_path / "c.yaml")]) == 2
-    assert capsys.readouterr().err == f"error: {BATCH_PAST_A_FLOAT}\n"
+    where = "fl.batch: " if command == "fl-plan" else "workload: "  # the key at fault
+    assert capsys.readouterr().err == f"error: {where}{BATCH_PAST_A_FLOAT}\n"
     assert not (tmp_path / "r").exists()
 
 

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from fedspeech.arch import (Activation, ArchitectureSpec, AttentionBlockSpec,
-                            ConvLayerSpec, QuantizerSpec, WorkloadSpec, base_preset,
-                            get_preset, large_preset)
-from fedspeech.costs import (ModuleGroup, conv_output_len, conv_params,
+                            ConvLayerSpec, Precision, QuantizerSpec, WorkloadSpec,
+                            base_preset, get_preset, large_preset)
+from fedspeech.costs import (LayerKind, conv_output_len, conv_params,
                              conv_stack_lens, forward_flops, linear_params,
                              module_rollup)
 from fedspeech.errors import ConfigError
@@ -91,9 +91,10 @@ class TestParams:
     ])
     def test_module_split(self, preset, cnn, tr, quant):
         report = forward_flops(get_preset(preset), WorkloadSpec())
-        assert report.group_params(ModuleGroup.CNN_ENCODER) == pytest.approx(cnn, rel=0.02)
-        assert report.group_params(ModuleGroup.TRANSFORMER) == pytest.approx(tr, rel=0.02)
-        assert report.group_params(ModuleGroup.QUANTIZER) == pytest.approx(quant, rel=0.02)
+        params = {group: p for group, (p, _) in report.module_totals.items()}
+        assert params["cnn_encoder"] == pytest.approx(cnn, rel=0.02)
+        assert params["transformer"] == pytest.approx(tr, rel=0.02)
+        assert params["quantizer"] == pytest.approx(quant, rel=0.02)
 
 
 def conv_only_arch():
@@ -119,16 +120,13 @@ class TestForwardFlops:
         # 2 MACs/FLOP convention: 2 * C_in * C_out * k * L_out = 16.
         w = WorkloadSpec(3.0, sample_rate_hz=1)
         report = forward_flops(tiny_conv_arch(), w)
-        conv_row = report.per_layer[0]
-        assert conv_row.output_len == 2
-        assert conv_row.fwd_flops == 16.0
+        assert report.output_lens[0] == 2
+        assert report.fwd_flops[0] == 16.0
 
     def test_base_table_values(self):
         report = forward_flops(base_preset(), WorkloadSpec(5.5, batch=1))
-        assert report.group_fwd_flops(ModuleGroup.CNN_ENCODER) == pytest.approx(
-            27.20e9, rel=0.05)
-        assert report.group_fwd_flops(ModuleGroup.TRANSFORMER) == pytest.approx(
-            49.16e9, rel=0.05)
+        assert report.module_totals["cnn_encoder"][1] == pytest.approx(27.20e9, rel=0.05)
+        assert report.module_totals["transformer"][1] == pytest.approx(49.16e9, rel=0.05)
         assert report.total_fwd_flops == pytest.approx(76.68e9, rel=0.05)
 
     def test_large_table_values(self):
@@ -138,26 +136,23 @@ class TestForwardFlops:
     def test_quantizer_targets(self):
         base = forward_flops(base_preset(), WorkloadSpec(5.5, batch=1))
         large = forward_flops(large_preset(), WorkloadSpec(5.5, batch=1))
-        assert base.group_fwd_flops(ModuleGroup.QUANTIZER) == pytest.approx(
-            0.32e9, rel=0.25)
-        assert large.group_fwd_flops(ModuleGroup.QUANTIZER) == pytest.approx(
-            0.94e9, rel=0.25)
+        assert base.module_totals["quantizer"][1] == pytest.approx(0.32e9, rel=0.25)
+        assert large.module_totals["quantizer"][1] == pytest.approx(0.94e9, rel=0.25)
 
     def test_batch_linearity_exact(self):
         arch = base_preset()
         one = forward_flops(arch, WorkloadSpec(5.5, batch=1))
         four = forward_flops(arch, WorkloadSpec(5.5, batch=4))
         assert four.total_fwd_flops == 4 * one.total_fwd_flops
-        for a, b in zip(one.per_layer, four.per_layer):
-            assert b.fwd_flops == 4 * a.fwd_flops
-            # activation bytes stay per sample
-            assert b.activation_bytes_per_sample == a.activation_bytes_per_sample
+        assert four.fwd_flops == tuple(4 * f for f in one.fwd_flops)
+        # activation bytes stay per sample
+        assert four.activation_bytes_per_sample == one.activation_bytes_per_sample
 
     def test_additivity_exact(self):
         report = forward_flops(base_preset(), WorkloadSpec(5.5))
-        assert report.total_fwd_flops == sum(l.fwd_flops for l in report.per_layer)
+        assert report.total_fwd_flops == sum(report.fwd_flops)
         by_group = sum(flops for _, flops in report.module_totals.values())
-        assert by_group == pytest.approx(report.total_fwd_flops, rel=1e-12)
+        assert by_group == report.total_fwd_flops  # whole numbers, so the sums are exact
         by_group_p = sum(params for params, _ in report.module_totals.values())
         assert by_group_p == report.total_params
 
@@ -191,8 +186,63 @@ class TestForwardFlops:
 
     def test_early_conv_layer_dominates(self):
         report = forward_flops(base_preset(), WorkloadSpec(5.5))
-        heaviest = max(report.per_layer, key=lambda l: l.fwd_flops)
-        assert heaviest.kind.value == "conv"
+        heaviest = max(range(len(report.kinds)), key=report.fwd_flops.__getitem__)
+        assert report.kinds[heaviest] is LayerKind.CONV
+
+
+# The module group that each kind of layer reports its parameters and its
+# compute under, kept apart from the layer order that module_totals reads.
+PARAM_GROUP = {LayerKind.CONV: "cnn_encoder", LayerKind.FEATURE_PROJ: "cnn_encoder",
+               LayerKind.POS_CONV: "transformer", LayerKind.TRANSFORMER_BLOCK: "transformer",
+               LayerKind.FINAL_NORM: "transformer", LayerKind.QUANTIZER: "quantizer",
+               LayerKind.QUANT_OUT_PROJ: "other"}
+FLOP_GROUP = {**PARAM_GROUP, LayerKind.QUANT_OUT_PROJ: "quantizer"}
+
+# 1 s to 30 s in half seconds, at three batches and both precisions.
+EXACT_WORKLOADS = [WorkloadSpec(1.0 + 0.5 * k, batch=batch, precision=precision)
+                   for k in range(59) for batch in (1, 4, 32) for precision in Precision]
+
+
+def group_sum(column, kinds, group_of, group):
+    """The entries of ``column`` whose layer reports under ``group``, added
+    in layer order by ``sum`` from int 0, as one record per layer was summed."""
+    return sum(value for value, kind in zip(column, kinds) if group_of[kind] == group)
+
+
+@pytest.mark.parametrize("preset", ["base", "large"])
+class TestColumnsExact:
+    def test_totals_are_layer_order_sums(self, preset):
+        arch = get_preset(preset)
+        for workload in EXACT_WORKLOADS:
+            report = forward_flops(arch, workload)
+            assert report.total_params == sum(report.params)
+            assert report.total_fwd_flops == sum(report.fwd_flops)
+            assert (report.total_activation_bytes_per_sample
+                    == sum(report.activation_bytes_per_sample))
+            assert report.module_totals == {
+                group: (group_sum(report.params, report.kinds, PARAM_GROUP, group),
+                        group_sum(report.fwd_flops, report.kinds, FLOP_GROUP, group))
+                for group in ("cnn_encoder", "transformer", "quantizer", "other")}
+            assert type(report.module_totals["other"][1]) is int  # nothing summed: 0
+            # every entry is a whole number and every total is below 2**53, so
+            # each sum is exact and no order of adding could change a bit
+            assert all(float(v).is_integer() for v in
+                       report.fwd_flops + report.activation_bytes_per_sample)
+            assert report.total_fwd_flops < 2**53 and report.total_params < 2**53
+
+    def test_block_rows_are_equal(self, preset):
+        arch = get_preset(preset)
+        for workload in EXACT_WORKLOADS:
+            report = forward_flops(arch, workload)
+            blocks = [i for i, kind in enumerate(report.kinds)
+                      if kind is LayerKind.TRANSFORMER_BLOCK]
+            assert [report.labels[i] for i in blocks] == [
+                f"block{i}" for i in range(arch.block_count)]
+            assert blocks == list(range(blocks[0], blocks[0] + arch.block_count))
+            for column in (report.params, report.fwd_flops,
+                           report.activation_bytes_per_sample, report.output_lens):
+                assert len(column) == len(report.kinds)
+                assert {column[i] for i in blocks} == {column[blocks[0]]}
 
 
 class TestRollup:

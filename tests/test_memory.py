@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from fedspeech.arch import Precision, WorkloadSpec, base_preset
+from fedspeech.arch import Precision, WorkloadSpec, base_preset, get_preset
 from fedspeech.costs import forward_flops
 from fedspeech.devices import training_residency_bytes
 from fedspeech.memory import (DEFAULT_RESIDENCY_FACTOR, default_calibration,
@@ -25,8 +25,7 @@ class TestTrainingFlops:
 
     def test_per_layer_sums_to_total(self):
         report = forward_flops(base_preset(), WorkloadSpec(5.5))
-        assert sum(3 * l.fwd_flops for l in report.per_layer) == pytest.approx(
-            training_flops(report), rel=1e-12)
+        assert sum(3 * f for f in report.fwd_flops) == training_flops(report)
 
 
 class TestStaticMemory:
@@ -70,8 +69,7 @@ class TestTimeline:
         t = memory_timeline(base_preset(), WorkloadSpec(5.5, batch=4))
         assert all(a <= b for a, b in zip(t.cumulative_bytes, t.cumulative_bytes[1:]))
         assert t.cumulative_bytes[-1] == max(t.cumulative_bytes)
-        assert t.cumulative_bytes[-1] == pytest.approx(
-            sum(t.per_layer_bytes), rel=1e-12)
+        assert t.cumulative_bytes[-1] == sum(t.per_layer_bytes)
 
     def test_batch_doubles_activations_exactly(self):
         t1 = memory_timeline(base_preset(), WorkloadSpec(5.5, batch=1))
@@ -84,6 +82,22 @@ class TestTimeline:
             a1 = memory_timeline(base_preset(), WorkloadSpec(t, batch=4))
             a2 = memory_timeline(base_preset(), WorkloadSpec(2 * t, batch=4))
             assert 1.95 <= a2.activation_bytes / a1.activation_bytes <= 2.15
+
+    @pytest.mark.parametrize("preset", ["base", "large"])
+    def test_bytes_match_one_layer_at_a_time(self, preset):
+        arch = get_preset(preset)
+        for k in range(59):  # 1 s to 30 s
+            for batch in (1, 4, 32):
+                for precision in Precision:
+                    workload = WorkloadSpec(1.0 + 0.5 * k, batch=batch, precision=precision)
+                    per_layer, cumulative, running = [], [], 0.0
+                    for b in forward_flops(arch, workload).activation_bytes_per_sample:
+                        per_layer.append(b * batch)
+                        running += per_layer[-1]
+                        cumulative.append(running)
+                    t = memory_timeline(arch, workload)
+                    assert t.per_layer_bytes == tuple(per_layer)
+                    assert t.cumulative_bytes == tuple(cumulative)
 
     def test_refit_matches_default(self):
         kappa = fit_activation_overhead(base_preset(), WorkloadSpec(5.5, batch=4),
