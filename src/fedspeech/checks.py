@@ -233,7 +233,7 @@ def memory_fit_checks() -> list[CheckResult]:
     for device, preset, batch, precision, ran in _FEASIBILITY_TABLE:
         profile = get_profile(device)
         workload = WorkloadSpec(5.5, batch=batch, precision=Precision(precision))
-        peak = training_residency_bytes(get_preset(preset), workload)
+        peak = training_residency_bytes(get_preset(preset), workload).total
         verdict = check_fit(profile, peak)
         wanted = ({FitVerdict.FITS, FitVerdict.MARGINAL} if ran
                   else {FitVerdict.OOM, FitVerdict.MARGINAL})

@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,14 +33,14 @@ from .arch import Precision, WorkloadSpec, arch_to_mapping
 from .config import (FlSettings, config_fingerprint, load_config, resolve_arch,
                      resolve_calibration, resolve_profiles)
 from .costs import forward_flops, module_rollup
-from .devices import DeviceProfile, FitVerdict, check_fit, get_profile, \
-    predict_batch_time, training_residency_bytes
+from .devices import MARGINAL_BAND, DeviceProfile, FitVerdict, Residency, TimePrediction, \
+    check_fit, get_profile, predict_batch_time, training_residency_bytes
 from .errors import ConfigError, FedspeechError, InfeasibleError, MissingAnchorError, \
     allocating
 from .federation import (estimate_communication, estimate_wall_clock,
                          partition_by_speaker, schedule_rounds, uniform_partition)
 from .lazy import lazy_import
-from .memory import memory_timeline
+from .memory import GB, MemoryCalibration, memory_timeline
 from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
                      TRAJECTORY_CSV_HEADER, cost_report_payload, cost_report_rows,
                      partition_payload, plan_rows, schedule_payload, timeline_payload,
@@ -86,11 +87,12 @@ def _workload_from(args: argparse.Namespace, cfg: dict,
 
 
 def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
-         profile) -> tuple[float, FitVerdict]:
+         profile) -> tuple[Residency, FitVerdict]:
     """The training residency of ``workload`` and its fit on ``profile``;
     with --fail-on-oom a workload that does not fit exits 4, and the line
     also says when ``profile`` has no anchor to time it."""
-    peak = training_residency_bytes(arch, workload, cal)
+    residency = training_residency_bytes(arch, workload, cal)
+    peak = residency.total
     verdict = check_fit(profile, peak)
     if args.fail_on_oom and verdict is FitVerdict.OOM:
         message = (f"{arch.name} at batch {workload.batch} on {workload.duration_s} s "
@@ -101,7 +103,30 @@ def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
         except MissingAnchorError as exc:
             message += f", and {exc}"
         raise InfeasibleError(message)
-    return peak, verdict
+    return residency, verdict
+
+
+def _explain(profile: DeviceProfile, workload: WorkloadSpec, pred: TimePrediction,
+             cal: MemoryCalibration, residency: Residency, verdict: FitVerdict) -> None:
+    """Write to stderr how a prediction and its fit were made, from the very
+    values the report holds."""
+    anchor, budget = pred.anchor_used, profile.memory_budget_bytes
+    margin = budget - residency.total
+    lines = [
+        f"anchor: {anchor.arch} at batch {anchor.batch}, {anchor.precision.value}, "
+        f"{anchor.duration_s} s clips: {anchor.seconds_per_batch} s/batch on {profile.name} "
+        f"(batch distance {abs(anchor.batch - workload.batch)}); calibrated "
+        f"{pred.effective_throughput:.6g} training FLOP/s",
+        f"kappa: {cal.activation_overhead:.6g}, fitted to a reference peak of "
+        f"{cal.reference_peak_gb} GB (the memory timeline's; the fit scales activations "
+        "by the residency factor)",
+        f"residency: {residency.total / GB:.4f} GB = statics {residency.statics / GB:.4f} GB "
+        f"+ runtime floor {residency.runtime_floor / GB:.4f} GB + activations "
+        f"{residency.activations / GB:.4f} GB ({cal.residency_factor} x those retained)",
+        f"fit: {verdict.value}, margin {margin / GB:+.4f} GB ({margin / budget:+.2%}) of a "
+        f"{budget / GB:.4f} GB budget; marginal within {MARGINAL_BAND:.0%} of it",
+    ]
+    print("\n".join(f"explain: {line}" for line in lines), file=sys.stderr)
 
 
 def _out_dir(args: argparse.Namespace, cfg: dict) -> Path:
@@ -164,7 +189,7 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
     profiles = resolve_profiles(cfg)
     profile = get_profile(args.device, profiles)
     cal = resolve_calibration(cfg)
-    peak, verdict = _fit(args, arch, workload, cal, profile)  # as fl-plan, the fit first
+    residency, verdict = _fit(args, arch, workload, cal, profile)  # as fl-plan, the fit first
     pred = predict_batch_time(profile, arch, workload)
     meta = _meta(args, arch, [profile], device=profile.name,
                  workload=to_mapping(workload), memory=to_mapping(cal))
@@ -178,7 +203,7 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
                    "batch": pred.anchor_used.batch,
                    "precision": pred.anchor_used.precision.value,
                    "seconds_per_batch": pred.anchor_used.seconds_per_batch},
-        "residency_bytes": peak,
+        "residency_bytes": residency.total,
         "fit": verdict.value,
     })
     write_csv(out / "predict_time.csv",
@@ -191,6 +216,8 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
           f"({workload.duration_s} s, batch {workload.batch}, "
           f"{workload.precision.value}); memory fit: {verdict.value}")
     print(f"wrote {out / 'predict_time.json'} and {out / 'predict_time.csv'}")
+    if args.explain:
+        _explain(profile, workload, pred, cal, residency, verdict)
     return EXIT_OK
 
 
@@ -409,6 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--device", required=True)
     p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
+    p.add_argument("--explain", action="store_true",
+                   help="write to stderr the anchor, kappa, the residency's parts and the "
+                        "fit margin")
 
     p = sub.add_parser("fl-plan", help="federated wall-clock and traffic estimate")
     _add_common(p, duration=False)  # an idealised corpus has --mean-duration
@@ -465,6 +495,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's BLAS runs on the calling thread. Its pool of threads would only
+    # spin beside fedspeech's own (the manifest hash), and the one BLAS call
+    # made (the norm in aggregation) rounds with the pool's size, so a report
+    # would depend on the core count. numpy loads inside a command, after this.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = _parser().parse_args(argv)
     # The handler is looked up when the command runs, so one that replaces a
     # ``cmd_*`` after the parser is built is the one called.

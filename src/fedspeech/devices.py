@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arch import ArchitectureSpec, Precision, WorkloadSpec
 from .costs import forward_flops
@@ -86,7 +86,7 @@ class FitVerdict(str, enum.Enum):
     OOM = "oom"
 
 
-_MARGINAL_BAND = 0.10
+MARGINAL_BAND = 0.10
 
 # The reference devices in the config's ``devices:`` format, with their
 # measured training-time anchors at 5.5 s clips.
@@ -212,18 +212,30 @@ def check_fit(profile: DeviceProfile, peak_memory_bytes: float) -> FitVerdict:
     ``marginal``; otherwise ``fits`` or ``oom``.
     """
     budget = profile.memory_budget_bytes
-    if abs(peak_memory_bytes - budget) <= _MARGINAL_BAND * budget:
+    if abs(peak_memory_bytes - budget) <= MARGINAL_BAND * budget:
         return FitVerdict.MARGINAL
     return FitVerdict.FITS if peak_memory_bytes <= budget else FitVerdict.OOM
 
 
+class Residency(NamedTuple):
+    """Whole-process peak residency of a training step, in bytes, by part."""
+
+    statics: int  # weights, gradients and optimizer state: 16 B per parameter
+    runtime_floor: float  # interpreter, framework and loader
+    activations: float  # residency_factor times the retained activations
+
+    @property
+    def total(self) -> float:
+        """The residency a fit checks: the parts added in the order above."""
+        return self.statics + self.runtime_floor + self.activations
+
+
 def training_residency_bytes(arch: ArchitectureSpec, workload: WorkloadSpec,
-                             calibration: Optional[MemoryCalibration] = None) -> float:
+                             calibration: Optional[MemoryCalibration] = None) -> Residency:
     """Whole-process peak residency of a training step, for fit checks."""
     cal = calibration or default_calibration()
     report = forward_flops(arch, workload)
     activations = report.total_activation_bytes_per_sample * workload.batch
-    return (static_memory(report)
-            + cal.runtime_overhead_bytes
-            + cal.residency_factor * activations)
+    return Residency(static_memory(report), cal.runtime_overhead_bytes,
+                     cal.residency_factor * activations)
 

@@ -79,12 +79,32 @@ class Manifest:
     row. ``utterance_ids`` holds the bytes of each row's id as its JSON
     text, ended by a newline, in row order (see ``encode_ids``); speaker
     ``s``'s texts take ``speaker_bytes[s]`` bytes of it.
+    ``speaker_totals_s[s]`` is the sum of speaker ``s``'s durations, added in
+    row order one at a time, and ``longest_first`` holds the speakers by
+    descending total, equal totals in name order: both are made once, by
+    ``grouped``, and a plan reads them.
     """
     utterance_ids: np.ndarray  # uint8
     speaker_rows: np.ndarray  # int64, one row count per speaker
     speaker_bytes: np.ndarray  # int64, one byte count of utterance_ids per speaker
     speaker_ids: tuple[str, ...]
     durations_s: np.ndarray  # float64
+    speaker_totals_s: np.ndarray  # float64, one total duration per speaker
+    longest_first: np.ndarray  # int64, the speakers, longest total first
+
+    @classmethod
+    def grouped(cls, utterance_ids: np.ndarray, speaker_rows: np.ndarray,
+                speaker_bytes: np.ndarray, speaker_ids: tuple[str, ...],
+                durations_s: np.ndarray) -> "Manifest":
+        """The manifest of these columns, with each speaker's total and the
+        longest-first order made from them."""
+        # bincount adds each speaker's durations in row order, one at a time
+        # (np.add.reduceat would pair them and round differently); so does
+        # _sum_in_order each client's.
+        totals = np.bincount(np.repeat(np.arange(len(speaker_ids)), speaker_rows),
+                             weights=durations_s, minlength=len(speaker_ids))
+        return cls(utterance_ids, speaker_rows, speaker_bytes, speaker_ids, durations_s,
+                   totals, np.argsort(-totals, kind="stable"))
 
     @classmethod
     def of_rows(cls, utterance_ids: Sequence[str], speaker_rows, speaker_ids: Sequence[str],
@@ -93,8 +113,9 @@ class Manifest:
         texts, lengths = encode_ids(utterance_ids)
         speaker_rows = np.asarray(speaker_rows, np.int64)
         ends = np.cumsum(lengths)[np.cumsum(speaker_rows) - 1]
-        return cls(np.frombuffer(texts, np.uint8), speaker_rows, np.diff(ends, prepend=0),
-                   tuple(speaker_ids), np.asarray(durations_s, np.float64))
+        return cls.grouped(np.frombuffer(texts, np.uint8), speaker_rows,
+                           np.diff(ends, prepend=0), tuple(speaker_ids),
+                           np.asarray(durations_s, np.float64))
 
     def __len__(self) -> int:
         return len(self.durations_s)
@@ -388,9 +409,7 @@ class _ManifestColumns:
             durations[at[lo:hi]] = part
             _place_lines(texts, self.id_texts.pop(0), lengths[lo:hi], starts[lo:hi])
             lo = hi
-        return Manifest(utterance_ids=texts, speaker_rows=speaker_rows,
-                        speaker_bytes=speaker_bytes, speaker_ids=tuple(names),
-                        durations_s=durations)
+        return Manifest.grouped(texts, speaker_rows, speaker_bytes, tuple(names), durations)
 
 
 def _place_lines(out: np.ndarray, lines: bytes, lengths: np.ndarray,
@@ -456,17 +475,12 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     if n_speakers < k:
         raise ConfigError(f"{n_speakers} distinct speakers cannot fill {k} clients")
     counts, durations = manifest.speaker_rows, manifest.durations_s
-    # bincount adds each speaker's durations in row order, one at a time
-    # (np.add.reduceat would pair them and round differently); so does
-    # _sum_in_order each client's.
-    totals = np.bincount(np.repeat(np.arange(n_speakers), counts), weights=durations,
-                         minlength=n_speakers)
 
     # Longest first, then by name (the manifest's speaker order); speakers
     # with identical totals are ordered by a seeded shuffle so ties do not
     # encode manifest order.
-    order = np.argsort(-totals, kind="stable")
-    ordered_totals = totals[order]
+    order = manifest.longest_first.copy()
+    ordered_totals = manifest.speaker_totals_s[order]
     bounds = np.flatnonzero(np.diff(ordered_totals, prepend=np.nan, append=np.nan) != 0)
     ties = np.flatnonzero(np.diff(bounds) > 1)  # groups of more than one speaker
     rng = np.random.default_rng(seed)

@@ -16,13 +16,17 @@ does not hold what its header says, is a miss, and the manifest is parsed as
 without a cache; a cache that cannot be written is left alone.
 
 An entry is a fixed header, then each speaker's row count and byte count of
-utterance ids (int64) and each row's duration (float64), then the utterance
-ids as the manifest holds them: their JSON texts, each ended by a newline,
-grouped by speaker. Last come the speaker ids' JSON texts in the same form,
-in name order. A JSON text never holds a newline, so every manifest that
-loads can be cached. The header (magic ``FSMANIF3``) holds each section's
-size and a CRC-32 of the counts and the ids, so a damaged entry is found
-without a scan of its ids for newlines; durations are checked by value.
+utterance ids (int64), total duration (float64) and place in the longest-
+first order (int64, the speaker at each place), then each row's duration
+(float64), then the utterance ids as the manifest holds them: their JSON
+texts, each ended by a newline, grouped by speaker. Last come the speaker
+ids' JSON texts in the same form, in name order. A JSON text never holds a
+newline, so every manifest that loads can be cached. The header (magic
+``FSMANIF4``) holds each section's size and a CRC-32 of every section but
+the durations, so a damaged entry is found without a scan of its ids for
+newlines; durations are checked by value, and the order against the totals.
+A plan thus reads each speaker's total and the longest-first order instead
+of making them from every row again.
 
 The header also holds a hint: the stat identity (device, inode, size,
 mtime, ctime) of the file the entry was last read for. Hashing a corpus-
@@ -63,7 +67,7 @@ T = TypeVar("T")
 MAX_ENTRIES = 4
 
 _SUFFIX = ".manifest"
-_MAGIC = b"FSMANIF3"
+_MAGIC = b"FSMANIF4"
 # magic, key, rows, speakers, bytes of utterance ids, bytes of speaker ids,
 # CRC-32 of every section but the durations, which are checked by value, and
 # the hint: the stat identity of the file the entry was last read for
@@ -256,17 +260,18 @@ def _read_entry(entry: Path, key: Optional[bytes] = None,
                 return None
             magic, stored_key, rows, n_speakers, id_bytes, speaker_id_bytes, crc, \
                 stored_hint = _HEADER.unpack(header)
-            size = _HEADER.size + 16 * n_speakers + 8 * rows + id_bytes + speaker_id_bytes
             if magic != _MAGIC or key not in (None, stored_key) \
                     or hint not in (None, stored_hint) \
-                    or os.fstat(fh.fileno()).st_size != size:
+                    or os.fstat(fh.fileno()).st_size \
+                    != _layout(rows, n_speakers, id_bytes, speaker_id_bytes)["end"]:
                 return None
-            counts, byte_counts = np.empty(n_speakers, "<i8"), np.empty(n_speakers, "<i8")
+            counts, byte_counts, totals, order = (np.empty(n_speakers, dtype)
+                                                  for dtype in ("<i8", "<i8", "<f8", "<i8"))
             durations, ids = np.empty(rows, "<f8"), np.empty(id_bytes, np.uint8)
-            for array in (counts, byte_counts, durations, ids):
+            for array in (counts, byte_counts, totals, order, durations, ids):
                 fh.readinto(array)
             speakers = fh.read(speaker_id_bytes)
-            if _crc(counts, byte_counts, ids, speakers) != crc:
+            if _crc(counts, byte_counts, totals, order, ids, speakers) != crc:
                 return None
             speakers = decode_ids(speakers)
     except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
@@ -276,11 +281,19 @@ def _read_entry(entry: Path, key: Optional[bytes] = None,
         return None
     if not (counts.min(initial=1) >= 1 and counts.sum() == rows
             and byte_counts.sum() == id_bytes
-            and (durations > 0).all() and np.isfinite(durations).all()):
+            and (durations > 0).all() and np.isfinite(durations).all()
+            and (totals > 0).all() and ((order >= 0) & (order < n_speakers)).all()):
+        return None
+    # Totals never rise along the order, and equal totals keep name order:
+    # so the order holds each speaker once, as the stable sort made it.
+    ordered = totals[order]
+    if not ((ordered[1:] < ordered[:-1])
+            | ((ordered[1:] == ordered[:-1]) & (order[1:] > order[:-1]))).all():
         return None
     return _Entry(stored_key, stored_hint, Manifest(
         utterance_ids=ids, speaker_rows=counts, speaker_bytes=byte_counts,
-        speaker_ids=tuple(speakers), durations_s=durations))
+        speaker_ids=tuple(speakers), durations_s=durations, speaker_totals_s=totals,
+        longest_first=order))
 
 
 def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
@@ -290,15 +303,18 @@ def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
     be stored leaves the cache as it was."""
     directory.mkdir(parents=True, exist_ok=True)
     tmp = directory / f".{entry.name}.{os.getpid()}.tmp"
-    counts = np.ascontiguousarray(manifest.speaker_rows, "<i8")
-    byte_counts = np.ascontiguousarray(manifest.speaker_bytes, "<i8")
+    counts, byte_counts, totals, order = (
+        np.ascontiguousarray(column, dtype) for column, dtype in (
+            (manifest.speaker_rows, "<i8"), (manifest.speaker_bytes, "<i8"),
+            (manifest.speaker_totals_s, "<f8"), (manifest.longest_first, "<i8")))
     ids, speakers = manifest.utterance_ids, encode_ids(manifest.speaker_ids)[0]
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_ids),
                                   len(ids), len(speakers),
-                                  _crc(counts, byte_counts, ids, speakers), hint))
-            for section in (counts, byte_counts,
+                                  _crc(counts, byte_counts, totals, order, ids, speakers),
+                                  hint))
+            for section in (counts, byte_counts, totals, order,
                             np.ascontiguousarray(manifest.durations_s, "<f8"), ids, speakers):
                 fh.write(section)
         os.replace(tmp, entry)
@@ -309,6 +325,21 @@ def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
         with contextlib.suppress(FileNotFoundError):
             tmp.unlink()
     _prune(directory)
+
+
+def _layout(rows: int, n_speakers: int, id_bytes: int, speaker_id_bytes: int
+            ) -> dict[str, int]:
+    """Where each section of an entry with these header fields starts, in the
+    order they are written, and under ``"end"`` the entry's size."""
+    starts, at = {}, _HEADER.size
+    for section, size in (("speaker_rows", 8 * n_speakers), ("speaker_bytes", 8 * n_speakers),
+                          ("speaker_totals_s", 8 * n_speakers),
+                          ("longest_first", 8 * n_speakers), ("durations_s", 8 * rows),
+                          ("utterance_ids", id_bytes), ("speaker_ids", speaker_id_bytes)):
+        starts[section] = at
+        at += size
+    starts["end"] = at
+    return starts
 
 
 def _crc(*sections) -> int:

@@ -133,6 +133,53 @@ class TestPredictTime:
                     "--duration", "5.5", "--batch", "16", "--fail-on-oom",
                     "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--device", "a40", "--arch", "base", "--batch", "4"],
+        ["--device", "agx", "--arch", "large", "--batch", "4"],
+        ["--device", "nx", "--arch", "base", "--batch", "3", "--precision", "mixed",
+         "--duration", "12.5"],
+        ["--device", "rpi", "--arch", "base", "--batch", "16", "--duration", "30"],
+    ], ids=["fits", "marginal", "between-anchors", "oom"])
+    def test_explain_changes_no_report_and_no_stdout_byte(self, tmp_path, capsys, argv):
+        out = tmp_path / "r"
+        argv = ["predict-time", *argv, "--out", str(out)]
+        written = []
+        for flags in ([], ["--explain"]):
+            assert run(argv + flags) == 0
+            written.append((capsys.readouterr(),
+                            {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        (plain, plain_reports), (explained, explained_reports) = written
+        assert explained.out == plain.out and explained_reports == plain_reports
+        assert plain.err == ""
+        lines = explained.err.splitlines()
+        assert [line.split(":")[1] for line in lines] == [
+            " anchor", " kappa", " residency", " fit"]
+        payload = json.loads(explained_reports["predict_time.json"])
+        assert f"calibrated {payload['effective_throughput_flops']:.6g} training" in lines[0]
+        assert lines[3].startswith(f"explain: fit: {payload['fit']}, margin ")
+
+    def test_explained_residency_parts_add_up_to_the_reported_residency(self, tmp_path,
+                                                                        capsys):
+        out = tmp_path / "r"
+        assert run(["predict-time", "--device", "agx", "--arch", "large", "--batch", "4",
+                    "--precision", "mixed", "--duration", "7.25", "--explain",
+                    "--out", str(out)]) == 0
+        payload = json.loads((out / "predict_time.json").read_text())
+        workload = WorkloadSpec(7.25, batch=4, precision=Precision.MIXED)
+        parts = devices.training_residency_bytes(get_preset("large"), workload,
+                                                 memory.default_calibration())
+        assert parts.statics + parts.runtime_floor + parts.activations \
+            == parts.total == payload["residency_bytes"]
+        assert parts.statics == 16 * costs.forward_flops(get_preset("large"),
+                                                         workload).total_params
+        budget = devices.get_profile("agx").memory_budget_bytes
+        err = capsys.readouterr().err
+        assert (f"residency: {parts.total / 1e9:.4f} GB = statics {parts.statics / 1e9:.4f} GB "
+                f"+ runtime floor {parts.runtime_floor / 1e9:.4f} GB + activations "
+                f"{parts.activations / 1e9:.4f} GB") in err
+        assert f"margin {(budget - parts.total) / 1e9:+.4f} GB " \
+            f"({(budget - parts.total) / budget:+.2%})" in err
+
 
 @pytest.mark.parametrize("argv,builds", [
     # the default calibration's reference workload, the anchor's, the requested
@@ -1275,20 +1322,42 @@ def test_any_command_line_exits_0_2_3_or_4(tmp_path, capsys, argv):
 CHILD_ADDRESS_SPACE = 2 << 30
 
 
-def limited_child(argv, address_space=CHILD_ADDRESS_SPACE):
-    """The command line ``argv`` run in a child whose address space is capped
-    between fork and exec, without a config from the environment. numpy's
-    BLAS runs one thread there: each thread it starts reserves address space
-    of its own (about 40 MB more on two CPUs than on one), so the room left
-    for arrays does not depend on the machine's CPU count."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+def child(argv, blas_threads=None, **kwargs):
+    """The command line ``argv`` run in a child, without a config from the
+    environment, and with ``OPENBLAS_NUM_THREADS`` set to ``blas_threads``,
+    else unset."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     env.pop("FEDSPEECH_CONFIG", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run(
         [sys.executable, "-c", "import sys; from fedspeech.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                              (address_space, address_space)))
+        capture_output=True, text=True, env=env, timeout=60, **kwargs)
+
+
+def limited_child(argv, address_space=CHILD_ADDRESS_SPACE):
+    """``child(argv)`` with its address space capped between fork and exec.
+    The program runs numpy's BLAS on one thread, and no thread count comes
+    from the environment: each thread the BLAS started would reserve address
+    space of its own (about 40 MB more on two CPUs than on one), so the room
+    left for arrays would depend on the machine's CPU count."""
+    return child(argv, preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_AS, (address_space, address_space)))
+
+
+def test_fl_sim_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # numpy's BLAS adds the million squares of the distance's norm in as
+    # many parts as it has threads; the program keeps it to one
+    reports = []
+    for threads in ("1", "4"):
+        out = tmp_path / threads
+        done = child(["fl-sim", "--clients", "4", "--per-round", "2", "--rounds", "3",
+                      "--dim", "1000003", "--seed", "1", "--out", str(out)], threads)
+        assert done.returncode == 0, done.stderr
+        reports.append([(out / name).read_bytes() for name in ("fl_sim.json", "fl_sim.csv")])
+    assert reports[0] == reports[1]
 
 
 @settings(max_examples=12, deadline=None,

@@ -152,19 +152,19 @@ class TestFit:
         assert check_fit(rpi, rpi.memory_budget_bytes * 0.95) is FitVerdict.MARGINAL
 
     def test_rpi_large_is_oom(self):
-        peak = training_residency_bytes(large_preset(), WorkloadSpec(5.5, batch=1))
+        peak = training_residency_bytes(large_preset(), WorkloadSpec(5.5, batch=1)).total
         assert check_fit(get_profile("rpi"), peak) is FitVerdict.OOM
 
     def test_agx_large_b4_fp32_oom_but_mixed_fits(self):
         agx = get_profile("agx")
-        fp32 = training_residency_bytes(large_preset(), WorkloadSpec(5.5, batch=4))
+        fp32 = training_residency_bytes(large_preset(), WorkloadSpec(5.5, batch=4)).total
         mixed = training_residency_bytes(
-            large_preset(), WorkloadSpec(5.5, batch=4, precision=Precision.MIXED))
+            large_preset(), WorkloadSpec(5.5, batch=4, precision=Precision.MIXED)).total
         assert check_fit(agx, fp32) in (FitVerdict.OOM, FitVerdict.MARGINAL)
         assert check_fit(agx, mixed) is FitVerdict.FITS
 
     def test_base_fits_every_device(self):
-        peak = training_residency_bytes(base_preset(), WorkloadSpec(5.5, batch=1))
+        peak = training_residency_bytes(base_preset(), WorkloadSpec(5.5, batch=1)).total
         for device in ("a40", "macbook", "rpi", "agx", "nx"):
             assert check_fit(get_profile(device), peak) is FitVerdict.FITS
 

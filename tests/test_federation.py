@@ -245,6 +245,21 @@ class TestManifest:
         with pytest.raises(MalformedRowError):
             load_manifest(p)
 
+    def test_speaker_totals_and_longest_first_order(self, tie_manifest, corpus_manifest):
+        for manifest in (load_manifest(tie_manifest), corpus_manifest):
+            ends = np.cumsum(manifest.speaker_rows).tolist()
+            durations = manifest.durations_s.tolist()
+            totals = []
+            for lo, hi in zip([0] + ends, ends):  # added in row order, one at a time
+                total = 0.0
+                for duration in durations[lo:hi]:
+                    total += duration
+                totals.append(total)
+            assert manifest.speaker_totals_s.tolist() == totals
+            assert manifest.longest_first.tolist() == sorted(
+                range(len(totals)), key=lambda s: (-totals[s], s))
+            assert manifest.longest_first.dtype == np.int64
+
     def test_round_trips_fixture(self, corpus_manifest, corpus_manifest_path):
         loaded = load_manifest(corpus_manifest_path)
         assert len(loaded) == len(corpus_manifest) == 195_000

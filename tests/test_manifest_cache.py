@@ -7,6 +7,7 @@ import shutil
 import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -67,6 +68,9 @@ def test_entry_is_the_parsed_manifest(manifest, cache_home):
     assert cached.speaker_rows.tolist() == parsed.speaker_rows.tolist()
     assert cached.speaker_bytes.tolist() == parsed.speaker_bytes.tolist()
     assert cached.durations_s.tobytes() == parsed.durations_s.tobytes()
+    assert cached.speaker_totals_s.tobytes() == parsed.speaker_totals_s.tobytes()
+    assert cached.longest_first.tolist() == parsed.longest_first.tolist()
+    assert cached.longest_first.dtype == parsed.longest_first.dtype
     assert cached.speaker_rows.dtype == parsed.speaker_rows.dtype
     assert cached.speaker_bytes.dtype == parsed.speaker_bytes.dtype
     assert cached.utterance_ids.dtype == parsed.utterance_ids.dtype
@@ -111,27 +115,31 @@ def _set_field(at, value_of):
     return _with_header(change)
 
 
-def _per_speaker(section, change):
-    """Damage that replaces the per-speaker counts of ``section`` (0: rows, 1:
-    id bytes) with ``change(counts)``: the same size, but counts the section
-    after them does not have."""
+def _starts(data):
+    """Where each section of the entry ``data`` starts, as the cache lays it out."""
+    return manifest_cache._layout(*_header(data)[2:6])
+
+
+def _per_speaker(section, change, dtype="<i8"):
+    """Damage that replaces the per-speaker column ``section`` with
+    ``change(column)``: the same size, but values the other sections do not
+    agree with."""
     def damage(data):
-        n_speakers = _header(data)[3]
-        lo = manifest_cache._HEADER.size + 8 * n_speakers * section
-        counts = np.frombuffer(data, "<i8", n_speakers, lo)
-        return data[:lo] + change(counts).astype("<i8").tobytes() + data[lo + counts.nbytes:]
+        lo = _starts(data)[section]
+        column = np.frombuffer(data, dtype, _header(data)[3], lo)
+        return data[:lo] + change(column).astype(dtype).tobytes() + data[lo + column.nbytes:]
     return damage
 
 
 def _speaker_rows(change):
-    return _per_speaker(0, change)
+    return _per_speaker("speaker_rows", change)
 
 
 def _first_duration(value):
     """Damage that sets the first row's duration to ``value``, which the
     CRC-32 does not cover."""
     def damage(data):
-        pos = manifest_cache._HEADER.size + 16 * _header(data)[3]
+        pos = _starts(data)["durations_s"]
         return data[:pos] + np.float64(value).tobytes() + data[pos + 8:]
     return damage
 
@@ -139,7 +147,7 @@ def _first_duration(value):
 def _swap_speakers(data):
     """Damage that swaps the first two speaker lines, which have the same
     length: every line decodes, but out of name order."""
-    start = len(data) - _header(data)[5]
+    start = _starts(data)["speaker_ids"]
     first, second, rest = data[start:].split(b"\n", 2)
     assert len(first) == len(second)
     return data[:start] + second + b"\n" + first + b"\n" + rest
@@ -155,12 +163,48 @@ def _split_speaker(data):
 def _id_byte(item, at, value):
     """Damage that sets byte ``at`` of utterance id ``item``'s JSON text."""
     def damage(data):
-        _, _, rows, n_speakers, id_bytes, _, _, _ = _header(data)
-        start = manifest_cache._HEADER.size + 16 * n_speakers + 8 * rows
-        lines = data[start:start + id_bytes].split(b"\n")
+        start, end = _starts(data)["utterance_ids"], _starts(data)["speaker_ids"]
+        lines = data[start:end].split(b"\n")
         pos = start + sum(map(len, lines[:item])) + item + at
         return data[:pos] + bytes([value]) + data[pos + 1:]
     return damage
+
+
+def _crc_made_again(damage):
+    """``damage``, then the header's CRC-32 made again over every section but
+    the durations: only the checks of the values themselves can find it."""
+    def damaged(data):
+        data = damage(data)
+        at = _starts(data)
+        crc = zlib.crc32(data[at["speaker_rows"]:at["durations_s"]])
+        crc = zlib.crc32(data[at["utterance_ids"]:at["end"]], crc)
+        return _set_field(6, lambda _: crc)(data)
+    return damaged
+
+
+def _totals(change):
+    return _per_speaker("speaker_totals_s", change, "<f8")
+
+
+def _order(change):
+    return _per_speaker("longest_first", change)
+
+
+def _swapped(first, second):
+    """The change that swaps the values at ``first`` and ``second``."""
+    def change(column):
+        column = column.copy()
+        column[[first, second]] = column[[second, first]]
+        return column
+    return change
+
+
+def _set(at, value):
+    def change(column):
+        column = column.copy()
+        column[at] = value
+        return column
+    return change
 
 
 @pytest.mark.parametrize("damage", [
@@ -176,8 +220,9 @@ def _id_byte(item, at, value):
     _split_speaker,
     _speaker_rows(lambda counts: np.concatenate([[0, counts[0] + counts[1]], counts[2:]])),
     _speaker_rows(lambda counts: counts + (np.arange(len(counts)) == 0)),
-    _per_speaker(1, lambda counts: np.concatenate([counts[:2] + [1, -1], counts[2:]])),
-    _per_speaker(1, lambda counts: counts + (np.arange(len(counts)) == 0)),
+    _per_speaker("speaker_bytes",
+                 lambda counts: np.concatenate([counts[:2] + [1, -1], counts[2:]])),
+    _per_speaker("speaker_bytes", lambda counts: counts + (np.arange(len(counts)) == 0)),
     _swap_speakers,
     _first_duration(0.0),
     _first_duration(math.nan),
@@ -186,6 +231,18 @@ def _id_byte(item, at, value):
     _id_byte(7, 5, 0x0a),
     _id_byte(7, 5, 0),
     _id_byte(7, 24, ord(",")),
+    _totals(lambda totals: totals + (np.arange(len(totals)) == 0)),
+    _order(_swapped(0, 1)),
+    _crc_made_again(_totals(_set(0, math.nan))),
+    _crc_made_again(_totals(_set(0, 0.0))),
+    _crc_made_again(_totals(_set(0, -1.0))),
+    _crc_made_again(_totals(lambda totals: totals[::-1])),
+    _crc_made_again(_order(_swapped(0, 1))),  # the two longest: a rise along the order
+    _crc_made_again(_order(_swapped(-2, -1))),  # two one-clip speakers of equal total
+    _crc_made_again(_order(lambda order: order[::-1])),
+    _crc_made_again(_order(_set(1, -1))),
+    _crc_made_again(_order(lambda order: _set(0, len(order))(order))),
+    _crc_made_again(_order(lambda order: _set(-1, order[-2])(order))),  # a speaker twice
 ], ids=["truncated", "header-cut", "trailing-byte", "ids-cut", "speakers-cut",
         "other-key", "id-bytes-not-the-file-size", "id-bytes-past-the-file", "other-crc",
         "speaker-line-holding-two", "speaker-without-rows", "rows-one-too-many",
@@ -193,7 +250,10 @@ def _id_byte(item, at, value):
         "speakers-out-of-order", "duration-not-positive", "duration-not-finite",
         "id-without-opening-quote",
         "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id",
-        "two-ids-on-one-line"])
+        "two-ids-on-one-line", "total-not-the-crc", "order-not-the-crc", "total-nan",
+        "total-zero", "total-negative", "totals-reversed", "longest-two-swapped",
+        "tied-two-swapped", "order-reversed", "place-negative", "place-past-the-speakers",
+        "speaker-twice"])
 def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache_home,
                                                damage):
     first = plan(manifest, tmp_path / "a")
@@ -204,6 +264,37 @@ def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, manifest, parses, cache
     assert plan(manifest, tmp_path / "b") == first
     assert len(parses) == 2
     assert entry.read_bytes() == good
+
+
+def test_damage_to_totals_or_order_hits_what_it_names(tmp_path, manifest, cache_home):
+    # the CRC made again over a sound entry is its own, so the damage behind
+    # _crc_made_again reaches the checks of the values; the manifest has a
+    # longest speaker and a tie at the end of the order to swap
+    plan(manifest, tmp_path / "a")
+    [name] = entries(cache_home)
+    good = (cache_home / "fedspeech" / name).read_bytes()
+    assert _crc_made_again(lambda data: data)(good) == good
+    parsed = federation.load_manifest(manifest)
+    totals, order = parsed.speaker_totals_s, parsed.longest_first
+    assert totals[order[0]] > totals[order[1]] and totals[order[-2]] == totals[order[-1]]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_warm_partition_is_the_cold_one(manifest, parses, seed):
+    parsed = federation.load_manifest(manifest)
+    totals = parsed.speaker_totals_s
+    assert len(np.unique(totals)) < len(totals) / 2  # most speakers share a total
+    cold = federation.partition_by_speaker(parsed, 7, seed)
+    manifest_cache.load_manifest_cached(manifest)
+    cached, _ = manifest_cache.load_manifest_cached(manifest)
+    order = cached.longest_first.copy()
+    warm = federation.partition_by_speaker(cached, 7, seed)
+    assert len(parses) == 1
+    assert cached.longest_first.tolist() == order.tolist()  # the shuffle ran on a copy
+    assert warm.speakers.tolist() == cold.speakers.tolist()
+    assert warm.n_speakers.tolist() == cold.n_speakers.tolist()
+    assert warm.n_utterances.tolist() == cold.n_utterances.tolist()
+    assert warm.total_duration_s.tobytes() == cold.total_duration_s.tobytes()
 
 
 @pytest.mark.parametrize("at,value", [(3, 0x1f), (3, 0), (8, ord("x"))],
