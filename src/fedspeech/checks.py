@@ -42,10 +42,11 @@ class CheckResult:
     @property
     def margin(self) -> Optional[float]:
         """``value``'s relative distance from the nearer of ``bounds``,
-        ``|value / bound - 1|``, or None for a check of a property."""
+        ``|value / bound - 1|``, or None for a check of a property. A bound
+        of 0 is skipped: nothing has a relative distance to it."""
         if self.value is None:
             return None
-        return min(abs(self.value / bound - 1.0) for bound in self.bounds)
+        return min(abs(self.value / bound - 1.0) for bound in self.bounds if bound)
 
 
 def _rel(value: float, target: float) -> float:
@@ -153,7 +154,7 @@ def scaling_checks() -> list[CheckResult]:
     saving = (fp32_peak - mixed_peak) / fp32_peak
     out.append(CheckResult("scaling/mixed-saving", 0.0 < saving < 0.35,
                            f"mixed precision saves {saving:.1%} of the fp32 peak "
-                           "(must stay under 35%)"))
+                           "(must stay under 35%)", saving, (0.0, 0.35)))
     return out
 
 
@@ -200,7 +201,8 @@ def device_ratio_checks() -> list[CheckResult]:
         reduction = (1.0 - b4 / b1) * 100.0
         out.append(CheckResult(
             f"devices/{device}-batch4-reduction", abs(reduction - target) <= 2.0,
-            f"{reduction:.1f} pp vs {target:.0f} pp (tol 2 pp)"))
+            f"{reduction:.1f} pp vs {target:.0f} pp (tol 2 pp)", reduction,
+            (target - 2.0, target + 2.0)))
     return out
 
 
@@ -421,15 +423,16 @@ def partitioner_checks() -> list[CheckResult]:
 
     part = partition_by_speaker(manifest, 10, seed=2)
     counts = part.n_utterances.tolist()
-    out.append(CheckResult("partition/client-counts",
-                           all(abs(c - 19_500) / 19_500 <= 0.05 for c in counts),
-                           f"counts {min(counts)}..{max(counts)} vs 19500 +-5%"))
+    farthest = max(counts, key=lambda c: abs(c - 19_500))
+    out.append(CheckResult("partition/client-counts", 18_525 <= farthest <= 20_475,
+                           f"counts {min(counts)}..{max(counts)} vs 19500 +-5%",
+                           farthest, (18_525, 20_475)))
     durations = part.total_duration_s.tolist()
     ratio = max(durations) / min(durations)
     out.append(CheckResult("partition/duration-balance", ratio <= 1.1,
-                           f"max/min client duration {ratio:.4f} (limit 1.1)"))
+                           f"max/min client duration {ratio:.4f} (limit 1.1)", ratio, (1.1,)))
     # every speaker held by exactly one client
-    held = np.bincount(part.speakers, minlength=len(manifest.speaker_ids))
+    held = np.bincount(part.speakers, minlength=len(manifest.speaker_rows))
     disjoint = bool((held == 1).all())
     covered = sum(counts) == len(manifest)
     out.append(CheckResult("partition/speaker-disjoint", disjoint and covered,

@@ -12,8 +12,8 @@ invent.
 Memory fit uses a whole-process residency estimate: full training statics
 (weights, gradients, optimizer state) plus the runtime floor plus the
 retained activations scaled by ``residency_factor`` to cover backward
-temporaries and allocator slack. Cells near the budget (within 10 percent
-either side) are reported ``marginal`` rather than forced to a verdict.
+temporaries and allocator slack. Cells within ``MARGINAL_BAND`` of the budget
+(either side) are reported ``marginal`` rather than forced to a verdict.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def predict_batch_time(profile: DeviceProfile, arch: ArchitectureSpec,
 def check_fit(profile: DeviceProfile, peak_memory_bytes: float) -> FitVerdict:
     """Compare a peak-memory estimate against the device budget.
 
-    Within 10 percent of the budget (either side) the verdict is
+    Within ``MARGINAL_BAND`` of the budget (either side) the verdict is
     ``marginal``; otherwise ``fits`` or ``oom``.
     """
     budget = profile.memory_budget_bytes

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -64,58 +63,49 @@ def encode_ids(ids: Sequence[str]) -> tuple[bytes, np.ndarray]:
     return "\n".join(encoded).encode("ascii") if lengths.size else b"", lengths
 
 
-def decode_ids(texts) -> list[str]:
-    """The strings that newline-ended JSON texts, in a bytes-like object, hold."""
-    return json.loads(b"[" + bytes(texts)[:-1].replace(b"\n", b",") + b"]")
-
-
 @dataclass(frozen=True, eq=False)
 class Manifest:
     """A manifest as columns, its rows grouped by speaker.
 
-    ``speaker_ids`` are in name order, and speaker ``s`` holds the
-    ``speaker_rows[s]`` rows (at least one) that follow those of the
-    speakers before it, in file order. ``durations_s`` has one entry per
-    row. ``utterance_ids`` holds the bytes of each row's id as its JSON
-    text, ended by a newline, in row order (see ``encode_ids``); speaker
-    ``s``'s texts take ``speaker_bytes[s]`` bytes of it.
-    ``speaker_totals_s[s]`` is the sum of speaker ``s``'s durations, added in
-    row order one at a time, and ``longest_first`` holds the speakers by
-    descending total, equal totals in name order: both are made once, by
-    ``grouped``, and a plan reads them.
+    Speakers are numbered in the name order of their ids, which the manifest
+    does not keep: speaker ``s`` holds the ``speaker_rows[s]`` rows (at least
+    one) that follow those of the speakers before it, in file order.
+    ``durations_s`` has one entry per row. ``utterance_ids`` holds the bytes
+    of each row's id as its JSON text, ended by a newline, in row order (see
+    ``encode_ids``); speaker ``s``'s texts take ``speaker_bytes[s]`` bytes of
+    it. ``speaker_totals_s[s]`` is the sum of speaker ``s``'s durations,
+    added in row order one at a time, and ``longest_first`` holds the
+    speakers by descending total, equal totals in name order: both are made
+    once, by ``grouped``, and a plan reads them.
     """
     utterance_ids: np.ndarray  # uint8
     speaker_rows: np.ndarray  # int64, one row count per speaker
     speaker_bytes: np.ndarray  # int64, one byte count of utterance_ids per speaker
-    speaker_ids: tuple[str, ...]
     durations_s: np.ndarray  # float64
     speaker_totals_s: np.ndarray  # float64, one total duration per speaker
     longest_first: np.ndarray  # int64, the speakers, longest total first
 
     @classmethod
     def grouped(cls, utterance_ids: np.ndarray, speaker_rows: np.ndarray,
-                speaker_bytes: np.ndarray, speaker_ids: tuple[str, ...],
-                durations_s: np.ndarray) -> "Manifest":
+                speaker_bytes: np.ndarray, durations_s: np.ndarray) -> "Manifest":
         """The manifest of these columns, with each speaker's total and the
         longest-first order made from them."""
         # bincount adds each speaker's durations in row order, one at a time
         # (np.add.reduceat would pair them and round differently); so does
         # _sum_in_order each client's.
-        totals = np.bincount(np.repeat(np.arange(len(speaker_ids)), speaker_rows),
-                             weights=durations_s, minlength=len(speaker_ids))
-        return cls(utterance_ids, speaker_rows, speaker_bytes, speaker_ids, durations_s,
+        totals = np.bincount(np.repeat(np.arange(len(speaker_rows)), speaker_rows),
+                             weights=durations_s, minlength=len(speaker_rows))
+        return cls(utterance_ids, speaker_rows, speaker_bytes, durations_s,
                    totals, np.argsort(-totals, kind="stable"))
 
     @classmethod
-    def of_rows(cls, utterance_ids: Sequence[str], speaker_rows, speaker_ids: Sequence[str],
-                durations_s) -> "Manifest":
+    def of_rows(cls, utterance_ids: Sequence[str], speaker_rows, durations_s) -> "Manifest":
         """The manifest of rows already grouped by speaker."""
         texts, lengths = encode_ids(utterance_ids)
         speaker_rows = np.asarray(speaker_rows, np.int64)
         ends = np.cumsum(lengths)[np.cumsum(speaker_rows) - 1]
         return cls.grouped(np.frombuffer(texts, np.uint8), speaker_rows,
-                           np.diff(ends, prepend=0), tuple(speaker_ids),
-                           np.asarray(durations_s, np.float64))
+                           np.diff(ends, prepend=0), np.asarray(durations_s, np.float64))
 
     def __len__(self) -> int:
         return len(self.durations_s)
@@ -375,9 +365,9 @@ class _ManifestColumns:
         self.durations.append(durations)
 
     def manifest(self) -> Manifest:
-        """The rows grouped by speaker, speakers in name order. Each block's
-        columns go straight to their grouped positions and are released once
-        there."""
+        """The rows grouped by speaker, speakers numbered in name order. Each
+        block's columns go straight to their grouped positions and are
+        released once there."""
         names = sorted(self.speaker_code)
         n_speakers, n_rows = len(names), sum(map(len, self.codes))
         # Codes in the narrowest integer type, as numpy radix-sorts keys of
@@ -409,7 +399,7 @@ class _ManifestColumns:
             durations[at[lo:hi]] = part
             _place_lines(texts, self.id_texts.pop(0), lengths[lo:hi], starts[lo:hi])
             lo = hi
-        return Manifest.grouped(texts, speaker_rows, speaker_bytes, tuple(names), durations)
+        return Manifest.grouped(texts, speaker_rows, speaker_bytes, durations)
 
 
 def _place_lines(out: np.ndarray, lines: bytes, lengths: np.ndarray,
@@ -456,9 +446,8 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
     durations = rng.lognormal(mean=0.0, sigma=0.45, size=n_utterances)
     durations *= mean_duration_s / durations.mean()
     width_u = len(str(n_utterances - 1))
-    width_s = len(str(n_speakers - 1))
     return Manifest.of_rows([f"utt_{i:0{width_u}d}" for i in range(n_utterances)], counts,
-                            [f"spk_{s:0{width_s}d}" for s in range(n_speakers)], durations)
+                            durations)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +460,7 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     """Split a manifest into ``k`` speaker-disjoint, duration-balanced clients."""
     if k < 1:
         raise ConfigError("need at least one client")
-    n_speakers = len(manifest.speaker_ids)
+    n_speakers = len(manifest.speaker_rows)
     if n_speakers < k:
         raise ConfigError(f"{n_speakers} distinct speakers cannot fill {k} clients")
     counts, durations = manifest.speaker_rows, manifest.durations_s

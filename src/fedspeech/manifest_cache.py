@@ -19,10 +19,10 @@ An entry is a fixed header, then each speaker's row count and byte count of
 utterance ids (int64), total duration (float64) and place in the longest-
 first order (int64, the speaker at each place), then each row's duration
 (float64), then the utterance ids as the manifest holds them: their JSON
-texts, each ended by a newline, grouped by speaker. Last come the speaker
-ids' JSON texts in the same form, in name order. A JSON text never holds a
-newline, so every manifest that loads can be cached. The header (magic
-``FSMANIF4``) holds each section's size and a CRC-32 of every section but
+texts, each ended by a newline, grouped by speaker. A JSON text never holds
+a newline, so every manifest that loads can be cached. Speakers are numbers,
+as in the manifest: no speaker id is stored. The header (magic
+``FSMANIF5``) holds each section's size and a CRC-32 of every section but
 the durations, so a damaged entry is found without a scan of its ids for
 newlines; durations are checked by value, and the order against the totals.
 A plan thus reads each speaker's total and the longest-first order instead
@@ -39,7 +39,8 @@ otherwise; then the entry of that key is read, else the manifest is parsed.
 An entry found by its key for a file of another identity (a copy, a
 checkout, a ``touch``) gets that file's identity as its hint, so the next
 plan of that file overlaps again. The manifest is read, never mapped: a
-file cut short while it is hashed is a read error, not a ``SIGBUS``.
+file cut short while it is hashed is a read error, not a ``SIGBUS``. A miss
+reads it twice, so a pipe or any file that is not regular is refused unread.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import stat
 import struct
 import sys
 import threading
@@ -57,7 +59,7 @@ from typing import Callable, NamedTuple, Optional, TypeVar
 
 from . import federation
 from .errors import FedspeechError, ManifestError
-from .federation import Manifest, decode_ids, encode_ids, load_manifest
+from .federation import Manifest, load_manifest
 from .lazy import lazy_import
 
 np = lazy_import("numpy")
@@ -67,12 +69,12 @@ T = TypeVar("T")
 MAX_ENTRIES = 4
 
 _SUFFIX = ".manifest"
-_MAGIC = b"FSMANIF4"
-# magic, key, rows, speakers, bytes of utterance ids, bytes of speaker ids,
-# CRC-32 of every section but the durations, which are checked by value, and
-# the hint: the stat identity of the file the entry was last read for
+_MAGIC = b"FSMANIF5"
+# magic, key, rows, speakers, bytes of utterance ids, CRC-32 of every section
+# but the durations, which are checked by value, and the hint: the stat
+# identity of the file the entry was last read for
 _HINT = struct.Struct("<5Q")
-_HEADER = struct.Struct(f"<8s32sQQQQI{_HINT.size}s")
+_HEADER = struct.Struct(f"<8s32sQQQI{_HINT.size}s")
 _BLOCK_BYTES = 1 << 20
 
 
@@ -93,12 +95,15 @@ def load_manifest_cached(path, derive: Callable[[Manifest], T] = lambda manifest
     of the manifest's bytes. ``derive`` must be a pure function of the
     manifest: it may also run on an entry that turns out to hold other bytes,
     and what it returned or raised there is dropped. A manifest that cannot be
-    opened or read, or that changes between the hash and the parse, raises
+    opened or read, that is not a regular file (a pipe could be read only
+    once), or that changes between the hash and the parse, raises
     ``ManifestError``."""
-    try:
-        fh = open(path, "rb")
+    try:  # a FIFO opens at once without a writer, and is refused unread
+        fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
         try:
             before = os.fstat(fh.fileno())
+            if not stat.S_ISREG(before.st_mode):
+                raise ManifestError(f"manifest {path} is not a regular file")
         except BaseException:
             fh.close()
             raise
@@ -258,26 +263,21 @@ def _read_entry(entry: Path, key: Optional[bytes] = None,
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
                 return None
-            magic, stored_key, rows, n_speakers, id_bytes, speaker_id_bytes, crc, \
-                stored_hint = _HEADER.unpack(header)
+            magic, stored_key, rows, n_speakers, id_bytes, crc, stored_hint = \
+                _HEADER.unpack(header)
             if magic != _MAGIC or key not in (None, stored_key) \
                     or hint not in (None, stored_hint) \
                     or os.fstat(fh.fileno()).st_size \
-                    != _layout(rows, n_speakers, id_bytes, speaker_id_bytes)["end"]:
+                    != _layout(rows, n_speakers, id_bytes)["end"]:
                 return None
             counts, byte_counts, totals, order = (np.empty(n_speakers, dtype)
                                                   for dtype in ("<i8", "<i8", "<f8", "<i8"))
             durations, ids = np.empty(rows, "<f8"), np.empty(id_bytes, np.uint8)
             for array in (counts, byte_counts, totals, order, durations, ids):
                 fh.readinto(array)
-            speakers = fh.read(speaker_id_bytes)
-            if _crc(counts, byte_counts, totals, order, ids, speakers) != crc:
+            if _crc(counts, byte_counts, totals, order, ids) != crc:
                 return None
-            speakers = decode_ids(speakers)
-    except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
-        return None
-    if len(speakers) != n_speakers \
-            or not all(map(str.__lt__, speakers, speakers[1:])):  # in name order
+    except (OSError, ValueError):
         return None
     if not (counts.min(initial=1) >= 1 and counts.sum() == rows
             and byte_counts.sum() == id_bytes
@@ -292,8 +292,7 @@ def _read_entry(entry: Path, key: Optional[bytes] = None,
         return None
     return _Entry(stored_key, stored_hint, Manifest(
         utterance_ids=ids, speaker_rows=counts, speaker_bytes=byte_counts,
-        speaker_ids=tuple(speakers), durations_s=durations, speaker_totals_s=totals,
-        longest_first=order))
+        durations_s=durations, speaker_totals_s=totals, longest_first=order))
 
 
 def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
@@ -307,15 +306,13 @@ def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
         np.ascontiguousarray(column, dtype) for column, dtype in (
             (manifest.speaker_rows, "<i8"), (manifest.speaker_bytes, "<i8"),
             (manifest.speaker_totals_s, "<f8"), (manifest.longest_first, "<i8")))
-    ids, speakers = manifest.utterance_ids, encode_ids(manifest.speaker_ids)[0]
+    ids = manifest.utterance_ids
     try:
         with open(tmp, "xb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_ids),
-                                  len(ids), len(speakers),
-                                  _crc(counts, byte_counts, totals, order, ids, speakers),
-                                  hint))
+            fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(counts), len(ids),
+                                  _crc(counts, byte_counts, totals, order, ids), hint))
             for section in (counts, byte_counts, totals, order,
-                            np.ascontiguousarray(manifest.durations_s, "<f8"), ids, speakers):
+                            np.ascontiguousarray(manifest.durations_s, "<f8"), ids):
                 fh.write(section)
         os.replace(tmp, entry)
         _touch(entry)
@@ -327,15 +324,14 @@ def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
     _prune(directory)
 
 
-def _layout(rows: int, n_speakers: int, id_bytes: int, speaker_id_bytes: int
-            ) -> dict[str, int]:
+def _layout(rows: int, n_speakers: int, id_bytes: int) -> dict[str, int]:
     """Where each section of an entry with these header fields starts, in the
     order they are written, and under ``"end"`` the entry's size."""
     starts, at = {}, _HEADER.size
     for section, size in (("speaker_rows", 8 * n_speakers), ("speaker_bytes", 8 * n_speakers),
                           ("speaker_totals_s", 8 * n_speakers),
                           ("longest_first", 8 * n_speakers), ("durations_s", 8 * rows),
-                          ("utterance_ids", id_bytes), ("speaker_ids", speaker_id_bytes)):
+                          ("utterance_ids", id_bytes)):
         starts[section] = at
         at += size
     starts["end"] = at

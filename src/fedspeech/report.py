@@ -1,10 +1,10 @@
 """Deterministic JSON and CSV report emission.
 
 Reports carry the fully resolved configuration and its fingerprint, never a
-timestamp, so identical inputs produce byte-identical files. Writers go
-through a temp file and an atomic rename so a failed run never leaves
-partial output behind. They make no directory: a command makes its output
-directory once.
+timestamp, so identical inputs produce byte-identical files. Each write goes
+through a temp file of its own and an atomic rename, so a failed run never
+leaves partial output behind, nor two runs a mixed one. Writers make no
+directory: a command makes its output directory once.
 
 A section with one entry per client or per round (``fl_partition.json``'s
 clients, ``fl_schedule.json``'s rounds, ``fl_plan.json``'s epoch times and
@@ -22,7 +22,7 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -124,14 +124,15 @@ class StreamedList:
 
 
 _PER_CHUNK = 256
+_temp_numbers = count()  # one per temp file this process makes
 
 
 @contextmanager
 def _replaced(path: Path, mode: str, **kwargs):
-    """A file opened for writing in place of ``path``: a temp file beside it,
-    renamed over ``path`` once written. An ``OSError`` raises ``ConfigError``
-    and leaves no temp file; ``path`` is then untouched."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    """A file created in ``mode`` in place of ``path``: a temp file of this
+    call's own beside it, renamed over ``path`` once written. An ``OSError``
+    raises ``ConfigError`` and leaves no temp file; ``path`` is then untouched."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_temp_numbers)}.tmp")
     try:
         fh = open(tmp, mode, **kwargs)
     except OSError as exc:
@@ -156,7 +157,7 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     its pieces where it stands. A non-finite number in ``payload``, or a
     file that cannot be written, raises ``ConfigError`` and leaves no file."""
     path = Path(path)
-    with _replaced(path, "wb") as fh:
+    with _replaced(path, "xb") as fh:
         text: list[str] = []  # encoded, not yet written
         try:
             _encode(payload, 0, text, fh)
@@ -251,7 +252,7 @@ def write_csv(path, header: Sequence[str], rows: Rows | Iterable[Sequence[Any]])
     """Write ``header`` and ``rows`` as CSV, where ``Rows`` are lines of CSV
     text; a file that cannot be written raises ``ConfigError`` and writes
     nothing."""
-    with _replaced(Path(path), "w", encoding="utf-8", newline="") as fh:
+    with _replaced(Path(path), "x", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, Rows):

@@ -1,10 +1,11 @@
 import csv
+import json
 import random
 from itertools import chain, repeat
 
 import pytest
 
-from fedspeech.federation import decode_ids, synthetic_manifest
+from fedspeech.federation import synthetic_manifest
 
 FIXTURE_SEED = 7
 # The columns a manifest must have, as write_manifest writes them
@@ -47,10 +48,18 @@ def entry_reads(monkeypatch):
     return found
 
 
+def decode_ids(texts):
+    """The strings that newline-ended JSON texts, in a bytes-like object, hold."""
+    return json.loads(b"[" + bytes(texts)[:-1].replace(b"\n", b",") + b"]")
+
+
 def write_manifest(path, manifest):
-    """Write ``manifest`` as a tab-separated file under the required columns."""
-    speaker_of = chain.from_iterable(map(repeat, manifest.speaker_ids,
-                                         manifest.speaker_rows.tolist()))
+    """Write ``manifest`` as a tab-separated file under the required columns.
+    Speaker ``s`` is named ``spk_{s}``, zero-padded so that name order is
+    number order, as the loader numbers speakers."""
+    width = len(str(len(manifest.speaker_rows) - 1))
+    names = (f"spk_{s:0{width}d}" for s in range(len(manifest.speaker_rows)))
+    speaker_of = chain.from_iterable(map(repeat, names, manifest.speaker_rows.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(REQUIRED_COLUMNS)

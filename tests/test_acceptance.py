@@ -130,15 +130,35 @@ def test_validate_json_agrees_with_the_text_table(validate_stdout, capsys):
             assert c["bounds"] is None and c["margin"] is None
             continue
         numeric += 1
-        assert c["margin"] == min(abs(c["value"] / b - 1.0) for b in c["bounds"])
-        if c["name"].startswith("fit/"):  # residency against the budget, in bytes
+        # a bound of 0 has no relative distance
+        assert c["margin"] == min(abs(c["value"] / b - 1.0) for b in c["bounds"] if b)
+        name, value, detail = c["name"], c["value"], c["detail"]
+        if name.startswith("fit/"):  # residency against the budget, in bytes
             (budget,) = c["bounds"]
-            assert c["detail"].startswith(f"{c['value'] / 1e9:.2f} GB vs "
-                                          f"{budget / 1e9:.1f} GB budget")
+            assert detail.startswith(f"{value / 1e9:.2f} GB vs {budget / 1e9:.1f} GB budget")
+        elif name.endswith("-batch4-reduction"):  # percentage points, target +- 2
+            lo, hi = c["bounds"]
+            assert detail.startswith(f"{value:.1f} pp vs {(lo + hi) / 2:.0f} pp") and \
+                hi - lo == 4.0
+        elif name == "scaling/mixed-saving":  # a share of the fp32 peak
+            assert detail.startswith(f"mixed precision saves {value:.1%}") and \
+                c["bounds"] == [0.0, 0.35]
+        elif name == "partition/duration-balance":  # max/min under one bound
+            assert detail.startswith(f"max/min client duration {value:.4f}") and \
+                c["bounds"] == [1.1]
+        elif name == "partition/client-counts":  # the count farthest from 19500
+            counts = [int(n) for n in detail.split()[1].split("..")]
+            assert value == max(counts, key=lambda n: abs(n - 19_500)) and \
+                c["bounds"] == [18_525, 20_475]
         else:  # a value and a range
             lo, hi = c["bounds"]
-            assert c["detail"].startswith(f"{c['value']:.4g}") and lo < hi
-    assert numeric == 68 and sum(c["name"].startswith("fit/") for c in checks) == 32
+            assert detail.startswith(f"{value:.4g}") and lo < hi
+    assert numeric == 75 and sum(c["name"].startswith("fit/") for c in checks) == 32
+    margins = {c["name"]: round(100 * c["margin"], 2) for c in checks if c["value"] is not None}
+    assert [margins[f"devices/{device}-batch4-reduction"]
+            for device in ("macbook", "rpi", "agx", "nx")] == [13.03, 9.94, 6.62, 4.05]
+    assert [margins["scaling/mixed-saving"], margins["partition/client-counts"],
+            margins["partition/duration-balance"]] == [0.98, 4.71, 9.09]
     # the marginal fit cells, each as far from its budget as recorded at ced8973
     assert sorted(round(100 * c["margin"], 2) for c in checks
                   if "-> marginal" in c["detail"]) == [0.81, 2.31, 2.31, 2.46, 2.46]

@@ -1,12 +1,14 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import typing
@@ -322,6 +324,44 @@ class TestFlPlan:
                     "1", "--device", "a40", "--out", str(tmp_path / "r")]) == 3
         assert capsys.readouterr().err == \
             f"error: cannot read manifest {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("kind", ["fifo", "fifo-without-a-cache", "pipe"])
+    def test_manifest_that_is_not_a_regular_file_exits_3_unread(self, tmp_path, capsys,
+                                                                monkeypatch, kind):
+        # A plan that hashes a manifest, then parses it, reads it twice, and
+        # a pipe gives its bytes once. A FIFO without a writer is refused
+        # without waiting for one; the alarm ends a plan that waits.
+        read = None
+        if kind == "pipe":  # a writer wrote a whole manifest and went
+            read, write = os.pipe()
+            os.write(write, manifest_text(tie_heavy_rows()).encode())
+            os.close(write)
+            path = f"/proc/self/fd/{read}"
+        else:
+            path = str(tmp_path / "m.tsv")
+            os.mkfifo(path)
+        if kind == "fifo-without-a-cache":
+            monkeypatch.setattr(manifest_cache, "cache_dir", lambda: None)
+
+        class Waited(Exception):
+            pass
+
+        def waited(signum, frame):
+            raise Waited("the plan waited for a writer")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(5)
+        try:
+            code = run(["fl-plan", "--manifest", path, "--clients", "1", "--rounds", "1",
+                        "--out", str(tmp_path / "r")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            if read is not None:
+                os.close(read)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: manifest {path} is not a regular file\n"
+        assert not (tmp_path / "r").exists()
 
     def test_duration_flag_rejected(self, tmp_path):
         # the clip length of an idealised corpus is --mean-duration
@@ -1032,17 +1072,18 @@ def test_out_at_a_file_exits_2(tmp_path, capsys, under):
         err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv,blocked", [
-    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], "fl_partition.json"),
-    (["analyze"], "analyze.json.tmp"),
+@pytest.mark.parametrize("argv,report,blocked,reason", [
+    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], "fl_partition.json",
+     "fl_partition.json", "Is a directory"),
+    (["analyze"], "analyze.json", ".analyze.json.{pid}.0.tmp", "File exists"),
 ], ids=["report", "temp-file"])
-def test_unwritable_report_exits_2_on_one_line_and_leaves_no_temp_file(tmp_path, capsys,
-                                                                      argv, blocked):
+def test_unwritable_report_exits_2_on_one_line_and_leaves_no_temp_file(
+        tmp_path, capsys, monkeypatch, argv, report, blocked, reason):
+    monkeypatch.setattr("fedspeech.report._temp_numbers", itertools.count())  # the first is 0
     out = tmp_path / "out"
-    (out / blocked).mkdir(parents=True)
+    (out / blocked.format(pid=os.getpid())).mkdir(parents=True)
     assert run(argv + ["--out", str(out)]) == 2
-    report = out / blocked.removesuffix(".tmp")
-    assert capsys.readouterr().err == f"error: cannot write {report}: Is a directory\n"
+    assert capsys.readouterr().err == f"error: cannot write {out / report}: {reason}\n"
     assert not [p for p in out.iterdir() if p.suffix == ".tmp" and p.is_file()]
 
 

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import manifest_text, tie_heavy_rows, write_manifest
+from conftest import decode_ids, manifest_text, tie_heavy_rows, write_manifest
 from fedspeech import federation, manifest_cache
 from fedspeech.arch import WorkloadSpec, base_preset, large_preset
 from fedspeech.costs import forward_flops
 from fedspeech.devices import get_profile, predict_batch_time
 from fedspeech.errors import ConfigError, MalformedRowError, ManifestError, MissingAnchorError
-from fedspeech.federation import (Manifest, RoundSchedule, decode_ids,
-                                  estimate_communication, estimate_wall_clock, load_manifest,
-                                  partition_by_speaker, schedule_rounds,
-                                  uniform_partition)
+from fedspeech.federation import (Manifest, RoundSchedule, estimate_communication,
+                                  estimate_wall_clock, load_manifest, partition_by_speaker,
+                                  schedule_rounds, uniform_partition)
 from fedspeech.report import partition_payload, write_json
 
 
@@ -35,19 +34,17 @@ def head(manifest, n):
     ends = np.minimum(np.cumsum(manifest.speaker_rows), n)
     kept = int(np.searchsorted(ends, n)) + 1  # up to the speaker holding row n - 1
     return Manifest.of_rows(decode_ids(manifest.utterance_ids)[:n],
-                            np.diff(ends[:kept], prepend=0), manifest.speaker_ids[:kept],
-                            manifest.durations_s[:n])
+                            np.diff(ends[:kept], prepend=0), manifest.durations_s[:n])
 
 
 def speaker_of_rows(manifest):
-    """The speaker id of each row."""
-    return [spk for spk, n in zip(manifest.speaker_ids, manifest.speaker_rows.tolist())
-            for _ in range(n)]
+    """The speaker number of each row."""
+    return np.repeat(np.arange(len(manifest.speaker_rows)), manifest.speaker_rows).tolist()
 
 
 def clients_of(partition):
     """Each client of a manifest partition as (its utterance ids in order,
-    its total duration, its speakers' names), from its columns."""
+    its total duration, its speakers' numbers), from its columns."""
     manifest = partition.manifest
     texts, offsets = manifest.utterance_ids, manifest.id_offsets.tolist()
     ends = np.cumsum(partition.n_speakers).tolist()
@@ -55,7 +52,7 @@ def clients_of(partition):
     for lo, hi, total in zip([0] + ends, ends, partition.total_duration_s.tolist()):
         speakers = partition.speakers[lo:hi].tolist()
         ids = [u for s in speakers for u in decode_ids(texts[offsets[s]:offsets[s + 1]])]
-        clients.append((tuple(ids), total, frozenset(manifest.speaker_ids[s] for s in speakers)))
+        clients.append((tuple(ids), total, frozenset(speakers)))
     return clients
 
 
@@ -70,9 +67,8 @@ def _manifest(rows):
     order; row ``i`` has id ``u{i}``."""
     names = [f"spk{spk}" for spk, _ in rows]
     order = sorted(range(len(rows)), key=names.__getitem__)  # a stable sort
-    speakers = sorted(set(names))
     return Manifest.of_rows([f"u{i}" for i in order],
-                            [names.count(name) for name in speakers], speakers,
+                            [names.count(name) for name in sorted(set(names))],
                             [rows[i][1] for i in order])
 
 
@@ -89,8 +85,11 @@ def reference_rows(path):
 
 def grouped(rows):
     """(utterance, speaker, duration) rows as ``load_manifest`` holds them:
-    grouped by speaker in name order, each speaker's rows in file order."""
-    return sorted(rows, key=lambda row: row[1])  # a stable sort
+    grouped by speaker in name order, each speaker's rows in file order, and
+    each speaker named by its number in name order."""
+    number = {name: s for s, name in enumerate(sorted({spk for _, spk, _ in rows}))}
+    return [(utt, number[spk], dur)
+            for utt, spk, dur in sorted(rows, key=lambda row: row[1])]  # a stable sort
 
 
 def add_rows_starts(monkeypatch):
@@ -164,7 +163,8 @@ BREAK_ROW = {
 
 def reference_partition(rows, k, seed):
     """Per-client (ids, total, speakers) from the record-at-a-time partitioner
-    the columnar one replaced."""
+    the columnar one replaced; speakers are numbered in name order, as the
+    loader numbers them."""
     totals, by_speaker = {}, {}
     for utt, spk, dur in rows:
         totals[spk] = totals.get(spk, 0.0) + dur
@@ -187,13 +187,14 @@ def reference_partition(rows, k, seed):
         load, idx = heapq.heappop(heap)
         assigned[idx].append(speaker)
         heapq.heappush(heap, (load + totals[speaker], idx))
+    number = {spk: s for s, spk in enumerate(sorted(totals))}
     clients = []
     for speakers in assigned:
         utts = [u for s in speakers for u in by_speaker[s]]
         total = 0.0  # one addition at a time, in row order
         for _, dur in utts:
             total += dur
-        clients.append((tuple(u for u, _ in utts), total, frozenset(speakers)))
+        clients.append((tuple(u for u, _ in utts), total, frozenset(map(number.get, speakers))))
     return clients
 
 
@@ -204,16 +205,14 @@ class TestManifest:
                       "u1\ts1\t5.0\nu2\ts1\t4.0\nu3\ts2\t6.5\n")
         manifest = load_manifest(p)
         assert len(manifest) == 3
-        assert rows_of(manifest) == [("u1", "s1", 5.0), ("u2", "s1", 4.0),
-                                     ("u3", "s2", 6.5)]
-        assert manifest.speaker_ids == ("s1", "s2")
+        assert rows_of(manifest) == [("u1", 0, 5.0), ("u2", 0, 4.0), ("u3", 1, 6.5)]
         assert manifest.speaker_rows.tolist() == [2, 1]
 
     def test_common_voice_column_names(self, tmp_path):
         p = write_tsv(tmp_path / "cv.tsv",
                       "client_id\tpath\tsentence\tduration\n"
                       "spk9\tclip1.mp3\thello there\t3.25\n")
-        assert rows_of(load_manifest(p)) == [("clip1.mp3", "spk9", 3.25)]
+        assert rows_of(load_manifest(p)) == [("clip1.mp3", 0, 3.25)]
 
     def test_duration_in_milliseconds(self, tmp_path):
         p = write_tsv(tmp_path / "ms.tsv",
@@ -265,10 +264,9 @@ class TestManifest:
         assert len(loaded) == len(corpus_manifest) == 195_000
         total_h = sum(loaded.durations_s.tolist()) / 3600
         assert total_h == pytest.approx(298.0, rel=0.01)
-        assert len(loaded.speaker_ids) == len(loaded.speaker_rows) == 6_000
+        assert len(loaded.speaker_rows) == 6_000
         assert loaded.speaker_rows.min() >= 1
         assert loaded.utterance_ids.tobytes() == corpus_manifest.utterance_ids.tobytes()
-        assert loaded.speaker_ids == corpus_manifest.speaker_ids
         assert np.array_equal(loaded.speaker_rows, corpus_manifest.speaker_rows)
         assert np.array_equal(loaded.speaker_bytes, corpus_manifest.speaker_bytes)
         assert np.abs(loaded.durations_s - corpus_manifest.durations_s).max() <= 5e-7
@@ -409,16 +407,14 @@ class TestManifest:
     def test_rows_grouped_by_speaker_in_name_order(self, tie_manifest, tmp_path):
         manifest = load_manifest(tie_manifest)
         rows = reference_rows(tie_manifest)
-        assert manifest.speaker_ids == tuple(sorted({spk for _, spk, _ in rows}))
         assert manifest.speaker_rows.tolist() == [  # each speaker's rows together
-            sum(spk == name for _, spk, _ in rows) for name in manifest.speaker_ids]
+            sum(spk == name for _, spk, _ in rows) for name in sorted({s for _, s, _ in rows})]
         assert rows_of(manifest) == grouped(rows)  # in file order within a speaker
         manifest_cache.load_manifest_cached(tie_manifest)
         cached, _ = manifest_cache.load_manifest_cached(tie_manifest)  # a hit
         written = tmp_path / "written.tsv"
         write_manifest(written, manifest)
         for again in (cached, load_manifest(written)):
-            assert again.speaker_ids == manifest.speaker_ids
             assert again.speaker_rows.tolist() == manifest.speaker_rows.tolist()
             assert again.utterance_ids.tobytes() == manifest.utterance_ids.tobytes()
             assert again.speaker_bytes.tolist() == manifest.speaker_bytes.tolist()
@@ -444,7 +440,6 @@ class TestManifest:
         assert again.utterance_ids.tobytes() == manifest.utterance_ids.tobytes()
         assert again.speaker_rows.tobytes() == manifest.speaker_rows.tobytes()
         assert again.speaker_bytes.tobytes() == manifest.speaker_bytes.tobytes()
-        assert again.speaker_ids == manifest.speaker_ids
         assert again.durations_s.tobytes() == manifest.durations_s.tobytes()
         assert clients_of(partition_by_speaker(again, k, seed)) == \
             clients_of(partition_by_speaker(manifest, k, seed))
@@ -475,7 +470,6 @@ class TestManifest:
         assert again.utterance_ids.tobytes() == expected.utterance_ids.tobytes()
         assert again.speaker_bytes.tobytes() == expected.speaker_bytes.tobytes()
         assert again.speaker_rows.tobytes() == expected.speaker_rows.tobytes()
-        assert again.speaker_ids == expected.speaker_ids
         assert again.durations_s.tobytes() == expected.durations_s.tobytes()
 
     @pytest.mark.parametrize("block", [64, 1000, 4 << 20])
@@ -507,7 +501,6 @@ class TestManifest:
         assert bom.utterance_ids.tobytes() == plain.utterance_ids.tobytes()
         assert bom.speaker_rows.tobytes() == plain.speaker_rows.tobytes()
         assert bom.speaker_bytes.tobytes() == plain.speaker_bytes.tobytes()
-        assert bom.speaker_ids == plain.speaker_ids
         assert bom.durations_s.tobytes() == plain.durations_s.tobytes()
         assert len(bom) == len(rows)
 
@@ -553,7 +546,7 @@ class TestManifest:
         bad = write_tsv(tmp_path / "bad.tsv", header + '"u 1"\ts1\t-1\n')
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            assert rows_of(load_manifest(good)) == [("u 1", "s1", 5.0)]
+            assert rows_of(load_manifest(good)) == [("u 1", 0, 5.0)]
             try:
                 load_manifest(bad)
             except MalformedRowError as exc:
@@ -625,7 +618,7 @@ class TestPartition:
             st.integers(0, 11), st.sampled_from((1.2, 2.5, 3.0)) | st.floats(0.1, 30.0)),
             min_size=1, max_size=60))
         manifest = _manifest(rows)
-        k = data.draw(st.integers(1, len(manifest.speaker_ids)))
+        k = data.draw(st.integers(1, len(manifest.speaker_rows)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         part = partition_by_speaker(manifest, k, seed)
         speaker_of = dict(zip(decode_ids(manifest.utterance_ids), speaker_of_rows(manifest)))
@@ -635,7 +628,7 @@ class TestPartition:
         assert sorted(u for ids, _, _ in clients for u in ids) == sorted(speaker_of)  # once each
         for ids, _, speakers in clients:
             assert {speaker_of[u] for u in ids} == speakers
-        assert sum(len(spk) for _, _, spk in clients) == len(manifest.speaker_ids)
+        assert sum(len(spk) for _, _, spk in clients) == len(manifest.speaker_rows)
         assert clients_of(partition_by_speaker(manifest, k, seed)) == clients
 
     def test_clients_are_views_of_one_partition_wide_index(self, corpus_manifest):
@@ -645,7 +638,7 @@ class TestPartition:
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
         assert part.manifest is corpus_manifest
         assert np.array_equal(np.sort(part.speakers),
-                              np.arange(len(corpus_manifest.speaker_ids)))
+                              np.arange(len(corpus_manifest.speaker_rows)))
         rows = corpus_manifest.speaker_rows.tolist()
         row_starts = (np.cumsum(rows) - rows).tolist()
         durations = corpus_manifest.durations_s.tolist()
@@ -676,7 +669,7 @@ class TestPartition:
     def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25
         subset = head(corpus_manifest, 20_000)
-        speakers = len(subset.speaker_ids)
+        speakers = len(subset.speaker_rows)
         assert speakers >= 100
         part = partition_by_speaker(subset, min(10, speakers // 10), seed=5)
         durations = part.total_duration_s.tolist()

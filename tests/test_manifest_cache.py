@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import manifest_text, tie_heavy_rows
+from conftest import decode_ids, manifest_text, tie_heavy_rows
 from fedspeech import cli, federation, manifest_cache
 from fedspeech.cli import main
 from fedspeech.errors import ConfigError, ManifestError
@@ -64,7 +64,6 @@ def test_entry_is_the_parsed_manifest(manifest, cache_home):
     manifest_cache.load_manifest_cached(manifest)
     cached, _ = manifest_cache.load_manifest_cached(manifest)
     assert cached.utterance_ids.tobytes() == parsed.utterance_ids.tobytes()
-    assert cached.speaker_ids == parsed.speaker_ids
     assert cached.speaker_rows.tolist() == parsed.speaker_rows.tolist()
     assert cached.speaker_bytes.tolist() == parsed.speaker_bytes.tolist()
     assert cached.durations_s.tobytes() == parsed.durations_s.tobytes()
@@ -99,12 +98,13 @@ def _with_header(change):
     return damage
 
 
-def _move_one_byte(step):
-    """Damage that counts ``step`` bytes of utterance ids as speaker id bytes:
-    the same size, but one section cut mid-string."""
+def _recount(rows=0, speakers=0, id_bytes=0):
+    """Damage that adds these to the header's counts of rows, speakers and
+    bytes of utterance ids: the same size, but sections cut in other places."""
     def change(fields):
-        fields[4] -= step
-        fields[5] += step
+        fields[2] += rows
+        fields[3] += speakers
+        fields[4] += id_bytes
     return _with_header(change)
 
 
@@ -117,7 +117,7 @@ def _set_field(at, value_of):
 
 def _starts(data):
     """Where each section of the entry ``data`` starts, as the cache lays it out."""
-    return manifest_cache._layout(*_header(data)[2:6])
+    return manifest_cache._layout(*_header(data)[2:5])
 
 
 def _per_speaker(section, change, dtype="<i8"):
@@ -144,26 +144,10 @@ def _first_duration(value):
     return damage
 
 
-def _swap_speakers(data):
-    """Damage that swaps the first two speaker lines, which have the same
-    length: every line decodes, but out of name order."""
-    start = _starts(data)["speaker_ids"]
-    first, second, rest = data[start:].split(b"\n", 2)
-    assert len(first) == len(second)
-    return data[:start] + second + b"\n" + first + b"\n" + rest
-
-
-def _split_speaker(data):
-    """Damage that turns the first speaker's JSON text into two of the same
-    length: the lines then hold one speaker too many."""
-    first = data.rindex(b'"2f18e5e12c"\n')
-    return data[:first] + b'"2f1","e12c"' + data[first + 12:]
-
-
 def _id_byte(item, at, value):
     """Damage that sets byte ``at`` of utterance id ``item``'s JSON text."""
     def damage(data):
-        start, end = _starts(data)["utterance_ids"], _starts(data)["speaker_ids"]
+        start, end = _starts(data)["utterance_ids"], _starts(data)["end"]
         lines = data[start:end].split(b"\n")
         pos = start + sum(map(len, lines[:item])) + item + at
         return data[:pos] + bytes([value]) + data[pos + 1:]
@@ -178,7 +162,7 @@ def _crc_made_again(damage):
         at = _starts(data)
         crc = zlib.crc32(data[at["speaker_rows"]:at["durations_s"]])
         crc = zlib.crc32(data[at["utterance_ids"]:at["end"]], crc)
-        return _set_field(6, lambda _: crc)(data)
+        return _set_field(5, lambda _: crc)(data)
     return damaged
 
 
@@ -211,19 +195,17 @@ def _set(at, value):
     lambda data: data[:len(data) // 2],
     lambda data: data[:manifest_cache._HEADER.size - 1],
     lambda data: data + b"x",
-    _move_one_byte(1),
-    _move_one_byte(-1),
+    _recount(rows=-1, id_bytes=8),  # the last duration read as ids
+    _recount(speakers=1, rows=-4),  # a speaker's four columns more, four durations fewer
     lambda data: data[:8] + bytes(32) + data[40:],  # another key
     _set_field(4, lambda id_bytes: id_bytes + 1),
     _set_field(4, lambda id_bytes: 1 << 30),
-    _set_field(6, lambda crc: crc ^ 1),
-    _split_speaker,
+    _set_field(5, lambda crc: crc ^ 1),
     _speaker_rows(lambda counts: np.concatenate([[0, counts[0] + counts[1]], counts[2:]])),
     _speaker_rows(lambda counts: counts + (np.arange(len(counts)) == 0)),
     _per_speaker("speaker_bytes",
                  lambda counts: np.concatenate([counts[:2] + [1, -1], counts[2:]])),
     _per_speaker("speaker_bytes", lambda counts: counts + (np.arange(len(counts)) == 0)),
-    _swap_speakers,
     _first_duration(0.0),
     _first_duration(math.nan),
     _id_byte(7, 0, ord("c")),
@@ -245,9 +227,9 @@ def _set(at, value):
     _crc_made_again(_order(lambda order: _set(-1, order[-2])(order))),  # a speaker twice
 ], ids=["truncated", "header-cut", "trailing-byte", "ids-cut", "speakers-cut",
         "other-key", "id-bytes-not-the-file-size", "id-bytes-past-the-file", "other-crc",
-        "speaker-line-holding-two", "speaker-without-rows", "rows-one-too-many",
+        "speaker-without-rows", "rows-one-too-many",
         "speaker-id-bytes-moved", "speaker-id-bytes-one-too-many",
-        "speakers-out-of-order", "duration-not-positive", "duration-not-finite",
+        "duration-not-positive", "duration-not-finite",
         "id-without-opening-quote",
         "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id",
         "two-ids-on-one-line", "total-not-the-crc", "order-not-the-crc", "total-nan",
@@ -333,7 +315,7 @@ def test_entry_holds_one_very_long_id(tmp_path, parses):
     assert len(parses) == 1
     assert cached.utterance_ids.tobytes() == parsed.utterance_ids.tobytes()
     assert cached.speaker_bytes.tolist() == parsed.speaker_bytes.tolist()
-    assert "x" * 10_000 in federation.decode_ids(cached.utterance_ids)
+    assert "x" * 10_000 in decode_ids(cached.utterance_ids)
 
 
 def _refuse_writes(monkeypatch, directory):
@@ -421,8 +403,8 @@ def test_id_with_a_newline_is_cached(tmp_path, parses, cache_home):
     path = tmp_path / "m.tsv"
     path.write_text(manifest_text(rows))
     parsed = federation.load_manifest(path)
-    assert "clip\nwith a newline.mp3" in federation.decode_ids(parsed.utterance_ids)
-    assert "speaker\nwith a newline" in parsed.speaker_ids
+    assert "clip\nwith a newline.mp3" in decode_ids(parsed.utterance_ids)
+    assert len(parsed.speaker_rows) == len({row[0] for row in rows})  # one speaker
     first = plan(path, tmp_path / "a")
     assert first[0] == 0
     assert b"clip\\nwith a newline.mp3" in first[1]["fl_partition.json"]
@@ -507,7 +489,7 @@ def partitioned(monkeypatch):
     counts = []
 
     def counting(manifest, k, seed=0):
-        counts.append(len(manifest.speaker_ids))
+        counts.append(len(manifest.speaker_rows))
         return federation.partition_by_speaker(manifest, k, seed)
 
     monkeypatch.setattr(cli, "partition_by_speaker", counting)
@@ -525,7 +507,7 @@ def test_stale_hinted_entry_is_dropped(tmp_path, manifest, parses, cache_home, e
     other.write_text(_speakers(speakers))
     assert plan(other, tmp_path / "other")[0] == (0 if speakers >= 3 else 2)
     stale = _entry_of(cache_home, other)
-    stale.write_bytes(_set_field(7, lambda _: _hint_of(manifest))(stale.read_bytes()))
+    stale.write_bytes(_set_field(6, lambda _: _hint_of(manifest))(stale.read_bytes()))
     manifest_cache._touch(stale)  # tried before this file's own entry
     partitioned.clear()
     entry_reads.clear()
@@ -621,12 +603,12 @@ def test_moved_manifest_overlaps_from_its_second_plan(tmp_path, manifest, parses
         shutil.copyfile(manifest, moved)
     else:
         os.utime(manifest, ns=(1, 1))
-    assert _header(entry.read_bytes())[7] != _hint_of(moved)
+    assert _header(entry.read_bytes())[6] != _hint_of(moved)
     for run, found in (("b", ["key"]), ("c", ["hint"]), ("d", ["hint"])):
         entry_reads.clear()
         assert plan(moved, tmp_path / run) == reference
         assert entry_reads == found
-        assert _header(entry.read_bytes())[7] == _hint_of(moved)
+        assert _header(entry.read_bytes())[6] == _hint_of(moved)
     assert len(parses) == 1
 
 

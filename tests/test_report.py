@@ -2,8 +2,10 @@ import csv
 import enum
 import errno
 import io
+import itertools
 import json
 import math
+import os
 import re
 from json.encoder import encode_basestring_ascii
 from pathlib import PurePosixPath
@@ -13,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import decode_ids
 from fedspeech.arch import WorkloadSpec, arch_to_mapping, base_preset
 from fedspeech.costs import forward_flops, module_rollup
 from fedspeech.errors import ConfigError
 from fedspeech import report
-from fedspeech.federation import (Partition, WallClockEstimate, decode_ids, encode_ids,
+from fedspeech.federation import (Partition, WallClockEstimate, encode_ids,
                                   partition_by_speaker, schedule_rounds, synthetic_manifest)
 from fedspeech.report import (PLAN_CSV_HEADER, Rows, StreamedList, cost_report_payload,
                               partition_payload, plan_rows, schedule_payload,
@@ -454,17 +457,42 @@ _WRITERS = {"json": lambda path: write_json(path, {"a": [1, 2]}),
 
 @pytest.mark.parametrize("writer", sorted(_WRITERS))
 @pytest.mark.parametrize("blocked", ["report", "temp file"])
-def test_unwritable_report_raises_and_leaves_no_temp_file(tmp_path, writer, blocked):
+def test_unwritable_report_raises_and_leaves_no_temp_file(tmp_path, monkeypatch, writer,
+                                                          blocked):
     # a directory where the report goes fails the rename; one where its
-    # temp file goes fails the open
+    # temp file goes, named by the counter's next number, fails the open
+    monkeypatch.setattr(report, "_temp_numbers", itertools.count(5))
     path = tmp_path / "r.out"
-    directory = path if blocked == "report" else tmp_path / "r.out.tmp"
+    directory = path if blocked == "report" else tmp_path / f".r.out.{os.getpid()}.5.tmp"
     directory.mkdir()
-    with pytest.raises(ConfigError,
-                       match=rf"^cannot write {re.escape(str(path))}: Is a directory$"):
+    reason = "Is a directory" if blocked == "report" else "File exists"
+    with pytest.raises(ConfigError, match=rf"^cannot write {re.escape(str(path))}: {reason}$"):
         _WRITERS[writer](path)
     assert list(tmp_path.iterdir()) == [directory]
     assert not any(directory.iterdir())
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_write_inside_a_write_to_one_path_leaves_each_report_whole(tmp_path, writer):
+    # Each write has a temp file of its own: the inner write's report is
+    # whole when it lands, and the outer one then replaces it whole.
+    path = tmp_path / "r.out"
+    inner = []
+
+    def values(lo, hi):
+        write_json(path, {"a": 1})
+        inner.append(path.read_text())
+        return list(range(lo, hi))
+
+    if writer == "json":
+        write_json(path, {"rows": StreamedList(Rows("%d", 2, 1, values))})
+        expected = json.dumps({"rows": [0, 1]}, indent=2) + "\n"
+    else:
+        write_csv(path, ["n"], Rows("%d\n", 2, 1, values))
+        expected = "n\n0\n1\n"
+    assert inner == ['{\n  "a": 1\n}\n']
+    assert path.read_text() == expected
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
