@@ -151,11 +151,16 @@ class ArchitectureSpec:
             raise ConfigError("pos_conv requires at least one transformer block")
 
 
+#: The reference clip length in seconds: the average clip of the measured
+#: anchors and of the memory calibration, and every default clip length.
+REFERENCE_CLIP_S = 5.5
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One training or inference workload: audio length, batching, precision."""
 
-    duration_s: float = 5.5
+    duration_s: float = REFERENCE_CLIP_S
     sample_rate_hz: int = 16_000
     batch: int = 1
     precision: Precision = Precision.FP32

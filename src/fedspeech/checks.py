@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregation import (AggMethod, AggregationConfig, ClientUpdate, SyntheticFLConfig,
                           aggregate, run_synthetic_fl)
-from .arch import Precision, WorkloadSpec, get_preset
+from .arch import REFERENCE_CLIP_S, Precision, WorkloadSpec, get_preset
 from .costs import forward_flops
 from .devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
                       training_residency_bytes)
@@ -80,7 +80,7 @@ _PARAM_TARGETS = {  # millions
 def param_checks() -> list[CheckResult]:
     out = []
     for preset, targets in _PARAM_TARGETS.items():
-        report = forward_flops(get_preset(preset), WorkloadSpec(duration_s=5.5, batch=1))
+        report = forward_flops(get_preset(preset), WorkloadSpec(batch=1))
         for key, target in targets.items():
             tol = 0.01 if key == "total" else 0.02
             value = (report.total_params if key == "total"
@@ -91,7 +91,7 @@ def param_checks() -> list[CheckResult]:
 
 # ---------------------------------------------------------------------- flops
 
-_FLOP_TARGETS = {  # gigaflops at 5.5 s, batch 1
+_FLOP_TARGETS = {  # gigaflops at the reference clip, batch 1
     "base": {"cnn_encoder": (27.20, 0.05), "transformer": (49.16, 0.05),
              "quantizer": (0.32, 0.25), "total": (76.68, 0.05)},
     "large": {"quantizer": (0.94, 0.25), "total": (198.32, 0.05)},
@@ -100,7 +100,7 @@ _FLOP_TARGETS = {  # gigaflops at 5.5 s, batch 1
 
 def flop_checks() -> list[CheckResult]:
     out = []
-    workload = WorkloadSpec(duration_s=5.5, batch=1)
+    workload = WorkloadSpec(batch=1)
     for preset, targets in _FLOP_TARGETS.items():
         report = forward_flops(get_preset(preset), workload)
         for key, (target, tol) in targets.items():
@@ -120,12 +120,12 @@ def memory_checks() -> list[CheckResult]:
     out.append(_in_range("memory/activation-overhead", cal.activation_overhead,
                          0.5, 2.5))
 
-    t1 = memory_timeline(arch, WorkloadSpec(5.5, batch=4), cal)
+    t1 = memory_timeline(arch, WorkloadSpec(batch=4), cal)
     t2 = memory_timeline(arch, WorkloadSpec(12.0, batch=8), cal)
     out.append(_within("memory/calibration-point", t1.peak_bytes / GB, 2.54, 1e-9, " GB"))
     out.append(_within("memory/two-point", t2.peak_bytes / GB, 9.89, 0.15, " GB"))
     ratio = (t2.peak_bytes - t2.static_bytes) / (t1.peak_bytes - t1.static_bytes)
-    out.append(_within("memory/activation-ratio", ratio, (8 * 12) / (4 * 5.5), 0.02))
+    out.append(_within("memory/activation-ratio", ratio, (8 * 12) / (4 * REFERENCE_CLIP_S), 0.02))
     return out
 
 
@@ -149,7 +149,7 @@ def scaling_checks() -> list[CheckResult]:
     out.append(_in_range("scaling/flops-doubling", worst_f, 1.95, 2.15))
     out.append(_in_range("scaling/memory-doubling", worst_m, 1.95, 2.15))
 
-    fp32_peak, mixed_peak = (memory_timeline(arch, WorkloadSpec(5.5, batch=4, precision=p))
+    fp32_peak, mixed_peak = (memory_timeline(arch, WorkloadSpec(batch=4, precision=p))
                              .peak_bytes for p in (Precision.FP32, Precision.MIXED))
     saving = (fp32_peak - mixed_peak) / fp32_peak
     out.append(CheckResult("scaling/mixed-saving", 0.0 < saving < 0.35,
@@ -165,7 +165,7 @@ def _anchor_time(device: str, arch: str, batch: int, precision: Precision) -> fl
     profile = get_profile(device)
     pred = predict_batch_time(
         profile, get_preset(arch),
-        WorkloadSpec(5.5, batch=batch, precision=precision))
+        WorkloadSpec(batch=batch, precision=precision))
     return pred.seconds_per_batch
 
 
@@ -234,7 +234,7 @@ def memory_fit_checks() -> list[CheckResult]:
     out = []
     for device, preset, batch, precision, ran in _FEASIBILITY_TABLE:
         profile = get_profile(device)
-        workload = WorkloadSpec(5.5, batch=batch, precision=Precision(precision))
+        workload = WorkloadSpec(batch=batch, precision=Precision(precision))
         peak = training_residency_bytes(get_preset(preset), workload).total
         verdict = check_fit(profile, peak)
         wanted = ({FitVerdict.FITS, FitVerdict.MARGINAL} if ran
@@ -294,18 +294,21 @@ def aggregation_checks(trials: int = 10_000, seed: int = 5) -> list[CheckResult]
     fedavg = AggregationConfig(method=AggMethod.FEDAVG)
     v1 = aggregate([ClientUpdate("a", np.array([0.0, 2.0]), 1),
                     ClientUpdate("b", np.array([4.0, 0.0]), 3)], fedavg)
-    out.append(CheckResult("agg/fedavg-hand", bool(np.max(np.abs(
-        v1 - np.array([3.0, 0.5]))) < 1e-12), f"got {v1.tolist()}"))
+    error = float(np.max(np.abs(v1 - np.array([3.0, 0.5]))))
+    out.append(CheckResult("agg/fedavg-hand", error < 1e-12, f"got {v1.tolist()}",
+                           error, (1e-12,)))
 
     cfg = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=1.0)
     v2 = aggregate([ClientUpdate("a", np.array([1.0, 0.0]), 5, local_loss=1.0),
                     ClientUpdate("b", np.array([0.0, 1.0]), 5, local_loss=2.0)], cfg)
-    out.append(CheckResult("agg/loss-weighted-hand", bool(np.max(np.abs(
-        v2 - np.array([2 / 3, 1 / 3]))) < 1e-12), f"got {v2.tolist()}"))
+    error = float(np.max(np.abs(v2 - np.array([2 / 3, 1 / 3]))))
+    out.append(CheckResult("agg/loss-weighted-hand", error < 1e-12, f"got {v2.tolist()}",
+                           error, (1e-12,)))
 
     rng = np.random.default_rng(seed)
     alpha0 = AggregationConfig(method=AggMethod.LOSS_WEIGHTED, alpha=0.0)
-    reduction_ok = hull_ok = perm_ok = scale_ok = True
+    reduction_ok = hull_ok = perm_ok = True
+    scale_change = 0.0
     for _ in range(1000):
         updates = _random_updates(rng)
         if not np.array_equal(aggregate(updates, alpha0), aggregate(updates, fedavg)):
@@ -322,16 +325,16 @@ def aggregation_checks(trials: int = 10_000, seed: int = 5) -> list[CheckResult]
             perm_ok = False
         scaled = [ClientUpdate(u.client_id, u.weights, u.n_samples * 10, u.local_loss)
                   for u in updates]
-        if np.max(np.abs(aggregate(scaled, fedavg) - agg)) > 1e-12:
-            scale_ok = False
+        scale_change = max(scale_change, float(np.max(np.abs(aggregate(scaled, fedavg) - agg))))
     out.append(CheckResult("agg/alpha0-reduction", reduction_ok,
                            "alpha=0 identical to fedavg on 1000 random inputs"))
     out.append(CheckResult("agg/convex-hull", hull_ok,
                            f"coordinate bounds hold on {trials} random inputs"))
     out.append(CheckResult("agg/permutation-invariance", perm_ok,
                            f"order never changes the result ({trials} trials)"))
-    out.append(CheckResult("agg/weight-scale-invariance", scale_ok,
-                           f"scaling all n_k by 10 is a no-op ({trials} trials)"))
+    out.append(CheckResult("agg/weight-scale-invariance", scale_change <= 1e-12,
+                           f"scaling all n_k by 10 is a no-op ({trials} trials)",
+                           scale_change, (1e-12,)))
     return out
 
 
@@ -357,7 +360,7 @@ def synthetic_fl_checks() -> list[CheckResult]:
     traj = run_synthetic_fl(cfg, AggregationConfig(method=AggMethod.FEDAVG))
     dist = float(np.linalg.norm(traj.final_weights - cfg.population_optimum()))
     out.append(CheckResult("flsim/fedavg-fixed-point", dist < 1e-6,
-                           f"final distance to weighted mean {dist:.2e}"))
+                           f"final distance to weighted mean {dist:.2e}", dist, (1e-6,)))
 
     # One persistent outlier: loss-weighted lands closer to the inlier mean.
     inliers = rng.normal(size=(9, 4)) * 0.2
@@ -373,7 +376,7 @@ def synthetic_fl_checks() -> list[CheckResult]:
     d_lw = float(np.linalg.norm(lw.final_weights - inlier_mean))
     out.append(CheckResult("flsim/outlier-downweighting", d_lw < d_fa,
                            f"loss-weighted {d_lw:.3f} vs fedavg {d_fa:.3f} "
-                           "from the inlier consensus"))
+                           "from the inlier consensus", d_lw, (d_fa,)))
 
     # Partial participation (20 of 100) needs strictly more rounds than
     # 10 of 10 to reach the same population loss.
@@ -381,7 +384,7 @@ def synthetic_fl_checks() -> list[CheckResult]:
     ok = r10 is not None and r100 is not None and r100 > r10
     out.append(CheckResult("flsim/partial-participation-slower", ok,
                            f"rounds to loss {threshold:.3g}: 10/10 -> {r10}, "
-                           f"20/100 -> {r100}"))
+                           f"20/100 -> {r100}", *((r100, (r10,)) if ok else ())))
     return out
 
 

@@ -29,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .aggregation import AggMethod, AggregationConfig, SyntheticFLConfig, run_synthetic_fl
-from .arch import Precision, WorkloadSpec, arch_to_mapping
+from .arch import REFERENCE_CLIP_S, Precision, WorkloadSpec, arch_to_mapping
 from .config import (FlSettings, config_fingerprint, load_config, resolve_arch,
                      resolve_calibration, resolve_profiles)
 from .costs import forward_flops, module_rollup
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{IDEALISED_SAMPLES_PER_CLIENT}); not with --manifest")
     p.add_argument("--mean-duration", type=float, dest="duration", metavar="MEAN_DURATION",
                    help="idealised clip length in seconds (default: the config's "
-                        "workload.duration_s, else 5.5); not with --manifest")
+                        f"workload.duration_s, else {REFERENCE_CLIP_S}); not with --manifest")
     p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
 
     p = sub.add_parser("fl-sim", help="synthetic federated aggregation run")

@@ -216,15 +216,11 @@ def _build_layers(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
                     (2.0 * d_in * d_out + ELEMENTWISE_FLOPS * d_in) * frames,
                     (d_in + d_out) * frames, frames))
 
-    if arch.pos_conv is not None:
+    if arch.pos_conv is not None:  # a conv, plus its residual sum
         pc = arch.pos_conv
-        pos_flops = 2.0 * pc.in_channels * pc.out_channels * pc.kernel * frames / pc.groups
-        copies = 2  # conv output + residual sum
-        if pc.activation is not Activation.NONE:
-            pos_flops += ELEMENTWISE_FLOPS * pc.out_channels * frames
-            copies += 1
-        rows.append(row(LayerKind.POS_CONV, "pos_conv", conv_params(pc), pos_flops,
-                        copies * pc.out_channels * frames, frames))
+        rows.append(row(LayerKind.POS_CONV, "pos_conv", conv_params(pc),
+                        _conv_flops(pc, frames),
+                        _conv_retained(pc, frames) + pc.out_channels * frames, frames))
 
     if arch.block_count:
         kind, _, *block = row(LayerKind.TRANSFORMER_BLOCK, "", _block_params(arch),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .arch import ArchitectureSpec, Precision, WorkloadSpec
+from .arch import REFERENCE_CLIP_S, ArchitectureSpec, Precision, WorkloadSpec
 from .costs import forward_flops
 from .errors import ConfigError, MissingAnchorError
 from .memory import (GB, MemoryCalibration, default_calibration, static_memory,
@@ -39,7 +39,7 @@ class Anchor:
     batch: int
     precision: Precision
     seconds_per_batch: float
-    duration_s: float = 5.5
+    duration_s: float = REFERENCE_CLIP_S
 
     def __post_init__(self) -> None:
         if self.seconds_per_batch <= 0:

@@ -30,7 +30,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .arch import ArchitectureSpec, Precision, WorkloadSpec
+from .arch import REFERENCE_CLIP_S, ArchitectureSpec, Precision, WorkloadSpec
 from .costs import CostReport
 from .devices import DeviceProfile, predict_batch_time
 from .errors import ConfigError, MalformedRowError, ManifestError, allocating
@@ -192,13 +192,15 @@ def load_manifest(path) -> Manifest:
     numbers, or an utterance id seen before are rejected with their line
     number.
 
-    The file is read in blocks cut at the last newline. A block of plain
-    rows that all hold the same number of tab-separated fields and keep
-    every rule but the one on repeated ids is split into columns at once.
-    Blocks keep the ``hash()`` of each id instead of the id. Unless every
-    block is plain and no two of those hashes are equal, the whole file is
-    read again from line 2 with ``csv.reader``, whose quoting rules then
-    apply and which alone names a bad row. A header that starts with a
+    The file is read in blocks cut at the last newline. A block is plain
+    when it has no ``"`` byte anywhere and no carriage return but right
+    before a newline, every line has the same number of tab-separated
+    fields, the bytes are UTF-8, no id is empty and every duration is
+    positive and finite. A plain block is split into columns at once, and
+    keeps the ``hash()`` of each id instead of the id. Unless every block is
+    plain and no two of those hashes are equal, the whole file is read again
+    from line 2 with ``csv.reader``, whose quoting rules then apply and
+    which alone names a bad row. A header that starts with a
     UTF-8 byte order mark is read without it.
     """
     with open(path, "rb") as fh:
@@ -430,7 +432,7 @@ def _has_undecoded_bytes(row: list[str]) -> bool:
 
 
 def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
-                       mean_duration_s: float = 5.5, seed: int = 7) -> Manifest:
+                       mean_duration_s: float = REFERENCE_CLIP_S, seed: int = 7) -> Manifest:
     """Corpus-scale synthetic manifest with heterogeneous speakers.
 
     Speaker contribution follows a lognormal profile (every speaker keeps at
@@ -514,7 +516,7 @@ def _sum_in_order(values: np.ndarray) -> float:
 
 
 def uniform_partition(n_clients: int, utterances_per_client: int,
-                      mean_duration_s: float = 5.5) -> Partition:
+                      mean_duration_s: float = REFERENCE_CLIP_S) -> Partition:
     """Idealised partition: every client is one speaker holding the same
     count of identical mean-length utterances, kept as the count alone.
     Used for planning when no manifest is given. A count below 1 or one

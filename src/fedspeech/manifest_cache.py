@@ -15,14 +15,14 @@ Deleting the directory clears the cache. An entry that cannot be read, or
 does not hold what its header says, is a miss, and the manifest is parsed as
 without a cache; a cache that cannot be written is left alone.
 
-An entry is a fixed header, then each speaker's row count and byte count of
-utterance ids (int64), total duration (float64) and place in the longest-
-first order (int64, the speaker at each place), then each row's duration
-(float64), then the utterance ids as the manifest holds them: their JSON
-texts, each ended by a newline, grouped by speaker. A JSON text never holds
-a newline, so every manifest that loads can be cached. Speakers are numbers,
-as in the manifest: no speaker id is stored. The header (magic
-``FSMANIF5``) holds each section's size and a CRC-32 of every section but
+An entry is a fixed header, then one section per
+:class:`~fedspeech.federation.Manifest` column, one after another, each of
+the dtype and the header's count of items that ``_SECTIONS`` gives. The last
+holds the utterance ids as the manifest does: their JSON texts, each ended
+by a newline, grouped by speaker. A JSON text never holds a newline, so
+every manifest that loads can be cached. Speakers are numbers, as in the
+manifest: no speaker id is stored. The header (magic ``FSMANIF5``) holds the
+counts of rows, speakers and bytes of ids and a CRC-32 of every section but
 the durations, so a damaged entry is found without a scan of its ids for
 newlines; durations are checked by value, and the order against the totals.
 A plan thus reads each speaker's total and the longest-first order instead
@@ -58,9 +58,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, TypeVar
 
 from . import federation
-from .errors import FedspeechError, ManifestError
+from .errors import ConfigError, FedspeechError, ManifestError
 from .federation import Manifest, load_manifest
 from .lazy import lazy_import
+from .report import replaced
 
 np = lazy_import("numpy")
 
@@ -75,6 +76,12 @@ _MAGIC = b"FSMANIF5"
 # identity of the file the entry was last read for
 _HINT = struct.Struct("<5Q")
 _HEADER = struct.Struct(f"<8s32sQQQI{_HINT.size}s")
+_ROWS, _SPEAKERS, _ID_BYTES = 2, 3, 4  # the places of the header's counts
+# The sections after the header, in the order they are written: the Manifest
+# column each holds, its dtype, and the header count of its items.
+_SECTIONS = (("speaker_rows", "<i8", _SPEAKERS), ("speaker_bytes", "<i8", _SPEAKERS),
+             ("speaker_totals_s", "<f8", _SPEAKERS), ("longest_first", "<i8", _SPEAKERS),
+             ("durations_s", "<f8", _ROWS), ("utterance_ids", "u1", _ID_BYTES))
 _BLOCK_BYTES = 1 << 20
 
 
@@ -260,27 +267,26 @@ def _read_entry(entry: Path, key: Optional[bytes] = None,
     holds another ``key`` or ``hint`` than one given."""
     try:
         with open(entry, "rb") as fh:
-            header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
+            raw = fh.read(_HEADER.size)
+            if len(raw) != _HEADER.size:
                 return None
-            magic, stored_key, rows, n_speakers, id_bytes, crc, stored_hint = \
-                _HEADER.unpack(header)
+            header = _HEADER.unpack(raw)
+            magic, stored_key, rows, n_speakers, id_bytes, crc, stored_hint = header
             if magic != _MAGIC or key not in (None, stored_key) \
                     or hint not in (None, stored_hint) \
-                    or os.fstat(fh.fileno()).st_size \
-                    != _layout(rows, n_speakers, id_bytes)["end"]:
+                    or os.fstat(fh.fileno()).st_size != _layout(header)["end"]:
                 return None
-            counts, byte_counts, totals, order = (np.empty(n_speakers, dtype)
-                                                  for dtype in ("<i8", "<i8", "<f8", "<i8"))
-            durations, ids = np.empty(rows, "<f8"), np.empty(id_bytes, np.uint8)
-            for array in (counts, byte_counts, totals, order, durations, ids):
-                fh.readinto(array)
-            if _crc(counts, byte_counts, totals, order, ids) != crc:
+            columns = {name: np.empty(header[count], dtype) for name, dtype, count in _SECTIONS}
+            for column in columns.values():
+                fh.readinto(column)
+            if _crc(columns) != crc:
                 return None
     except (OSError, ValueError):
         return None
+    counts, durations, totals, order = (columns[name] for name in (
+        "speaker_rows", "durations_s", "speaker_totals_s", "longest_first"))
     if not (counts.min(initial=1) >= 1 and counts.sum() == rows
-            and byte_counts.sum() == id_bytes
+            and columns["speaker_bytes"].sum() == id_bytes
             and (durations > 0).all() and np.isfinite(durations).all()
             and (totals > 0).all() and ((order >= 0) & (order < n_speakers)).all()):
         return None
@@ -290,59 +296,46 @@ def _read_entry(entry: Path, key: Optional[bytes] = None,
     if not ((ordered[1:] < ordered[:-1])
             | ((ordered[1:] == ordered[:-1]) & (order[1:] > order[:-1]))).all():
         return None
-    return _Entry(stored_key, stored_hint, Manifest(
-        utterance_ids=ids, speaker_rows=counts, speaker_bytes=byte_counts,
-        durations_s=durations, speaker_totals_s=totals, longest_first=order))
+    return _Entry(stored_key, stored_hint, Manifest(**columns))
 
 
 def _write_entry(directory: Path, entry: Path, key: bytes, hint: bytes,
                  manifest: Manifest) -> None:
-    """Write ``manifest`` to ``entry`` through a temp file, then drop the
-    least recently used entries past ``MAX_ENTRIES``. A manifest that cannot
-    be stored leaves the cache as it was."""
+    """Write ``manifest`` to ``entry`` through the reports' writer, a temp
+    file of this call's own, then drop the least recently used entries past
+    ``MAX_ENTRIES``. A manifest that cannot be stored leaves the cache as it
+    was."""
     directory.mkdir(parents=True, exist_ok=True)
-    tmp = directory / f".{entry.name}.{os.getpid()}.tmp"
-    counts, byte_counts, totals, order = (
-        np.ascontiguousarray(column, dtype) for column, dtype in (
-            (manifest.speaker_rows, "<i8"), (manifest.speaker_bytes, "<i8"),
-            (manifest.speaker_totals_s, "<f8"), (manifest.longest_first, "<i8")))
-    ids = manifest.utterance_ids
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(counts), len(ids),
-                                  _crc(counts, byte_counts, totals, order, ids), hint))
-            for section in (counts, byte_counts, totals, order,
-                            np.ascontiguousarray(manifest.durations_s, "<f8"), ids):
-                fh.write(section)
-        os.replace(tmp, entry)
+    columns = {name: np.ascontiguousarray(getattr(manifest, name), dtype)
+               for name, dtype, _ in _SECTIONS}
+    with contextlib.suppress(ConfigError, OSError):
+        with replaced(entry, "xb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, key, len(manifest), len(manifest.speaker_rows),
+                                  len(manifest.utterance_ids), _crc(columns), hint))
+            for column in columns.values():
+                fh.write(column)
         _touch(entry)
-    except OSError:
-        pass
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            tmp.unlink()
     _prune(directory)
 
 
-def _layout(rows: int, n_speakers: int, id_bytes: int) -> dict[str, int]:
-    """Where each section of an entry with these header fields starts, in the
-    order they are written, and under ``"end"`` the entry's size."""
+def _layout(header: tuple) -> dict[str, int]:
+    """Where each section of an entry with this header starts, in the order
+    they are written, and under ``"end"`` the entry's size."""
     starts, at = {}, _HEADER.size
-    for section, size in (("speaker_rows", 8 * n_speakers), ("speaker_bytes", 8 * n_speakers),
-                          ("speaker_totals_s", 8 * n_speakers),
-                          ("longest_first", 8 * n_speakers), ("durations_s", 8 * rows),
-                          ("utterance_ids", id_bytes)):
-        starts[section] = at
-        at += size
+    for name, dtype, count in _SECTIONS:
+        starts[name] = at
+        at += header[count] * np.dtype(dtype).itemsize
     starts["end"] = at
     return starts
 
 
-def _crc(*sections) -> int:
-    """The CRC-32 of the bytes of ``sections`` in turn."""
+def _crc(columns: dict) -> int:
+    """The CRC-32 of the bytes of every section in turn but the durations,
+    which are checked by value."""
     check = 0
-    for section in sections:
-        check = zlib.crc32(section, check)
+    for name, column in columns.items():
+        if name != "durations_s":
+            check = zlib.crc32(column, check)
     return check
 
 

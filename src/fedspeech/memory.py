@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .arch import ArchitectureSpec, Precision, WorkloadSpec, base_preset
+from .arch import REFERENCE_CLIP_S, ArchitectureSpec, Precision, WorkloadSpec, base_preset
 from .costs import CostReport, forward_flops
 from .errors import ConfigError
 
@@ -34,7 +34,7 @@ BACKWARD_FLOP_MULTIPLIER = 2.0  # backward ~= 2x forward for matmul-dominated ne
 
 #: The workload of the activation-profiler peak the default calibration is
 #: fitted on: the base encoder trained on 5.5 s clips at batch 4, full precision.
-REFERENCE_WORKLOAD = WorkloadSpec(duration_s=5.5, batch=4, precision=Precision.FP32)
+REFERENCE_WORKLOAD = WorkloadSpec(REFERENCE_CLIP_S, batch=4, precision=Precision.FP32)
 
 DEFAULT_RUNTIME_OVERHEAD_BYTES = 400e6  # interpreter + framework + loader floor
 DEFAULT_RESIDENCY_FACTOR = 3.2  # backward temporaries + allocator slack, whole process

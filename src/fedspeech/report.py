@@ -128,7 +128,7 @@ _temp_numbers = count()  # one per temp file this process makes
 
 
 @contextmanager
-def _replaced(path: Path, mode: str, **kwargs):
+def replaced(path: Path, mode: str, **kwargs):
     """A file created in ``mode`` in place of ``path``: a temp file of this
     call's own beside it, renamed over ``path`` once written. An ``OSError``
     raises ``ConfigError`` and leaves no temp file; ``path`` is then untouched."""
@@ -157,7 +157,7 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     its pieces where it stands. A non-finite number in ``payload``, or a
     file that cannot be written, raises ``ConfigError`` and leaves no file."""
     path = Path(path)
-    with _replaced(path, "xb") as fh:
+    with replaced(path, "xb") as fh:
         text: list[str] = []  # encoded, not yet written
         try:
             _encode(payload, 0, text, fh)
@@ -252,7 +252,7 @@ def write_csv(path, header: Sequence[str], rows: Rows | Iterable[Sequence[Any]])
     """Write ``header`` and ``rows`` as CSV, where ``Rows`` are lines of CSV
     text; a file that cannot be written raises ``ConfigError`` and writes
     nothing."""
-    with _replaced(Path(path), "x", encoding="utf-8", newline="") as fh:
+    with replaced(Path(path), "x", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, Rows):

@@ -150,10 +150,30 @@ def test_validate_json_agrees_with_the_text_table(validate_stdout, capsys):
             counts = [int(n) for n in detail.split()[1].split("..")]
             assert value == max(counts, key=lambda n: abs(n - 19_500)) and \
                 c["bounds"] == [18_525, 20_475]
+        elif name == "agg/fedavg-hand":  # the largest error of a hand example
+            assert value == max(abs(got - want) for got, want in
+                                zip(json.loads(detail[len("got "):]), [3.0, 0.5]))
+            assert c["bounds"] == [1e-12]
+        elif name == "agg/loss-weighted-hand":
+            assert value == max(abs(got - want) for got, want in
+                                zip(json.loads(detail[len("got "):]), [2 / 3, 1 / 3]))
+            assert c["bounds"] == [1e-12]
+        elif name == "agg/weight-scale-invariance":  # the largest change over the trials
+            assert detail.endswith("(10000 trials)") and c["bounds"] == [1e-12] and \
+                0.0 <= value <= 1e-12
+        elif name == "flsim/fedavg-fixed-point":  # the distance to the weighted mean
+            assert detail == f"final distance to weighted mean {value:.2e}" and \
+                c["bounds"] == [1e-6]
+        elif name == "flsim/outlier-downweighting":  # loss-weighted against fedavg
+            (fedavg,) = c["bounds"]
+            assert detail.startswith(f"loss-weighted {value:.3f} vs fedavg {fedavg:.3f}")
+        elif name == "flsim/partial-participation-slower":  # 20/100 against 10/10 rounds
+            (full,) = c["bounds"]
+            assert detail.endswith(f": 10/10 -> {full}, 20/100 -> {value}")
         else:  # a value and a range
             lo, hi = c["bounds"]
             assert detail.startswith(f"{value:.4g}") and lo < hi
-    assert numeric == 75 and sum(c["name"].startswith("fit/") for c in checks) == 32
+    assert numeric == 81 and sum(c["name"].startswith("fit/") for c in checks) == 32
     margins = {c["name"]: round(100 * c["margin"], 2) for c in checks if c["value"] is not None}
     assert [margins[f"devices/{device}-batch4-reduction"]
             for device in ("macbook", "rpi", "agx", "nx")] == [13.03, 9.94, 6.62, 4.05]

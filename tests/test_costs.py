@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from fedspeech.arch import (Activation, ArchitectureSpec, AttentionBlockSpec,
-                            ConvLayerSpec, Precision, QuantizerSpec, WorkloadSpec,
-                            base_preset, get_preset, large_preset)
+                            ConvLayerSpec, NormKind, Precision, QuantizerSpec,
+                            WorkloadSpec, base_preset, get_preset, large_preset)
 from fedspeech.costs import (LayerKind, conv_output_len, conv_params,
                              conv_stack_lens, forward_flops, linear_params,
                              module_rollup)
@@ -183,6 +184,20 @@ class TestForwardFlops:
         assert forward_flops(bigger, w).total_params > forward_flops(base, w).total_params
         assert (forward_flops(bigger, w).total_fwd_flops
                 > forward_flops(base, w).total_fwd_flops)
+
+    def test_pos_conv_is_costed_as_a_conv_plus_its_residual_sum(self):
+        # a norm on pos_conv counts its FLOPs and its output, not only its
+        # parameters: 5 per element, one more retained copy
+        base = base_preset()
+        normed = replace(base, pos_conv=replace(base.pos_conv, norm=NormKind.LAYER))
+        plain, layered = (forward_flops(arch, WorkloadSpec(5.5)) for arch in (base, normed))
+        at = plain.kinds.index(LayerKind.POS_CONV)
+        frames, dim = plain.output_lens[at], base.pos_conv.out_channels
+        assert layered.params[at] - plain.params[at] == 2 * dim == 1_536
+        assert plain.fwd_flops[at] == 2_586_840_576
+        assert layered.fwd_flops[at] == 2_586_840_576 + 5 * dim * frames == 2_587_892_736
+        assert plain.activation_bytes_per_sample[at] == 4 * 3 * dim * frames
+        assert layered.activation_bytes_per_sample[at] == 4 * 4 * dim * frames == 4 * 841_728
 
     def test_early_conv_layer_dominates(self):
         report = forward_flops(base_preset(), WorkloadSpec(5.5))

@@ -1,3 +1,4 @@
+import builtins
 import errno
 import hashlib
 import io
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import decode_ids, manifest_text, tie_heavy_rows
-from fedspeech import cli, federation, manifest_cache
+from fedspeech import cli, federation, manifest_cache, report
 from fedspeech.cli import main
 from fedspeech.errors import ConfigError, ManifestError
 
@@ -117,7 +118,7 @@ def _set_field(at, value_of):
 
 def _starts(data):
     """Where each section of the entry ``data`` starts, as the cache lays it out."""
-    return manifest_cache._layout(*_header(data)[2:5])
+    return manifest_cache._layout(_header(data))
 
 
 def _per_speaker(section, change, dtype="<i8"):
@@ -320,13 +321,15 @@ def test_entry_holds_one_very_long_id(tmp_path, parses):
 
 def _refuse_writes(monkeypatch, directory):
     """Refuse, as a read-only directory would, every file opened for writing
-    in ``directory`` through the cache module: root ignores file modes."""
+    in ``directory`` through the cache module or the reports' writer: root
+    ignores file modes."""
     def guarded(file, mode="r", *args, **kwargs):
         if "r" not in mode and os.path.dirname(os.fspath(file)) == str(directory):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(manifest_cache, "open", guarded, raising=False)
+    for module in (manifest_cache, report):
+        monkeypatch.setattr(module, "open", guarded, raising=False)
 
 
 def test_read_only_cache_dir_plans_as_without_a_cache(tmp_path, manifest, cache_home,
@@ -350,16 +353,65 @@ def test_failed_write_leaves_no_temp_file(tmp_path, manifest, cache_home, monkey
         def write(self, data):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    def full(file, mode="r", *args, **kwargs):
-        return FullDisk(file, mode.replace("b", "")) if mode == "xb" else \
-            open(file, mode, *args, **kwargs)
+    directory = str(cache_home / "fedspeech")
 
-    monkeypatch.setattr(manifest_cache, "open", full, raising=False)
+    def full(file, mode="r", *args, **kwargs):
+        return FullDisk(file, mode.replace("b", "")) \
+            if mode == "xb" and os.path.dirname(os.fspath(file)) == directory \
+            else open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(report, "open", full, raising=False)
     reference = plan(manifest, tmp_path / "a")
     assert reference[0] == 0
     assert entries(cache_home) == []
-    monkeypatch.delattr(manifest_cache, "open")
+    monkeypatch.delattr(report, "open")
     assert plan(manifest, tmp_path / "b") == reference
+
+
+def test_entry_bytes_are_pinned(tmp_path):
+    entry = tmp_path / "pinned.manifest"
+    manifest_cache._write_entry(tmp_path, entry, bytes(range(32)), bytes(range(40)),
+                                federation.synthetic_manifest(2000, 50))
+    data = entry.read_bytes()
+    assert len(data) == 39_708
+    assert hashlib.sha256(data).hexdigest() == \
+        "a942d7a47719197bf0bb838198c44977dd198a0fab69a465f9dff64547102b67"
+
+
+def test_two_writers_of_one_entry_each_land_whole(tmp_path, monkeypatch):
+    """The first writer is held with its temp file open until the second has
+    returned; the entry is then whole, and no temp file is left."""
+    manifest = federation.synthetic_manifest(2000, 50)
+    first_held, second_done = threading.Event(), threading.Event()
+
+    class Held(io.FileIO):
+        def write(self, data):
+            if threading.current_thread() is first:
+                first_held.set()
+                assert second_done.wait(10)
+            return super().write(data)
+
+    def holding(file, mode="r", *args, **kwargs):
+        return Held(file, mode.replace("b", "")) if mode == "xb" else \
+            io.open(file, mode, *args, **kwargs)
+
+    def write(directory):
+        manifest_cache._write_entry(directory, directory / "e.manifest", bytes(32), bytes(40),
+                                    manifest)
+
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    monkeypatch.setattr(builtins, "open", holding)
+    first = threading.Thread(target=write, args=(shared,))
+    first.start()
+    assert first_held.wait(10)
+    write(shared)
+    second_done.set()
+    first.join(10)
+    monkeypatch.undo()
+    assert not first.is_alive()
+    write(alone)
+    assert sorted(p.name for p in shared.iterdir()) == ["e.manifest"]
+    assert (shared / "e.manifest").read_bytes() == (alone / "e.manifest").read_bytes()
 
 
 def test_same_size_rewrite_with_restored_mtime_is_parsed_again(tmp_path, manifest, parses):
