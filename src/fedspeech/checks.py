@@ -21,10 +21,11 @@ from .arch import REFERENCE_CLIP_S, Precision, WorkloadSpec, get_preset
 from .costs import forward_flops
 from .devices import (FitVerdict, check_fit, get_profile, predict_batch_time,
                       training_residency_bytes)
-from .federation import (WallClockEstimate, estimate_wall_clock, partition_by_speaker,
-                         schedule_rounds, synthetic_manifest, uniform_partition)
+from .federation import (IDEALISED_SAMPLES_PER_CLIENT, WallClockEstimate,
+                         estimate_wall_clock, partition_by_speaker, schedule_rounds,
+                         synthetic_manifest, uniform_partition)
 from .memory import GB, default_calibration, memory_timeline
-from .trend import speedup_after, years_to_parity
+from .trend import DEFAULT_BASE_YEAR, speedup_after, years_to_parity
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def memory_fit_checks() -> list[CheckResult]:
 def wall_clock_checks() -> list[CheckResult]:
     out = []
     arch = get_preset("base")
-    partition = uniform_partition(10, 19_500)
+    partition = uniform_partition(10, IDEALISED_SAMPLES_PER_CLIENT)
     schedule = schedule_rounds(10, 10, 150, seed=1)
 
     def estimate(device: str) -> WallClockEstimate:
@@ -278,8 +279,8 @@ def trend_checks() -> list[CheckResult]:
     out = []
     nx = _anchor_time("nx", "base", 4, Precision.FP32)
     a40 = _anchor_time("a40", "base", 4, Precision.FP32)
-    out.append(_in_range("trend/nx-parity-year", 2022.0 + years_to_parity(nx, a40),
-                         2026.0, 2028.0))
+    out.append(_in_range("trend/nx-parity-year",
+                         DEFAULT_BASE_YEAR + years_to_parity(nx, a40), 2026.0, 2028.0))
     out.append(_within("trend/one-doubling", speedup_after(1.5), 2.0, 1e-12))
     years = years_to_parity(8.0, 1.0)
     out.append(_within("trend/ratio-8-years", years, 4.5, 1e-12, " y"))
@@ -421,7 +422,7 @@ def participation_round_counts(seed: int = 17) -> tuple[Optional[int], Optional[
 def partitioner_checks() -> list[CheckResult]:
     out = []
     manifest = synthetic_manifest()
-    total_h = sum(manifest.durations_s.tolist()) / 3600.0
+    total_h = np.cumsum(manifest.durations_s)[-1].item() / 3600.0  # added in row order
     out.append(_within("partition/fixture-hours", total_h, 298.0, 0.01, " h"))
 
     part = partition_by_speaker(manifest, 10, seed=2)
@@ -430,8 +431,7 @@ def partitioner_checks() -> list[CheckResult]:
     out.append(CheckResult("partition/client-counts", 18_525 <= farthest <= 20_475,
                            f"counts {min(counts)}..{max(counts)} vs 19500 +-5%",
                            farthest, (18_525, 20_475)))
-    durations = part.total_duration_s.tolist()
-    ratio = max(durations) / min(durations)
+    ratio = part.total_duration_s.max().item() / part.total_duration_s.min().item()
     out.append(CheckResult("partition/duration-balance", ratio <= 1.1,
                            f"max/min client duration {ratio:.4f} (limit 1.1)", ratio, (1.1,)))
     # every speaker held by exactly one client

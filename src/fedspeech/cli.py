@@ -37,8 +37,9 @@ from .devices import MARGINAL_BAND, DeviceProfile, FitVerdict, Residency, TimePr
     check_fit, get_profile, predict_batch_time, training_residency_bytes
 from .errors import ConfigError, FedspeechError, InfeasibleError, MissingAnchorError, \
     allocating
-from .federation import (estimate_communication, estimate_wall_clock,
-                         partition_by_speaker, schedule_rounds, uniform_partition)
+from .federation import (IDEALISED_SAMPLES_PER_CLIENT, estimate_communication,
+                         estimate_wall_clock, partition_by_speaker, schedule_rounds,
+                         uniform_partition)
 from .lazy import lazy_import
 from .memory import GB, MemoryCalibration, memory_timeline
 from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
@@ -53,7 +54,6 @@ np = lazy_import("numpy")
 
 EXIT_OK = 0
 
-IDEALISED_SAMPLES_PER_CLIENT = 19_500
 # fl-sim's clients all hold this many samples; aggregation normalises an
 # equal count away, and 100 keeps the bits of the reports written before.
 SYNTHETIC_SAMPLES_PER_CLIENT = 100
@@ -278,8 +278,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
     write_json(out / "fl_partition.json", partition_payload(partition, meta))
     write_json(out / "fl_schedule.json", schedule_payload(schedule, meta))
     write_json(out / "fl_plan.json", wall_clock_payload(estimate, comm, meta))
-    write_csv(out / "fl_plan.csv", PLAN_CSV_HEADER,
-              plan_rows(partition, estimate, profile.name))
+    write_csv(out / "fl_plan.csv", PLAN_CSV_HEADER, plan_rows(partition, estimate))
     print(f"{fl.clients} clients x {fl.rounds} rounds on {profile.name}: "
           f"{estimate.total_hours:.1f} h total ({estimate.total_days:.2f} days), "
           f"{comm / 1e12:.3f} TB moved; memory fit: {verdict.value}")

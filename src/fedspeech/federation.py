@@ -157,12 +157,12 @@ class RoundSchedule:
         return self.selected.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallClockEstimate:
+    device: str  # the one device every client trains on
     seconds_per_local_epoch: np.ndarray  # float64, one local epoch of each client
-    seconds_per_round: tuple[float, ...]
-    total_seconds: float
-    device_breakdown: dict[str, float]  # device name -> slowest epoch on it
+    seconds_per_round: np.ndarray  # float64, the slowest selected client of each round
+    total_seconds: float  # the round times added in order
 
     @property
     def total_hours(self) -> float:
@@ -456,6 +456,7 @@ def synthetic_manifest(n_utterances: int = 195_000, n_speakers: int = 6_000,
 # Partitioning
 
 _MAX_COUNT = 2**63 - 1  # the largest int64: a larger count of clips or epochs is refused
+IDEALISED_SAMPLES_PER_CLIENT = 19_500  # each idealised client's clips unless a plan sets them
 
 
 def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition:
@@ -511,8 +512,8 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
 
 def _sum_in_order(values: np.ndarray) -> float:
     """The sum of ``values`` added in order, one at a time, as ``np.bincount``
-    adds its weights; ``values`` is overwritten."""
-    return float(np.cumsum(values, out=values)[-1])
+    adds its weights, and 0.0 for no values; ``values`` is overwritten."""
+    return float(np.cumsum(values, out=values)[-1:].sum())
 
 
 def uniform_partition(n_clients: int, utterances_per_client: int,
@@ -596,12 +597,11 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
 
     # Each round's slowest client: one gather over the schedule's selections
     # and a row max, the same floats as a max over each round.
-    round_seconds = (epoch_seconds * local_epochs)[schedule.selected].max(axis=1)
-    per_round = tuple(round_seconds.tolist())
-    return WallClockEstimate(seconds_per_local_epoch=epoch_seconds,
-                             seconds_per_round=per_round,
-                             total_seconds=sum(per_round),
-                             device_breakdown={profile.name: float(epoch_seconds.max())})
+    with allocating(f"the round times of {schedule.n_rounds} rounds x "
+                    f"{schedule.per_round} clients per round"):
+        round_seconds = (epoch_seconds * local_epochs)[schedule.selected].max(axis=1)
+        total_seconds = _sum_in_order(round_seconds.copy())
+    return WallClockEstimate(profile.name, epoch_seconds, round_seconds, total_seconds)
 
 
 def estimate_communication(report: CostReport, schedule: RoundSchedule,

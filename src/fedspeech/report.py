@@ -8,10 +8,10 @@ directory: a command makes its output directory once.
 
 A section with one entry per client or per round (``fl_partition.json``'s
 clients, ``fl_schedule.json``'s rounds, ``fl_plan.json``'s epoch times and
-the rows of ``fl_plan.csv``) is text filled into a %-template per row,
-straight from the columns that hold it: a piece of rows at a time, each
-piece in one %-call, so no object is made per client or per round and
-memory stays bounded at any count.
+the rows of ``fl_plan.csv`` and ``fl_sim.csv``) is text filled into a
+%-template per row, straight from the columns that hold it: a piece of rows
+at a time, each in one %-call, so no object is made per client or per round
+and memory stays bounded at any count. A plan's round times stay an array.
 """
 
 from __future__ import annotations
@@ -393,8 +393,7 @@ def wall_clock_payload(estimate: WallClockEstimate, communication_bytes: float,
             Rows(f'"{_client_id(len(epochs))}": %r', len(epochs), 2,
                  lambda lo, hi: _interleaved(range(lo, hi), _rounded(epochs[lo:hi]))),
             brackets="{}"),
-        "device_breakdown_s": {k: round(v, 6) for k, v in
-                               sorted(estimate.device_breakdown.items())},
+        "device_breakdown_s": {estimate.device: round(epochs.max().item(), 6)},
         "n_rounds": len(estimate.seconds_per_round),
         "total_seconds": round(estimate.total_seconds, 6),
         "total_hours": round(estimate.total_hours, 6),
@@ -406,12 +405,12 @@ def wall_clock_payload(estimate: WallClockEstimate, communication_bytes: float,
 PLAN_CSV_HEADER = ["client_id", "device", "n_utterances", "seconds_per_local_epoch"]
 
 
-def plan_rows(partition: Partition, estimate: WallClockEstimate, device: str) -> Rows:
-    """``fl_plan.csv``'s rows, one per client on ``device``, which csv quotes
-    as it needs."""
+def plan_rows(partition: Partition, estimate: WallClockEstimate) -> Rows:
+    """``fl_plan.csv``'s rows, one per client on the estimate's device, which
+    csv quotes as it needs."""
     quoted = io.StringIO()
     csv.writer(quoted, lineterminator="\n").writerow(
-        [_client_id(partition.n_clients), device.replace("%", "%%"), "%d", "%.6g"])
+        [_client_id(partition.n_clients), estimate.device.replace("%", "%%"), "%d", "%.6g"])
     utterances, epochs = partition.n_utterances, estimate.seconds_per_local_epoch
     return Rows(quoted.getvalue(), partition.n_clients, 3, lambda lo, hi: _interleaved(
         range(lo, hi), utterances[lo:hi].tolist(), epochs[lo:hi].tolist()))
@@ -421,12 +420,12 @@ TRAJECTORY_CSV_HEADER = ["round", "mean_client_loss", "min_client_loss",
                          "max_client_loss", "population_loss", "distance_to_optimum"]
 
 
-def trajectory_rows(trajectory: Trajectory) -> list[list]:
+def trajectory_rows(trajectory: Trajectory) -> Rows:
     losses = trajectory.client_losses
     columns = (losses.mean(axis=1), losses.min(axis=1), losses.max(axis=1),
                trajectory.population_loss, trajectory.distance_to_optimum)
-    return [[round_id, *(f"{x:.10g}" for x in row)]
-            for round_id, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    return Rows("%d" + ",%.10g" * 5 + "\n", len(losses), 6, lambda lo, hi: _interleaved(
+        range(lo, hi), *(column[lo:hi].tolist() for column in columns)))
 
 
 def trajectory_payload(trajectory: Trajectory, meta: Mapping[str, Any]) -> dict:

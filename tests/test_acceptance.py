@@ -9,11 +9,13 @@ group of those checks, the same ones ``fedspeech validate`` prints. Run with
 import hashlib
 import io
 import json
+import math
 import time
 from contextlib import redirect_stdout
 
 import pytest
 
+from fedspeech import checks
 from fedspeech.checks import CHECK_GROUPS
 from fedspeech.cli import main
 
@@ -93,6 +95,14 @@ test_criterion_9_synthetic_fl = group_test("synthetic federated run", max_second
                                            details=SYNTHETIC_FL_DETAILS)
 test_criterion_10_partitioner = group_test("speaker partitioner",
                                             details=PARTITIONER_DETAILS)
+
+
+def test_fixture_hours_are_added_in_row_order(monkeypatch):
+    # math.fsum stands in for the compensated sum of Python 3.12 and later,
+    # which read 297.91666666666674
+    monkeypatch.setattr(checks, "sum", math.fsum, raising=False)
+    hours = checks.partitioner_checks()[0]
+    assert (hours.name, hours.value) == ("partition/fixture-hours", 297.91666666666816)
 
 
 def test_every_check_group_has_a_test():

@@ -459,6 +459,20 @@ class TestFlPlan:
         slow = json.loads(rate["fl_plan.json"])["total_seconds"]
         assert slow < json.loads(default["fl_plan.json"])["total_seconds"]
 
+    def test_plan_total_adds_the_rounds_in_order(self, tmp_path, monkeypatch):
+        # math.fsum stands in for the compensated sum of Python 3.12 and
+        # later, under which this plan's total ended in ...078
+        argv = ["fl-plan", "--clients", "1001", "--per-round", "7", "--rounds", "600",
+                "--device", "rpi", "--mean-duration", "7.25", "--seed", "3"]
+        plans = []
+        for summed in (sum, math.fsum):
+            monkeypatch.setattr(federation, "sum", summed, raising=False)
+            out = tmp_path / summed.__name__
+            assert run(argv + ["--out", str(out)]) == 0
+            plans.append((out / "fl_plan.json").read_bytes())
+        assert plans[0] == plans[1]
+        assert json.loads(plans[0])["total_seconds"] == 206878010.718079
+
     def test_epoch_times_that_cannot_be_allocated_exit_2_on_one_line(self, tmp_path):
         # 160 MB holds a million clients' columns but not the grouping of
         # their epoch times; earlier versions ended in a traceback there
@@ -489,6 +503,33 @@ class TestFlPlan:
                     b'    }\n  ],\n  "meta": {' in fh.read()
         finally:
             shutil.rmtree(out, ignore_errors=True)  # 200 MB of reports
+
+    def test_four_million_rounds_finish_in_a_limited_child(self, tmp_path):
+        # 288 MB holds the schedule and three arrays of round times (it needs
+        # about 200 MB) but not a Python float per round, which needed 352 MB
+        out = tmp_path / "r"
+        done = limited_child(["fl-plan", "--clients", "1", "--rounds", "4000000",
+                              "--device", "a40", "--out", str(out)], address_space=288 << 20)
+        try:
+            assert done.returncode == 0, done.stderr
+            assert json.loads((out / "fl_plan.json").read_text())["n_rounds"] == 4 * 10**6
+            with open(out / "fl_schedule.json", "rb") as fh:
+                fh.seek(-4096, os.SEEK_END)
+                assert b'"round_id": 3999999,\n      "selected": [\n        0\n      ]\n' \
+                    b'    }\n  ],\n  "seed": 0,\n  "total_clients": 1\n}\n' in fh.read()
+        finally:
+            shutil.rmtree(out, ignore_errors=True)  # 311 MB of reports
+
+    def test_round_times_that_cannot_be_allocated_exit_2_on_one_line(self, tmp_path):
+        # 900 MB holds the 640 MB schedule but not the epoch times gathered
+        # over it, as many again; earlier versions ended in a traceback there
+        done = limited_child(["fl-plan", "--clients", "10", "--rounds", "8000000",
+                              "--device", "a40", "--out", str(tmp_path / "r")],
+                             address_space=900 << 20)
+        assert (done.returncode, done.stderr) == (
+            2, "error: the round times of 8000000 rounds x 10 clients per round "
+               "cannot be allocated\n")
+        assert not (tmp_path / "r").exists()
 
 
 def _manifest_meta(reports):

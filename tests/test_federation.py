@@ -773,8 +773,13 @@ class TestWallClock:
         expected = slowest_per_round(schedule, est.seconds_per_local_epoch.tolist(),
                                      local_epochs)
         assert len(set(expected)) > 10  # the slowest client varies by round
-        assert [x.hex() for x in est.seconds_per_round] == [x.hex() for x in expected]
-        assert est.total_seconds.hex() == sum(expected).hex()
+        assert est.seconds_per_round.dtype == np.float64
+        assert [x.hex() for x in est.seconds_per_round.tolist()] == \
+            [x.hex() for x in expected]
+        total = 0.0
+        for x in expected:  # in order, one at a time, whatever the Python version's sum
+            total += x
+        assert est.total_seconds.hex() == total.hex()
 
     def test_reference_plan_numbers(self):
         arch = base_preset()
@@ -817,6 +822,27 @@ class TestWallClock:
         # homogeneous devices and equal clients: every round costs the same
         assert est.total_seconds == pytest.approx(
             25 * est.seconds_per_round[0], rel=1e-12)
+
+    def test_round_times_allocate_at_most_three_words_a_round(self):
+        # the gather, its row max and the copy the total is added in; a tuple
+        # of the round times as Python floats took 48 B a round
+        rounds = 10**6
+        schedule = schedule_rounds(1, 1, rounds)
+        tracemalloc.start()
+        try:
+            est = estimate_wall_clock(uniform_partition(1, 100), schedule, get_profile("a40"),
+                                      base_preset(), WorkloadSpec(batch=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * rounds
+        assert est.seconds_per_round.shape == (rounds,)
+
+    def test_no_rounds_take_no_time(self):
+        empty = RoundSchedule(selected=np.empty((0, 2), np.int64), total_clients=2, seed=0)
+        est = estimate_wall_clock(uniform_partition(2, 100), empty, get_profile("a40"),
+                                  base_preset(), WorkloadSpec(batch=4))
+        assert (est.seconds_per_round.shape, est.total_seconds) == ((0,), 0.0)
 
     def test_local_epochs_scale_round_time(self):
         arch = base_preset()

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import tracemalloc
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import PurePosixPath
 
@@ -20,11 +22,13 @@ from fedspeech.arch import WorkloadSpec, arch_to_mapping, base_preset
 from fedspeech.costs import forward_flops, module_rollup
 from fedspeech.errors import ConfigError
 from fedspeech import report
+from fedspeech.aggregation import Trajectory
 from fedspeech.federation import (Partition, WallClockEstimate, encode_ids,
                                   partition_by_speaker, schedule_rounds, synthetic_manifest)
-from fedspeech.report import (PLAN_CSV_HEADER, Rows, StreamedList, cost_report_payload,
-                              partition_payload, plan_rows, schedule_payload,
-                              wall_clock_payload, write_csv, write_json)
+from fedspeech.report import (PLAN_CSV_HEADER, TRAJECTORY_CSV_HEADER, Rows, StreamedList,
+                              cost_report_payload, partition_payload, plan_rows,
+                              schedule_payload, trajectory_rows, wall_clock_payload,
+                              write_csv, write_json)
 
 
 def _runs(items, picked):
@@ -310,8 +314,7 @@ def _dict_wall_clock(estimate, comm):
     return {"meta": {"k": 1},
             "seconds_per_local_epoch": dict(zip(_client_ids(len(epochs)),
                                                 (round(v, 6) for v in epochs))),
-            "device_breakdown_s": {k: round(v, 6) for k, v in
-                                   sorted(estimate.device_breakdown.items())},
+            "device_breakdown_s": {estimate.device: round(max(epochs), 6)},
             "n_rounds": len(estimate.seconds_per_round),
             "total_seconds": round(estimate.total_seconds, 6),
             "total_hours": round(estimate.total_hours, 6),
@@ -326,6 +329,18 @@ def _csv_rows(partition, estimate, device):
     writer.writerows([cid, device, n, f"{epoch:.6g}"] for cid, n, epoch in zip(
         _client_ids(partition.n_clients), partition.n_utterances.tolist(),
         estimate.seconds_per_local_epoch.tolist()))
+    return text.getvalue()
+
+
+def _trajectory_csv(trajectory):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(TRAJECTORY_CSV_HEADER)
+    losses = trajectory.client_losses
+    columns = (losses.mean(axis=1), losses.min(axis=1), losses.max(axis=1),
+               trajectory.population_loss, trajectory.distance_to_optimum)
+    writer.writerows([round_id, *(f"{x:.10g}" for x in row)]
+                     for round_id, row in enumerate(zip(*(c.tolist() for c in columns))))
     return text.getvalue()
 
 
@@ -344,8 +359,8 @@ def _floats(rng, n):
 
 
 # Sizes on each side of a piece of rows; with 40 values to a piece, a piece
-# holds 10 clients of the partition, 20 epoch times, 13 CSV rows or 10
-# rounds of 3 clients.
+# holds 10 clients of the partition, 20 epoch times, 13 rows of fl_plan.csv,
+# 6 of fl_sim.csv or 10 rounds of 3 clients.
 SIZES = [1, 10, 11, 256, 257, 1001]
 CHUNKS = pytest.mark.parametrize("chunk_values", [None, 40], ids=["pieces", "40-values"])
 
@@ -364,15 +379,47 @@ def test_templated_sections_written_as_their_dicts(tmp_path, monkeypatch, n, chu
     schedule = schedule_rounds(n + 3, 3, n, seed=n)  # a sampled schedule
     _assert_written_as(tmp_path / "s.json", schedule_payload(schedule, {"k": 1}),
                        _dict_schedule(schedule))
-    estimate = WallClockEstimate(seconds_per_local_epoch=_floats(rng, n)[::-1].copy(),
-                                 seconds_per_round=(1.5,) * 3, total_seconds=4.5e9 / 7,
-                                 device_breakdown={"nx": 1 / 3})
+    estimate = WallClockEstimate(device="nx",
+                                 seconds_per_local_epoch=_floats(rng, n)[::-1].copy(),
+                                 seconds_per_round=np.full(3, 1.5), total_seconds=4.5e9 / 7)
     _assert_written_as(tmp_path / "w.json", wall_clock_payload(estimate, 1e12, {"k": 1}),
                        _dict_wall_clock(estimate, 1e12))
     for device in ('lab "5%", b', "%d\u00e4 %%\nx", "nx"):  # csv quotes all but the last
-        write_csv(tmp_path / "p.csv", PLAN_CSV_HEADER, plan_rows(partition, estimate, device))
+        write_csv(tmp_path / "p.csv", PLAN_CSV_HEADER,
+                  plan_rows(partition, replace(estimate, device=device)))
         assert (tmp_path / "p.csv").read_text(encoding="utf-8") == \
             _csv_rows(partition, estimate, device)
+    # every value of fl_sim.csv's columns an edge or a float of many digits;
+    # the first row's mean and largest loss infinite, its population loss
+    # NaN and its distance minus infinity
+    losses = _floats(rng, 3 * n).reshape(n, 3)
+    losses[0] = [math.inf, 1.0, 2.0]
+    trajectory = Trajectory(selected=rng.integers(0, 3, (n, 3)), client_losses=losses,
+                            population_loss=_floats(rng, n)[::-1].copy(),
+                            distance_to_optimum=-_floats(rng, n), final_weights=np.zeros(1))
+    trajectory.population_loss[0], trajectory.distance_to_optimum[0] = math.nan, -math.inf
+    write_csv(tmp_path / "t.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(trajectory))
+    assert (tmp_path / "t.csv").read_text() == _trajectory_csv(trajectory)
+
+
+def test_fl_sim_csv_of_100000_rounds_allocates_under_8_mb(tmp_path):
+    # a list of rows, one Python list and six objects a round, took 67.7 MB
+    rounds, rng = 100_000, np.random.default_rng(0)
+    trajectory = Trajectory(selected=np.zeros((rounds, 20), np.int64),
+                            client_losses=rng.uniform(size=(rounds, 20)),
+                            population_loss=rng.uniform(size=rounds),
+                            distance_to_optimum=rng.uniform(size=rounds),
+                            final_weights=np.zeros(1))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "fl_sim.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(trajectory))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+    with open(tmp_path / "fl_sim.csv", "rb") as fh:
+        lines = fh.readlines()
+    assert len(lines) == rounds + 1 and lines[-1].startswith(b"99999,")
 
 
 @pytest.fixture(scope="module")
@@ -409,8 +456,8 @@ def test_non_finite_column_value_raises_as_json_and_leaves_no_file(tmp_path, val
             n_speakers=np.ones(2000, np.int64), seed=0), {})
     else:
         payload = wall_clock_payload(WallClockEstimate(
-            seconds_per_local_epoch=column, seconds_per_round=(2.5,), total_seconds=2.5,
-            device_breakdown={"nx": 2.5}), 1.0, {})
+            device="nx", seconds_per_local_epoch=column, seconds_per_round=np.full(1, 2.5),
+            total_seconds=2.5), 1.0, {})
     with pytest.raises(ValueError) as dumped:
         json.dumps(value, allow_nan=False)
     message = re.escape(str(dumped.value))
