@@ -425,12 +425,15 @@ def partitioner_checks() -> list[CheckResult]:
     total_h = np.cumsum(manifest.durations_s)[-1].item() / 3600.0  # added in row order
     out.append(_within("partition/fixture-hours", total_h, 298.0, 0.01, " h"))
 
-    part = partition_by_speaker(manifest, 10, seed=2)
+    clients = 10
+    part = partition_by_speaker(manifest, clients, seed=2)
     counts = part.n_utterances.tolist()
-    farthest = max(counts, key=lambda c: abs(c - 19_500))
-    out.append(CheckResult("partition/client-counts", 18_525 <= farthest <= 20_475,
-                           f"counts {min(counts)}..{max(counts)} vs 19500 +-5%",
-                           farthest, (18_525, 20_475)))
+    even = len(manifest) // clients  # each client's clips in an even split, +-5 %
+    low, high = even - even // 20, even + even // 20
+    farthest = max(counts, key=lambda c: abs(c - even))
+    out.append(CheckResult("partition/client-counts", low <= farthest <= high,
+                           f"counts {min(counts)}..{max(counts)} vs {even} +-5%",
+                           farthest, (low, high)))
     ratio = part.total_duration_s.max().item() / part.total_duration_s.min().item()
     out.append(CheckResult("partition/duration-balance", ratio <= 1.1,
                            f"max/min client duration {ratio:.4f} (limit 1.1)", ratio, (1.1,)))
@@ -441,7 +444,7 @@ def partitioner_checks() -> list[CheckResult]:
     out.append(CheckResult("partition/speaker-disjoint", disjoint and covered,
                            "speaker sets disjoint and every utterance assigned"))
 
-    again = partition_by_speaker(manifest, 10, seed=2)
+    again = partition_by_speaker(manifest, clients, seed=2)
     identical = np.array_equal(part.n_speakers, again.n_speakers) and \
         np.array_equal(part.speakers, again.speakers)
     out.append(CheckResult("partition/deterministic", identical,

@@ -38,14 +38,14 @@ from .devices import MARGINAL_BAND, DeviceProfile, FitVerdict, Residency, TimePr
 from .errors import ConfigError, FedspeechError, InfeasibleError, MissingAnchorError, \
     allocating
 from .federation import (IDEALISED_SAMPLES_PER_CLIENT, estimate_communication,
-                         estimate_wall_clock, partition_by_speaker, schedule_rounds,
-                         uniform_partition)
+                         estimate_wall_clock, partition_by_speaker, round_stragglers,
+                         schedule_rounds, uniform_partition)
 from .lazy import lazy_import
 from .memory import GB, MemoryCalibration, memory_timeline
 from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
                      TRAJECTORY_CSV_HEADER, cost_report_payload, cost_report_rows,
-                     partition_payload, plan_rows, schedule_payload, timeline_payload,
-                     timeline_rows, trajectory_payload, trajectory_rows,
+                     partition_payload, plan_rows, schedule_payload, straggler_rows,
+                     timeline_payload, timeline_rows, trajectory_payload, trajectory_rows,
                      wall_clock_payload, write_csv, write_json)
 from .settings import blamed_on, read, to_mapping
 from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, years_to_parity
@@ -106,26 +106,39 @@ def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
     return residency, verdict
 
 
-def _explain(profile: DeviceProfile, workload: WorkloadSpec, pred: TimePrediction,
-             cal: MemoryCalibration, residency: Residency, verdict: FitVerdict) -> None:
-    """Write to stderr how a prediction and its fit were made, from the very
-    values the report holds."""
-    anchor, budget = pred.anchor_used, profile.memory_budget_bytes
+def _anchor_line(profile: DeviceProfile, workload: WorkloadSpec, pred: TimePrediction) -> str:
+    """The anchor a prediction for ``workload`` on ``profile`` was calibrated
+    from, and the training FLOP/s it gave."""
+    anchor = pred.anchor_used
+    return (f"anchor: {anchor.arch} at batch {anchor.batch}, {anchor.precision.value}, "
+            f"{anchor.duration_s} s clips: {anchor.seconds_per_batch} s/batch on {profile.name} "
+            f"(batch distance {abs(anchor.batch - workload.batch)}); calibrated "
+            f"{pred.effective_throughput:.6g} training FLOP/s")
+
+
+def _kappa_line(cal: MemoryCalibration) -> str:
+    return (f"kappa: {cal.activation_overhead:.6g}, fitted to a reference peak of "
+            f"{cal.reference_peak_gb} GB (the memory timeline's; the fit scales activations "
+            "by the residency factor)")
+
+
+def _fit_lines(profile: DeviceProfile, cal: MemoryCalibration, residency: Residency,
+               verdict: FitVerdict) -> list[str]:
+    """The residency's three parts, and the fit's margin and band."""
+    budget = profile.memory_budget_bytes
     margin = budget - residency.total
-    lines = [
-        f"anchor: {anchor.arch} at batch {anchor.batch}, {anchor.precision.value}, "
-        f"{anchor.duration_s} s clips: {anchor.seconds_per_batch} s/batch on {profile.name} "
-        f"(batch distance {abs(anchor.batch - workload.batch)}); calibrated "
-        f"{pred.effective_throughput:.6g} training FLOP/s",
-        f"kappa: {cal.activation_overhead:.6g}, fitted to a reference peak of "
-        f"{cal.reference_peak_gb} GB (the memory timeline's; the fit scales activations "
-        "by the residency factor)",
+    return [
         f"residency: {residency.total / GB:.4f} GB = statics {residency.statics / GB:.4f} GB "
         f"+ runtime floor {residency.runtime_floor / GB:.4f} GB + activations "
         f"{residency.activations / GB:.4f} GB ({cal.residency_factor} x those retained)",
         f"fit: {verdict.value}, margin {margin / GB:+.4f} GB ({margin / budget:+.2%}) of a "
         f"{budget / GB:.4f} GB budget; marginal within {MARGINAL_BAND:.0%} of it",
     ]
+
+
+def _explain(*lines: str) -> None:
+    """Write to stderr how a command's numbers were made, from the very values
+    its reports hold."""
     print("\n".join(f"explain: {line}" for line in lines), file=sys.stderr)
 
 
@@ -217,7 +230,8 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
           f"{workload.precision.value}); memory fit: {verdict.value}")
     print(f"wrote {out / 'predict_time.json'} and {out / 'predict_time.csv'}")
     if args.explain:
-        _explain(profile, workload, pred, cal, residency, verdict)
+        _explain(_anchor_line(profile, workload, pred), _kappa_line(cal),
+                 *_fit_lines(profile, cal, residency, verdict))
     return EXIT_OK
 
 
@@ -263,9 +277,19 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
         fit_workload = workload
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
-    _, verdict = _fit(args, arch, fit_workload, cal, profile)
-    estimate = estimate_wall_clock(partition, schedule, profile, arch, workload,
-                                   fl.local_epochs)
+    residency, verdict = _fit(args, arch, fit_workload, cal, profile)
+    try:
+        estimate = estimate_wall_clock(partition, schedule, profile, arch, workload,
+                                       fl.local_epochs)
+    except MissingAnchorError as exc:
+        if not args.explain:
+            raise
+        # a refusal stays one line; this one also gives the fit explained
+        raise MissingAnchorError("; ".join(
+            [str(exc), *_fit_lines(profile, cal, residency, verdict)])) from None
+    # before any report, which a refusal to allocate them leaves unwritten
+    stragglers = round_stragglers(estimate, schedule, fl.local_epochs) if args.explain \
+        else None
     comm = estimate_communication(forward_flops(arch, fit_workload), schedule,
                                   workload.precision)
 
@@ -283,6 +307,13 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
           f"{estimate.total_hours:.1f} h total ({estimate.total_days:.2f} days), "
           f"{comm / 1e12:.3f} TB moved; memory fit: {verdict.value}")
     print(f"wrote {out / 'fl_plan.json'} (+ partition, schedule, csv)")
+    if args.explain:  # last, so that a refusal is never preceded by an explanation
+        _explain(_anchor_line(profile, fit_workload,
+                              predict_batch_time(profile, arch, fit_workload)),
+                 _kappa_line(cal), *_fit_lines(profile, cal, residency, verdict))
+        rows = straggler_rows(estimate, stragglers)
+        sys.stderr.writelines(rows.texts("explain: " + rows.row, "\n"))
+        sys.stderr.write("\n")
     return EXIT_OK
 
 
@@ -344,18 +375,19 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     headline_key = f"b{workload.batch}-{workload.precision.value}"
 
     combos = {}  # each combination the anchors can compare and the device is not faster in
+    predictions = {}  # the device's and the reference's, by combination
     for batch in sorted({1, 4, workload.batch}):
         for precision in (Precision.FP32, Precision.MIXED):
             key = f"b{batch}-{precision.value}"
             w = replace(workload, batch=batch, precision=precision)
             try:
-                slow = predict_batch_time(device, arch, w).seconds_per_batch
-                fast = predict_batch_time(reference, arch, w).seconds_per_batch
+                predictions[key] = [predict_batch_time(d, arch, w) for d in (device, reference)]
             except MissingAnchorError as exc:
                 if key == headline_key:
                     raise ConfigError(
                         f"no anchors for the requested comparison {key}: {exc}") from None
                 continue
+            slow, fast = (p.seconds_per_batch for p in predictions[key])
             if slow < fast:
                 if key == headline_key:
                     raise ConfigError(
@@ -378,6 +410,14 @@ def cmd_forecast(args: argparse.Namespace) -> int:
           f"{headline['parity_year']:.1f} with {args.doubling_months:.0f}-month "
           "doubling")
     print(f"wrote {out / 'forecast.json'}")
+    if args.explain:
+        _explain(*(_anchor_line(d, workload, p)
+                   for d, p in zip((device, reference), predictions[headline_key])),
+                 f"parity: {headline_key}: {headline['slow_s']:.6g} s/batch on {device.name} "
+                 f"/ {headline['fast_s']:.6g} s/batch on {reference.name} = slowdown ratio "
+                 f"{headline['slowdown_ratio']:.6g}; {headline['years_to_parity']:.6g} years "
+                 f"at {args.doubling_months:g}-month doubling, parity in "
+                 f"{headline['parity_year']:.6g}")
     return EXIT_OK
 
 
@@ -416,6 +456,7 @@ def _add_common(p: argparse.ArgumentParser, duration: bool = True) -> None:
 
 
 FAIL_ON_OOM_HELP = "exit 4 when the workload does not fit"
+EXPLAIN_HELP = "write to stderr the anchor, kappa, the residency's parts"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,9 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--device", required=True)
     p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
-    p.add_argument("--explain", action="store_true",
-                   help="write to stderr the anchor, kappa, the residency's parts and the "
-                        "fit margin")
+    p.add_argument("--explain", action="store_true", help=f"{EXPLAIN_HELP} and the fit margin")
 
     p = sub.add_parser("fl-plan", help="federated wall-clock and traffic estimate")
     _add_common(p, duration=False)  # an idealised corpus has --mean-duration
@@ -455,6 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="idealised clip length in seconds (default: the config's "
                         f"workload.duration_s, else {REFERENCE_CLIP_S}); not with --manifest")
     p.add_argument("--fail-on-oom", action="store_true", help=FAIL_ON_OOM_HELP)
+    p.add_argument("--explain", action="store_true",
+                   help=f"{EXPLAIN_HELP}, the fit margin and each round's straggler")
 
     p = sub.add_parser("fl-sim", help="synthetic federated aggregation run")
     _add_config_and_out(p)
@@ -478,11 +519,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default="a40")
     p.add_argument("--doubling-months", type=float, default=DEFAULT_DOUBLING_MONTHS)
     p.add_argument("--base-year", type=float, default=DEFAULT_BASE_YEAR)
+    p.add_argument("--explain", action="store_true",
+                   help="write to stderr both devices' anchors and the headline's parity "
+                        "arithmetic")
 
     p = sub.add_parser("validate", help="run the built-in reference checks")
     p.add_argument("--json", action="store_true",
                    help="print each check as JSON: name, passed, value, bounds, margin")
     return parser
+
+
+@functools.cache
+def _end_without_teardown() -> None:
+    """Once a process: at its exit, move every live object into the
+    collector's permanent generation, so the interpreter's last collections
+    skip the reference cycles of every module loaded (numpy's among them),
+    whose memory the OS takes back anyway. ``main`` returns only once every
+    report is closed and renamed and every thread it started is joined;
+    ``atexit`` handlers still run, the standard streams are still flushed,
+    and an object freed by its reference count is still freed. Not under
+    ``-X dev``, which asks to see what finalizers warn of."""
+    if sys.flags.dev_mode:
+        return
+    import atexit
+    import gc
+
+    atexit.register(gc.freeze)
 
 
 @functools.cache
@@ -499,6 +561,7 @@ def main(argv=None) -> int:
     # made (the norm in aggregation) rounds with the pool's size, so a report
     # would depend on the core count. numpy loads inside a command, after this.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    _end_without_teardown()
     args = _parser().parse_args(argv)
     # The handler is looked up when the command runs, so one that replaces a
     # ``cmd_*`` after the parser is built is the one called.

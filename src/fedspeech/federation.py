@@ -599,9 +599,28 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
     # and a row max, the same floats as a max over each round.
     with allocating(f"the round times of {schedule.n_rounds} rounds x "
                     f"{schedule.per_round} clients per round"):
-        round_seconds = (epoch_seconds * local_epochs)[schedule.selected].max(axis=1)
+        round_seconds = _selected_seconds(epoch_seconds, schedule, local_epochs).max(axis=1)
         total_seconds = _sum_in_order(round_seconds.copy())
     return WallClockEstimate(profile.name, epoch_seconds, round_seconds, total_seconds)
+
+
+def _selected_seconds(epoch_seconds: np.ndarray, schedule: RoundSchedule,
+                      local_epochs: int) -> np.ndarray:
+    """Each selected client's training seconds, one row per round in the
+    schedule's order of its selections."""
+    return (epoch_seconds * local_epochs)[schedule.selected]
+
+
+def round_stragglers(estimate: WallClockEstimate, schedule: RoundSchedule,
+                     local_epochs: int = 1) -> np.ndarray:
+    """Each round's straggler, the client whose seconds are the round's time:
+    the argmax of the row whose max ``estimate_wall_clock`` takes, so the
+    first selected of the slowest on a tie."""
+    with allocating(f"the stragglers of {schedule.n_rounds} rounds x "
+                    f"{schedule.per_round} clients per round"):
+        at = _selected_seconds(estimate.seconds_per_local_epoch, schedule,
+                               local_epochs).argmax(axis=1)
+        return np.take_along_axis(schedule.selected, at[:, None], axis=1)[:, 0]
 
 
 def estimate_communication(report: CostReport, schedule: RoundSchedule,

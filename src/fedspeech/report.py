@@ -416,6 +416,16 @@ def plan_rows(partition: Partition, estimate: WallClockEstimate) -> Rows:
         range(lo, hi), utterances[lo:hi].tolist(), epochs[lo:hi].tolist()))
 
 
+def straggler_rows(estimate: WallClockEstimate, stragglers: np.ndarray) -> Rows:
+    """One line per round: its straggler, by the id the plan's reports give
+    it, the round's seconds and their share of the plan's total."""
+    rounds, total = estimate.seconds_per_round, estimate.total_seconds
+    return Rows(f"round %d: straggler {_client_id(len(estimate.seconds_per_local_epoch))}, "
+                "%.6g s (%.4f%% of the total)", len(rounds), 4, lambda lo, hi: _interleaved(
+                    range(lo, hi), stragglers[lo:hi].tolist(), rounds[lo:hi].tolist(),
+                    (rounds[lo:hi] * (100 / total)).tolist()))
+
+
 TRAJECTORY_CSV_HEADER = ["round", "mean_client_loss", "min_client_loss",
                          "max_client_loss", "population_loss", "distance_to_optimum"]
 

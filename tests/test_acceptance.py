@@ -105,6 +105,16 @@ def test_fixture_hours_are_added_in_row_order(monkeypatch):
     assert (hours.name, hours.value) == ("partition/fixture-hours", 297.91666666666816)
 
 
+def test_client_count_bounds_follow_the_fixture_size(monkeypatch):
+    # a fixture of 20,000 rows over the 10 clients: 2,000 clips each, +-5 %
+    fixture = checks.synthetic_manifest
+    monkeypatch.setattr(checks, "synthetic_manifest",
+                        lambda: fixture(n_utterances=20_000, n_speakers=600))
+    counts = checks.partitioner_checks()[1]
+    assert counts.name == "partition/client-counts" and counts.passed
+    assert counts.bounds == (1_900, 2_100) and counts.detail.endswith(" vs 2000 +-5%")
+
+
 def test_every_check_group_has_a_test():
     assert COVERED == set(GROUPS) and len(GROUPS) == len(CHECK_GROUPS)
 

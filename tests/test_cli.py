@@ -31,6 +31,21 @@ def run(args, capsys=None):
     return code
 
 
+def explained(argv, out, capsys):
+    """Run ``argv`` writing to ``out`` without and then with --explain: both
+    runs print the same stdout and write the same reports, and only the
+    second writes to stderr. Its stdout, stderr lines and report bytes."""
+    written = []
+    for flags in ([], ["--explain"]):
+        assert run(argv + ["--out", str(out)] + flags) == 0
+        written.append((capsys.readouterr(),
+                        {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    (plain, plain_reports), (flagged, flagged_reports) = written
+    assert flagged.out == plain.out and flagged_reports == plain_reports
+    assert plain.err == ""
+    return flagged.out, flagged.err.splitlines(), flagged_reports
+
+
 def plan_reports(manifest, out, clients="3", seed="7"):
     """Exit code and report bytes of one fl-plan over ``manifest``."""
     code = run(["fl-plan", "--manifest", str(manifest), "--clients", clients,
@@ -143,20 +158,10 @@ class TestPredictTime:
         ["--device", "rpi", "--arch", "base", "--batch", "16", "--duration", "30"],
     ], ids=["fits", "marginal", "between-anchors", "oom"])
     def test_explain_changes_no_report_and_no_stdout_byte(self, tmp_path, capsys, argv):
-        out = tmp_path / "r"
-        argv = ["predict-time", *argv, "--out", str(out)]
-        written = []
-        for flags in ([], ["--explain"]):
-            assert run(argv + flags) == 0
-            written.append((capsys.readouterr(),
-                            {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
-        (plain, plain_reports), (explained, explained_reports) = written
-        assert explained.out == plain.out and explained_reports == plain_reports
-        assert plain.err == ""
-        lines = explained.err.splitlines()
+        _, lines, reports = explained(["predict-time", *argv], tmp_path / "r", capsys)
         assert [line.split(":")[1] for line in lines] == [
             " anchor", " kappa", " residency", " fit"]
-        payload = json.loads(explained_reports["predict_time.json"])
+        payload = json.loads(reports["predict_time.json"])
         assert f"calibrated {payload['effective_throughput_flops']:.6g} training" in lines[0]
         assert lines[3].startswith(f"explain: fit: {payload['fit']}, margin ")
 
@@ -289,6 +294,66 @@ class TestFlPlan:
         assert run(["predict-time", "--device", "nx", "--batch", "4", "--duration", "2",
                     "--out", str(tmp_path / "p")]) == 0
         assert capsys.readouterr().out.splitlines()[0].endswith("memory fit: fits")
+
+    @pytest.mark.parametrize("corpus", [
+        ["--mean-duration", "7.25"],
+        ["--manifest", "<tie manifest>", "--local-epochs", "2"],
+    ], ids=["idealised", "manifest"])
+    def test_explain_changes_no_report_and_no_stdout_byte(self, tmp_path, capsys, monkeypatch,
+                                                          tie_manifest, corpus):
+        estimates = []
+
+        def estimating(partition, schedule, *args):
+            estimates.append((schedule, estimate_wall_clock(partition, schedule, *args)))
+            return estimates[-1][1]
+
+        estimate_wall_clock = cli.estimate_wall_clock
+        monkeypatch.setattr(cli, "estimate_wall_clock", estimating)
+        argv = ["fl-plan", "--clients", "12", "--per-round", "5", "--rounds", "40",
+                "--device", "agx", "--batch", "4", "--seed", "3",
+                *[str(tie_manifest) if a == "<tie manifest>" else a for a in corpus]]
+        out, lines, _ = explained(argv, tmp_path / "r", capsys)
+        assert [line.split(":")[1] for line in lines[:4]] == [
+            " anchor", " kappa", " residency", " fit"]
+        verdict = out.splitlines()[0].rsplit(" ", 1)[1]
+        assert lines[3].startswith(f"explain: fit: {verdict}, margin ")
+
+        # each round's straggler, one round at a time: the first selected of
+        # the slowest, whose seconds are the round's
+        schedule, estimate = estimates[-1]
+        epochs = 2 if "--local-epochs" in corpus else 1
+        seconds = [s * epochs for s in estimate.seconds_per_local_epoch.tolist()]
+        total = estimate.total_seconds
+        expected = []
+        for r, selected in enumerate(schedule.selected.tolist()):
+            slowest = max(selected, key=lambda c: seconds[c])
+            assert seconds[slowest] == estimate.seconds_per_round[r]
+            expected.append(f"explain: round {r}: straggler client_{slowest:02d}, "
+                            f"{seconds[slowest]:.6g} s "
+                            f"({seconds[slowest] * (100 / total):.4f}% of the total)")
+        assert lines[4:] == expected
+        if "--manifest" in corpus:  # the clients differ, and so do the stragglers
+            assert len({line.split(",")[0].split()[-1] for line in expected}) > 3
+        else:  # every client the same: the first selected of each round
+            assert all(f"straggler client_{selected[0]:02d}," in line for line, selected
+                       in zip(expected, schedule.selected.tolist()))
+
+    def test_refusal_without_an_anchor_gives_the_fit_on_its_line(self, tmp_path, capsys):
+        argv = ["fl-plan", "--clients", "2", "--rounds", "1", "--device", "nx", "--arch",
+                "large", "--out", str(tmp_path / "r")]
+        missing = "error: xavier-nx has no anchor for arch='large' precision=fp32"
+        assert run(argv) == 2
+        assert capsys.readouterr().err == missing + "\n"
+        assert run(argv + ["--explain"]) == 2
+        assert capsys.readouterr().err == (
+            f"{missing}; residency: 14.1652 GB = statics 5.0655 GB + runtime floor 0.4000 GB "
+            "+ activations 8.6997 GB (3.2 x those retained); fit: oom, margin -7.6652 GB "
+            "(-117.93%) of a 6.5000 GB budget; marginal within 10% of it\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_a_plan_without_explain_finds_no_straggler(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "round_stragglers", lambda *a: pytest.fail("computed"))
+        assert run(["fl-plan", "--clients", "3", "--rounds", "2", "--out", str(tmp_path)]) == 0
 
     def test_idealised_corpus_defaults_to_19500_clips_per_client(self, tmp_path):
         assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--out", str(tmp_path)]) == 0
@@ -823,6 +888,32 @@ class TestForecast:
         assert 2026 <= payload["combos"]["b4-fp32"]["parity_year"] <= 2028
         # every anchored combination is reported
         assert set(payload["combos"]) == {"b1-fp32", "b1-mixed", "b4-fp32", "b4-mixed"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--device", "nx"],
+        ["--device", "rpi", "--batch", "2", "--duration", "7.25"],
+        ["--device", "nx", "--reference", "agx", "--batch", "1", "--precision", "mixed"],
+    ], ids=["anchors", "between-anchors", "reference"])
+    def test_explain_changes_no_report_and_no_stdout_byte(self, tmp_path, capsys, argv):
+        _, lines, reports = explained(["forecast", *argv], tmp_path / "r", capsys)
+        payload = json.loads(reports["forecast.json"])
+        meta, headline = payload["meta"], payload["combos"][payload["headline"]]
+        workload = WorkloadSpec(**{**meta["workload"],
+                                   "precision": Precision(meta["workload"]["precision"])})
+        for line, name in zip(lines, (meta["device"], meta["reference"])):
+            profile = devices.get_profile(name)
+            anchor = devices.predict_batch_time(profile, get_preset("base"),
+                                                workload).anchor_used
+            assert line.startswith(
+                f"explain: anchor: base at batch {anchor.batch}, {anchor.precision.value}, "
+                f"{anchor.duration_s} s clips: {anchor.seconds_per_batch} s/batch on {name} "
+                f"(batch distance {abs(anchor.batch - workload.batch)}); calibrated ")
+        assert lines[2:] == [
+            f"explain: parity: {payload['headline']}: {headline['slow_s']:.6g} s/batch on "
+            f"{meta['device']} / {headline['fast_s']:.6g} s/batch on {meta['reference']} = "
+            f"slowdown ratio {headline['slowdown_ratio']:.6g}; "
+            f"{headline['years_to_parity']:.6g} years at {meta['doubling_months']:g}-month "
+            f"doubling, parity in {headline['parity_year']:.6g}"]
 
     def test_unknown_device_exits_2(self, tmp_path):
         assert run(["forecast", "--device", "abacus", "--out", str(tmp_path)]) == 2
@@ -1954,9 +2045,9 @@ def test_fingerprint_follows_the_manifest_content_not_its_path(tmp_path):
     assert str(tmp_path) not in json.dumps(meta)
 
 
-def _digests_written(argv, root):
-    """The SHA-256 of each report the ``REPORT_DIGESTS`` case ``argv`` writes,
-    its inputs and reports kept under ``root``."""
+def _case_command(argv, root):
+    """The command line of the ``REPORT_DIGESTS`` case ``argv``, its inputs
+    written under ``root``, and the directory its reports go to."""
     out = root / "out"
     args = _with_manifest(argv, root)
     text = CONFIGS[argv[argv.index("--config") + 1]] if "--config" in argv else ""
@@ -1965,8 +2056,19 @@ def _digests_written(argv, root):
         (root / "config.yaml").write_text(text.replace("OUT", str(out)))
     if "output_dir" not in text:
         args += ["--out", str(out)]
-    assert run(args) == 0
+    return args, out
+
+
+def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def _digests_written(argv, root):
+    """The SHA-256 of each report the ``REPORT_DIGESTS`` case ``argv`` writes,
+    its inputs and reports kept under ``root``."""
+    args, out = _case_command(argv, root)
+    assert run(args) == 0
+    return _digests(out)
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=_case_ids(REPORT_DIGESTS))
@@ -2037,13 +2139,15 @@ def test_manifest_plan_builds_no_report_at_the_config_clip_length(tmp_path):
             for p in out.iterdir()} == REPORT_DIGESTS[argv]
 
 
-def _fresh_python(code, *args):
-    """Run ``code`` in a new interpreter, which has imported neither numpy nor
-    fedspeech, and return its stdout."""
+def _fresh_python(code, *args, options=()):
+    """Run ``code`` in a new interpreter, started with the command-line
+    ``options`` (development mode only from them), which has imported
+    neither numpy nor fedspeech, and return its stdout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     env.pop("FEDSPEECH_CONFIG", None)
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, check=True).stdout
+    env.pop("PYTHONDEVMODE", None)
+    return subprocess.run([sys.executable, *options, "-c", code, *args],
+                          capture_output=True, text=True, env=env, check=True).stdout
 
 
 # Runs each (argv, out) given as JSON through cli.main and records, after
@@ -2085,6 +2189,16 @@ def test_queries_leave_numpy_unloaded_and_plans_load_it(tmp_path):
         if argv in queries:
             assert numpy_modules == [], argv[0]
     assert results[-1][1]  # the plans loaded numpy
+
+
+def test_explain_loads_no_logging(tmp_path):
+    code = ("import sys\n"
+            "from fedspeech.cli import main\n"
+            "for argv in (['forecast', '--device', 'nx'], ['predict-time', '--device', 'nx'],\n"
+            "             ['fl-plan', '--clients', '3', '--rounds', '2']):\n"
+            "    assert main(argv + ['--explain', '--out', sys.argv[1]]) == 0\n"
+            "print('logging' in sys.modules)\n")
+    assert _fresh_python(code, str(tmp_path)).splitlines()[-1] == "False"
 
 
 def test_one_process_keeps_each_arch_apart_from_a_namesake(tmp_path):
@@ -2138,3 +2252,57 @@ from tracer import TARGETS
 print(*sorted(f"{m}.{a}" for m, a, *_ in TARGETS
               if not hasattr(loaded.get("fedspeech." + m), a)))
 """
+
+
+# Prints, from an exit handler registered before ``main`` registers its own
+# and so run after it, how many objects the collector holds frozen.
+_FROZEN_AT_EXIT = """
+import atexit, gc, sys
+from fedspeech.cli import main
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count()))
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("options,frozen", [((), True), (("-X", "dev"), False)],
+                         ids=["default", "development-mode"])
+def test_a_process_ends_with_its_objects_frozen_unless_in_development_mode(
+        tmp_path, options, frozen):
+    out = _fresh_python(_FROZEN_AT_EXIT, "analyze", "--out", str(tmp_path), options=options)
+    last = out.splitlines()[-1]
+    assert last.startswith("frozen at exit: ")
+    assert (int(last.split()[-1]) > 0) is frozen
+
+
+def test_one_exit_hook_however_many_commands_a_process_runs(tmp_path):
+    code = ("import atexit, json, sys\n"
+            "from fedspeech.cli import main\n"
+            "hooks = [atexit._ncallbacks()]\n"
+            "for out in sys.argv[1:]:\n"
+            "    main(['analyze', '--out', out])\n"
+            "    hooks.append(atexit._ncallbacks())\n"
+            "print(json.dumps(hooks))\n")
+    hooks = json.loads(_fresh_python(code, *(str(tmp_path / str(i)) for i in range(3))
+                                     ).splitlines()[-1])
+    assert hooks[1] == hooks[0] + 1 and hooks[3] == hooks[1]
+
+
+def test_piped_stdout_arrives_whole_before_a_frozen_exit():
+    result = child(["validate", "--json"])
+    assert result.returncode == 0, result.stderr
+    checks_run = json.loads(result.stdout)
+    assert len(checks_run) == 86 and all(c["passed"] for c in checks_run)
+
+
+def test_reports_keep_their_bytes_after_a_frozen_exit(tmp_path):
+    # every case in one child, whose reports are read once it has ended
+    cases = []
+    for i, argv in enumerate(REPORT_DIGESTS):
+        (tmp_path / str(i)).mkdir()
+        cases.append(_case_command(argv, tmp_path / str(i)))
+    code = ("import json, sys\n"
+            "from fedspeech.cli import main\n"
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    codes = _fresh_python(code, json.dumps([args for args, _ in cases])).splitlines()[-1]
+    assert json.loads(codes) == [0] * len(cases)
+    assert [_digests(out) for _, out in cases] == list(REPORT_DIGESTS.values())

@@ -18,9 +18,9 @@ from fedspeech.arch import WorkloadSpec, base_preset, large_preset
 from fedspeech.costs import forward_flops
 from fedspeech.devices import get_profile, predict_batch_time
 from fedspeech.errors import ConfigError, MalformedRowError, ManifestError, MissingAnchorError
-from fedspeech.federation import (Manifest, RoundSchedule, estimate_communication,
+from fedspeech.federation import (Manifest, Partition, RoundSchedule, estimate_communication,
                                   estimate_wall_clock, load_manifest, partition_by_speaker,
-                                  schedule_rounds, uniform_partition)
+                                  round_stragglers, schedule_rounds, uniform_partition)
 from fedspeech.report import partition_payload, write_json
 
 
@@ -780,6 +780,46 @@ class TestWallClock:
         for x in expected:  # in order, one at a time, whatever the Python version's sum
             total += x
         assert est.total_seconds.hex() == total.hex()
+
+    @pytest.mark.parametrize("local_epochs", [1, 3])
+    @pytest.mark.parametrize("clients", ["manifest", "tied", "uniform"])
+    def test_stragglers_match_one_selection_at_a_time(self, corpus_manifest, clients,
+                                                      local_epochs):
+        partition = {
+            "manifest": lambda: partition_by_speaker(corpus_manifest, 40, seed=3),
+            # three kinds of client, so most rounds hold a tie for the slowest
+            "tied": lambda: Partition(np.resize(np.array([300, 700, 500]), 40),
+                                      np.resize(np.array([300 * 5.5, 700 * 5.5, 500 * 6.0]),
+                                                40), np.ones(40, np.int64), seed=0),
+            "uniform": lambda: uniform_partition(40, 100),
+        }[clients]()
+        schedule = schedule_rounds(40, 7, 300, seed=5)
+        est = estimate_wall_clock(partition, schedule, get_profile("nx"), base_preset(),
+                                  WorkloadSpec(batch=4), local_epochs=local_epochs)
+        seconds = est.seconds_per_local_epoch.tolist()
+        expected = [max(selected, key=lambda c: seconds[c] * local_epochs)
+                    for selected in schedule.selected.tolist()]
+        stragglers = round_stragglers(est, schedule, local_epochs)
+        assert stragglers.tolist() == expected
+        assert (est.seconds_per_local_epoch[stragglers] * local_epochs).tolist() == \
+            est.seconds_per_round.tolist()
+        if clients != "manifest":  # rounds whose slowest is more than one client
+            assert sum(sum(seconds[c] == seconds[s] for c in selected) > 1
+                       for s, selected in zip(expected, schedule.selected.tolist())) > 100
+
+    def test_stragglers_that_cannot_be_allocated_are_refused(self, monkeypatch):
+        schedule = schedule_rounds(10, 10, 150)
+        est = estimate_wall_clock(uniform_partition(10, 19_500), schedule,
+                                  get_profile("a40"), base_preset(), WorkloadSpec(batch=4))
+
+        def too_large(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(federation, "_selected_seconds", too_large)
+        with pytest.raises(ConfigError) as exc:
+            round_stragglers(est, schedule)
+        assert str(exc.value) == ("the stragglers of 150 rounds x 10 clients per round "
+                                  "cannot be allocated")
 
     def test_reference_plan_numbers(self):
         arch = base_preset()
