@@ -31,9 +31,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, allocating
 from .federation import schedule_rounds
-from .lazy import lazy_import
-
-np = lazy_import("numpy")
+from .lazy import np
 
 
 class AggMethod(str, enum.Enum):

@@ -40,7 +40,7 @@ from .errors import ConfigError, FedspeechError, InfeasibleError, MissingAnchorE
 from .federation import (IDEALISED_SAMPLES_PER_CLIENT, estimate_communication,
                          estimate_wall_clock, partition_by_speaker, round_stragglers,
                          schedule_rounds, uniform_partition)
-from .lazy import lazy_import
+from .lazy import np
 from .memory import GB, MemoryCalibration, memory_timeline
 from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
                      TRAJECTORY_CSV_HEADER, cost_report_payload, cost_report_rows,
@@ -49,8 +49,6 @@ from .report import (COST_CSV_HEADER, PLAN_CSV_HEADER, TIMELINE_CSV_HEADER,
                      wall_clock_payload, write_csv, write_json)
 from .settings import blamed_on, read, to_mapping
 from .trend import DEFAULT_BASE_YEAR, DEFAULT_DOUBLING_MONTHS, years_to_parity
-
-np = lazy_import("numpy")
 
 EXIT_OK = 0
 
@@ -86,26 +84,6 @@ def _workload_from(args: argparse.Namespace, cfg: dict,
                 precision=args.precision and Precision(args.precision))
 
 
-def _fit(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
-         profile) -> tuple[Residency, FitVerdict]:
-    """The training residency of ``workload`` and its fit on ``profile``;
-    with --fail-on-oom a workload that does not fit exits 4, and the line
-    also says when ``profile`` has no anchor to time it."""
-    residency = training_residency_bytes(arch, workload, cal)
-    peak = residency.total
-    verdict = check_fit(profile, peak)
-    if args.fail_on_oom and verdict is FitVerdict.OOM:
-        message = (f"{arch.name} at batch {workload.batch} on {workload.duration_s} s "
-                   f"clips does not fit on {profile.name}: "
-                   f"{peak / 1e9:.2f} GB vs {profile.memory_budget_bytes / 1e9:.2f} GB")
-        try:
-            predict_batch_time(profile, arch, workload)
-        except MissingAnchorError as exc:
-            message += f", and {exc}"
-        raise InfeasibleError(message)
-    return residency, verdict
-
-
 def _anchor_line(profile: DeviceProfile, workload: WorkloadSpec, pred: TimePrediction) -> str:
     """The anchor a prediction for ``workload`` on ``profile`` was calibrated
     from, and the training FLOP/s it gave."""
@@ -134,6 +112,32 @@ def _fit_lines(profile: DeviceProfile, cal: MemoryCalibration, residency: Reside
         f"fit: {verdict.value}, margin {margin / GB:+.4f} GB ({margin / budget:+.2%}) of a "
         f"{budget / GB:.4f} GB budget; marginal within {MARGINAL_BAND:.0%} of it",
     ]
+
+
+def _fit_and_time(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
+                  profile) -> tuple[TimePrediction, Residency, FitVerdict, list[str]]:
+    """The training residency of ``workload``, its fit on ``profile``, its
+    predicted batch time there and, under --explain, the lines that explain
+    them. The fit is answered first: with --fail-on-oom a workload that does
+    not fit exits 4, and the line also names a missing anchor; otherwise a
+    missing anchor exits 2, and under --explain its line also gives the fit."""
+    residency = training_residency_bytes(arch, workload, cal)
+    verdict = check_fit(profile, residency.total)
+    fit = _fit_lines(profile, cal, residency, verdict) if args.explain else []
+    try:
+        pred, missing = predict_batch_time(profile, arch, workload), ""
+    except MissingAnchorError as exc:
+        pred, missing = None, str(exc)
+    if args.fail_on_oom and verdict is FitVerdict.OOM:
+        raise InfeasibleError(
+            f"{arch.name} at batch {workload.batch} on {workload.duration_s} s clips does "
+            f"not fit on {profile.name}: {residency.total / 1e9:.2f} GB vs "
+            f"{profile.memory_budget_bytes / 1e9:.2f} GB" + (missing and f", and {missing}"))
+    if missing:  # a refusal stays one line
+        raise MissingAnchorError("; ".join([missing, *fit]))
+    explanation = [_anchor_line(profile, workload, pred), _kappa_line(cal), *fit] \
+        if args.explain else []
+    return pred, residency, verdict, explanation
 
 
 def _explain(*lines: str) -> None:
@@ -202,8 +206,7 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
     profiles = resolve_profiles(cfg)
     profile = get_profile(args.device, profiles)
     cal = resolve_calibration(cfg)
-    residency, verdict = _fit(args, arch, workload, cal, profile)  # as fl-plan, the fit first
-    pred = predict_batch_time(profile, arch, workload)
+    pred, residency, verdict, explanation = _fit_and_time(args, arch, workload, cal, profile)
     meta = _meta(args, arch, [profile], device=profile.name,
                  workload=to_mapping(workload), memory=to_mapping(cal))
     out = _out_dir(args, cfg)
@@ -230,8 +233,7 @@ def cmd_predict_time(args: argparse.Namespace) -> int:
           f"{workload.precision.value}); memory fit: {verdict.value}")
     print(f"wrote {out / 'predict_time.json'} and {out / 'predict_time.csv'}")
     if args.explain:
-        _explain(_anchor_line(profile, workload, pred), _kappa_line(cal),
-                 *_fit_lines(profile, cal, residency, verdict))
+        _explain(*explanation)
     return EXIT_OK
 
 
@@ -277,16 +279,11 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
         fit_workload = workload
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
-    residency, verdict = _fit(args, arch, fit_workload, cal, profile)
-    try:
-        estimate = estimate_wall_clock(partition, schedule, profile, arch, workload,
-                                       fl.local_epochs)
-    except MissingAnchorError as exc:
-        if not args.explain:
-            raise
-        # a refusal stays one line; this one also gives the fit explained
-        raise MissingAnchorError("; ".join(
-            [str(exc), *_fit_lines(profile, cal, residency, verdict)])) from None
+    # the anchor is chosen by the arch, the precision and the batch, so every
+    # client the estimate times has the anchor found here
+    _, _, verdict, explanation = _fit_and_time(args, arch, fit_workload, cal, profile)
+    estimate = estimate_wall_clock(partition, schedule, profile, arch, workload,
+                                   fl.local_epochs)
     # before any report, which a refusal to allocate them leaves unwritten
     stragglers = round_stragglers(estimate, schedule, fl.local_epochs) if args.explain \
         else None
@@ -308,9 +305,7 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
           f"{comm / 1e12:.3f} TB moved; memory fit: {verdict.value}")
     print(f"wrote {out / 'fl_plan.json'} (+ partition, schedule, csv)")
     if args.explain:  # last, so that a refusal is never preceded by an explanation
-        _explain(_anchor_line(profile, fit_workload,
-                              predict_batch_time(profile, arch, fit_workload)),
-                 _kappa_line(cal), *_fit_lines(profile, cal, residency, verdict))
+        _explain(*explanation)
         rows = straggler_rows(estimate, stragglers)
         sys.stderr.writelines(rows.texts("explain: " + rows.row, "\n"))
         sys.stderr.write("\n")

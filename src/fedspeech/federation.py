@@ -34,9 +34,8 @@ from .arch import REFERENCE_CLIP_S, ArchitectureSpec, Precision, WorkloadSpec
 from .costs import CostReport
 from .devices import DeviceProfile, predict_batch_time
 from .errors import ConfigError, MalformedRowError, ManifestError, allocating
-from .lazy import lazy_import
+from .lazy import np
 
-np = lazy_import("numpy")
 
 # Adapter for raw Common Voice exports: validated.tsv names its columns
 # client_id / path, and duration shows up under several names depending on

@@ -1,9 +1,9 @@
 """Modules whose code runs on first use.
 
 Only the federated commands (``fl-plan``, ``fl-sim``, ``validate``) compute
-on arrays, so the modules they share with the cost-model queries bind numpy
-through ``lazy_import``: ``analyze``, ``memory``, ``predict-time`` and
-``forecast`` never run numpy's import.
+on arrays, so the modules they share with the cost-model queries import
+numpy as ``from .lazy import np``: ``analyze``, ``memory``, ``predict-time``
+and ``forecast`` never run numpy's import.
 """
 
 from __future__ import annotations
@@ -27,3 +27,6 @@ def lazy_import(name: str) -> ModuleType:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+np = lazy_import("numpy")

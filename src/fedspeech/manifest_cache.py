@@ -60,10 +60,9 @@ from typing import Callable, NamedTuple, Optional, TypeVar
 from . import federation
 from .errors import ConfigError, FedspeechError, ManifestError
 from .federation import Manifest, load_manifest
-from .lazy import lazy_import
+from .lazy import np
 from .report import replaced
 
-np = lazy_import("numpy")
 
 T = TypeVar("T")
 

@@ -57,6 +57,10 @@ class MemoryCalibration:
     activation_overhead: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.runtime_overhead_gb < 0:
+            raise ConfigError(f"runtime_overhead_gb must be >= 0, got {self.runtime_overhead_gb}")
+        if self.residency_factor <= 0:
+            raise ConfigError(f"residency_factor must be > 0, got {self.residency_factor}")
         object.__setattr__(self, "activation_overhead", fit_activation_overhead(
             base_preset(), REFERENCE_WORKLOAD, self.reference_peak_gb * GB,
             self.runtime_overhead_bytes))

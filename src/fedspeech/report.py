@@ -31,10 +31,8 @@ from .aggregation import Trajectory
 from .costs import CostReport
 from .errors import ConfigError
 from .federation import Partition, RoundSchedule, WallClockEstimate
-from .lazy import lazy_import
+from .lazy import np
 from .memory import MemoryTimeline
-
-np = lazy_import("numpy")
 
 
 class Rows:

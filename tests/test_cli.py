@@ -338,18 +338,50 @@ class TestFlPlan:
             assert all(f"straggler client_{selected[0]:02d}," in line for line, selected
                        in zip(expected, schedule.selected.tolist()))
 
-    def test_refusal_without_an_anchor_gives_the_fit_on_its_line(self, tmp_path, capsys):
-        argv = ["fl-plan", "--clients", "2", "--rounds", "1", "--device", "nx", "--arch",
-                "large", "--out", str(tmp_path / "r")]
+    @pytest.mark.parametrize("argv,fit", [
+        (["predict-time", "--batch", "1"],
+         "residency: 7.6404 GB = statics 5.0655 GB + runtime floor 0.4000 GB + activations "
+         "2.1749 GB (3.2 x those retained); fit: oom, margin -1.1404 GB (-17.54%)"),
+        (["fl-plan", "--clients", "2", "--rounds", "1"],
+         "residency: 14.1652 GB = statics 5.0655 GB + runtime floor 0.4000 GB + activations "
+         "8.6997 GB (3.2 x those retained); fit: oom, margin -7.6652 GB (-117.93%)"),
+    ], ids=["predict-time", "fl-plan"])
+    def test_refusal_without_an_anchor_gives_the_fit_on_its_line(self, tmp_path, capsys, argv,
+                                                                 fit):
+        argv = argv + ["--device", "nx", "--arch", "large", "--out", str(tmp_path / "r")]
         missing = "error: xavier-nx has no anchor for arch='large' precision=fp32"
         assert run(argv) == 2
         assert capsys.readouterr().err == missing + "\n"
         assert run(argv + ["--explain"]) == 2
         assert capsys.readouterr().err == (
-            f"{missing}; residency: 14.1652 GB = statics 5.0655 GB + runtime floor 0.4000 GB "
-            "+ activations 8.6997 GB (3.2 x those retained); fit: oom, margin -7.6652 GB "
-            "(-117.93%) of a 6.5000 GB budget; marginal within 10% of it\n")
+            f"{missing}; {fit} of a 6.5000 GB budget; marginal within 10% of it\n")
         assert not (tmp_path / "r").exists()
+
+    def test_a_plan_without_an_anchor_names_it_before_its_local_epochs(self, tmp_path,
+                                                                       capsys):
+        # the fit and the time come before the plan's own checks, as in predict-time
+        assert run(["fl-plan", "--clients", "2", "--rounds", "1", "--local-epochs", "0",
+                    "--device", "nx", "--arch", "large", "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == \
+            "error: xavier-nx has no anchor for arch='large' precision=fp32\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_explain_predicts_nothing_again(self, tmp_path, monkeypatch):
+        # the plan's own prediction at the fitted workload is the one explained
+        predicted = []
+        for module in (cli, federation):
+            def predicting(*args, _module=module, _predict=module.predict_batch_time):
+                predicted.append(_module)
+                return _predict(*args)
+
+            monkeypatch.setattr(module, "predict_batch_time", predicting)
+        counts = []
+        for flags in ([], ["--explain"]):
+            predicted.clear()
+            assert run(["fl-plan", "--clients", "3", "--rounds", "2", "--device", "agx",
+                        "--out", str(tmp_path), *flags]) == 0
+            counts.append((predicted.count(cli), len(predicted)))
+        assert counts == [(1, 2), (1, 2)]
 
     def test_a_plan_without_explain_finds_no_straggler(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "round_stragglers", lambda *a: pytest.fail("computed"))
@@ -1083,6 +1115,12 @@ REFUSED_CONFIGS = {
                     "devices[0].anchors[0]: anchor times must be > 0"),
     "memory-under-reserve": ("devices: [{name: rpi4, memory_gb: 1}]",
                              "devices[0]: device memory must exceed the OS reserve"),
+    "runtime-overhead-negative": ("memory: {runtime_overhead_gb: -5}",
+                                  "memory: runtime_overhead_gb must be >= 0, got -5.0"),
+    "residency-factor-negative": ("memory: {residency_factor: -1}",
+                                  "memory: residency_factor must be > 0, got -1.0"),
+    "residency-factor-zero": ("memory: {residency_factor: 0}",
+                              "memory: residency_factor must be > 0, got 0.0"),
     "peak-under-static-floor": ("memory: {reference_peak_gb: 0.1}",
                                 "memory: measured peak is below the static floor; check the "
                                 "measurement or the overhead setting"),
