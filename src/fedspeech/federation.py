@@ -48,18 +48,21 @@ _COLUMN_ALIASES = {
 }
 
 
-# Utterance ids are held as their JSON texts, quotes included, each ended by a
-# newline, in one uint8 array: ASCII, so a text never holds a newline, and
-# written to a report as they are.
+# Utterance ids are held as their JSON texts, quotes included, each followed
+# by the separator that fl_partition.json puts after an id: its client's list
+# is at nesting depth 3, whose items are parted by a comma, a newline and 8
+# spaces of indent. The texts are ASCII in one uint8 array, and a report
+# writes a client's texts as they are but for its last separator.
+ID_SEPARATOR = ",\n" + " " * 8
 
 
 def encode_ids(ids: Sequence[str]) -> tuple[bytes, np.ndarray]:
-    """The JSON texts of ``ids``, each ended by a newline, as a ``Manifest``
-    holds them, and each one's length with its newline."""
+    """The JSON texts of ``ids``, each followed by ``ID_SEPARATOR``, as a
+    ``Manifest`` holds them, and each one's length with its separator."""
     encoded = list(map(encode_basestring_ascii, ids))
-    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded)) + 1
-    encoded.append("")  # the newline after the last text
-    return "\n".join(encoded).encode("ascii") if lengths.size else b"", lengths
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded)) + len(ID_SEPARATOR)
+    encoded.append("")  # the separator after the last text
+    return ID_SEPARATOR.join(encoded).encode("ascii") if lengths.size else b"", lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +73,14 @@ class Manifest:
     does not keep: speaker ``s`` holds the ``speaker_rows[s]`` rows (at least
     one) that follow those of the speakers before it, in file order.
     ``durations_s`` has one entry per row. ``utterance_ids`` holds the bytes
-    of each row's id as its JSON text, ended by a newline, in row order (see
-    ``encode_ids``); speaker ``s``'s texts take ``speaker_bytes[s]`` bytes of
-    it. ``speaker_totals_s[s]`` is the sum of speaker ``s``'s durations,
-    added in row order one at a time, and ``longest_first`` holds the
-    speakers by descending total, equal totals in name order: both are made
-    once, by ``grouped``, and a plan reads them.
+    of each row's id as its JSON text followed by ``ID_SEPARATOR``, in row
+    order (see ``encode_ids``): the bytes ``fl_partition.json`` lists them
+    as. Speaker ``s``'s texts, separators included, take
+    ``speaker_bytes[s]`` bytes of it. ``speaker_totals_s[s]`` is the sum of
+    speaker ``s``'s durations, added in row order one at a time, and
+    ``longest_first`` holds the speakers by descending total, equal totals
+    in name order: both are made once, by ``grouped``, and a plan reads
+    them.
     """
     utterance_ids: np.ndarray  # uint8
     speaker_rows: np.ndarray  # int64, one row count per speaker
@@ -262,8 +267,8 @@ class _ManifestColumns:
         self.utt_col, self.spk_col, self.dur_col = utt_col, spk_col, dur_col
         self.n_fields = max(utt_col, spk_col, dur_col) + 1
         self.dur_scale = dur_scale
-        # Each block's ids: their newline-ended JSON texts, the length of
-        # each, and (from add_block) the hash of each id.
+        # Each block's ids: their JSON texts, each followed by ID_SEPARATOR,
+        # the length of each, and (from add_block) the hash of each id.
         self.id_texts: list[bytes] = []
         self.id_lengths: list[np.ndarray] = []
         self.id_hashes: list[np.ndarray] = []
@@ -398,17 +403,17 @@ class _ManifestColumns:
             part = self.durations.pop(0)
             hi = lo + len(part)
             durations[at[lo:hi]] = part
-            _place_lines(texts, self.id_texts.pop(0), lengths[lo:hi], starts[lo:hi])
+            _place_texts(texts, self.id_texts.pop(0), lengths[lo:hi], starts[lo:hi])
             lo = hi
         return Manifest.grouped(texts, speaker_rows, speaker_bytes, durations)
 
 
-def _place_lines(out: np.ndarray, lines: bytes, lengths: np.ndarray,
+def _place_texts(out: np.ndarray, texts: bytes, lengths: np.ndarray,
                  starts: np.ndarray) -> None:
-    """Copy line ``i`` of ``lines``, ``lengths[i]`` bytes long, to
-    ``out[starts[i]:]``: lines of one length move as one fixed-width gather
-    and scatter."""
-    source = np.frombuffer(lines, np.uint8)
+    """Copy text ``i`` of ``texts``, ``lengths[i]`` bytes long with its
+    separator, to ``out[starts[i]:]``: texts of one length move as one
+    fixed-width gather and scatter."""
+    source = np.frombuffer(texts, np.uint8)
     offsets = np.cumsum(lengths) - lengths
     order = np.argsort(lengths, kind="stable")
     widths, firsts = np.unique(lengths[order], return_index=True)
@@ -491,15 +496,19 @@ def partition_by_speaker(manifest: Manifest, k: int, seed: int = 0) -> Partition
     # rows in manifest order: each speaker's run of rows in turn. Within a
     # run the row steps by one; at a run's first row it jumps to the run's
     # start in the manifest. One cumulative sum of those steps, in place,
-    # gives the rows.
+    # gives the rows. They are held in the narrowest unsigned type, as the
+    # parse holds a row's grouped position: a backward jump wraps around
+    # modulo 2**bits, and so does the sum; each partial sum is a row, which
+    # the type holds, so it comes out exact.
     sequence = order[np.argsort(assigned, kind="stable")]  # speakers, client by client
     lengths = counts[sequence]
     run_ends = np.cumsum(lengths)  # in the client-grouped rows
     run_starts = (np.cumsum(counts) - counts)[sequence]  # in the manifest
-    rows = np.ones(len(durations), np.int64)
+    rows = np.ones(len(durations), np.min_scalar_type(len(durations) - 1))
     rows[0] = run_starts[0]
-    rows[run_ends[:-1]] = run_starts[1:] - run_starts[:-1] - lengths[:-1] + 1
-    np.cumsum(rows, out=rows)
+    steps = run_starts[1:] - run_starts[:-1] - lengths[:-1] + 1
+    rows[run_ends[:-1]] = steps.astype(rows.dtype)
+    np.cumsum(rows, dtype=rows.dtype, out=rows)
     held = np.bincount(assigned, minlength=k)  # speakers per client
     row_ends = run_ends[np.cumsum(held) - 1]
     n_utterances = np.diff(row_ends, prepend=0)

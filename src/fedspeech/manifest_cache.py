@@ -18,13 +18,16 @@ without a cache; a cache that cannot be written is left alone.
 An entry is a fixed header, then one section per
 :class:`~fedspeech.federation.Manifest` column, one after another, each of
 the dtype and the header's count of items that ``_SECTIONS`` gives. The last
-holds the utterance ids as the manifest does: their JSON texts, each ended
-by a newline, grouped by speaker. A JSON text never holds a newline, so
-every manifest that loads can be cached. Speakers are numbers, as in the
-manifest: no speaker id is stored. The header (magic ``FSMANIF5``) holds the
+holds the utterance ids as the manifest does: their JSON texts, each
+followed by the separator ``fl_partition.json`` puts after it, grouped by
+speaker; the speakers' byte counts and the header's count of id bytes
+include the separators. A JSON text never holds a raw newline, so every
+manifest that loads can be cached. Speakers are numbers, as in the
+manifest: no speaker id is stored. The header (magic ``FSMANIF6``) holds the
 counts of rows, speakers and bytes of ids and a CRC-32 of every section but
 the durations, so a damaged entry is found without a scan of its ids for
-newlines; durations are checked by value, and the order against the totals.
+separators; durations are checked by value, and the order against the
+totals. An entry of an earlier format is a miss.
 A plan thus reads each speaker's total and the longest-first order instead
 of making them from every row again.
 
@@ -69,7 +72,7 @@ T = TypeVar("T")
 MAX_ENTRIES = 4
 
 _SUFFIX = ".manifest"
-_MAGIC = b"FSMANIF5"
+_MAGIC = b"FSMANIF6"
 # magic, key, rows, speakers, bytes of utterance ids, CRC-32 of every section
 # but the durations, which are checked by value, and the hint: the stat
 # identity of the file the entry was last read for

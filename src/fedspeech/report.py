@@ -66,9 +66,11 @@ class StreamedList:
     encoder. Its items are given in one of two ways.
 
     As texts: ``items`` is a bytes-like object of the items' own JSON texts,
-    each ended by a newline, as a ``Manifest`` holds utterance ids; with
-    ``runs``, a pair of arrays of (start, end) byte offsets, none empty, the
-    list holds the texts of those ranges in turn.
+    each followed by the separator of the list's items at the depth it is
+    written at, as a ``Manifest`` holds utterance ids for
+    ``fl_partition.json``; with ``runs``, a pair of arrays of (start, end)
+    byte offsets, none empty, the list holds the texts of those ranges in
+    turn. Texts that do not end with that separator raise ``ValueError``.
 
     As rows: ``items`` is a ``Rows`` whose template is one item's JSON text
     (in an object, one ``"key": value`` member) as ``json.dumps(indent=2,
@@ -96,16 +98,17 @@ class StreamedList:
         indent = "  " * (depth + 1)
         sep = ",\n" + indent
         yield (self.brackets[0] + "\n" + indent).encode("ascii")
-        if not isinstance(self.items, Rows):  # a text's newline becomes the separator
-            texts, newline = memoryview(self.items), sep.encode("ascii")
+        if not isinstance(self.items, Rows):  # texts, each followed by the separator
+            texts, end = memoryview(self.items), sep.encode("ascii")
             starts, ends = ([0], [len(texts)]) if self.runs is None else \
                 (run.tolist() for run in self.runs)
             n = len(starts)
             for lo in range(0, n, _PER_CHUNK):
                 text = b"".join(map(texts.__getitem__, map(
-                    slice, starts[lo:lo + _PER_CHUNK], ends[lo:lo + _PER_CHUNK]))
-                ).replace(b"\n", newline)  # each text followed by the separator
-                yield text if lo + _PER_CHUNK < n else memoryview(text)[:-len(sep)]
+                    slice, starts[lo:lo + _PER_CHUNK], ends[lo:lo + _PER_CHUNK])))
+                if not text.endswith(end):
+                    raise ValueError(f"texts not separated as a list at depth {depth}")
+                yield text if lo + _PER_CHUNK < n else memoryview(text)[:-len(end)]
         elif self.last is None:  # an item's own lines are indented with it
             for text in self.items.texts(self.items.row.replace("\n", "\n" + indent), sep):
                 yield text.encode("ascii")
@@ -152,14 +155,15 @@ def write_json(path, payload: Mapping[str, Any]) -> None:
     or tuple that holds no container, and a list or tuple of non-empty dicts
     that hold none, is encoded in one call to json's C encoder; only other
     containers of containers are walked here, and a ``StreamedList`` writes
-    its pieces where it stands. A non-finite number in ``payload``, or a
-    file that cannot be written, raises ``ConfigError`` and leaves no file."""
+    its pieces where it stands. A non-finite number in ``payload``, texts a
+    ``StreamedList`` cannot write at their depth, or a file that cannot be
+    written, raises ``ConfigError`` and leaves no file."""
     path = Path(path)
     with replaced(path, "xb") as fh:
         text: list[str] = []  # encoded, not yet written
         try:
             _encode(payload, 0, text, fh)
-        except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        except ValueError as exc:  # a NaN or an infinity, or texts of another depth
             raise ConfigError(f"cannot write {path.name}: {exc}") from None
         text.append("\n")
         fh.write("".join(text).encode("ascii"))  # every non-ASCII character is escaped

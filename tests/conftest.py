@@ -2,10 +2,11 @@ import csv
 import json
 import random
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
-from fedspeech.federation import synthetic_manifest
+from fedspeech.federation import ID_SEPARATOR, encode_ids, synthetic_manifest
 
 FIXTURE_SEED = 7
 # The columns a manifest must have, as write_manifest writes them
@@ -49,8 +50,21 @@ def entry_reads(monkeypatch):
 
 
 def decode_ids(texts):
-    """The strings that newline-ended JSON texts, in a bytes-like object, hold."""
-    return json.loads(b"[" + bytes(texts)[:-1].replace(b"\n", b",") + b"]")
+    """The strings that JSON texts, each followed by ``ID_SEPARATOR``, in a
+    bytes-like object hold; the texts must be exactly as ``encode_ids``
+    makes them."""
+    texts = bytes(texts)
+    ids = json.loads(b"[" + texts[:-len(ID_SEPARATOR)] + b"]")
+    assert encode_ids(ids)[0] == texts
+    return ids
+
+
+def texts_at(items, depth):
+    """The JSON texts of ``items``, each followed by the separator of a list
+    written at nesting ``depth``: ``encode_ids(items)[0]`` at the depth of
+    ``fl_partition.json``'s lists of ids."""
+    sep = ",\n" + "  " * (depth + 1)
+    return "".join(encode_basestring_ascii(item) + sep for item in items).encode("ascii")
 
 
 def write_manifest(path, manifest):

@@ -611,6 +611,16 @@ class TestPartition:
         part = partition_by_speaker(corpus_manifest, 10, seed=3)
         assert clients_of(part) == reference_partition(rows_of(corpus_manifest), 10, 3)
 
+    @pytest.mark.parametrize("n", [256, 257, 65_536, 65_537])
+    def test_matches_record_at_a_time_partitioner_at_each_index_width(self, corpus_manifest,
+                                                                      n):
+        # the row index is uint8 up to 256 rows and uint16 up to 65,536, and
+        # each backward jump in it wraps around
+        subset = head(corpus_manifest, n)
+        for k in (1, 7):
+            part = partition_by_speaker(subset, k, seed=n)
+            assert clients_of(part) == reference_partition(rows_of(subset), k, n)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_clients_disjoint_complete_and_seed_determined(self, data):
@@ -663,8 +673,9 @@ class TestPartition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the ids' JSON texts, without their newlines
-        assert peak < len(corpus_manifest.utterance_ids) - len(corpus_manifest)
+        # the ids' JSON texts, without their separators
+        assert peak < len(corpus_manifest.utterance_ids) \
+            - len(federation.ID_SEPARATOR) * len(corpus_manifest)
 
     def test_balance_property_on_smaller_manifests(self, corpus_manifest):
         # >= 100 speakers and k <= speakers / 10 keeps max/min under 1.25

@@ -2,8 +2,10 @@ import builtins
 import errno
 import hashlib
 import io
+import json
 import math
 import os
+import re
 import shutil
 import sys
 import threading
@@ -146,11 +148,14 @@ def _first_duration(value):
 
 
 def _id_byte(item, at, value):
-    """Damage that sets byte ``at`` of utterance id ``item``'s JSON text."""
+    """Damage that sets byte ``at`` of utterance id ``item``'s JSON text and
+    the separator after it."""
+    sep = federation.ID_SEPARATOR.encode("ascii")
+
     def damage(data):
         start, end = _starts(data)["utterance_ids"], _starts(data)["end"]
-        lines = data[start:end].split(b"\n")
-        pos = start + sum(map(len, lines[:item])) + item + at
+        texts = data[start:end].split(sep)
+        pos = start + sum(map(len, texts[:item])) + item * len(sep) + at
         return data[:pos] + bytes([value]) + data[pos + 1:]
     return damage
 
@@ -213,7 +218,7 @@ def _set(at, value):
     _id_byte(7, 5, 0x7f),
     _id_byte(7, 5, 0x0a),
     _id_byte(7, 5, 0),
-    _id_byte(7, 24, ord(",")),
+    _id_byte(7, 25, ord(" ")),  # the separator's newline
     _totals(lambda totals: totals + (np.arange(len(totals)) == 0)),
     _order(_swapped(0, 1)),
     _crc_made_again(_totals(_set(0, math.nan))),
@@ -280,12 +285,13 @@ def test_warm_partition_is_the_cold_one(manifest, parses, seed):
     assert warm.total_duration_s.tobytes() == cold.total_duration_s.tobytes()
 
 
-@pytest.mark.parametrize("at,value", [(3, 0x1f), (3, 0), (8, ord("x"))],
+@pytest.mark.parametrize("at,value", [(3, 0x1f), (3, 0), (9, ord("x"))],
                          ids=["id-byte-below-printable", "nul-inside-id",
                               "newline-replaced"])
 def test_damaged_ids_of_mixed_lengths_are_a_miss_and_rewritten(tmp_path, parses,
                                                                cache_home, at, value):
-    # ids from "c0.mp3" to "c218.mp3": "c7.mp3" takes 8 bytes and its newline
+    # ids from "c0.mp3" to "c218.mp3": "c7.mp3" takes 8 bytes, then its
+    # separator's comma, newline and indent
     rows = [(spk, f"c{i}.mp3", sentence, ms)
             for i, (spk, _, sentence, ms) in enumerate(tie_heavy_rows())]
     path = tmp_path / "m.tsv"
@@ -297,7 +303,8 @@ def test_damaged_ids_of_mixed_lengths_are_a_miss_and_rewritten(tmp_path, parses,
     # the entry holds the rows grouped by speaker name, in file order within each
     item = [clip for _, clip, *_ in sorted(rows, key=lambda row: row[0])].index("c7.mp3")
     assert _id_byte(item, 0, ord('"'))(good) == good
-    assert _id_byte(item, 8, ord("\n"))(good) == good
+    assert _id_byte(item, 8, ord(","))(good) == good
+    assert _id_byte(item, 9, ord("\n"))(good) == good
     assert _id_byte(item, 7, ord('"'))(good) == good
     entry.write_bytes(_id_byte(item, at, value)(good))
     assert plan(path, tmp_path / "b") == first
@@ -373,9 +380,86 @@ def test_entry_bytes_are_pinned(tmp_path):
     manifest_cache._write_entry(tmp_path, entry, bytes(range(32)), bytes(range(40)),
                                 federation.synthetic_manifest(2000, 50))
     data = entry.read_bytes()
-    assert len(data) == 39_708
+    assert len(data) == 57_708
     assert hashlib.sha256(data).hexdigest() == \
+        "31ba2377de3590d12c50d0cb608862af735cc224242b13365f3ce9d0167601b7"
+    # the same entry as FSMANIF5 wrote it, 9 bytes a row smaller
+    assert hashlib.sha256(_as_fsmanif5(data)).hexdigest() == \
         "a942d7a47719197bf0bb838198c44977dd198a0fab69a465f9dff64547102b67"
+
+
+def _as_fsmanif5(data):
+    """The entry ``data`` in the format before ``FSMANIF6``: each id's JSON
+    text ended by a newline, not by its separator in ``fl_partition.json``,
+    and the byte counts and the CRC-32 to match."""
+    sep = federation.ID_SEPARATOR.encode("ascii")
+    fields, at = _header(data), _starts(data)
+    rows = np.frombuffer(data, "<i8", fields[3], at["speaker_rows"])
+    id_bytes = np.frombuffer(data, "<i8", fields[3], at["speaker_bytes"]) \
+        - (len(sep) - 1) * rows
+    ids = data[at["utterance_ids"]:].replace(sep, b"\n")
+    sections = rows.tobytes() + id_bytes.tobytes() + data[at["speaker_totals_s"]:at["durations_s"]]
+    fields[0], fields[4] = b"FSMANIF5", len(ids)
+    fields[5] = zlib.crc32(ids, zlib.crc32(sections))
+    return manifest_cache._HEADER.pack(*fields) + sections \
+        + data[at["durations_s"]:at["utterance_ids"]] + ids
+
+
+@pytest.mark.parametrize("key", ["this", "other"])
+def test_an_entry_of_the_last_format_is_a_miss_and_rewritten(tmp_path, manifest, parses,
+                                                             cache_home, capsys, key):
+    # An FSMANIF5 entry whose hint names the manifest, under this plan's key
+    # or under another (the key of an older loader's source)
+    first = plan(manifest, tmp_path / "a")
+    [name] = entries(cache_home)
+    entry = cache_home / "fedspeech" / name
+    good = entry.read_bytes()
+    old = _as_fsmanif5(good)
+    entry.unlink()
+    if key == "other":
+        other = bytes(32)
+        old = _set_field(1, lambda _: other)(old)
+        (cache_home / "fedspeech" / (other.hex() + manifest_cache._SUFFIX)).write_bytes(old)
+    else:
+        entry.write_bytes(old)
+    capsys.readouterr()
+    assert plan(manifest, tmp_path / "b") == first
+    assert capsys.readouterr().err == ""
+    assert len(parses) == 2
+    assert entry.read_bytes() == good
+    assert len(entries(cache_home)) == (2 if key == "other" else 1)
+
+
+def test_partition_report_lists_each_clients_ids_as_the_entry_holds_them(tmp_path,
+                                                                         cache_home):
+    # ids with a quote, a backslash, text that is not ASCII and an escaped
+    # newline: fl_partition.json lists each client's ids as the runs of its
+    # speakers in the entry, byte for byte, without the last separator
+    rows = tie_heavy_rows()
+    odd = ['"say ""hi"".mp3"', "back\\slash.mp3", "n\u00e4me \u4e2d.mp3",
+           '"clip\nwith a newline.mp3"']
+    for i, clip in enumerate(odd):
+        rows[7 * i] = (rows[7 * i][0], clip) + rows[7 * i][2:]
+    path = tmp_path / "m.tsv"
+    path.write_text(manifest_text(rows), encoding="utf-8")
+    code, reports = plan(path, tmp_path / "a")
+    assert code == 0
+    [name] = entries(cache_home)
+    cached = manifest_cache._read_entry(cache_home / "fedspeech" / name).manifest
+    ids, offsets = cached.utterance_ids.tobytes(), cached.id_offsets.tolist()
+    partition = federation.partition_by_speaker(cached, 3, 7)
+    text = reports["fl_partition.json"]
+    listed = re.findall(rb'"utterance_ids": \[\n {8}(.*?)\n {6}\]', text, re.DOTALL)
+    ends = partition.n_speakers.cumsum().tolist()
+    sep = federation.ID_SEPARATOR.encode("ascii")
+    assert listed == [
+        b"".join(ids[offsets[s]:offsets[s + 1]] for s in partition.speakers[lo:hi].tolist())
+        [:-len(sep)] for lo, hi in zip([0] + ends, ends)]
+    clients = json.loads(text)["clients"]
+    held = {u for client in clients for u in client["utterance_ids"]}
+    assert {'say "hi".mp3', "back\\slash.mp3", "n\u00e4me \u4e2d.mp3",
+            "clip\nwith a newline.mp3"} <= held
+    assert len(held) == len(rows)
 
 
 def test_two_writers_of_one_entry_each_land_whole(tmp_path, monkeypatch):

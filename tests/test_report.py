@@ -9,7 +9,6 @@ import os
 import re
 import tracemalloc
 from dataclasses import replace
-from json.encoder import encode_basestring_ascii
 from pathlib import PurePosixPath
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import decode_ids
+from conftest import decode_ids, texts_at
 from fedspeech.arch import WorkloadSpec, arch_to_mapping, base_preset
 from fedspeech.costs import forward_flops, module_rollup
 from fedspeech.errors import ConfigError
@@ -31,30 +30,31 @@ from fedspeech.report import (PLAN_CSV_HEADER, TRAJECTORY_CSV_HEADER, Rows, Stre
                               write_csv, write_json)
 
 
-def _runs(items, picked):
-    """The (start, end) offsets in ``encode_ids(items)[0]`` of the texts of the
-    items at ``picked``."""
-    offsets = np.cumsum([0] + [len(encode_basestring_ascii(i)) + 1 for i in items])
+def _runs(items, picked, depth=3):
+    """The (start, end) offsets in ``texts_at(items, depth)`` of the texts of
+    the items at ``picked``."""
+    offsets = np.cumsum([0] + [len(texts_at([i], depth)) for i in items])
     picked = np.array(picked, dtype=np.int64)
     return offsets[picked], offsets[picked + 1]
 
 
-# Streamed lists as a report holds them. Strings as a manifest holds
-# utterance ids: their newline-ended JSON texts in one bytes object
+# Streamed lists as a report holds them, each made for the nesting depth it
+# is written at. Strings as a manifest holds utterance ids: their JSON
+# texts, each followed by the separator of that depth, in one bytes object
 # (``ids``), or picked one run per text from a bytearray (``texts``). Rows
 # filled into a %-template: ints (``ints``), (int, float) pairs whose JSON
 # texts span lines, as a schedule's rounds do (``rows``), and floats as an
 # object's members, as fl_plan.json's epoch times (``members``).
 STREAMED = {
-    "ids": lambda items: StreamedList(encode_ids(items)[0]),
-    "texts": lambda items: StreamedList(bytearray(encode_ids(items)[0]),
-                                        runs=_runs(items, range(len(items)))),
-    "ints": lambda items: StreamedList(Rows("%d", len(items), 1,
-                                            lambda lo, hi: items[lo:hi])),
-    "rows": lambda items: StreamedList(Rows(
+    "ids": lambda items, depth: StreamedList(texts_at(items, depth)),
+    "texts": lambda items, depth: StreamedList(bytearray(texts_at(items, depth)),
+                                               runs=_runs(items, range(len(items)), depth)),
+    "ints": lambda items, depth: StreamedList(Rows("%d", len(items), 1,
+                                                   lambda lo, hi: items[lo:hi])),
+    "rows": lambda items, depth: StreamedList(Rows(
         '{\n  "n": %d,\n  "x": [\n    %r,\n    %d\n  ]\n}', len(items), 3,
         lambda lo, hi: [v for n, x in items[lo:hi] for v in (n, x, n)])),
-    "members": lambda items: StreamedList(Rows(
+    "members": lambda items, depth: StreamedList(Rows(
         '"k%d": %r', len(items), 2,
         lambda lo, hi: [v for i, x in enumerate(items[lo:hi], lo) for v in (i, x)]),
         brackets="{}"),
@@ -65,20 +65,25 @@ PLAIN = {"ids": list, "texts": list, "ints": list,
          "members": lambda items: {f"k{i}": x for i, x in enumerate(items)}}
 
 
+def _unwrapped(items, depth):
+    """A streamed list's items as the plain list it stands for, at any depth."""
+    return items
+
+
 def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
     strings = {"z": ["b", 'a "quoted" \\ id', "n\u00e4me", "\x01", " "], "empty": [],
                "x": ["x"], "more": ["y", "z"], "deep": ["deep"]}
 
     def payload(wrap):
         return {
-            "z": wrap(strings["z"]),
-            "clients": [{"ids": wrap(strings["empty"]), "n": 1},
-                        {"ids": wrap(strings["x"]), "more": wrap(strings["more"])}],
-            "meta": {"pair": (1, 2), "nested": [[wrap(strings["deep"])]]},
+            "z": wrap(strings["z"], 1),
+            "clients": [{"ids": wrap(strings["empty"], 3), "n": 1},
+                        {"ids": wrap(strings["x"], 3), "more": wrap(strings["more"], 3)}],
+            "meta": {"pair": (1, 2), "nested": [[wrap(strings["deep"], 4)]]},
             "f": 1.5,
         }
 
-    expected = json.dumps(payload(list), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(payload(_unwrapped), indent=2, sort_keys=True) + "\n"
     for kind in ("ids", "texts"):
         write_json(tmp_path / "p.json", payload(STREAMED[kind]))
         assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
@@ -86,11 +91,12 @@ def test_streamed_strings_written_as_json_dump_writes_lists(tmp_path):
 
 def test_a_string_equal_to_the_placeholder_is_written_as_itself(tmp_path):
     def payload(strings, ints):
-        return {"name": "\x00streamed strings", "ids": strings(["a", "\x00streamed strings"]),
-                "rounds": [{"selected": ints([3, 7])}, {"\x00streamed strings": ints([])}]}
+        return {"name": "\x00streamed strings",
+                "ids": strings(["a", "\x00streamed strings"], 1),
+                "rounds": [{"selected": ints([3, 7], 3)}, {"\x00streamed strings": ints([], 3)}]}
 
     write_json(tmp_path / "p.json", payload(STREAMED["ids"], STREAMED["ints"]))
-    expected = json.dumps(payload(list, list), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(payload(_unwrapped, _unwrapped), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == expected
 
 
@@ -175,13 +181,16 @@ _PAYLOADS = _dicts(st.recursive(
     | _dicts(inner, 3), max_leaves=12), 4)
 
 
-def _build(node, streamed):
+def _build(node, streamed, depth=0):
+    """The payload ``node`` stands for at nesting ``depth``, with its
+    streamed lists made for the depths they are written at, or unwrapped."""
     if isinstance(node, _Streamed):
-        return (STREAMED if streamed else PLAIN)[node.kind](node.items)
+        return STREAMED[node.kind](node.items, depth) if streamed \
+            else PLAIN[node.kind](node.items)
     if isinstance(node, dict):
-        return {k: _build(v, streamed) for k, v in node.items()}
+        return {k: _build(v, streamed, depth + 1) for k, v in node.items()}
     if isinstance(node, (list, tuple)):
-        return type(node)(_build(v, streamed) for v in node)
+        return type(node)(_build(v, streamed, depth + 1) for v in node)
     return node
 
 
@@ -217,7 +226,7 @@ def test_non_finite_in_a_flat_list_raises_and_leaves_no_file(tmp_path, value, wh
     # non-finite number is met
     payload = {"depth-2": {"a": {"b": [1.0, value]}},
                "depth-3": {"a": [{"b": [2, value]}], "c": 1},
-               "after-streamed": {"a-ids": StreamedList(encode_ids(["x", "y"])[0]),
+               "after-streamed": {"a-ids": StreamedList(texts_at(["x", "y"], 1)),
                                   "b": {"c": [value, 3.0]}},
                "key": {"a": [1], "b": {value: [1.0]}}}[where]
     with pytest.raises(ConfigError, match=r"^cannot write p\.json: Out of range float"):
@@ -472,7 +481,7 @@ def _assert_indexed_as_gathered(tmp_path, held, items, picked):
     indexed = StreamedList(held, runs=_runs(items, picked))
     gathered = StreamedList(encode_ids([items[i] for i in picked])[0])
     assert bool(indexed) == bool(gathered) == bool(picked)
-    assert b"".join(indexed.pieces(1)) == b"".join(gathered.pieces(1))
+    assert b"".join(indexed.pieces(3)) == b"".join(gathered.pieces(3))
     write_json(tmp_path / "p.json", {"clients": [{"ids": indexed}]})
     expected = {"clients": [{"ids": [items[i] for i in picked]}]}
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == \
@@ -496,6 +505,25 @@ def test_indexed_ids_written_as_their_gather(tmp_path, items, picked):
 def test_indexed_ids_property(tmp_path, data, items, held):
     picked = data.draw(st.lists(st.integers(0, len(items) - 1), unique=True))
     _assert_indexed_as_gathered(tmp_path, held(encode_ids(items)[0]), items, picked)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 4, 5])
+@pytest.mark.parametrize("runs", [False, True])
+def test_ids_written_at_another_depth_are_refused(tmp_path, depth, runs):
+    items = ["a", 'b "c" \\', "d\ne", "n\u00e4me"]
+    texts = encode_ids(items)[0]
+    assert texts == texts_at(items, 3)  # as fl_partition.json lists ids
+    written = StreamedList(texts, runs=_runs(items, [2, 0]) if runs else None)
+    assert json.loads(b"".join(written.pieces(3))) == \
+        ([items[2], items[0]] if runs else items)
+    with pytest.raises(ValueError, match=f"^texts not separated as a list at depth {depth}$"):
+        b"".join(written.pieces(depth))
+    payload = {"ids": written}
+    for _ in range(depth - 1):
+        payload = {"a": payload}
+    with pytest.raises(ConfigError, match=r"^cannot write p\.json: texts not separated"):
+        write_json(tmp_path / "p.json", payload if depth else written)
+    assert not any(tmp_path.iterdir())
 
 
 _WRITERS = {"json": lambda path: write_json(path, {"a": [1, 2]}),
