@@ -254,13 +254,13 @@ def memory_fit_checks() -> list[CheckResult]:
 
 def wall_clock_checks() -> list[CheckResult]:
     out = []
-    arch = get_preset("base")
+    arch, workload = get_preset("base"), WorkloadSpec(batch=4)
     partition = uniform_partition(10, IDEALISED_SAMPLES_PER_CLIENT)
     schedule = schedule_rounds(10, 10, 150, seed=1)
 
     def estimate(device: str) -> WallClockEstimate:
-        return estimate_wall_clock(partition, schedule, get_profile(device), arch,
-                                   WorkloadSpec(batch=4))
+        pred = predict_batch_time(get_profile(device), arch, workload)
+        return estimate_wall_clock(partition, schedule, pred, arch, workload)
 
     est = estimate("a40")
     epoch_h = est.seconds_per_local_epoch[0].item() / 3600.0

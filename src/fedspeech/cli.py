@@ -84,12 +84,12 @@ def _workload_from(args: argparse.Namespace, cfg: dict,
                 precision=args.precision and Precision(args.precision))
 
 
-def _anchor_line(profile: DeviceProfile, workload: WorkloadSpec, pred: TimePrediction) -> str:
-    """The anchor a prediction for ``workload`` on ``profile`` was calibrated
-    from, and the training FLOP/s it gave."""
+def _anchor_line(workload: WorkloadSpec, pred: TimePrediction) -> str:
+    """The anchor a prediction for ``workload`` was calibrated from, and the
+    training FLOP/s it gave."""
     anchor = pred.anchor_used
     return (f"anchor: {anchor.arch} at batch {anchor.batch}, {anchor.precision.value}, "
-            f"{anchor.duration_s} s clips: {anchor.seconds_per_batch} s/batch on {profile.name} "
+            f"{anchor.duration_s} s clips: {anchor.seconds_per_batch} s/batch on {pred.device} "
             f"(batch distance {abs(anchor.batch - workload.batch)}); calibrated "
             f"{pred.effective_throughput:.6g} training FLOP/s")
 
@@ -135,7 +135,7 @@ def _fit_and_time(args: argparse.Namespace, arch, workload: WorkloadSpec, cal,
             f"{profile.memory_budget_bytes / 1e9:.2f} GB" + (missing and f", and {missing}"))
     if missing:  # a refusal stays one line
         raise MissingAnchorError("; ".join([missing, *fit]))
-    explanation = [_anchor_line(profile, workload, pred), _kappa_line(cal), *fit] \
+    explanation = [_anchor_line(workload, pred), _kappa_line(cal), *fit] \
         if args.explain else []
     return pred, residency, verdict, explanation
 
@@ -279,11 +279,8 @@ def cmd_fl_plan(args: argparse.Namespace) -> int:
         fit_workload = workload
 
     schedule = schedule_rounds(fl.clients, per_round, fl.rounds, fl.seed)
-    # the anchor is chosen by the arch, the precision and the batch, so every
-    # client the estimate times has the anchor found here
-    _, _, verdict, explanation = _fit_and_time(args, arch, fit_workload, cal, profile)
-    estimate = estimate_wall_clock(partition, schedule, profile, arch, workload,
-                                   fl.local_epochs)
+    pred, _, verdict, explanation = _fit_and_time(args, arch, fit_workload, cal, profile)
+    estimate = estimate_wall_clock(partition, schedule, pred, arch, workload, fl.local_epochs)
     # before any report, which a refusal to allocate them leaves unwritten
     stragglers = round_stragglers(estimate, schedule, fl.local_epochs) if args.explain \
         else None
@@ -406,8 +403,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
           "doubling")
     print(f"wrote {out / 'forecast.json'}")
     if args.explain:
-        _explain(*(_anchor_line(d, workload, p)
-                   for d, p in zip((device, reference), predictions[headline_key])),
+        _explain(*(_anchor_line(workload, p) for p in predictions[headline_key]),
                  f"parity: {headline_key}: {headline['slow_s']:.6g} s/batch on {device.name} "
                  f"/ {headline['fast_s']:.6g} s/batch on {reference.name} = slowdown ratio "
                  f"{headline['slowdown_ratio']:.6g}; {headline['years_to_parity']:.6g} years "

@@ -100,21 +100,20 @@ class CostReport:
 # Shape arithmetic
 
 
-def conv_output_len(len_in: int, kernel: int, stride: int) -> int:
-    """Valid-convolution output length: floor((len_in - kernel) / stride) + 1."""
-    if len_in < kernel:
-        raise ConfigError(f"input of {len_in} frames is shorter than the kernel ({kernel})")
+def conv_output_len(len_in, kernel: int, stride: int):
+    """Valid-convolution output length(s): floor((len_in - kernel) / stride) + 1."""
+    shortest = len_in if isinstance(len_in, int) else len_in.min()
+    if shortest < kernel:
+        raise ConfigError(f"input of {shortest} frames is shorter than the kernel ({kernel})")
     return (len_in - kernel) // stride + 1
 
 
-def conv_stack_lens(arch: ArchitectureSpec, samples: int) -> list[int]:
-    """Per-layer output lengths of the conv front end."""
-    lens: list[int] = []
-    n = samples
+def conv_stack_lens(arch: ArchitectureSpec, samples) -> list:
+    """Per-layer output lengths of the conv front end, as ``conv_output_len``'s."""
+    lens = [samples]
     for layer in arch.conv_stack:
-        n = conv_output_len(n, layer.kernel, layer.stride)
-        lens.append(n)
-    return lens
+        lens.append(conv_output_len(lens[-1], layer.kernel, layer.stride))
+    return lens[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def _quantizer_flops(arch: ArchitectureSpec, frames: int) -> float:
     logits = 2.0 * q.input_dim * q.total_entries * L
     similarity = 2.0 * q.total_entries * q.entry_dim * L
     assembly = 2.0 * q.total_entries * q.entry_dim * L
-    softmax = float(ELEMENTWISE_FLOPS * q.total_entries * L)
+    softmax = ELEMENTWISE_FLOPS * q.total_entries * L  # an int, added as its float
     return logits + similarity + assembly + softmax
 
 
@@ -195,16 +194,19 @@ def _quantizer_flops(arch: ArchitectureSpec, frames: int) -> float:
 # Report construction
 
 
-def _build_layers(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
-    """The report's columns, filled in forward order in one pass; the
-    transformer block row is computed once and repeated ``block_count`` times."""
-    lens = conv_stack_lens(arch, workload.samples)
+def build_layers(arch: ArchitectureSpec, workload: WorkloadSpec, samples) -> CostReport:
+    """The report's columns at clips of ``samples`` and the workload's batch
+    and precision, in forward order; the block row is computed once and
+    repeated ``block_count`` times. Given an ``object`` array of Python ints
+    (an int64 one overflows on long clips), each column entry is an array,
+    each clip's figure from the very operations of one count."""
+    lens = conv_stack_lens(arch, samples)
     batch, elem = workload.batch, workload.precision.bytes_per_value
     frames = lens[-1]
 
     def row(kind: LayerKind, label: str, params: int, flops: float,
             retained_elems: int, out_len: int) -> tuple:
-        return kind, label, params, flops * batch, float(retained_elems * elem), out_len
+        return kind, label, params, flops * batch, 1.0 * (retained_elems * elem), out_len
 
     rows = [row(LayerKind.CONV, f"conv{i}", conv_params(conv), _conv_flops(conv, n),
                 _conv_retained(conv, n), n)
@@ -229,7 +231,7 @@ def _build_layers(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
         rows += [(kind, f"block{i}", *block) for i in range(arch.block_count)]
         d = arch.block.model_dim
         rows.append(row(LayerKind.FINAL_NORM, "final_norm", 2 * d,
-                        float(ELEMENTWISE_FLOPS * d * frames), d * frames, frames))
+                        1.0 * (ELEMENTWISE_FLOPS * d * frames), d * frames, frames))
 
     q = arch.quantizer
     rows.append(row(LayerKind.QUANTIZER, "quantizer", quantizer_params(arch),
@@ -252,7 +254,7 @@ def forward_flops(arch: ArchitectureSpec, workload: WorkloadSpec) -> CostReport:
     is built once per (arch, workload) and shared by every later call, which
     its immutability makes safe.
     """
-    return _build_layers(arch, workload)
+    return build_layers(arch, workload, workload.samples)
 
 
 _MODULE_LABELS = {"cnn_encoder": "CNN Encoder", "transformer": "Transformer",

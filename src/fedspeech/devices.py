@@ -75,6 +75,7 @@ class DeviceProfile:
 
 @dataclass(frozen=True)
 class TimePrediction:
+    device: str  # the profile's name
     seconds_per_batch: float
     effective_throughput: float  # training FLOP/s
     anchor_used: Anchor
@@ -197,8 +198,7 @@ def predict_batch_time(profile: DeviceProfile, arch: ArchitectureSpec,
     throughput = (training_flops(forward_flops(arch, anchor.workload))
                   / anchor.seconds_per_batch)
     seconds = training_flops(forward_flops(arch, workload)) / throughput
-    return TimePrediction(seconds_per_batch=seconds, effective_throughput=throughput,
-                          anchor_used=anchor)
+    return TimePrediction(profile.name, seconds, throughput, anchor)
 
 
 # ---------------------------------------------------------------------------

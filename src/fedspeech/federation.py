@@ -31,10 +31,11 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .arch import REFERENCE_CLIP_S, ArchitectureSpec, Precision, WorkloadSpec
-from .costs import CostReport
-from .devices import DeviceProfile, predict_batch_time
+from .costs import CostReport, build_layers
+from .devices import TimePrediction
 from .errors import ConfigError, MalformedRowError, ManifestError, allocating
 from .lazy import np
+from .memory import training_flops
 
 
 # Adapter for raw Common Voice exports: validated.tsv names its columns
@@ -576,11 +577,11 @@ def schedule_rounds(total_clients: int, per_round: int, n_rounds: int,
 
 
 def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
-                        profile: DeviceProfile, arch: ArchitectureSpec,
+                        prediction: TimePrediction, arch: ArchitectureSpec,
                         workload: WorkloadSpec, local_epochs: int = 1) -> WallClockEstimate:
-    """Synchronous-round wall clock on ``profile``: sum over rounds of the
-    slowest client, each training ``workload`` at its own mean utterance
-    duration."""
+    """Synchronous-round wall clock from ``prediction`` for ``arch`` at
+    ``workload``'s batch and precision: sum over rounds of the slowest client,
+    each training ``workload`` at its own mean clip length at that throughput."""
     if local_epochs < 1:
         raise ConfigError(f"local_epochs must be >= 1, got {local_epochs}")
     if local_epochs > _MAX_COUNT:
@@ -590,16 +591,17 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
             f"schedule covers {schedule.total_clients} clients but the "
             f"partition has {partition.n_clients}")
 
-    # One local epoch is ceil(n / batch) batches at the predicted batch time,
-    # evaluated at the client's mean utterance duration: one prediction per
-    # distinct mean duration, and one ceil per distinct count, of Python's
-    # correctly rounded n / batch.
+    # One local epoch is ceil(n / batch) batches, each the training FLOPs at
+    # the client's mean utterance duration over the throughput: one cost table
+    # of the distinct mean durations' samples, and one ceil per distinct
+    # count, of Python's correctly rounded n / batch.
     with allocating(f"the epoch times of {partition.n_clients} clients"):
         durations, at_duration = np.unique(partition.mean_duration_s, return_inverse=True)
         counts, at_count = np.unique(partition.n_utterances, return_inverse=True)
-    batch_seconds = np.array([predict_batch_time(
-        profile, arch, replace(workload, duration_s=d)).seconds_per_batch
-        for d in durations.tolist()])
+    samples = np.array([replace(workload, duration_s=d).samples for d in durations.tolist()],
+                       object)
+    batch_seconds = np.array(training_flops(build_layers(arch, workload, samples))
+                             / prediction.effective_throughput, np.float64)
     batches = np.array([math.ceil(n / workload.batch) for n in counts.tolist()], np.float64)
     epoch_seconds = batches[at_count] * batch_seconds[at_duration]
 
@@ -609,7 +611,7 @@ def estimate_wall_clock(partition: Partition, schedule: RoundSchedule,
                     f"{schedule.per_round} clients per round"):
         round_seconds = _selected_seconds(epoch_seconds, schedule, local_epochs).max(axis=1)
         total_seconds = _sum_in_order(round_seconds.copy())
-    return WallClockEstimate(profile.name, epoch_seconds, round_seconds, total_seconds)
+    return WallClockEstimate(prediction.device, epoch_seconds, round_seconds, total_seconds)
 
 
 def _selected_seconds(epoch_seconds: np.ndarray, schedule: RoundSchedule,

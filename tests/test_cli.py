@@ -192,22 +192,32 @@ class TestPredictTime:
     # the default calibration's reference workload, the anchor's, the requested
     (["predict-time", "--device", "nx", "--duration", "7.25", "--batch", "2"], 3),
     # the reference workload, which is also the plan's and the anchor's; the
-    # fit check's report also gives the parameter counts that size the traffic
-    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], 1),
+    # fit check's report also gives the parameter counts that size the traffic;
+    # and the clients' one mean clip length in an array
+    (["fl-plan", "--clients", "3", "--rounds", "2", "--device", "nx"], 2),
+    # the reference workload, which is also the anchor's, the longest client
+    # mean's, and one array of every distinct client mean, however many
+    (["fl-plan", "--manifest", "<corpus>", "--clients", "3", "--rounds", "2",
+      "--device", "nx"], 3),
+    (["fl-plan", "--manifest", "<corpus>", "--clients", "3000", "--rounds", "2",
+      "--device", "nx"], 3),
     # batch 1 and 4 at fp32 and mixed, each also both devices' anchor
     (["forecast", "--device", "nx"], 4),
-], ids=["predict-time", "fl-plan", "forecast"])
-def test_one_cost_report_per_distinct_workload(argv, builds, tmp_path, monkeypatch):
+], ids=["predict-time", "fl-plan", "fl-plan-manifest-3", "fl-plan-manifest-3000", "forecast"])
+def test_one_cost_report_per_distinct_workload(argv, builds, tmp_path, monkeypatch,
+                                               corpus_manifest_path):
     costs.forward_flops.cache_clear()
     memory.default_calibration.cache_clear()
     built = []
-    build_layers = costs._build_layers
+    build_layers = costs.build_layers
 
-    def counted(arch, workload):
-        built.append((arch, workload))
-        return build_layers(arch, workload)
+    def counted(arch, workload, samples):
+        built.append((arch, workload, samples if isinstance(samples, int) else tuple(samples)))
+        return build_layers(arch, workload, samples)
 
-    monkeypatch.setattr(costs, "_build_layers", counted)
+    monkeypatch.setattr(costs, "build_layers", counted)
+    monkeypatch.setattr(federation, "build_layers", counted)
+    argv = [str(corpus_manifest_path) if a == "<corpus>" else a for a in argv]
     assert run(argv + ["--out", str(tmp_path)]) == 0
     assert len(built) == len(set(built)) == builds
 
@@ -368,20 +378,41 @@ class TestFlPlan:
 
     def test_explain_predicts_nothing_again(self, tmp_path, monkeypatch):
         # the plan's own prediction at the fitted workload is the one explained
+        # and the one every client is timed from: the one anchor selected
         predicted = []
-        for module in (cli, federation):
-            def predicting(*args, _module=module, _predict=module.predict_batch_time):
-                predicted.append(_module)
-                return _predict(*args)
 
-            monkeypatch.setattr(module, "predict_batch_time", predicting)
+        def predicting(*args, _predict=cli.predict_batch_time):
+            predicted.append(cli)
+            return _predict(*args)
+
+        def selecting(*args, _select=devices._select_anchor):
+            predicted.append(devices)
+            return _select(*args)
+
+        monkeypatch.setattr(cli, "predict_batch_time", predicting)
+        monkeypatch.setattr(devices, "_select_anchor", selecting)
         counts = []
         for flags in ([], ["--explain"]):
             predicted.clear()
             assert run(["fl-plan", "--clients", "3", "--rounds", "2", "--device", "agx",
                         "--out", str(tmp_path), *flags]) == 0
-            counts.append((predicted.count(cli), len(predicted)))
-        assert counts == [(1, 2), (1, 2)]
+            counts.append((predicted.count(cli), predicted.count(devices)))
+        assert counts == [(1, 1), (1, 1)]
+        assert not hasattr(federation, "predict_batch_time")
+
+    def test_a_client_mean_clip_shorter_than_the_conv_kernel_is_refused(self, tmp_path,
+                                                                        capsys):
+        # one client's 0.5 ms clips are 8 samples, under the first conv's 10;
+        # the other's 5 s clips fit and give the plan's fitted workload
+        rows = [(f"s{i % 2}", f"u{i}", "x", 0.5 if i % 2 else 5000) for i in range(6)]
+        short_clips = tmp_path / "short.tsv"
+        short_clips.write_text(manifest_text(rows))
+        for flags in ([], ["--explain"]):
+            assert run(["fl-plan", "--manifest", str(short_clips), "--clients", "2",
+                        "--rounds", "1", "--out", str(tmp_path / "r"), *flags]) == 2
+            assert capsys.readouterr().err == \
+                "error: input of 8 frames is shorter than the kernel (10)\n"
+            assert not (tmp_path / "r").exists()
 
     def test_a_plan_without_explain_finds_no_straggler(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "round_stragglers", lambda *a: pytest.fail("computed"))

@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fedspeech.arch import (Activation, ArchitectureSpec, AttentionBlockSpec,
                             ConvLayerSpec, NormKind, Precision, QuantizerSpec,
                             WorkloadSpec, base_preset, get_preset, large_preset)
-from fedspeech.costs import (LayerKind, conv_output_len, conv_params,
+from fedspeech.costs import (LayerKind, build_layers, conv_output_len, conv_params,
                              conv_stack_lens, forward_flops, linear_params,
                              module_rollup)
 from fedspeech.errors import ConfigError
@@ -35,6 +36,12 @@ class TestConvOutputLen:
         with pytest.raises(ConfigError,
                            match=r"^input of 5 frames is shorter than the kernel \(10\)$"):
             conv_output_len(5, 10, 5)
+
+    def test_an_array_of_lengths(self):
+        assert conv_output_len(np.array([10, 88_000], object), 10, 5).tolist() == [1, 17_599]
+        with pytest.raises(ConfigError,
+                           match=r"^input of 5 frames is shorter than the kernel \(10\)$"):
+            conv_output_len(np.array([12, 7, 5, 30], object), 10, 5)
 
 
 class TestFrames:
@@ -244,6 +251,21 @@ class TestColumnsExact:
             assert all(float(v).is_integer() for v in
                        report.fwd_flops + report.activation_bytes_per_sample)
             assert report.total_fwd_flops < 2**53 and report.total_params < 2**53
+
+    def test_an_array_of_clip_lengths_gives_each_lengths_columns(self, preset):
+        # each entry of the array table's columns is the one-length table's,
+        # of the same type and bits, from the 400 samples the front end needs
+        # to just under 2**53
+        arch, workload = get_preset(preset), WorkloadSpec(batch=3)
+        lengths = [400, 401, 88_000, 10**9, 2**40 + 1, 2**53 - 1]
+        table = build_layers(arch, workload, np.array(lengths, object))
+        assert table.kinds == forward_flops(arch, workload).kinds
+        for i, n in enumerate(lengths):
+            report = build_layers(arch, workload, n)
+            assert table.params == report.params
+            for name in ("fwd_flops", "activation_bytes_per_sample", "output_lens"):
+                assert [(type(v[i]), repr(v[i])) for v in getattr(table, name)] == \
+                    [(type(v), repr(v)) for v in getattr(report, name)]
 
     def test_block_rows_are_equal(self, preset):
         arch = get_preset(preset)

@@ -765,6 +765,13 @@ class TestSchedule:
         assert freqs.min() >= 0.18 and freqs.max() <= 0.22
 
 
+def plan_estimate(partition, schedule, device, arch, workload, local_epochs=1):
+    """``estimate_wall_clock`` from the one prediction a plan makes on ``device``."""
+    return estimate_wall_clock(partition, schedule,
+                               predict_batch_time(get_profile(device), arch, workload),
+                               arch, workload, local_epochs=local_epochs)
+
+
 def slowest_per_round(schedule, epoch_seconds, local_epochs):
     """Each round's slowest client, one selection at a time: the reference
     for the gather in ``estimate_wall_clock``."""
@@ -779,8 +786,8 @@ class TestWallClock:
         # one device; the clients' mean clip lengths differ
         partition = partition_by_speaker(corpus_manifest, 40, seed=3)
         schedule = schedule_rounds(40, 7, 300, seed=5)
-        est = estimate_wall_clock(partition, schedule, get_profile("nx"), base_preset(),
-                                  WorkloadSpec(batch=4), local_epochs=local_epochs)
+        est = plan_estimate(partition, schedule, "nx", base_preset(),
+                            WorkloadSpec(batch=4), local_epochs=local_epochs)
         expected = slowest_per_round(schedule, est.seconds_per_local_epoch.tolist(),
                                      local_epochs)
         assert len(set(expected)) > 10  # the slowest client varies by round
@@ -805,8 +812,8 @@ class TestWallClock:
             "uniform": lambda: uniform_partition(40, 100),
         }[clients]()
         schedule = schedule_rounds(40, 7, 300, seed=5)
-        est = estimate_wall_clock(partition, schedule, get_profile("nx"), base_preset(),
-                                  WorkloadSpec(batch=4), local_epochs=local_epochs)
+        est = plan_estimate(partition, schedule, "nx", base_preset(),
+                            WorkloadSpec(batch=4), local_epochs=local_epochs)
         seconds = est.seconds_per_local_epoch.tolist()
         expected = [max(selected, key=lambda c: seconds[c] * local_epochs)
                     for selected in schedule.selected.tolist()]
@@ -820,8 +827,8 @@ class TestWallClock:
 
     def test_stragglers_that_cannot_be_allocated_are_refused(self, monkeypatch):
         schedule = schedule_rounds(10, 10, 150)
-        est = estimate_wall_clock(uniform_partition(10, 19_500), schedule,
-                                  get_profile("a40"), base_preset(), WorkloadSpec(batch=4))
+        est = plan_estimate(uniform_partition(10, 19_500), schedule, "a40", base_preset(),
+                            WorkloadSpec(batch=4))
 
         def too_large(*args):
             raise MemoryError
@@ -836,8 +843,7 @@ class TestWallClock:
         arch = base_preset()
         partition = uniform_partition(10, 19_500)
         schedule = schedule_rounds(10, 10, 150, seed=0)
-        est = estimate_wall_clock(partition, schedule, get_profile("a40"), arch,
-                                  WorkloadSpec(batch=4))
+        est = plan_estimate(partition, schedule, "a40", arch, WorkloadSpec(batch=4))
         epoch_h = est.seconds_per_local_epoch[0] / 3600
         assert epoch_h == pytest.approx(0.37, rel=0.02)
         assert est.total_hours == pytest.approx(55.5, rel=0.02)
@@ -849,16 +855,14 @@ class TestWallClock:
         arch = base_preset()
         partition = uniform_partition(10, 19_500)
         schedule = schedule_rounds(10, 10, 150, seed=0)
-        est = estimate_wall_clock(partition, schedule, get_profile(device), arch,
-                                  WorkloadSpec(batch=4))
+        est = plan_estimate(partition, schedule, device, arch, WorkloadSpec(batch=4))
         assert est.total_days == pytest.approx(days, rel=0.05)
 
     def test_single_batch_trivial_case(self):
         arch = base_preset()
         partition = uniform_partition(1, 64)
         schedule = schedule_rounds(1, 1, 1, seed=0)
-        est = estimate_wall_clock(partition, schedule, get_profile("a40"), arch,
-                                  WorkloadSpec(batch=64))
+        est = plan_estimate(partition, schedule, "a40", arch, WorkloadSpec(batch=64))
         # one predicted batch only: 64 sequences of 5.5 s, nearest anchor is b4
         pred = predict_batch_time(get_profile("a40"), arch, WorkloadSpec(5.5, batch=64))
         assert est.total_seconds == pytest.approx(pred.seconds_per_batch, rel=1e-12)
@@ -867,8 +871,7 @@ class TestWallClock:
         arch = base_preset()
         partition = uniform_partition(4, 100)
         schedule = schedule_rounds(4, 2, 25, seed=2)
-        est = estimate_wall_clock(partition, schedule, get_profile("nx"), arch,
-                                  WorkloadSpec(batch=4))
+        est = plan_estimate(partition, schedule, "nx", arch, WorkloadSpec(batch=4))
         assert est.total_seconds == pytest.approx(sum(est.seconds_per_round), rel=1e-12)
         # homogeneous devices and equal clients: every round costs the same
         assert est.total_seconds == pytest.approx(
@@ -881,8 +884,8 @@ class TestWallClock:
         schedule = schedule_rounds(1, 1, rounds)
         tracemalloc.start()
         try:
-            est = estimate_wall_clock(uniform_partition(1, 100), schedule, get_profile("a40"),
-                                      base_preset(), WorkloadSpec(batch=4))
+            est = plan_estimate(uniform_partition(1, 100), schedule, "a40",
+                                base_preset(), WorkloadSpec(batch=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -891,59 +894,70 @@ class TestWallClock:
 
     def test_no_rounds_take_no_time(self):
         empty = RoundSchedule(selected=np.empty((0, 2), np.int64), total_clients=2, seed=0)
-        est = estimate_wall_clock(uniform_partition(2, 100), empty, get_profile("a40"),
-                                  base_preset(), WorkloadSpec(batch=4))
+        est = plan_estimate(uniform_partition(2, 100), empty, "a40",
+                            base_preset(), WorkloadSpec(batch=4))
         assert (est.seconds_per_round.shape, est.total_seconds) == ((0,), 0.0)
 
     def test_local_epochs_scale_round_time(self):
         arch = base_preset()
         partition = uniform_partition(2, 100)
         schedule = schedule_rounds(2, 2, 3, seed=0)
-        a40, workload = get_profile("a40"), WorkloadSpec(batch=4)
-        one = estimate_wall_clock(partition, schedule, a40, arch, workload)
-        three = estimate_wall_clock(partition, schedule, a40, arch, workload, local_epochs=3)
+        workload = WorkloadSpec(batch=4)
+        one = plan_estimate(partition, schedule, "a40", arch, workload)
+        three = plan_estimate(partition, schedule, "a40", arch, workload, local_epochs=3)
         assert three.total_seconds == pytest.approx(3 * one.total_seconds, rel=1e-12)
 
-    def test_one_prediction_per_distinct_mean_duration(self, monkeypatch, corpus_manifest):
-        # Over a manifest partition and over equal idealised clients: each
-        # distinct mean duration is predicted once, and the result is that of
-        # one prediction per client.
-        calls = []
-
-        def counted(profile, arch, workload):
-            calls.append(workload)
-            return predict_batch_time(profile, arch, workload)
-
+    def test_each_client_takes_the_prediction_at_its_own_mean(self, corpus_manifest):
+        # Over a manifest partition, equal idealised clients and extreme means,
+        # each client's epoch is ceil(n / batch) batches of the prediction at
+        # its own mean clip, bit for bit. The extreme means run from the 400
+        # samples the conv front end needs to near the 2**53 a workload holds;
+        # past about 7.84e6 s an int64 count of the softmax's 5 * heads * L**2
+        # would overflow.
+        means = [400 / 16_000, 401 / 16_000, 0.03, 1.0, 5.5, 15.0,
+                 *np.geomspace(7.8e6, 1e9, 40).tolist(), 1e10, 1e11, 5.6e11, 562_949_953_421.0]
+        counts = np.arange(1, len(means) + 1)
         nx = get_profile("nx")
-        for partition in (partition_by_speaker(corpus_manifest, 12, seed=1),
-                          uniform_partition(12, 300)):
-            schedule = schedule_rounds(12, 4, 5, seed=0)
-            monkeypatch.setattr(federation, "predict_batch_time", counted)
-            calls.clear()
-            est = estimate_wall_clock(partition, schedule, nx, base_preset(),
-                                      WorkloadSpec(batch=4))
-            monkeypatch.undo()
-            means = partition.mean_duration_s.tolist()
-            assert len(calls) == len(set(calls)) == len(set(means))
+        for partition, distinct in (
+                (partition_by_speaker(corpus_manifest, 12, seed=1), 12),
+                (uniform_partition(12, 300), 1),
+                (Partition(counts, counts * np.array(means), np.ones(len(means), np.int64),
+                           seed=0), len(means))):
+            n = partition.n_clients
+            est = plan_estimate(partition, schedule_rounds(n, 4, 5, seed=0), "nx",
+                                base_preset(), WorkloadSpec(batch=4))
+            clip_means = partition.mean_duration_s.tolist()
+            assert len(set(clip_means)) == distinct
             assert est.seconds_per_local_epoch.tolist() == [
-                math.ceil(n / 4) * predict_batch_time(
+                math.ceil(count / 4) * predict_batch_time(
                     nx, base_preset(), WorkloadSpec(mean, batch=4)).seconds_per_batch
-                for n, mean in zip(partition.n_utterances.tolist(), means)]
-        assert len(calls) == 1  # the idealised clients share one mean duration
+                for count, mean in zip(partition.n_utterances.tolist(), clip_means)]
+
+    @pytest.mark.parametrize("mean,message", [
+        (0.0005, "input of 8 frames is shorter than the kernel (10)"),
+        (0.02, "input of 1 frames is shorter than the kernel (2)"),
+        (1e12, "1000000000000.0 s at 16000 Hz is more samples than a float counts exactly"),
+    ])
+    def test_a_mean_clip_the_encoder_cannot_take_is_refused(self, mean, message):
+        # one client at the reference clip, the other at ``mean``
+        partition = Partition(np.array([3, 2]), np.array([3 * 5.5, 2 * mean]),
+                              np.ones(2, np.int64), seed=0)
+        with pytest.raises(ConfigError) as exc:
+            plan_estimate(partition, schedule_rounds(2, 2, 1), "nx", base_preset(),
+                          WorkloadSpec(batch=4))
+        assert str(exc.value) == message
 
     def test_missing_anchor_propagates(self):
         partition = uniform_partition(2, 100)
         schedule = schedule_rounds(2, 2, 1, seed=0)
         with pytest.raises(MissingAnchorError):
-            estimate_wall_clock(partition, schedule, get_profile("rpi"), large_preset(),
-                                WorkloadSpec(batch=4))
+            plan_estimate(partition, schedule, "rpi", large_preset(), WorkloadSpec(batch=4))
 
     def test_ceil_batching(self):
         arch = base_preset()
         partition = uniform_partition(1, 101)
         schedule = schedule_rounds(1, 1, 1, seed=0)
-        est = estimate_wall_clock(partition, schedule, get_profile("a40"), arch,
-                                  WorkloadSpec(batch=4))
+        est = plan_estimate(partition, schedule, "a40", arch, WorkloadSpec(batch=4))
         per_batch = predict_batch_time(get_profile("a40"), arch,
                                        WorkloadSpec(5.5, batch=4)).seconds_per_batch
         assert est.total_seconds == pytest.approx(
