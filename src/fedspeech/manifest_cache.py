@@ -30,6 +30,13 @@ separators; durations are checked by value, and the order against the
 totals. An entry of an earlier format is a miss.
 A plan thus reads each speaker's total and the longest-first order instead
 of making them from every row again.
+An entry is mapped read-only, not copied: each column is a read-only view
+of the map, which the views keep open. fedspeech never rewrites an entry's
+sections in place (a write lands through a temp file and a rename, a prune
+unlinks, and a new hint rewrites header bytes no column maps), so a mapped
+entry keeps its bytes for the life of the plan. Another program that cuts
+an entry short in place during a plan ends it with ``SIGBUS``; an entry
+that cannot be mapped is a miss.
 
 The header also holds a hint: the stat identity (device, inode, size,
 mtime, ctime) of the file the entry was last read for. Hashing a corpus-
@@ -50,6 +57,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import mmap
 import os
 import stat
 import struct
@@ -265,8 +273,9 @@ class _Entry(NamedTuple):
 
 def _read_entry(entry: Path, key: Optional[bytes] = None,
                 hint: Optional[bytes] = None) -> Optional[_Entry]:
-    """What an entry holds, or None if it is missing or damaged, or its header
-    holds another ``key`` or ``hint`` than one given."""
+    """What an entry holds, or None if it is missing, damaged or cannot be
+    mapped, or its header holds another ``key`` or ``hint`` than one given.
+    The manifest's columns are read-only views of the entry's map."""
     try:
         with open(entry, "rb") as fh:
             raw = fh.read(_HEADER.size)
@@ -274,22 +283,24 @@ def _read_entry(entry: Path, key: Optional[bytes] = None,
                 return None
             header = _HEADER.unpack(raw)
             magic, stored_key, rows, n_speakers, id_bytes, crc, stored_hint = header
+            starts = _layout(header)
             if magic != _MAGIC or key not in (None, stored_key) \
                     or hint not in (None, stored_hint) \
-                    or os.fstat(fh.fileno()).st_size != _layout(header)["end"]:
+                    or os.fstat(fh.fileno()).st_size != starts["end"]:
                 return None
-            columns = {name: np.empty(header[count], dtype) for name, dtype, count in _SECTIONS}
-            for column in columns.values():
-                fh.readinto(column)
-            if _crc(columns) != crc:
-                return None
-    except (OSError, ValueError):
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        columns = {name: np.frombuffer(mapped, dtype, header[count], starts[name])
+                   for name, dtype, count in _SECTIONS}
+    except (OSError, ValueError):  # an empty or shortened file: ValueError
+        return None
+    if _crc(columns) != crc:
         return None
     counts, durations, totals, order = (columns[name] for name in (
         "speaker_rows", "durations_s", "speaker_totals_s", "longest_first"))
+    # a NaN carries through min and max, so one pass each refuses it too
     if not (counts.min(initial=1) >= 1 and counts.sum() == rows
             and columns["speaker_bytes"].sum() == id_bytes
-            and (durations > 0).all() and np.isfinite(durations).all()
+            and 0 < durations.min(initial=np.inf) and durations.max(initial=0) < np.inf
             and (totals > 0).all() and ((order >= 0) & (order < n_speakers)).all()):
         return None
     # Totals never rise along the order, and equal totals keep name order:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import re
 import shutil
@@ -138,11 +139,11 @@ def _speaker_rows(change):
     return _per_speaker("speaker_rows", change)
 
 
-def _first_duration(value):
-    """Damage that sets the first row's duration to ``value``, which the
-    CRC-32 does not cover."""
+def _duration(row, value):
+    """Damage that sets row ``row``'s duration (-1: the last row's) to
+    ``value``, which the CRC-32 does not cover."""
     def damage(data):
-        pos = _starts(data)["durations_s"]
+        pos = _starts(data)["durations_s"] + 8 * (row % _header(data)[2])
         return data[:pos] + np.float64(value).tobytes() + data[pos + 8:]
     return damage
 
@@ -212,8 +213,14 @@ def _set(at, value):
     _per_speaker("speaker_bytes",
                  lambda counts: np.concatenate([counts[:2] + [1, -1], counts[2:]])),
     _per_speaker("speaker_bytes", lambda counts: counts + (np.arange(len(counts)) == 0)),
-    _first_duration(0.0),
-    _first_duration(math.nan),
+    _duration(0, 0.0),
+    _duration(0, math.nan),
+    _duration(0, math.inf),
+    _duration(0, -math.inf),
+    _duration(0, -1.0),
+    _duration(-1, 0.0),
+    _duration(-1, math.nan),
+    _duration(-1, math.inf),
     _id_byte(7, 0, ord("c")),
     _id_byte(7, 5, 0x7f),
     _id_byte(7, 5, 0x0a),
@@ -235,7 +242,9 @@ def _set(at, value):
         "other-key", "id-bytes-not-the-file-size", "id-bytes-past-the-file", "other-crc",
         "speaker-without-rows", "rows-one-too-many",
         "speaker-id-bytes-moved", "speaker-id-bytes-one-too-many",
-        "duration-not-positive", "duration-not-finite",
+        "duration-not-positive", "duration-not-finite", "duration-infinite",
+        "duration-minus-infinite", "duration-negative", "last-duration-not-positive",
+        "last-duration-not-finite", "last-duration-infinite",
         "id-without-opening-quote",
         "id-byte-above-printable", "id-byte-below-printable", "nul-inside-id",
         "two-ids-on-one-line", "total-not-the-crc", "order-not-the-crc", "total-nan",
@@ -765,3 +774,91 @@ def test_loads_hold_with_the_threads_switching_often(tmp_path, manifest, entry_r
         sys.setswitchinterval(interval)
     assert entry_reads == ["hint"] * 20
     assert [t.name for t in threading.enumerate()].count("manifest-sha256") == 0
+
+
+# ------------------------------------------------------------ the mapping
+
+
+def _columns(manifest):
+    return {name: getattr(manifest, name) for name, _, _ in manifest_cache._SECTIONS}
+
+
+def test_columns_read_from_an_entry_are_read_only(tmp_path, manifest, parses, cache_home):
+    # no code path writes through the map: a write to any column raises
+    plan(manifest, tmp_path / "a")
+    cached, _ = manifest_cache.load_manifest_cached(manifest)
+    assert len(parses) == 1
+    for name, column in _columns(cached).items():
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[:1] = 0
+
+
+def _another_entry(tmp_path, cache_home):
+    """The entry of another manifest, cached beside this one's."""
+    other = tmp_path / "other.tsv"
+    other.write_text(_speakers(5))
+    manifest_cache.load_manifest_cached(other)
+    return _entry_of(cache_home, other)
+
+
+@pytest.mark.parametrize("change", ["unlinked", "replaced"])
+def test_a_mapped_entry_keeps_its_bytes_when_its_file_goes(tmp_path, manifest, parses,
+                                                         cache_home, monkeypatch, change):
+    # As _prune unlinks an entry, and _write_entry renames another file
+    # over one, right after the plan's read of it: the plan goes on with the
+    # bytes it mapped.
+    reference = plan(manifest, tmp_path / "reference")
+    parsed = federation.load_manifest(manifest)
+    [name] = entries(cache_home)
+    entry = cache_home / "fedspeech" / name
+    other = _another_entry(tmp_path, cache_home)
+    parses.clear()
+    read_entry, found = manifest_cache._read_entry, []
+
+    def read_then_change(path, **kwargs):
+        result = read_entry(path, **kwargs)
+        if result is not None and path == entry and not found:
+            found.append(result)
+            if change == "unlinked":
+                entry.unlink()
+            else:
+                os.replace(other, entry)
+        return result
+
+    monkeypatch.setattr(manifest_cache, "_read_entry", read_then_change)
+    assert plan(manifest, tmp_path / "a") == reference
+    assert len(found) == 1 and parses == []
+    assert entry.exists() == (change == "replaced")
+    for section, column in _columns(found[0].manifest).items():
+        assert column.tobytes() == getattr(parsed, section).tobytes(), section
+
+
+def test_new_hint_changes_no_column_of_a_mapped_entry(tmp_path, manifest, cache_home):
+    plan(manifest, tmp_path / "a")
+    [name] = entries(cache_home)
+    entry = cache_home / "fedspeech" / name
+    found = manifest_cache._read_entry(entry)
+    before = {section: column.tobytes()
+              for section, column in _columns(found.manifest).items()}
+    manifest_cache._write_hint(entry, bytes(range(40)))
+    assert _header(entry.read_bytes())[6] == bytes(range(40)) != found.hint
+    for section, column in _columns(found.manifest).items():
+        assert column.tobytes() == before[section], section
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENODEV, os.strerror(errno.ENODEV)),
+                                   ValueError("cannot mmap an empty file")],
+                         ids=["os-error", "value-error"])
+def test_an_entry_that_cannot_be_mapped_is_a_miss_and_rewritten(tmp_path, manifest, parses,
+                                                                cache_home, monkeypatch,
+                                                                error):
+    reference = plan(manifest, tmp_path / "a")
+    [name] = entries(cache_home)
+    entry = cache_home / "fedspeech" / name
+    good, inode = entry.read_bytes(), entry.stat().st_ino
+    monkeypatch.setattr(mmap, "mmap", _raise(error))
+    assert plan(manifest, tmp_path / "b") == reference
+    assert len(parses) == 2
+    assert entries(cache_home) == [name]
+    assert entry.read_bytes() == good and entry.stat().st_ino != inode
